@@ -85,4 +85,13 @@ cargo run -q --release -p mosaic-telemetry --bin mosaic-trace -- validate target
 cargo run -q --release -p mosaic-telemetry --bin mosaic-trace -- \
     chrome target/trace-smoke.jsonl -o target/trace-smoke.chrome.json
 
+echo "==> simbench-smoke (benchmark tests, and every workload's simulated results unchanged)"
+cargo test -q --release --manifest-path simbench/Cargo.toml
+for workload in multiapp oversub fleet; do
+    cargo run -q --release --manifest-path simbench/Cargo.toml -- \
+        --workload "$workload" --seed 0 --seconds 1 > "target/simbench-$workload.txt"
+    grep -q 'sim_changed false' "target/simbench-$workload.txt"
+done
+echo "    multiapp, oversub and fleet digests match simbench/digests.txt"
+
 echo "CI green."

@@ -97,3 +97,25 @@ fn closure_is_substantial_but_not_everything() {
          the over-approximation collapsed into 'everything is hot'"
     );
 }
+
+#[test]
+fn closure_covers_the_bulk_operation_fast_paths() {
+    // The O(1) bulk paths: a page copy books each hop as one port train
+    // over an allocation-free route, and region shootdowns (from
+    // `deallocate` and the eviction pump) invalidate by 2 MB group. They
+    // run on every migration and unmap, so they must stay hot.
+    let closure = real_workspace().closure();
+    for (ty, name) in [
+        ("ThroughputPort", "acquire_train"),
+        ("Interconnect", "transfer"),
+        ("Interconnect", "route"),
+        ("Topology", "hops"),
+        ("Tlb", "flush_base_range"),
+        ("TranslationArray", "invalidate_range"),
+    ] {
+        assert!(
+            closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),
+            "{ty}::{name} missing from closure"
+        );
+    }
+}

@@ -20,7 +20,7 @@ use mosaic_sim_core::{Counter, Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
     AppId, PageSize, PageTableSet, PageTableWalker, PhysAddr, Tlb, TlbLookupUndo, VirtAddr,
-    VirtPageNum, WalkCache,
+    VirtPageNum, WalkCache, BASE_PAGES_PER_LARGE_PAGE,
 };
 
 /// Cycles the baseline's full-TLB shootdown stalls the GPU (Figure 6a's
@@ -323,19 +323,18 @@ impl GpuSystem {
         // SM (the runtime's unmap shootdown): both the base entries of
         // the freed pages and the large entries of the regions they
         // spanned.
-        for i in 0..pages {
-            let addr = VirtPageNum(start.raw() + i).addr();
+        let first = start.large_page().raw();
+        let last = VirtPageNum(start.raw() + pages.saturating_sub(1)).large_page().raw();
+        if pages > 0 {
             for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
-                tlb.flush_base(asid, addr);
-                if addr.base_page().is_large_aligned() || i == 0 {
-                    tlb.flush_large(asid, addr);
+                tlb.flush_base_range(asid, start, pages);
+                for lpn in first..=last {
+                    tlb.flush_large(asid, mosaic_vm::LargePageNum(lpn).addr());
                 }
             }
         }
         if self.cfg.fleet.gpus > 1 {
-            let first = VirtPageNum(start.raw()).large_page();
-            let last = VirtPageNum(start.raw() + pages.saturating_sub(1)).large_page();
-            for lpn in first.raw()..=last.raw() {
+            for lpn in first..=last {
                 self.placement.remove(asid, mosaic_vm::LargePageNum(lpn));
             }
         }
@@ -436,12 +435,9 @@ impl GpuSystem {
                     // and large translations everywhere, then a brief
                     // synchronization stall.
                     emit(|| Event::Shootdown { asid: asid.0, lpn: lpn.raw(), cycle: now.as_u64() });
-                    let large_addr = lpn.addr();
                     for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
-                        tlb.flush_large(asid, large_addr);
-                        for vpn in lpn.base_pages() {
-                            tlb.flush_base(asid, vpn.addr());
-                        }
+                        tlb.flush_large(asid, lpn.addr());
+                        tlb.flush_base_range(asid, lpn.base_page(0), BASE_PAGES_PER_LARGE_PAGE);
                     }
                     self.pending_stall = self.pending_stall.max(now + TLB_FLUSH_STALL);
                 }

@@ -31,8 +31,10 @@ pub enum Topology {
 
 impl Topology {
     /// Number of hops a message from `from` to `to` takes in a fleet of
-    /// `gpus` devices (zero when local).
+    /// `gpus` devices (zero when local). Indices wrap modulo `gpus`, as
+    /// the interconnect's routes do.
     pub fn hops(self, from: usize, to: usize, gpus: usize) -> u64 {
+        let (from, to) = (from % gpus, to % gpus);
         if from == to {
             return 0;
         }
@@ -134,28 +136,27 @@ impl Interconnect {
     }
 
     /// The directed links of the path from `from` to `to`, as port
-    /// indices in traversal order (empty when local).
-    fn route(&self, from: usize, to: usize) -> Vec<usize> {
+    /// indices in traversal order (empty when local). Allocation-free:
+    /// the path is [`Topology::hops`] long, and each hop advances a fixed
+    /// stride around the index space — straight to `to` when fully
+    /// connected, one neighbour clockwise (or counter-clockwise when that
+    /// way is strictly shorter) on a ring.
+    fn route(&self, from: usize, to: usize) -> impl Iterator<Item = usize> {
         let n = self.gpus;
-        let (from, to) = (from % n, to % n);
-        if from == to {
-            return Vec::new();
-        }
-        match self.config.topology {
-            Topology::FullyConnected => vec![from * n + to],
-            Topology::Ring => {
-                let cw = (to + n - from) % n;
-                let ccw = n - cw;
-                let mut links = Vec::with_capacity(cw.min(ccw));
-                let mut at = from;
-                for _ in 0..cw.min(ccw) {
-                    let next = if cw <= ccw { (at + 1) % n } else { (at + n - 1) % n };
-                    links.push(at * n + next);
-                    at = next;
-                }
-                links
-            }
-        }
+        let from = from % n;
+        let hops = self.config.topology.hops(from, to, n);
+        let cw = (to % n + n - from) % n;
+        let stride = match self.config.topology {
+            Topology::FullyConnected => cw,
+            Topology::Ring if hops == cw as u64 => 1,
+            Topology::Ring => n - 1,
+        };
+        (0..hops).scan(from, move |at, _| {
+            let next = (*at + stride) % n;
+            let link = *at * n + next;
+            *at = next;
+            Some(link)
+        })
     }
 
     /// Sends one flit (a cache-line request) from GPU `from` to GPU `to`
@@ -177,21 +178,18 @@ impl Interconnect {
     /// at `now` (migration or replication traffic); returns the cycle the
     /// last flit lands. The payload is injected flit by flit, so it
     /// occupies every link on the path for its full wire time,
-    /// store-and-forward per hop.
+    /// store-and-forward per hop. Each hop books its flits as one
+    /// [`ThroughputPort::acquire_train`], so the cost is per hop, not per
+    /// flit.
     pub fn transfer(&mut self, now: Cycle, from: usize, to: usize, bytes: u64) -> Cycle {
         let flits = bytes.div_ceil(FLIT_BYTES).max(1);
         let mut at = now;
         for link in self.route(from, to) {
-            let first = self.ports[link].acquire(at);
+            let (first, last_start) = self.ports[link].acquire_train(at, flits);
             self.queueing.record(first.start.since(at));
-            let mut last = first.start + self.config.link_latency;
-            for _ in 1..flits {
-                let grant = self.ports[link].acquire(at);
-                last = last.max(grant.start + self.config.link_latency);
-            }
             self.flits.add(flits);
             self.bytes.add(flits * FLIT_BYTES);
-            at = last;
+            at = last_start + self.config.link_latency;
         }
         at
     }
@@ -288,5 +286,116 @@ mod tests {
         let mut icn = Interconnect::new(cfg(Topology::Ring), 2);
         // GPU 5 wraps to index 1; no panic.
         let _ = icn.traverse(Cycle::new(0), 5, 0);
+        // `hops` wraps the same way instead of underflowing.
+        assert_eq!(Topology::Ring.hops(5, 0, 2), 1);
+        assert_eq!(Topology::FullyConnected.hops(5, 1, 4), 0, "5 wraps onto 1");
+    }
+
+    /// The Vec-building route the allocation-free iterator replaced:
+    /// walk the shorter direction (ties clockwise) link by link.
+    fn reference_route(n: usize, topology: Topology, from: usize, to: usize) -> Vec<usize> {
+        let (from, to) = (from % n, to % n);
+        if from == to {
+            return Vec::new();
+        }
+        match topology {
+            Topology::FullyConnected => vec![from * n + to],
+            Topology::Ring => {
+                let cw = (to + n - from) % n;
+                let ccw = n - cw;
+                let mut links = Vec::new();
+                let mut at = from;
+                for _ in 0..cw.min(ccw) {
+                    let next = if cw <= ccw { (at + 1) % n } else { (at + n - 1) % n };
+                    links.push(at * n + next);
+                    at = next;
+                }
+                links
+            }
+        }
+    }
+
+    /// Every `(from, to)` pair — including indices past the fleet size,
+    /// which wrap — on both topologies for fleets of 1..=8: the route is
+    /// the reference path and exactly `hops` long, so the contended
+    /// (`traverse`) and nominal (`hops × latency`) paths agree.
+    #[test]
+    fn route_and_hops_agree_for_every_pair() {
+        for topology in [Topology::FullyConnected, Topology::Ring] {
+            for n in 1..=8 {
+                let icn = Interconnect::new(cfg(topology), n);
+                for from in 0..2 * n {
+                    for to in 0..2 * n {
+                        let route: Vec<usize> = icn.route(from, to).collect();
+                        assert_eq!(route, reference_route(n, topology, from, to));
+                        assert_eq!(route.len() as u64, topology.hops(from, to, n));
+                        if let Some(&last) = route.last() {
+                            assert_eq!(route[0] / n, from % n, "path starts at the source");
+                            assert_eq!(last % n, to % n, "path ends at the destination");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-flit transfer loop the closed-form train replaced.
+    fn reference_transfer(
+        icn: &mut Interconnect,
+        now: Cycle,
+        from: usize,
+        to: usize,
+        bytes: u64,
+    ) -> Cycle {
+        let flits = bytes.div_ceil(FLIT_BYTES).max(1);
+        let mut at = now;
+        for link in reference_route(icn.gpus, icn.config.topology, from, to) {
+            let first = icn.ports[link].acquire(at);
+            icn.queueing.record(first.start.since(at));
+            let mut last = first.start + icn.config.link_latency;
+            for _ in 1..flits {
+                let grant = icn.ports[link].acquire(at);
+                last = last.max(grant.start + icn.config.link_latency);
+            }
+            icn.flits.add(flits);
+            icn.bytes.add(flits * FLIT_BYTES);
+            at = last;
+        }
+        at
+    }
+
+    /// `transfer` is isomorphic to the per-flit reference over seeded
+    /// random interleavings of request flits and bulk payloads: same
+    /// arrival cycles, flit and byte counts, and queueing histogram.
+    #[test]
+    fn transfer_matches_per_flit_reference() {
+        use mosaic_sim_core::SimRng;
+        let mut rng = SimRng::from_seed(0x1C0_F117);
+        for topology in [Topology::FullyConnected, Topology::Ring] {
+            for gpus in [2, 3, 4, 5] {
+                let mut fast = Interconnect::new(cfg(topology), gpus);
+                let mut slow = Interconnect::new(cfg(topology), gpus);
+                let mut now = Cycle::ZERO;
+                for _ in 0..300 {
+                    now += rng.below(60);
+                    let from = rng.below(gpus as u64) as usize;
+                    let to = rng.below(gpus as u64) as usize;
+                    let (a, b) = if rng.chance(0.7) {
+                        (fast.traverse(now, from, to), slow.traverse(now, from, to))
+                    } else {
+                        let bytes = rng.below(64 * FLIT_BYTES);
+                        (
+                            fast.transfer(now, from, to, bytes),
+                            reference_transfer(&mut slow, now, from, to, bytes),
+                        )
+                    };
+                    assert_eq!(a, b, "arrival cycle");
+                }
+                assert_eq!(fast.flits(), slow.flits());
+                assert_eq!(fast.bytes(), slow.bytes());
+                assert_eq!(fast.queueing(), slow.queueing());
+                assert!(fast.queueing().max() > Some(0), "the mix must contend");
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! exactly, while access latency and port contention are charged by the
 //! full-system simulator that instantiates them.
 
-use crate::addr::{AppId, PageSize, VirtAddr};
+use crate::addr::{AppId, PageSize, VirtAddr, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE};
 
 use mosaic_sim_core::Ratio;
 
@@ -93,6 +93,10 @@ struct Slot {
 /// so most absent probes hit an empty bucket.
 const FILTER_BUCKETS: usize = 4096;
 
+/// Bucket count of the [`TranslationArray`] group filter. Small enough
+/// to live inline in the array (128 bytes).
+const GROUP_BUCKETS: usize = 64;
+
 /// A set-associative translation array with LRU replacement.
 #[derive(Debug, Clone)]
 struct TranslationArray {
@@ -108,13 +112,29 @@ struct TranslationArray {
     /// accelerator: contents and replacement are unchanged, and
     /// maintenance is O(1) per insert/evict.
     filter: Box<[u16; FILTER_BUCKETS]>,
+    /// Counting filter over the same pairs keyed by `(asid, page >> 9)`,
+    /// i.e. by 512-page group (one 2 MB region of the base array). A
+    /// region shootdown skips every group whose bucket is zero instead of
+    /// probing its 512 pages one by one; maintained at the same sites as
+    /// `filter`.
+    groups: [u16; GROUP_BUCKETS],
 }
 
-/// Deterministic bucket index for one `(asid, page)` pair — a cheap
-/// multiplicative mix (no per-run randomness; determinism policy).
+/// Deterministic hash of one `(asid, key)` pair — a cheap multiplicative
+/// mix (no per-run randomness; determinism policy). Filters take its top
+/// bits.
+fn mix(asid: AppId, key: u64) -> u64 {
+    (key ^ (u64::from(asid.0) << 40)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Page-filter bucket of one `(asid, page)` pair.
 fn filter_bucket(asid: AppId, page: u64) -> usize {
-    let h = (page ^ (u64::from(asid.0) << 40)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h >> 52) as usize & (FILTER_BUCKETS - 1)
+    (mix(asid, page) >> 52) as usize & (FILTER_BUCKETS - 1)
+}
+
+/// Group-filter bucket of the 512-page group holding `(asid, page)`.
+fn group_bucket(asid: AppId, page: u64) -> usize {
+    (mix(asid, page / BASE_PAGES_PER_LARGE_PAGE) >> 58) as usize & (GROUP_BUCKETS - 1)
 }
 
 impl TranslationArray {
@@ -135,6 +155,7 @@ impl TranslationArray {
             assoc,
             tick: 0,
             filter: Box::new([0; FILTER_BUCKETS]),
+            groups: [0; GROUP_BUCKETS],
         }
     }
 
@@ -190,6 +211,7 @@ impl TranslationArray {
             }
         }
         self.filter[filter_bucket(asid, page)] += 1;
+        self.groups[group_bucket(asid, page)] += 1;
         if set.len() < assoc {
             set.push(Slot { asid, page, last_used: tick });
             return None;
@@ -198,6 +220,7 @@ impl TranslationArray {
         let evicted = (victim.asid, victim.page);
         *victim = Slot { asid, page, last_used: tick };
         self.filter[filter_bucket(evicted.0, evicted.1)] -= 1;
+        self.groups[group_bucket(evicted.0, evicted.1)] -= 1;
         Some(evicted)
     }
 
@@ -216,7 +239,31 @@ impl TranslationArray {
             return false; // filter collision, not a resident entry
         }
         self.filter[bucket] -= 1;
+        self.groups[group_bucket(asid, page)] -= 1;
         true
+    }
+
+    /// Invalidates `asid`'s pages `first .. first + pages`, returning how
+    /// many were resident. Equivalent to invalidating page by page — the
+    /// same pages go, and `retain` keeps each set's order either way — but
+    /// a group whose bucket is (or drops to) zero holds none of the
+    /// remaining pages, so its probes are skipped.
+    fn invalidate_range(&mut self, asid: AppId, first: u64, pages: u64) -> usize {
+        let end = first.saturating_add(pages);
+        let mut n = 0;
+        let mut page = first;
+        while page < end {
+            let group_end = (page / BASE_PAGES_PER_LARGE_PAGE + 1)
+                .saturating_mul(BASE_PAGES_PER_LARGE_PAGE)
+                .min(end);
+            let bucket = group_bucket(asid, page);
+            while page < group_end && self.groups[bucket] != 0 {
+                n += usize::from(self.invalidate(asid, page));
+                page += 1;
+            }
+            page = group_end;
+        }
+        n
     }
 
     fn flush_asid(&mut self, asid: AppId) -> usize {
@@ -226,6 +273,7 @@ impl TranslationArray {
             set.retain(|s| {
                 if s.asid == asid {
                     self.filter[filter_bucket(s.asid, s.page)] -= 1;
+                    self.groups[group_bucket(s.asid, s.page)] -= 1;
                     false
                 } else {
                     true
@@ -238,6 +286,7 @@ impl TranslationArray {
 
     fn flush_all(&mut self) -> usize {
         self.filter.fill(0);
+        self.groups.fill(0);
         let mut n = 0;
         for set in &mut self.sets {
             n += set.len();
@@ -511,6 +560,19 @@ impl Tlb {
     pub fn flush_base(&mut self, asid: AppId, addr: VirtAddr) -> bool {
         self.last_hit = None;
         self.base.invalidate(asid, addr.base_page().raw())
+    }
+
+    /// Invalidates `asid`'s base-page entries for the `pages` pages from
+    /// `first` — a region shootdown — returning how many were present.
+    /// Leaves the TLB exactly as a [`Tlb::flush_base`] per page would, but
+    /// pays one filter probe, not 512 page probes, for each 2 MB group
+    /// that holds none of them.
+    pub fn flush_base_range(&mut self, asid: AppId, first: VirtPageNum, pages: u64) -> usize {
+        if pages == 0 {
+            return 0;
+        }
+        self.last_hit = None;
+        self.base.invalidate_range(asid, first.raw(), pages)
     }
 
     /// Removes every entry belonging to `asid` (both arrays), returning the
@@ -904,19 +966,23 @@ mod tests {
         }
     }
 
-    /// Exhaustively checks that the counting filter stays an exact image
-    /// of the array contents through fill/evict/invalidate/flush churn —
-    /// each bucket must equal the number of resident pairs hashing to it,
-    /// the invariant the shootdown fast path relies on.
+    /// Exhaustively checks that both counting filters (per page and per
+    /// 512-page group) stay an exact image of the array contents through
+    /// fill/evict/invalidate/flush churn — each bucket must equal the
+    /// number of resident pairs hashing to it, the invariant the
+    /// shootdown fast paths rely on.
     #[test]
     fn presence_filter_tracks_contents_exactly() {
         fn check(tlb: &Tlb) {
             for arr in [&tlb.base, &tlb.large] {
                 let mut expected = vec![0u16; FILTER_BUCKETS];
+                let mut groups = [0u16; GROUP_BUCKETS];
                 for s in arr.sets.iter().flatten() {
                     expected[filter_bucket(s.asid, s.page)] += 1;
+                    groups[group_bucket(s.asid, s.page)] += 1;
                 }
                 assert_eq!(&expected[..], &arr.filter[..], "filter drifted from set contents");
+                assert_eq!(groups, arr.groups, "group filter drifted from set contents");
             }
         }
         let mut tlb = small_tlb(2, 1);
@@ -952,5 +1018,72 @@ mod tests {
         tlb.flush_all();
         check(&tlb);
         assert_eq!(tlb.occupancy(), 0);
+        // Range invalidation, across a 2 MB boundary and two ASIDs.
+        for i in 0..6u64 {
+            tlb.fill(AppId((i % 2) as u16), VirtPageNum(510 + i).addr(), PageSize::Base);
+            check(&tlb);
+        }
+        tlb.flush_base_range(AppId(0), VirtPageNum(511), 4);
+        check(&tlb);
+    }
+
+    /// `flush_base_range` leaves the TLB exactly as the per-page
+    /// `flush_base` loop does — the same `entries()` in the same order,
+    /// then the same victims under further fills — over seeded random
+    /// contents spanning a few 2 MB regions, two ASIDs, ranges that
+    /// straddle region boundaries, and empty ranges.
+    #[test]
+    fn flush_base_range_matches_per_page_flushes() {
+        use mosaic_sim_core::SimRng;
+        let mut rng = SimRng::from_seed(0xF1_A5_4A_1E);
+        let page = |rng: &mut SimRng| VirtPageNum(rng.below(4 * BASE_PAGES_PER_LARGE_PAGE));
+        for case in 0..200 {
+            let mut fast = Tlb::new(TlbConfig {
+                base_entries: 32,
+                base_assoc: if case % 2 == 0 { 4 } else { 0 },
+                large_entries: 4,
+                large_assoc: 0,
+                latency: 1,
+            });
+            for _ in 0..rng.below(80) {
+                fast.fill(AppId(rng.below(2) as u16), page(&mut rng).addr(), PageSize::Base);
+            }
+            let mut slow = fast.clone();
+            for _ in 0..3 {
+                // Hit a resident entry first, so the last-hit cache is
+                // primed and a flush must clear it exactly when the
+                // per-page loop would.
+                let resident = fast.entries().nth(rng.below(8) as usize);
+                if let Some((asid, page, _)) = resident {
+                    let addr = VirtPageNum(page).addr();
+                    assert_eq!(fast.lookup(asid, addr), slow.lookup(asid, addr));
+                }
+                let asid = AppId(rng.below(2) as u16);
+                let first = page(&mut rng);
+                let pages = match rng.below(4) {
+                    0 => 0,
+                    1 => BASE_PAGES_PER_LARGE_PAGE,
+                    _ => rng.below(3 * BASE_PAGES_PER_LARGE_PAGE),
+                };
+                let mut flushed = 0;
+                for i in 0..pages {
+                    flushed +=
+                        usize::from(slow.flush_base(asid, VirtPageNum(first.raw() + i).addr()));
+                }
+                assert_eq!(fast.flush_base_range(asid, first, pages), flushed, "case {case}");
+                assert!(fast.entries().eq(slow.entries()), "case {case}: entries diverged");
+                assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "case {case}");
+            }
+            for _ in 0..40 {
+                let (asid, addr) = (AppId(rng.below(2) as u16), page(&mut rng).addr());
+                assert_eq!(fast.lookup(asid, addr), slow.lookup(asid, addr));
+                assert_eq!(
+                    fast.fill(asid, addr, PageSize::Base),
+                    slow.fill(asid, addr, PageSize::Base),
+                    "case {case}: later victims diverged"
+                );
+            }
+            assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "case {case}");
+        }
     }
 }
