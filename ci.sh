@@ -55,25 +55,17 @@ cargo run -q --release -p mosaic-conformance -- fuzz --cases 256 --seed 0xC0FFEE
 echo "==> smoke sweep (parallel reproduce run)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- fig03 fig08
 
-echo "==> sim-threads-smoke (sharded engine bit-identity: fig08 at N=4 vs N=1)"
+echo "==> multigpu-smoke (fleet scale-out: byte-diff at --jobs 1 and 4 + pinned digest)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --sim-threads 1 fig08 > target/sim-threads-n1.txt
+    --digest --jobs 1 multigpu > target/multigpu-serial.txt
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --sim-threads 4 fig08 > target/sim-threads-n4.txt
-diff target/sim-threads-n1.txt target/sim-threads-n4.txt
-echo "    fig08 byte-identical at --sim-threads 1 and 4"
-
-echo "==> multigpu-smoke (fleet scale-out: byte-diff across the parallelism matrix + pinned digest)"
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest --jobs 1 --sim-threads 1 multigpu > target/multigpu-serial.txt
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest --jobs 4 --sim-threads 2 multigpu > target/multigpu-parallel.txt
+    --digest --jobs 4 multigpu > target/multigpu-parallel.txt
 diff target/multigpu-serial.txt target/multigpu-parallel.txt
 # The golden constant from tests/parallel_determinism.rs: the determinism
 # contract for the whole scale-out path (placement, interconnect,
 # migration payloads, remote/migrate stall attribution).
 grep -q 'digest multigpu eea524f5b009c7d8' target/multigpu-serial.txt
-echo "    multigpu byte-identical across the matrix, digest matches the golden pin"
+echo "    multigpu byte-identical at --jobs 1 and 4, digest matches the golden pin"
 
 echo "==> oversubscription smoke (demand-paging engine: evict, write back, prefetch)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- oversub

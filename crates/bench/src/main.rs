@@ -153,19 +153,6 @@ fn sweep_oversubscribed() {
     black_box(run_workload(&w, sweep_cfg().oversubscribed(2.0)));
 }
 
-fn scaling_sim_threads() {
-    // The speculative sharded engine (DESIGN.md §12) at 4 workers on the
-    // same inner loop as sweep/run_workload. The pair measures intra-run
-    // scaling: on a multicore host this scenario should undercut
-    // sweep/run_workload; on a single hardware thread it instead prices
-    // the speculation overhead (journaling + rollback + thread scopes),
-    // which the 2x gate keeps bounded either way.
-    mosaic_gpusim::set_sim_threads(Some(4));
-    let w = Workload::from_names(&["MM", "GUPS", "HS"]);
-    black_box(run_workload(&w, sweep_cfg()));
-    mosaic_gpusim::set_sim_threads(None);
-}
-
 fn scaling_multi_gpu() {
     // The same inner loop on a 2-GPU fleet: placement resolution on
     // every L1 miss, interconnect queueing, and migration payloads all
@@ -237,7 +224,6 @@ fn scenarios() -> Vec<Scenario> {
         s("micro/manager_touch", MICRO_RATIO, micro_manager_touch),
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
-        s("scaling/sim_threads", SWEEP_RATIO, scaling_sim_threads),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),
         s("sweep/fig03", SWEEP_RATIO, || figure(|s| exp::fig03::run(s).to_string())),
         s("sweep/fig08", SWEEP_RATIO, || figure(|s| exp::fig08::run(s).to_string())),
@@ -395,6 +381,16 @@ fn check_regressions(results: &[Measurement], baseline: &[BaselineEntry]) -> boo
     ok
 }
 
+/// Reports a command-line error and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!(
+        "mosaic-bench: {msg}\n\
+         usage: mosaic-bench [--quick] [--samples N] [--out PATH | --no-out] [--check PATH] \
+         [--list] [SCENARIO-FILTER...]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut samples = SAMPLES;
     let mut out_path: Option<String> = Some("BENCH.json".to_string());
@@ -409,13 +405,19 @@ fn main() {
                 samples = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--samples needs a positive integer"));
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--samples needs a positive integer"));
             }
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
+            "--out" => {
+                out_path = Some(args.next().unwrap_or_else(|| usage_error("--out needs a path")))
+            }
             "--no-out" => out_path = None,
-            "--check" => check_path = Some(args.next().expect("--check needs a path")),
+            "--check" => {
+                check_path =
+                    Some(args.next().unwrap_or_else(|| usage_error("--check needs a path")))
+            }
             "--list" => list = true,
-            other if other.starts_with('-') => panic!("unknown flag {other}"),
+            other if other.starts_with('-') => usage_error(&format!("unknown flag {other}")),
             other => filter.push(other.to_string()),
         }
     }
@@ -425,7 +427,6 @@ fn main() {
         }
         return;
     }
-    assert!(samples >= 1, "need at least one sample");
 
     let results = run_scenarios(samples, &filter);
     assert!(!results.is_empty(), "scenario filter matched nothing");

@@ -1,7 +1,6 @@
 //! The fuzz loop: generate cases, replay them in lockstep, and on
 //! divergence shrink to a minimal repro.
 
-use crate::engine::{gen_engine_case, render_engine_repro, run_engine_case};
 use crate::harness::{run_mgr_case, run_vm_case, Divergence, Mutation};
 use crate::multigpu::{
     gen_multigpu_case, render_multigpu_repro, run_multigpu_case, run_multigpu_system_case,
@@ -9,6 +8,7 @@ use crate::multigpu::{
 };
 use crate::ops::{gen_mgr_case, gen_vm_case, render_mgr_repro, render_vm_repro};
 use crate::shrink::shrink;
+use crate::system::{gen_system_case, render_system_repro, run_system_case};
 use std::fmt;
 
 /// Which lockstep suite(s) a fuzz run drives.
@@ -18,8 +18,8 @@ pub enum Suite {
     Vm,
     /// Memory managers vs the frame ledger.
     Mgr,
-    /// The sharded simulation engine vs the sequential engine.
-    Engine,
+    /// Random full-system runs under the invariant auditor.
+    System,
     /// Multi-GPU placement vs the frame-residency oracle.
     MultiGpu,
     /// Every suite, per case index.
@@ -41,10 +41,6 @@ pub struct FuzzConfig {
     pub suite: Suite,
     /// Driver fault injection (harness self-test).
     pub mutation: Mutation,
-    /// Speculation worker count for the engine suite's sharded runs
-    /// (clamped to ≥ 2 — at 1 the suite would diff the sequential
-    /// engine against itself).
-    pub sim_threads: usize,
 }
 
 impl Default for FuzzConfig {
@@ -55,7 +51,6 @@ impl Default for FuzzConfig {
             max_ops: 120,
             suite: Suite::All,
             mutation: Mutation::None,
-            sim_threads: 4,
         }
     }
 }
@@ -63,7 +58,7 @@ impl Default for FuzzConfig {
 /// A fuzz run's failure: the divergence plus its minimized repro.
 #[derive(Debug, Clone)]
 pub struct FuzzFailure {
-    /// `"vm"`, `"mgr"`, `"engine"`, or `"multigpu"`.
+    /// `"vm"`, `"mgr"`, `"system"`, or `"multigpu"`.
     pub suite: &'static str,
     /// Index of the failing case (rerun with `--cases 1` after skipping,
     /// or just paste the repro).
@@ -94,9 +89,9 @@ pub struct FuzzStats {
     pub vm_cases: u64,
     /// Manager-suite cases run.
     pub mgr_cases: u64,
-    /// Engine-suite cases run (each is one sequential + one sharded
-    /// full-system simulation).
-    pub engine_cases: u64,
+    /// System-suite cases run (each is one audited full-system
+    /// simulation).
+    pub system_cases: u64,
     /// Multi-GPU-suite cases run (placement schedules vs the residency
     /// oracle; every eighth case adds an audited-vs-plain fleet run).
     pub multigpu_cases: u64,
@@ -193,25 +188,19 @@ pub fn run_fuzz(config: FuzzConfig) -> Result<FuzzStats, Box<FuzzFailure>> {
                 }
             }
         }
-        if matches!(config.suite, Suite::Engine | Suite::All) {
-            let case = gen_engine_case(config.seed, index);
-            stats.engine_cases += 1;
-            if let Err(d) = run_engine_case(&case, config.sim_threads) {
+        if matches!(config.suite, Suite::System | Suite::All) {
+            let case = gen_system_case(config.seed, index);
+            stats.system_cases += 1;
+            if let Err(d) = run_system_case(&case) {
                 // Nothing to shrink: the case is a configuration, not an
                 // op schedule, and regenerates from (seed, index).
                 let detail = d.detail.clone();
                 return Err(Box::new(FuzzFailure {
-                    suite: "engine",
+                    suite: "system",
                     case_index: index,
                     divergence: d,
                     shrunk_ops: 0,
-                    repro: render_engine_repro(
-                        config.seed,
-                        index,
-                        &case,
-                        config.sim_threads.max(2),
-                        &detail,
-                    ),
+                    repro: render_system_repro(config.seed, index, &case, &detail),
                 }));
             }
         }

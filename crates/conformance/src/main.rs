@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mosaic-conformance fuzz [--cases N] [--seed S] [--max-ops K]
-//!                         [--suite vm|mgr|engine|multigpu|all]
-//!                         [--mutate MUTATION] [--sim-threads N]
+//!                         [--suite vm|mgr|system|multigpu|all]
+//!                         [--mutate MUTATION]
 //! ```
 //!
 //! Exit status: 0 on a clean run, 1 on divergence (minimized repro on
@@ -20,11 +20,9 @@ fn usage() -> ! {
          \x20 --cases N       cases per suite (default 256)\n\
          \x20 --seed S        master seed, decimal or 0x-hex (default 0xC0FFEE)\n\
          \x20 --max-ops K     upper bound on ops per case (default 120)\n\
-         \x20 --suite WHICH   vm | mgr | engine | multigpu | all (default all)\n\
+         \x20 --suite WHICH   vm | mgr | system | multigpu | all (default all)\n\
          \x20 --mutate FAULT  inject a driver fault to self-test the harness:\n\
          \x20                 skip-flush-large | fill-ignores-size | lookup-skips-recency\n\
-         \x20 --sim-threads N speculation workers for the engine suite's sharded\n\
-         \x20                 runs (default 4, clamped to >= 2)\n\
          \n\
          exit status: 0 clean, 1 divergence (minimized repro on stderr), 2 usage"
     );
@@ -64,16 +62,18 @@ fn main() {
                 config.suite = match value.as_str() {
                     "vm" => Suite::Vm,
                     "mgr" => Suite::Mgr,
-                    "engine" => Suite::Engine,
+                    "system" => Suite::System,
                     "multigpu" => Suite::MultiGpu,
                     "all" => Suite::All,
-                    _ => usage(),
+                    other => {
+                        eprintln!(
+                            "mosaic-conformance: unknown suite `{other}` \
+                             (valid: vm, mgr, system, multigpu, all)"
+                        );
+                        std::process::exit(2);
+                    }
                 }
             }
-            "--sim-threads" => match parse_u64(value) {
-                Some(n) if n > 0 => config.sim_threads = n as usize,
-                _ => usage(),
-            },
             "--mutate" => {
                 config.mutation = match value.as_str() {
                     "skip-flush-large" => Mutation::SkipFlushLarge,
@@ -88,11 +88,11 @@ fn main() {
     match run_fuzz(config) {
         Ok(stats) => {
             println!(
-                "mosaic-conformance: clean — {} vm case(s), {} mgr case(s), {} engine case(s), \
+                "mosaic-conformance: clean — {} vm case(s), {} mgr case(s), {} system case(s), \
                  {} multigpu case(s), {} ops replayed (seed {:#x})",
                 stats.vm_cases,
                 stats.mgr_cases,
-                stats.engine_cases,
+                stats.system_cases,
                 stats.multigpu_cases,
                 stats.total_ops,
                 config.seed

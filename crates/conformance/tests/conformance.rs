@@ -18,6 +18,7 @@ fn fuzz_smoke_is_clean_and_deterministic() {
     assert_eq!(first, second);
     assert_eq!(first.vm_cases, 48);
     assert_eq!(first.mgr_cases, 48);
+    assert_eq!(first.system_cases, 48);
     assert!(first.total_ops > 0);
 }
 
@@ -27,6 +28,20 @@ fn fuzz_smoke_alternate_seed() {
     let config =
         FuzzConfig { cases: 32, seed: 0xDEAD_BEEF, suite: Suite::All, ..FuzzConfig::default() };
     run_fuzz(config).expect("alternate-seed fuzz run must be clean");
+}
+
+/// The removed `engine` suite name is a usage error that lists the
+/// valid suites, not a silent fallback.
+#[test]
+fn unknown_suite_exits_2_listing_the_valid_suites() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mosaic-conformance"))
+        .args(["fuzz", "--suite", "engine"])
+        .output()
+        .expect("mosaic-conformance runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown suite `engine`"), "stderr: {stderr}");
+    assert!(stderr.contains("vm, mgr, system, multigpu, all"), "stderr: {stderr}");
 }
 
 /// Injecting a driver fault that skips the TLB flush after a splinter

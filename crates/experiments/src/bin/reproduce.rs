@@ -13,12 +13,6 @@
 //! sweep executor; the default is the machine's available parallelism.
 //! Output is byte-identical for every job count.
 //!
-//! `--sim-threads N` (or `MOSAIC_SIM_THREADS=N`) sets the speculation
-//! worker count *inside* each simulation (DESIGN.md §12). Where `--jobs`
-//! parallelises across sweep points, `--sim-threads` parallelises a
-//! single run; the two compose, and output stays byte-identical for
-//! every combination. The default is 1 (the serial engine).
-//!
 //! `--trace FILE` records every simulated event of every sweep run to
 //! `FILE` as JSONL (one `run_begin` line per run, then its events);
 //! validate or convert it with the `mosaic-trace` binary. `--stall-report`
@@ -42,10 +36,14 @@
 //! reproduce campaign expand FILE   # list the points a matrix expands to
 //! reproduce campaign status FILE   # cached/pending per point + ETA
 //! ```
+//!
+//! Any other argument starting with `-` is rejected as an unknown flag
+//! (exit status 2).
 
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
 use mosaic_experiments as exp;
 use mosaic_experiments::Scope;
+use mosaic_sim_core::fnv1a;
 
 const ALL: [&str; 17] = [
     "fig03",
@@ -71,18 +69,6 @@ fn emit<T: std::fmt::Display>(name: &str, value: T, sink: &mut Vec<(String, Stri
     println!("{:=<66}", format!("== {name} "));
     println!("{value}");
     sink.push((name.to_string(), value.to_string()));
-}
-
-/// FNV-1a (64-bit) over a rendered report — the same function the golden
-/// determinism tests use, so `--digest` output is directly comparable to
-/// the pinned constants in `tests/parallel_determinism.rs`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Escapes `s` for use inside a JSON string literal.
@@ -145,40 +131,6 @@ fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
         }
     }
     jobs
-}
-
-/// Strips `--sim-threads N` / `--sim-threads=N` out of `args` and returns
-/// the parsed intra-run worker count, exiting with a usage error on a
-/// malformed value.
-fn take_sim_threads_flag(args: &mut Vec<String>) -> Option<usize> {
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--sim-threads" {
-            if i + 1 >= args.len() {
-                eprintln!("--sim-threads requires a worker count");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            v
-        } else if let Some(v) = args[i].strip_prefix("--sim-threads=") {
-            let v = v.to_string();
-            args.remove(i);
-            v
-        } else {
-            i += 1;
-            continue;
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => threads = Some(n),
-            _ => {
-                eprintln!("--sim-threads expects a positive integer, got {value:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    threads
 }
 
 /// Strips `--trace FILE` / `--trace=FILE` out of `args` and returns the
@@ -333,7 +285,6 @@ fn main() {
     let scope = Scope::from_env();
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     exp::sweep::set_jobs(take_jobs_flag(&mut args));
-    mosaic_gpusim::set_sim_threads(take_sim_threads_flag(&mut args));
     let cache_dir = take_cache_dir_flag(&mut args);
     let no_cache = {
         let before = args.len();
@@ -341,6 +292,17 @@ fn main() {
         args.len() != before
     };
     let trace_path = take_trace_flag(&mut args);
+    // `--stall-report` and `--digest` are consumed further down.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with('-') && !matches!(a.as_str(), "--stall-report" | "--digest"))
+    {
+        eprintln!(
+            "unknown flag {flag}; flags: --jobs N, --cache-dir DIR, --no-cache, --trace FILE, \
+             --stall-report, --digest"
+        );
+        std::process::exit(2);
+    }
     if args.first().map(String::as_str) == Some("campaign") {
         if trace_path.is_some() {
             exp::sweep::set_trace(true);
@@ -386,11 +348,6 @@ fn main() {
     eprintln!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
         exp::Executor::from_env().jobs()
-    );
-    eprintln!(
-        "sim-threads: {} (set with --sim-threads N or MOSAIC_SIM_THREADS=N; \
-         intra-run speculation workers, output is identical at any count)",
-        mosaic_gpusim::sim_threads()
     );
 
     let mut results = Vec::new();

@@ -12,17 +12,8 @@ use mosaic_campaign::{CampaignScope, Store};
 use mosaic_experiments::common::Scope;
 use mosaic_experiments::{ablations, fig03, fig08, fig11, oversub, stall, sweep};
 use mosaic_gpusim::{ManagerKind, RunConfig};
+use mosaic_sim_core::fnv1a;
 use mosaic_workloads::Workload;
-
-/// FNV-1a (64-bit) over a rendered report, as in `parallel_determinism`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The golden smoke digests pinned by `parallel_determinism.rs` — one
 /// contract, asserted from both tiers. Update policy as documented

@@ -14,6 +14,7 @@
 
 use mosaic_experiments::common::Scope;
 use mosaic_experiments::{ablations, fig03, fig08, fig11, multigpu, oversub, stall, sweep};
+use mosaic_sim_core::fnv1a;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests: `sweep::set_jobs` is process-global, and these
@@ -56,18 +57,6 @@ fn fixture() -> &'static Fixture {
         sweep::set_jobs(None);
         f
     })
-}
-
-/// FNV-1a (64-bit) over the rendered report. Small and dependency-free;
-/// collision resistance is irrelevant here — any accidental change to
-/// the rendered output flips the digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Digest of fig08's smoke-scope report, pinned when the flat-structure
@@ -205,23 +194,15 @@ fn multigpu_matches_golden_digest_at_any_jobs() {
 }
 
 #[test]
-fn multigpu_is_identical_across_the_jobs_and_sim_threads_matrix() {
-    // The two parallelism axes compose: `--jobs` fans sweep points out
-    // across workers, `--sim-threads` speculates inside each fleet run.
-    // Every combination must render the serial fixture byte-for-byte.
+fn multigpu_is_identical_across_the_jobs_matrix() {
+    // Fleet runs are the largest sweep points; re-rendering at one and
+    // four workers must reproduce the serial fixture byte-for-byte.
     let serial = &fixture().multigpu;
     let _guard = lock();
     for jobs in [1, 4] {
-        for sim_threads in [1, 4] {
-            sweep::set_jobs(Some(jobs));
-            mosaic_gpusim::set_sim_threads(Some(sim_threads));
-            let report = multigpu::run(Scope::Smoke).to_string();
-            sweep::set_jobs(None);
-            mosaic_gpusim::set_sim_threads(None);
-            assert_eq!(
-                serial, &report,
-                "multigpu drifted at --jobs {jobs} --sim-threads {sim_threads}"
-            );
-        }
+        sweep::set_jobs(Some(jobs));
+        let report = multigpu::run(Scope::Smoke).to_string();
+        sweep::set_jobs(None);
+        assert_eq!(serial, &report, "multigpu drifted at --jobs {jobs}");
     }
 }

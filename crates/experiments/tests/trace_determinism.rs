@@ -10,19 +10,11 @@
 use mosaic_experiments::common::Scope;
 use mosaic_experiments::sweep::{self, run_workloads, Executor};
 use mosaic_gpusim::ManagerKind;
+use mosaic_sim_core::fnv1a;
 use mosaic_workloads::Workload;
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Golden digest of the smoke-scope MM+GUPS trace below, pinned when
 /// the telemetry pipeline landed. Update ONLY for a change that

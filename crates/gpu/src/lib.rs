@@ -25,8 +25,5 @@
 pub mod sm;
 pub mod warp;
 
-pub use sm::{AdvanceUndo, Sm, SmConfig, SmStats};
-pub use warp::{
-    AddrList, FixedLatencyMemory, MemoryInterface, StreamCheckpoint, WarpOp, WarpStream,
-    MAX_WARP_ADDRS,
-};
+pub use sm::{Sm, SmConfig, SmStats};
+pub use warp::{AddrList, FixedLatencyMemory, MemoryInterface, WarpOp, WarpStream, MAX_WARP_ADDRS};

@@ -26,11 +26,6 @@
 //! * [`runner`] — workload execution: SM partitioning, the
 //!   smallest-clock-first scheduling loop, per-application IPC, and the
 //!   weighted-speedup metric of Section 5.
-//! * [`shard`] — intra-run parallelism (`--sim-threads N`): lanes of
-//!   (SM, L1 TLB, L1 cache) speculate ahead on worker threads with undo
-//!   journals, and their effects commit to the single-threaded shared
-//!   stack in canonical scheduling order — bit-identical to the serial
-//!   engine at any worker count (DESIGN.md §12).
 //!
 //! `RunConfig::multi_gpu(n, topology)` scales the machine out to an
 //! indexed fleet: each device replicates the full stack above, a warp
@@ -44,7 +39,6 @@
 
 pub mod config;
 pub mod runner;
-pub mod shard;
 pub mod system;
 
 pub use config::{DemandPagingMode, FleetConfig, ManagerKind, RunConfig, SystemConfig};
@@ -53,5 +47,9 @@ pub use mosaic_mem::{InterconnectConfig, Topology};
 pub use runner::{
     run_alone_baselines, run_workload, sm_share, weighted_speedup, AppResult, RunResult,
 };
-pub use shard::{set_sim_threads, sim_threads};
 pub use system::{GpuSystem, SystemStats};
+
+/// Does nothing. The speculative intra-run engine this used to select
+/// is gone (DESIGN.md §12); every run uses the serial engine. Kept only
+/// so callers built against the old API still compile.
+pub fn set_sim_threads(_: Option<usize>) {}

@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 /// Cycles between periodic `Epoch` metric-snapshot events when tracing
 /// is enabled (cadenced on SM local clocks; disabled runs never check).
-pub(crate) const EPOCH_EVERY: u64 = 100_000;
+const EPOCH_EVERY: u64 = 100_000;
 
 /// Per-application outcome of one run.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,90 +74,6 @@ const _: () = {
     assert_send_sync::<AppResult>();
     assert_send_sync::<Workload>();
 };
-
-/// One phase's smallest-clock-first scheduling loop, packaged so the
-/// serial path and the speculative engine (`shard`) drive the *same*
-/// body. [`SchedLoop::step_serial`] is the single source of truth for
-/// what one heap pop does — advance, stall fence, epoch snapshot, audit,
-/// re-queue or retire-and-deallocate. The engine commits speculated
-/// local steps itself (in exactly this order) and falls back to
-/// `step_serial` whenever a step needs the shared memory/VM stack.
-pub(crate) struct SchedLoop<'a> {
-    pub system: &'a mut GpuSystem,
-    pub sms: &'a mut [Sm<AppWarpStream>],
-    pub heap: &'a mut BinaryHeap<(Reverse<Cycle>, usize)>,
-    pub active_per_app: &'a mut [usize],
-    pub layouts: &'a [AppLayout],
-    pub phase: u32,
-    pub phases: u32,
-    pub next_epoch: &'a mut u64,
-    pub next_audit: &'a mut u64,
-    pub audit_every: Option<u64>,
-}
-
-impl SchedLoop<'_> {
-    /// Pops and fully processes the SM with the smallest local clock.
-    /// Returns `false` once the heap is empty (phase complete).
-    pub(crate) fn step_serial(&mut self) -> bool {
-        let Some((_, idx)) = self.heap.pop() else {
-            return false;
-        };
-        let still_active = self.sms[idx].advance(self.system);
-        if let Some(stall) = self.system.take_pending_stall() {
-            // Worst-case model (when enabled): compaction/shootdowns
-            // stall every SM (Section 5).
-            for sm in self.sms.iter_mut() {
-                sm.stall_until_for(stall, StallBucket::Shootdown);
-            }
-        }
-        if mosaic_telemetry::enabled() {
-            let now = self.sms[idx].now().as_u64();
-            if now >= *self.next_epoch {
-                let (mut instructions, mut stall_cycles) = (0u64, 0u64);
-                for sm in self.sms.iter() {
-                    instructions += sm.stats().instructions;
-                    stall_cycles += sm.stats().stall_cycles;
-                }
-                emit(|| Event::Epoch { cycle: now, instructions, stall_cycles });
-                *self.next_epoch = (now / EPOCH_EVERY + 1) * EPOCH_EVERY;
-            }
-        }
-        if let Some(every) = self.audit_every {
-            let now = self.sms[idx].now().as_u64();
-            if now >= *self.next_audit {
-                // Lazy context: a clean audit formats nothing.
-                self.system.audit().assert_clean(format_args!("cycle {now}"));
-                *self.next_audit = (now / every + 1) * every;
-            }
-        }
-        if still_active {
-            self.heap.push((Reverse(self.sms[idx].now()), idx));
-        } else {
-            let app = self.sms[idx].asid().0 as usize;
-            self.active_per_app[app] -= 1;
-            if self.active_per_app[app] == 0 {
-                // This application's kernel finished.
-                let now = self.sms[idx].now();
-                let asid = self.sms[idx].asid();
-                if self.phase + 1 == self.phases {
-                    // Final kernel: everything is deallocated.
-                    for (start, pages) in self.layouts[app].reservations() {
-                        self.system.deallocate(now, asid, start, pages);
-                    }
-                } else {
-                    // Intermediate kernel: drop the scratch half of
-                    // the main buffer; the next kernel re-touches it.
-                    let pages = self.layouts[app].main_bytes / mosaic_vm::BASE_PAGE_SIZE;
-                    let start = mosaic_vm::VirtPageNum(
-                        self.layouts[app].main_base.base_page().raw() + pages / 2,
-                    );
-                    self.system.deallocate(now, asid, start, pages - pages / 2);
-                }
-            }
-        }
-        true
-    }
-}
 
 /// Number of SMs application `i` of `n` receives out of `total` (equal
 /// partition, remainder to the earliest applications).
@@ -238,11 +154,6 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         system.audit().assert_clean("after launch");
     }
 
-    // Intra-run worker count, resolved once per run (`--sim-threads` /
-    // `MOSAIC_SIM_THREADS`). Results are bit-identical at any count; >1
-    // selects the speculative engine.
-    let sim_threads = crate::shard::sim_threads();
-
     // The SM vector and scheduling heap survive across phases: phase 0
     // populates them, later phases `reload` in place. SMs are
     // monomorphized over `AppWarpStream` so warp issue is static dispatch
@@ -293,24 +204,60 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         heap.clear();
         heap.extend((0..sms.len()).map(|i| (Reverse(Cycle::ZERO), i)));
         let mut active_per_app: Vec<usize> = (0..n).map(|i| sm_share(total_sms, n, i)).collect();
-        let mut sched = SchedLoop {
-            system: &mut system,
-            sms: &mut sms,
-            heap: &mut heap,
-            active_per_app: &mut active_per_app,
-            layouts: &layouts,
-            phase,
-            phases,
-            next_epoch: &mut next_epoch,
-            next_audit: &mut next_audit,
-            audit_every,
-        };
-        if sim_threads > 1 {
-            // Speculative intra-run parallelism: bit-identical to the
-            // serial loop at any worker count (DESIGN.md §12).
-            crate::shard::run_phase(&mut sched, sim_threads);
-        } else {
-            while sched.step_serial() {}
+        while let Some((_, idx)) = heap.pop() {
+            let still_active = sms[idx].advance(&mut system);
+            if let Some(stall) = system.take_pending_stall() {
+                // Worst-case model (when enabled): compaction/shootdowns
+                // stall every SM (Section 5).
+                for sm in sms.iter_mut() {
+                    sm.stall_until_for(stall, StallBucket::Shootdown);
+                }
+            }
+            if mosaic_telemetry::enabled() {
+                let now = sms[idx].now().as_u64();
+                if now >= next_epoch {
+                    let (mut instructions, mut stall_cycles) = (0u64, 0u64);
+                    for sm in sms.iter() {
+                        instructions += sm.stats().instructions;
+                        stall_cycles += sm.stats().stall_cycles;
+                    }
+                    emit(|| Event::Epoch { cycle: now, instructions, stall_cycles });
+                    next_epoch = (now / EPOCH_EVERY + 1) * EPOCH_EVERY;
+                }
+            }
+            if let Some(every) = audit_every {
+                let now = sms[idx].now().as_u64();
+                if now >= next_audit {
+                    // Lazy context: a clean audit formats nothing.
+                    system.audit().assert_clean(format_args!("cycle {now}"));
+                    next_audit = (now / every + 1) * every;
+                }
+            }
+            if still_active {
+                heap.push((Reverse(sms[idx].now()), idx));
+                continue;
+            }
+            let app = sms[idx].asid().0 as usize;
+            active_per_app[app] -= 1;
+            if active_per_app[app] == 0 {
+                // This application's kernel finished.
+                let now = sms[idx].now();
+                let asid = sms[idx].asid();
+                if phase + 1 == phases {
+                    // Final kernel: everything is deallocated.
+                    for (start, pages) in layouts[app].reservations() {
+                        system.deallocate(now, asid, start, pages);
+                    }
+                } else {
+                    // Intermediate kernel: drop the scratch half of the
+                    // main buffer; the next kernel re-touches it.
+                    let pages = layouts[app].main_bytes / mosaic_vm::BASE_PAGE_SIZE;
+                    let start = mosaic_vm::VirtPageNum(
+                        layouts[app].main_base.base_page().raw() + pages / 2,
+                    );
+                    system.deallocate(now, asid, start, pages - pages / 2);
+                }
+            }
         }
 
         // Accumulate this phase's results.

@@ -18,6 +18,8 @@
 //! * [`audit`] — the runtime invariant auditor: every structural
 //!   component implements [`AuditInvariants`] and the runner sweeps the
 //!   whole system every N cycles.
+//! * [`fnv1a`] — the one byte-string digest behind every golden report
+//!   digest.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -33,3 +35,27 @@ pub use clock::{ClockDomain, Cycle, Nanos};
 pub use queue::{OccupancyPool, ThroughputPort};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Ratio, StatSet};
+
+/// 64-bit FNV-1a over `bytes`: the digest that pins rendered reports to
+/// their golden values. Small and dependency-free; collision resistance
+/// is irrelevant here — any change to the input flips the digest.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fnv1a;
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+}

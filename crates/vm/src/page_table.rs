@@ -200,12 +200,10 @@ struct L3Region {
 }
 
 /// The scan-position cache of [`PageTable::region_pos`]: an atomic so
-/// shared references to a table stay usable across threads (`Cell` is
-/// `!Sync`, and the intra-run parallel engine translates through
-/// `&PageTableSet` from several speculation workers at once). The hint
-/// is purely an accelerator — `region_pos` re-validates it against the
-/// sorted region vector before trusting it, and a stale or racing value
-/// only costs one binary search — so any memory ordering is sound;
+/// page tables stay `Sync` (`Cell` is `!Sync`). The hint is purely an
+/// accelerator — `region_pos` re-validates it against the sorted region
+/// vector before trusting it, and a stale or racing value only costs
+/// one binary search — so any memory ordering is sound;
 /// acquire/release is used because the audit's determinism policy
 /// reserves `Relaxed` for allow-listed host-side counters.
 struct RegionHint(AtomicUsize);

@@ -298,19 +298,6 @@ impl TranslationArray {
     fn occupancy(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
-
-    /// Locates a resident `(asid, page)` pair without touching recency,
-    /// stats, or the filter, returning `(set, way, last_used)`.
-    fn find(&self, asid: AppId, page: u64) -> Option<(usize, usize, u64)> {
-        if self.sets.is_empty() {
-            return None;
-        }
-        let idx = self.set_index(page);
-        self.sets[idx]
-            .iter()
-            .position(|s| s.asid == asid && s.page == page)
-            .map(|way| (idx, way, self.sets[idx][way].last_used))
-    }
 }
 
 /// The most recent *hit*, kept so an immediately repeated lookup can skip
@@ -334,32 +321,6 @@ struct LastHit {
     /// 2 MB region), base-page number for a base hit.
     page: u64,
     size: PageSize,
-}
-
-/// Saved pre-state of one [`Tlb::lookup_logged`] call, sufficient to
-/// reverse it exactly.
-///
-/// A lookup never changes entry membership, set order, or the counting
-/// filter — it bumps the recency ticks, refreshes at most one slot's
-/// `last_used` (the hitting slot), updates the three hit-rate ratios,
-/// and replaces the last-hit cache. The record therefore fits in a few
-/// machine words. Undoing is only valid while no *other* TLB mutation
-/// (fill, flush, another un-undone lookup) intervenes; the speculative
-/// engine guarantees this by rolling back every un-committed step
-/// before any shared-path work touches the TLB.
-#[derive(Debug, Clone, Copy)]
-pub struct TlbLookupUndo {
-    base_tick: u64,
-    large_tick: u64,
-    base_stats: Ratio,
-    large_stats: Ratio,
-    overall: Ratio,
-    last_hit: Option<LastHit>,
-    /// The slot whose recency the probe refreshed: `(large-array?, set,
-    /// way, previous last_used)`. Captured *before* the probe, so
-    /// restoring it is also a no-op-correct write for the replayed-hit
-    /// fast path, which leaves the slot untouched.
-    touched: Option<(bool, usize, usize, u64)>,
 }
 
 /// One TLB level: split base/large arrays, ASID tags, LRU replacement, and
@@ -461,58 +422,6 @@ impl Tlb {
             self.last_hit = None;
             TlbLookup::Miss
         }
-    }
-
-    /// [`Tlb::lookup`] with an undo record appended to `undo`: the
-    /// intra-run speculative engine probes in place and rolls an aborted
-    /// step back via [`Tlb::undo_lookup`]. Outcome, statistics, and
-    /// recency effects are those of `lookup` itself (it is called
-    /// directly), so the two paths cannot drift.
-    pub fn lookup_logged(
-        &mut self,
-        asid: AppId,
-        addr: VirtAddr,
-        undo: &mut Vec<TlbLookupUndo>,
-    ) -> TlbLookup {
-        let mut rec = TlbLookupUndo {
-            base_tick: self.base.tick,
-            large_tick: self.large.tick,
-            base_stats: self.base_stats,
-            large_stats: self.large_stats,
-            overall: self.overall,
-            last_hit: self.last_hit,
-            touched: None,
-        };
-        // Pre-locate the slot the probe would refresh — large array
-        // first, matching the probe order (a resident large entry wins,
-        // so the base array is only consulted on a large miss).
-        let large_slot = self.large.find(asid, addr.large_page().raw());
-        let base_slot =
-            if large_slot.is_none() { self.base.find(asid, addr.base_page().raw()) } else { None };
-        let result = self.lookup(asid, addr);
-        rec.touched = match result {
-            TlbLookup::HitLarge => large_slot.map(|(s, w, lu)| (true, s, w, lu)),
-            TlbLookup::HitBase => base_slot.map(|(s, w, lu)| (false, s, w, lu)),
-            TlbLookup::Miss => None,
-        };
-        undo.push(rec);
-        result
-    }
-
-    /// Reverses one [`Tlb::lookup_logged`] call. Records must be undone
-    /// in reverse logging order, with no intervening fills or flushes —
-    /// see [`TlbLookupUndo`].
-    pub fn undo_lookup(&mut self, rec: &TlbLookupUndo) {
-        if let Some((large, set, way, last_used)) = rec.touched {
-            let arr = if large { &mut self.large } else { &mut self.base };
-            arr.sets[set][way].last_used = last_used;
-        }
-        self.base.tick = rec.base_tick;
-        self.large.tick = rec.large_tick;
-        self.base_stats = rec.base_stats;
-        self.large_stats = rec.large_stats;
-        self.overall = rec.overall;
-        self.last_hit = rec.last_hit;
     }
 
     /// Probes without recording statistics or updating recency (used for
@@ -900,70 +809,6 @@ mod tests {
         let fast_entries: Vec<_> = fast.entries().collect();
         let slow_entries: Vec<_> = slow.entries().collect();
         assert_eq!(fast_entries, slow_entries);
-    }
-
-    /// Randomized round-trip contract of the speculation journal: a
-    /// chain of logged lookups returns exactly what plain lookups
-    /// return, and undoing the chain in reverse restores the TLB to a
-    /// state indistinguishable from the pre-chain snapshot (compared via
-    /// `Debug`, which covers sets, ticks, filter, stats, and the
-    /// last-hit cache).
-    #[test]
-    fn logged_lookup_matches_plain_and_undoes_exactly() {
-        use mosaic_sim_core::SimRng;
-        let mut rng = SimRng::from_seed(0x51ED_10C5);
-        // Small set-associative arrays so evictions and conflicts churn.
-        let mut tlb = Tlb::new(TlbConfig {
-            base_entries: 8,
-            base_assoc: 2,
-            large_entries: 4,
-            large_assoc: 2,
-            latency: 1,
-        });
-        let addr = |rng: &mut SimRng| {
-            // A handful of large pages, each with a few base pages, two
-            // ASIDs: dense enough that repeats prime the last-hit cache.
-            VirtAddr(rng.below(6) * LARGE_PAGE_SIZE + rng.below(4) * 0x1000)
-        };
-        for _ in 0..300 {
-            // Churn: fills (both sizes) and occasional flushes.
-            match rng.below(5) {
-                0 => {
-                    let a = addr(&mut rng);
-                    let size = if rng.chance(0.3) { PageSize::Large } else { PageSize::Base };
-                    tlb.fill(AppId(rng.below(2) as u16), a, size);
-                }
-                1 if rng.chance(0.2) => {
-                    tlb.flush_base(AppId(rng.below(2) as u16), addr(&mut rng));
-                }
-                _ => {
-                    // Plain lookups between chains keep recency realistic
-                    // (and often prime the fast-path cache).
-                    tlb.lookup(AppId(rng.below(2) as u16), addr(&mut rng));
-                }
-            }
-            // A speculative chain of 1–4 logged lookups.
-            let snapshot = format!("{tlb:?}");
-            let mut twin = tlb.clone();
-            let mut undo = Vec::new();
-            for _ in 0..rng.below(4) + 1 {
-                let asid = AppId(rng.below(2) as u16);
-                let a = addr(&mut rng);
-                assert_eq!(
-                    tlb.lookup_logged(asid, a, &mut undo),
-                    twin.lookup(asid, a),
-                    "logged lookup outcome must match the plain path"
-                );
-            }
-            assert_eq!(format!("{tlb:?}"), format!("{twin:?}"), "forward states must match");
-            for rec in undo.iter().rev() {
-                tlb.undo_lookup(rec);
-            }
-            assert_eq!(format!("{tlb:?}"), snapshot, "undo must restore the pre-chain state");
-            // Continue the churn from the committed (twin) state so later
-            // iterations also cover "chain committed" history.
-            tlb = twin;
-        }
     }
 
     /// Exhaustively checks that both counting filters (per page and per

@@ -2,7 +2,7 @@
 
 use crate::layout::AppLayout;
 use crate::profile::{AccessPattern, AppProfile};
-use mosaic_gpu::{AddrList, StreamCheckpoint, WarpOp, WarpStream};
+use mosaic_gpu::{AddrList, WarpOp, WarpStream};
 use mosaic_sim_core::SimRng;
 use mosaic_vm::{VirtAddr, BASE_PAGE_SIZE};
 
@@ -226,46 +226,6 @@ impl WarpStream for AppWarpStream {
     }
 }
 
-/// The mutable cursor of one [`AppWarpStream`]: everything `next_op`
-/// changes. `profile`, `layout`, `base`, `ws_bytes`, and `slice_len`
-/// are fixed at construction, so restoring these six fields onto the
-/// same stream replays the generator exactly — the contract the
-/// speculative engine's step rollback depends on (pinned by
-/// `checkpoint_restore_replays_identically` below).
-#[derive(Debug, Clone)]
-pub struct AppWarpStreamState {
-    slice_start: u64,
-    cursor: u64,
-    cold_cursor: u64,
-    remaining_mem_ops: u64,
-    pending_compute: bool,
-    rng: SimRng,
-}
-
-impl StreamCheckpoint for AppWarpStream {
-    type State = AppWarpStreamState;
-
-    fn checkpoint(&self) -> AppWarpStreamState {
-        AppWarpStreamState {
-            slice_start: self.slice_start,
-            cursor: self.cursor,
-            cold_cursor: self.cold_cursor,
-            remaining_mem_ops: self.remaining_mem_ops,
-            pending_compute: self.pending_compute,
-            rng: self.rng.clone(),
-        }
-    }
-
-    fn restore(&mut self, state: &AppWarpStreamState) {
-        self.slice_start = state.slice_start;
-        self.cursor = state.cursor;
-        self.cold_cursor = state.cold_cursor;
-        self.remaining_mem_ops = state.remaining_mem_ops;
-        self.pending_compute = state.pending_compute;
-        self.rng = state.rng.clone();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,25 +342,6 @@ mod tests {
         assert!(matches!(s.next_op(), WarpOp::Memory { .. }));
         assert!(matches!(s.next_op(), WarpOp::Compute { .. }));
         assert!(matches!(s.next_op(), WarpOp::Memory { .. }));
-    }
-
-    /// The checkpoint captures *all* mutable state: restore and replay
-    /// must reproduce the exact op sequence, for every profile shape
-    /// (sweeping, gather, chase — each exercises different cursors).
-    #[test]
-    fn checkpoint_restore_replays_identically() {
-        for name in ["MM", "GUPS", "HS", "MUM"] {
-            let mut s = stream(name, 8 << 20, 2, 500);
-            // Burn in so cursors and RNG are mid-flight.
-            for _ in 0..137 {
-                s.next_op();
-            }
-            let saved = s.checkpoint();
-            let reference: Vec<WarpOp> = (0..200).map(|_| s.next_op()).collect();
-            s.restore(&saved);
-            let replay: Vec<WarpOp> = (0..200).map(|_| s.next_op()).collect();
-            assert_eq!(reference, replay, "{name}: restore must replay the stream exactly");
-        }
     }
 
     #[test]

@@ -26,13 +26,7 @@ fn tiny_cfg(manager: ManagerKind) -> RunConfig {
 /// float (rendered exactly), every per-app result. Two digests agree iff
 /// the results are bit-identical.
 fn digest(r: &RunResult) -> u64 {
-    let rendered = format!("{r:?}");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    mosaic_sim_core::fnv1a(format!("{r:?}").as_bytes())
 }
 
 #[test]
