@@ -61,10 +61,15 @@ MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce 
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
     --digest --jobs 4 multigpu > target/multigpu-parallel.txt
 diff target/multigpu-serial.txt target/multigpu-parallel.txt
-# The golden constant from tests/parallel_determinism.rs: the determinism
-# contract for the whole scale-out path (placement, interconnect,
-# migration payloads, remote/migrate stall attribution).
-grep -q 'digest multigpu eea524f5b009c7d8' target/multigpu-serial.txt
+# The multigpu pin from the golden table (crates/experiments/src/goldens.rs):
+# the determinism contract for the whole scale-out path (placement,
+# interconnect, migration payloads, remote/migrate stall attribution).
+pin=$(sed -n 's/^ *("multigpu", "\([0-9a-f]*\)"),.*$/\1/p' crates/experiments/src/goldens.rs)
+if [ -z "$pin" ]; then
+    echo "no multigpu digest found in crates/experiments/src/goldens.rs" >&2
+    exit 1
+fi
+grep -q "digest multigpu $pin" target/multigpu-serial.txt
 echo "    multigpu byte-identical at --jobs 1 and 4, digest matches the golden pin"
 
 echo "==> oversubscription smoke (demand-paging engine: evict, write back, prefetch)"

@@ -52,6 +52,9 @@ fn computed_closure_finds_hot_files_the_old_list_missed() {
     let files = closure.files();
     for new in [
         "crates/core/src/mosaic_mgr.rs",
+        // The resident-memory core every manager faults, unmaps and
+        // evicts through.
+        "crates/core/src/resident.rs",
         "crates/core/src/cocoa.rs",
         "crates/core/src/cac.rs",
         "crates/sim-core/src/queue.rs",

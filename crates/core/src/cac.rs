@@ -24,6 +24,7 @@
 
 use crate::cocoa::CoCoA;
 use crate::frames::{FramePool, FRAG_OWNER};
+use crate::resident::splinter;
 use crate::MgmtEvent;
 use mosaic_sim_core::{AuditInvariants, AuditReport, Counter};
 use mosaic_vm::{AppId, LargeFrameNum, LargePageNum, PageTable, BASE_PAGES_PER_LARGE_PAGE};
@@ -140,14 +141,9 @@ impl Cac {
             return events;
         }
         // Splinter...
-        table.splinter(lpn);
+        splinter(table, lpn, &mut events);
         self.splinters.inc();
         cocoa.unpark_emergency(asid, lpn);
-        mosaic_telemetry::emit(|| mosaic_telemetry::Event::Splinter {
-            asid: asid.0,
-            lpn: lpn.raw(),
-        });
-        events.push(MgmtEvent::Splintered { asid, lpn });
         // ...and compact the survivors into same-channel spare slots.
         let lf = match cocoa.unbind_chunk(asid, lpn) {
             Some(lf) => lf,
@@ -164,14 +160,7 @@ impl Cac {
             match dst {
                 Some(dst) => {
                     table.remap_base(vpn, dst).expect("survivor is mapped");
-                    // The pending write-back obligation moves with the data.
-                    let dirty = pool.is_dirty(old);
-                    pool.set_owner(old, None);
-                    pool.set_owner(dst, Some(asid));
-                    pool.set_mapping(dst, vpn);
-                    if dirty {
-                        pool.mark_dirty(dst);
-                    }
+                    pool.migrate(old, dst, asid, vpn);
                     if let Some(ev) = self.migrate_event(channel) {
                         events.push(ev);
                     }
@@ -252,13 +241,8 @@ impl Cac {
                 if table.mapped_in_large(lpn) == BASE_PAGES_PER_LARGE_PAGE {
                     continue;
                 }
-                if table.splinter(lpn) {
+                if splinter(table, lpn, &mut events) {
                     self.splinters.inc();
-                    mosaic_telemetry::emit(|| mosaic_telemetry::Event::Splinter {
-                        asid: owner.0,
-                        lpn: lpn.raw(),
-                    });
-                    events.push(MgmtEvent::Splintered { asid: owner, lpn });
                 }
                 let Some(lf) = cocoa.unbind_chunk(owner, lpn) else { continue };
                 let holes: Vec<_> = pool.state(lf).holes().map(|i| lf.base_frame(i)).collect();

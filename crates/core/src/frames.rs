@@ -378,6 +378,20 @@ impl FramePool {
         }
     }
 
+    /// Records a page migration: `vpn`'s data moved from base frame
+    /// `from` to `to`, which now belongs to `asid` and backs `vpn`, while
+    /// `from` is freed. A pending write-back obligation moves with the
+    /// data.
+    pub fn migrate(&mut self, from: PhysFrameNum, to: PhysFrameNum, asid: AppId, vpn: VirtPageNum) {
+        let dirty = self.is_dirty(from);
+        self.set_owner(from, None);
+        self.set_owner(to, Some(asid));
+        self.set_mapping(to, vpn);
+        if dirty {
+            self.mark_dirty(to);
+        }
+    }
+
     /// Large frames eligible for wholesale eviction, least-recently-used
     /// first (ties broken by frame number, so the order is deterministic):
     /// tracked frames whose every allocated base frame belongs to a real

@@ -14,12 +14,12 @@
 //! latency and the memory bloat of large-page-only management.
 
 use crate::frames::FramePool;
-use crate::{EvictOutcome, ManagerStats, MemError, MemoryManager, MgmtEvent, TouchOutcome};
+use crate::resident::{OpenFrame, ResidentMemory};
+use crate::{EvictOutcome, MemError, MemoryManager, MgmtEvent, TouchOutcome};
 use mosaic_vm::{
-    AppId, LargeFrameNum, LargePageNum, PageSize, PageTableSet, PhysFrameNum, VirtPageNum,
-    BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
+    AppId, PageSize, PhysFrameNum, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE,
+    LARGE_PAGE_SIZE,
 };
-use std::collections::BTreeSet;
 
 /// The baseline manager.
 ///
@@ -38,14 +38,9 @@ use std::collections::BTreeSet;
 #[derive(Debug)]
 pub struct GpuMmuManager {
     page_size: PageSize,
-    tables: PageTableSet,
-    pool: FramePool,
-    /// The shared partially-filled frame base allocations bump through —
-    /// the source of Figure 1a's inter-application interleaving.
-    open: Option<(LargeFrameNum, u64)>,
-    reservations: Vec<(AppId, VirtPageNum, u64)>,
-    touched: BTreeSet<(AppId, VirtPageNum)>,
-    stats: ManagerStats,
+    mem: ResidentMemory,
+    /// The shared partially-filled frame base allocations bump through.
+    open: OpenFrame,
 }
 
 impl GpuMmuManager {
@@ -54,12 +49,8 @@ impl GpuMmuManager {
     pub fn new(memory_bytes: u64, channels: usize, page_size: PageSize) -> Self {
         GpuMmuManager {
             page_size,
-            tables: PageTableSet::new(),
-            pool: FramePool::new(memory_bytes, channels),
-            open: None,
-            reservations: Vec::new(),
-            touched: BTreeSet::new(),
-            stats: ManagerStats::default(),
+            mem: ResidentMemory::new(memory_bytes, channels),
+            open: OpenFrame::default(),
         }
     }
 
@@ -71,78 +62,37 @@ impl GpuMmuManager {
 
     /// Access to the frame pool (for experiment instrumentation).
     pub fn pool(&self) -> &FramePool {
-        &self.pool
-    }
-
-    fn is_reserved(&self, asid: AppId, vpn: VirtPageNum) -> bool {
-        self.reservations.iter().any(|&(a, start, n)| {
-            a == asid && vpn.raw() >= start.raw() && vpn.raw() < start.raw() + n
-        })
-    }
-
-    fn alloc_base_interleaved(&mut self, asid: AppId) -> Result<mosaic_vm::PhysFrameNum, MemError> {
-        let (lf, idx) = match self.open.take() {
-            Some((lf, idx)) if idx < BASE_PAGES_PER_LARGE_PAGE => (lf, idx),
-            _ => (self.pool.take_free_frame().ok_or(MemError::OutOfMemory)?, 0),
-        };
-        let pfn = lf.base_frame(idx);
-        self.pool.set_owner(pfn, Some(asid));
-        if idx + 1 < BASE_PAGES_PER_LARGE_PAGE {
-            self.open = Some((lf, idx + 1));
-        }
-        Ok(pfn)
-    }
-
-    fn touch_base(&mut self, asid: AppId, vpn: VirtPageNum) -> Result<TouchOutcome, MemError> {
-        if self.tables.table_mut(asid).is_mapped(vpn) {
-            return Ok(TouchOutcome::default());
-        }
-        let pfn = self.alloc_base_interleaved(asid)?;
-        self.tables.table_mut(asid).map_base(vpn, pfn).expect("checked unmapped above");
-        self.pool.set_mapping(pfn, vpn);
-        self.stats.far_faults += 1;
-        self.stats.transferred_bytes += BASE_PAGE_SIZE;
-        Ok(TouchOutcome { transfer_bytes: BASE_PAGE_SIZE, events: Vec::new() })
+        &self.mem.pool
     }
 
     fn touch_large(&mut self, asid: AppId, vpn: VirtPageNum) -> Result<TouchOutcome, MemError> {
         let lpn = vpn.large_page();
-        if self.tables.table_mut(asid).is_mapped(vpn) {
-            return Ok(TouchOutcome::default());
-        }
-        if self.tables.table_mut(asid).is_coalesced(lpn) {
+        let table = self.mem.tables.table_mut(asid);
+        if table.is_coalesced(lpn) {
             // A hole drilled by a partial deallocation inside a still-live
             // large page. The backing frame cannot have been handed out
             // again (only fully-drained frames return to the pool), so the
             // page is restored into its original slot; contiguity and the
             // large mapping are untouched.
-            let table = self.tables.table_mut(asid);
             let (_, neighbor, _) = table
                 .region_mappings(lpn)
                 .next()
                 .expect("a coalesced region with a hole retains a mapping");
             let slot = neighbor.large_frame().base_frame(vpn.index_in_large());
-            table.map_base(vpn, slot).expect("hole checked unmapped above");
-            self.pool.set_owner(slot, Some(asid));
-            self.pool.set_mapping(slot, vpn);
-            self.stats.far_faults += 1;
-            self.stats.transferred_bytes += BASE_PAGE_SIZE;
+            self.mem.fault_in(asid, vpn, slot).expect("hole checked unmapped by touch");
             return Ok(TouchOutcome { transfer_bytes: BASE_PAGE_SIZE, events: Vec::new() });
         }
         // Materialize the whole large page: one frame, 512 contiguous
         // mappings, coalesced so the TLB can use a single large entry.
-        let lf = self.pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
-        let table = self.tables.table_mut(asid);
+        let lf = self.mem.pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
         for i in 0..BASE_PAGES_PER_LARGE_PAGE {
-            table.map_base(lpn.base_page(i), lf.base_frame(i)).expect("fresh region");
-            self.pool.set_owner(lf.base_frame(i), Some(asid));
-            self.pool.set_mapping(lf.base_frame(i), lpn.base_page(i));
+            self.mem.map_page(asid, lpn.base_page(i), lf.base_frame(i)).expect("fresh region");
         }
-        let table = self.tables.table_mut(asid);
-        table.coalesce(lpn).expect("contiguous by construction");
-        self.stats.coalesces += 1;
-        self.stats.far_faults += 1;
-        self.stats.transferred_bytes += LARGE_PAGE_SIZE;
+        self.mem.tables.table_mut(asid).coalesce(lpn).expect("contiguous by construction");
+        self.mem.count_touch(asid, vpn);
+        self.mem.stats.coalesces += 1;
+        self.mem.stats.far_faults += 1;
+        self.mem.stats.transferred_bytes += LARGE_PAGE_SIZE;
         mosaic_telemetry::emit(|| mosaic_telemetry::Event::Coalesce {
             asid: asid.0,
             lpn: lpn.raw(),
@@ -163,152 +113,52 @@ impl MemoryManager for GpuMmuManager {
     }
 
     fn register_app(&mut self, asid: AppId) {
-        self.tables.table_mut(asid);
+        self.mem.tables.table_mut(asid);
     }
 
     fn reserve(&mut self, asid: AppId, start: VirtPageNum, pages: u64) {
-        self.reservations.push((asid, start, pages));
+        self.mem.reserve(asid, start, pages);
     }
 
     fn touch(&mut self, asid: AppId, vpn: VirtPageNum) -> Result<TouchOutcome, MemError> {
-        if !self.is_reserved(asid, vpn) {
-            return Err(MemError::NotReserved);
+        if self.mem.touch_resident(asid, vpn)? {
+            return Ok(TouchOutcome::default());
         }
-        let out = match self.page_size {
-            PageSize::Base => self.touch_base(asid, vpn),
+        match self.page_size {
+            PageSize::Base => {
+                let pfn = self.open.alloc(&mut self.mem.pool)?;
+                self.mem.fault_in(asid, vpn, pfn).expect("checked unmapped above");
+                Ok(TouchOutcome { transfer_bytes: BASE_PAGE_SIZE, events: Vec::new() })
+            }
             PageSize::Large => self.touch_large(asid, vpn),
-        }?;
-        // Count the touch only once it succeeded: a touch that failed to
-        // allocate must not inflate touched_bytes.
-        self.touched.insert((asid, vpn));
-        Ok(out)
+        }
     }
 
     fn deallocate(&mut self, asid: AppId, start: VirtPageNum, pages: u64) -> Vec<MgmtEvent> {
-        let mut events = Vec::new();
-        let mut lpns = BTreeSet::new();
-        for i in 0..pages {
-            let vpn = VirtPageNum(start.raw() + i);
-            lpns.insert(vpn.large_page());
-            if let Some(pfn) = self.tables.table_mut(asid).unmap_base(vpn) {
-                self.pool.set_owner(pfn, None);
-            }
-        }
-        // Splinter and release fully-drained large regions.
-        for lpn in lpns {
-            let table = self.tables.table_mut(asid);
-            if table.mapped_in_large(lpn) == 0 && table.splinter(lpn) {
-                self.stats.splinters += 1;
-                mosaic_telemetry::emit(|| mosaic_telemetry::Event::Splinter {
-                    asid: asid.0,
-                    lpn: lpn.raw(),
-                });
-                events.push(MgmtEvent::Splintered { asid, lpn });
-            }
-        }
-        // Return wholly-freed frames to the pool.
-        let empty: Vec<_> =
-            self.pool.tracked().filter(|(_, s)| s.is_empty()).map(|(lf, _)| lf).collect();
-        for lf in empty {
-            if self.open.is_none_or(|(open, _)| open != lf) {
-                self.pool.release_frame(lf);
-            }
-        }
+        let lpns = self.mem.unmap_range(asid, start, pages);
+        let events = self.mem.splinter_drained(asid, &lpns);
+        self.mem.release_drained(self.open.frame());
         events
     }
 
     fn note_use(&mut self, pfn: PhysFrameNum, store: bool) {
-        self.pool.note_use(pfn, store);
+        self.mem.pool.note_use(pfn, store);
     }
 
-    /// Evicts least-recently-used large frames wholesale: splinter any
-    /// coalesced region living in a victim, unmap every resident page,
-    /// and release the frame. The shared open frame is never a victim —
-    /// evicting the bump allocator's cursor would corrupt it.
+    /// The shared whole-frame LRU eviction; the open frame is never a
+    /// victim — evicting the bump allocator's cursor would corrupt it.
     fn evict_for(&mut self, bytes: u64) -> EvictOutcome {
-        let want = bytes.div_ceil(LARGE_PAGE_SIZE).max(1);
-        let mut out = EvictOutcome::default();
-        let mut freed = 0u64;
-        for lf in self.pool.eviction_candidates() {
-            if freed >= want {
-                break;
-            }
-            if self.open.is_some_and(|(open, _)| open == lf) {
-                continue;
-            }
-            let residents = self.pool.residents(lf);
-            if residents.is_empty() {
-                continue;
-            }
-            let mut regions: Vec<(AppId, LargePageNum)> = Vec::new();
-            for &(pfn, asid, vpn) in &residents {
-                if self.pool.is_dirty(pfn) {
-                    out.writeback_bytes += BASE_PAGE_SIZE;
-                }
-                let key = (asid, vpn.large_page());
-                if !regions.contains(&key) {
-                    regions.push(key);
-                }
-            }
-            // Splinter first: base unmaps inside a live coalesced large
-            // mapping would leave the region half torn down.
-            for &(asid, lpn) in &regions {
-                let table = self.tables.table_mut(asid);
-                if table.is_coalesced(lpn) {
-                    table.splinter(lpn);
-                }
-            }
-            for &(pfn, asid, vpn) in &residents {
-                self.tables.table_mut(asid).unmap_base(vpn);
-                self.pool.set_owner(pfn, None);
-                out.evicted.push((asid, vpn));
-            }
-            self.pool.release_frame(lf);
-            freed += 1;
-            for (asid, lpn) in regions {
-                out.events.push(MgmtEvent::TlbShootdown { asid, lpn });
-            }
-        }
-        self.stats.evictions += out.evicted.len() as u64;
-        self.stats.writeback_bytes += out.writeback_bytes;
-        out
+        self.mem.evict_lru(bytes, self.open.frame(), &mut ())
     }
 
-    fn tables(&self) -> &PageTableSet {
-        &self.tables
+    fn memory(&self) -> &ResidentMemory {
+        &self.mem
     }
 
-    fn footprint_bytes(&self) -> u64 {
-        self.pool.peak_reserved_bytes()
-    }
-
-    fn app_footprint_bytes(&self) -> u64 {
-        self.pool.peak_app_reserved_bytes()
-    }
-
-    fn touched_bytes(&self) -> u64 {
-        self.touched.len() as u64 * BASE_PAGE_SIZE
-    }
-
-    fn stats(&self) -> ManagerStats {
-        self.stats
-    }
-
-    /// Audits the page tables and frame pool, their ownership agreement,
-    /// and the bump allocator's open-frame bookkeeping.
+    /// Audits the resident memory and the bump allocator's open frame.
     fn audit(&self, report: &mut mosaic_sim_core::AuditReport) {
-        use mosaic_sim_core::AuditInvariants;
-        self.tables.audit(report);
-        self.pool.audit(report);
-        crate::audit_mapping_ownership("gpu-mmu", &self.tables, &self.pool, report);
-        if let Some((lf, next)) = self.open {
-            report.check("gpu-mmu", next < BASE_PAGES_PER_LARGE_PAGE, || {
-                format!("open frame {lf} has out-of-range bump index {next}")
-            });
-            report.check("gpu-mmu", self.pool.tracked().any(|(t, _)| t == lf), || {
-                format!("open frame {lf} is not tracked by the pool")
-            });
-        }
+        self.mem.audit("gpu-mmu", report);
+        self.open.audit("gpu-mmu", &self.mem.pool, report);
     }
 }
 

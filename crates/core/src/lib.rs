@@ -25,6 +25,9 @@
 //! * [`MosaicManager`] — the composition of the three Mosaic components
 //!   behind the common [`MemoryManager`] interface consumed by the
 //!   full-system simulator.
+//! * [`resident`] — the state and mechanism all three managers share:
+//!   page tables, frame pool, reservations, the 4 KB far-fault tail,
+//!   the deallocation front half and whole-frame LRU eviction.
 //!
 //! The manager interface is *runtime-level*: the GPU simulator calls
 //! [`MemoryManager::reserve`] when an application performs its en-masse
@@ -46,6 +49,7 @@ pub mod gpu_mmu;
 pub mod migrating;
 pub mod mosaic_mgr;
 pub mod placement;
+pub mod resident;
 
 pub use cac::{Cac, CacConfig};
 pub use coalescer::InPlaceCoalescer;
@@ -55,45 +59,9 @@ pub use gpu_mmu::GpuMmuManager;
 pub use migrating::{MigratingConfig, MigratingManager};
 pub use mosaic_mgr::{MosaicConfig, MosaicManager};
 pub use placement::{PlacementMap, PlacementOutcome, PlacementPolicy, PlacementStats, MAX_GPUS};
+pub use resident::ResidentMemory;
 
-use mosaic_sim_core::AuditReport;
 use mosaic_vm::{AppId, LargePageNum, PageTableSet, PhysFrameNum, VirtPageNum};
-
-/// Cross-structure audit shared by every manager: each page-table
-/// mapping's physical frame must be owned *by that mapping's address
-/// space* in the frame pool. This ties the allocator's bookkeeping to the
-/// translation structures — a frame freed while still mapped (use after
-/// free) or mapped while owned by someone else shows up here even when
-/// both structures are internally consistent.
-pub(crate) fn audit_mapping_ownership(
-    component: &'static str,
-    tables: &PageTableSet,
-    pool: &FramePool,
-    report: &mut AuditReport,
-) {
-    for (asid, table) in tables.iter() {
-        for lpn in table.mapped_regions() {
-            for (vpn, pfn, _) in table.region_mappings(lpn) {
-                let owner = pool.owner(pfn);
-                report.check(component, owner == Some(asid), || match owner {
-                    Some(other) => {
-                        format!("{asid}/{vpn} maps {pfn}, but the pool says {other} owns it")
-                    }
-                    None => format!("{asid}/{vpn} maps {pfn}, but the pool says it is unowned"),
-                });
-                let back = pool.mapping(pfn);
-                report.check(component, back == Some(vpn), || match back {
-                    Some(other) => {
-                        format!("{asid}/{vpn} maps {pfn}, but the pool's reverse map says {other}")
-                    }
-                    None => {
-                        format!("{asid}/{vpn} maps {pfn}, but the pool's reverse map has no entry")
-                    }
-                });
-            }
-        }
-    }
-}
 
 /// A hardware side effect of a memory-management operation, to be charged
 /// to the timing model by the simulator.
@@ -244,7 +212,8 @@ pub struct ManagerStats {
 
 /// The runtime interface between the GPU and a memory manager.
 ///
-/// Implemented by [`MosaicManager`] and [`GpuMmuManager`]; the full-system
+/// Implemented by [`MosaicManager`], [`GpuMmuManager`] and
+/// [`MigratingManager`] over one [`ResidentMemory`]; the full-system
 /// simulator drives whichever it is configured with and charges the
 /// returned [`MgmtEvent`]s to its timing model.
 pub trait MemoryManager: std::fmt::Debug {
@@ -276,8 +245,7 @@ pub trait MemoryManager: std::fmt::Debug {
     /// Marks a resident base frame as recently used — and dirty, when
     /// the access is a store. This is the eviction policy's recency and
     /// write-back signal; O(1), called on the warp-access hot path.
-    /// Default: no-op for managers without demand-eviction support.
-    fn note_use(&mut self, _pfn: PhysFrameNum, _store: bool) {}
+    fn note_use(&mut self, pfn: PhysFrameNum, store: bool);
 
     /// Evicts resident pages to free at least `bytes` of physical
     /// memory (rounded up to whole large frames), least-recently-used
@@ -285,29 +253,38 @@ pub trait MemoryManager: std::fmt::Debug {
     /// [`EvictOutcome::writeback_bytes`]; the simulator charges their
     /// write-back over the I/O bus before reusing the freed frames.
     /// Returns an empty outcome when nothing is evictable.
-    fn evict_for(&mut self, _bytes: u64) -> EvictOutcome {
-        EvictOutcome::default()
-    }
+    fn evict_for(&mut self, bytes: u64) -> EvictOutcome;
+
+    /// The shared resident-memory state, read-only. Every bookkeeping
+    /// query below is answered from it.
+    fn memory(&self) -> &ResidentMemory;
 
     /// The page tables, for translation and walk-path computation.
-    fn tables(&self) -> &PageTableSet;
+    fn tables(&self) -> &PageTableSet {
+        &self.memory().tables
+    }
 
-    /// Physical bytes reserved (tracked large frames × 2 MB) — the
+    /// Physical bytes reserved (peak tracked large frames × 2 MB) — the
     /// footprint used for memory-bloat measurements.
-    fn footprint_bytes(&self) -> u64;
+    fn footprint_bytes(&self) -> u64 {
+        self.memory().pool.peak_reserved_bytes()
+    }
 
     /// Physical bytes reserved by frames holding real application data
     /// (excludes frames used only by injected pre-fragmentation data).
-    /// Defaults to [`MemoryManager::footprint_bytes`].
     fn app_footprint_bytes(&self) -> u64 {
-        self.footprint_bytes()
+        self.memory().pool.peak_app_reserved_bytes()
     }
 
     /// Bytes actually requested by applications (touched base pages × 4 KB).
-    fn touched_bytes(&self) -> u64;
+    fn touched_bytes(&self) -> u64 {
+        self.memory().touched_bytes()
+    }
 
     /// Aggregate statistics.
-    fn stats(&self) -> ManagerStats;
+    fn stats(&self) -> ManagerStats {
+        self.memory().stats
+    }
 
     /// Memory bloat relative to what the touched working set strictly
     /// needs: `footprint / touched − 1`, as used by Section 3.2 and

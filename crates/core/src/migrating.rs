@@ -22,11 +22,11 @@
 //!   pre-migration frames, so correctness demands an IPI-style
 //!   shootdown of the region on every SM).
 
-use crate::frames::FramePool;
-use crate::{EvictOutcome, ManagerStats, MemError, MemoryManager, MgmtEvent, TouchOutcome};
+use crate::resident::{EvictHooks, OpenFrame, ResidentMemory};
+use crate::{EvictOutcome, MemError, MemoryManager, MgmtEvent, TouchOutcome};
 use mosaic_vm::{
-    AppId, LargeFrameNum, LargePageNum, PageTableSet, PhysFrameNum, VirtPageNum,
-    BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE,
+    AppId, LargeFrameNum, LargePageNum, PhysFrameNum, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE,
+    BASE_PAGE_SIZE,
 };
 use std::collections::BTreeSet;
 
@@ -68,15 +68,21 @@ impl Default for MigratingConfig {
 #[derive(Debug)]
 pub struct MigratingManager {
     config: MigratingConfig,
-    tables: PageTableSet,
-    pool: FramePool,
+    mem: ResidentMemory,
     /// Fault-order bump allocation, as in the GPU-MMU baseline.
-    open: Option<(LargeFrameNum, u64)>,
-    reservations: Vec<(AppId, VirtPageNum, u64)>,
-    touched: BTreeSet<(AppId, VirtPageNum)>,
+    open: OpenFrame,
     /// Regions already promoted (never re-promoted).
     promoted: BTreeSet<(AppId, LargePageNum)>,
-    stats: ManagerStats,
+}
+
+/// Eviction forgets the promotion of every region it splinters, so a
+/// later refault re-earns it.
+impl EvictHooks for BTreeSet<(AppId, LargePageNum)> {
+    fn on_region(&mut self, asid: AppId, lpn: LargePageNum, _: LargeFrameNum, splintered: bool) {
+        if splintered {
+            self.remove(&(asid, lpn));
+        }
+    }
 }
 
 impl MigratingManager {
@@ -84,46 +90,15 @@ impl MigratingManager {
     pub fn new(memory_bytes: u64, channels: usize, config: MigratingConfig) -> Self {
         MigratingManager {
             config,
-            tables: PageTableSet::new(),
-            pool: FramePool::new(memory_bytes, channels),
-            open: None,
-            reservations: Vec::new(),
-            touched: BTreeSet::new(),
+            mem: ResidentMemory::new(memory_bytes, channels),
+            open: OpenFrame::default(),
             promoted: BTreeSet::new(),
-            stats: ManagerStats::default(),
         }
     }
 
     /// The policy in effect.
     pub fn config(&self) -> &MigratingConfig {
         &self.config
-    }
-
-    fn is_reserved(&self, asid: AppId, vpn: VirtPageNum) -> bool {
-        self.reservations.iter().any(|&(a, start, n)| {
-            a == asid && vpn.raw() >= start.raw() && vpn.raw() < start.raw() + n
-        })
-    }
-
-    /// Whether `lpn` lies fully inside one reservation (promotion must not
-    /// map pages the application never reserved).
-    fn region_reserved(&self, asid: AppId, lpn: LargePageNum) -> bool {
-        let first = lpn.base_page(0);
-        let last = VirtPageNum(first.raw() + BASE_PAGES_PER_LARGE_PAGE - 1);
-        self.is_reserved(asid, first) && self.is_reserved(asid, last)
-    }
-
-    fn alloc_base_interleaved(&mut self, asid: AppId) -> Result<PhysFrameNum, MemError> {
-        let (lf, idx) = match self.open.take() {
-            Some((lf, idx)) if idx < BASE_PAGES_PER_LARGE_PAGE => (lf, idx),
-            _ => (self.pool.take_free_frame().ok_or(MemError::OutOfMemory)?, 0),
-        };
-        let pfn = lf.base_frame(idx);
-        self.pool.set_owner(pfn, Some(asid));
-        if idx + 1 < BASE_PAGES_PER_LARGE_PAGE {
-            self.open = Some((lf, idx + 1));
-        }
-        Ok(pfn)
     }
 
     /// The Figure 6a promotion: migrate the mapped pages, *transfer* the
@@ -136,9 +111,10 @@ impl MigratingManager {
         asid: AppId,
         lpn: LargePageNum,
     ) -> Result<(Vec<MgmtEvent>, u64), MemError> {
-        let dest = self.pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
+        let mem = &mut self.mem;
+        let dest = mem.pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
         let mut events = Vec::new();
-        let moved: Vec<(VirtPageNum, PhysFrameNum)> = self
+        let moved: Vec<(VirtPageNum, PhysFrameNum)> = mem
             .tables
             .table_mut(asid)
             .region_mappings(lpn)
@@ -146,18 +122,11 @@ impl MigratingManager {
             .collect();
         for (vpn, old) in &moved {
             let slot = dest.base_frame(vpn.index_in_large());
-            self.tables.table_mut(asid).remap_base(*vpn, slot).expect("mapped");
-            // The pending write-back obligation moves with the data.
-            let dirty = self.pool.is_dirty(*old);
-            self.pool.set_owner(*old, None);
-            self.pool.set_owner(slot, Some(asid));
-            self.pool.set_mapping(slot, *vpn);
-            if dirty {
-                self.pool.mark_dirty(slot);
-            }
-            self.stats.migrations += 1;
+            mem.tables.table_mut(asid).remap_base(*vpn, slot).expect("mapped");
+            mem.pool.migrate(*old, slot, asid, *vpn);
+            mem.stats.migrations += 1;
             events.push(MgmtEvent::PageMigrated {
-                channel: self.pool.channel_of(dest),
+                channel: mem.pool.channel_of(dest),
                 bulk: false,
                 // Promotion is copy-then-switch: the old mappings stay
                 // valid while the copy engine works in the background.
@@ -169,17 +138,19 @@ impl MigratingManager {
         // data is the demand-paging waste — and the memory bloat — that
         // large-page promotion is known for).
         let holes: Vec<VirtPageNum> =
-            lpn.base_pages().filter(|vpn| !self.tables.table_mut(asid).is_mapped(*vpn)).collect();
+            lpn.base_pages().filter(|vpn| !mem.tables.table_mut(asid).is_mapped(*vpn)).collect();
         let extra_bytes = holes.len() as u64 * BASE_PAGE_SIZE;
         for vpn in holes {
             let slot = dest.base_frame(vpn.index_in_large());
-            self.tables.table_mut(asid).map_base(vpn, slot).expect("hole");
-            self.pool.set_owner(slot, Some(asid));
-            self.pool.set_mapping(slot, vpn);
+            mem.map_page(asid, vpn, slot).expect("hole");
         }
-        self.stats.transferred_bytes += extra_bytes;
-        self.tables.table_mut(asid).coalesce(lpn).expect("contiguous after migration");
-        self.stats.coalesces += 1;
+        mem.stats.transferred_bytes += extra_bytes;
+        mem.tables.table_mut(asid).coalesce(lpn).expect("contiguous after migration");
+        mem.stats.coalesces += 1;
+        mosaic_telemetry::emit(|| mosaic_telemetry::Event::Coalesce {
+            asid: asid.0,
+            lpn: lpn.raw(),
+        });
         self.promoted.insert((asid, lpn));
         // Correctness: the pre-migration base translations are stale on
         // every SM — a targeted (IPI-style) shootdown of the region.
@@ -194,51 +165,36 @@ impl MemoryManager for MigratingManager {
     }
 
     fn register_app(&mut self, asid: AppId) {
-        self.tables.table_mut(asid);
+        self.mem.tables.table_mut(asid);
     }
 
     fn reserve(&mut self, asid: AppId, start: VirtPageNum, pages: u64) {
-        self.reservations.push((asid, start, pages));
+        self.mem.reserve(asid, start, pages);
     }
 
     fn touch(&mut self, asid: AppId, vpn: VirtPageNum) -> Result<TouchOutcome, MemError> {
-        if !self.is_reserved(asid, vpn) {
-            return Err(MemError::NotReserved);
-        }
-        if self.tables.table_mut(asid).is_mapped(vpn) {
-            self.touched.insert((asid, vpn));
+        if self.mem.touch_resident(asid, vpn)? {
             return Ok(TouchOutcome::default());
         }
         let lpn = vpn.large_page();
-        if let Some(lf) = self.tables.table_mut(asid).large_frame_of(lpn) {
+        if let Some(lf) = self.mem.tables.table_mut(asid).large_frame_of(lpn) {
             // A hole drilled by a partial deallocation inside a promoted
             // (still-coalesced) region. The page must return to its slot
             // in the region's large frame; handing it an arbitrary
             // interleaved frame would break the region's contiguity.
             let slot = lf.base_frame(vpn.index_in_large());
-            self.tables.table_mut(asid).map_base(vpn, slot).expect("checked unmapped");
-            self.pool.set_owner(slot, Some(asid));
-            self.pool.set_mapping(slot, vpn);
-            self.touched.insert((asid, vpn));
-            self.stats.far_faults += 1;
-            self.stats.transferred_bytes += BASE_PAGE_SIZE;
+            self.mem.fault_in(asid, vpn, slot).expect("checked unmapped above");
             return Ok(TouchOutcome { transfer_bytes: BASE_PAGE_SIZE, events: Vec::new() });
         }
-        let pfn = self.alloc_base_interleaved(asid)?;
-        self.tables.table_mut(asid).map_base(vpn, pfn).expect("checked unmapped");
-        self.pool.set_mapping(pfn, vpn);
-        // Count the touch only now: a touch that failed to allocate must
-        // not inflate touched_bytes (it never became resident).
-        self.touched.insert((asid, vpn));
-        self.stats.far_faults += 1;
-        self.stats.transferred_bytes += BASE_PAGE_SIZE;
+        let pfn = self.open.alloc(&mut self.mem.pool)?;
+        self.mem.fault_in(asid, vpn, pfn).expect("checked unmapped above");
         let mut events = Vec::new();
         let mut transfer_bytes = BASE_PAGE_SIZE;
         if self.config.promote
             && !self.promoted.contains(&(asid, lpn))
-            && self.region_reserved(asid, lpn)
+            && self.mem.region_reserved(asid, lpn)
         {
-            let mapped = self.tables.table_mut(asid).mapped_in_large(lpn) as f64;
+            let mapped = self.mem.tables.table_mut(asid).mapped_in_large(lpn) as f64;
             if mapped / BASE_PAGES_PER_LARGE_PAGE as f64 >= self.config.promote_threshold {
                 match self.promote(asid, lpn) {
                     Ok((ev, extra)) => {
@@ -255,124 +211,44 @@ impl MemoryManager for MigratingManager {
     }
 
     fn deallocate(&mut self, asid: AppId, start: VirtPageNum, pages: u64) -> Vec<MgmtEvent> {
-        let mut events = Vec::new();
-        let mut lpns = BTreeSet::new();
-        for i in 0..pages {
-            let vpn = VirtPageNum(start.raw() + i);
-            lpns.insert(vpn.large_page());
-            if let Some(pfn) = self.tables.table_mut(asid).unmap_base(vpn) {
-                self.pool.set_owner(pfn, None);
-            }
-        }
-        for lpn in lpns {
-            let table = self.tables.table_mut(asid);
-            if table.mapped_in_large(lpn) == 0 && table.splinter(lpn) {
-                self.stats.splinters += 1;
+        let lpns = self.mem.unmap_range(asid, start, pages);
+        let events = self.mem.splinter_drained(asid, &lpns);
+        for event in &events {
+            if let MgmtEvent::Splintered { asid, lpn } = *event {
                 self.promoted.remove(&(asid, lpn));
-                events.push(MgmtEvent::Splintered { asid, lpn });
             }
         }
-        let empty: Vec<_> =
-            self.pool.tracked().filter(|(_, s)| s.is_empty()).map(|(lf, _)| lf).collect();
-        for lf in empty {
-            if self.open.is_none_or(|(open, _)| open != lf) {
-                self.pool.release_frame(lf);
-            }
-        }
+        self.mem.release_drained(self.open.frame());
         events
     }
 
     fn note_use(&mut self, pfn: PhysFrameNum, store: bool) {
-        self.pool.note_use(pfn, store);
+        self.mem.pool.note_use(pfn, store);
     }
 
-    /// Evicts least-recently-used large frames wholesale. Promoted
-    /// regions living in a victim are splintered and forgotten (a later
-    /// refault re-earns promotion); the shared open frame is never a
-    /// victim.
+    /// The shared whole-frame LRU eviction, forgetting the promotion of
+    /// every region it splinters; the open frame is never a victim.
     fn evict_for(&mut self, bytes: u64) -> EvictOutcome {
-        let want = bytes.div_ceil(mosaic_vm::LARGE_PAGE_SIZE).max(1);
-        let mut out = EvictOutcome::default();
-        let mut freed = 0u64;
-        for lf in self.pool.eviction_candidates() {
-            if freed >= want {
-                break;
-            }
-            if self.open.is_some_and(|(open, _)| open == lf) {
-                continue;
-            }
-            let residents = self.pool.residents(lf);
-            if residents.is_empty() {
-                continue;
-            }
-            let mut regions: Vec<(AppId, LargePageNum)> = Vec::new();
-            for &(pfn, asid, vpn) in &residents {
-                if self.pool.is_dirty(pfn) {
-                    out.writeback_bytes += BASE_PAGE_SIZE;
-                }
-                let key = (asid, vpn.large_page());
-                if !regions.contains(&key) {
-                    regions.push(key);
-                }
-            }
-            for &(asid, lpn) in &regions {
-                let table = self.tables.table_mut(asid);
-                if table.is_coalesced(lpn) {
-                    table.splinter(lpn);
-                    self.promoted.remove(&(asid, lpn));
-                }
-            }
-            for &(pfn, asid, vpn) in &residents {
-                self.tables.table_mut(asid).unmap_base(vpn);
-                self.pool.set_owner(pfn, None);
-                out.evicted.push((asid, vpn));
-            }
-            self.pool.release_frame(lf);
-            freed += 1;
-            for (asid, lpn) in regions {
-                out.events.push(MgmtEvent::TlbShootdown { asid, lpn });
-            }
-        }
-        self.stats.evictions += out.evicted.len() as u64;
-        self.stats.writeback_bytes += out.writeback_bytes;
-        out
+        self.mem.evict_lru(bytes, self.open.frame(), &mut self.promoted)
     }
 
-    fn tables(&self) -> &PageTableSet {
-        &self.tables
+    fn memory(&self) -> &ResidentMemory {
+        &self.mem
     }
 
-    fn footprint_bytes(&self) -> u64 {
-        self.pool.peak_reserved_bytes()
-    }
-
-    fn app_footprint_bytes(&self) -> u64 {
-        self.pool.peak_app_reserved_bytes()
-    }
-
-    fn touched_bytes(&self) -> u64 {
-        self.touched.len() as u64 * BASE_PAGE_SIZE
-    }
-
-    fn stats(&self) -> ManagerStats {
-        self.stats
-    }
-
-    /// Audits the page tables and frame pool, their ownership agreement,
-    /// and the promotion bookkeeping: every region recorded as promoted
-    /// must still exist and belong to a registered address space, and
-    /// every coalesced region must have come from a promotion.
+    /// Audits the resident memory, the open frame, and the promotion
+    /// bookkeeping: every region recorded as promoted must belong to a
+    /// registered address space, and every coalesced region must have
+    /// come from a promotion.
     fn audit(&self, report: &mut mosaic_sim_core::AuditReport) {
-        use mosaic_sim_core::AuditInvariants;
-        self.tables.audit(report);
-        self.pool.audit(report);
-        crate::audit_mapping_ownership("migrating", &self.tables, &self.pool, report);
+        self.mem.audit("migrating", report);
+        let tables = &self.mem.tables;
         for &(asid, lpn) in &self.promoted {
-            report.check("migrating", self.tables.table(asid).is_some(), || {
+            report.check("migrating", tables.table(asid).is_some(), || {
                 format!("{lpn} recorded as promoted for unregistered {asid}")
             });
         }
-        for (asid, table) in self.tables.iter() {
+        for (asid, table) in tables.iter() {
             for lpn in table.mapped_regions() {
                 report.check(
                     "migrating",
@@ -381,11 +257,7 @@ impl MemoryManager for MigratingManager {
                 );
             }
         }
-        if let Some((lf, next)) = self.open {
-            report.check("migrating", next < BASE_PAGES_PER_LARGE_PAGE, || {
-                format!("open frame {lf} has out-of-range bump index {next}")
-            });
-        }
+        self.open.audit("migrating", &self.mem.pool, report);
     }
 }
 
@@ -487,7 +359,7 @@ mod tests {
             assert!(table.is_coalesced(LargePageNum(0)), "{a} promoted");
             // Every frame of the promoted region belongs to this app.
             for (_, frame, _) in table.region_mappings(LargePageNum(0)) {
-                assert_eq!(m.pool.owner(frame), Some(a));
+                assert_eq!(m.mem.pool.owner(frame), Some(a));
             }
         }
     }
@@ -555,7 +427,7 @@ mod tests {
             m.touch(AppId(1), VirtPageNum(i)).unwrap();
             if i % 64 == 0 || i == 511 {
                 let mut owners = std::collections::BTreeMap::new();
-                for (asid, table) in m.tables.iter() {
+                for (asid, table) in m.mem.tables.iter() {
                     for (_, pfn, _) in table.mappings() {
                         if let Some(prev) = owners.insert(pfn, asid) {
                             assert_eq!(prev, asid, "{pfn} mapped by both {prev} and {asid}");
@@ -571,7 +443,10 @@ mod tests {
             let table = m.tables().table(a).unwrap();
             assert!(table.is_coalesced(LargePageNum(0)), "{a} promoted");
             let lf = table.large_frame_of(LargePageNum(0)).unwrap();
-            assert!(m.pool.state(lf).single_owner(a), "{a}'s promoted frame is exclusively its");
+            assert!(
+                m.mem.pool.state(lf).single_owner(a),
+                "{a}'s promoted frame is exclusively its"
+            );
         }
     }
 
@@ -624,15 +499,15 @@ mod tests {
         m.touch(AppId(0), VirtPageNum(0)).unwrap();
         let old = m.tables().table(AppId(0)).unwrap().translate(VirtPageNum(0).addr()).unwrap();
         m.note_use(old.frame, true);
-        assert!(m.pool.is_dirty(old.frame));
+        assert!(m.mem.pool.is_dirty(old.frame));
         for i in 1..512 {
             m.touch(AppId(0), VirtPageNum(i)).unwrap();
         }
         // Promotion moved the page; the dirty bit must have moved too.
         let new = m.tables().table(AppId(0)).unwrap().translate(VirtPageNum(0).addr()).unwrap();
         assert_ne!(old.frame, new.frame);
-        assert!(m.pool.is_dirty(new.frame));
-        assert!(!m.pool.is_dirty(old.frame));
+        assert!(m.mem.pool.is_dirty(new.frame));
+        assert!(!m.mem.pool.is_dirty(old.frame));
     }
 
     #[test]

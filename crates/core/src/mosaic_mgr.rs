@@ -17,13 +17,13 @@ use crate::cac::{Cac, CacConfig};
 use crate::coalescer::InPlaceCoalescer;
 use crate::cocoa::CoCoA;
 use crate::frames::{FragmentReport, FramePool};
+use crate::resident::{EvictHooks, ResidentMemory};
 use crate::{EvictOutcome, ManagerStats, MemError, MemoryManager, MgmtEvent, TouchOutcome};
 use mosaic_sim_core::SimRng;
 use mosaic_vm::{
-    AppId, LargePageNum, PageTableSet, PhysFrameNum, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE,
-    BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
+    AppId, LargeFrameNum, LargePageNum, PhysFrameNum, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE,
+    BASE_PAGE_SIZE,
 };
-use std::collections::BTreeSet;
 
 /// Mosaic configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,14 +77,28 @@ impl MosaicConfig {
 #[derive(Debug)]
 pub struct MosaicManager {
     config: MosaicConfig,
-    tables: PageTableSet,
-    pool: FramePool,
+    mem: ResidentMemory,
     cocoa: CoCoA,
     coalescer: InPlaceCoalescer,
     cac: Cac,
-    reservations: Vec<(AppId, VirtPageNum, u64)>,
-    touched: BTreeSet<(AppId, VirtPageNum)>,
-    stats: ManagerStats,
+}
+
+/// Besides the page-table teardown every manager does, evicting a frame
+/// must scrub CoCoA: any emergency parking of the victim's regions is
+/// cancelled, the victim's chunk binding is released, and spare slots
+/// that were donated to *any* app's free base page list are pulled back
+/// before the frame returns to the pool.
+impl EvictHooks for CoCoA {
+    fn on_region(&mut self, asid: AppId, lpn: LargePageNum, victim: LargeFrameNum, _: bool) {
+        self.unpark_emergency(asid, lpn);
+        if self.chunk_frame(asid, lpn) == Some(victim) {
+            self.unbind_chunk(asid, lpn);
+        }
+    }
+
+    fn before_release(&mut self, victim: LargeFrameNum) {
+        self.reclaim_frame(victim);
+    }
 }
 
 impl MosaicManager {
@@ -92,14 +106,10 @@ impl MosaicManager {
     pub fn new(config: MosaicConfig) -> Self {
         MosaicManager {
             config,
-            tables: PageTableSet::new(),
-            pool: FramePool::new(config.memory_bytes, config.channels),
+            mem: ResidentMemory::new(config.memory_bytes, config.channels),
             cocoa: CoCoA::new(),
             coalescer: InPlaceCoalescer::new(),
             cac: Cac::new(config.cac),
-            reservations: Vec::new(),
-            touched: BTreeSet::new(),
-            stats: ManagerStats::default(),
         }
     }
 
@@ -113,12 +123,12 @@ impl MosaicManager {
     /// shortfall: an under-fragmented run silently measures the wrong
     /// experiment.
     pub fn pre_fragment(&mut self, index: f64, occupancy: f64, rng: &mut SimRng) -> FragmentReport {
-        self.pool.pre_fragment(index, occupancy, rng)
+        self.mem.pool.pre_fragment(index, occupancy, rng)
     }
 
     /// Access to the frame pool (for experiment instrumentation).
     pub fn pool(&self) -> &FramePool {
-        &self.pool
+        &self.mem.pool
     }
 
     /// Access to the CAC engine's counters.
@@ -136,27 +146,16 @@ impl MosaicManager {
         &self.cocoa
     }
 
-    fn reservation_of(&self, asid: AppId, vpn: VirtPageNum) -> Option<(VirtPageNum, u64)> {
-        self.reservations
-            .iter()
-            .find(|&&(a, start, n)| {
-                a == asid && vpn.raw() >= start.raw() && vpn.raw() < start.raw() + n
-            })
-            .map(|&(_, start, n)| (start, n))
-    }
-
-    /// Whether `vpn`'s whole 2 MB large page lies inside one reservation —
-    /// the pages CoCoA places positionally in a dedicated large frame.
-    fn in_aligned_chunk(&self, asid: AppId, vpn: VirtPageNum) -> bool {
-        match self.reservation_of(asid, vpn) {
-            Some((start, n)) => {
-                let lpn = vpn.large_page();
-                let first = lpn.base_page(0).raw();
-                let last = first + BASE_PAGES_PER_LARGE_PAGE;
-                first >= start.raw() && last <= start.raw() + n
-            }
-            None => false,
+    /// Runs the CAC failsafe for `asid`, charging its events; returns
+    /// whether it freed memory.
+    fn failsafe(&mut self, asid: AppId, events: &mut Vec<MgmtEvent>) -> bool {
+        let (ev, ok) =
+            self.cac.reclaim(&mut self.mem.tables, &mut self.mem.pool, &mut self.cocoa, asid);
+        events.extend(ev);
+        if ok {
+            self.mem.stats.emergency_allocations += 1;
         }
+        ok
     }
 
     /// Allocates one base frame, exercising the CAC failsafe on OOM.
@@ -165,20 +164,13 @@ impl MosaicManager {
         asid: AppId,
         events: &mut Vec<MgmtEvent>,
     ) -> Result<PhysFrameNum, MemError> {
-        match self.cocoa.alloc_base(&mut self.pool, asid) {
-            Ok(pfn) => Ok(pfn),
-            Err(MemError::OutOfMemory) => {
-                let (ev, ok) =
-                    self.cac.reclaim(&mut self.tables, &mut self.pool, &mut self.cocoa, asid);
-                events.extend(ev);
-                if ok {
-                    self.stats.emergency_allocations += 1;
-                    self.cocoa.alloc_base(&mut self.pool, asid)
-                } else {
-                    Err(MemError::OutOfMemory)
-                }
+        // The guard runs the failsafe on OOM only; when it frees nothing
+        // the OOM stands.
+        match self.cocoa.alloc_base(&mut self.mem.pool, asid) {
+            Err(MemError::OutOfMemory) if self.failsafe(asid, events) => {
+                self.cocoa.alloc_base(&mut self.mem.pool, asid)
             }
-            Err(e) => Err(e),
+            other => other,
         }
     }
 }
@@ -189,38 +181,26 @@ impl MemoryManager for MosaicManager {
     }
 
     fn register_app(&mut self, asid: AppId) {
-        self.tables.table_mut(asid);
+        self.mem.tables.table_mut(asid);
     }
 
     fn reserve(&mut self, asid: AppId, start: VirtPageNum, pages: u64) {
-        self.reservations.push((asid, start, pages));
+        self.mem.reserve(asid, start, pages);
     }
 
     fn touch(&mut self, asid: AppId, vpn: VirtPageNum) -> Result<TouchOutcome, MemError> {
-        if self.reservation_of(asid, vpn).is_none() {
-            return Err(MemError::NotReserved);
-        }
-        if self.tables.table_mut(asid).is_mapped(vpn) {
-            self.touched.insert((asid, vpn));
+        if self.mem.touch_resident(asid, vpn)? {
             return Ok(TouchOutcome::default());
         }
         let mut events = Vec::new();
         let lpn = vpn.large_page();
-        let pfn = if self.in_aligned_chunk(asid, vpn) {
+        let pfn = if self.mem.in_aligned_chunk(asid, vpn) {
             // Contiguity-conserving path: the page's slot within the
             // chunk's dedicated large frame.
-            let lf = match self.cocoa.frame_for_chunk(&mut self.pool, asid, lpn) {
+            let lf = match self.cocoa.frame_for_chunk(&mut self.mem.pool, asid, lpn) {
                 Ok(lf) => Some(lf),
-                Err(MemError::OutOfMemory) => {
-                    let (ev, ok) =
-                        self.cac.reclaim(&mut self.tables, &mut self.pool, &mut self.cocoa, asid);
-                    events.extend(ev);
-                    if ok {
-                        self.stats.emergency_allocations += 1;
-                        self.cocoa.frame_for_chunk(&mut self.pool, asid, lpn).ok()
-                    } else {
-                        None
-                    }
+                Err(MemError::OutOfMemory) if self.failsafe(asid, &mut events) => {
+                    self.cocoa.frame_for_chunk(&mut self.mem.pool, asid, lpn).ok()
                 }
                 Err(_) => None,
             };
@@ -233,17 +213,13 @@ impl MemoryManager for MosaicManager {
         } else {
             self.alloc_base_with_failsafe(asid, &mut events)?
         };
-        self.tables.table_mut(asid).map_base(vpn, pfn).expect("checked unmapped above");
-        self.pool.set_owner(pfn, Some(asid));
-        self.pool.set_mapping(pfn, vpn);
-        self.touched.insert((asid, vpn));
-        self.stats.far_faults += 1;
-        self.stats.transferred_bytes += BASE_PAGE_SIZE;
+        self.mem.fault_in(asid, vpn, pfn).expect("checked unmapped above");
 
         // In-place coalescing: fires exactly when the frame fills up.
-        if self.tables.table_mut(asid).mapped_in_large(lpn) == BASE_PAGES_PER_LARGE_PAGE {
-            let ev = self.coalescer.try_coalesce(self.tables.table_mut(asid), lpn);
-            self.stats.coalesces +=
+        let table = self.mem.tables.table_mut(asid);
+        if table.mapped_in_large(lpn) == BASE_PAGES_PER_LARGE_PAGE {
+            let ev = self.coalescer.try_coalesce(table, lpn);
+            self.mem.stats.coalesces +=
                 ev.iter().filter(|e| matches!(e, MgmtEvent::Coalesced { .. })).count() as u64;
             events.extend(ev);
         }
@@ -252,21 +228,10 @@ impl MemoryManager for MosaicManager {
 
     fn deallocate(&mut self, asid: AppId, start: VirtPageNum, pages: u64) -> Vec<MgmtEvent> {
         let mut events = Vec::new();
-        let mut lpns: Vec<LargePageNum> = Vec::new();
-        for i in 0..pages {
-            let vpn = VirtPageNum(start.raw() + i);
-            let lpn = vpn.large_page();
-            if !lpns.contains(&lpn) {
-                lpns.push(lpn);
-            }
-            if let Some(pfn) = self.tables.table_mut(asid).unmap_base(vpn) {
-                self.pool.set_owner(pfn, None);
-            }
-        }
-        for lpn in lpns {
+        for lpn in self.mem.unmap_range(asid, start, pages) {
             let ev = self.cac.on_dealloc(
-                self.tables.table_mut(asid),
-                &mut self.pool,
+                self.mem.tables.table_mut(asid),
+                &mut self.mem.pool,
                 &mut self.cocoa,
                 asid,
                 lpn,
@@ -277,82 +242,20 @@ impl MemoryManager for MosaicManager {
     }
 
     fn note_use(&mut self, pfn: PhysFrameNum, store: bool) {
-        self.pool.note_use(pfn, store);
+        self.mem.pool.note_use(pfn, store);
     }
 
-    /// Evicts least-recently-used large frames wholesale. Besides the
-    /// page-table teardown every manager does, Mosaic must also scrub
-    /// the allocator: the victim's chunk binding is released, any
-    /// emergency parking of its regions is cancelled, and spare slots
-    /// that were donated to *any* app's free base page list are pulled
-    /// back before the frame returns to the pool.
+    /// The shared whole-frame LRU eviction, with CoCoA's scrub as hooks.
     fn evict_for(&mut self, bytes: u64) -> EvictOutcome {
-        let want = bytes.div_ceil(LARGE_PAGE_SIZE).max(1);
-        let mut out = EvictOutcome::default();
-        let mut freed = 0u64;
-        for lf in self.pool.eviction_candidates() {
-            if freed >= want {
-                break;
-            }
-            let residents = self.pool.residents(lf);
-            if residents.is_empty() {
-                continue;
-            }
-            let mut regions: Vec<(AppId, LargePageNum)> = Vec::new();
-            for &(pfn, asid, vpn) in &residents {
-                if self.pool.is_dirty(pfn) {
-                    out.writeback_bytes += BASE_PAGE_SIZE;
-                }
-                let key = (asid, vpn.large_page());
-                if !regions.contains(&key) {
-                    regions.push(key);
-                }
-            }
-            for &(asid, lpn) in &regions {
-                let table = self.tables.table_mut(asid);
-                if table.is_coalesced(lpn) {
-                    table.splinter(lpn);
-                }
-                self.cocoa.unpark_emergency(asid, lpn);
-                if self.cocoa.chunk_frame(asid, lpn) == Some(lf) {
-                    self.cocoa.unbind_chunk(asid, lpn);
-                }
-            }
-            for &(pfn, asid, vpn) in &residents {
-                self.tables.table_mut(asid).unmap_base(vpn);
-                self.pool.set_owner(pfn, None);
-                out.evicted.push((asid, vpn));
-            }
-            self.cocoa.reclaim_frame(lf);
-            self.pool.release_frame(lf);
-            freed += 1;
-            for (asid, lpn) in regions {
-                out.events.push(MgmtEvent::TlbShootdown { asid, lpn });
-            }
-        }
-        self.stats.evictions += out.evicted.len() as u64;
-        self.stats.writeback_bytes += out.writeback_bytes;
-        out
+        self.mem.evict_lru(bytes, None, &mut self.cocoa)
     }
 
-    fn tables(&self) -> &PageTableSet {
-        &self.tables
-    }
-
-    fn footprint_bytes(&self) -> u64 {
-        self.pool.peak_reserved_bytes()
-    }
-
-    fn app_footprint_bytes(&self) -> u64 {
-        self.pool.peak_app_reserved_bytes()
-    }
-
-    fn touched_bytes(&self) -> u64 {
-        self.touched.len() as u64 * BASE_PAGE_SIZE
+    fn memory(&self) -> &ResidentMemory {
+        &self.mem
     }
 
     fn stats(&self) -> ManagerStats {
-        let mut s = self.stats;
+        let mut s = self.mem.stats;
         // The CAC is the single source of truth for splinters and
         // migrations: its events flow back through both the dealloc path
         // and the touch-path reclaim, so tallying events at one call site
@@ -368,15 +271,14 @@ impl MemoryManager for MosaicManager {
     /// agreement and frame-count conservation.
     fn audit(&self, report: &mut mosaic_sim_core::AuditReport) {
         use mosaic_sim_core::AuditInvariants;
-        self.tables.audit(report);
-        self.pool.audit(report);
+        self.mem.audit("mosaic", report);
         self.cocoa.audit(report);
         self.cac.audit(report);
-        crate::audit_mapping_ownership("mosaic", &self.tables, &self.pool, report);
         // Every page the tables map must be accounted for by the pool's
         // used counters: mapped pages can never outnumber owned frames.
-        let mapped: u64 = self.tables.iter().map(|(_, t)| t.mapped_base_pages()).sum();
+        let mapped: u64 = self.mem.tables.iter().map(|(_, t)| t.mapped_base_pages()).sum();
         let owned: u64 = self
+            .mem
             .pool
             .tracked()
             .map(|(_, s)| s.allocated().filter(|&(_, a)| a != crate::FRAG_OWNER).count() as u64)

@@ -21,7 +21,7 @@
 //!
 //! `--digest` appends one `digest NAME XXXXXXXXXXXXXXXX` line per
 //! experiment (FNV-1a 64-bit over the rendered report) after all
-//! reports — the same digest the golden determinism tests pin, so shell
+//! reports — the same digest `mosaic_experiments::goldens` pins, so shell
 //! gates can compare a run against a pinned value with `grep`.
 //!
 //! `--cache-dir DIR` (or `MOSAIC_CACHE_DIR=DIR`) installs the persistent
@@ -43,7 +43,7 @@
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
 use mosaic_experiments as exp;
 use mosaic_experiments::Scope;
-use mosaic_sim_core::fnv1a;
+use mosaic_telemetry::escape_json;
 
 const ALL: [&str; 17] = [
     "fig03",
@@ -71,29 +71,12 @@ fn emit<T: std::fmt::Display>(name: &str, value: T, sink: &mut Vec<(String, Stri
     sink.push((name.to_string(), value.to_string()));
 }
 
-/// Escapes `s` for use inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the collected results as a JSON object mapping each
 /// experiment name to its rendered report text.
 fn to_json(results: &[(String, String)]) -> String {
     let mut out = String::from("{\n");
     for (i, (name, text)) in results.iter().enumerate() {
-        out.push_str(&format!("  \"{}\": \"{}\"", json_escape(name), json_escape(text)));
+        out.push_str(&format!("  \"{}\": \"{}\"", escape_json(name), escape_json(text)));
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push('}');
@@ -392,7 +375,7 @@ fn main() {
 
     if digest {
         for (name, text) in &results {
-            println!("digest {name} {:016x}", fnv1a(text.as_bytes()));
+            println!("digest {name} {}", exp::goldens::digest(text));
         }
     }
 

@@ -1,0 +1,78 @@
+//! The golden smoke-scope digests: one table, read by every determinism
+//! tier (`tests/parallel_determinism.rs`, `tests/cache_determinism.rs`,
+//! `tests/trace_determinism.rs`, the workspace root's `tests/goldens.rs`)
+//! and by `ci.sh`'s multigpu pin.
+//!
+//! Each digest is the FNV-1a of a report rendered at [`Scope::Smoke`]
+//! (the same line `reproduce --digest` prints). Update an entry ONLY for
+//! a change that intentionally alters simulated behavior or report
+//! formatting — never for a performance refactor or a restructuring.
+//!
+//! [`Scope::Smoke`]: crate::Scope::Smoke
+
+use mosaic_sim_core::fnv1a;
+
+/// `(report name, digest)` for every pinned report.
+///
+/// * `fig08` — pinned when the flat-structure hot-path rework landed
+///   (flat page table, TLB last-hit cache, monomorphized SM loop,
+///   indexed frame pool).
+/// * `fig03`, `fig11`, `ablation_walker` — pinned when the telemetry and
+///   stall-attribution instrumentation landed, which had to be
+///   output-isomorphic.
+/// * `stall` — re-pinned when the stall table grew `evict`/`writeback`
+///   columns (every pre-existing percentage unchanged).
+/// * `oversub` — the demand-paging engine end to end: LRU eviction under
+///   GPU-MMU and Mosaic, dirty write-back over the I/O bus, prefetch.
+/// * `multigpu` — the scale-out path: placement, interconnect queueing,
+///   migration/replication payloads, remote/migrate stall attribution.
+/// * `ablation_coalescers` — the only report that runs the migrating
+///   coalescer (GPU-MMU vs Migrating vs Mosaic), pinned before the three
+///   managers moved onto one resident-memory core.
+/// * `trace` — the JSONL trace of a smoke MM+GUPS sweep under GPU-MMU
+///   and Mosaic (`tests/trace_determinism.rs`), pinned when the telemetry
+///   pipeline landed.
+pub const GOLDENS: &[(&str, &str)] = &[
+    ("fig08", "ad0fedc459c0afa6"),
+    ("fig03", "d3a367a2c8a59907"),
+    ("fig11", "f0bc1943ac8bc2e5"),
+    ("ablation_walker", "3e03ad211b0a0142"),
+    ("stall", "174dce1f1c6193c9"),
+    ("oversub", "34029bf26e3a411f"),
+    ("multigpu", "eea524f5b009c7d8"),
+    ("ablation_coalescers", "09b50acab5cc2dfe"),
+    ("trace", "1018f6b5fd858109"),
+];
+
+/// The pinned digest of report `name`.
+///
+/// # Panics
+///
+/// Panics if `name` has no entry in [`GOLDENS`].
+pub fn golden(name: &str) -> &'static str {
+    GOLDENS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, digest)| digest)
+        .unwrap_or_else(|| panic!("no golden digest named {name:?}"))
+}
+
+/// The digest of a rendered report, in the form [`GOLDENS`] pins.
+pub fn digest(report: &str) -> String {
+    format!("{:016x}", fnv1a(report.as_bytes()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn names_are_unique_and_digests_well_formed() {
+        for (i, (name, digest)) in GOLDENS.iter().enumerate() {
+            assert!(GOLDENS[..i].iter().all(|(n, _)| n != name), "{name} pinned twice");
+            assert_eq!(digest.len(), 16, "{name}");
+            assert!(digest.bytes().all(|b| b.is_ascii_hexdigit()), "{name}");
+        }
+        assert_eq!(golden("multigpu"), "eea524f5b009c7d8");
+    }
+}

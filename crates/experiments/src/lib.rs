@@ -25,6 +25,9 @@
 //! | [`oversub`] | memory oversubscription — Mosaic vs GPU-MMU at 1.5–4× pressure |
 //! | [`multigpu`] | multi-GPU scale-out — fleet weak scaling + placement policies |
 //!
+//! [`goldens`] pins the smoke-scope digest of the reports the
+//! determinism tests check.
+//!
 //! Every driver takes a [`Scope`] that bounds how much of the paper's
 //! 235-workload evaluation it sweeps (`Smoke` for CI, `Default` for
 //! benches, `Full` for the complete suites) and returns a serializable
@@ -55,6 +58,7 @@ pub mod fig13;
 pub mod fig14;
 pub mod fig15;
 pub mod fig16;
+pub mod goldens;
 pub mod multigpu;
 pub mod oversub;
 pub mod stall;

@@ -1,8 +1,8 @@
 //! The cache transparency contract: every figure driver's rendered
 //! output is byte-identical with the persistent run cache disabled,
-//! cold, and warm — pinned against the same golden digests as the
-//! parallel-determinism tier, so a cache bug can't silently move the
-//! reproduced figures.
+//! cold, and warm — pinned against the golden digests in
+//! [`mosaic_experiments::goldens`], so a cache bug can't silently move
+//! the reproduced figures.
 //!
 //! Everything runs inside one `#[test]`: the cache is process-global
 //! (`sweep::set_cache`), so phases must not interleave with each other
@@ -10,22 +10,10 @@
 
 use mosaic_campaign::{CampaignScope, Store};
 use mosaic_experiments::common::Scope;
+use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::{ablations, fig03, fig08, fig11, oversub, stall, sweep};
 use mosaic_gpusim::{ManagerKind, RunConfig};
-use mosaic_sim_core::fnv1a;
 use mosaic_workloads::Workload;
-
-/// The golden smoke digests pinned by `parallel_determinism.rs` — one
-/// contract, asserted from both tiers. Update policy as documented
-/// there: only for intentional behavior/formatting changes.
-const GOLDEN: [(&str, &str); 6] = [
-    ("fig08", "ad0fedc459c0afa6"),
-    ("fig03", "d3a367a2c8a59907"),
-    ("fig11", "f0bc1943ac8bc2e5"),
-    ("ablation_walker", "3e03ad211b0a0142"),
-    ("oversub", "34029bf26e3a411f"),
-    ("stall", "174dce1f1c6193c9"),
-];
 
 fn render_all() -> Vec<(&'static str, String)> {
     vec![
@@ -46,11 +34,10 @@ fn reports_are_identical_with_cache_disabled_cold_and_warm() {
     // Phase 1: no cache — the reference, checked against the goldens.
     sweep::set_cache(None);
     let disabled = render_all();
-    for ((name, report), (gname, golden)) in disabled.iter().zip(GOLDEN) {
-        assert_eq!(*name, gname);
-        let digest = format!("{:016x}", fnv1a(report.as_bytes()));
+    for (name, report) in &disabled {
         assert_eq!(
-            digest, golden,
+            digest(report),
+            golden(name),
             "{name} smoke report drifted from the golden digest; report was:\n{report}"
         );
     }

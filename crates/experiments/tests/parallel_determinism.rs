@@ -2,19 +2,21 @@
 //! rendered output is byte-identical at any worker count.
 //!
 //! Each test compares a figure rendered with multiple workers against a
-//! shared serial fixture and pins the serial report to a golden FNV-1a
-//! digest. The serial renderings are computed exactly once per process
+//! shared serial fixture and pins the serial report to its golden FNV-1a
+//! digest in [`mosaic_experiments::goldens`]. The serial renderings are computed exactly once per process
 //! (in [`fixture`]) — previously every test re-ran its full workload
 //! serially, roughly doubling the tier's wall-clock for no extra
 //! coverage. The golden tier covers fig08 (job-list refactor +
 //! `AloneCache` prefetch + ordered collection), fig03 (single-app
 //! sweeps), fig11 (per-app normalized IPC sort), the walker-threads
-//! ablation, and the stall-attribution report (exact bucket
-//! decomposition on the always-on path).
+//! ablation, the stall-attribution report (exact bucket decomposition on
+//! the always-on path), oversubscription, the multi-GPU fleet, and the
+//! coalescer comparison (the only report that runs the migrating
+//! coalescer).
 
 use mosaic_experiments::common::Scope;
+use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::{ablations, fig03, fig08, fig11, multigpu, oversub, stall, sweep};
-use mosaic_sim_core::fnv1a;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Serializes tests: `sweep::set_jobs` is process-global, and these
@@ -35,6 +37,7 @@ struct Fixture {
     oversub: String,
     stall: String,
     multigpu: String,
+    coalescers: String,
 }
 
 static FIXTURE: OnceLock<Fixture> = OnceLock::new();
@@ -53,49 +56,17 @@ fn fixture() -> &'static Fixture {
             oversub: oversub::run(Scope::Smoke).to_string(),
             stall: stall::run(Scope::Smoke).to_string(),
             multigpu: multigpu::run(Scope::Smoke).to_string(),
+            coalescers: ablations::migrating_coalescer(Scope::Smoke).to_string(),
         };
         sweep::set_jobs(None);
         f
     })
 }
 
-/// Digest of fig08's smoke-scope report, pinned when the flat-structure
-/// hot-path rework landed. This is the cross-structure determinism
-/// contract: the BTreeMap→flat-vector page table, the TLB last-hit
-/// cache, the monomorphized SM loop, and the indexed frame pool must
-/// all render byte-for-byte the same report as the originals. Update
-/// this constant ONLY for a change that intentionally alters simulated
-/// behavior or report formatting — never for a performance refactor.
-const GOLDEN_FIG08_SMOKE_DIGEST: &str = "ad0fedc459c0afa6";
-
-/// Golden smoke-scope digests for the rest of the tier, pinned when the
-/// telemetry/stall-attribution instrumentation landed (which had to be
-/// output-isomorphic — `GOLDEN_FIG08_SMOKE_DIGEST` predates it and did
-/// not move). Same update policy as above.
-const GOLDEN_FIG03_SMOKE_DIGEST: &str = "d3a367a2c8a59907";
-const GOLDEN_FIG11_SMOKE_DIGEST: &str = "f0bc1943ac8bc2e5";
-const GOLDEN_ABLATION_WALKER_SMOKE_DIGEST: &str = "3e03ad211b0a0142";
-// Re-pinned when the stall table grew `evict`/`writeback` columns for
-// the oversubscription work (the simulated behavior of fully-subscribed
-// runs did not move — every pre-existing percentage is unchanged).
-const GOLDEN_STALL_SMOKE_DIGEST: &str = "174dce1f1c6193c9";
-
-/// Pinned when the oversubscription figure landed. This one exercises
-/// the demand-paging engine end to end — LRU eviction, dirty write-back
-/// over the I/O bus, and sequential prefetch — so it is the determinism
-/// contract for the whole paging path, not just the report formatting.
-const GOLDEN_OVERSUB_SMOKE_DIGEST: &str = "34029bf26e3a411f";
-
-/// Pinned when the multi-GPU fleet landed. The figure sweeps 1/2/4-GPU
-/// fleets under both managers plus every placement policy, so this is
-/// the determinism contract for the whole scale-out path: placement
-/// decisions, interconnect queueing, migration/replication payloads, and
-/// the remote/migrate stall attribution.
-const GOLDEN_MULTIGPU_SMOKE_DIGEST: &str = "eea524f5b009c7d8";
-
 /// Renders `run` at eight workers, asserts byte-identity against the
-/// shared serial fixture rendering, and checks it against `golden`.
-fn golden_check(name: &str, golden: &str, serial: &str, run: impl Fn() -> String) {
+/// shared serial fixture rendering, and checks it against the golden
+/// digest pinned for `name`.
+fn golden_check(name: &str, serial: &str, run: impl Fn() -> String) {
     let parallel = {
         let _guard = lock();
         sweep::set_jobs(Some(8));
@@ -105,9 +76,9 @@ fn golden_check(name: &str, golden: &str, serial: &str, run: impl Fn() -> String
     };
     assert!(!serial.is_empty());
     assert_eq!(serial, parallel, "{name}: parallel output must match serial byte-for-byte");
-    let digest = format!("{:016x}", fnv1a(serial.as_bytes()));
     assert_eq!(
-        digest, golden,
+        digest(serial),
+        golden(name),
         "{name} smoke report drifted from the golden digest; report was:\n{serial}"
     );
 }
@@ -121,9 +92,9 @@ fn smoke_report_matches_golden_digest() {
     sweep::set_jobs(None);
     assert!(!report.is_empty());
     assert_eq!(serial, &report, "two-worker output must match serial byte-for-byte");
-    let digest = format!("{:016x}", fnv1a(report.as_bytes()));
     assert_eq!(
-        digest, GOLDEN_FIG08_SMOKE_DIGEST,
+        digest(&report),
+        golden("fig08"),
         "fig08 smoke report drifted from the golden digest; report was:\n{report}"
     );
 }
@@ -141,21 +112,17 @@ fn serial_vs_parallel_sweeps_are_bit_identical() {
 
 #[test]
 fn fig03_matches_golden_digest_at_any_jobs() {
-    golden_check("fig03", GOLDEN_FIG03_SMOKE_DIGEST, &fixture().fig03, || {
-        fig03::run(Scope::Smoke).to_string()
-    });
+    golden_check("fig03", &fixture().fig03, || fig03::run(Scope::Smoke).to_string());
 }
 
 #[test]
 fn fig11_matches_golden_digest_at_any_jobs() {
-    golden_check("fig11", GOLDEN_FIG11_SMOKE_DIGEST, &fixture().fig11, || {
-        fig11::run(Scope::Smoke).to_string()
-    });
+    golden_check("fig11", &fixture().fig11, || fig11::run(Scope::Smoke).to_string());
 }
 
 #[test]
 fn walker_ablation_matches_golden_digest_at_any_jobs() {
-    golden_check("ablation_walker", GOLDEN_ABLATION_WALKER_SMOKE_DIGEST, &fixture().walker, || {
+    golden_check("ablation_walker", &fixture().walker, || {
         ablations::walker_threads(Scope::Smoke).to_string()
     });
 }
@@ -163,9 +130,7 @@ fn walker_ablation_matches_golden_digest_at_any_jobs() {
 #[test]
 fn oversubscribed_sweep_matches_golden_digest_at_any_jobs() {
     let report = &fixture().oversub;
-    golden_check("oversub", GOLDEN_OVERSUB_SMOKE_DIGEST, report, || {
-        oversub::run(Scope::Smoke).to_string()
-    });
+    golden_check("oversub", report, || oversub::run(Scope::Smoke).to_string());
     // The golden run must actually exercise the eviction engine, or the
     // digest pins nothing interesting.
     assert!(!report.contains("0 pages evicted"), "eviction engine engaged:\n{report}");
@@ -174,9 +139,7 @@ fn oversubscribed_sweep_matches_golden_digest_at_any_jobs() {
 #[test]
 fn stall_report_matches_golden_digest_at_any_jobs() {
     let report = &fixture().stall;
-    golden_check("stall", GOLDEN_STALL_SMOKE_DIGEST, report, || {
-        stall::run(Scope::Smoke).to_string()
-    });
+    golden_check("stall", report, || stall::run(Scope::Smoke).to_string());
     // The report must cover both ends of the TLB-sensitivity spectrum.
     assert!(report.contains("MM "), "TLB-friendly workload present:\n{report}");
     assert!(report.contains("GUPS "), "TLB-sensitive workload present:\n{report}");
@@ -185,12 +148,19 @@ fn stall_report_matches_golden_digest_at_any_jobs() {
 #[test]
 fn multigpu_matches_golden_digest_at_any_jobs() {
     let report = &fixture().multigpu;
-    golden_check("multigpu", GOLDEN_MULTIGPU_SMOKE_DIGEST, report, || {
-        multigpu::run(Scope::Smoke).to_string()
-    });
+    golden_check("multigpu", report, || multigpu::run(Scope::Smoke).to_string());
     // The golden run must actually cross the interconnect, or the digest
     // pins nothing beyond the single-GPU engine.
     assert!(report.contains("4 GPUs"), "placement probe present:\n{report}");
+}
+
+#[test]
+fn coalescer_ablation_matches_golden_digest_at_any_jobs() {
+    let report = &fixture().coalescers;
+    golden_check("ablation_coalescers", report, || {
+        ablations::migrating_coalescer(Scope::Smoke).to_string()
+    });
+    assert!(report.contains("Migrating"), "migrating coalescer present:\n{report}");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The determinism contract of the trace pipeline: the JSONL trace a
-//! sweep records is byte-identical at any worker count, and pinned to a
-//! golden digest.
+//! sweep records is byte-identical at any worker count, and pinned to the
+//! `trace` golden digest.
 //!
 //! Trace collection is process-global state (`sweep::set_trace` /
 //! `sweep::take_trace`), and the test binary runs tests on parallel
@@ -8,18 +8,13 @@
 //! tracing disabled on exit.
 
 use mosaic_experiments::common::Scope;
+use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::sweep::{self, run_workloads, Executor};
 use mosaic_gpusim::ManagerKind;
-use mosaic_sim_core::fnv1a;
 use mosaic_workloads::Workload;
 use std::sync::Mutex;
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Golden digest of the smoke-scope MM+GUPS trace below, pinned when
-/// the telemetry pipeline landed. Update ONLY for a change that
-/// intentionally alters simulated behavior or the event schema.
-const GOLDEN_TRACE_SMOKE_DIGEST: &str = "1018f6b5fd858109";
 
 /// Runs a 4-job sweep (MM and GUPS under GPU-MMU and Mosaic) with trace
 /// collection on and returns the rendered JSONL.
@@ -54,8 +49,7 @@ fn traces_are_byte_identical_across_job_counts_and_match_golden() {
             "trace should contain {tag} events"
         );
     }
-    let digest = format!("{:016x}", fnv1a(serial.as_bytes()));
-    assert_eq!(digest, GOLDEN_TRACE_SMOKE_DIGEST, "trace drifted from the golden digest");
+    assert_eq!(digest(&serial), golden("trace"), "trace drifted from the golden digest");
 }
 
 #[test]
