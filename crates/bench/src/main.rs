@@ -29,7 +29,7 @@
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
 use mosaic_experiments as exp;
-use mosaic_experiments::Scope;
+use mosaic_experiments::{Scope, Sweep};
 use mosaic_gpusim::{run_workload, ManagerKind, RunConfig, Topology};
 use mosaic_sim_core::Cycle;
 use mosaic_vm::{
@@ -161,12 +161,10 @@ fn scaling_multi_gpu() {
     black_box(run_workload(&w, sweep_cfg().multi_gpu(2, Topology::FullyConnected)));
 }
 
-fn figure(run: fn(Scope) -> String) {
-    // Single-threaded so wall times measure the simulator, not the
-    // executor's scheduling; Smoke keeps the sweep bounded.
-    exp::sweep::set_jobs(Some(1));
-    black_box(run(Scope::Smoke));
-    exp::sweep::set_jobs(None);
+fn figure(run: fn(&Sweep) -> String) {
+    // A serial sweep, so wall times measure the simulator, not the
+    // workers' scheduling; Smoke keeps the sweep bounded.
+    black_box(run(&Sweep::new(Scope::Smoke)));
 }
 
 fn campaign_cached_rerun() {
@@ -185,11 +183,13 @@ fn campaign_cached_rerun() {
     let spec = Spec::parse(include_str!("../../../campaigns/smoke.toml"))
         .expect("committed smoke campaign parses");
     let campaign = spec.expand();
-    exp::sweep::set_cache(Some(Store::open(dir).expect("open bench run cache")));
+    let sweep = Sweep {
+        cache: Some(Store::open(dir).expect("open bench run cache")),
+        ..Sweep::new(Scope::Smoke)
+    };
     for point in &campaign.points {
-        black_box(exp::sweep::run_workload_cached(&point.workload, point.cfg));
+        black_box(sweep.run_workload_cached(&point.workload, point.cfg));
     }
-    exp::sweep::set_cache(None);
 }
 
 /// One roster entry: a stable scenario name (the committed BENCH.json

@@ -8,7 +8,7 @@
 //!
 //! [matrix]
 //! workloads = ["MM", "GUPS", "MM+GUPS"]   # '+' composes multi-app mixes
-//! managers = ["gpu-mmu", "mosaic"]        # see MANAGER_TOKENS
+//! managers = ["gpu-mmu", "mosaic"]        # see mosaic_gpusim::manager_tokens
 //! seeds = [42]
 //! paging = ["on-demand"]                  # on-demand | preloaded
 //! oversubscription = ["none", 2.0]        # none | factor >= 1.0
@@ -26,25 +26,13 @@
 //! oversubscription) are skipped deterministically and reported, never
 //! silently dropped.
 
-use mosaic_core::cac::CacConfig;
-use mosaic_gpusim::{ManagerKind, RunConfig};
+use mosaic_gpusim::{manager_tokens, ManagerKind, RunConfig};
 use mosaic_workloads::{AppProfile, ScaleConfig, Workload};
 use std::fmt;
 
-/// Recognized `managers` tokens, with the configuration each denotes.
-pub const MANAGER_TOKENS: [&str; 8] = [
-    "gpu-mmu",
-    "gpu-mmu-2m",
-    "mosaic",
-    "mosaic-nocac",
-    "mosaic-bc",
-    "mosaic-ideal",
-    "migrating",
-    "ideal-tlb",
-];
-
-/// Workload scale tier of a campaign; mirrors the experiment crate's
-/// `Scope` so campaign cache entries are shared with the figure drivers.
+/// Workload scale tier of a campaign; the experiment crate's `Scope`
+/// scales through it, so campaign cache entries are shared with the
+/// figure drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CampaignScope {
     /// Reduced scale for CI and quick runs.
@@ -57,9 +45,8 @@ pub enum CampaignScope {
 }
 
 impl CampaignScope {
-    /// The workload scale this tier runs at. Must stay identical to
-    /// `mosaic_experiments::common::Scope::scale` (cross-checked by a
-    /// test over the run-key digest in the experiments crate).
+    /// The workload scale this tier runs at; the one smoke-scale table,
+    /// which `mosaic_experiments::Scope::scale` reads too.
     pub fn scale(self) -> ScaleConfig {
         match self {
             CampaignScope::Smoke => {
@@ -104,7 +91,7 @@ pub struct Spec {
     pub scope: CampaignScope,
     /// Workload mixes, each `"APP"` or `"APP+APP+..."`.
     pub workloads: Vec<String>,
-    /// Manager tokens (see [`MANAGER_TOKENS`]).
+    /// Manager tokens (see [`mosaic_gpusim::manager_tokens`]).
     pub managers: Vec<String>,
     /// Master seeds.
     pub seeds: Vec<u64>,
@@ -288,10 +275,11 @@ fn parse_workload_spec(v: &Value, line: usize) -> Result<String, ParseError> {
 
 fn parse_manager_token(v: &Value, line: usize) -> Result<String, ParseError> {
     let s = expect_str(v, line, "managers")?;
-    if MANAGER_TOKENS.contains(&s.as_str()) {
+    if ManagerKind::from_token(&s).is_some() {
         Ok(s)
     } else {
-        err(line, format!("unknown manager {s:?} (expected one of {MANAGER_TOKENS:?})"))
+        let tokens = manager_tokens().map(|(t, ..)| t);
+        err(line, format!("unknown manager {s:?} (expected one of {tokens:?})"))
     }
 }
 
@@ -490,10 +478,9 @@ impl Spec {
                                     for &seed in &self.seeds {
                                         let mut label = format!("{wl} {mgr}");
                                         let mut cfg = base;
-                                        cfg.manager = manager_for(mgr);
-                                        if mgr == "ideal-tlb" {
-                                            cfg = cfg.ideal_tlb();
-                                        }
+                                        (cfg.manager, cfg.system.ideal_tlb) =
+                                            ManagerKind::from_token(mgr)
+                                                .expect("manager token passed validation");
                                         if l1
                                             != (
                                                 base.system.l1_tlb.base_entries,
@@ -553,20 +540,6 @@ impl Spec {
             }
         }
         Campaign { name: self.name.clone(), scope: self.scope, points, skipped }
-    }
-}
-
-/// Maps a validated manager token to its configuration.
-fn manager_for(token: &str) -> ManagerKind {
-    match token {
-        "gpu-mmu" | "ideal-tlb" => ManagerKind::GpuMmu4K,
-        "gpu-mmu-2m" => ManagerKind::GpuMmu2M,
-        "mosaic" => ManagerKind::mosaic(),
-        "mosaic-nocac" => ManagerKind::Mosaic(CacConfig::disabled()),
-        "mosaic-bc" => ManagerKind::Mosaic(CacConfig::with_bulk_copy()),
-        "mosaic-ideal" => ManagerKind::Mosaic(CacConfig::ideal()),
-        "migrating" => ManagerKind::migrating(),
-        other => unreachable!("token {other:?} passed validation"),
     }
 }
 

@@ -39,8 +39,8 @@ fn output_neutral_knobs_do_not_move_the_key() {
     for audited in [cfg.audited(0), cfg.audited(1), cfg.audited(1_000_000)] {
         assert_eq!(run_key(&w, &audited, CODE), k, "audit_every must be key-neutral");
     }
-    // `--jobs` never reaches RunConfig at all (it is a process-global
-    // executor setting with byte-identical output at any value), so the
+    // `--jobs` never reaches RunConfig at all (it is a sweep setting
+    // with byte-identical output at any value), so the
     // key cannot depend on it by construction; the sweep-level
     // determinism tier pins that output property.
 }

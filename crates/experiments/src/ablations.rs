@@ -11,7 +11,7 @@
 //!   coalescing costs when it has to move data and flush TLBs.
 
 use crate::common::{fmt_row, mean, AloneCache, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_core::cac::CacConfig;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
@@ -28,7 +28,8 @@ pub struct PwcAblation {
 }
 
 /// Runs the Section 3.1 ablation.
-pub fn pwc_vs_l2tlb(scope: Scope) -> PwcAblation {
+pub fn pwc_vs_l2tlb(sweep: &Sweep) -> PwcAblation {
+    let scope = sweep.scope;
     // The L2 TLB's advantage is hit filtering, so it shows on workloads
     // with page-level locality; gather/chase applications miss either
     // structure and only see the extra probe (they drag the paper-style
@@ -48,7 +49,7 @@ pub fn pwc_vs_l2tlb(scope: Scope) -> PwcAblation {
             [(w.clone(), pwc_cfg), (w, l2_cfg)]
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let speedups: Vec<(String, f64)> = profiles
         .iter()
         .zip(results.chunks_exact(2))
@@ -85,7 +86,8 @@ pub struct WalkerSweep {
 }
 
 /// Sweeps the shared walker's concurrency on a TLB-hostile workload.
-pub fn walker_threads(scope: Scope) -> WalkerSweep {
+pub fn walker_threads(sweep: &Sweep) -> WalkerSweep {
+    let scope = sweep.scope;
     let threads: &[usize] = if scope == Scope::Smoke { &[8, 64] } else { &[8, 16, 32, 64, 128] };
     let w = Workload::from_names(&["GUPS"]);
     // First job: the 64-thread normalization baseline; then one job per
@@ -98,7 +100,7 @@ pub fn walker_threads(scope: Scope) -> WalkerSweep {
         }))
         .map(|cfg| (w.clone(), cfg))
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let base = results[0].total_cycles as f64;
     let normalized = results[1..].iter().map(|r| base / r.total_cycles as f64).collect();
     WalkerSweep { threads: threads.to_vec(), normalized }
@@ -122,7 +124,8 @@ pub struct ThresholdSweep {
 }
 
 /// Sweeps CAC's splinter threshold under heavy fragmentation.
-pub fn cac_threshold(scope: Scope) -> ThresholdSweep {
+pub fn cac_threshold(sweep: &Sweep) -> ThresholdSweep {
+    let scope = sweep.scope;
     let thresholds: &[f64] = if scope == Scope::Smoke { &[0.25, 0.5] } else { &[0.25, 0.5, 0.75] };
     let w = Workload::from_names(&["HS", "CONS"]);
     let ws_total: u64 = w.apps.iter().map(|p| scope.scale().ws_bytes(p)).sum();
@@ -140,7 +143,7 @@ pub fn cac_threshold(scope: Scope) -> ThresholdSweep {
         .chain(thresholds.iter().map(|&t| cfg_with(t)))
         .map(|cfg| (w.clone(), cfg))
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let base = results[0].total_cycles as f64;
     let normalized = results[1..].iter().map(|r| base / r.total_cycles as f64).collect();
     ThresholdSweep { thresholds: thresholds.to_vec(), normalized }
@@ -171,10 +174,10 @@ pub struct MultiKernel {
 /// completion and the next re-allocates it — the between-kernels
 /// deallocation stream that drives CAC (Section 4.4). Mosaic's advantage
 /// must survive the churn.
-pub fn multi_kernel(scope: Scope) -> MultiKernel {
+pub fn multi_kernel(sweep: &Sweep) -> MultiKernel {
+    let scope = sweep.scope;
     let phases: &[u32] = if scope == Scope::Smoke { &[1, 2] } else { &[1, 2, 4] };
     let w = Workload::from_names(&["HS", "CONS"]);
-    let exec = Executor::from_env();
     let mut cache = AloneCache::new();
     // Two jobs per phase count: Mosaic then GPU-MMU.
     let jobs: Vec<_> = phases
@@ -188,16 +191,16 @@ pub fn multi_kernel(scope: Scope) -> MultiKernel {
         })
         .collect();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    cache.prefetch(&exec, &baseline_items);
-    let results = run_workloads(&exec, jobs.clone());
+    sweep.prefetch(&mut cache, &baseline_items);
+    let results = sweep.run_workloads(jobs.clone());
 
     let mut mosaic = Vec::new();
     let mut gpu_mmu = Vec::new();
     let mut splinters = Vec::new();
     for (pair_jobs, pair) in jobs.chunks_exact(2).zip(results.chunks_exact(2)) {
         splinters.push(pair[0].stats.manager.splinters);
-        mosaic.push(cache.weighted_speedup(&w, &pair[0], pair_jobs[0].1));
-        gpu_mmu.push(cache.weighted_speedup(&w, &pair[1], pair_jobs[1].1));
+        mosaic.push(cache.weighted_speedup(sweep, &w, &pair[0], pair_jobs[0].1));
+        gpu_mmu.push(cache.weighted_speedup(sweep, &w, &pair[1], pair_jobs[1].1));
     }
     MultiKernel { phases: phases.to_vec(), mosaic, gpu_mmu, splinters }
 }
@@ -235,8 +238,8 @@ pub struct CoalescerComparison {
 /// Compares no coalescing (GPU-MMU), migrating promotion (the CPU-style
 /// design of Section 7.1), and Mosaic's in-place coalescing, on
 /// two-application workloads.
-pub fn migrating_coalescer(scope: Scope) -> CoalescerComparison {
-    let exec = Executor::from_env();
+pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
+    let scope = sweep.scope;
     let mut cache = AloneCache::new();
     let workloads = scope.homogeneous(2);
     let configs = |scope: Scope| {
@@ -250,8 +253,8 @@ pub fn migrating_coalescer(scope: Scope) -> CoalescerComparison {
     let jobs: Vec<_> =
         workloads.iter().flat_map(|w| configs(scope).map(|cfg| (w.clone(), cfg))).collect();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    cache.prefetch(&exec, &baseline_items);
-    let results = run_workloads(&exec, jobs);
+    sweep.prefetch(&mut cache, &baseline_items);
+    let results = sweep.run_workloads(jobs);
 
     let mut rows = Vec::new();
     let mut migrations = 0;
@@ -261,7 +264,7 @@ pub fn migrating_coalescer(scope: Scope) -> CoalescerComparison {
     for (w, shared_runs) in workloads.iter().zip(results.chunks_exact(3)) {
         let mut ws = [0.0f64; 3];
         for (i, (cfg, shared)) in configs(scope).iter().zip(shared_runs).enumerate() {
-            ws[i] = cache.weighted_speedup(w, shared, *cfg);
+            ws[i] = cache.weighted_speedup(sweep, w, shared, *cfg);
             if i == 1 {
                 migrations += shared.stats.manager.migrations;
                 shootdowns += shared.stats.manager.coalesces;
@@ -318,7 +321,7 @@ mod tests {
 
     #[test]
     fn mosaic_survives_multi_kernel_churn() {
-        let m = multi_kernel(Scope::Smoke);
+        let m = multi_kernel(&Sweep::new(Scope::Smoke));
         // Mosaic beats GPU-MMU at every kernel count, including with the
         // between-kernel deallocation churn active.
         for (i, &p) in m.phases.iter().enumerate() {
@@ -333,7 +336,7 @@ mod tests {
 
     #[test]
     fn in_place_coalescing_avoids_the_migrating_design_costs() {
-        let c = migrating_coalescer(Scope::Smoke);
+        let c = migrating_coalescer(&Sweep::new(Scope::Smoke));
         assert!(!c.rows.is_empty());
         // Both coalescing designs beat the no-coalescing baseline on
         // average (large pages are worth having)...
@@ -359,7 +362,7 @@ mod tests {
         // the L2 TLB (see EXPERIMENTS.md), so the sign of the comparison
         // is workload-dependent here; the ablation's job is to expose
         // both configurations faithfully.
-        let a = pwc_vs_l2tlb(Scope::Smoke);
+        let a = pwc_vs_l2tlb(&Sweep::new(Scope::Smoke));
         assert!(!a.speedups.is_empty());
         assert!(a.avg_speedup.is_finite() && a.avg_speedup > 0.1);
         for (name, s) in &a.speedups {
@@ -369,7 +372,7 @@ mod tests {
 
     #[test]
     fn more_walker_threads_never_hurt() {
-        let s = walker_threads(Scope::Smoke);
+        let s = walker_threads(&Sweep::new(Scope::Smoke));
         // 64 threads at least match 8 threads.
         assert!(
             s.normalized.last().unwrap() >= s.normalized.first().unwrap(),
@@ -380,7 +383,7 @@ mod tests {
 
     #[test]
     fn threshold_sweep_is_normalized() {
-        let s = cac_threshold(Scope::Smoke);
+        let s = cac_threshold(&Sweep::new(Scope::Smoke));
         let at_half = s.thresholds.iter().position(|&t| t == 0.5).unwrap();
         assert!((s.normalized[at_half] - 1.0).abs() < 1e-9);
     }

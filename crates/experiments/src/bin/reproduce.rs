@@ -10,8 +10,11 @@
 //! ```
 //!
 //! `--jobs N` (or `MOSAIC_JOBS=N`) sets the worker-thread count of the
-//! sweep executor; the default is the machine's available parallelism.
-//! Output is byte-identical for every job count.
+//! sweep; the default is the machine's available parallelism. Output is
+//! byte-identical for every job count.
+//!
+//! This binary is the one place that reads the environment and the
+//! flags; it builds one [`Sweep`] from them and hands it to every driver.
 //!
 //! `--trace FILE` records every simulated event of every sweep run to
 //! `FILE` as JSONL (one `run_begin` line per run, then its events);
@@ -37,12 +40,15 @@
 //! reproduce campaign status FILE   # cached/pending per point + ETA
 //! ```
 //!
-//! Any other argument starting with `-` is rejected as an unknown flag
-//! (exit status 2).
+//! Bad input exits with status 2 before any simulation runs: an unknown
+//! flag or experiment name, a `MOSAIC_SCOPE` other than
+//! `smoke|default|full`, or a `--jobs`/`MOSAIC_JOBS` that is not a
+//! positive integer.
 
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
 use mosaic_experiments as exp;
-use mosaic_experiments::Scope;
+use mosaic_experiments::sweep::TraceCollector;
+use mosaic_experiments::{Scope, Sweep};
 use mosaic_telemetry::escape_json;
 
 const ALL: [&str; 17] = [
@@ -83,83 +89,71 @@ fn to_json(results: &[(String, String)]) -> String {
     out
 }
 
-/// Strips `--jobs N` / `--jobs=N` out of `args` and returns the parsed
-/// worker count, exiting with a usage error on a malformed value.
-fn take_jobs_flag(args: &mut Vec<String>) -> Option<usize> {
-    let mut jobs = None;
-    let mut i = 0;
-    while i < args.len() {
-        let value = if args[i] == "--jobs" {
-            if i + 1 >= args.len() {
-                eprintln!("--jobs requires a worker count");
-                std::process::exit(2);
-            }
-            let v = args.remove(i + 1);
-            args.remove(i);
-            v
-        } else if let Some(v) = args[i].strip_prefix("--jobs=") {
-            let v = v.to_string();
-            args.remove(i);
-            v
-        } else {
-            i += 1;
-            continue;
-        };
-        match value.parse::<usize>() {
-            Ok(n) if n >= 1 => jobs = Some(n),
-            _ => {
-                eprintln!("--jobs expects a positive integer, got {value:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    jobs
+/// Prints `message` and exits with the usage-error status 2.
+fn usage_error(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
 }
 
-/// Strips `--trace FILE` / `--trace=FILE` out of `args` and returns the
-/// output path, exiting with a usage error on a missing value.
-fn take_trace_flag(args: &mut Vec<String>) -> Option<String> {
-    let mut path = None;
+/// Strips every `FLAG VALUE` / `FLAG=VALUE` out of `args` and returns the
+/// last value, exiting with a usage error when the value is missing.
+fn take_value_flag(args: &mut Vec<String>, flag: &str, what: &str) -> Option<String> {
+    let prefix = format!("{flag}=");
+    let mut value = None;
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--trace" {
+        if args[i] == flag {
             if i + 1 >= args.len() {
-                eprintln!("--trace requires an output path");
-                std::process::exit(2);
+                usage_error(format!("{flag} requires {what}"));
             }
-            path = Some(args.remove(i + 1));
+            value = Some(args.remove(i + 1));
             args.remove(i);
-        } else if let Some(v) = args[i].strip_prefix("--trace=") {
-            path = Some(v.to_string());
+        } else if let Some(v) = args[i].strip_prefix(&prefix) {
+            value = Some(v.to_string());
             args.remove(i);
         } else {
             i += 1;
         }
     }
-    path
+    value
 }
 
-/// Strips `--cache-dir DIR` / `--cache-dir=DIR` out of `args` and returns
-/// the store directory, exiting with a usage error on a missing value.
-fn take_cache_dir_flag(args: &mut Vec<String>) -> Option<String> {
-    let mut dir = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--cache-dir" {
-            if i + 1 >= args.len() {
-                eprintln!("--cache-dir requires a directory");
-                std::process::exit(2);
-            }
-            dir = Some(args.remove(i + 1));
-            args.remove(i);
-        } else if let Some(v) = args[i].strip_prefix("--cache-dir=") {
-            dir = Some(v.to_string());
-            args.remove(i);
-        } else {
-            i += 1;
-        }
+/// Strips `flag` out of `args`; whether it was there.
+fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
+    let before = args.len();
+    args.retain(|a| a != flag);
+    args.len() != before
+}
+
+/// A set, non-empty environment variable.
+fn env(name: &str) -> Option<String> {
+    std::env::var(name).ok().filter(|v| !v.is_empty())
+}
+
+/// The scope named by `MOSAIC_SCOPE` (`Default` when unset); any other
+/// value is a usage error.
+fn resolve_scope() -> Scope {
+    match env("MOSAIC_SCOPE").map(|v| v.to_ascii_lowercase()).as_deref() {
+        None | Some("default") => Scope::Default,
+        Some("smoke") => Scope::Smoke,
+        Some("full") => Scope::Full,
+        Some(other) => usage_error(format!("MOSAIC_SCOPE={other:?} is not smoke, default or full")),
     }
-    dir
+}
+
+/// The worker count: `--jobs`, then `MOSAIC_JOBS`, then the machine's
+/// available parallelism. Anything but a positive integer is a usage
+/// error.
+fn resolve_jobs(flag: Option<String>) -> usize {
+    let (source, value) = match (flag, env("MOSAIC_JOBS")) {
+        (Some(v), _) => ("--jobs", v),
+        (None, Some(v)) => ("MOSAIC_JOBS", v),
+        (None, None) => return std::thread::available_parallelism().map_or(1, |n| n.get()),
+    };
+    match value.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_error(format!("{source} expects a positive integer, got {value:?}")),
+    }
 }
 
 /// Where the run cache lives: `--cache-dir`, then `MOSAIC_CACHE_DIR`,
@@ -173,8 +167,7 @@ fn resolve_cache_dir(
     if no_cache {
         return None;
     }
-    flag.or_else(|| std::env::var("MOSAIC_CACHE_DIR").ok().filter(|s| !s.is_empty()))
-        .or_else(|| default.map(str::to_string))
+    flag.or_else(|| env("MOSAIC_CACHE_DIR")).or_else(|| default.map(str::to_string))
 }
 
 /// Opens the store, exiting on failure (an unreadable cache directory is
@@ -186,10 +179,10 @@ fn open_store(dir: &str) -> Store {
     })
 }
 
-/// Prints the cache accounting line for whatever ran, if a cache was
-/// installed.
-fn report_cache_stats() {
-    if let Some(store) = exp::sweep::cache() {
+/// Prints the cache accounting line for whatever ran, if the sweep has a
+/// cache.
+fn report_cache_stats(sweep: &Sweep) {
+    if let Some(store) = &sweep.cache {
         let st = store.stats();
         eprintln!(
             "[cache] {} hits, {} misses, {} stored, {} failures; {} of simulation served from {}",
@@ -203,57 +196,50 @@ fn report_cache_stats() {
     }
 }
 
-/// The `campaign run|expand|status FILE` subcommand.
-fn run_campaign(sub: &[String], cache_dir: Option<String>, no_cache: bool) {
+/// The `campaign run|expand|status FILE` subcommand; `run` installs the
+/// run cache into `sweep`.
+fn run_campaign(sub: &[String], sweep: &mut Sweep, cache_dir: Option<String>, no_cache: bool) {
     let (action, file) = match sub {
         [action, file] if matches!(action.as_str(), "run" | "expand" | "status") => {
             (action.as_str(), file.as_str())
         }
-        _ => {
-            eprintln!(
-                "usage: reproduce campaign run|expand|status FILE [--cache-dir DIR] [--no-cache]"
-            );
-            std::process::exit(2);
-        }
+        _ => usage_error(
+            "usage: reproduce campaign run|expand|status FILE [--cache-dir DIR] [--no-cache]",
+        ),
     };
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
         eprintln!("cannot read campaign file {file}: {e}");
         std::process::exit(1);
     });
-    let spec = Spec::parse(&text).unwrap_or_else(|e| {
-        eprintln!("{file}: {e}");
-        std::process::exit(2);
-    });
+    let spec = Spec::parse(&text).unwrap_or_else(|e| usage_error(format!("{file}: {e}")));
     let campaign = spec.expand();
+    let cache_dir = resolve_cache_dir(cache_dir, no_cache, Some(DEFAULT_CACHE_DIR));
     match action {
         "expand" => print!("{}", render_expand(&campaign)),
         "status" => {
-            let Some(dir) = resolve_cache_dir(cache_dir, no_cache, Some(DEFAULT_CACHE_DIR)) else {
-                eprintln!("campaign status needs a cache (drop --no-cache)");
-                std::process::exit(2);
+            let Some(dir) = cache_dir else {
+                usage_error("campaign status needs a cache (drop --no-cache)");
             };
             print!("{}", render_status(&campaign, &open_store(&dir)));
         }
         "run" => {
-            if let Some(dir) = resolve_cache_dir(cache_dir, no_cache, Some(DEFAULT_CACHE_DIR)) {
-                exp::sweep::set_cache(Some(open_store(&dir)));
-            } else {
-                eprintln!("[campaign] cache disabled (--no-cache)");
+            match cache_dir {
+                Some(dir) => sweep.cache = Some(open_store(&dir)),
+                None => eprintln!("[campaign] cache disabled (--no-cache)"),
             }
-            let exec = exp::Executor::from_env();
             eprintln!(
                 "[campaign] {:?}: {} points ({} skipped), {} workers",
                 campaign.name,
                 campaign.points.len(),
                 campaign.skipped.len(),
-                exec.jobs()
+                sweep.jobs
             );
             let jobs: Vec<_> =
                 campaign.points.iter().map(|p| (p.workload.clone(), p.cfg)).collect();
             let t0 = std::time::Instant::now();
-            let results = exp::sweep::run_workloads(&exec, jobs);
+            let results = sweep.run_workloads(jobs);
             print!("{}", render_results(&campaign, &results));
-            report_cache_stats();
+            report_cache_stats(sweep);
             eprintln!("[campaign] finished in {:.1?}", t0.elapsed());
         }
         _ => unreachable!("validated above"),
@@ -264,58 +250,12 @@ fn run_campaign(sub: &[String], cache_dir: Option<String>, no_cache: bool) {
 /// only cache when a directory is given explicitly).
 const DEFAULT_CACHE_DIR: &str = "target/mosaic-cache";
 
-fn main() {
-    let scope = Scope::from_env();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    exp::sweep::set_jobs(take_jobs_flag(&mut args));
-    let cache_dir = take_cache_dir_flag(&mut args);
-    let no_cache = {
-        let before = args.len();
-        args.retain(|a| a != "--no-cache");
-        args.len() != before
-    };
-    let trace_path = take_trace_flag(&mut args);
-    // `--stall-report` and `--digest` are consumed further down.
-    if let Some(flag) = args
-        .iter()
-        .find(|a| a.starts_with('-') && !matches!(a.as_str(), "--stall-report" | "--digest"))
-    {
-        eprintln!(
-            "unknown flag {flag}; flags: --jobs N, --cache-dir DIR, --no-cache, --trace FILE, \
-             --stall-report, --digest"
-        );
-        std::process::exit(2);
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        if trace_path.is_some() {
-            exp::sweep::set_trace(true);
-        }
-        run_campaign(&args[1..], cache_dir, no_cache);
-        if let Some(path) = trace_path {
-            let chunks = exp::sweep::take_trace();
-            let events: usize = chunks.iter().map(|c| c.events.len()).sum();
-            std::fs::write(&path, exp::sweep::render_trace(&chunks))
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            eprintln!("wrote {events} events from {} runs to {path}", chunks.len());
-        }
-        return;
-    }
-    if let Some(dir) = resolve_cache_dir(cache_dir, no_cache, None) {
-        exp::sweep::set_cache(Some(open_store(&dir)));
-    }
-    let stall_report = {
-        let before = args.len();
-        args.retain(|a| a != "--stall-report");
-        args.len() != before
-    };
-    let digest = {
-        let before = args.len();
-        args.retain(|a| a != "--digest");
-        args.len() != before
-    };
-    if trace_path.is_some() {
-        exp::sweep::set_trace(true);
-    }
+/// Runs the named experiments (every one when none is named) and prints
+/// their reports, then the `--digest` lines; every name is checked
+/// before anything runs.
+fn run_figures(mut args: Vec<String>, sweep: &Sweep) {
+    let stall_report = take_switch(&mut args, "--stall-report");
+    let digest = take_switch(&mut args, "--digest");
     // `--stall-report` alone runs just the stall report; alongside
     // experiment names (or `all`) it rides along as an extra section.
     let mut wanted: Vec<&str> =
@@ -327,48 +267,48 @@ fn main() {
     if stall_report && !wanted.contains(&"stall") {
         wanted.push("stall");
     }
-    eprintln!("scope: {scope:?} (set MOSAIC_SCOPE=smoke|default|full)");
+    if let Some(other) = wanted.iter().find(|&&n| n != "stall" && !ALL.contains(&n)) {
+        usage_error(format!("unknown experiment {other}; available: {ALL:?}"));
+    }
+    eprintln!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
     eprintln!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
-        exp::Executor::from_env().jobs()
+        sweep.jobs
     );
 
     let mut results = Vec::new();
     for name in wanted {
         let t0 = std::time::Instant::now();
         match name {
-            "fig03" => emit(name, exp::fig03::run(scope), &mut results),
-            "fig04" => emit(name, exp::fig04::run(scope), &mut results),
-            "bloat" => emit(name, exp::bloat::run(scope), &mut results),
-            "fig06" => emit(name, exp::fig06::run(scope), &mut results),
-            "fig08" => emit(name, exp::fig08::run(scope), &mut results),
-            "fig09" => emit(name, exp::fig09::run(scope), &mut results),
-            "fig10" => emit(name, exp::fig10::run(scope), &mut results),
-            "fig11" => emit(name, exp::fig11::run(scope), &mut results),
-            "fig12" => emit(name, exp::fig12::run(scope), &mut results),
-            "fig13" => emit(name, exp::fig13::run(scope), &mut results),
-            "fig14" => emit(name, exp::fig14::run(scope), &mut results),
-            "fig15" => emit(name, exp::fig15::run(scope), &mut results),
-            "fig16" => emit(name, exp::fig16::run(scope), &mut results),
-            "table2" => emit(name, exp::table2::run(scope), &mut results),
-            "oversub" => emit(name, exp::oversub::run(scope), &mut results),
-            "multigpu" => emit(name, exp::multigpu::run(scope), &mut results),
-            "stall" => emit(name, exp::stall::run(scope), &mut results),
+            "fig03" => emit(name, exp::fig03::run(sweep), &mut results),
+            "fig04" => emit(name, exp::fig04::run(sweep), &mut results),
+            "bloat" => emit(name, exp::bloat::run(sweep), &mut results),
+            "fig06" => emit(name, exp::fig06::run(sweep), &mut results),
+            "fig08" => emit(name, exp::fig08::run(sweep), &mut results),
+            "fig09" => emit(name, exp::fig09::run(sweep), &mut results),
+            "fig10" => emit(name, exp::fig10::run(sweep), &mut results),
+            "fig11" => emit(name, exp::fig11::run(sweep), &mut results),
+            "fig12" => emit(name, exp::fig12::run(sweep), &mut results),
+            "fig13" => emit(name, exp::fig13::run(sweep), &mut results),
+            "fig14" => emit(name, exp::fig14::run(sweep), &mut results),
+            "fig15" => emit(name, exp::fig15::run(sweep), &mut results),
+            "fig16" => emit(name, exp::fig16::run(sweep), &mut results),
+            "table2" => emit(name, exp::table2::run(sweep), &mut results),
+            "oversub" => emit(name, exp::oversub::run(sweep), &mut results),
+            "multigpu" => emit(name, exp::multigpu::run(sweep), &mut results),
+            "stall" => emit(name, exp::stall::run(sweep), &mut results),
             "ablations" => {
-                emit("ablation_pwc", exp::ablations::pwc_vs_l2tlb(scope), &mut results);
-                emit("ablation_walker", exp::ablations::walker_threads(scope), &mut results);
-                emit("ablation_cac_threshold", exp::ablations::cac_threshold(scope), &mut results);
+                emit("ablation_pwc", exp::ablations::pwc_vs_l2tlb(sweep), &mut results);
+                emit("ablation_walker", exp::ablations::walker_threads(sweep), &mut results);
+                emit("ablation_cac_threshold", exp::ablations::cac_threshold(sweep), &mut results);
                 emit(
                     "ablation_coalescers",
-                    exp::ablations::migrating_coalescer(scope),
+                    exp::ablations::migrating_coalescer(sweep),
                     &mut results,
                 );
-                emit("ablation_multikernel", exp::ablations::multi_kernel(scope), &mut results);
+                emit("ablation_multikernel", exp::ablations::multi_kernel(sweep), &mut results);
             }
-            other => {
-                eprintln!("unknown experiment {other}; available: {ALL:?}");
-                std::process::exit(2);
-            }
+            _ => unreachable!("validated above"),
         }
         eprintln!("[{name} done in {:.1?}]", t0.elapsed());
     }
@@ -378,19 +318,49 @@ fn main() {
             println!("digest {name} {}", exp::goldens::digest(text));
         }
     }
+    report_cache_stats(sweep);
 
-    if let Some(path) = trace_path {
-        let chunks = exp::sweep::take_trace();
+    if let Some(path) = env("MOSAIC_JSON") {
+        std::fs::write(&path, to_json(&results))
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        eprintln!("wrote machine-readable results to {path}");
+    }
+}
+
+fn main() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let jobs = take_value_flag(&mut args, "--jobs", "a worker count");
+    let cache_dir = take_value_flag(&mut args, "--cache-dir", "a directory");
+    let trace_path = take_value_flag(&mut args, "--trace", "an output path");
+    let no_cache = take_switch(&mut args, "--no-cache");
+    // `--stall-report` and `--digest` are consumed by `run_figures`.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with('-') && !matches!(a.as_str(), "--stall-report" | "--digest"))
+    {
+        usage_error(format!(
+            "unknown flag {flag}; flags: --jobs N, --cache-dir DIR, --no-cache, --trace FILE, \
+             --stall-report, --digest"
+        ));
+    }
+    let mut sweep = Sweep {
+        scope: resolve_scope(),
+        jobs: resolve_jobs(jobs),
+        cache: None,
+        trace: trace_path.as_ref().map(|_| TraceCollector::default()),
+    };
+    if args.first().map(String::as_str) == Some("campaign") {
+        run_campaign(&args[1..], &mut sweep, cache_dir, no_cache);
+    } else {
+        sweep.cache = resolve_cache_dir(cache_dir, no_cache, None).map(|dir| open_store(&dir));
+        run_figures(args, &sweep);
+    }
+
+    if let (Some(path), Some(trace)) = (trace_path, sweep.trace) {
+        let chunks = trace.into_chunks();
         let events: usize = chunks.iter().map(|c| c.events.len()).sum();
         std::fs::write(&path, exp::sweep::render_trace(&chunks))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("wrote {events} events from {} runs to {path}", chunks.len());
-    }
-    report_cache_stats();
-
-    if let Ok(path) = std::env::var("MOSAIC_JSON") {
-        std::fs::write(&path, to_json(&results))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("wrote machine-readable results to {path}");
     }
 }

@@ -6,8 +6,8 @@
 //! worst case. Bloat is internal fragmentation: a 2 MB frame is committed
 //! even when the application touches only part of it.
 
-use crate::common::{fmt_row, mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::common::{fmt_row, mean};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -37,7 +37,8 @@ pub struct BloatReport {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> BloatReport {
+pub fn run(sweep: &Sweep) -> BloatReport {
+    let scope = sweep.scope;
     let profiles = scope.apps();
     // Two jobs per application: 4KB-only then 2MB-only.
     let jobs: Vec<_> = profiles
@@ -50,7 +51,7 @@ pub fn run(scope: Scope) -> BloatReport {
             ]
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let mut rows = Vec::new();
     for (profile, pair) in profiles.iter().zip(results.chunks_exact(2)) {
         // 4KB-only management commits exactly the touched pages; compare
@@ -94,10 +95,11 @@ impl fmt::Display for BloatReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scope;
 
     #[test]
     fn large_pages_inflate_memory() {
-        let report = run(Scope::Smoke);
+        let report = run(&Sweep::new(Scope::Smoke));
         assert!(report.avg_inflation > 0.0, "2MB-only must commit more than touched");
         assert!(report.max_inflation >= report.avg_inflation);
         for r in &report.rows {

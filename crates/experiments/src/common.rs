@@ -1,15 +1,17 @@
 //! Shared experiment machinery: sweep scopes, alone-baseline caching, and
 //! small statistics helpers.
 
-use mosaic_gpusim::{sm_share, ManagerKind, RunConfig, RunResult};
+use crate::sweep::Sweep;
+use mosaic_campaign::CampaignScope;
+use mosaic_gpusim::{ManagerKind, RunConfig, RunResult};
 use mosaic_workloads::{heterogeneous_suite, homogeneous_suite, AppProfile, ScaleConfig, Workload};
 use std::collections::HashMap;
 
 /// How much of the paper's evaluation a driver sweeps.
 ///
 /// The paper simulates 235 workloads; a full sweep takes a while, so
-/// drivers default to representative subsets and can be widened via the
-/// `MOSAIC_SCOPE` environment variable (`smoke`, `default`, `full`).
+/// drivers default to representative subsets (`reproduce` picks the scope
+/// from `MOSAIC_SCOPE`: `smoke`, `default`, `full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Tiny: a few workloads at reduced scale — for tests and CI.
@@ -21,23 +23,15 @@ pub enum Scope {
 }
 
 impl Scope {
-    /// Reads the scope from `MOSAIC_SCOPE` (default: `Default`).
-    pub fn from_env() -> Self {
-        match std::env::var("MOSAIC_SCOPE").unwrap_or_default().to_ascii_lowercase().as_str() {
-            "smoke" => Scope::Smoke,
-            "full" => Scope::Full,
-            _ => Scope::Default,
-        }
-    }
-
-    /// The workload scale this scope runs at.
+    /// The workload scale this scope runs at: the campaign tier of the
+    /// same name, so campaign and figure-driver runs share cache entries.
     pub fn scale(self) -> ScaleConfig {
         match self {
-            Scope::Smoke => {
-                ScaleConfig { ws_divisor: 16, mem_ops_per_warp: 120, warps_per_sm: 6, phases: 1 }
-            }
-            _ => ScaleConfig::default(),
+            Scope::Smoke => CampaignScope::Smoke,
+            Scope::Default => CampaignScope::Default,
+            Scope::Full => CampaignScope::Full,
         }
+        .scale()
     }
 
     /// A base run configuration at this scope's scale.
@@ -105,19 +99,19 @@ fn spread_indices(len: usize, take: usize) -> Vec<usize> {
 /// across a suite sweep most lookups are repeats; caching them is what
 /// makes full-suite sweeps affordable.
 ///
-/// Entries key on a digest of the *full* baseline configuration — scale
-/// plus system minus the fields [`AloneCache::baseline_config`]
-/// overrides — not just `(app, sm_count)`: a cache reused across the
-/// points of a TLB-size sweep (Figures 14/15 style) must not return a
-/// baseline computed under the first point's TLB geometry.
+/// Entries key on a digest of the *full* baseline configuration
+/// ([`mosaic_gpusim::alone_config`]), not just `(app, sm_count)`: a cache
+/// reused across the points of a TLB-size sweep (Figures 14/15 style)
+/// must not return a baseline computed under the first point's TLB
+/// geometry.
 ///
-/// For parallel sweeps, [`AloneCache::prefetch`] resolves the distinct
-/// baseline runs a set of workloads will need through a
-/// [`sweep::Executor`] up front; subsequent lookups then serve from the
-/// frozen cache.
+/// [`Sweep::alone_ipc`] fills it one baseline at a time;
+/// [`Sweep::prefetch`] resolves the distinct baselines a set of workloads
+/// will need on the sweep's workers up front, so subsequent lookups serve
+/// from the frozen cache.
 #[derive(Debug, Default)]
 pub struct AloneCache {
-    cache: HashMap<(String, String), RunResult>,
+    pub(crate) runs: HashMap<(String, String), RunResult>,
 }
 
 impl AloneCache {
@@ -126,89 +120,28 @@ impl AloneCache {
         Self::default()
     }
 
-    /// The alone-baseline configuration derived from `cfg`: the GPU-MMU
-    /// manager on `sms` SMs, with no ideal-TLB idealization and no
-    /// pre-fragmentation. Everything else (scale, TLB geometry, paging
-    /// mode, seed, ...) is inherited from `cfg` and therefore part of the
-    /// cache key.
-    fn baseline_config(cfg: RunConfig, sms: usize) -> RunConfig {
-        let mut alone_cfg = cfg;
-        alone_cfg.manager = ManagerKind::GpuMmu4K;
-        alone_cfg.system.ideal_tlb = false;
-        alone_cfg.fragmentation = None;
-        alone_cfg.system.sm_count = sms;
-        alone_cfg
-    }
-
     /// Cache key: application name plus a digest of its baseline config.
     ///
     /// The digest is the `Debug` rendering of the fully-derived
     /// [`RunConfig`], which covers every field that can influence the
     /// baseline run — deterministic, collision-free, and future-proof
     /// against new config fields.
-    fn key(profile: &AppProfile, baseline_cfg: &RunConfig) -> (String, String) {
-        (profile.name.to_string(), format!("{baseline_cfg:?}"))
+    pub(crate) fn key(profile: &AppProfile, alone_cfg: &RunConfig) -> (String, String) {
+        (profile.name.to_string(), format!("{alone_cfg:?}"))
     }
 
-    /// IPC of `profile` running alone on `sms` SMs under the baseline
-    /// GPU-MMU configuration derived from `cfg`.
-    pub fn alone_ipc(&mut self, profile: &'static AppProfile, sms: usize, cfg: RunConfig) -> f64 {
-        let alone_cfg = Self::baseline_config(cfg, sms);
-        let key = Self::key(profile, &alone_cfg);
-        let result = self.cache.entry(key).or_insert_with(|| {
-            let solo = Workload { name: profile.name.to_string(), apps: vec![profile] };
-            crate::sweep::run_workload_cached(&solo, alone_cfg)
-        });
-        result.apps[0].ipc
-    }
-
-    /// Resolves every alone baseline the given `(workload, config)` pairs
-    /// will need, running the missing ones through `exec` in parallel.
-    ///
-    /// After this returns, [`AloneCache::weighted_speedup`] for any of the
-    /// pairs serves purely from the frozen cache — the pattern parallel
-    /// drivers use: prefetch the distinct baseline keys, then fold rows
-    /// serially with no simulation left on the serial path.
-    pub fn prefetch(&mut self, exec: &crate::sweep::Executor, items: &[(&Workload, RunConfig)]) {
-        let mut missing: Vec<((String, String), &'static AppProfile, RunConfig)> = Vec::new();
-        for &(workload, cfg) in items {
-            let n = workload.app_count();
-            for (i, profile) in workload.apps.iter().enumerate() {
-                let sms = sm_share(cfg.system.sm_count, n, i);
-                let alone_cfg = Self::baseline_config(cfg, sms);
-                let key = Self::key(profile, &alone_cfg);
-                if !self.cache.contains_key(&key) && missing.iter().all(|(k, _, _)| *k != key) {
-                    missing.push((key, profile, alone_cfg));
-                }
-            }
-        }
-        let jobs = missing
-            .iter()
-            .map(|&(_, profile, alone_cfg)| {
-                let solo = Workload { name: profile.name.to_string(), apps: vec![profile] };
-                (solo, alone_cfg)
-            })
-            .collect();
-        let results = crate::sweep::run_workloads(exec, jobs);
-        for ((key, _, _), result) in missing.into_iter().zip(results) {
-            self.cache.insert(key, result);
-        }
-    }
-
-    /// Weighted speedup of `shared` using cached alone baselines.
+    /// Weighted speedup of `shared` using cached alone baselines; a
+    /// missing baseline runs through `sweep`.
     pub fn weighted_speedup(
         &mut self,
+        sweep: &Sweep,
         workload: &Workload,
         shared: &RunResult,
         cfg: RunConfig,
     ) -> f64 {
-        let n = workload.app_count();
-        workload
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let alone = self.alone_ipc(p, sm_share(cfg.system.sm_count, n, i), cfg);
+        (0..workload.app_count())
+            .map(|i| {
+                let alone = sweep.alone_ipc(self, workload, i, cfg);
                 if alone == 0.0 {
                     0.0
                 } else {
@@ -220,12 +153,12 @@ impl AloneCache {
 
     /// Number of distinct alone runs performed so far.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        self.runs.len()
     }
 
     /// Whether no alone run has been performed yet.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.runs.is_empty()
     }
 }
 
@@ -266,7 +199,7 @@ pub fn fmt_row(label: &str, values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mosaic_gpusim::run_workload;
+    use mosaic_gpusim::{run_alone_baselines, run_workload, weighted_speedup, Topology};
 
     #[test]
     fn scope_subsets_shrink() {
@@ -303,14 +236,16 @@ mod tests {
 
     #[test]
     fn alone_cache_memoizes() {
+        let sweep = Sweep::new(Scope::Smoke);
         let mut cache = AloneCache::new();
         let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
-        let p = AppProfile::by_name("NN").unwrap();
-        let a = cache.alone_ipc(p, 3, cfg);
-        let b = cache.alone_ipc(p, 3, cfg);
+        let pair = Workload::from_names(&["NN", "HS"]);
+        let a = sweep.alone_ipc(&mut cache, &pair, 0, cfg);
+        let b = sweep.alone_ipc(&mut cache, &pair, 0, cfg);
         assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
-        let _ = cache.alone_ipc(p, 4, cfg);
+        let trio = Workload::from_names(&["NN", "HS", "MM"]);
+        let _ = sweep.alone_ipc(&mut cache, &trio, 0, cfg);
         assert_eq!(cache.len(), 2, "different SM share is a different baseline");
     }
 
@@ -319,19 +254,20 @@ mod tests {
         // Regression: keying on (app, sm_count) alone let a cache reused
         // across the points of a TLB-size sweep serve every point the
         // baseline computed under the first point's TLB geometry.
+        let sweep = Sweep::new(Scope::Smoke);
         let mut cache = AloneCache::new();
-        let p = AppProfile::by_name("NN").unwrap();
+        let w = Workload::from_names(&["NN", "HS"]);
         let cfg_a = Scope::Smoke.config(ManagerKind::GpuMmu4K);
         let mut cfg_b = cfg_a;
         cfg_b.system.l1_tlb.base_entries = 8;
-        let a = cache.alone_ipc(p, 3, cfg_a);
-        let b = cache.alone_ipc(p, 3, cfg_b);
+        let a = sweep.alone_ipc(&mut cache, &w, 0, cfg_a);
+        let b = sweep.alone_ipc(&mut cache, &w, 0, cfg_b);
         assert_eq!(cache.len(), 2, "two TLB geometries are two baselines");
         assert_ne!(a, b, "a starved L1 TLB must change the alone baseline");
         // Fields the baseline derivation overrides (manager, ideal TLB,
         // fragmentation) must NOT split the cache.
-        let c = cache.alone_ipc(p, 3, cfg_a.ideal_tlb());
-        let d = cache.alone_ipc(p, 3, Scope::Smoke.config(ManagerKind::mosaic()));
+        let c = sweep.alone_ipc(&mut cache, &w, 0, cfg_a.ideal_tlb());
+        let d = sweep.alone_ipc(&mut cache, &w, 0, Scope::Smoke.config(ManagerKind::mosaic()));
         assert_eq!(cache.len(), 2, "overridden fields are not part of the key");
         assert_eq!(a, c);
         assert_eq!(a, d);
@@ -339,20 +275,34 @@ mod tests {
 
     #[test]
     fn prefetch_freezes_the_cache() {
-        let exec = crate::sweep::Executor::new(4);
+        let sweep = Sweep { jobs: 4, ..Sweep::new(Scope::Smoke) };
         let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
         let w = Workload::from_names(&["NN", "HS"]);
         let mut prefetched = AloneCache::new();
-        prefetched.prefetch(&exec, &[(&w, cfg)]);
+        sweep.prefetch(&mut prefetched, &[(&w, cfg)]);
         assert_eq!(prefetched.len(), 2, "one baseline per application");
         let before = prefetched.len();
         let shared = run_workload(&w, cfg);
-        let ws_par = prefetched.weighted_speedup(&w, &shared, cfg);
+        let ws_par = prefetched.weighted_speedup(&sweep, &w, &shared, cfg);
         assert_eq!(prefetched.len(), before, "lookups served from the frozen cache");
         // And the prefetched baselines match the serially-computed ones.
         let mut serial = AloneCache::new();
-        let ws_ser = serial.weighted_speedup(&w, &shared, cfg);
+        let ws_ser = serial.weighted_speedup(&Sweep::new(Scope::Smoke), &w, &shared, cfg);
         assert_eq!(ws_par, ws_ser);
+    }
+
+    #[test]
+    fn alone_cache_matches_run_alone_baselines_on_a_fleet() {
+        // One alone-baseline derivation: the cache and gpusim's
+        // `run_alone_baselines` must agree, also where they used to
+        // differ — a multi-GPU shared run, whose baselines run on one
+        // device with the app's share of the whole fleet's SMs.
+        let cfg = Scope::Smoke.config(ManagerKind::mosaic()).multi_gpu(2, Topology::FullyConnected);
+        let w = Workload::from_names(&["NN", "HS"]);
+        let shared = run_workload(&w, cfg);
+        let expected = weighted_speedup(&shared, &run_alone_baselines(&w, cfg));
+        let ws = AloneCache::new().weighted_speedup(&Sweep::new(Scope::Smoke), &w, &shared, cfg);
+        assert_eq!(ws, expected);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! within ~2% of it — the motivation for wanting large pages for address
 //! translation.
 
-use crate::common::{fmt_row, mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::common::{fmt_row, mean};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -35,7 +35,8 @@ pub struct Fig03 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig03 {
+pub fn run(sweep: &Sweep) -> Fig03 {
+    let scope = sweep.scope;
     let apps = scope.apps();
     // Three jobs per application: ideal-TLB, 4 KB, and 2 MB runs, all
     // with "no demand paging overhead" (everything resident up front).
@@ -50,7 +51,7 @@ pub fn run(scope: Scope) -> Fig03 {
             ]
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let rows: Vec<AppRow> = apps
         .iter()
         .zip(results.chunks_exact(3))
@@ -86,10 +87,11 @@ impl fmt::Display for Fig03 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scope;
 
     #[test]
     fn shape_matches_paper() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert!(fig.rows.len() >= 5);
         // 2MB pages must essentially close the translation gap...
         assert!(fig.avg_2m > 0.9, "2MB avg {:.3}", fig.avg_2m);

@@ -9,7 +9,7 @@
 //! still (−92.5% vs 4 KB paging at one application, −99.8% at five).
 
 use crate::common::{fmt_row, mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use std::fmt;
 
@@ -32,7 +32,8 @@ pub struct Fig04 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig04 {
+pub fn run(sweep: &Sweep) -> Fig04 {
+    let scope = sweep.scope;
     let max_apps = if scope == Scope::Smoke { 3 } else { 5 };
     let level_workloads: Vec<(usize, Vec<mosaic_workloads::Workload>)> =
         (1..=max_apps).map(|n| (n, scope.homogeneous(n))).collect();
@@ -49,7 +50,7 @@ pub fn run(scope: Scope) -> Fig04 {
             ]
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let mut runs = results.chunks_exact(3);
     let mut levels = Vec::new();
     for (n, ws) in &level_workloads {
@@ -96,7 +97,7 @@ mod tests {
 
     #[test]
     fn two_mb_paging_is_worse_than_4kb_paging() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         // 2MB-granularity paging costs real performance...
         let avg_2m = mean(&fig.levels.iter().map(|l| l.norm_2m_paging).collect::<Vec<_>>());
         assert!(avg_2m < 1.0, "2MB paging must cost performance, got {avg_2m:.3}");

@@ -10,7 +10,7 @@
 //! DRAM-channel busy time and SM stall time for coalescing one 2 MB
 //! region (512 base pages).
 
-use crate::common::Scope;
+use crate::sweep::Sweep;
 use mosaic_mem::{Dram, DramConfig};
 use mosaic_sim_core::Cycle;
 use mosaic_vm::BASE_PAGES_PER_LARGE_PAGE;
@@ -41,7 +41,7 @@ pub struct Fig06 {
 }
 
 /// Runs the microbenchmark.
-pub fn run(_scope: Scope) -> Fig06 {
+pub fn run(_sweep: &Sweep) -> Fig06 {
     // Baseline: migrate 512 base pages into a large frame over one DRAM
     // channel (narrow 64-bit copies), then write 512 L4 + 1 L3 PTEs, then
     // flush the TLBs while the SMs stall.
@@ -109,10 +109,11 @@ impl fmt::Display for Fig06 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scope;
 
     #[test]
     fn mosaic_coalesce_is_orders_of_magnitude_cheaper() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert!(fig.baseline.dram_busy_cycles > 50 * fig.mosaic.dram_busy_cycles);
         assert_eq!(fig.mosaic.sm_stall_cycles, 0, "no flush, no stalls");
         assert!(fig.baseline.sm_stall_cycles > 0);

@@ -5,7 +5,7 @@
 //! on average over GPU-MMU and comes within 6.8% of the Ideal TLB.
 
 use crate::common::{fmt_row, mean, AloneCache, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use std::fmt;
 
@@ -56,18 +56,18 @@ impl SpeedupFigure {
 }
 
 /// Shared sweep used by Figures 8 and 9.
-pub(crate) fn sweep(
-    scope: Scope,
+pub(crate) fn speedup_sweep(
+    sweep: &Sweep,
     title: &str,
     levels: impl Iterator<Item = usize>,
     workloads_for: impl Fn(usize) -> Vec<mosaic_workloads::Workload>,
 ) -> SpeedupFigure {
-    let exec = Executor::from_env();
     // One job per (level, workload, manager): the whole figure is a flat
     // list of independent simulations.
     let per_level: Vec<(usize, Vec<mosaic_workloads::Workload>)> =
         levels.map(|n| (n, workloads_for(n))).collect();
-    let configs = |scope: Scope| {
+    let scope = sweep.scope;
+    let configs = || {
         [
             scope.config(ManagerKind::GpuMmu4K),
             scope.config(ManagerKind::mosaic()),
@@ -77,14 +77,14 @@ pub(crate) fn sweep(
     let jobs: Vec<_> = per_level
         .iter()
         .flat_map(|(_, ws)| ws.iter())
-        .flat_map(|w| configs(scope).into_iter().map(move |cfg| (w.clone(), cfg)))
+        .flat_map(|w| configs().into_iter().map(move |cfg| (w.clone(), cfg)))
         .collect();
     // Pre-resolve every alone baseline through the pool, then serve the
     // weighted-speedup folds below from the frozen cache.
     let mut cache = AloneCache::new();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    cache.prefetch(&exec, &baseline_items);
-    let results = run_workloads(&exec, jobs.clone());
+    sweep.prefetch(&mut cache, &baseline_items);
+    let results = sweep.run_workloads(jobs.clone());
 
     let mut rows = Vec::new();
     let mut shared = jobs.iter().zip(results.iter());
@@ -93,7 +93,7 @@ pub(crate) fn sweep(
         for _ in ws {
             for series in &mut per_mgr {
                 let ((w, cfg), result) = shared.next().expect("one result per job");
-                series.push(cache.weighted_speedup(w, result, *cfg));
+                series.push(cache.weighted_speedup(sweep, w, result, *cfg));
             }
         }
         rows.push(LevelRow {
@@ -107,9 +107,10 @@ pub(crate) fn sweep(
 }
 
 /// Runs the Figure 8 sweep.
-pub fn run(scope: Scope) -> SpeedupFigure {
+pub fn run(sweep: &Sweep) -> SpeedupFigure {
+    let scope = sweep.scope;
     let max = if scope == Scope::Smoke { 3 } else { 5 };
-    sweep(scope, "Figure 8: homogeneous workloads", 1..=max, |n| scope.homogeneous(n))
+    speedup_sweep(sweep, "Figure 8: homogeneous workloads", 1..=max, |n| scope.homogeneous(n))
 }
 
 impl fmt::Display for SpeedupFigure {
@@ -144,7 +145,7 @@ mod tests {
 
     #[test]
     fn mosaic_beats_gpu_mmu_and_trails_ideal() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert_eq!(fig.levels.len(), 3);
         for l in &fig.levels {
             assert!(l.mosaic > l.gpu_mmu, "{} apps: {l:?}", l.apps);

@@ -8,12 +8,14 @@
 //! conflict misses that large pages alone cannot remove).
 
 use crate::common::Scope;
-use crate::fig08::{sweep, SpeedupFigure};
+use crate::fig08::{speedup_sweep, SpeedupFigure};
+use crate::sweep::Sweep;
 
 /// Runs the Figure 9 sweep.
-pub fn run(scope: Scope) -> SpeedupFigure {
+pub fn run(sweep: &Sweep) -> SpeedupFigure {
+    let scope = sweep.scope;
     let max = if scope == Scope::Smoke { 3 } else { 5 };
-    sweep(scope, "Figure 9: heterogeneous workloads", 2..=max, |n| scope.heterogeneous(n))
+    speedup_sweep(sweep, "Figure 9: heterogeneous workloads", 2..=max, |n| scope.heterogeneous(n))
 }
 
 #[cfg(test)]
@@ -22,7 +24,7 @@ mod tests {
 
     #[test]
     fn mosaic_improves_heterogeneous_workloads() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert_eq!(fig.levels.len(), 2);
         for l in &fig.levels {
             assert!(l.apps >= 2);

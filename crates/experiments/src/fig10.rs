@@ -9,7 +9,7 @@
 //! inflicting.
 
 use crate::common::{AloneCache, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -70,9 +70,9 @@ impl Fig10 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig10 {
+pub fn run(sweep: &Sweep) -> Fig10 {
+    let scope = sweep.scope;
     let pairs: &[[&str; 2]] = if scope == Scope::Smoke { &PAIRS[..6] } else { &PAIRS };
-    let exec = Executor::from_env();
     let workloads: Vec<Workload> = pairs.iter().map(|pair| Workload::from_names(pair)).collect();
     let jobs: Vec<_> = workloads
         .iter()
@@ -86,15 +86,15 @@ pub fn run(scope: Scope) -> Fig10 {
         .collect();
     let mut cache = AloneCache::new();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    cache.prefetch(&exec, &baseline_items);
-    let results = run_workloads(&exec, jobs.clone());
+    sweep.prefetch(&mut cache, &baseline_items);
+    let results = sweep.run_workloads(jobs.clone());
 
     let mut rows = Vec::new();
     for (w, chunk) in workloads.iter().zip(jobs.chunks_exact(3).zip(results.chunks_exact(3))) {
         let (job_chunk, result_chunk) = chunk;
         let mut ws = [0.0f64; 3];
         for (i, ((_, cfg), shared)) in job_chunk.iter().zip(result_chunk).enumerate() {
-            ws[i] = cache.weighted_speedup(w, shared, *cfg);
+            ws[i] = cache.weighted_speedup(sweep, w, shared, *cfg);
         }
         rows.push(PairRow {
             name: w.name.clone(),
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn both_classes_present_and_mosaic_helps() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert!(fig.rows.iter().any(|r| r.tlb_sensitive));
         assert!(fig.rows.iter().any(|r| !r.tlb_sensitive));
         // Mosaic improves the average pair.

@@ -6,7 +6,7 @@
 //! with per-application outcomes ranging from 0.66x to 8.6x.
 
 use crate::common::{mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use std::fmt;
 
@@ -46,7 +46,8 @@ impl Fig11 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig11 {
+pub fn run(sweep: &Sweep) -> Fig11 {
+    let scope = sweep.scope;
     let max = if scope == Scope::Smoke { 3 } else { 5 };
     let level_workloads: Vec<(usize, Vec<mosaic_workloads::Workload>)> =
         (2..=max).map(|n| (n, scope.heterogeneous(n))).collect();
@@ -61,7 +62,7 @@ pub fn run(scope: Scope) -> Fig11 {
             ]
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let mut runs = results.chunks_exact(3);
     let mut levels = Vec::new();
     for (n, ws) in &level_workloads {
@@ -114,7 +115,7 @@ mod tests {
 
     #[test]
     fn most_applications_improve() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert!(!fig.levels.is_empty());
         for l in &fig.levels {
             // Curves are sorted ascending.

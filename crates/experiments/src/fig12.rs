@@ -8,7 +8,7 @@
 //! exists either way.
 
 use crate::common::{fmt_row, mean, AloneCache, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -31,11 +31,10 @@ pub struct Fig12 {
     pub groups: Vec<GroupRow>,
 }
 
-fn group(scope: Scope, label: &str, workloads: Vec<(Workload, RunConfig)>) -> GroupRow {
-    let exec = Executor::from_env();
+fn group(sweep: &Sweep, label: &str, workloads: Vec<(Workload, RunConfig)>) -> GroupRow {
     // Three jobs per workload: the no-paging reference, the with-paging
     // baseline, and Mosaic.
-    let mosaic_cfg = scope.config(ManagerKind::mosaic());
+    let mosaic_cfg = sweep.scope.config(ManagerKind::mosaic());
     let jobs: Vec<_> = workloads
         .iter()
         .flat_map(|(w, base_cfg)| {
@@ -45,15 +44,15 @@ fn group(scope: Scope, label: &str, workloads: Vec<(Workload, RunConfig)>) -> Gr
     let mut cache = AloneCache::new();
     let baseline_items: Vec<_> =
         workloads.iter().flat_map(|(w, base_cfg)| [(w, *base_cfg), (w, mosaic_cfg)]).collect();
-    cache.prefetch(&exec, &baseline_items);
-    let results = run_workloads(&exec, jobs);
+    sweep.prefetch(&mut cache, &baseline_items);
+    let results = sweep.run_workloads(jobs);
 
     let mut g_ratio = Vec::new();
     let mut m_ratio = Vec::new();
     for ((w, base_cfg), chunk) in workloads.iter().zip(results.chunks_exact(3)) {
-        let ws_no_paging = cache.weighted_speedup(w, &chunk[0], *base_cfg);
-        let ws_paging = cache.weighted_speedup(w, &chunk[1], *base_cfg);
-        let ws_mosaic = cache.weighted_speedup(w, &chunk[2], mosaic_cfg);
+        let ws_no_paging = cache.weighted_speedup(sweep, w, &chunk[0], *base_cfg);
+        let ws_paging = cache.weighted_speedup(sweep, w, &chunk[1], *base_cfg);
+        let ws_mosaic = cache.weighted_speedup(sweep, w, &chunk[2], mosaic_cfg);
         g_ratio.push(ws_paging / ws_no_paging);
         m_ratio.push(ws_mosaic / ws_no_paging);
     }
@@ -65,14 +64,15 @@ fn group(scope: Scope, label: &str, workloads: Vec<(Workload, RunConfig)>) -> Gr
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig12 {
+pub fn run(sweep: &Sweep) -> Fig12 {
+    let scope = sweep.scope;
     let levels = if scope == Scope::Smoke { 2 } else { 4 };
     let base = scope.config(ManagerKind::GpuMmu4K);
     let homog: Vec<_> =
         (2..=levels).flat_map(|n| scope.homogeneous(n)).map(|w| (w, base)).collect();
     let heter: Vec<_> =
         (2..=levels).flat_map(|n| scope.heterogeneous(n)).map(|w| (w, base)).collect();
-    Fig12 { groups: vec![group(scope, "homogeneous", homog), group(scope, "heterogeneous", heter)] }
+    Fig12 { groups: vec![group(sweep, "homogeneous", homog), group(sweep, "heterogeneous", heter)] }
 }
 
 impl fmt::Display for Fig12 {
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn mosaic_with_paging_beats_gpu_mmu_without() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert_eq!(fig.groups.len(), 2);
         for g in &fig.groups {
             assert!(

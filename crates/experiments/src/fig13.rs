@@ -9,7 +9,7 @@
 //! excluded.
 
 use crate::common::{mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use std::fmt;
 
@@ -38,9 +38,9 @@ pub struct Fig13 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Fig13 {
+pub fn run(sweep: &Sweep) -> Fig13 {
+    let scope = sweep.scope;
     let max = if scope == Scope::Smoke { 3 } else { 5 };
-    let exec = Executor::from_env();
     let level_workloads: Vec<(usize, Vec<mosaic_workloads::Workload>)> =
         (1..=max).map(|n| (n, scope.homogeneous(n))).collect();
     // Stage 1: every GPU-MMU baseline (also the limited-reach filter).
@@ -49,7 +49,7 @@ pub fn run(scope: Scope) -> Fig13 {
         .flat_map(|(_, ws)| ws.iter())
         .map(|w| (w.clone(), scope.config(ManagerKind::GpuMmu4K)))
         .collect();
-    let base_results = run_workloads(&exec, base_jobs);
+    let base_results = sweep.run_workloads(base_jobs);
     // Stage 2: Mosaic runs only for the workloads that pass the filter.
     let kept: Vec<bool> =
         base_results.iter().map(|base| base.stats.l2_tlb_hit_rate() < 0.98).collect();
@@ -60,7 +60,7 @@ pub fn run(scope: Scope) -> Fig13 {
         .filter(|(_, &keep)| keep)
         .map(|(w, _)| (w.clone(), scope.config(ManagerKind::mosaic())))
         .collect();
-    let mosaic_results = run_workloads(&exec, mosaic_jobs);
+    let mosaic_results = sweep.run_workloads(mosaic_jobs);
 
     let mut base_iter = base_results.iter().zip(kept);
     let mut mosaic_iter = mosaic_results.iter();
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn mosaic_hit_rates_dominate() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         for l in &fig.levels {
             if l.workloads == 0 {
                 continue;

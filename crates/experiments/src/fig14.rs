@@ -7,7 +7,7 @@
 //! spares page walks for the pages that stay uncoalesced.
 
 use crate::common::{fmt_row, mean, Scope};
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use std::fmt;
 
@@ -87,17 +87,17 @@ fn sweep_workloads(scope: Scope) -> Vec<mosaic_workloads::Workload> {
 }
 
 pub(crate) fn sweep_tlb(
-    scope: Scope,
+    sweep: &Sweep,
     title: &str,
     sweeps: &[(SweepParam, &[usize])],
 ) -> TlbSensitivity {
-    let exec = Executor::from_env();
+    let scope = sweep.scope;
     let workloads = sweep_workloads(scope);
     // Normalization baseline: GPU-MMU at paper defaults.
     let base_jobs: Vec<_> =
         workloads.iter().map(|w| (w.clone(), scope.config(ManagerKind::GpuMmu4K))).collect();
     let base_cycles: Vec<f64> =
-        run_workloads(&exec, base_jobs).iter().map(|r| r.total_cycles as f64).collect();
+        sweep.run_workloads(base_jobs).iter().map(|r| r.total_cycles as f64).collect();
     // The full grid: two jobs (GPU-MMU and Mosaic) per (param, value,
     // workload) point.
     let grid_jobs: Vec<_> = sweeps
@@ -113,7 +113,7 @@ pub(crate) fn sweep_tlb(
             })
         })
         .collect();
-    let grid = run_workloads(&exec, grid_jobs);
+    let grid = sweep.run_workloads(grid_jobs);
 
     let mut pairs = grid.chunks_exact(2);
     let mut out = Vec::new();
@@ -137,14 +137,15 @@ pub(crate) fn sweep_tlb(
 }
 
 /// Runs the Figure 14 sweeps (base-page entries).
-pub fn run(scope: Scope) -> TlbSensitivity {
+pub fn run(sweep: &Sweep) -> TlbSensitivity {
+    let scope = sweep.scope;
     let (l1, l2): (&[usize], &[usize]) = if scope == Scope::Smoke {
         (&[8, 128], &[64, 512])
     } else {
         (&[8, 16, 32, 64, 128, 256], &[64, 128, 256, 512, 1024, 4096])
     };
     sweep_tlb(
-        scope,
+        sweep,
         "Figure 14: base-page TLB entry sensitivity",
         &[(SweepParam::L1Base, l1), (SweepParam::L2Base, l2)],
     )
@@ -168,7 +169,7 @@ mod tests {
 
     #[test]
     fn mosaic_is_insensitive_to_l1_base_entries() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         let l1 = &fig.sweeps[0];
         // GPU-MMU cares about base entries more than Mosaic does (the
         // paper's key claim for this figure).

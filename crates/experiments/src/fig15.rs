@@ -8,16 +8,18 @@
 
 use crate::common::Scope;
 use crate::fig14::{sweep_tlb, SweepParam, TlbSensitivity};
+use crate::sweep::Sweep;
 
 /// Runs the Figure 15 sweeps (large-page entries).
-pub fn run(scope: Scope) -> TlbSensitivity {
+pub fn run(sweep: &Sweep) -> TlbSensitivity {
+    let scope = sweep.scope;
     let (l1, l2): (&[usize], &[usize]) = if scope == Scope::Smoke {
         (&[4, 16], &[32, 256])
     } else {
         (&[4, 8, 16, 32, 64], &[32, 64, 128, 256, 512])
     };
     sweep_tlb(
-        scope,
+        sweep,
         "Figure 15: large-page TLB entry sensitivity",
         &[(SweepParam::L1Large, l1), (SweepParam::L2Large, l2)],
     )
@@ -30,7 +32,7 @@ mod tests {
 
     #[test]
     fn gpu_mmu_is_flat_in_large_entries() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         for s in &fig.sweeps {
             // GPU-MMU never uses large entries: its curve is essentially
             // flat across the sweep.

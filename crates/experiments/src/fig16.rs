@@ -16,7 +16,7 @@
 //! paper's 3 GB configuration.
 
 use crate::common::{fmt_row, Scope};
-use crate::sweep::{run_workload_cached, run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_core::cac::CacConfig;
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
@@ -71,11 +71,10 @@ fn stress_setup(scope: Scope) -> (Workload, RunConfig) {
     (w, cfg)
 }
 
-fn sweep(scope: Scope, points: &[f64], fragment: impl Fn(f64) -> (f64, f64)) -> FragSweep {
-    let exec = Executor::from_env();
-    let (w, base_cfg) = stress_setup(scope);
+fn frag_sweep(sweep: &Sweep, points: &[f64], fragment: impl Fn(f64) -> (f64, f64)) -> FragSweep {
+    let (w, base_cfg) = stress_setup(sweep.scope);
     // Normalization: default CAC, no fragmentation.
-    let baseline = run_workload_cached(&w, base_cfg).total_cycles as f64;
+    let baseline = sweep.run_workload_cached(&w, base_cfg).total_cycles as f64;
     // One job per (design, point) grid cell.
     let jobs: Vec<_> = DESIGNS
         .iter()
@@ -89,7 +88,7 @@ fn sweep(scope: Scope, points: &[f64], fragment: impl Fn(f64) -> (f64, f64)) -> 
             })
         })
         .collect();
-    let results = run_workloads(&exec, jobs);
+    let results = sweep.run_workloads(jobs);
     let series = results
         .chunks_exact(points.len())
         .map(|row| row.iter().map(|r| baseline / r.total_cycles as f64).collect())
@@ -98,15 +97,16 @@ fn sweep(scope: Scope, points: &[f64], fragment: impl Fn(f64) -> (f64, f64)) -> 
 }
 
 /// Runs both sweeps.
-pub fn run(scope: Scope) -> Fig16 {
+pub fn run(sweep: &Sweep) -> Fig16 {
+    let scope = sweep.scope;
     let (idx_pts, occ_pts): (&[f64], &[f64]) = if scope == Scope::Smoke {
         (&[0.5, 1.0], &[0.25, 0.5])
     } else {
         (&[0.0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0], &[0.01, 0.10, 0.25, 0.35, 0.50, 0.75])
     };
     Fig16 {
-        index_sweep: sweep(scope, idx_pts, |p| (p, 0.5)),
-        occupancy_sweep: sweep(scope, occ_pts, |p| (1.0, p)),
+        index_sweep: frag_sweep(sweep, idx_pts, |p| (p, 0.5)),
+        occupancy_sweep: frag_sweep(sweep, occ_pts, |p| (1.0, p)),
     }
 }
 
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn compaction_recovers_performance_under_full_fragmentation() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         let full_idx = fig.index_sweep.points.len() - 1;
         let no_cac = fig.index_sweep.series[0][full_idx];
         let cac = fig.index_sweep.series[1][full_idx];
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn moderate_fragmentation_is_benign() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         // At index 0.5 every design stays near the unfragmented baseline.
         for row in &fig.index_sweep.series {
             assert!(row[0] > 0.9, "index 0.5 should be benign, got {:.3}", row[0]);

@@ -1,7 +1,6 @@
-//! The golden smoke-scope digests: one table, read by every determinism
-//! tier (`tests/parallel_determinism.rs`, `tests/cache_determinism.rs`,
-//! `tests/trace_determinism.rs`, the workspace root's `tests/goldens.rs`)
-//! and by `ci.sh`'s multigpu pin.
+//! The golden smoke-scope digests: one table, read by the golden matrix
+//! (`tests/golden_matrix.rs`), the workspace root's `tests/goldens.rs`
+//! and `ci.sh`'s multigpu pin.
 //!
 //! Each digest is the FNV-1a of a report rendered at [`Scope::Smoke`]
 //! (the same line `reproduce --digest` prints). Update an entry ONLY for
@@ -30,7 +29,7 @@ use mosaic_sim_core::fnv1a;
 ///   coalescer (GPU-MMU vs Migrating vs Mosaic), pinned before the three
 ///   managers moved onto one resident-memory core.
 /// * `trace` — the JSONL trace of a smoke MM+GUPS sweep under GPU-MMU
-///   and Mosaic (`tests/trace_determinism.rs`), pinned when the telemetry
+///   and Mosaic (`tests/golden_matrix.rs`), pinned when the telemetry
 ///   pipeline landed.
 pub const GOLDENS: &[(&str, &str)] = &[
     ("fig08", "ad0fedc459c0afa6"),

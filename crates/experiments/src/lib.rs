@@ -28,17 +28,14 @@
 //! [`goldens`] pins the smoke-scope digest of the reports the
 //! determinism tests check.
 //!
-//! Every driver takes a [`Scope`] that bounds how much of the paper's
-//! 235-workload evaluation it sweeps (`Smoke` for CI, `Default` for
-//! benches, `Full` for the complete suites) and returns a serializable
-//! result whose `Display` impl prints the same rows/series the paper
-//! reports.
-//!
-//! Drivers run their per-workload simulation loops through the
-//! [`sweep::Executor`] — a deterministic parallel sweep executor whose
-//! ordered-collection contract makes multi-threaded output byte-identical
-//! to serial output. Worker count comes from `--jobs`/`MOSAIC_JOBS`
-//! (default: all available cores); see the [`sweep`] module docs.
+//! Every driver takes one [`Sweep`] as its only argument (`fig08::run(&sweep)`)
+//! and returns a serializable result whose `Display` impl prints the same
+//! rows/series the paper reports. The sweep carries the [`Scope`] that
+//! bounds how much of the paper's 235-workload evaluation it sweeps
+//! (`Smoke` for CI, `Default` for benches, `Full` for the complete
+//! suites), the worker count, and the optional run cache and trace
+//! collector. Its ordered-collection contract makes multi-threaded output
+//! byte-identical to serial output; see the [`sweep`] module docs.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -66,4 +63,4 @@ pub mod sweep;
 pub mod table2;
 
 pub use common::{geomean, mean, AloneCache, Scope};
-pub use sweep::Executor;
+pub use sweep::Sweep;

@@ -14,7 +14,7 @@
 //! under Mosaic on the first pairing.
 
 use crate::common::Scope;
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::{ManagerKind, PlacementPolicy, RunResult, Topology};
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -98,7 +98,8 @@ fn sys_ipc(r: &RunResult) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> FigMultiGpu {
+pub fn run(sweep: &Sweep) -> FigMultiGpu {
+    let scope = sweep.scope;
     let fleets = fleets(scope);
     let probe = fleets.iter().copied().max().unwrap_or(1);
     // Pairing-major: both managers at each fleet size, then the two
@@ -124,7 +125,7 @@ pub fn run(scope: Scope) -> FigMultiGpu {
         w0,
         probe_cfg(PlacementPolicy::MigrateOnThreshold { threshold: MIGRATE_THRESHOLD }),
     ));
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
 
     let per_pairing = 2 * fleets.len();
     let mut rows = Vec::with_capacity(PAIRINGS.len() * fleets.len());
@@ -233,7 +234,7 @@ mod tests {
 
     #[test]
     fn fleet_sweep_scales_and_goes_remote() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert_eq!(fig.rows.len(), PAIRINGS.len() * fleets(Scope::Smoke).len());
         assert_eq!(fig.placement.len(), 3);
         for r in &fig.rows {
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn placement_probe_exercises_every_policy() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         let by_name = |n: &str| fig.placement.iter().find(|p| p.policy == n).unwrap();
         assert_eq!(by_name("first-touch").migrations, 0);
         assert_eq!(by_name("first-touch").replications, 0);

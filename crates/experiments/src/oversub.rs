@@ -11,7 +11,7 @@
 //! ratio at each point.
 
 use crate::common::Scope;
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
 use std::fmt;
@@ -77,7 +77,8 @@ fn factors(scope: Scope) -> &'static [f64] {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> FigOversub {
+pub fn run(sweep: &Sweep) -> FigOversub {
+    let scope = sweep.scope;
     let factors = factors(scope);
     // Per workload: one fully-resident baseline per manager, then both
     // managers at each factor — `2 + 2 * factors` jobs, workload-major.
@@ -96,7 +97,7 @@ pub fn run(scope: Scope) -> FigOversub {
             jobs
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let per_workload = 2 + 2 * factors.len();
     let mut rows = Vec::with_capacity(WORKLOADS.len() * factors.len());
     for (name, chunk) in WORKLOADS.iter().zip(results.chunks_exact(per_workload)) {
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_sweep_evicts_and_completes() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         assert_eq!(fig.rows.len(), WORKLOADS.len() * factors(Scope::Smoke).len());
         assert!(fig.total_evictions() > 0, "pressure must trigger eviction somewhere");
         assert!(fig.total_writeback_bytes() > 0, "dirty pages must write back somewhere");
@@ -172,7 +173,7 @@ mod tests {
 
     #[test]
     fn deeper_oversubscription_never_helps_gups() {
-        let fig = run(Scope::Smoke);
+        let fig = run(&Sweep::new(Scope::Smoke));
         let gups: Vec<&OversubRow> = fig.rows.iter().filter(|r| r.name == "GUPS").collect();
         assert!(gups.len() >= 2);
         // GUPS's random scatter has no reuse to spare: more pressure means

@@ -13,8 +13,7 @@
 //! and sum *exactly* to each application's total stall cycles; the run
 //! asserts this for every row.
 
-use crate::common::Scope;
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_telemetry::{StallBreakdown, StallBucket};
 use mosaic_workloads::Workload;
@@ -45,8 +44,8 @@ pub struct StallReport {
 }
 
 /// Runs the report: each workload alone under GPU-MMU and Mosaic.
-pub fn run(scope: Scope) -> StallReport {
-    let exec = Executor::from_env();
+pub fn run(sweep: &Sweep) -> StallReport {
+    let scope = sweep.scope;
     let managers = [ManagerKind::GpuMmu4K, ManagerKind::mosaic()];
     let jobs: Vec<_> = WORKLOADS
         .iter()
@@ -54,7 +53,7 @@ pub fn run(scope: Scope) -> StallReport {
             managers.iter().map(move |&mgr| (Workload::from_names(&[name]), scope.config(mgr)))
         })
         .collect();
-    let results = run_workloads(&exec, jobs);
+    let results = sweep.run_workloads(jobs);
     let rows = results
         .iter()
         .map(|r| {
@@ -118,10 +117,11 @@ impl fmt::Display for StallReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scope;
 
     #[test]
     fn buckets_sum_exactly_and_walk_dominates_where_expected() {
-        let report = run(Scope::Smoke);
+        let report = run(&Sweep::new(Scope::Smoke));
         assert_eq!(report.rows.len(), 4);
         for row in &report.rows {
             // `run` already asserts the exact-sum invariant; re-check the

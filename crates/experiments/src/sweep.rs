@@ -1,4 +1,4 @@
-//! Deterministic parallel sweep execution.
+//! Sweep settings and deterministic parallel sweep execution.
 //!
 //! Every experiment driver boils down to a list of independent
 //! [`run_workload`] calls whose results are then folded into rows and
@@ -8,83 +8,82 @@
 //! the parallel-simulation literature (MGSim, Accel-Sim's parallel
 //! sweeps) exploits for near-linear sweep speedups at unchanged fidelity.
 //!
-//! [`Executor`] is a dependency-free scoped thread pool (std `thread` +
-//! `Mutex` only, per DESIGN.md §6). Its determinism contract is *ordered
-//! collection*: jobs are submitted as an indexed list and results come
-//! back in submission order, whatever order the workers finished in.
-//! Downstream folding therefore sees exactly the sequence a serial loop
-//! would have produced, which is what makes `--jobs N` output
-//! byte-identical to `--jobs 1` (per-job progress goes to stderr only).
+//! A [`Sweep`] is one value that carries everything a driver needs
+//! besides its workloads: the scope, the worker count, the optional
+//! persistent run cache and the optional trace collector. Drivers take
+//! it by reference; nothing about a sweep lives in process-global state,
+//! so any number of differently-configured sweeps can run side by side
+//! in one process.
 //!
-//! Worker count resolution, in priority order:
-//! 1. the process-wide override set by [`set_jobs`] (the `reproduce`
-//!    binary's `--jobs N` flag),
-//! 2. the `MOSAIC_JOBS` environment variable,
-//! 3. [`std::thread::available_parallelism`].
+//! The worker pool is dependency-free (std `thread` + `Mutex` only, per
+//! DESIGN.md §6). Its determinism contract is *ordered collection*: jobs
+//! are submitted as an indexed list and results come back in submission
+//! order, whatever order the workers finished in. Downstream folding
+//! therefore sees exactly the sequence a serial loop would have produced,
+//! which is what makes `--jobs N` output byte-identical to `--jobs 1`
+//! (per-job progress goes to stderr only).
 
+use crate::common::{AloneCache, Scope};
 use mosaic_campaign::Store;
-use mosaic_gpusim::{run_workload, RunConfig, RunResult};
+use mosaic_gpusim::{alone_config, run_workload, RunConfig, RunResult};
 use mosaic_telemetry::{Eta, Event, TraceSession};
-use mosaic_workloads::Workload;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use mosaic_workloads::{AppProfile, Workload};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Process-wide `--jobs` override; `0` means "not set".
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+/// The settings of one experiment sweep, passed by reference to every
+/// driver (`fig08::run(&sweep)`).
+///
+/// # Examples
+///
+/// ```
+/// use mosaic_experiments::{Scope, Sweep};
+///
+/// let serial = Sweep::new(Scope::Smoke);
+/// let parallel = Sweep { jobs: 4, ..Sweep::new(Scope::Smoke) };
+/// assert_eq!((serial.jobs, parallel.jobs), (1, 4));
+/// ```
+#[derive(Debug)]
+pub struct Sweep {
+    /// How much of the paper's evaluation the drivers sweep.
+    pub scope: Scope,
+    /// Worker threads for independent simulations (0 behaves as 1).
+    /// Output is byte-identical at every count.
+    pub jobs: usize,
+    /// Persistent run cache. While set, every simulation becomes
+    /// lookup-before-simulate with per-job checkpointing: each fresh
+    /// result is stored the moment its job finishes, so an interrupted
+    /// campaign keeps everything it completed.
+    pub cache: Option<Store>,
+    /// Trace collector. While set, every job of [`Sweep::run_workloads`]
+    /// records its events here, in submission order.
+    ///
+    /// A traced sweep bypasses the cache in both directions — a cache hit
+    /// would produce an event-free trace — and the serial
+    /// [`Sweep::run_workload_cached`] calls run untraced.
+    pub trace: Option<TraceCollector>,
+}
 
-/// Process-wide persistent run cache; when set, [`run_workloads`] and
-/// [`run_workload_cached`] consult it before simulating and checkpoint
-/// every fresh result into it.
-static CACHE: Mutex<Option<Arc<Store>>> = Mutex::new(None);
+/// The trace chunks a traced sweep has collected, in submission order.
+#[derive(Debug, Default)]
+pub struct TraceCollector(Mutex<Vec<TraceChunk>>);
 
-/// Whether [`run_workloads`] wraps each simulation in a [`TraceSession`].
-static TRACE_REQUESTED: AtomicBool = AtomicBool::new(false);
+impl TraceCollector {
+    /// Every chunk collected so far.
+    pub fn into_chunks(self) -> Vec<TraceChunk> {
+        self.0.into_inner().expect("trace buffer poisoned")
+    }
+}
 
-/// Global submission counter ordering trace chunks across sweeps.
-static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Trace chunks collected from worker threads, in completion order;
-/// [`take_trace`] re-sorts them by submission sequence.
-static COLLECTED: Mutex<Vec<TraceChunk>> = Mutex::new(Vec::new());
-
-/// The events of one traced simulation run, tagged with its global
-/// submission sequence number so multi-threaded sweeps reassemble into
-/// the same order a serial sweep would have produced.
+/// The events of one traced simulation run.
 #[derive(Debug, Clone)]
 pub struct TraceChunk {
-    /// Global submission index (across all sweeps since [`set_trace`]).
-    pub seq: u64,
     /// Workload display name.
     pub workload: String,
     /// Manager label.
     pub manager: String,
     /// Captured events in emission order.
     pub events: Vec<Event>,
-}
-
-/// Turns sweep-level trace collection on or off. While on, every job run
-/// through [`run_workloads`] records its events into a process-global
-/// buffer; drain it with [`take_trace`]. Enabling also clears any
-/// previously collected chunks and resets the sequence counter.
-pub fn set_trace(on: bool) {
-    TRACE_REQUESTED.store(on, Ordering::SeqCst);
-    if on {
-        TRACE_SEQ.store(0, Ordering::SeqCst);
-        COLLECTED.lock().expect("trace buffer poisoned").clear();
-    }
-}
-
-/// Whether sweep-level trace collection is currently on.
-pub fn trace_requested() -> bool {
-    TRACE_REQUESTED.load(Ordering::SeqCst)
-}
-
-/// Drains every collected trace chunk, sorted by submission sequence —
-/// the order a `--jobs 1` sweep would have produced them in.
-pub fn take_trace() -> Vec<TraceChunk> {
-    let mut chunks = std::mem::take(&mut *COLLECTED.lock().expect("trace buffer poisoned"));
-    chunks.sort_by_key(|c| c.seq);
-    chunks
 }
 
 /// Renders trace chunks as JSONL: one `run_begin` line per simulated
@@ -103,40 +102,115 @@ pub fn render_trace(chunks: &[TraceChunk]) -> String {
     out
 }
 
-/// Installs (or with `None` removes) the process-wide persistent run
-/// cache. While installed, every simulation routed through
-/// [`run_workloads`] or [`run_workload_cached`] becomes
-/// lookup-before-simulate with per-job checkpointing: each fresh result
-/// is stored the moment its job finishes, so an interrupted campaign
-/// keeps everything it completed.
-///
-/// Traced sweeps (see [`set_trace`]) bypass the cache in both
-/// directions — a cache hit would produce an event-free trace, and an
-/// entry inserted by a traced run would be fine, but symmetry keeps the
-/// rule simple: tracing means "really simulate".
-pub fn set_cache(store: Option<Store>) {
-    *CACHE.lock().expect("cache slot poisoned") = store.map(Arc::new);
-}
+impl Sweep {
+    /// A serial, uncached, untraced sweep at `scope`.
+    pub fn new(scope: Scope) -> Self {
+        Sweep { scope, jobs: 1, cache: None, trace: None }
+    }
 
-/// The currently installed run cache, if any.
-pub fn cache() -> Option<Arc<Store>> {
-    CACHE.lock().expect("cache slot poisoned").clone()
-}
+    /// The run cache this sweep may use: none while tracing.
+    fn store(&self) -> Option<&Store> {
+        self.cache.as_ref().filter(|_| self.trace.is_none())
+    }
 
-/// Runs one simulation through the installed cache (straight simulation
-/// when no cache is installed or tracing is on). The serial counterpart
-/// of [`run_workloads`], for drivers that need a single result inline.
-pub fn run_workload_cached(workload: &Workload, cfg: RunConfig) -> RunResult {
-    match cache() {
-        Some(store) if !trace_requested() => cached_run(&store, workload, cfg),
-        _ => run_workload(workload, cfg),
+    /// Runs one simulation inline, through the cache when one is set and
+    /// tracing is off. The serial counterpart of [`Sweep::run_workloads`],
+    /// for drivers that need a single result inline.
+    pub fn run_workload_cached(&self, workload: &Workload, cfg: RunConfig) -> RunResult {
+        simulate(self.store(), workload, cfg)
+    }
+
+    /// Runs a list of `(workload, config)` simulation jobs on
+    /// [`Sweep::jobs`] workers, returning the results in submission order.
+    ///
+    /// This is the shape every figure driver's inner loop reduces to; the
+    /// progress label is `workload [manager]`.
+    pub fn run_workloads(&self, jobs: Vec<(Workload, RunConfig)>) -> Vec<RunResult> {
+        let tracing = self.trace.is_some();
+        let store = self.store();
+        let tasks = jobs
+            .into_iter()
+            .map(|(w, cfg)| {
+                let manager = cfg.manager.label();
+                let label = format!("{} [{manager}]", w.name);
+                let task = move || {
+                    if !tracing {
+                        return (simulate(store, &w, cfg), None);
+                    }
+                    let session = TraceSession::start();
+                    let result = run_workload(&w, cfg);
+                    let chunk = TraceChunk {
+                        workload: w.name,
+                        manager: manager.to_string(),
+                        events: session.finish(),
+                    };
+                    (result, Some(chunk))
+                };
+                (label, task)
+            })
+            .collect();
+        let (results, chunks): (Vec<_>, Vec<_>) = run_ordered(self.jobs, tasks).into_iter().unzip();
+        if let Some(trace) = &self.trace {
+            trace.0.lock().expect("trace buffer poisoned").extend(chunks.into_iter().flatten());
+        }
+        results
+    }
+
+    /// IPC of application `i` of `workload` running alone, under the
+    /// alone-baseline configuration derived from the shared run's `cfg`
+    /// ([`alone_config`]); memoized in `cache`.
+    pub fn alone_ipc(
+        &self,
+        cache: &mut AloneCache,
+        workload: &Workload,
+        i: usize,
+        cfg: RunConfig,
+    ) -> f64 {
+        let profile = workload.apps[i];
+        let alone_cfg = alone_config(cfg, workload.app_count(), i);
+        let result = cache
+            .runs
+            .entry(AloneCache::key(profile, &alone_cfg))
+            .or_insert_with(|| self.run_workload_cached(&solo(profile), alone_cfg));
+        result.apps[0].ipc
+    }
+
+    /// Resolves every alone baseline the given `(workload, config)` pairs
+    /// will need, running the missing ones on this sweep's workers.
+    ///
+    /// After this returns, [`AloneCache::weighted_speedup`] for any of the
+    /// pairs serves purely from the frozen cache — the pattern parallel
+    /// drivers use: prefetch the distinct baseline keys, then fold rows
+    /// serially with no simulation left on the serial path.
+    pub fn prefetch(&self, cache: &mut AloneCache, items: &[(&Workload, RunConfig)]) {
+        let mut missing = Vec::new();
+        for &(workload, cfg) in items {
+            for (i, &profile) in workload.apps.iter().enumerate() {
+                let alone_cfg = alone_config(cfg, workload.app_count(), i);
+                let key = AloneCache::key(profile, &alone_cfg);
+                if !cache.runs.contains_key(&key) && missing.iter().all(|(k, _)| *k != key) {
+                    missing.push((key, (solo(profile), alone_cfg)));
+                }
+            }
+        }
+        let (keys, jobs): (Vec<_>, Vec<_>) = missing.into_iter().unzip();
+        cache.runs.extend(keys.into_iter().zip(self.run_workloads(jobs)));
     }
 }
 
-/// Lookup-before-simulate with insert-on-miss. The insert happens here,
-/// inside the calling job, not after the enclosing sweep — that per-job
+/// A one-application workload.
+fn solo(profile: &'static AppProfile) -> Workload {
+    Workload { name: profile.name.to_string(), apps: vec![profile] }
+}
+
+/// Simulates through `store` when given (lookup-before-simulate with
+/// insert-on-miss), else straight. The insert happens here, inside the
+/// calling job, not after the enclosing sweep — that per-job
 /// checkpointing is what makes campaigns resumable.
-fn cached_run(store: &Store, workload: &Workload, cfg: RunConfig) -> RunResult {
+fn simulate(store: Option<&Store>, workload: &Workload, cfg: RunConfig) -> RunResult {
+    let Some(store) = store else {
+        return run_workload(workload, cfg);
+    };
     let key = store.run_key(workload, &cfg);
     if let Some(hit) = store.lookup(key) {
         return hit.result;
@@ -147,134 +221,64 @@ fn cached_run(store: &Store, workload: &Workload, cfg: RunConfig) -> RunResult {
     result
 }
 
-/// Sets (or with `None` clears) the process-wide worker-count override.
+/// Runs every `(label, task)` on up to `jobs` scoped worker threads,
+/// returning results in submission order, and prints one
+/// `[sweep i/n] label (time)` progress line per completed job on stderr
+/// (stdout stays clean for report text; empty labels stay silent).
 ///
-/// Takes precedence over `MOSAIC_JOBS` and the detected parallelism; used
-/// by the `reproduce` binary's `--jobs N` flag and by tests that compare
-/// serial and parallel sweeps in one process.
-pub fn set_jobs(jobs: Option<usize>) {
-    JOBS_OVERRIDE.store(jobs.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// A scoped thread pool that returns job results in submission order.
-///
-/// # Examples
-///
-/// ```
-/// use mosaic_experiments::sweep::Executor;
-///
-/// let exec = Executor::new(4);
-/// let squares = exec.run((0..8).map(|i| move || i * i).collect::<Vec<_>>());
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Executor {
-    jobs: usize,
-}
-
-impl Executor {
-    /// An executor with exactly `jobs` workers (clamped to at least 1).
-    pub fn new(jobs: usize) -> Self {
-        Executor { jobs: jobs.max(1) }
-    }
-
-    /// An executor sized by [`set_jobs`], `MOSAIC_JOBS`, or the machine's
-    /// available parallelism, in that priority order.
-    pub fn from_env() -> Self {
-        let overridden = JOBS_OVERRIDE.load(Ordering::Relaxed);
-        if overridden > 0 {
-            return Executor::new(overridden);
-        }
-        if let Ok(v) = std::env::var("MOSAIC_JOBS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Executor::new(n);
-                }
-            }
-            eprintln!("MOSAIC_JOBS={v:?} is not a positive integer; ignoring");
-        }
-        Executor::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// The worker count this executor runs with.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs every task, returning results in submission order.
-    ///
-    /// Tasks must be independent: each is a pure closure moved to a
-    /// worker thread. With one worker (or at most one task) everything
-    /// runs inline on the caller's thread — the serial reference the
-    /// parallel path must be byte-identical to.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        self.run_labeled(tasks.into_iter().map(|t| (String::new(), t)).collect())
-    }
-
-    /// Like [`Executor::run`], printing one `[sweep i/n] label (time)`
-    /// progress line per completed job on stderr (stdout stays clean for
-    /// report text). Jobs with an empty label stay silent.
-    pub fn run_labeled<T, F>(&self, tasks: Vec<(String, F)>) -> Vec<T>
-    where
-        T: Send,
-        F: FnOnce() -> T + Send,
-    {
-        let total = tasks.len();
-        let progress = Progress::new(total);
-        if self.jobs <= 1 || total <= 1 {
-            return tasks
-                .into_iter()
-                .map(|(label, task)| {
-                    let t0 = std::time::Instant::now();
-                    let out = task();
-                    progress.report(&label, t0);
-                    out
-                })
-                .collect();
-        }
-
-        // Work queue: a cursor over the task list; each worker takes the
-        // next un-started task. Results land in their submission slot, so
-        // collection order is independent of completion order.
-        let queue = Mutex::new((0usize, tasks.into_iter().map(Some).collect::<Vec<_>>()));
-        let results = Mutex::new((0..total).map(|_| None).collect::<Vec<Option<T>>>());
-        std::thread::scope(|s| {
-            for _ in 0..self.jobs.min(total) {
-                s.spawn(|| loop {
-                    let (index, label, task) = {
-                        let mut q = queue.lock().expect("sweep queue poisoned");
-                        let index = q.0;
-                        if index >= total {
-                            break;
-                        }
-                        q.0 += 1;
-                        let (label, task) = q.1[index].take().expect("task taken twice");
-                        (index, label, task)
-                    };
-                    let t0 = std::time::Instant::now();
-                    let out = task();
-                    progress.report(&label, t0);
-                    results.lock().expect("sweep results poisoned")[index] = Some(out);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .expect("sweep results poisoned")
+/// Tasks must be independent. With one worker (or at most one task)
+/// everything runs inline on the caller's thread — the serial reference
+/// the parallel path must be byte-identical to.
+fn run_ordered<T, F>(jobs: usize, tasks: Vec<(String, F)>) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let total = tasks.len();
+    let progress = Progress::new(total);
+    if jobs <= 1 || total <= 1 {
+        return tasks
             .into_iter()
-            .map(|slot| slot.expect("every submitted job produces a result"))
-            .collect()
+            .map(|(label, task)| {
+                let t0 = std::time::Instant::now();
+                let out = task();
+                progress.report(&label, t0);
+                out
+            })
+            .collect();
     }
-}
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::from_env()
-    }
+    // Work queue: a cursor over the task list; each worker takes the
+    // next un-started task. Results land in their submission slot, so
+    // collection order is independent of completion order.
+    let queue = Mutex::new((0usize, tasks.into_iter().map(Some).collect::<Vec<_>>()));
+    let results = Mutex::new((0..total).map(|_| None).collect::<Vec<Option<T>>>());
+    std::thread::scope(|s| {
+        for _ in 0..jobs.min(total) {
+            s.spawn(|| loop {
+                let (index, label, task) = {
+                    let mut q = queue.lock().expect("sweep queue poisoned");
+                    let index = q.0;
+                    if index >= total {
+                        break;
+                    }
+                    q.0 += 1;
+                    let (label, task) = q.1[index].take().expect("task taken twice");
+                    (index, label, task)
+                };
+                let t0 = std::time::Instant::now();
+                let out = task();
+                progress.report(&label, t0);
+                results.lock().expect("sweep results poisoned")[index] = Some(out);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("sweep results poisoned")
+        .into_iter()
+        .map(|slot| slot.expect("every submitted job produces a result"))
+        .collect()
 }
 
 /// Completion counter behind the per-job stderr progress lines, with an
@@ -308,115 +312,62 @@ impl Progress {
     }
 }
 
-/// Runs a list of `(workload, config)` simulation jobs through `exec`,
-/// returning the results in submission order.
-///
-/// This is the shape every figure driver's inner loop reduces to; the
-/// progress label is `workload [manager]`.
-pub fn run_workloads(exec: &Executor, jobs: Vec<(Workload, RunConfig)>) -> Vec<RunResult> {
-    let tracing = trace_requested();
-    let store = if tracing { None } else { cache() };
-    let seq_base =
-        if tracing { TRACE_SEQ.fetch_add(jobs.len() as u64, Ordering::SeqCst) } else { 0 };
-    exec.run_labeled(
-        jobs.into_iter()
-            .enumerate()
-            .map(|(i, (w, cfg))| {
-                let manager = cfg.manager.label().to_string();
-                let label = format!("{} [{manager}]", w.name);
-                let store = store.clone();
-                let task = move || {
-                    if !tracing {
-                        return match &store {
-                            Some(store) => cached_run(store, &w, cfg),
-                            None => run_workload(&w, cfg),
-                        };
-                    }
-                    // Sequence numbers are assigned at submission, on the
-                    // submitting thread, so chunk order is independent of
-                    // which worker runs the job and when it finishes.
-                    let session = TraceSession::start();
-                    let result = run_workload(&w, cfg);
-                    let chunk = TraceChunk {
-                        seq: seq_base + i as u64,
-                        workload: w.name.clone(),
-                        manager,
-                        events: session.finish(),
-                    };
-                    COLLECTED.lock().expect("trace buffer poisoned").push(chunk);
-                    result
-                };
-                (label, task)
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    /// Unlabeled tasks for [`run_ordered`].
+    fn unlabeled<F>(tasks: impl IntoIterator<Item = F>) -> Vec<(String, F)> {
+        tasks.into_iter().map(|t| (String::new(), t)).collect()
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let exec = Executor::new(4);
         // Jobs finishing in reverse submission order must still collect in
         // submission order.
-        let out = exec.run(
-            (0..16usize)
-                .map(|i| {
-                    move || {
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            (16 - i % 16) as u64 * 2,
-                        ));
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
+        let out = run_ordered(
+            4,
+            unlabeled((0..16usize).map(|i| {
+                move || {
+                    std::thread::sleep(std::time::Duration::from_millis((16 - i % 16) as u64 * 2));
+                    i
+                }
+            })),
         );
         assert_eq!(out, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn serial_and_parallel_agree() {
-        let tasks = || (0..10usize).map(|i| move || i * 3 + 1).collect::<Vec<_>>();
-        assert_eq!(Executor::new(1).run(tasks()), Executor::new(8).run(tasks()));
+        let tasks = || unlabeled((0..10usize).map(|i| move || i * 3 + 1));
+        assert_eq!(run_ordered(1, tasks()), run_ordered(8, tasks()));
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
-        static COUNT: AtomicUsize = AtomicUsize::new(0);
-        COUNT.store(0, Ordering::SeqCst);
-        let exec = Executor::new(3);
-        let out = exec.run(
-            (0..32usize)
-                .map(|i| {
-                    move || {
-                        COUNT.fetch_add(1, Ordering::SeqCst);
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
+        let count = AtomicUsize::new(0);
+        let out = run_ordered(
+            3,
+            unlabeled((0..32usize).map(|i| {
+                let count = &count;
+                move || {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    i
+                }
+            })),
         );
         assert_eq!(out.len(), 32);
-        assert_eq!(COUNT.load(Ordering::SeqCst), 32);
+        assert_eq!(count.load(Ordering::SeqCst), 32);
     }
 
     #[test]
-    fn zero_jobs_clamps_to_one() {
-        assert_eq!(Executor::new(0).jobs(), 1);
+    fn zero_jobs_runs_serially() {
+        assert_eq!(run_ordered(0, unlabeled((0..3usize).map(|i| move || i))), vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_task_list_is_fine() {
-        let out: Vec<usize> = Executor::new(4).run(Vec::<fn() -> usize>::new());
+        let out: Vec<usize> = run_ordered(4, Vec::<(String, fn() -> usize)>::new());
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn jobs_override_wins() {
-        set_jobs(Some(3));
-        assert_eq!(Executor::from_env().jobs(), 3);
-        set_jobs(None);
     }
 }

@@ -8,7 +8,7 @@
 //! occupancy to 2.22% at 75%.
 
 use crate::common::Scope;
-use crate::sweep::{run_workloads, Executor};
+use crate::sweep::Sweep;
 use mosaic_core::cac::CacConfig;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
@@ -32,7 +32,8 @@ pub struct Table2 {
 }
 
 /// Runs the experiment.
-pub fn run(scope: Scope) -> Table2 {
+pub fn run(sweep: &Sweep) -> Table2 {
+    let scope = sweep.scope;
     let occupancies: &[f64] =
         if scope == Scope::Smoke { &[0.10, 0.50] } else { &[0.01, 0.10, 0.25, 0.35, 0.50, 0.75] };
     let w = Workload::from_names(&["HS", "CONS"]);
@@ -48,7 +49,7 @@ pub fn run(scope: Scope) -> Table2 {
             (w.clone(), cfg)
         })
         .collect();
-    let results = run_workloads(&Executor::from_env(), jobs);
+    let results = sweep.run_workloads(jobs);
     let points = occupancies
         .iter()
         .zip(&results)
@@ -84,7 +85,7 @@ mod tests {
 
     #[test]
     fn bloat_is_bounded_and_reported() {
-        let t = run(Scope::Smoke);
+        let t = run(&Sweep::new(Scope::Smoke));
         assert_eq!(t.points.len(), 2);
         for p in &t.points {
             assert!(p.bloat >= -0.01, "bloat cannot be negative: {:.3}", p.bloat);

@@ -1,15 +1,23 @@
-//! Command-line error handling of the `reproduce` binary: flags are
-//! checked before any simulation runs.
+//! Command-line error handling of the `reproduce` binary: flags,
+//! experiment names and the `MOSAIC_*` environment are checked before any
+//! simulation runs.
 
 use std::process::Command;
 
-fn reproduce(args: &[&str]) -> (Option<i32>, String) {
+/// Runs `reproduce` at smoke scope with `env` set on top; returns the exit
+/// code and stderr.
+fn reproduce_with(env: &[(&str, &str)], args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .args(args)
         .env("MOSAIC_SCOPE", "smoke")
+        .envs(env.iter().copied())
         .output()
         .expect("reproduce runs");
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+fn reproduce(args: &[&str]) -> (Option<i32>, String) {
+    reproduce_with(&[], args)
 }
 
 #[test]
@@ -27,4 +35,30 @@ fn unknown_experiment_exits_2() {
     let (code, stderr) = reproduce(&["fig99"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("unknown experiment fig99"), "{stderr}");
+}
+
+#[test]
+fn unknown_experiment_after_a_known_one_exits_2_before_running_anything() {
+    let (code, stderr) = reproduce(&["fig08", "fig99"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown experiment fig99"), "{stderr}");
+    assert!(!stderr.contains("fig08 done"), "nothing runs: {stderr}");
+}
+
+#[test]
+fn misspelled_scope_exits_2_before_running_anything() {
+    let (code, stderr) = reproduce_with(&[("MOSAIC_SCOPE", "smok")], &["fig08"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("MOSAIC_SCOPE=\"smok\""), "{stderr}");
+    assert!(!stderr.contains("fig08 done"), "nothing runs: {stderr}");
+}
+
+#[test]
+fn malformed_jobs_variable_exits_2_before_running_anything() {
+    for value in ["abc", "0"] {
+        let (code, stderr) = reproduce_with(&[("MOSAIC_JOBS", value)], &["fig08"]);
+        assert_eq!(code, Some(2), "{value}: {stderr}");
+        assert!(stderr.contains("MOSAIC_JOBS expects a positive integer"), "{value}: {stderr}");
+        assert!(!stderr.contains("fig08 done"), "{value}: nothing runs");
+    }
 }

@@ -1,0 +1,192 @@
+//! The determinism contract of the sweep, as one table-driven matrix:
+//! every pinned report renders byte-identically serially and at eight
+//! workers, with the persistent run cache off, cold and warm, and matches
+//! its golden digest in [`mosaic_experiments::goldens`]; the JSONL trace
+//! of a traced sweep is byte-identical at one and eight workers and
+//! matches the `trace` golden.
+//!
+//! Every cell builds its own [`Sweep`], so nothing here shares mutable
+//! state and the tests need no locks.
+
+use mosaic_campaign::{CampaignScope, Store};
+use mosaic_experiments::goldens::{digest, golden};
+use mosaic_experiments::sweep::{render_trace, TraceCollector};
+use mosaic_experiments::{ablations, fig03, fig08, fig11, multigpu, oversub, stall, Scope, Sweep};
+use mosaic_gpusim::{ManagerKind, RunConfig};
+use mosaic_workloads::Workload;
+use std::path::Path;
+
+/// One pinned report: its golden name, its driver, and text the golden
+/// run must (`present`) or must not (`absent`) contain — so each digest
+/// pins the mechanism it is there for.
+struct Row {
+    name: &'static str,
+    render: fn(&Sweep) -> String,
+    present: &'static [&'static str],
+    absent: &'static [&'static str],
+}
+
+const ROWS: [Row; 8] = [
+    Row { name: "fig08", render: |s| fig08::run(s).to_string(), present: &[], absent: &[] },
+    Row { name: "fig03", render: |s| fig03::run(s).to_string(), present: &[], absent: &[] },
+    Row { name: "fig11", render: |s| fig11::run(s).to_string(), present: &[], absent: &[] },
+    Row {
+        name: "ablation_walker",
+        render: |s| ablations::walker_threads(s).to_string(),
+        present: &[],
+        absent: &[],
+    },
+    // Both ends of the TLB-sensitivity spectrum.
+    Row {
+        name: "stall",
+        render: |s| stall::run(s).to_string(),
+        present: &["MM ", "GUPS "],
+        absent: &[],
+    },
+    // The eviction engine is engaged.
+    Row {
+        name: "oversub",
+        render: |s| oversub::run(s).to_string(),
+        present: &[],
+        absent: &["0 pages evicted"],
+    },
+    // The fleet crosses the interconnect.
+    Row {
+        name: "multigpu",
+        render: |s| multigpu::run(s).to_string(),
+        present: &["4 GPUs"],
+        absent: &[],
+    },
+    Row {
+        name: "ablation_coalescers",
+        render: |s| ablations::migrating_coalescer(s).to_string(),
+        present: &["Migrating"],
+        absent: &[],
+    },
+];
+
+fn smoke(jobs: usize) -> Sweep {
+    Sweep { jobs, ..Sweep::new(Scope::Smoke) }
+}
+
+fn cached(jobs: usize, dir: &Path) -> Sweep {
+    Sweep { cache: Some(Store::open(dir).expect("open store")), ..smoke(jobs) }
+}
+
+#[test]
+fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
+    let root = std::env::temp_dir().join(format!("mosaic-golden-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for row in &ROWS {
+        let name = row.name;
+        let serial = (row.render)(&smoke(1));
+        assert_eq!(
+            digest(&serial),
+            golden(name),
+            "{name} smoke report drifted from the golden digest; report was:\n{serial}"
+        );
+        for text in row.present {
+            assert!(serial.contains(text), "{name} should contain {text:?}:\n{serial}");
+        }
+        for text in row.absent {
+            assert!(!serial.contains(text), "{name} should not contain {text:?}:\n{serial}");
+        }
+        for jobs in [1, 8] {
+            if jobs != 1 {
+                let off = (row.render)(&smoke(jobs));
+                assert_eq!(serial, off, "{name}: --jobs {jobs} must match serial byte-for-byte");
+            }
+            let dir = root.join(format!("{name}-{jobs}"));
+
+            // Cold: every run misses, simulates and checkpoints.
+            let sweep = cached(jobs, &dir);
+            assert_eq!(serial, (row.render)(&sweep), "{name}: cold cache at --jobs {jobs}");
+            let st = sweep.cache.as_ref().expect("cached").stats();
+            assert!(st.stores > 0, "{name}: cold phase checkpoints results: {st:?}");
+            assert_eq!(st.failures, 0, "{name}: {st:?}");
+
+            // Warm: a fresh Store on the same directory (fresh counters,
+            // same entries) — every lookup must hit.
+            let sweep = cached(jobs, &dir);
+            assert_eq!(serial, (row.render)(&sweep), "{name}: warm cache at --jobs {jobs}");
+            let st = sweep.cache.as_ref().expect("cached").stats();
+            assert!(st.hits > 0, "{name}: warm phase serves from the store: {st:?}");
+            assert_eq!(st.misses, 0, "{name}: an identical re-run must hit: {st:?}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Runs a 4-job sweep (MM and GUPS under GPU-MMU and Mosaic) through
+/// `sweep` and returns the results' count.
+fn mm_gups_sweep(sweep: &Sweep) -> usize {
+    let jobs = ["MM", "GUPS"]
+        .iter()
+        .flat_map(|&name| {
+            [ManagerKind::GpuMmu4K, ManagerKind::mosaic()]
+                .map(|mgr| (Workload::from_names(&[name]), Scope::Smoke.config(mgr)))
+        })
+        .collect();
+    sweep.run_workloads(jobs).len()
+}
+
+/// The rendered JSONL trace of a traced sweep.
+fn trace_of(sweep: Sweep) -> String {
+    render_trace(&sweep.trace.expect("traced").into_chunks())
+}
+
+#[test]
+fn traces_match_golden_at_any_jobs_and_bypass_the_cache() {
+    let traced = |jobs| Sweep { trace: Some(TraceCollector::default()), ..smoke(jobs) };
+    let serial = traced(1);
+    assert_eq!(mm_gups_sweep(&serial), 4);
+    let serial = trace_of(serial);
+
+    // At eight workers, with a cache set (bypassed in both directions)
+    // and an untraced sweep running alongside (which collects nothing
+    // into this one).
+    let dir = std::env::temp_dir().join(format!("mosaic-trace-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let parallel = Sweep { cache: Some(Store::open(&dir).expect("open store")), ..traced(8) };
+    std::thread::scope(|s| {
+        s.spawn(|| assert_eq!(mm_gups_sweep(&smoke(2)), 4));
+        assert_eq!(mm_gups_sweep(&parallel), 4);
+    });
+    let st = parallel.cache.as_ref().expect("cached").stats();
+    assert_eq!((st.hits, st.misses, st.stores), (0, 0, 0), "traced sweeps bypass the cache");
+    let parallel = trace_of(parallel);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(!serial.is_empty());
+    assert_eq!(serial, parallel, "trace must be byte-identical at any --jobs count");
+    // Shape: one run_begin per job, and real simulated events.
+    assert_eq!(serial.matches("\"type\":\"run_begin\"").count(), 4);
+    for tag in ["warp_mem", "tlb_lookup", "page_walk", "dram_access", "epoch"] {
+        assert!(serial.contains(&format!("\"type\":\"{tag}\"")), "trace should contain {tag}");
+    }
+    assert_eq!(digest(&serial), golden("trace"), "trace drifted from the golden digest");
+}
+
+/// The campaign DSL's scale tiers and the experiment crate's `Scope`
+/// must give the same cache keys, or campaign entries and figure-driver
+/// entries for "the same" smoke run would live apart. Compared through
+/// the run-key digest, which is exactly the equivalence the store uses.
+#[test]
+fn campaign_scope_scales_match_experiment_scopes() {
+    let w = Workload::from_names(&["MM"]);
+    for (campaign, experiment) in [
+        (CampaignScope::Smoke, Scope::Smoke),
+        (CampaignScope::Default, Scope::Default),
+        (CampaignScope::Full, Scope::Full),
+    ] {
+        assert_eq!(campaign.scale(), experiment.scale());
+        let via_campaign = RunConfig::new(ManagerKind::mosaic()).with_scale(campaign.scale());
+        let via_experiment = experiment.config(ManagerKind::mosaic());
+        let code = mosaic_campaign::built_code_digest();
+        assert_eq!(
+            mosaic_campaign::run_key(&w, &via_campaign, code),
+            mosaic_campaign::run_key(&w, &via_experiment, code),
+            "{campaign:?} and {experiment:?} must share cache entries"
+        );
+    }
+}

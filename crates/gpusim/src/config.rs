@@ -34,6 +34,15 @@ impl ManagerKind {
         ManagerKind::Migrating(MigratingConfig::default())
     }
 
+    /// The manager a front-end token names (see [`manager_tokens`]), and
+    /// whether it runs with the Ideal TLB; `None` for an unknown token.
+    pub fn from_token(token: &str) -> Option<(ManagerKind, bool)> {
+        manager_tokens()
+            .into_iter()
+            .find(|&(t, ..)| t == token)
+            .map(|(_, kind, ideal)| (kind, ideal))
+    }
+
     /// Display name matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
@@ -46,6 +55,22 @@ impl ManagerKind {
             ManagerKind::Mosaic(_) => "Mosaic",
         }
     }
+}
+
+/// Every manager token the front ends accept (`mosaic-sim --manager`, a
+/// campaign's `managers`), with the manager it names and whether it runs
+/// with the Ideal TLB. One table, so the front ends cannot drift apart.
+pub fn manager_tokens() -> [(&'static str, ManagerKind, bool); 8] {
+    [
+        ("gpu-mmu", ManagerKind::GpuMmu4K, false),
+        ("gpu-mmu-2m", ManagerKind::GpuMmu2M, false),
+        ("mosaic", ManagerKind::mosaic(), false),
+        ("mosaic-nocac", ManagerKind::Mosaic(CacConfig::disabled()), false),
+        ("mosaic-bc", ManagerKind::Mosaic(CacConfig::with_bulk_copy()), false),
+        ("mosaic-ideal", ManagerKind::Mosaic(CacConfig::ideal()), false),
+        ("migrating", ManagerKind::migrating(), false),
+        ("ideal-tlb", ManagerKind::GpuMmu4K, true),
+    ]
 }
 
 /// How pages reach GPU memory.

@@ -41,11 +41,14 @@ pub mod config;
 pub mod runner;
 pub mod system;
 
-pub use config::{DemandPagingMode, FleetConfig, ManagerKind, RunConfig, SystemConfig};
+pub use config::{
+    manager_tokens, DemandPagingMode, FleetConfig, ManagerKind, RunConfig, SystemConfig,
+};
 pub use mosaic_core::placement::{PlacementPolicy, MAX_GPUS};
 pub use mosaic_mem::{InterconnectConfig, Topology};
 pub use runner::{
-    run_alone_baselines, run_workload, sm_share, weighted_speedup, AppResult, RunResult,
+    alone_config, run_alone_baselines, run_workload, sm_share, weighted_speedup, AppResult,
+    RunResult,
 };
 pub use system::{GpuSystem, SystemStats};
 

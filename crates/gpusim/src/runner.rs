@@ -312,10 +312,25 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
     }
 }
 
-/// Runs each application of `workload` *alone* on its shared-run SM share
-/// under the baseline GPU-MMU configuration — the `IPC_alone` denominator
-/// of the weighted-speedup metric (Section 5). Demand paging and scale
-/// follow `cfg`.
+/// The alone-baseline configuration of application `i` of an `apps`-app
+/// shared run under `cfg`: the GPU-MMU manager with no ideal-TLB
+/// idealization, no pre-fragmentation, on a single device with the app's
+/// shared-run share of the *fleet's* SMs (no interconnect: `IPC_alone`
+/// stays the paper's single-GPU denominator). Everything else (scale, TLB
+/// geometry, paging mode, seed, ...) is inherited from `cfg`.
+pub fn alone_config(cfg: RunConfig, apps: usize, i: usize) -> RunConfig {
+    let mut alone = cfg;
+    alone.manager = ManagerKind::GpuMmu4K;
+    alone.system.ideal_tlb = false;
+    alone.fragmentation = None;
+    alone.fleet = crate::config::FleetConfig::single();
+    alone.system.sm_count = sm_share(cfg.total_sms(), apps, i);
+    alone
+}
+
+/// Runs each application of `workload` *alone* under [`alone_config`] —
+/// the `IPC_alone` denominator of the weighted-speedup metric
+/// (Section 5).
 pub fn run_alone_baselines(workload: &Workload, cfg: RunConfig) -> Vec<RunResult> {
     let n = workload.app_count();
     workload
@@ -323,17 +338,8 @@ pub fn run_alone_baselines(workload: &Workload, cfg: RunConfig) -> Vec<RunResult
         .iter()
         .enumerate()
         .map(|(i, profile)| {
-            let mut alone_cfg = cfg;
-            alone_cfg.manager = ManagerKind::GpuMmu4K;
-            alone_cfg.system.ideal_tlb = false;
-            alone_cfg.fragmentation = None;
-            // Alone baselines run on a single device: the app gets its
-            // shared-run share of the *fleet's* SMs, but no interconnect
-            // (IPC_alone stays the paper's single-GPU denominator).
-            alone_cfg.fleet = crate::config::FleetConfig::single();
-            alone_cfg.system.sm_count = sm_share(cfg.total_sms(), n, i);
             let solo = Workload { name: profile.name.to_string(), apps: vec![profile] };
-            run_workload(&solo, alone_cfg)
+            run_workload(&solo, alone_config(cfg, n, i))
         })
         .collect()
 }

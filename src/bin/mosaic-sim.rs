@@ -8,8 +8,14 @@
 //! cargo run --release --bin mosaic-sim -- --list             # the 27 applications
 //! ```
 //!
+//! Bad flags, manager tokens or application names exit with status 2
+//! before anything runs.
+//!
 //! Options:
-//!   --manager <mosaic|gpu-mmu|gpu-mmu-2mb|migrating|ideal|all>
+//!   --manager <TOKEN|all>  a campaign manager token (gpu-mmu, gpu-mmu-2m,
+//!                        mosaic, mosaic-nocac, mosaic-bc, mosaic-ideal,
+//!                        migrating, ideal-tlb); `all` runs gpu-mmu,
+//!                        migrating, mosaic and ideal-tlb
 //!   --preload            stage all data before cycle 0 (no demand paging)
 //!   --frag <index,occ>   pre-fragment memory (Mosaic only), e.g. --frag 1.0,0.5
 //!   --seed <n>           deterministic seed (default 42)
@@ -19,14 +25,17 @@
 //!                        100000. Debug builds audit by default.
 //!   --list               list the application roster and exit
 
+use mosaic::gpusim::manager_tokens;
 use mosaic::prelude::*;
 
 fn usage() -> ! {
+    let tokens: Vec<_> = manager_tokens().iter().map(|&(t, ..)| t).collect();
     eprintln!(
         "usage: mosaic-sim [--manager NAME] [--preload] [--frag I,O] [--seed N] [--audit [N]] \
          APP [APP...]\n\
-         managers: mosaic (default), gpu-mmu, gpu-mmu-2mb, migrating, ideal, all\n\
-         run with --list to see the 27 applications"
+         managers: {} (default mosaic), all\n\
+         run with --list to see the 27 applications",
+        tokens.join(", ")
     );
     std::process::exit(2);
 }
@@ -91,6 +100,10 @@ fn parse_args() -> Options {
     if apps.is_empty() {
         usage();
     }
+    if let Some(app) = apps.iter().find(|a| AppProfile::by_name(a).is_none()) {
+        eprintln!("unknown application {app}; run with --list to see the 27 applications");
+        std::process::exit(2);
+    }
 
     let build = |kind: ManagerKind, ideal: bool| {
         let mut cfg = RunConfig::new(kind);
@@ -104,18 +117,11 @@ fn parse_args() -> Options {
         cfg
     };
     let named = |name: &str| -> (String, RunConfig) {
-        let cfg = match name {
-            "mosaic" => build(ManagerKind::mosaic(), false),
-            "gpu-mmu" => build(ManagerKind::GpuMmu4K, false),
-            "gpu-mmu-2mb" => build(ManagerKind::GpuMmu2M, false),
-            "migrating" => build(ManagerKind::migrating(), false),
-            "ideal" => build(ManagerKind::GpuMmu4K, true),
-            _ => usage(),
-        };
-        (name.to_string(), cfg)
+        let (kind, ideal) = ManagerKind::from_token(name).unwrap_or_else(|| usage());
+        (name.to_string(), build(kind, ideal))
     };
     let managers = if manager == "all" {
-        ["gpu-mmu", "migrating", "mosaic", "ideal"].iter().map(|m| named(m)).collect()
+        ["gpu-mmu", "migrating", "mosaic", "ideal-tlb"].iter().map(|m| named(m)).collect()
     } else {
         vec![named(&manager)]
     };

@@ -4,12 +4,18 @@
 //! whole-frame LRU eviction and dirty write-back) and the coalescer
 //! comparison (the migrating coalescer's promotion path) are rendered at
 //! smoke scope and checked against the digests pinned in
-//! `mosaic_experiments::goldens`. The full golden tier, at several
-//! worker counts and with the run cache cold and warm, lives in
-//! `crates/experiments/tests`.
+//! `mosaic_experiments::goldens`. The full golden matrix, serial and
+//! parallel with the run cache off, cold and warm, lives in
+//! `crates/experiments/tests/golden_matrix.rs`.
 
 use mosaic_experiments::goldens::{digest, golden};
-use mosaic_experiments::{ablations, fig08, oversub, Scope};
+use mosaic_experiments::{ablations, fig08, oversub, Scope, Sweep};
+
+/// A smoke-scope sweep on every available core.
+fn smoke() -> Sweep {
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    Sweep { jobs, ..Sweep::new(Scope::Smoke) }
+}
 
 fn check(name: &str, report: String) {
     assert_eq!(
@@ -21,15 +27,15 @@ fn check(name: &str, report: String) {
 
 #[test]
 fn fig08_matches_golden() {
-    check("fig08", fig08::run(Scope::Smoke).to_string());
+    check("fig08", fig08::run(&smoke()).to_string());
 }
 
 #[test]
 fn oversub_matches_golden() {
-    check("oversub", oversub::run(Scope::Smoke).to_string());
+    check("oversub", oversub::run(&smoke()).to_string());
 }
 
 #[test]
 fn coalescer_ablation_matches_golden() {
-    check("ablation_coalescers", ablations::migrating_coalescer(Scope::Smoke).to_string());
+    check("ablation_coalescers", ablations::migrating_coalescer(&smoke()).to_string());
 }
