@@ -11,6 +11,9 @@ cargo fmt --check
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors: no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 echo "==> mosaic-audit self-test (rule corpus, mutation tripwires, closure pins)"
 cargo test -q -p mosaic-audit
 

@@ -129,11 +129,6 @@ fn every_output_affecting_field_moves_the_key() {
             c.system.sm_count += 1;
             c
         }),
-        ("system.core_clock_mhz", {
-            let mut c = cfg;
-            c.system.core_clock_mhz += 1.0;
-            c
-        }),
         ("system.l1_tlb.base", {
             let mut c = cfg;
             c.system.l1_tlb.base_entries /= 2;
@@ -172,11 +167,6 @@ fn every_output_affecting_field_moves_the_key() {
         ("system.ideal_tlb", {
             let mut c = cfg;
             c.system.ideal_tlb = true;
-            c
-        }),
-        ("system.compaction_stalls_gpu", {
-            let mut c = cfg;
-            c.system.compaction_stalls_gpu = true;
             c
         }),
     ];

@@ -4,7 +4,7 @@
 //!
 //! The VM suite drives a real [`PageTable`] + [`Tlb`] against
 //! [`OraclePageTable`] + [`OracleTlb`]. The manager suite drives a full
-//! [`MemoryManager`] against a [`FrameLedger`] that re-derives every
+//! [`MemoryManager`] against a `FrameLedger` that re-derives every
 //! externally-promised number (fault counts, transfer bytes, touched
 //! bytes, event/counter agreement) from the op stream alone.
 
@@ -440,7 +440,6 @@ struct FrameLedger {
     /// manager emits them under pressure, so they must not disturb the
     /// flavor-specific pairings over `shootdown_ev`.
     evict_shootdown_ev: u64,
-    flush_all_ev: u64,
 }
 
 impl FrameLedger {
@@ -455,8 +454,6 @@ impl FrameLedger {
                 MgmtEvent::Splintered { .. } => self.splintered_ev += 1,
                 MgmtEvent::PageMigrated { .. } => self.migrated_ev += 1,
                 MgmtEvent::TlbShootdown { .. } => self.shootdown_ev += 1,
-                MgmtEvent::TlbFlushAll => self.flush_all_ev += 1,
-                MgmtEvent::SmStallAll { .. } => {}
             }
         }
     }
@@ -527,9 +524,6 @@ fn ledger_check(kind: MgrKind, mgr: &RealMgr, ledger: &FrameLedger) -> Option<St
     };
     if let Some(msg) = counter_mismatch {
         return Some(msg);
-    }
-    if ledger.flush_all_ev != 0 {
-        return Some("a manager emitted TlbFlushAll (none of them should)".to_string());
     }
     if !matches!(kind, MgrKind::Migrating) && ledger.shootdown_ev != 0 {
         return Some("TlbShootdown from a non-migrating manager".to_string());

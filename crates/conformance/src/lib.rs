@@ -22,7 +22,7 @@
 //! A deterministic generator ([`gen_vm_case`] / [`gen_mgr_case`], seeded
 //! via [`mosaic_sim_core::SimRng::fork`]) drives both sides through
 //! randomized schedules; [`run_fuzz`] loops that, and on divergence a
-//! greedy delta-debugging [`shrink`] pass minimizes the schedule and
+//! greedy delta-debugging [`shrink()`] pass minimizes the schedule and
 //! renders it as a copy-pasteable Rust test body.
 //!
 //! Use it two ways:

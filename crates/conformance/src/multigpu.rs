@@ -5,7 +5,7 @@
 //! region lives*, and the whole scale-out model rests on its residency
 //! invariant: a region has exactly one owner, replicas are explicit
 //! read-only copies that never include the owner, and a written region is
-//! resident on its owner only. [`OracleResidency`] re-derives all of that
+//! resident on its owner only. `OracleResidency` re-derives all of that
 //! from the access stream with the dumbest possible data structures
 //! (one `BTreeSet` of replica devices per region, no bitmasks, no cached
 //! stats) and predicts every [`PlacementOutcome`] independently; any

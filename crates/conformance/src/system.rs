@@ -107,7 +107,7 @@ pub fn gen_system_case(seed: u64, index: u64) -> SystemCase {
     }
 }
 
-/// Runs `case` once, auditing every [`AUDIT_EVERY`] cycles, and
+/// Runs `case` once, auditing every `AUDIT_EVERY` cycles, and
 /// demands a clean audit and per-app stall buckets that sum exactly to
 /// the app's stall cycles.
 ///

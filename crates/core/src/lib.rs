@@ -97,9 +97,6 @@ pub enum MgmtEvent {
         /// Whether the triggering operation must wait for the copy.
         blocking: bool,
     },
-    /// Full TLB shootdown, stalling all SMs — the baseline coalescing
-    /// path's cost (Figure 6a). Mosaic never emits this.
-    TlbFlushAll,
     /// Targeted shootdown of one 2 MB region's translations on every SM
     /// (IPI-style), stalling the GPU briefly. Emitted by the migrating
     /// coalescer on promotion; Mosaic never needs it.
@@ -108,12 +105,6 @@ pub enum MgmtEvent {
         asid: AppId,
         /// The region whose base translations became stale.
         lpn: LargePageNum,
-    },
-    /// All SMs stall for the given number of cycles (the paper's
-    /// conservative worst-case model for compaction, Section 5).
-    SmStallAll {
-        /// Stall duration in core cycles.
-        cycles: u64,
     },
 }
 

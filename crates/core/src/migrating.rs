@@ -36,14 +36,11 @@ pub struct MigratingConfig {
     /// Promote a region once this fraction of its base pages is mapped
     /// (Ingens uses utilization thresholds of this order).
     pub promote_threshold: f64,
-    /// Whether promotion is enabled at all (`false` degenerates to the
-    /// GPU-MMU baseline allocator).
-    pub promote: bool,
 }
 
 impl Default for MigratingConfig {
     fn default() -> Self {
-        MigratingConfig { promote_threshold: 0.70, promote: true }
+        MigratingConfig { promote_threshold: 0.70 }
     }
 }
 
@@ -190,10 +187,7 @@ impl MemoryManager for MigratingManager {
         self.mem.fault_in(asid, vpn, pfn).expect("checked unmapped above");
         let mut events = Vec::new();
         let mut transfer_bytes = BASE_PAGE_SIZE;
-        if self.config.promote
-            && !self.promoted.contains(&(asid, lpn))
-            && self.mem.region_reserved(asid, lpn)
-        {
+        if !self.promoted.contains(&(asid, lpn)) && self.mem.region_reserved(asid, lpn) {
             let mapped = self.mem.tables.table_mut(asid).mapped_in_large(lpn) as f64;
             if mapped / BASE_PAGES_PER_LARGE_PAGE as f64 >= self.config.promote_threshold {
                 match self.promote(asid, lpn) {
@@ -315,22 +309,6 @@ mod tests {
         }
         let table = m.tables().table(AppId(0)).unwrap();
         assert!(!table.is_coalesced(LargePageNum(0)));
-        assert_eq!(m.stats().migrations, 0);
-    }
-
-    #[test]
-    fn promotion_disabled_degenerates_to_baseline() {
-        let mut m = MigratingManager::new(
-            16 * LARGE_PAGE_SIZE,
-            6,
-            MigratingConfig { promote: false, ..Default::default() },
-        );
-        m.register_app(AppId(0));
-        m.reserve(AppId(0), VirtPageNum(0), 1024);
-        for i in 0..1024 {
-            m.touch(AppId(0), VirtPageNum(i)).unwrap();
-        }
-        assert_eq!(m.stats().coalesces, 0);
         assert_eq!(m.stats().migrations, 0);
     }
 

@@ -11,14 +11,11 @@
 //! region (512 base pages).
 
 use crate::sweep::Sweep;
+use mosaic_gpusim::TLB_FLUSH_STALL;
 use mosaic_mem::{Dram, DramConfig};
 use mosaic_sim_core::Cycle;
 use mosaic_vm::BASE_PAGES_PER_LARGE_PAGE;
 use std::fmt;
-
-/// Cycles a full-TLB shootdown stalls the GPU in the baseline timeline
-/// (matches the simulator's baseline-coalescing model).
-pub const TLB_FLUSH_STALL: u64 = 1_000;
 
 /// Cost of one coalescing operation under one design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

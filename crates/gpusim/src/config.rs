@@ -90,8 +90,6 @@ pub enum DemandPagingMode {
 pub struct SystemConfig {
     /// Number of SMs (Table 1: 30).
     pub sm_count: usize,
-    /// Core clock in MHz (Table 1: 1020).
-    pub core_clock_mhz: f64,
     /// Per-SM L1 TLB geometry.
     pub l1_tlb: TlbConfig,
     /// Shared L2 TLB geometry.
@@ -116,13 +114,6 @@ pub struct SystemConfig {
     /// When `true`, every translation behaves as an L1 TLB hit (the
     /// paper's Ideal TLB reference).
     pub ideal_tlb: bool,
-    /// The paper's conservative worst-case compaction model: migrations
-    /// stall every SM until the copy finishes (Section 5). Off by
-    /// default in this reproduction: at reduced run lengths a whole-GPU
-    /// stall per migration is proportionally far costlier than at the
-    /// paper's 100M+-cycle runs; compaction still pays DRAM-channel
-    /// occupancy either way.
-    pub compaction_stalls_gpu: bool,
 }
 
 impl SystemConfig {
@@ -130,7 +121,6 @@ impl SystemConfig {
     pub fn paper() -> Self {
         SystemConfig {
             sm_count: 30,
-            core_clock_mhz: 1020.0,
             l1_tlb: TlbConfig::paper_l1(),
             l2_tlb: TlbConfig::paper_l2(),
             l1_cache: CacheConfig::paper_l1(),
@@ -142,7 +132,6 @@ impl SystemConfig {
             iobus: IoBusConfig::paper(),
             memory_bytes: 3 * 1024 * 1024 * 1024,
             ideal_tlb: false,
-            compaction_stalls_gpu: false,
         }
     }
 
@@ -276,7 +265,7 @@ impl RunConfig {
     /// # Panics
     ///
     /// Panics if `gpus` is zero or exceeds
-    /// [`MAX_GPUS`](mosaic_core::placement::MAX_GPUS).
+    /// [`MAX_GPUS`].
     pub fn multi_gpu(mut self, gpus: usize, topology: Topology) -> Self {
         assert!((1..=MAX_GPUS).contains(&gpus), "fleet size {gpus} out of range 1..={MAX_GPUS}");
         self.fleet.gpus = gpus;
@@ -339,7 +328,8 @@ mod tests {
     fn paper_config_matches_table_1() {
         let c = SystemConfig::paper();
         assert_eq!(c.sm_count, 30);
-        assert_eq!(c.core_clock_mhz, 1020.0);
+        assert_eq!(c.dram.core_clock_mhz, 1020.0, "DRAM timing in core cycles");
+        assert_eq!(c.iobus.core_clock_mhz, 1020.0, "I/O-bus timing in core cycles");
         assert_eq!(c.l1_tlb.base_entries, 128);
         assert_eq!(c.l1_tlb.large_entries, 16);
         assert_eq!(c.l2_tlb.base_entries, 512);

@@ -50,7 +50,7 @@ pub use runner::{
     alone_config, run_alone_baselines, run_workload, sm_share, weighted_speedup, AppResult,
     RunResult,
 };
-pub use system::{GpuSystem, SystemStats};
+pub use system::{GpuSystem, SystemStats, TLB_FLUSH_STALL};
 
 /// Does nothing. The speculative intra-run engine this used to select
 /// is gone (DESIGN.md §12); every run uses the serial engine. Kept only

@@ -16,16 +16,18 @@ use mosaic_core::{
 use mosaic_gpu::MemoryInterface;
 use mosaic_iobus::IoBus;
 use mosaic_mem::{Cache, Crossbar, Dram, Interconnect, FLIT_BYTES};
-use mosaic_sim_core::{Counter, Cycle, Histogram, Ratio, SimRng, ThroughputPort};
+use mosaic_sim_core::{Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
     AppId, PageSize, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum, WalkCache,
     BASE_PAGES_PER_LARGE_PAGE,
 };
 
-/// Cycles the baseline's full-TLB shootdown stalls the GPU (Figure 6a's
-/// "TLB flush" segment). Only the baseline-coalescing ablation emits it.
-const TLB_FLUSH_STALL: u64 = 1_000;
+/// Cycles a fleet-wide TLB shootdown stalls the GPU (Figure 6a's "TLB
+/// flush" segment): the whole-GPU fence a [`MgmtEvent::TlbShootdown`]
+/// raises, and the teardown an evicting fault rides out before it
+/// retries its allocation.
+pub const TLB_FLUSH_STALL: u64 = 1_000;
 
 /// Lookahead isolation window. The simulator advances SMs smallest-clock-
 /// first, but a single warp access *looks ahead* when it blocks on a long
@@ -159,11 +161,9 @@ pub struct GpuSystem {
     /// counters; folded into `interconnect_bytes` so the accounting
     /// covers every remote access regardless of contention state.
     icn_nominal_bytes: u64,
-    /// Whole-GPU stall fence accumulated from compaction/shootdown events;
-    /// the runner drains it after every SM step.
+    /// Whole-GPU stall fence accumulated from shootdown events; the
+    /// runner drains it after every SM step.
     pending_stall: Cycle,
-    coalesce_events: Counter,
-    splinter_events: Counter,
     /// Pages evicted and not yet refaulted (oversubscribed runs only);
     /// a demand fault hitting this set is thrashing evidence.
     evicted_pages: std::collections::BTreeSet<(AppId, VirtPageNum)>,
@@ -245,8 +245,6 @@ impl GpuSystem {
             interconnect: Interconnect::new(cfg.fleet.interconnect, gpus),
             icn_nominal_bytes: 0,
             pending_stall: Cycle::ZERO,
-            coalesce_events: Counter::new(),
-            splinter_events: Counter::new(),
             evicted_pages: std::collections::BTreeSet::new(),
             demand_faults: 0,
             refaults: 0,
@@ -271,11 +269,9 @@ impl GpuSystem {
         if self.cfg.paging == DemandPagingMode::PreloadedFree {
             // Everything becomes resident before cycle 0, free of charge.
             for i in 0..pages {
-                let outcome = self
-                    .manager
+                self.manager
                     .touch(asid, VirtPageNum(start.raw() + i))
                     .expect("preload within reservation");
-                self.count_events(&outcome.events);
             }
         }
     }
@@ -289,21 +285,22 @@ impl GpuSystem {
     /// applying splinter/compaction side effects at `now`. Placement
     /// forgets the spanned 2MB regions: the next touch re-establishes
     /// first-touch ownership. Compaction copies are charged to device 0
-    /// (the pool's anchor device).
+    /// (the pool's anchor device). Deallocating zero pages is a no-op.
     pub fn deallocate(&mut self, now: Cycle, asid: AppId, start: VirtPageNum, pages: u64) {
+        if pages == 0 {
+            return;
+        }
         let events = self.manager.deallocate(asid, start, pages);
         // Unmapping requires invalidating the stale translations on every
         // SM (the runtime's unmap shootdown): both the base entries of
         // the freed pages and the large entries of the regions they
         // spanned.
         let first = start.large_page().raw();
-        let last = VirtPageNum(start.raw() + pages.saturating_sub(1)).large_page().raw();
-        if pages > 0 {
-            for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
-                tlb.flush_base_range(asid, start, pages);
-                for lpn in first..=last {
-                    tlb.flush_large(asid, mosaic_vm::LargePageNum(lpn).addr());
-                }
+        let last = VirtPageNum(start.raw() + pages - 1).large_page().raw();
+        for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
+            tlb.flush_base_range(asid, start, pages);
+            for lpn in first..=last {
+                tlb.flush_large(asid, mosaic_vm::LargePageNum(lpn).addr());
             }
         }
         if self.cfg.fleet.gpus > 1 {
@@ -325,23 +322,12 @@ impl GpuSystem {
         }
     }
 
-    fn count_events(&mut self, events: &[MgmtEvent]) {
-        for e in events {
-            match e {
-                MgmtEvent::Coalesced { .. } => self.coalesce_events.inc(),
-                MgmtEvent::Splintered { .. } => self.splinter_events.inc(),
-                _ => {}
-            }
-        }
-    }
-
     /// Applies management side effects; returns the cycle at which any
     /// triggered page migrations complete (allocations that depend on the
     /// compacted frames must wait for it). Shootdowns and flushes are
     /// fleet-wide (every device's TLBs drop the stale translations); DRAM
     /// page copies are charged to `gpu`'s channels.
     fn apply_events(&mut self, now: Cycle, events: &[MgmtEvent], gpu: usize) -> Cycle {
-        self.count_events(events);
         let mut migrations_done = now;
         for e in events {
             match *e {
@@ -367,15 +353,6 @@ impl GpuSystem {
                     if blocking {
                         migrations_done = migrations_done.max(done);
                     }
-                    if self.cfg.system.compaction_stalls_gpu {
-                        self.pending_stall = self.pending_stall.max(done);
-                    }
-                }
-                MgmtEvent::TlbFlushAll => {
-                    for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
-                        tlb.flush_all();
-                    }
-                    self.pending_stall = self.pending_stall.max(now + TLB_FLUSH_STALL);
                 }
                 MgmtEvent::TlbShootdown { asid, lpn } => {
                     // Targeted IPI-style shootdown: drop the region's base
@@ -387,9 +364,6 @@ impl GpuSystem {
                         tlb.flush_base_range(asid, lpn.base_page(0), BASE_PAGES_PER_LARGE_PAGE);
                     }
                     self.pending_stall = self.pending_stall.max(now + TLB_FLUSH_STALL);
-                }
-                MgmtEvent::SmStallAll { cycles } => {
-                    self.pending_stall = self.pending_stall.max(now + cycles);
                 }
             }
         }
@@ -1087,6 +1061,8 @@ impl MemoryInterface for GpuSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_mem::Topology;
+    use mosaic_vm::LargePageNum;
     use mosaic_workloads::ScaleConfig;
 
     fn small_cfg(manager: ManagerKind) -> RunConfig {
@@ -1169,7 +1145,7 @@ mod tests {
         sys.warp_access(Cycle::new(0), 0, AppId(0), &[VirtAddr(0)]); // fill large entry
                                                                      // Deallocate most of the chunk: splinter + compaction.
         sys.deallocate(Cycle::new(10_000), AppId(0), VirtPageNum(0), 500);
-        assert!(sys.splinter_events.get() >= 1);
+        assert!(sys.manager.stats().splinters >= 1);
         // The next access must walk again (large entry was flushed).
         let walks_before = sys.stats().walks;
         sys.warp_access(Cycle::new(20_000), 0, AppId(0), &[VirtAddr(510 * 4096)]);
@@ -1177,16 +1153,42 @@ mod tests {
     }
 
     #[test]
-    fn compaction_raises_stall_fence() {
+    fn compaction_never_raises_stall_fence() {
         let mut sys = GpuSystem::new(small_cfg(ManagerKind::mosaic()).preloaded());
-        sys.launch_app(AppId(0), VirtPageNum(0), 512 + 64);
+        sys.launch_app(AppId(0), VirtPageNum(0), 4096);
+        // Splintering chunk 0 finds no spare frame and donates its holes;
+        // chunk 6 shares its DRAM channel, so its survivors compact into
+        // them.
+        sys.deallocate(Cycle::new(5_000), AppId(0), VirtPageNum(0), 400);
+        sys.deallocate(Cycle::new(5_000), AppId(0), VirtPageNum(3072), 400);
+        assert!(sys.manager.stats().migrations > 0, "the setup compacts");
+        assert!(sys.take_pending_stall().is_none(), "compaction is priced by the copy engine");
+    }
+
+    #[test]
+    fn shootdown_raises_stall_fence() {
+        let mut sys = launched(ManagerKind::GpuMmu4K);
         assert!(sys.take_pending_stall().is_none());
-        sys.deallocate(Cycle::new(5_000), AppId(0), VirtPageNum(0), 500);
-        if sys.manager.stats().migrations > 0 {
-            let stall = sys.take_pending_stall().expect("migration stalls the GPU");
-            assert!(stall > Cycle::new(5_000));
-            assert!(sys.take_pending_stall().is_none(), "fence is drained");
-        }
+        let shootdown = MgmtEvent::TlbShootdown { asid: AppId(0), lpn: LargePageNum(0) };
+        sys.apply_events(Cycle::new(5_000), &[shootdown], 0);
+        assert_eq!(sys.take_pending_stall(), Some(Cycle::new(5_000 + TLB_FLUSH_STALL)));
+        assert!(sys.take_pending_stall().is_none(), "the first take drains the fence");
+    }
+
+    #[test]
+    fn zero_page_deallocate_keeps_fleet_placement() {
+        let cfg =
+            small_cfg(ManagerKind::GpuMmu4K).preloaded().multi_gpu(2, Topology::FullyConnected);
+        let mut sys = GpuSystem::new(cfg);
+        sys.launch_app(AppId(0), VirtPageNum(0), 2048);
+        // The first SM of GPU 1 touches region 0 first: GPU 1 owns it.
+        let gpu1_sm = sys.config().system.sm_count;
+        sys.warp_access(Cycle::new(0), gpu1_sm, AppId(0), &[VirtAddr(0)]);
+        assert_eq!(sys.placement.owner(AppId(0), LargePageNum(0)), Some(1));
+        sys.deallocate(Cycle::new(1_000), AppId(0), VirtPageNum(0), 0);
+        assert_eq!(sys.placement.owner(AppId(0), LargePageNum(0)), Some(1), "no-op");
+        sys.deallocate(Cycle::new(2_000), AppId(0), VirtPageNum(0), 1);
+        assert_eq!(sys.placement.owner(AppId(0), LargePageNum(0)), None, "one page forgets it");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! The model is a serialized latency + bandwidth queue fitted through those
 //! two measured points: completion = start + `base_latency` + `bytes`/`bandwidth`,
 //! where consecutive transfers pipeline at the bandwidth term but share the
-//! single bus. An optional zero-overhead mode supports the paper's
-//! "no demand paging overhead" experiments (Figures 3 and 4's baselines).
+//! single bus. The paper's "no demand paging overhead" runs preload every
+//! page (`DemandPagingMode::PreloadedFree`); they are not a bus mode.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -28,9 +28,6 @@ pub struct IoBusConfig {
     pub bytes_per_ns: f64,
     /// Minimum bus occupancy per transfer (command overhead), in ns.
     pub issue_overhead: Nanos,
-    /// When `true`, transfers complete instantly — the "no demand paging
-    /// overhead" idealization of Section 3.1.
-    pub zero_overhead: bool,
     /// Core clock for converting to shader cycles.
     pub core_clock_mhz: f64,
 }
@@ -48,14 +45,8 @@ impl IoBusConfig {
             base_latency: Nanos(base),
             bytes_per_ns: bw,
             issue_overhead: Nanos(1_000.0),
-            zero_overhead: false,
             core_clock_mhz: 1020.0,
         }
-    }
-
-    /// The paper configuration with transfer overheads disabled.
-    pub fn paper_zero_overhead() -> Self {
-        IoBusConfig { zero_overhead: true, ..Self::paper() }
     }
 
     /// The paper configuration with all transfer times divided by
@@ -85,11 +76,7 @@ impl IoBusConfig {
 
     /// Load-to-use latency of an uncontended transfer of `bytes`.
     pub fn uncontended_latency(&self, bytes: u64) -> Nanos {
-        if self.zero_overhead {
-            Nanos(0.0)
-        } else {
-            Nanos(self.base_latency.0 + bytes as f64 / self.bytes_per_ns)
-        }
+        Nanos(self.base_latency.0 + bytes as f64 / self.bytes_per_ns)
     }
 }
 
@@ -146,11 +133,6 @@ impl IoBus {
     pub fn transfer(&mut self, now: Cycle, bytes: u64) -> Cycle {
         self.transfers.inc();
         self.bytes.add(bytes);
-        if self.config.zero_overhead {
-            // Instant transfers have neither queue nor service time; the
-            // histograms stay empty rather than piling up zero samples.
-            return now;
-        }
         let wire_ns = bytes as f64 / self.config.bytes_per_ns;
         let occupy = self.clock.cycles_for(Nanos(wire_ns.max(self.config.issue_overhead.0))).max(1);
         let grant = self.port.acquire_for(now, occupy);
@@ -227,24 +209,6 @@ mod tests {
         // Both complete within ~56us + ~1us spacing: the fixed fault
         // latency overlaps; only wire time serializes.
         assert!(b.since(a) < 2_000, "4KB transfers pipeline, got {}", b.since(a));
-    }
-
-    #[test]
-    fn zero_overhead_mode_is_free() {
-        let mut bus = IoBus::new(IoBusConfig::paper_zero_overhead());
-        let done = bus.transfer(Cycle::new(123), LARGE_PAGE);
-        assert_eq!(done, Cycle::new(123));
-        assert_eq!(bus.transfers(), 1, "stats still recorded");
-    }
-
-    #[test]
-    fn zero_overhead_mode_records_no_latency_samples() {
-        let mut bus = IoBus::new(IoBusConfig::paper_zero_overhead());
-        bus.transfer(Cycle::new(0), BASE_PAGE);
-        bus.transfer(Cycle::new(0), LARGE_PAGE);
-        assert_eq!(bus.queue().count(), 0, "instant transfers never queue");
-        assert_eq!(bus.service().count(), 0, "instant transfers have no service time");
-        assert_eq!(bus.transfers(), 2);
     }
 
     #[test]

@@ -128,7 +128,6 @@ pub struct Dram {
     /// per-access and per-copy-beat paths need it on every call.
     burst_cycles: u64,
     row_hits: Ratio,
-    accesses: Counter,
     bulk_copies: Counter,
     narrow_copies: Counter,
 }
@@ -159,7 +158,6 @@ impl Dram {
             clock,
             burst_cycles,
             row_hits: Ratio::default(),
-            accesses: Counter::new(),
             bulk_copies: Counter::new(),
             narrow_copies: Counter::new(),
         }
@@ -198,7 +196,6 @@ impl Dram {
     /// Everything before `done - service` is bank/bus queueing, which is
     /// how the stall attribution splits DRAM time into queue vs. service.
     pub fn access_timed(&mut self, now: Cycle, addr: u64) -> (Cycle, u64, bool) {
-        self.accesses.inc();
         let (ch, bank_idx, row) = self.locate(addr);
         let hit = self.channels[ch].banks[bank_idx].access_row(row);
         self.row_hits.record(hit);
@@ -270,11 +267,6 @@ impl Dram {
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> Ratio {
         self.row_hits
-    }
-
-    /// Number of line accesses serviced.
-    pub fn accesses(&self) -> u64 {
-        self.accesses.get()
     }
 
     /// Number of bulk (in-DRAM) page copies performed.

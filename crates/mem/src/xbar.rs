@@ -6,7 +6,7 @@
 //! that serializes line-sized flits, which captures the first-order effect:
 //! partition camping and many-to-one bursts queue at the destination.
 
-use mosaic_sim_core::{Counter, Cycle, Histogram, ThroughputPort};
+use mosaic_sim_core::{Cycle, ThroughputPort};
 
 /// Crossbar parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +43,6 @@ impl CrossbarConfig {
 pub struct Crossbar {
     config: CrossbarConfig,
     ports: Vec<ThroughputPort>,
-    flits: Counter,
-    queueing: Histogram,
 }
 
 impl Crossbar {
@@ -62,8 +60,6 @@ impl Crossbar {
                     ThroughputPort::pipelined(config.latency.max(1), config.cycles_per_flit.max(1))
                 })
                 .collect(),
-            flits: Counter::new(),
-            queueing: Histogram::default(),
         }
     }
 
@@ -75,21 +71,8 @@ impl Crossbar {
     /// Sends one flit to `partition` starting at `now`; returns the cycle
     /// it arrives at the partition.
     pub fn traverse(&mut self, now: Cycle, partition: usize) -> Cycle {
-        self.flits.inc();
         let port = &mut self.ports[partition % self.config.partitions];
-        let grant = port.acquire(now);
-        self.queueing.record(grant.start.since(now));
-        grant.start + self.config.latency
-    }
-
-    /// Total flits transferred.
-    pub fn flits(&self) -> u64 {
-        self.flits.get()
-    }
-
-    /// Distribution of per-flit queueing delay in cycles.
-    pub fn queueing(&self) -> &Histogram {
-        &self.queueing
+        port.acquire(now).start + self.config.latency
     }
 }
 
@@ -101,7 +84,6 @@ mod tests {
     fn uncontended_flit_takes_latency() {
         let mut x = Crossbar::new(CrossbarConfig::paper());
         assert_eq!(x.traverse(Cycle::new(10), 3), Cycle::new(14));
-        assert_eq!(x.flits(), 1);
     }
 
     #[test]
@@ -119,14 +101,6 @@ mod tests {
         let a = x.traverse(Cycle::new(0), 0);
         let b = x.traverse(Cycle::new(0), 1);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn queueing_histogram_records_waits() {
-        let mut x = Crossbar::new(CrossbarConfig { partitions: 1, latency: 1, cycles_per_flit: 5 });
-        x.traverse(Cycle::new(0), 0);
-        x.traverse(Cycle::new(0), 0);
-        assert_eq!(x.queueing().max(), Some(5));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use audit::{AuditInvariants, AuditReport, AuditViolation};
 pub use clock::{ClockDomain, Cycle, Nanos};
 pub use queue::{OccupancyPool, ThroughputPort};
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, Ratio, StatSet};
+pub use stats::{Counter, Histogram, Ratio};
 
 /// 64-bit FNV-1a over `bytes`: the digest that pins rendered reports to
 /// their golden values. Small and dependency-free; collision resistance

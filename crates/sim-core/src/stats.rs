@@ -4,7 +4,6 @@
 //! through these types, and the experiment drivers aggregate them into the
 //! rows and series the paper reports.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A monotonically increasing event counter.
@@ -124,10 +123,7 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// A latency/size histogram with power-of-two buckets plus exact mean.
-///
-/// Tracks count, sum, min, and max exactly; the bucketed view is for
-/// distribution-shaped reporting (e.g., page-walk latency spread).
+/// A latency/size summary: exact count, sum, min, max, and mean.
 ///
 /// # Examples
 ///
@@ -148,9 +144,6 @@ pub struct Histogram {
     sum: u128,
     min: Option<u64>,
     max: Option<u64>,
-    /// bucket index `i` counts samples in `[2^i, 2^(i+1))`; index 0 also
-    /// holds zero-valued samples.
-    buckets: BTreeMap<u8, u64>,
 }
 
 impl Histogram {
@@ -160,8 +153,6 @@ impl Histogram {
         self.sum += u128::from(value);
         self.min = Some(self.min.map_or(value, |m| m.min(value)));
         self.max = Some(self.max.map_or(value, |m| m.max(value)));
-        let bucket = if value == 0 { 0 } else { 63 - value.leading_zeros() as u8 };
-        *self.buckets.entry(bucket).or_insert(0) += 1;
     }
 
     /// Number of samples recorded.
@@ -197,12 +188,6 @@ impl Histogram {
         self.max
     }
 
-    /// Iterates `(bucket_floor, count)` pairs in ascending order, where
-    /// `bucket_floor` is the inclusive lower bound of the bucket.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&b, &c)| (if b == 0 { 0 } else { 1u64 << b }, c))
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
@@ -215,65 +200,6 @@ impl Histogram {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         };
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_insert(0) += c;
-        }
-    }
-}
-
-/// A named, ordered collection of scalar statistics, used to dump any
-/// component's counters as one machine-readable blob.
-///
-/// # Examples
-///
-/// ```
-/// use mosaic_sim_core::StatSet;
-///
-/// let mut s = StatSet::new("l1_tlb");
-/// s.set("hits", 90.0);
-/// s.set("misses", 10.0);
-/// assert_eq!(s.get("hits"), Some(90.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatSet {
-    name: String,
-    values: BTreeMap<String, f64>,
-}
-
-impl StatSet {
-    /// Creates an empty set labelled `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        StatSet { name: name.into(), values: BTreeMap::new() }
-    }
-
-    /// The label of this set.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Inserts or overwrites the statistic `key`.
-    pub fn set(&mut self, key: impl Into<String>, value: f64) {
-        self.values.insert(key.into(), value);
-    }
-
-    /// Looks up a statistic by name.
-    pub fn get(&self, key: &str) -> Option<f64> {
-        self.values.get(key).copied()
-    }
-
-    /// Iterates `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.values.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "[{}]", self.name)?;
-        for (k, v) in self.iter() {
-            writeln!(f, "  {k} = {v}")?;
-        }
-        Ok(())
     }
 }
 
@@ -333,20 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_power_of_two() {
-        let mut h = Histogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(3); // bucket [2,4)
-        h.record(1000); // bucket [512, 1024)
-        let buckets: Vec<_> = h.buckets().collect();
-        // Bucket 0 holds both the zero sample and the sample of value 1.
-        assert!(buckets.contains(&(0, 2)));
-        assert!(buckets.contains(&(2, 1)));
-        assert!(buckets.contains(&(512, 1)));
-    }
-
-    #[test]
     fn histogram_merge_combines() {
         let mut a = Histogram::default();
         a.record(5);
@@ -356,17 +268,5 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(5));
         assert_eq!(a.max(), Some(50));
-    }
-
-    #[test]
-    fn statset_roundtrip() {
-        let mut s = StatSet::new("dram");
-        s.set("row_hits", 7.0);
-        s.set("row_misses", 3.0);
-        assert_eq!(s.name(), "dram");
-        assert_eq!(s.get("row_hits"), Some(7.0));
-        assert_eq!(s.get("absent"), None);
-        let pairs: Vec<_> = s.iter().collect();
-        assert_eq!(pairs.len(), 2);
     }
 }

@@ -16,8 +16,8 @@ fn sample_streams(seed: u64) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
         let len = rng.below(max_len + 1) as usize;
         (0..len)
             .map(|_| {
-                // Mix tiny, mid-range, and huge samples so bucket indices,
-                // zero handling, and the u128 sum all get exercised.
+                // Mix tiny, mid-range, and huge samples so zero handling,
+                // min/max, and the u128 sum all get exercised.
                 match rng.below(4) {
                     0 => rng.below(3),
                     1 => rng.below(1 << 12),
@@ -77,11 +77,6 @@ fn histogram_merge_is_associative_commutative_and_matches_concatenation() {
         assert_eq!(left.count(), whole.count());
         assert_eq!(left.sum(), whole.sum());
         assert_eq!(left.mean().to_bits(), whole.mean().to_bits(), "seed {seed}");
-        assert_eq!(
-            left.buckets().collect::<Vec<_>>(),
-            whole.buckets().collect::<Vec<_>>(),
-            "seed {seed}"
-        );
 
         // Merging an empty histogram is the identity.
         let mut with_empty = left.clone();
@@ -130,7 +125,6 @@ fn empty_aggregates_are_well_defined() {
     assert_eq!(h.count(), 0);
     assert_eq!(h.min(), None);
     assert_eq!(h.max(), None);
-    assert_eq!(h.buckets().count(), 0);
 
     let r = Ratio::default();
     assert_eq!(r.rate(), 1.0, "an empty TLB has not missed");

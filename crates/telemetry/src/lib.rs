@@ -49,15 +49,6 @@ pub trait EventSink {
     }
 }
 
-/// A sink that discards everything (the explicit "off" sink; with the
-/// gate disabled it is never even called).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _ev: Event) {}
-}
-
 /// An unbounded in-memory sink; [`EventSink::take_events`] drains it.
 #[derive(Debug, Default)]
 pub struct MemSink {
@@ -78,55 +69,6 @@ impl EventSink for MemSink {
 
     fn take_events(&mut self) -> Vec<Event> {
         std::mem::take(&mut self.events)
-    }
-}
-
-/// A bounded cycle-stamped ring buffer: keeps the most recent `capacity`
-/// events and counts how many were overwritten. Useful for flight-
-/// recorder style capture of long runs.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: Vec<Event>,
-    capacity: usize,
-    next: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink { buf: Vec::new(), capacity: capacity.max(1), next: 0, dropped: 0 }
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, ev: Event) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.next] = ev;
-            self.dropped += 1;
-        }
-        self.next = (self.next + 1) % self.capacity;
-    }
-
-    /// Drains the ring in arrival order (oldest surviving event first).
-    fn take_events(&mut self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        if self.buf.len() == self.capacity {
-            out.extend_from_slice(&self.buf[self.next..]);
-            out.extend_from_slice(&self.buf[..self.next]);
-        } else {
-            out.extend_from_slice(&self.buf);
-        }
-        self.buf.clear();
-        self.next = 0;
-        out
     }
 }
 
@@ -250,18 +192,5 @@ mod tests {
         }
         assert!(!enabled());
         assert!(set_sink(None).is_none(), "drop removed the sink");
-    }
-
-    #[test]
-    fn ring_sink_keeps_newest_in_order() {
-        let mut ring = RingSink::new(3);
-        for c in 0..5 {
-            ring.record(ev(c));
-        }
-        assert_eq!(ring.dropped(), 2);
-        assert_eq!(ring.take_events(), vec![ev(2), ev(3), ev(4)]);
-        // Partially filled after drain.
-        ring.record(ev(9));
-        assert_eq!(ring.take_events(), vec![ev(9)]);
     }
 }

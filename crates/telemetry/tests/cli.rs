@@ -1,0 +1,38 @@
+//! `mosaic-trace` error handling: bad arguments exit 2 with usage; an
+//! unreadable or malformed trace exits 1, naming the file and line.
+
+use std::process::Command;
+
+fn mosaic_trace(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_mosaic-trace")).args(args).output().expect("runs");
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn bad_arguments_exit_2_with_usage() {
+    for args in [&[][..], &["bogus"], &["validate"], &["chrome", "a.jsonl", "--out", "b.json"]] {
+        let (code, stderr) = mosaic_trace(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("usage:\n  mosaic-trace validate"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn malformed_or_unreadable_trace_exits_1() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let (bad, missing) = (format!("{dir}/cli-malformed.jsonl"), format!("{dir}/cli-missing.jsonl"));
+    std::fs::write(&bad, "{\"cycle\":1}\n").expect("scratch trace");
+    let out = format!("{dir}/cli-out.json");
+    for (args, error) in [
+        (vec!["validate", &bad], format!("{bad}: line 1: first key must be \"type\"")),
+        (vec!["chrome", &bad, "-o", &out], format!("{bad}: line 1: missing \"type\"")),
+        (vec!["validate", &missing], format!("cannot read {missing}")),
+        (vec!["chrome", &missing, "-o", &out], format!("cannot read {missing}")),
+    ] {
+        let (code, stderr) = mosaic_trace(&args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("mosaic-trace: {error}")), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(&out).exists(), "a failed conversion writes nothing");
+}

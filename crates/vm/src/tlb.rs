@@ -312,8 +312,8 @@ impl TranslationArray {
 /// future hit/miss/eviction decision is unchanged; had another lookup,
 /// fill, or flush intervened (or a second entry been cached), the slot
 /// might no longer be most-recent and skipping its recency update could
-/// change a later LRU victim. Statistics are replayed exactly as the slow
-/// path records them.
+/// change a later LRU victim. The hit is counted exactly as the slow path
+/// counts it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LastHit {
     asid: AppId,
@@ -344,8 +344,6 @@ pub struct Tlb {
     config: TlbConfig,
     base: TranslationArray,
     large: TranslationArray,
-    base_stats: Ratio,
-    large_stats: Ratio,
     overall: Ratio,
     last_hit: Option<LastHit>,
 }
@@ -357,8 +355,6 @@ impl Tlb {
             config,
             base: TranslationArray::new(config.base_entries, config.base_assoc),
             large: TranslationArray::new(config.large_entries, config.large_assoc),
-            base_stats: Ratio::default(),
-            large_stats: Ratio::default(),
             overall: Ratio::default(),
             last_hit: None,
         }
@@ -377,23 +373,17 @@ impl Tlb {
     /// Probes the TLB for `addr` in address space `asid`: large entries
     /// first, then base entries. A lookup that repeats the previous hit
     /// (same ASID, same covered page, nothing in between) is served from
-    /// [`LastHit`] without probing; statistics and outcome are identical
-    /// either way.
+    /// the cached last hit without probing; the hit count and outcome are
+    /// identical either way.
     pub fn lookup(&mut self, asid: AppId, addr: VirtAddr) -> TlbLookup {
         if let Some(last) = self.last_hit {
             if last.asid == asid {
                 match last.size {
                     PageSize::Large if last.page == addr.large_page().raw() => {
-                        // Replay of the slow path's large-hit records.
-                        self.large_stats.record(true);
                         self.overall.record(true);
                         return TlbLookup::HitLarge;
                     }
                     PageSize::Base if last.page == addr.base_page().raw() => {
-                        // Replay of the slow path's large-miss/base-hit
-                        // records.
-                        self.large_stats.record(false);
-                        self.base_stats.record(true);
                         self.overall.record(true);
                         return TlbLookup::HitBase;
                     }
@@ -401,16 +391,13 @@ impl Tlb {
                 }
             }
         }
-        let large_hit = self.large.lookup(asid, addr.large_page().raw());
-        self.large_stats.record(large_hit);
-        if large_hit {
+        if self.large.lookup(asid, addr.large_page().raw()) {
             self.overall.record(true);
             self.last_hit =
                 Some(LastHit { asid, page: addr.large_page().raw(), size: PageSize::Large });
             return TlbLookup::HitLarge;
         }
         let base_hit = self.base.lookup(asid, addr.base_page().raw());
-        self.base_stats.record(base_hit);
         self.overall.record(base_hit);
         if base_hit {
             self.last_hit =
@@ -491,21 +478,12 @@ impl Tlb {
         self.base.flush_asid(asid) + self.large.flush_asid(asid)
     }
 
-    /// Removes all entries; the full-TLB shootdown of the baseline
-    /// coalescing path (Figure 6a). Returns entries dropped.
+    /// Removes all entries, returning how many were dropped. The
+    /// simulator's shootdowns are targeted; only the conformance suite
+    /// flushes a whole TLB.
     pub fn flush_all(&mut self) -> usize {
         self.last_hit = None;
         self.base.flush_all() + self.large.flush_all()
-    }
-
-    /// Hit rate over base-entry probes only.
-    pub fn base_hit_rate(&self) -> Ratio {
-        self.base_stats
-    }
-
-    /// Hit rate over large-entry probes only.
-    pub fn large_hit_rate(&self) -> Ratio {
-        self.large_stats
     }
 
     /// Hit rate over all lookups (hit in either array).
@@ -526,14 +504,6 @@ impl Tlb {
         let base = self.base.sets.iter().flatten().map(|s| (s.asid, s.page, PageSize::Base));
         let large = self.large.sets.iter().flatten().map(|s| (s.asid, s.page, PageSize::Large));
         base.chain(large)
-    }
-
-    /// Clears hit/miss statistics without touching contents (used to
-    /// exclude warm-up from measurements).
-    pub fn reset_stats(&mut self) {
-        self.base_stats = Ratio::default();
-        self.large_stats = Ratio::default();
-        self.overall = Ratio::default();
     }
 }
 
@@ -661,8 +631,6 @@ mod tests {
         tlb.lookup(AppId(0), addr); // hit
         assert_eq!(tlb.hit_rate().total(), 2);
         assert_eq!(tlb.hit_rate().hits(), 1);
-        tlb.reset_stats();
-        assert_eq!(tlb.hit_rate().total(), 0);
     }
 
     #[test]
@@ -696,14 +664,11 @@ mod tests {
         tlb.fill(AppId(0), addr, PageSize::Base);
         assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
         assert!(tlb.last_hit.is_some(), "hit primes the cache");
-        // Repeats are served from the cache with identical stats.
+        // Repeats are served from the cache and counted as hits.
         assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
         assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
         assert_eq!(tlb.hit_rate().hits(), 3);
         assert_eq!(tlb.hit_rate().total(), 3);
-        assert_eq!(tlb.base_hit_rate().total(), 3);
-        assert_eq!(tlb.large_hit_rate().total(), 3, "cached base hits replay the large miss");
-        assert_eq!(tlb.large_hit_rate().hits(), 0);
         // A different page falls back to the probe; a miss clears the cache.
         assert_eq!(tlb.lookup(AppId(0), VirtPageNum(8).addr()), TlbLookup::Miss);
         assert!(tlb.last_hit.is_none(), "a miss clears the cache");
@@ -718,9 +683,9 @@ mod tests {
         // A different base page of the same large page is still a cached
         // repeat — the large entry covers all of it.
         assert_eq!(tlb.lookup(AppId(0), lpn.base_page(511).addr()), TlbLookup::HitLarge);
-        assert_eq!(tlb.large_hit_rate().hits(), 2);
+        assert_eq!(tlb.hit_rate().hits(), 2);
         assert_eq!(tlb.hit_rate().total(), 2);
-        assert_eq!(tlb.base_hit_rate().total(), 0, "large hits never probe the base array");
+        assert_eq!(tlb.last_hit.map(|h| h.size), Some(PageSize::Large), "large hit cached");
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! cheap hit, skipping the memory access for that walk level.
 
 use crate::addr::PhysAddr;
-use mosaic_sim_core::Ratio;
 
 /// A fully-associative LRU cache over page-table entry addresses.
 ///
@@ -32,20 +31,13 @@ pub struct WalkCache {
     capacity: usize,
     latency: u64,
     tick: u64,
-    stats: Ratio,
 }
 
 impl WalkCache {
     /// Creates a walk cache with `capacity` PTE entries and a hit latency
     /// of `latency` cycles.
     pub fn new(capacity: usize, latency: u64) -> Self {
-        WalkCache {
-            entries: Vec::with_capacity(capacity),
-            capacity,
-            latency,
-            tick: 0,
-            stats: Ratio::default(),
-        }
+        WalkCache { entries: Vec::with_capacity(capacity), capacity, latency, tick: 0 }
     }
 
     /// Hit latency in core cycles.
@@ -57,15 +49,12 @@ impl WalkCache {
     pub fn access(&mut self, addr: PhysAddr) -> bool {
         self.tick += 1;
         if self.capacity == 0 {
-            self.stats.record(false);
             return false;
         }
         if let Some(e) = self.entries.iter_mut().find(|(a, _)| *a == addr) {
             e.1 = self.tick;
-            self.stats.record(true);
             return true;
         }
-        self.stats.record(false);
         if self.entries.len() < self.capacity {
             self.entries.push((addr, self.tick));
         } else {
@@ -77,11 +66,6 @@ impl WalkCache {
             *lru = (addr, self.tick);
         }
         false
-    }
-
-    /// Hit-rate statistics.
-    pub fn hit_rate(&self) -> Ratio {
-        self.stats
     }
 
     /// Number of cached entries.
@@ -99,8 +83,7 @@ mod tests {
         let mut c = WalkCache::new(4, 10);
         assert!(!c.access(PhysAddr(1)));
         assert!(c.access(PhysAddr(1)));
-        assert_eq!(c.hit_rate().hits(), 1);
-        assert_eq!(c.hit_rate().misses(), 1);
+        assert_eq!(c.occupancy(), 1, "a hit does not refill");
     }
 
     #[test]

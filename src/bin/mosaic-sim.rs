@@ -12,6 +12,8 @@
 //! before anything runs.
 //!
 //! Options:
+//!
+//! ```text
 //!   --manager <TOKEN|all>  a campaign manager token (gpu-mmu, gpu-mmu-2m,
 //!                        mosaic, mosaic-nocac, mosaic-bc, mosaic-ideal,
 //!                        migrating, ideal-tlb); `all` runs gpu-mmu,
@@ -24,6 +26,7 @@
 //!                        and abort on the first violation; N defaults to
 //!                        100000. Debug builds audit by default.
 //!   --list               list the application roster and exit
+//! ```
 
 use mosaic::gpusim::manager_tokens;
 use mosaic::prelude::*;
