@@ -1,6 +1,6 @@
 //! The golden smoke-scope digests: one table, read by the golden matrix
 //! (`tests/golden_matrix.rs`), the workspace root's `tests/goldens.rs`
-//! and `ci.sh`'s multigpu pin.
+//! and `ci.sh`'s pin checks.
 //!
 //! Each digest is the FNV-1a of a report rendered at [`Scope::Smoke`]
 //! (the same line `reproduce --digest` prints). Update an entry ONLY for
@@ -28,6 +28,10 @@ use mosaic_sim_core::fnv1a;
 /// * `ablation_coalescers` — the only report that runs the migrating
 ///   coalescer (GPU-MMU vs Migrating vs Mosaic), pinned before the three
 ///   managers moved onto one resident-memory core.
+/// * `fig16`, `table2` — the only reports that run Section 6.4's
+///   pre-fragmentation, CAC's failsafe (FRAG compaction, emergency
+///   splinters) and hole scavenging; pinned before the failsafe grew
+///   its O(1) early exit.
 /// * `trace` — the JSONL trace of a smoke MM+GUPS sweep under GPU-MMU
 ///   and Mosaic (`tests/golden_matrix.rs`), pinned when the telemetry
 ///   pipeline landed.
@@ -40,6 +44,8 @@ pub const GOLDENS: &[(&str, &str)] = &[
     ("oversub", "34029bf26e3a411f"),
     ("multigpu", "eea524f5b009c7d8"),
     ("ablation_coalescers", "09b50acab5cc2dfe"),
+    ("fig16", "340580d370ae6c4c"),
+    ("table2", "17439706695124d7"),
     ("trace", "1018f6b5fd858109"),
 ];
 

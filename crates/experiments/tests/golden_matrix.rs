@@ -11,7 +11,9 @@
 use mosaic_campaign::{CampaignScope, Store};
 use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::sweep::{render_trace, TraceCollector};
-use mosaic_experiments::{ablations, fig03, fig08, fig11, multigpu, oversub, stall, Scope, Sweep};
+use mosaic_experiments::{
+    ablations, fig03, fig08, fig11, fig16, multigpu, oversub, stall, table2, Scope, Sweep,
+};
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
 use std::path::Path;
@@ -26,7 +28,7 @@ struct Row {
     absent: &'static [&'static str],
 }
 
-const ROWS: [Row; 8] = [
+const ROWS: [Row; 10] = [
     Row { name: "fig08", render: |s| fig08::run(s).to_string(), present: &[], absent: &[] },
     Row { name: "fig03", render: |s| fig03::run(s).to_string(), present: &[], absent: &[] },
     Row { name: "fig11", render: |s| fig11::run(s).to_string(), present: &[], absent: &[] },
@@ -62,6 +64,22 @@ const ROWS: [Row; 8] = [
         render: |s| ablations::migrating_coalescer(s).to_string(),
         present: &["Migrating"],
         absent: &[],
+    },
+    // Pre-fragmented memory under every CAC flavor: the failsafe's FRAG
+    // compaction and hole scavenging ran, so the flavors diverge.
+    Row {
+        name: "fig16",
+        render: |s| fig16::run(s).to_string(),
+        present: &["fragmentation-index sweep", "CAC-BC", "Ideal CAC"],
+        absent: &[],
+    },
+    // Bloat at 100% fragmentation index: scavenged holes inflate the
+    // footprint, so the bloat is not zero.
+    Row {
+        name: "table2",
+        render: |s| table2::run(s).to_string(),
+        present: &["at 100% fragmentation index"],
+        absent: &["bloat:         0.00%"],
     },
 ];
 
