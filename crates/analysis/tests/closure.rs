@@ -105,8 +105,10 @@ fn closure_is_substantial_but_not_everything() {
 fn closure_covers_the_bulk_operation_fast_paths() {
     // The O(1) bulk paths: a page copy books each hop as one port train
     // over an allocation-free route, and region shootdowns (from
-    // `deallocate` and the eviction pump) invalidate by 2 MB group. They
-    // run on every migration and unmap, so they must stay hot.
+    // `deallocate` and the eviction pump) remove their entries in one
+    // pass over each TLB. They run on every migration and unmap, so they
+    // must stay hot. So must the page sets every fault updates (the
+    // touched working set, the evicted-page ledger).
     let closure = real_workspace().closure();
     for (ty, name) in [
         ("ThroughputPort", "acquire_train"),
@@ -115,6 +117,9 @@ fn closure_covers_the_bulk_operation_fast_paths() {
         ("Topology", "hops"),
         ("Tlb", "flush_base_range"),
         ("TranslationArray", "invalidate_range"),
+        ("TranslationArray", "remove_where"),
+        ("PageSet", "insert"),
+        ("PageSet", "remove"),
     ] {
         assert!(
             closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),

@@ -122,7 +122,7 @@ impl Cac {
             if mapped == 0 {
                 if let Some(lf) = cocoa.unbind_chunk(asid, lpn) {
                     cocoa.reclaim_base(asid, lf);
-                    if pool.state(lf).is_empty() {
+                    if pool.is_empty(lf) {
                         pool.release_frame(lf);
                         self.frames_reclaimed.inc();
                     }
@@ -168,14 +168,13 @@ impl Cac {
                 None => stuck.push(vpn),
             }
         }
-        if pool.state(lf).is_empty() {
+        if pool.is_empty(lf) {
             pool.release_frame(lf);
             self.frames_reclaimed.inc();
         } else {
             // Migration ran out of destinations: the remaining holes are
             // still usable as base pages for this app.
-            let holes: Vec<_> = pool.state(lf).holes().map(|i| lf.base_frame(i)).collect();
-            cocoa.donate_base(asid, holes);
+            cocoa.donate_base(asid, pool.holes(lf));
         }
         let _ = stuck;
         events
@@ -245,7 +244,7 @@ impl Cac {
                     self.splinters.inc();
                 }
                 let Some(lf) = cocoa.unbind_chunk(owner, lpn) else { continue };
-                let holes: Vec<_> = pool.state(lf).holes().map(|i| lf.base_frame(i)).collect();
+                let holes = pool.holes(lf);
                 if holes.is_empty() {
                     continue;
                 }
@@ -277,17 +276,20 @@ impl Cac {
 
     /// Finds the fragmented (FRAG_OWNER) frame with the most holes and
     /// returns those base frames, or `None` if no fragmented frame has
-    /// free space.
+    /// free space. O(1) in a run without injected fragmentation.
     fn scavenge_fragmented_holes(
         &mut self,
         pool: &mut FramePool,
     ) -> Option<Vec<mosaic_vm::PhysFrameNum>> {
+        if pool.frag_frames() == 0 {
+            return None;
+        }
         let victim = pool
             .tracked()
-            .filter(|(_, s)| !s.is_full() && s.allocated().any(|(_, o)| o == FRAG_OWNER))
+            .filter(|(_, s)| !s.is_full() && s.frag_used() > 0)
             .max_by_key(|(lf, s)| (BASE_PAGES_PER_LARGE_PAGE - s.used(), std::cmp::Reverse(*lf)))
             .map(|(lf, _)| lf)?;
-        let holes: Vec<_> = pool.state(victim).holes().map(|i| victim.base_frame(i)).collect();
+        let holes = pool.holes(victim);
         if holes.is_empty() {
             None
         } else {
@@ -298,12 +300,16 @@ impl Cac {
     /// Consolidates pre-fragmented (FRAG_OWNER) data: moves the pages of
     /// the least-occupied fragmented frame into holes of other fragmented
     /// frames in the same channel, freeing the source frame. Returns the
-    /// migration events, or `None` if no frame could be freed.
+    /// migration events, or `None` if no frame could be freed. O(1) in a
+    /// run without injected fragmentation.
     fn compact_fragmented(&mut self, pool: &mut FramePool) -> Option<Vec<MgmtEvent>> {
+        if pool.frag_frames() == 0 {
+            return None;
+        }
         // Pick the least-occupied frame holding only FRAG_OWNER data.
         let mut frag_frames: Vec<(LargeFrameNum, u64)> = pool
             .tracked()
-            .filter(|(_, s)| !s.is_empty() && s.single_owner(FRAG_OWNER))
+            .filter(|(_, s)| s.frag_used() > 0 && s.frag_used() == s.used())
             .map(|(lf, s)| (lf, s.used()))
             .collect();
         frag_frames.sort_by_key(|&(lf, used)| (used, lf));
@@ -315,8 +321,8 @@ impl Cac {
             if pool.channel_of(lf) != channel {
                 continue;
             }
-            for i in pool.state(lf).holes() {
-                dst_holes.push(lf.base_frame(i));
+            for hole in pool.holes(lf) {
+                dst_holes.push(hole);
                 if dst_holes.len() as u64 >= src_used {
                     break;
                 }
@@ -329,7 +335,11 @@ impl Cac {
             return None; // Cannot fully drain any frame.
         }
         let mut events = Vec::new();
-        let srcs: Vec<_> = pool.state(src).allocated().map(|(i, _)| src.base_frame(i)).collect();
+        let srcs: Vec<_> = pool
+            .state(src)
+            .into_iter()
+            .flat_map(|s| s.allocated().map(|(i, _)| src.base_frame(i)))
+            .collect();
         for (from, to) in srcs.into_iter().zip(dst_holes) {
             pool.set_owner(from, None);
             pool.set_owner(to, Some(FRAG_OWNER));
@@ -388,6 +398,7 @@ impl AuditInvariants for Cac {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::FrameState;
     use mosaic_vm::{PageTableSet, LARGE_PAGE_SIZE};
 
     fn setup(frames: u64) -> (PageTableSet, FramePool, CoCoA) {
@@ -682,6 +693,70 @@ mod tests {
         assert_eq!(cac.migrations() as usize, migration_events);
         assert_eq!(cac.splinters(), 2);
         assert_eq!(cac.migrations(), 2);
+    }
+
+    /// The pool's count of frames holding injected fragmentation follows
+    /// the data through pre-fragmentation, FRAG compaction (one frame
+    /// drained into same-channel holes, then released), scavenged holes
+    /// stamped with an app owner, and frames cleared and released by
+    /// hand; the audit's recount agrees at every step, and at zero both
+    /// fragmented-frame searches come back empty.
+    #[test]
+    fn frag_frame_count_follows_injection_compaction_and_release() {
+        fn audited(pool: &FramePool) -> u64 {
+            let mut report = AuditReport::new();
+            pool.audit(&mut report);
+            report.assert_clean("frame pool");
+            pool.frag_frames()
+        }
+        let (_, mut pool, _) = setup(12);
+        assert_eq!(audited(&pool), 0);
+        let mut rng = mosaic_sim_core::SimRng::from_seed(3);
+        let report = pool.pre_fragment(1.0, 0.25, &mut rng);
+        assert_eq!(audited(&pool), 12);
+        assert_eq!(report.injected_pages, 12 * 128);
+
+        let mut cac = Cac::new(CacConfig::default());
+        let events = cac.compact_fragmented(&mut pool).expect("a same-channel frame drains");
+        assert_eq!(events.len(), 128, "one migration per injected page of the drained frame");
+        assert_eq!(pool.free_frames(), 1);
+        assert_eq!(audited(&pool), 11);
+
+        // A scavenged hole stamped with an app owner leaves the frame
+        // counted while it still holds injected data.
+        let lf = pool.tracked().map(|(lf, _)| lf).next().expect("tracked frame");
+        let hole = pool.holes(lf)[0];
+        pool.set_owner(hole, Some(AppId(0)));
+        assert_eq!(audited(&pool), 11);
+        let injected: Vec<_> = pool
+            .state(lf)
+            .into_iter()
+            .flat_map(|s| s.allocated().filter(|&(_, o)| o == FRAG_OWNER))
+            .map(|(i, _)| lf.base_frame(i))
+            .collect();
+        for pfn in injected {
+            pool.set_owner(pfn, None);
+        }
+        assert_eq!(audited(&pool), 10, "app data alone does not count");
+        assert_eq!(pool.state(lf).map(FrameState::frag_used), Some(0));
+
+        // Clear and release every other fragmented frame.
+        let frag: Vec<_> =
+            pool.tracked().filter(|(_, s)| s.frag_used() > 0).map(|(lf, _)| lf).collect();
+        for lf in frag {
+            let pages: Vec<_> = pool
+                .state(lf)
+                .into_iter()
+                .flat_map(|s| s.allocated().map(|(i, _)| lf.base_frame(i)))
+                .collect();
+            for pfn in pages {
+                pool.set_owner(pfn, None);
+            }
+            pool.release_frame(lf);
+        }
+        assert_eq!(audited(&pool), 0);
+        assert!(cac.compact_fragmented(&mut pool).is_none());
+        assert!(cac.scavenge_fragmented_holes(&mut pool).is_none());
     }
 
     /// Reclaiming from one's own parked emergency entry is not a

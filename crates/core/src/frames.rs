@@ -42,6 +42,9 @@ pub struct FrameState {
     /// Number of allocated base frames owned by real applications
     /// (excluding [`FRAG_OWNER`]).
     app_used: u16,
+    /// Number of base frames both allocated and mapped (cached): the
+    /// pages an eviction of this frame would tear down.
+    resident: u16,
     /// Pool-clock stamp of the most recent access (0 = never accessed).
     /// Drives the LRU eviction order.
     last_use: u64,
@@ -55,6 +58,7 @@ impl Default for FrameState {
             dirty: [0; DIRTY_WORDS],
             used: 0,
             app_used: 0,
+            resident: 0,
             last_use: 0,
         }
     }
@@ -74,6 +78,11 @@ impl FrameState {
     /// Whether every base frame is allocated.
     pub fn is_full(&self) -> bool {
         u64::from(self.used) == BASE_PAGES_PER_LARGE_PAGE
+    }
+
+    /// Number of base frames holding injected [`FRAG_OWNER`] data.
+    pub(crate) fn frag_used(&self) -> u64 {
+        u64::from(self.used - self.app_used)
     }
 
     /// Owner of base frame `i` within this large frame.
@@ -171,7 +180,7 @@ impl FragmentReport {
 /// let lf = pool.take_free_frame().unwrap();
 /// let pfn = lf.base_frame(0);
 /// pool.set_owner(pfn, Some(AppId(3)));
-/// assert_eq!(pool.state(lf).used(), 1);
+/// assert_eq!(pool.state(lf).unwrap().used(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FramePool {
@@ -189,6 +198,10 @@ pub struct FramePool {
     free: Vec<LargeFrameNum>,
     /// Frames currently holding real application data.
     app_frames: u64,
+    /// Frames currently holding injected [`FRAG_OWNER`] data. Zero in
+    /// every run without pre-fragmentation, which lets CAC's failsafe
+    /// skip its fragmented-frame searches outright.
+    frag_frames: u64,
     /// High-water mark of `app_frames`.
     peak_app_frames: u64,
     /// High-water mark of tracked (reserved) frames.
@@ -223,6 +236,7 @@ impl FramePool {
             // Keep descending so `pop` hands out ascending frame numbers.
             free: (0..total).rev().map(LargeFrameNum).collect(),
             app_frames: 0,
+            frag_frames: 0,
             peak_app_frames: 0,
             peak_tracked: 0,
             use_clock: 0,
@@ -271,9 +285,29 @@ impl FramePool {
         self.free.push(lf);
     }
 
-    /// Allocation state of a large frame (empty default if untouched).
-    pub fn state(&self, lf: LargeFrameNum) -> FrameState {
-        self.states.get(lf.raw() as usize).and_then(Option::as_ref).cloned().unwrap_or_default()
+    /// Allocation state of a tracked large frame, borrowed (`None` when
+    /// the frame is free).
+    pub fn state(&self, lf: LargeFrameNum) -> Option<&FrameState> {
+        self.states.get(lf.raw() as usize).and_then(Option::as_ref)
+    }
+
+    /// Whether no base frame of `lf` is allocated.
+    pub(crate) fn is_empty(&self, lf: LargeFrameNum) -> bool {
+        self.state(lf).is_none_or(FrameState::is_empty)
+    }
+
+    /// The unallocated base frames of `lf`, ascending (all of them when
+    /// the frame is free).
+    pub(crate) fn holes(&self, lf: LargeFrameNum) -> Vec<PhysFrameNum> {
+        match self.state(lf) {
+            Some(state) => state.holes().map(|i| lf.base_frame(i)).collect(),
+            None => lf.base_frames().collect(),
+        }
+    }
+
+    /// Number of large frames holding injected [`FRAG_OWNER`] data.
+    pub(crate) fn frag_frames(&self) -> u64 {
+        self.frag_frames
     }
 
     /// Sets (or clears) the owner of one base frame.
@@ -288,7 +322,8 @@ impl FramePool {
             }
         };
         let idx = pfn.index_in_large() as usize;
-        let app_before = state.app_used;
+        let (app_before, frag_before) = (state.app_used, state.frag_used());
+        let was_resident = state.owners[idx].is_some() && state.mapped[idx].is_some();
         match (state.owners[idx], owner) {
             (None, Some(_)) => state.used += 1,
             (Some(_), None) => state.used -= 1,
@@ -307,9 +342,19 @@ impl FramePool {
             state.mapped[idx] = None;
             state.set_dirty_bit(idx as u64, false);
         }
+        match (was_resident, owner.is_some() && state.mapped[idx].is_some()) {
+            (false, true) => state.resident += 1,
+            (true, false) => state.resident -= 1,
+            _ => {}
+        }
         match (app_before, state.app_used) {
             (0, 1..) => self.app_frames += 1,
             (1.., 0) => self.app_frames -= 1,
+            _ => {}
+        }
+        match (frag_before, state.frag_used()) {
+            (0, 1..) => self.frag_frames += 1,
+            (1.., 0) => self.frag_frames -= 1,
             _ => {}
         }
         self.peak_app_frames = self.peak_app_frames.max(self.app_frames);
@@ -331,7 +376,11 @@ impl FramePool {
     pub fn set_mapping(&mut self, pfn: PhysFrameNum, vpn: VirtPageNum) {
         let lf = pfn.large_frame();
         if let Some(state) = self.states.get_mut(lf.raw() as usize).and_then(Option::as_mut) {
-            state.mapped[pfn.index_in_large() as usize] = Some(vpn);
+            let idx = pfn.index_in_large() as usize;
+            if state.owners[idx].is_some() && state.mapped[idx].is_none() {
+                state.resident += 1;
+            }
+            state.mapped[idx] = Some(vpn);
         }
     }
 
@@ -401,9 +450,7 @@ impl FramePool {
     pub fn eviction_candidates(&self) -> Vec<LargeFrameNum> {
         let mut cands: Vec<(u64, LargeFrameNum)> = self
             .tracked()
-            .filter(|(_, s)| {
-                s.used > 0 && s.used == s.app_used && s.residents().count() == s.used as usize
-            })
+            .filter(|(_, s)| s.used > 0 && s.used == s.app_used && s.resident == s.used)
             .map(|(lf, s)| (s.last_use, lf))
             .collect();
         cands.sort_unstable();
@@ -549,11 +596,12 @@ impl AuditInvariants for FramePool {
         report.check(c, free.iter().all(|lf| lf.raw() < self.total), || {
             format!("a frame number exceeds the pool size ({} frames)", self.total)
         });
-        let mut app_frames = 0;
+        let (mut app_frames, mut frag_frames) = (0, 0);
         for (lf, state) in self.tracked() {
             let used = state.owners.iter().filter(|o| o.is_some()).count() as u16;
             let app_used =
                 state.owners.iter().filter(|o| o.is_some_and(|a| a != FRAG_OWNER)).count() as u16;
+            let resident = state.residents().count() as u16;
             report.check(c, state.owners.len() as u64 == BASE_PAGES_PER_LARGE_PAGE, || {
                 format!(
                     "{lf} tracks {} base frames, expected {}",
@@ -570,8 +618,17 @@ impl AuditInvariants for FramePool {
                     state.app_used, app_used
                 )
             });
+            report.check(c, state.resident == resident, || {
+                format!(
+                    "{lf} caches resident={} but {} base frames are owned and mapped",
+                    state.resident, resident
+                )
+            });
             if app_used > 0 {
                 app_frames += 1;
+            }
+            if used > app_used {
+                frag_frames += 1;
             }
             report.check(c, state.mapped.len() as u64 == BASE_PAGES_PER_LARGE_PAGE, || {
                 format!(
@@ -599,6 +656,12 @@ impl AuditInvariants for FramePool {
             format!(
                 "pool caches app_frames={} but {} frames hold app data",
                 self.app_frames, app_frames
+            )
+        });
+        report.check(c, self.frag_frames == frag_frames, || {
+            format!(
+                "pool caches frag_frames={} but {} frames hold injected fragmentation",
+                self.frag_frames, frag_frames
             )
         });
         report.check(c, self.peak_app_frames >= self.app_frames, || {
@@ -641,13 +704,13 @@ mod tests {
         let lf = p.take_free_frame().unwrap();
         p.set_owner(lf.base_frame(3), Some(AppId(1)));
         p.set_owner(lf.base_frame(4), Some(AppId(1)));
-        assert_eq!(p.state(lf).used(), 2);
-        assert!(p.state(lf).single_owner(AppId(1)));
-        assert!(!p.state(lf).single_owner(AppId(2)));
+        assert_eq!(p.state(lf).unwrap().used(), 2);
+        assert!(p.state(lf).unwrap().single_owner(AppId(1)));
+        assert!(!p.state(lf).unwrap().single_owner(AppId(2)));
         assert_eq!(p.owner(lf.base_frame(3)), Some(AppId(1)));
 
         p.set_owner(lf.base_frame(3), None);
-        assert_eq!(p.state(lf).used(), 1);
+        assert_eq!(p.state(lf).unwrap().used(), 1);
         assert_eq!(p.allocated_base_frames(), 1);
     }
 
@@ -674,12 +737,12 @@ mod tests {
     fn full_and_empty_predicates() {
         let mut p = pool(1);
         let lf = p.take_free_frame().unwrap();
-        assert!(p.state(lf).is_empty());
+        assert!(p.state(lf).unwrap().is_empty());
         for i in 0..BASE_PAGES_PER_LARGE_PAGE {
             p.set_owner(lf.base_frame(i), Some(AppId(0)));
         }
-        assert!(p.state(lf).is_full());
-        assert_eq!(p.state(lf).holes().count(), 0);
+        assert!(p.state(lf).unwrap().is_full());
+        assert_eq!(p.state(lf).unwrap().holes().count(), 0);
     }
 
     #[test]
@@ -780,7 +843,7 @@ mod tests {
         assert!(!p.is_dirty(pfn));
         p.note_use(pfn, true);
         assert!(p.is_dirty(pfn));
-        assert_eq!(p.state(lf).dirty_pages(), 1);
+        assert_eq!(p.state(lf).unwrap().dirty_pages(), 1);
         // Freeing the slot clears both the mapping and the dirty bit.
         p.set_owner(pfn, None);
         assert!(!p.is_dirty(pfn));
@@ -793,7 +856,40 @@ mod tests {
         let lf = p.take_free_frame().unwrap();
         p.note_use(lf.base_frame(0), true);
         assert!(!p.is_dirty(lf.base_frame(0)));
-        assert_eq!(p.state(lf).dirty_pages(), 0);
+        assert_eq!(p.state(lf).unwrap().dirty_pages(), 0);
+    }
+
+    /// The cached per-frame resident count (owned and mapped slots) that
+    /// `eviction_candidates` reads follows every way a slot gains or
+    /// loses an owner or a mapping, and the audit's recount agrees.
+    #[test]
+    fn resident_count_follows_owners_and_mappings() {
+        let mut p = pool(4);
+        let lf = p.take_free_frame().unwrap();
+        let other = p.take_free_frame().unwrap();
+        let resident = |p: &FramePool, lf| {
+            let mut report = AuditReport::new();
+            p.audit(&mut report);
+            report.assert_clean("frame pool");
+            p.state(lf).map_or(0, |s: &FrameState| s.resident)
+        };
+        p.set_owner(lf.base_frame(1), Some(AppId(1)));
+        assert_eq!(resident(&p, lf), 0, "owned but unmapped");
+        assert!(p.eviction_candidates().is_empty());
+        p.set_mapping(lf.base_frame(1), VirtPageNum(10));
+        assert_eq!(resident(&p, lf), 1);
+        assert_eq!(p.eviction_candidates(), vec![lf]);
+        p.set_mapping(lf.base_frame(1), VirtPageNum(11));
+        assert_eq!(resident(&p, lf), 1, "a remap is not a second resident");
+        p.set_owner(lf.base_frame(1), Some(AppId(2)));
+        assert_eq!(resident(&p, lf), 1, "an owner change keeps the mapping");
+        p.migrate(lf.base_frame(1), other.base_frame(5), AppId(2), VirtPageNum(11));
+        assert_eq!((resident(&p, lf), resident(&p, other)), (0, 1));
+        p.set_owner(other.base_frame(5), None);
+        assert_eq!(resident(&p, other), 0);
+        // Injected fragmentation never counts: it is owned, never mapped.
+        p.set_owner(lf.base_frame(2), Some(FRAG_OWNER));
+        assert_eq!(resident(&p, lf), 0);
     }
 
     #[test]
@@ -836,9 +932,9 @@ mod tests {
         // count it as tracked exactly once.
         let again = p.take_free_frame().unwrap();
         assert_eq!(again, lf);
-        assert!(p.state(again).is_empty());
+        assert!(p.state(again).unwrap().is_empty());
         p.set_owner(again.base_frame(9), Some(AppId(1)));
-        assert_eq!(p.state(again).used(), 1);
+        assert_eq!(p.state(again).unwrap().used(), 1);
         assert_eq!(p.reserved_bytes(), LARGE_PAGE_SIZE);
         // Peak reservation reflects both generations, not a double count.
         assert_eq!(p.peak_reserved_bytes(), LARGE_PAGE_SIZE);

@@ -13,10 +13,9 @@ use crate::frames::FramePool;
 use crate::{EvictOutcome, ManagerStats, MemError, MgmtEvent};
 use mosaic_sim_core::AuditReport;
 use mosaic_vm::{
-    AppId, LargeFrameNum, LargePageNum, PageTable, PageTableSet, PhysFrameNum, VirtPageNum,
-    BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
+    AppId, LargeFrameNum, LargePageNum, PageSet, PageTable, PageTableSet, PhysFrameNum,
+    VirtPageNum, BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
 };
-use std::collections::BTreeSet;
 
 /// The state every manager shares: translations, physical frames,
 /// reservations, the touched working set and the aggregate counters.
@@ -28,7 +27,7 @@ pub struct ResidentMemory {
     pub(crate) pool: FramePool,
     pub(crate) stats: ManagerStats,
     reservations: Vec<(AppId, VirtPageNum, u64)>,
-    touched: BTreeSet<(AppId, VirtPageNum)>,
+    touched: PageSet,
 }
 
 /// Manager-specific steps of the shared eviction loop
@@ -61,7 +60,7 @@ impl ResidentMemory {
             pool: FramePool::new(memory_bytes, channels),
             stats: ManagerStats::default(),
             reservations: Vec::new(),
-            touched: BTreeSet::new(),
+            touched: PageSet::new(),
         }
     }
 
@@ -71,7 +70,7 @@ impl ResidentMemory {
     }
 
     pub(crate) fn touched_bytes(&self) -> u64 {
-        self.touched.len() as u64 * BASE_PAGE_SIZE
+        self.touched.len() * BASE_PAGE_SIZE
     }
 
     pub(crate) fn reserve(&mut self, asid: AppId, start: VirtPageNum, pages: u64) {
@@ -137,7 +136,7 @@ impl ResidentMemory {
     /// page resident counts: a failed allocation must not inflate
     /// [`ResidentMemory::touched_bytes`].
     pub(crate) fn count_touch(&mut self, asid: AppId, vpn: VirtPageNum) {
-        self.touched.insert((asid, vpn));
+        self.touched.insert(asid, vpn);
     }
 
     /// Maps the unmapped `vpn` to `pfn`, recording ownership and the

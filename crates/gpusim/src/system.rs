@@ -19,7 +19,7 @@ use mosaic_mem::{Cache, Crossbar, Dram, Interconnect, FLIT_BYTES};
 use mosaic_sim_core::{Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
-    AppId, PageSize, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum, WalkCache,
+    AppId, PageSet, PageSize, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum, WalkCache,
     BASE_PAGES_PER_LARGE_PAGE,
 };
 
@@ -166,7 +166,7 @@ pub struct GpuSystem {
     pending_stall: Cycle,
     /// Pages evicted and not yet refaulted (oversubscribed runs only);
     /// a demand fault hitting this set is thrashing evidence.
-    evicted_pages: std::collections::BTreeSet<(AppId, VirtPageNum)>,
+    evicted_pages: PageSet,
     /// Demand faults serviced (oversubscribed runs only).
     demand_faults: u64,
     /// Demand faults that re-touched an evicted page.
@@ -245,7 +245,7 @@ impl GpuSystem {
             interconnect: Interconnect::new(cfg.fleet.interconnect, gpus),
             icn_nominal_bytes: 0,
             pending_stall: Cycle::ZERO,
-            evicted_pages: std::collections::BTreeSet::new(),
+            evicted_pages: PageSet::new(),
             demand_faults: 0,
             refaults: 0,
             cfg,
@@ -386,7 +386,7 @@ impl GpuSystem {
         let oversubscribed = self.cfg.oversubscription.is_some();
         if oversubscribed {
             self.demand_faults += 1;
-            if self.evicted_pages.remove(&(asid, vpn)) {
+            if self.evicted_pages.remove(asid, vpn) {
                 self.refaults += 1;
             }
         }
@@ -479,7 +479,9 @@ impl GpuSystem {
                 emit(|| Event::PageEvict { asid, lpn, pages, cycle: now.as_u64() });
             }
         }
-        self.evicted_pages.extend(outcome.evicted.iter().copied());
+        for &(asid, vpn) in &outcome.evicted {
+            self.evicted_pages.insert(asid, vpn);
+        }
         // The faulting warp rides out the shootdown fence it just raised
         // before its allocation can retry.
         let teardown = now + TLB_FLUSH_STALL;
@@ -516,7 +518,7 @@ impl GpuSystem {
             }
             match self.manager.touch(asid, next) {
                 Ok(o) => {
-                    self.evicted_pages.remove(&(asid, next));
+                    self.evicted_pages.remove(asid, next);
                     let _ = self.apply_events(done, &o.events, gpu);
                     if o.transfer_bytes > 0 {
                         self.iobuses[gpu].transfer(done, o.transfer_bytes);

@@ -9,6 +9,8 @@
 //!   PTE extensions: the *large-page bit* on L3 entries and the *disabled
 //!   bit* on L4 entries, plus the atomic coalesce/splinter transitions of
 //!   Sections 4.3 and 4.4.
+//! * [`page_set`] — a flat set of `(address space, base page)` pairs, one
+//!   512-bit bitmap per 2 MB region, for the fault path's page ledgers.
 //! * [`tlb`] — set-associative, ASID-tagged TLBs with the split base/large
 //!   entry organization the paper assumes at every level, including
 //!   MSHR-style coalescing of concurrent misses to the same page.
@@ -23,6 +25,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod addr;
+pub mod page_set;
 pub mod page_table;
 pub mod tlb;
 pub mod walk_cache;
@@ -32,6 +35,7 @@ pub use addr::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum,
     BASE_PAGES_PER_LARGE_PAGE, BASE_PAGE_SIZE, LARGE_PAGE_SIZE,
 };
+pub use page_set::PageSet;
 pub use page_table::{PageTable, PageTableSet, Translation, TranslationError};
 pub use tlb::{Tlb, TlbConfig, TlbLookup};
 pub use walk_cache::WalkCache;
