@@ -127,3 +127,25 @@ fn closure_covers_the_bulk_operation_fast_paths() {
         );
     }
 }
+
+#[test]
+fn closure_covers_the_lookahead_isolated_stages() {
+    // Lookahead isolation prices a stage nominally when it starts past
+    // the window. The nominal interconnect prices and each device's
+    // shared L2→DRAM stage (the walker's PTE fetches and the data path
+    // both run it, contended or not) sit on every L1-missing access, so
+    // the hot-path rules must keep covering them.
+    let closure = real_workspace().closure();
+    for (ty, name) in [
+        ("Interconnect", "traverse_nominal"),
+        ("Interconnect", "transfer_nominal"),
+        ("Device", "walk"),
+        ("Partitions", "access"),
+        ("GpuSystem", "resident"),
+    ] {
+        assert!(
+            closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),
+            "{ty}::{name} missing from closure"
+        );
+    }
+}

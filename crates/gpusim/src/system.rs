@@ -8,14 +8,14 @@
 //! for demand paging over the system I/O bus, via whichever memory
 //! manager the run is configured with.
 
-use crate::config::{DemandPagingMode, ManagerKind, RunConfig};
+use crate::config::{DemandPagingMode, ManagerKind, RunConfig, SystemConfig};
 use mosaic_core::{
     GpuMmuManager, ManagerStats, MemoryManager, MgmtEvent, MigratingManager, MosaicConfig,
     MosaicManager, PlacementMap, PlacementOutcome,
 };
 use mosaic_gpu::MemoryInterface;
 use mosaic_iobus::IoBus;
-use mosaic_mem::{Cache, Crossbar, Dram, Interconnect, FLIT_BYTES};
+use mosaic_mem::{Cache, Crossbar, Dram, Interconnect};
 use mosaic_sim_core::{Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
@@ -38,6 +38,13 @@ pub const TLB_FLUSH_STALL: u64 = 1_000;
 /// many cycles after the instruction issued are therefore charged nominal
 /// uncontended latencies instead of perturbing shared port state.
 const LOOKAHEAD_WINDOW: u64 = 10_000;
+
+/// Whether a stage starting at `start`, for an instruction issued at
+/// `issue_now`, is charged against contended port state: the one
+/// [`LOOKAHEAD_WINDOW`] test.
+fn within_window(issue_now: Cycle, start: Cycle) -> bool {
+    start.since(issue_now) <= LOOKAHEAD_WINDOW
+}
 
 /// Pages pulled in sequentially behind each demand fault when the run is
 /// oversubscribed (UVM-style prefetch). Prefetches ride the bus after the
@@ -125,42 +132,149 @@ impl SystemStats {
     }
 }
 
+/// One GPU of the fleet (Figure 2, Table 1): the shared L2 TLB behind its
+/// port, the highly-threaded page-table walker and its optional page-walk
+/// cache, the SM-to-partition crossbar, the memory partitions and the
+/// system I/O bus. The per-SM L1 TLBs and caches stay flat in
+/// [`GpuSystem`], indexed by global SM id.
+#[derive(Debug)]
+struct Device {
+    l2_tlb: Tlb,
+    l2_tlb_port: ThroughputPort,
+    walker: PageTableWalker,
+    walk_cache: Option<WalkCache>,
+    xbar: Crossbar,
+    partitions: Partitions,
+    iobus: IoBus,
+}
+
+/// A device's memory partitions: one shared L2 slice per DRAM channel,
+/// each behind its access port, in front of the DRAM. Data and
+/// page-table traffic share the slice ports — the contention that makes
+/// page walks expensive under load.
+#[derive(Debug)]
+struct Partitions {
+    l2_slices: Vec<Cache>,
+    l2_ports: Vec<ThroughputPort>,
+    dram: Dram,
+}
+
+impl Device {
+    fn new(sys: &SystemConfig) -> Self {
+        let channels = sys.dram.channels;
+        Device {
+            l2_tlb: Tlb::new(sys.l2_tlb),
+            l2_tlb_port: ThroughputPort::pipelined(sys.l2_tlb.latency.max(1), 1),
+            walker: PageTableWalker::new(sys.walker_threads),
+            walk_cache: (sys.walk_cache_entries > 0)
+                .then(|| WalkCache::new(sys.walk_cache_entries, 4)),
+            xbar: Crossbar::new(sys.xbar),
+            partitions: Partitions {
+                l2_slices: (0..channels).map(|_| Cache::new(sys.l2_cache_slice)).collect(),
+                l2_ports: (0..channels)
+                    .map(|_| ThroughputPort::pipelined(sys.l2_cache_slice.latency.max(1), 2))
+                    .collect(),
+                dram: Dram::new(sys.dram),
+            },
+            iobus: IoBus::new(sys.iobus),
+        }
+    }
+
+    /// Walks the page table for `vpn` (Figure 2: the walker's accesses go
+    /// through this device's own L2$/DRAM — page tables are replicated
+    /// per device), starting at `start` for an instruction issued at
+    /// `issue_now`. Returns when the walk completes.
+    fn walk(
+        &mut self,
+        issue_now: Cycle,
+        start: Cycle,
+        asid: AppId,
+        vpn: VirtPageNum,
+        path: [PhysAddr; 4],
+    ) -> Cycle {
+        let Device { walker, walk_cache, partitions, .. } = self;
+        let out = walker.walk(start, asid, vpn, path, |level, pte, at| {
+            // The page-walk cache holds upper-level PTEs only (as in
+            // Power et al.): leaf PTEs are too numerous to cache there,
+            // which is exactly why the paper's shared L2 TLB beats it.
+            if level < 3 {
+                if let Some(pwc) = walk_cache {
+                    if pwc.access(pte) {
+                        return at + pwc.latency();
+                    }
+                }
+            }
+            partitions.access(at, pte, within_window(issue_now, at)).1
+        });
+        out.done
+    }
+}
+
+impl Partitions {
+    /// One line access to `addr`'s L2 slice starting at `start`, then
+    /// DRAM on a miss: the stage the walker's PTE fetches and the data
+    /// path share. Contended, it books the slice port and the DRAM banks
+    /// and bus; otherwise it charges the nominal `latency()` and
+    /// [`Dram::uncontended_latency`] without touching port state. Returns
+    /// when the L2 slice answers, when the access completes, and the
+    /// pure DRAM service cycles: whatever lies between the L2 answer and
+    /// `done − service` is DRAM queueing (zero on a hit or when nominal).
+    fn access(&mut self, start: Cycle, addr: PhysAddr, contended: bool) -> (Cycle, Cycle, u64) {
+        let slice = self.dram.channel_of(addr.raw());
+        let l2 = &mut self.l2_slices[slice];
+        let l2_done =
+            if contended { self.l2_ports[slice].acquire(start).done } else { start + l2.latency() };
+        if l2.access(addr.raw(), false) {
+            (l2_done, l2_done, 0)
+        } else if contended {
+            let (done, service, _row_hit) = self.dram.access_timed(l2_done, addr.raw());
+            (l2_done, done, service)
+        } else {
+            let service = self.dram.uncontended_latency();
+            (l2_done, l2_done + service, service)
+        }
+    }
+}
+
+/// Which level of the translation hierarchy supplied a translation; the
+/// levels above it are filled on the way back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    L1Tlb,
+    L2Tlb,
+    Walk,
+}
+
+/// One warp memory instruction: when and where it issued. Every
+/// transaction of the warp shares it.
+#[derive(Debug, Clone, Copy)]
+struct Issue {
+    now: Cycle,
+    sm: usize,
+    gpu: usize,
+    asid: AppId,
+}
+
 /// The full memory system of a simulated GPU fleet (one device in the
 /// default configuration).
 ///
 /// Per-SM structures (`l1_tlbs`, `l1_caches`) stay flat, indexed by the
-/// *global* SM id (`gpu × sm_count + local_sm`). Per-device structures are
-/// vectors indexed by GPU; the flattened L2 slice/port vectors use
-/// `gpu × channels + slice`. A single [`MemoryManager`] governs the
-/// fleet's pooled physical memory, while [`PlacementMap`] decides which
-/// device a 2MB region physically resides on and [`Interconnect`] charges
-/// the cross-device traffic.
+/// *global* SM id (`gpu × sm_count + local_sm`); everything shared by a
+/// GPU's SMs lives in its `Device`. A single [`MemoryManager`] governs
+/// the fleet's pooled physical memory, while [`PlacementMap`] decides
+/// which device a 2MB region physically resides on and [`Interconnect`]
+/// charges the cross-device traffic.
 #[derive(Debug)]
 pub struct GpuSystem {
     cfg: RunConfig,
     manager: Box<dyn MemoryManager>,
     l1_tlbs: Vec<Tlb>,
-    l2_tlbs: Vec<Tlb>,
-    l2_tlb_ports: Vec<ThroughputPort>,
-    walkers: Vec<PageTableWalker>,
-    walk_caches: Vec<Option<WalkCache>>,
     l1_caches: Vec<Cache>,
-    l2_slices: Vec<Cache>,
-    /// Per-slice L2 access ports, shared by data and page-table traffic —
-    /// the contention that makes page walks expensive under load.
-    l2_ports: Vec<ThroughputPort>,
-    xbars: Vec<Crossbar>,
-    drams: Vec<Dram>,
-    iobuses: Vec<IoBus>,
+    devices: Vec<Device>,
     /// Which device owns (or replicates) each touched 2MB region.
     placement: PlacementMap,
     /// The inter-GPU link fabric (idle in single-GPU runs).
     interconnect: Interconnect,
-    /// Bytes charged for interconnect traffic resolved on the nominal
-    /// (lookahead-isolated) path, which bypasses [`Interconnect`] and its
-    /// counters; folded into `interconnect_bytes` so the accounting
-    /// covers every remote access regardless of contention state.
-    icn_nominal_bytes: u64,
     /// Whole-GPU stall fence accumulated from shootdown events; the
     /// runner drains it after every SM step.
     pending_stall: Cycle,
@@ -221,29 +335,10 @@ impl GpuSystem {
         GpuSystem {
             manager,
             l1_tlbs: (0..gpus * sys.sm_count).map(|_| Tlb::new(sys.l1_tlb)).collect(),
-            l2_tlbs: (0..gpus).map(|_| Tlb::new(sys.l2_tlb)).collect(),
-            l2_tlb_ports: (0..gpus)
-                .map(|_| ThroughputPort::pipelined(sys.l2_tlb.latency.max(1), 1))
-                .collect(),
-            walkers: (0..gpus).map(|_| PageTableWalker::new(sys.walker_threads)).collect(),
-            walk_caches: (0..gpus)
-                .map(|_| {
-                    (sys.walk_cache_entries > 0).then(|| WalkCache::new(sys.walk_cache_entries, 4))
-                })
-                .collect(),
             l1_caches: (0..gpus * sys.sm_count).map(|_| Cache::new(sys.l1_cache)).collect(),
-            l2_slices: (0..gpus * sys.dram.channels)
-                .map(|_| Cache::new(sys.l2_cache_slice))
-                .collect(),
-            l2_ports: (0..gpus * sys.dram.channels)
-                .map(|_| ThroughputPort::pipelined(sys.l2_cache_slice.latency.max(1), 2))
-                .collect(),
-            xbars: (0..gpus).map(|_| Crossbar::new(sys.xbar)).collect(),
-            drams: (0..gpus).map(|_| Dram::new(sys.dram)).collect(),
-            iobuses: (0..gpus).map(|_| IoBus::new(sys.iobus)).collect(),
+            devices: (0..gpus).map(|_| Device::new(&sys)).collect(),
             placement: PlacementMap::new(gpus, cfg.fleet.placement),
             interconnect: Interconnect::new(cfg.fleet.interconnect, gpus),
-            icn_nominal_bytes: 0,
             pending_stall: Cycle::ZERO,
             evicted_pages: PageSet::new(),
             demand_faults: 0,
@@ -276,9 +371,16 @@ impl GpuSystem {
         }
     }
 
-    /// The device that owns SM `sm` (global SM ids are dense per GPU).
-    fn gpu_of(&self, sm: usize) -> usize {
-        sm / self.cfg.system.sm_count
+    /// Every TLB in the fleet as `(level, index, tlb)`: the per-SM L1
+    /// TLBs by global SM id, then each device's L2 TLB by GPU.
+    fn tlbs(&self) -> impl Iterator<Item = (u8, usize, &Tlb)> {
+        let l1 = self.l1_tlbs.iter().enumerate().map(|(sm, tlb)| (1, sm, tlb));
+        l1.chain(self.devices.iter().enumerate().map(|(gpu, d)| (2, gpu, &d.l2_tlb)))
+    }
+
+    /// Every TLB in the fleet, in [`Self::tlbs`] order, for shootdowns.
+    fn tlbs_mut(&mut self) -> impl Iterator<Item = &mut Tlb> {
+        self.l1_tlbs.iter_mut().chain(self.devices.iter_mut().map(|d| &mut d.l2_tlb))
     }
 
     /// Deallocates pages on behalf of an application (kernel completion),
@@ -297,7 +399,7 @@ impl GpuSystem {
         // spanned.
         let first = start.large_page().raw();
         let last = VirtPageNum(start.raw() + pages - 1).large_page().raw();
-        for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
+        for tlb in self.tlbs_mut() {
             tlb.flush_base_range(asid, start, pages);
             for lpn in first..=last {
                 tlb.flush_large(asid, mosaic_vm::LargePageNum(lpn).addr());
@@ -340,15 +442,16 @@ impl GpuSystem {
                     // Flush the large-page entry from every TLB
                     // (Section 4.4).
                     let addr = lpn.addr();
-                    for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
+                    for tlb in self.tlbs_mut() {
                         tlb.flush_large(asid, addr);
                     }
                 }
                 MgmtEvent::PageMigrated { channel, bulk, blocking } => {
+                    let dram = &mut self.devices[gpu].partitions.dram;
                     let done = if bulk {
-                        self.drams[gpu].bulk_page_copy(now, channel)
+                        dram.bulk_page_copy(now, channel)
                     } else {
-                        self.drams[gpu].narrow_page_copy(now, channel)
+                        dram.narrow_page_copy(now, channel)
                     };
                     if blocking {
                         migrations_done = migrations_done.max(done);
@@ -359,7 +462,7 @@ impl GpuSystem {
                     // and large translations everywhere, then a brief
                     // synchronization stall.
                     emit(|| Event::Shootdown { asid: asid.0, lpn: lpn.raw(), cycle: now.as_u64() });
-                    for tlb in self.l1_tlbs.iter_mut().chain(self.l2_tlbs.iter_mut()) {
+                    for tlb in self.tlbs_mut() {
                         tlb.flush_large(asid, lpn.addr());
                         tlb.flush_base_range(asid, lpn.base_page(0), BASE_PAGES_PER_LARGE_PAGE);
                     }
@@ -423,7 +526,7 @@ impl GpuSystem {
         // whichever finishes last.
         let migrations_done = self.apply_events(start, &outcome.events, gpu);
         let done = if outcome.transfer_bytes > 0 && self.cfg.paging == DemandPagingMode::OnDemand {
-            self.iobuses[gpu].transfer(start, outcome.transfer_bytes).max(migrations_done)
+            self.devices[gpu].iobus.transfer(start, outcome.transfer_bytes).max(migrations_done)
         } else {
             migrations_done
         };
@@ -488,7 +591,7 @@ impl GpuSystem {
         let mut done = teardown;
         let mut wb_cycles = 0;
         if outcome.writeback_bytes > 0 {
-            let wb = self.iobuses[gpu].transfer(done, outcome.writeback_bytes);
+            let wb = self.devices[gpu].iobus.transfer(done, outcome.writeback_bytes);
             emit(|| Event::PageWriteback {
                 bytes: outcome.writeback_bytes,
                 cycle: done.as_u64(),
@@ -521,7 +624,7 @@ impl GpuSystem {
                     self.evicted_pages.remove(asid, next);
                     let _ = self.apply_events(done, &o.events, gpu);
                     if o.transfer_bytes > 0 {
-                        self.iobuses[gpu].transfer(done, o.transfer_bytes);
+                        self.devices[gpu].iobus.transfer(done, o.transfer_bytes);
                     }
                 }
                 Err(_) => break,
@@ -546,47 +649,16 @@ impl GpuSystem {
         h & 3 == 0
     }
 
-    /// One page-table memory access for the walker: optionally through the
-    /// page-walk cache, then the shared L2 slice (behind its port), then
-    /// DRAM. `issue_now` is the cycle the faulting instruction issued;
-    /// stages starting beyond the lookahead window are charged nominal
-    /// latencies (see [`LOOKAHEAD_WINDOW`]).
-    #[allow(clippy::too_many_arguments)] // free function over disjoint borrows of self
-    fn pt_access(
-        walk_cache: &mut Option<WalkCache>,
-        l2_slices: &mut [Cache],
-        l2_ports: &mut [ThroughputPort],
-        dram: &mut Dram,
-        issue_now: Cycle,
-        level: usize,
-        addr: PhysAddr,
-        start: Cycle,
-    ) -> Cycle {
-        // The page-walk cache holds upper-level PTEs only (as in Power et
-        // al.): leaf PTEs are too numerous to cache there, which is
-        // exactly why the paper's shared L2 TLB beats it.
-        if level < 3 {
-            if let Some(pwc) = walk_cache {
-                if pwc.access(addr) {
-                    return start + pwc.latency();
-                }
-            }
-        }
-        let contended = start.since(issue_now) <= LOOKAHEAD_WINDOW;
-        let slice = dram.channel_of(addr.raw());
-        let l2 = &mut l2_slices[slice];
-        let l2_done =
-            if contended { l2_ports[slice].acquire(start).done } else { start + l2.latency() };
-        if l2.access(addr.raw(), false) {
-            l2_done
-        } else if contended {
-            dram.access(l2_done, addr.raw())
-        } else {
-            l2_done + dram.uncontended_latency()
-        }
+    /// The resident translation of `addr`: its physical address and page
+    /// size. Every caller has just hit in a TLB (a cached translation is
+    /// backed by a live mapping) or serviced the page's fault.
+    fn resident(&self, asid: AppId, addr: VirtAddr) -> (PhysAddr, PageSize) {
+        let table = self.manager.tables().table(asid).expect("app registered");
+        let t = table.translate(addr).expect("a TLB hit or serviced fault implies residency");
+        (PhysAddr(t.frame.addr().raw() + addr.base_offset()), t.size)
     }
 
-    /// Translates `addr` for SM `sm`, returning the cycle translation
+    /// Translates `addr` for warp `w`, returning the cycle translation
     /// completes, the physical address, and whether a far-fault was taken
     /// (the data access then bypasses contended ports: its start time sits
     /// beyond every other SM's clock). Faults are resolved inline. The
@@ -594,54 +666,62 @@ impl GpuSystem {
     /// fault) for stall attribution.
     fn translate(
         &mut self,
-        now: Cycle,
-        sm: usize,
-        asid: AppId,
+        w: Issue,
         addr: VirtAddr,
         tl: &mut AccessTimeline,
     ) -> (Cycle, PhysAddr, bool) {
         let vpn = addr.base_page();
-        let gpu = self.gpu_of(sm);
-        if self.cfg.system.ideal_tlb {
+        let ideal = self.cfg.system.ideal_tlb;
+        let (mut ready, mapped, source) = if ideal {
             // Every request is an L1 TLB hit; only residency is enforced.
-            let mut done = now;
-            let faulted = self.manager.tables().table(asid).is_none_or(|t| !t.is_mapped(vpn));
-            if faulted {
-                done = self.handle_fault(now, gpu, asid, vpn, tl);
-                tl.mark(done, StallBucket::Fault);
-            }
-            tl.mark(done + 1, StallBucket::TlbHit);
-            let t = self
-                .manager
-                .tables()
-                .table(asid)
-                .expect("app registered")
-                .translate(addr)
-                .expect("resident after fault");
-            return (done + 1, PhysAddr(t.frame.addr().raw() + addr.base_offset()), faulted);
+            let mapped = self.manager.tables().table(w.asid).is_some_and(|t| t.is_mapped(vpn));
+            (w.now, mapped, Source::L1Tlb)
+        } else {
+            self.lookup(w, addr, tl)
+        };
+        let faulted = !mapped;
+        if faulted {
+            ready = self.handle_fault(ready, w.gpu, w.asid, vpn, tl);
+            tl.mark(ready, StallBucket::Fault);
         }
+        if ideal {
+            ready += 1;
+            tl.mark(ready, StallBucket::TlbHit);
+        }
+        let (phys, size) = self.resident(w.asid, addr);
+        if source == Source::Walk {
+            self.devices[w.gpu].l2_tlb.fill(w.asid, addr, size);
+        }
+        if source != Source::L1Tlb {
+            self.l1_tlbs[w.sm].fill(w.asid, addr, size);
+        }
+        (ready, phys, faulted)
+    }
 
+    /// Looks `addr` up in the SM's L1 TLB, then the device's shared L2
+    /// TLB behind its port, then walks the page table. Returns when the
+    /// lookup completes, whether the page is mapped, and which level
+    /// answered. TLB hits and the walk are recorded on `tl`.
+    fn lookup(
+        &mut self,
+        w: Issue,
+        addr: VirtAddr,
+        tl: &mut AccessTimeline,
+    ) -> (Cycle, bool, Source) {
         // The SM's private L1 TLB.
-        let l1 = &mut self.l1_tlbs[sm];
-        let l1_done = now + l1.latency();
-        let l1_hit = l1.lookup(asid, addr).is_hit();
+        let l1 = &mut self.l1_tlbs[w.sm];
+        let l1_done = w.now + l1.latency();
+        let l1_hit = l1.lookup(w.asid, addr).is_hit();
         emit(|| Event::TlbLookup {
             level: 1,
-            sm: sm as u32,
-            asid: asid.0,
-            cycle: now.as_u64(),
+            sm: w.sm as u32,
+            asid: w.asid.0,
+            cycle: w.now.as_u64(),
             hit: l1_hit,
         });
         if l1_hit {
             tl.mark(l1_done, StallBucket::TlbHit);
-            let t = self
-                .manager
-                .tables()
-                .table(asid)
-                .expect("app registered")
-                .translate(addr)
-                .expect("TLB hit implies resident mapping");
-            return (l1_done, PhysAddr(t.frame.addr().raw() + addr.base_offset()), false);
+            return (l1_done, true, Source::L1Tlb);
         }
 
         // The device's shared L2 TLB, behind its port. A zero-capacity L2
@@ -649,94 +729,29 @@ impl GpuSystem {
         // entirely: misses go straight to the walker.
         let has_l2_tlb =
             self.cfg.system.l2_tlb.base_entries + self.cfg.system.l2_tlb.large_entries > 0;
-        let l2_done =
-            if has_l2_tlb { self.l2_tlb_ports[gpu].acquire(l1_done).done } else { l1_done };
+        let dev = &mut self.devices[w.gpu];
+        let l2_done = if has_l2_tlb { dev.l2_tlb_port.acquire(l1_done).done } else { l1_done };
         if has_l2_tlb {
-            let l2_hit = self.l2_tlbs[gpu].lookup(asid, addr).is_hit();
+            let l2_hit = dev.l2_tlb.lookup(w.asid, addr).is_hit();
             emit(|| Event::TlbLookup {
                 level: 2,
-                sm: sm as u32,
-                asid: asid.0,
+                sm: w.sm as u32,
+                asid: w.asid.0,
                 cycle: l1_done.as_u64(),
                 hit: l2_hit,
             });
             if l2_hit {
                 tl.mark(l2_done, StallBucket::TlbHit);
-                let t = self
-                    .manager
-                    .tables()
-                    .table(asid)
-                    .expect("app registered")
-                    .translate(addr)
-                    .expect("L2 TLB hit implies resident mapping");
-                self.l1_tlbs[sm].fill(asid, addr, t.size);
-                return (l2_done, PhysAddr(t.frame.addr().raw() + addr.base_offset()), false);
+                return (l2_done, true, Source::L2Tlb);
             }
         }
 
-        // Page walk (Figure 2: the device's walker accesses go through
-        // its own L2$/DRAM — page tables are replicated per device).
-        let path = self.manager.tables().table(asid).expect("app registered").walk_path(addr);
-        let ch = self.cfg.system.dram.channels;
-        let walk_cache = &mut self.walk_caches[gpu];
-        let l2_slices = &mut self.l2_slices[gpu * ch..(gpu + 1) * ch];
-        let l2_ports = &mut self.l2_ports[gpu * ch..(gpu + 1) * ch];
-        let dram = &mut self.drams[gpu];
-        let out = self.walkers[gpu].walk(l2_done, asid, vpn, path, |level, pte, t| {
-            Self::pt_access(walk_cache, l2_slices, l2_ports, dram, now, level, pte, t)
-        });
-        let mut ready = out.done;
-        tl.mark(ready, StallBucket::TlbWalk);
-
-        // The walk may discover a not-present page: far-fault.
-        let mapped = self.manager.tables().table(asid).is_some_and(|t| t.translate(addr).is_ok());
-        let faulted = !mapped;
-        if faulted {
-            ready = self.handle_fault(ready, gpu, asid, vpn, tl);
-            tl.mark(ready, StallBucket::Fault);
-        }
-        let t = self
-            .manager
-            .tables()
-            .table(asid)
-            .expect("app registered")
-            .translate(addr)
-            .expect("resident after fault");
-        self.l2_tlbs[gpu].fill(asid, addr, t.size);
-        self.l1_tlbs[sm].fill(asid, addr, t.size);
-        (ready, PhysAddr(t.frame.addr().raw() + addr.base_offset()), faulted)
-    }
-
-    /// Uncontended interconnect traversal time from `from` to `to` (the
-    /// lookahead-isolation twin of [`Interconnect::traverse`]).
-    fn nominal_hop_cycles(&self, from: usize, to: usize) -> u64 {
-        let icfg = self.cfg.fleet.interconnect;
-        icfg.topology.hops(from, to, self.cfg.fleet.gpus) * icfg.link_latency.max(1)
-    }
-
-    /// Sends one request flit from `from` to `to` on the nominal path:
-    /// same per-link byte accounting as [`Interconnect::traverse`], no
-    /// port-state perturbation.
-    fn nominal_traverse(&mut self, now: Cycle, from: usize, to: usize) -> Cycle {
-        let icfg = self.cfg.fleet.interconnect;
-        self.icn_nominal_bytes += icfg.topology.hops(from, to, self.cfg.fleet.gpus) * FLIT_BYTES;
-        now + self.nominal_hop_cycles(from, to)
-    }
-
-    /// Moves one 2MB page payload from device `from` to device `to` over
-    /// the interconnect (migration or replication); returns the cycle the
-    /// last flit lands. Beyond the lookahead window the wire time is
-    /// charged nominally without perturbing link state.
-    fn page_copy(&mut self, now: Cycle, contended: bool, from: usize, to: usize) -> Cycle {
-        if contended {
-            self.interconnect.transfer(now, from, to, mosaic_vm::LARGE_PAGE_SIZE)
-        } else {
-            let icfg = self.cfg.fleet.interconnect;
-            let flits = mosaic_vm::LARGE_PAGE_SIZE.div_ceil(FLIT_BYTES);
-            let hops = icfg.topology.hops(from, to, self.cfg.fleet.gpus);
-            self.icn_nominal_bytes += hops * flits * FLIT_BYTES;
-            now + self.nominal_hop_cycles(from, to) + (flits - 1) * icfg.cycles_per_flit.max(1)
-        }
+        // Page walk. It may discover a not-present page: far-fault.
+        let path = self.manager.tables().table(w.asid).expect("app registered").walk_path(addr);
+        let done = dev.walk(w.now, l2_done, w.asid, addr.base_page(), path);
+        tl.mark(done, StallBucket::TlbWalk);
+        let mapped = self.manager.tables().table(w.asid).is_some_and(|t| t.translate(addr).is_ok());
+        (done, mapped, Source::Walk)
     }
 
     /// Region-granular (2 MB) store classification for placement.
@@ -757,103 +772,87 @@ impl GpuSystem {
 
     /// Resolves which device services an L1-missing access under the
     /// fleet's placement policy, charging interconnect time for remote
-    /// requests and for migration/replication payloads. Returns the
-    /// servicing device and the cycle the request is available there.
-    /// Serial-path only: placement counters advance in heap order.
+    /// requests and for migration/replication payloads (nominally when
+    /// not `contended`). Returns the servicing device and the cycle the
+    /// request is available there. Serial-path only: placement counters
+    /// advance in heap order.
     fn place(
         &mut self,
         now: Cycle,
         contended: bool,
-        gpu: usize,
-        asid: AppId,
+        w: Issue,
         addr: VirtAddr,
         tl: &mut AccessTimeline,
     ) -> (usize, Cycle) {
-        let store = Self::region_has_stores(asid, addr.large_page());
-        match self.placement.access(asid, addr.large_page(), gpu, store) {
-            PlacementOutcome::Local => (gpu, now),
+        let store = Self::region_has_stores(w.asid, addr.large_page());
+        let icn = &mut self.interconnect;
+        match self.placement.access(w.asid, addr.large_page(), w.gpu, store) {
+            PlacementOutcome::Local => (w.gpu, now),
             PlacementOutcome::Remote { owner } => {
                 let at = if contended {
-                    self.interconnect.traverse(now, gpu, owner)
+                    icn.traverse(now, w.gpu, owner)
                 } else {
-                    self.nominal_traverse(now, gpu, owner)
+                    icn.traverse_nominal(now, w.gpu, owner)
                 };
                 tl.mark(at, StallBucket::Remote);
                 (owner, at)
             }
             PlacementOutcome::Migrate { from } | PlacementOutcome::Replicate { from } => {
-                let at = self.page_copy(now, contended, from, gpu);
+                let bytes = mosaic_vm::LARGE_PAGE_SIZE;
+                let at = if contended {
+                    icn.transfer(now, from, w.gpu, bytes)
+                } else {
+                    icn.transfer_nominal(now, from, w.gpu, bytes)
+                };
                 tl.mark(at, StallBucket::Migrate);
-                (gpu, at)
+                (w.gpu, at)
             }
         }
     }
 
-    /// Charges the data access for `phys` from SM `sm` starting at
-    /// `start`, for an instruction issued at `issue_now` (lookahead
-    /// isolation applies beyond the window). Cache and DRAM time is
-    /// recorded on `tl`, with DRAM split into queueing vs. service. Past
-    /// the private L1, a fleet run routes the access to whichever device
-    /// the placement policy says owns the 2MB region.
-    #[allow(clippy::too_many_arguments)] // the serial memory path's one entry
+    /// Charges the data access for `phys` from warp `w` starting at
+    /// `start`, against contended port state or nominally (lookahead
+    /// isolation). Cache and DRAM time is recorded on `tl`, with DRAM
+    /// split into queueing vs. service. Past the private L1, a fleet run
+    /// routes the access to whichever device the placement policy says
+    /// owns the 2MB region.
     fn data_access(
         &mut self,
-        issue_now: Cycle,
+        w: Issue,
         start: Cycle,
-        sm: usize,
-        asid: AppId,
+        contended: bool,
         addr: VirtAddr,
         phys: PhysAddr,
-        bypass: bool,
         tl: &mut AccessTimeline,
     ) -> Cycle {
-        let l1 = &mut self.l1_caches[sm];
+        let l1 = &mut self.l1_caches[w.sm];
         let l1_done = start + l1.latency();
         if l1.access(phys.raw(), false) {
             tl.mark(l1_done, StallBucket::Cache);
             return l1_done;
         }
-        let gpu = self.gpu_of(sm);
-        let contended = !bypass && start.since(issue_now) <= LOOKAHEAD_WINDOW;
         let (home, at_home) = if self.cfg.fleet.gpus > 1 {
-            self.place(l1_done, contended, gpu, asid, addr, tl)
+            self.place(l1_done, contended, w, addr, tl)
         } else {
-            (gpu, l1_done)
+            (w.gpu, l1_done)
         };
-        let ch = self.cfg.system.dram.channels;
-        let partition = self.drams[home].channel_of(phys.raw());
+        let dev = &mut self.devices[home];
         let at_partition = if contended {
-            self.xbars[home].traverse(at_home, partition)
+            dev.xbar.traverse(at_home, dev.partitions.dram.channel_of(phys.raw()))
         } else {
             at_home + self.cfg.system.xbar.latency
         };
-        let slice = home * ch + partition;
-        let l2 = &mut self.l2_slices[slice];
-        let l2_done = if contended {
-            self.l2_ports[slice].acquire(at_partition).done
-        } else {
-            at_partition + l2.latency()
-        };
+        let (l2_done, mut done, service) = dev.partitions.access(at_partition, phys, contended);
         tl.mark(l2_done, StallBucket::Cache);
-        let mut done = if l2.access(phys.raw(), false) {
-            l2_done
-        } else if contended {
-            let (done, service, _row_hit) = self.drams[home].access_timed(l2_done, phys.raw());
-            // Whatever precedes the pure service portion is queueing.
-            tl.mark(Cycle::new(done.as_u64().saturating_sub(service)), StallBucket::DramQueue);
-            tl.mark(done, StallBucket::DramService);
-            done
-        } else {
-            let done = l2_done + self.drams[home].uncontended_latency();
-            tl.mark(done, StallBucket::DramService);
-            done
-        };
-        if home != gpu {
+        // Whatever precedes the pure service portion is queueing.
+        tl.mark(Cycle::new(done.as_u64().saturating_sub(service)), StallBucket::DramQueue);
+        tl.mark(done, StallBucket::DramService);
+        if home != w.gpu {
             // The response rides the interconnect back to the requester.
             done = if contended {
-                self.interconnect.traverse(done, home, gpu)
+                self.interconnect.traverse(done, home, w.gpu)
             } else {
-                self.nominal_traverse(done, home, gpu)
+                self.interconnect.traverse_nominal(done, home, w.gpu)
             };
             tl.mark(done, StallBucket::Remote);
         }
@@ -877,14 +876,9 @@ impl GpuSystem {
         // One name buffer reused across the sweep: a clean audit performs
         // no per-TLB allocation (violation messages still format lazily).
         let mut name = String::new();
-        for (sm, tlb) in self.l1_tlbs.iter().enumerate() {
+        for (level, index, tlb) in self.tlbs() {
             name.clear();
-            let _ = write!(name, "l1-tlb[{sm}]");
-            Self::audit_tlb(&mut report, &name, tlb, tables);
-        }
-        for (gpu, tlb) in self.l2_tlbs.iter().enumerate() {
-            name.clear();
-            let _ = write!(name, "l2-tlb[{gpu}]");
+            let _ = write!(name, "l{level}-tlb[{index}]");
             Self::audit_tlb(&mut report, &name, tlb, tables);
         }
         // Placement ownership is unique by construction (one owner per
@@ -934,70 +928,48 @@ impl GpuSystem {
         }
     }
 
-    /// Collects the end-of-run statistics.
+    /// Collects the end-of-run statistics. Per-device structures
+    /// aggregate across the fleet (a fleet of one reduces to the single
+    /// device's own counters exactly).
     pub fn stats(&self) -> SystemStats {
-        let mut l1_hits = 0;
-        let mut l1_total = 0;
-        for t in &self.l1_tlbs {
-            l1_hits += t.hit_rate().hits();
-            l1_total += t.hit_rate().total();
+        let (mut l1_tlb, mut l2_tlb) = (Ratio::default(), Ratio::default());
+        for (level, _, tlb) in self.tlbs() {
+            if level == 1 { &mut l1_tlb } else { &mut l2_tlb }.merge(&tlb.hit_rate());
         }
-        let mut l1c_hits = 0;
-        let mut l1c_total = 0;
+        let mut l1_cache = Ratio::default();
         for c in &self.l1_caches {
-            l1c_hits += c.hit_rate().hits();
-            l1c_total += c.hit_rate().total();
+            l1_cache.merge(&c.hit_rate());
         }
-        let mut l2c_hits = 0;
-        let mut l2c_total = 0;
-        for c in &self.l2_slices {
-            l2c_hits += c.hit_rate().hits();
-            l2c_total += c.hit_rate().total();
-        }
-        // Per-device structures aggregate across the fleet (a fleet of
-        // one reduces to the single device's own counters exactly).
-        let mut l2_tlb = Ratio::default();
-        for t in &self.l2_tlbs {
-            l2_tlb.merge(&t.hit_rate());
-        }
+        let mut l2_cache = Ratio::default();
+        let mut row_hits = Ratio::default();
         let mut walks = 0;
         let mut walk_latency = Histogram::default();
-        for w in &self.walkers {
-            walks += w.walks();
-            walk_latency.merge(w.latency());
-        }
-        let mut row_hits = Ratio::default();
-        for d in &self.drams {
-            row_hits.merge(&d.row_hit_rate());
-        }
         let mut iobus_transfers = 0;
         let mut iobus_bytes = 0;
         let mut iobus_queue = Histogram::default();
         let mut iobus_service = Histogram::default();
-        for b in &self.iobuses {
-            iobus_transfers += b.transfers();
-            iobus_bytes += b.bytes();
-            iobus_queue.merge(b.queue());
-            iobus_service.merge(b.service());
+        for d in &self.devices {
+            for c in &d.partitions.l2_slices {
+                l2_cache.merge(&c.hit_rate());
+            }
+            row_hits.merge(&d.partitions.dram.row_hit_rate());
+            walks += d.walker.walks();
+            walk_latency.merge(d.walker.latency());
+            iobus_transfers += d.iobus.transfers();
+            iobus_bytes += d.iobus.bytes();
+            iobus_queue.merge(d.iobus.queue());
+            iobus_service.merge(d.iobus.service());
         }
         let p = self.placement.stats();
         SystemStats {
-            l1_tlb_hits: l1_hits,
-            l1_tlb_total: l1_total,
+            l1_tlb_hits: l1_tlb.hits(),
+            l1_tlb_total: l1_tlb.total(),
             l2_tlb_hits: l2_tlb.hits(),
             l2_tlb_total: l2_tlb.total(),
             walks,
             walk_latency_mean: walk_latency.mean(),
-            l1_cache_hit_rate: if l1c_total == 0 {
-                1.0
-            } else {
-                l1c_hits as f64 / l1c_total as f64
-            },
-            l2_cache_hit_rate: if l2c_total == 0 {
-                1.0
-            } else {
-                l2c_hits as f64 / l2c_total as f64
-            },
+            l1_cache_hit_rate: l1_cache.rate(),
+            l2_cache_hit_rate: l2_cache.rate(),
             dram_row_hit_rate: row_hits.rate(),
             iobus_transfers,
             iobus_bytes,
@@ -1012,7 +984,7 @@ impl GpuSystem {
             touched_bytes: self.manager.touched_bytes(),
             memory_bloat: self.manager.memory_bloat(),
             remote_accesses: p.remote_accesses,
-            interconnect_bytes: self.interconnect.bytes() + self.icn_nominal_bytes,
+            interconnect_bytes: self.interconnect.bytes(),
             fleet_migrations: p.migrations,
             fleet_replications: p.replications,
             fleet_copy_bytes: p.migrated_bytes + p.replicated_bytes,
@@ -1034,6 +1006,7 @@ impl MemoryInterface for GpuSystem {
         addresses: &[VirtAddr],
         timeline: &mut AccessTimeline,
     ) -> Cycle {
+        let w = Issue { now, sm, gpu: sm / self.cfg.system.sm_count, asid };
         let mut worst = now + 1;
         // SIMT lockstep: the warp waits for its slowest transaction, so
         // the slowest transaction's timeline is the one the stalled SM
@@ -1044,11 +1017,15 @@ impl MemoryInterface for GpuSystem {
         let track_use = self.cfg.oversubscription.is_some();
         for &addr in addresses {
             let mut tl = AccessTimeline::begin(now);
-            let (translated, phys, faulted) = self.translate(now, sm, asid, addr, &mut tl);
+            let (translated, phys, faulted) = self.translate(w, addr, &mut tl);
             if track_use {
                 self.manager.note_use(phys.base_frame(), Self::is_store(asid, addr.base_page()));
             }
-            let done = self.data_access(now, translated, sm, asid, addr, phys, faulted, &mut tl);
+            // A post-fault data access starts beyond every other SM's
+            // clock, so it is charged nominally, like any stage past the
+            // lookahead window.
+            let contended = !faulted && within_window(now, translated);
+            let done = self.data_access(w, translated, contended, addr, phys, &mut tl);
             tl.seal(done);
             if done > worst {
                 worst = done;
@@ -1075,6 +1052,33 @@ mod tests {
         let mut sys = GpuSystem::new(small_cfg(manager));
         sys.launch_app(AppId(0), VirtPageNum(0), 2048);
         sys
+    }
+
+    /// The shared L2→DRAM stage: a nominal access costs the slice's
+    /// hit latency plus DRAM's uncontended latency and books no port, so
+    /// a contended access at the same start cycle afterwards completes
+    /// exactly as it does on a fresh device. Had the first access been
+    /// contended, the second (same slice, bank and row) would queue.
+    #[test]
+    fn nominal_partition_access_books_no_port() {
+        let sys = small_cfg(ManagerKind::GpuMmu4K).system;
+        let start = Cycle::new(1_000);
+        let first = PhysAddr(0x4_0000);
+        // The next line of the same DRAM channel: same slice, same row.
+        let second = PhysAddr(first.raw() + sys.dram.line_size * sys.dram.channels as u64);
+        let mut dev = Device::new(&sys);
+        let slice = dev.partitions.dram.channel_of(first.raw());
+        let nominal =
+            dev.partitions.l2_slices[slice].latency() + dev.partitions.dram.uncontended_latency();
+        let (_, done, _) = dev.partitions.access(start, first, false);
+        assert_eq!(done, start + nominal);
+        let after_nominal = dev.partitions.access(start, second, true);
+        let on_fresh = Device::new(&sys).partitions.access(start, second, true);
+        assert_eq!(after_nominal, on_fresh);
+
+        let mut booked = Device::new(&sys);
+        booked.partitions.access(start, first, true);
+        assert!(booked.partitions.access(start, second, true).1 > on_fresh.1);
     }
 
     #[test]

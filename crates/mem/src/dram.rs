@@ -13,7 +13,7 @@
 //! * the **bulk path** (RowClone/LISA), an in-DRAM copy of the page in
 //!   ~80 ns that never occupies the channel data bus.
 
-use mosaic_sim_core::{ClockDomain, Counter, Cycle, Nanos, OccupancyPool, Ratio, ThroughputPort};
+use mosaic_sim_core::{ClockDomain, Cycle, Nanos, OccupancyPool, Ratio, ThroughputPort};
 
 /// DRAM geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,8 +128,6 @@ pub struct Dram {
     /// per-access and per-copy-beat paths need it on every call.
     burst_cycles: u64,
     row_hits: Ratio,
-    bulk_copies: Counter,
-    narrow_copies: Counter,
 }
 
 impl Dram {
@@ -152,15 +150,7 @@ impl Dram {
                 copy_engine: ThroughputPort::serialized(1),
             })
             .collect();
-        Dram {
-            config,
-            channels,
-            clock,
-            burst_cycles,
-            row_hits: Ratio::default(),
-            bulk_copies: Counter::new(),
-            narrow_copies: Counter::new(),
-        }
+        Dram { config, channels, clock, burst_cycles, row_hits: Ratio::default() }
     }
 
     /// The configuration.
@@ -223,7 +213,6 @@ impl Dram {
     /// engine in idle bus slots; demand traffic is not delayed, but the
     /// returned completion cycle gates whoever needs the migrated frame.
     pub fn narrow_page_copy(&mut self, now: Cycle, ch: usize) -> Cycle {
-        self.narrow_copies.inc();
         let per_beat = self.burst_cycles;
         // 4096 B / 8 B per beat = 512 beats of copy-engine occupancy.
         let beats = 4096 / 8;
@@ -241,7 +230,6 @@ impl Dram {
     /// path (RowClone/LISA): occupies the bank array, not the data bus.
     /// Returns the completion cycle.
     pub fn bulk_page_copy(&mut self, now: Cycle, ch: usize) -> Cycle {
-        self.bulk_copies.inc();
         let cycles = self.clock.cycles_for(self.config.bulk_copy).max(1);
         let ch = ch % self.config.channels;
         // Charge an arbitrary bank pair (we model the array occupancy on
@@ -267,16 +255,6 @@ impl Dram {
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> Ratio {
         self.row_hits
-    }
-
-    /// Number of bulk (in-DRAM) page copies performed.
-    pub fn bulk_copies(&self) -> u64 {
-        self.bulk_copies.get()
-    }
-
-    /// Number of narrow (over-the-bus) page copies performed.
-    pub fn narrow_copies(&self) -> u64 {
-        self.narrow_copies.get()
     }
 }
 
@@ -364,8 +342,6 @@ mod tests {
         let mut d2 = dram();
         let bulk = d2.bulk_page_copy(Cycle::new(0), 0);
         assert!(narrow.as_u64() > bulk.as_u64() * 5, "narrow {narrow} vs bulk {bulk}");
-        assert_eq!(d.narrow_copies(), 1);
-        assert_eq!(d2.bulk_copies(), 1);
     }
 
     #[test]

@@ -12,6 +12,15 @@
 //! pair a dedicated link (one hop). `Ring` connects each GPU to its two
 //! neighbours; a message takes the shorter direction (ties go clockwise)
 //! and occupies every link on its path, store-and-forward.
+//!
+//! Every message has two prices. The contended methods
+//! ([`Interconnect::traverse`], [`Interconnect::transfer`]) book the
+//! links' ports. The nominal methods ([`Interconnect::traverse_nominal`],
+//! [`Interconnect::transfer_nominal`]) charge the uncontended wire time
+//! and leave the ports alone; the simulator uses them for lookahead
+//! isolation, when a request starts so far in the simulated future that
+//! booking a port would make earlier requests queue behind it. Both
+//! count their bytes into [`Interconnect::bytes`].
 
 use mosaic_sim_core::{Counter, Cycle, ThroughputPort};
 
@@ -74,7 +83,8 @@ impl InterconnectConfig {
 }
 
 /// The link fabric of one fleet: per-directed-link injection ports plus
-/// fixed per-hop latency.
+/// fixed per-hop latency, with a contended and a nominal (port-free)
+/// price for every message.
 ///
 /// # Examples
 ///
@@ -87,6 +97,9 @@ impl InterconnectConfig {
 /// assert_eq!(arrival, Cycle::new(120));
 /// // Local "traversals" are free: no hop, no flit.
 /// assert_eq!(icn.traverse(Cycle::new(7), 1, 1), Cycle::new(7));
+/// // The nominal price of the same hop ignores the flit queued above.
+/// assert_eq!(icn.traverse_nominal(Cycle::new(0), 0, 1), Cycle::new(120));
+/// assert_eq!(icn.bytes(), 256, "both flits are counted");
 /// ```
 #[derive(Debug)]
 pub struct Interconnect {
@@ -185,7 +198,30 @@ impl Interconnect {
         at
     }
 
-    /// Total bytes carried across all links.
+    /// The nominal price of [`Self::traverse`]: `link_latency.max(1)` per
+    /// hop, without booking any link. The flit's bytes still count.
+    pub fn traverse_nominal(&mut self, now: Cycle, from: usize, to: usize) -> Cycle {
+        let hops = self.config.topology.hops(from, to, self.gpus);
+        self.bytes.add(hops * FLIT_BYTES);
+        now + hops * self.config.link_latency.max(1)
+    }
+
+    /// The nominal price of [`Self::transfer`]: `link_latency.max(1)` per
+    /// hop plus one `(flits − 1) × cycles_per_flit.max(1)` serialization
+    /// train for the whole path, without booking any link. The contended
+    /// path pays the train on every hop (store-and-forward); the nominal
+    /// one pays it once. The payload's bytes count on every hop, as they
+    /// do on the contended path.
+    pub fn transfer_nominal(&mut self, now: Cycle, from: usize, to: usize, bytes: u64) -> Cycle {
+        let flits = bytes.div_ceil(FLIT_BYTES).max(1);
+        let hops = self.config.topology.hops(from, to, self.gpus);
+        self.bytes.add(hops * flits * FLIT_BYTES);
+        now + hops * self.config.link_latency.max(1)
+            + (flits - 1) * self.config.cycles_per_flit.max(1)
+    }
+
+    /// Total bytes carried across all links, on the contended and the
+    /// nominal paths.
     pub fn bytes(&self) -> u64 {
         self.bytes.get()
     }
@@ -252,6 +288,55 @@ mod tests {
         assert_eq!(after, Cycle::new(132));
     }
 
+    /// The nominal prices are pinned arithmetic: `link_latency.max(1)`
+    /// per hop, one `(flits − 1) × cycles_per_flit.max(1)` train per
+    /// payload whatever the hop count, and every hop's bytes counted.
+    #[test]
+    fn nominal_prices_are_pinned() {
+        const PAGE: u64 = 2 << 20;
+        let train = (PAGE / FLIT_BYTES - 1) * 4;
+        let mut full = Interconnect::new(cfg(Topology::FullyConnected), 4);
+        assert_eq!(full.traverse_nominal(Cycle::new(10), 0, 3), Cycle::new(110));
+        assert_eq!(full.transfer_nominal(Cycle::new(0), 1, 2, PAGE), Cycle::new(100 + train));
+        assert_eq!(full.traverse_nominal(Cycle::new(10), 2, 2), Cycle::new(10), "local");
+        assert_eq!(full.bytes(), FLIT_BYTES + PAGE);
+
+        let mut ring = Interconnect::new(cfg(Topology::Ring), 4);
+        assert_eq!(ring.traverse_nominal(Cycle::new(0), 0, 2), Cycle::new(200), "two hops");
+        assert_eq!(ring.traverse_nominal(Cycle::new(5), 0, 3), Cycle::new(105), "wraps back");
+        assert_eq!(
+            ring.transfer_nominal(Cycle::new(0), 0, 2, PAGE),
+            Cycle::new(200 + train),
+            "the train is paid once, not per hop"
+        );
+        assert_eq!(ring.bytes(), 3 * FLIT_BYTES + 2 * PAGE);
+
+        // Zero-cycle links and flit intervals still cost a cycle each.
+        let zero =
+            InterconnectConfig { link_latency: 0, cycles_per_flit: 0, ..cfg(Topology::Ring) };
+        let mut zero = Interconnect::new(zero, 4);
+        assert_eq!(zero.traverse_nominal(Cycle::new(0), 0, 2), Cycle::new(2));
+        assert_eq!(
+            zero.transfer_nominal(Cycle::new(0), 0, 2, PAGE),
+            Cycle::new(2 + PAGE / FLIT_BYTES - 1)
+        );
+    }
+
+    /// Nominal traffic books no link: a contended flit issued afterwards
+    /// at an earlier cycle crosses idle links. Had the payload been
+    /// booked, the same flit would queue behind it.
+    #[test]
+    fn nominal_traffic_leaves_links_idle() {
+        let mut icn = Interconnect::new(cfg(Topology::Ring), 4);
+        icn.transfer_nominal(Cycle::new(1_000), 0, 2, 2 << 20);
+        icn.traverse_nominal(Cycle::new(1_000), 0, 2);
+        assert_eq!(icn.traverse(Cycle::new(0), 0, 2), Cycle::new(200));
+
+        let mut booked = Interconnect::new(cfg(Topology::Ring), 4);
+        booked.transfer(Cycle::new(1_000), 0, 2, 2 << 20);
+        assert!(booked.traverse(Cycle::new(0), 0, 2) > Cycle::new(200));
+    }
+
     #[test]
     fn gpu_index_wraps() {
         let mut icn = Interconnect::new(cfg(Topology::Ring), 2);
@@ -289,7 +374,8 @@ mod tests {
     /// Every `(from, to)` pair — including indices past the fleet size,
     /// which wrap — on both topologies for fleets of 1..=8: the route is
     /// the reference path and exactly `hops` long, so the contended
-    /// (`traverse`) and nominal (`hops × latency`) paths agree.
+    /// (`traverse`) and nominal (`traverse_nominal`) paths agree on a
+    /// path's length.
     #[test]
     fn route_and_hops_agree_for_every_pair() {
         for topology in [Topology::FullyConnected, Topology::Ring] {

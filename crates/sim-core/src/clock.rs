@@ -157,12 +157,6 @@ impl ClockDomain {
         self.freq_mhz
     }
 
-    /// Duration of one cycle in nanoseconds.
-    #[inline]
-    pub fn cycle_time(&self) -> Nanos {
-        Nanos(1_000.0 / self.freq_mhz)
-    }
-
     /// Number of whole cycles (rounded up) needed to cover `duration`.
     #[inline]
     pub fn cycles_for(&self, duration: Nanos) -> u64 {

@@ -52,13 +52,6 @@ pub struct Grant {
     pub done: Cycle,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service began.
-    pub fn wait_since(&self, arrival: Cycle) -> u64 {
-        self.start.since(arrival)
-    }
-}
-
 impl OccupancyPool {
     /// Creates a pool with `slots` concurrent slots.
     ///
@@ -73,12 +66,6 @@ impl OccupancyPool {
     /// Number of slots in the pool.
     pub fn slots(&self) -> usize {
         self.slots
-    }
-
-    /// Number of slots still busy at `now`.
-    pub fn in_use(&mut self, now: Cycle) -> usize {
-        self.drain_freed(now);
-        self.busy_until.len()
     }
 
     /// Acquires a slot for a request arriving at `now` needing `service`
@@ -240,7 +227,6 @@ mod tests {
         }
         let g = p.acquire(Cycle::new(5), 100);
         assert_eq!(g.start, Cycle::new(105));
-        assert_eq!(g.wait_since(Cycle::new(5)), 100);
     }
 
     #[test]
@@ -251,8 +237,6 @@ mod tests {
         // Arriving after the slot freed: no wait.
         let g2 = p.acquire(Cycle::new(50), 10);
         assert_eq!(g2.start, Cycle::new(50));
-        assert_eq!(p.in_use(Cycle::new(55)), 1);
-        assert_eq!(p.in_use(Cycle::new(60)), 0);
     }
 
     #[test]
@@ -375,6 +359,6 @@ mod tests {
     fn grant_wait_is_zero_when_immediate() {
         let mut p = OccupancyPool::new(1);
         let g = p.acquire(Cycle::new(3), 5);
-        assert_eq!(g.wait_since(Cycle::new(3)), 0);
+        assert_eq!(g.start, Cycle::new(3));
     }
 }

@@ -97,11 +97,6 @@ impl SimRng {
         result
     }
 
-    /// Draws the next 32 random bits (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Draws a uniform value in `[0, bound)`.
     ///
     /// # Panics
