@@ -149,3 +149,27 @@ fn closure_covers_the_lookahead_isolated_stages() {
         );
     }
 }
+
+#[test]
+fn closure_covers_the_walker_table_and_dram_decode() {
+    // Every walk probes the walker's in-flight table and every retirement
+    // deletes from it; every L2 miss decodes its DRAM channel, bank and
+    // row. The hot-path rules (no `unwrap`/`expect`, no std hash
+    // containers) must keep covering all of them.
+    let closure = real_workspace().closure();
+    for (ty, name) in [
+        ("MshrTable", "home"),
+        ("MshrTable", "find"),
+        ("MshrTable", "get"),
+        ("MshrTable", "insert"),
+        ("MshrTable", "remove"),
+        ("MshrTable", "grow"),
+        ("Dram", "locate"),
+        ("Dram", "channel_of"),
+    ] {
+        assert!(
+            closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),
+            "{ty}::{name} missing from closure"
+        );
+    }
+}

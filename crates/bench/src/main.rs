@@ -114,6 +114,29 @@ fn micro_walker() {
     }
 }
 
+fn micro_walker_deep() {
+    // The regime `micro/walker` cannot see: walks issued one cycle apart
+    // behind 10^4-cycle page-table reads queue for the 64 walker threads,
+    // so each round ends with 4,096 distinct pages in flight (~2,000 on
+    // average, like the default-scope Fig. 13 runs). An O(n) scan of the
+    // in-flight set would cost thousands of probes per walk here.
+    let mut walker = PageTableWalker::new(64);
+    let path = [PhysAddr(0x1000), PhysAddr(0x2000), PhysAddr(0x3000), PhysAddr(0x4000)];
+    let mut now = Cycle::ZERO;
+    for round in 0..48u64 {
+        let mut last = now;
+        for i in 0..4_096u64 {
+            let vpn = VirtPageNum(((round << 12 | i) * 7_919) % (1 << 24));
+            last =
+                walker.walk(now, AppId(i as u16 & 1), vpn, path, |_, _, start| start + 2_500).done;
+            now += 1;
+        }
+        // Let the round drain before the next burst.
+        now = last + 1;
+    }
+    black_box(walker.walks());
+}
+
 fn micro_manager_touch() {
     for _ in 0..12 {
         let mut m = MosaicManager::new(MosaicConfig::with_memory(256 * 2 * 1024 * 1024));
@@ -221,6 +244,7 @@ fn scenarios() -> Vec<Scenario> {
         s("micro/page_table_translate", MICRO_RATIO, micro_page_table_translate),
         s("micro/page_table_map_unmap", SWEEP_RATIO, micro_page_table_map_unmap),
         s("micro/walker", MICRO_RATIO, micro_walker),
+        s("micro/walker_deep", MICRO_RATIO, micro_walker_deep),
         s("micro/manager_touch", MICRO_RATIO, micro_manager_touch),
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),

@@ -17,7 +17,7 @@ use mosaic_telemetry::{emit, Event, StallBreakdown, StallBucket};
 use mosaic_vm::AppId;
 use mosaic_workloads::{AppLayout, AppWarpStream, Workload};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Cycles between periodic `Epoch` metric-snapshot events when tracing
 /// is enabled (cadenced on SM local clocks; disabled runs never check).
@@ -200,11 +200,16 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         }
         emit(|| Event::PhaseBegin { phase, cycle: phase_start.as_u64() });
 
-        // Smallest-clock-first scheduling loop.
+        // Smallest-clock-first scheduling loop. The SM at the top is
+        // advanced in place: an active SM's key is rewritten through
+        // `PeekMut` (one sift-down instead of a pop and a push), and only
+        // a finished SM is popped. Keys `(Reverse(now), idx)` are unique,
+        // so the order is exactly that of pop-then-push.
         heap.clear();
         heap.extend((0..sms.len()).map(|i| (Reverse(Cycle::ZERO), i)));
         let mut active_per_app: Vec<usize> = (0..n).map(|i| sm_share(total_sms, n, i)).collect();
-        while let Some((_, idx)) = heap.pop() {
+        while let Some(mut top) = heap.peek_mut() {
+            let idx = top.1;
             let still_active = sms[idx].advance(&mut system);
             if let Some(stall) = system.take_pending_stall() {
                 // Worst-case model (when enabled): compaction/shootdowns
@@ -234,9 +239,10 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
                 }
             }
             if still_active {
-                heap.push((Reverse(sms[idx].now()), idx));
+                top.0 = Reverse(sms[idx].now());
                 continue;
             }
+            PeekMut::pop(top);
             let app = sms[idx].asid().0 as usize;
             active_per_app[app] -= 1;
             if active_per_app[app] == 0 {

@@ -204,14 +204,16 @@ impl Device {
                     }
                 }
             }
-            partitions.access(at, pte, within_window(issue_now, at)).1
+            let slice = partitions.dram.channel_of(pte.raw());
+            partitions.access(slice, at, pte, within_window(issue_now, at)).1
         });
         out.done
     }
 }
 
 impl Partitions {
-    /// One line access to `addr`'s L2 slice starting at `start`, then
+    /// One line access to `addr`'s L2 slice (`slice`, its DRAM channel)
+    /// starting at `start`, then
     /// DRAM on a miss: the stage the walker's PTE fetches and the data
     /// path share. Contended, it books the slice port and the DRAM banks
     /// and bus; otherwise it charges the nominal `latency()` and
@@ -219,8 +221,13 @@ impl Partitions {
     /// when the L2 slice answers, when the access completes, and the
     /// pure DRAM service cycles: whatever lies between the L2 answer and
     /// `done − service` is DRAM queueing (zero on a hit or when nominal).
-    fn access(&mut self, start: Cycle, addr: PhysAddr, contended: bool) -> (Cycle, Cycle, u64) {
-        let slice = self.dram.channel_of(addr.raw());
+    fn access(
+        &mut self,
+        slice: usize,
+        start: Cycle,
+        addr: PhysAddr,
+        contended: bool,
+    ) -> (Cycle, Cycle, u64) {
         let l2 = &mut self.l2_slices[slice];
         let l2_done =
             if contended { self.l2_ports[slice].acquire(start).done } else { start + l2.latency() };
@@ -837,12 +844,14 @@ impl GpuSystem {
             (w.gpu, l1_done)
         };
         let dev = &mut self.devices[home];
+        let slice = dev.partitions.dram.channel_of(phys.raw());
         let at_partition = if contended {
-            dev.xbar.traverse(at_home, dev.partitions.dram.channel_of(phys.raw()))
+            dev.xbar.traverse(at_home, slice)
         } else {
             at_home + self.cfg.system.xbar.latency
         };
-        let (l2_done, mut done, service) = dev.partitions.access(at_partition, phys, contended);
+        let (l2_done, mut done, service) =
+            dev.partitions.access(slice, at_partition, phys, contended);
         tl.mark(l2_done, StallBucket::Cache);
         // Whatever precedes the pure service portion is queueing.
         tl.mark(Cycle::new(done.as_u64().saturating_sub(service)), StallBucket::DramQueue);
@@ -1070,15 +1079,15 @@ mod tests {
         let slice = dev.partitions.dram.channel_of(first.raw());
         let nominal =
             dev.partitions.l2_slices[slice].latency() + dev.partitions.dram.uncontended_latency();
-        let (_, done, _) = dev.partitions.access(start, first, false);
+        let (_, done, _) = dev.partitions.access(slice, start, first, false);
         assert_eq!(done, start + nominal);
-        let after_nominal = dev.partitions.access(start, second, true);
-        let on_fresh = Device::new(&sys).partitions.access(start, second, true);
+        let after_nominal = dev.partitions.access(slice, start, second, true);
+        let on_fresh = Device::new(&sys).partitions.access(slice, start, second, true);
         assert_eq!(after_nominal, on_fresh);
 
         let mut booked = Device::new(&sys);
-        booked.partitions.access(start, first, true);
-        assert!(booked.partitions.access(start, second, true).1 > on_fresh.1);
+        booked.partitions.access(slice, start, first, true);
+        assert!(booked.partitions.access(slice, start, second, true).1 > on_fresh.1);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * the **bulk path** (RowClone/LISA), an in-DRAM copy of the page in
 //!   ~80 ns that never occupies the channel data bus.
 
-use mosaic_sim_core::{ClockDomain, Cycle, Nanos, OccupancyPool, Ratio, ThroughputPort};
+use mosaic_sim_core::{ClockDomain, Cycle, Nanos, Ratio, ThroughputPort};
 
 /// DRAM geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,7 +72,10 @@ const FRFCFS_WINDOW: usize = 4;
 struct Bank {
     /// Most-recently-open rows, most recent last.
     open_rows: Vec<u64>,
-    service: OccupancyPool,
+    /// The bank array, held for each access's row service (or a bulk
+    /// copy). Every booking is at least one cycle, so a serialized port
+    /// books exactly what a one-slot occupancy pool would.
+    service: ThroughputPort,
 }
 
 impl Bank {
@@ -127,7 +130,39 @@ pub struct Dram {
     /// `clock.cycles_for(config.burst_time).max(1)`, precomputed: the
     /// per-access and per-copy-beat paths need it on every call.
     burst_cycles: u64,
+    /// `clock.cycles_for(config.row_hit).max(1)`, precomputed likewise.
+    row_hit_cycles: u64,
+    /// `clock.cycles_for(config.row_conflict).max(1)`, precomputed likewise.
+    row_conflict_cycles: u64,
+    /// Shift constants for [`Dram::locate`] when the geometry allows them.
+    shifts: Option<Shifts>,
     row_hits: Ratio,
+}
+
+/// `log2` of the line size, lines per row and banks per channel, when all
+/// three are powers of two: `locate` then decodes with shifts and masks
+/// instead of divisions (as `Cache::split` does). The channel count
+/// (six in the paper) keeps its one division.
+#[derive(Debug, Clone, Copy)]
+struct Shifts {
+    line: u32,
+    row_lines: u32,
+    banks: u32,
+}
+
+impl Shifts {
+    fn new(config: &DramConfig) -> Option<Self> {
+        let row_lines = (config.row_size / config.line_size).max(1);
+        let banks = config.banks_per_channel as u64;
+        (config.line_size.is_power_of_two()
+            && row_lines.is_power_of_two()
+            && banks.is_power_of_two())
+        .then(|| Shifts {
+            line: config.line_size.trailing_zeros(),
+            row_lines: row_lines.trailing_zeros(),
+            banks: banks.trailing_zeros(),
+        })
+    }
 }
 
 impl Dram {
@@ -144,13 +179,22 @@ impl Dram {
         let channels = (0..config.channels)
             .map(|_| Channel {
                 banks: (0..config.banks_per_channel)
-                    .map(|_| Bank { open_rows: Vec::new(), service: OccupancyPool::new(1) })
+                    .map(|_| Bank { open_rows: Vec::new(), service: ThroughputPort::serialized(1) })
                     .collect(),
                 bus: ThroughputPort::serialized(burst_cycles),
                 copy_engine: ThroughputPort::serialized(1),
             })
             .collect();
-        Dram { config, channels, clock, burst_cycles, row_hits: Ratio::default() }
+        Dram {
+            config,
+            channels,
+            clock,
+            burst_cycles,
+            row_hit_cycles: clock.cycles_for(config.row_hit).max(1),
+            row_conflict_cycles: clock.cycles_for(config.row_conflict).max(1),
+            shifts: Shifts::new(&config),
+            row_hits: Ratio::default(),
+        }
     }
 
     /// The configuration.
@@ -160,17 +204,28 @@ impl Dram {
 
     /// Channel index serving `addr`.
     pub fn channel_of(&self, addr: u64) -> usize {
-        ((addr / self.config.line_size) % self.config.channels as u64) as usize
+        self.locate(addr).0
     }
 
+    /// Splits `addr` into `(channel, bank, row)`: lines interleave across
+    /// channels, rows across the banks of a channel.
     fn locate(&self, addr: u64) -> (usize, usize, u64) {
-        let channel = self.channel_of(addr);
-        // Strip channel interleaving, then split into (row, bank).
-        let local = addr / (self.config.line_size * self.config.channels as u64);
-        let row_global = local / (self.config.row_size / self.config.line_size).max(1);
-        let bank = (row_global % self.config.banks_per_channel as u64) as usize;
-        let row = row_global / self.config.banks_per_channel as u64;
-        (channel, bank, row)
+        let channels = self.config.channels as u64;
+        let Some(s) = self.shifts else {
+            let channel = ((addr / self.config.line_size) % channels) as usize;
+            // Strip channel interleaving, then split into (row, bank).
+            let local = addr / (self.config.line_size * channels);
+            let row_global = local / (self.config.row_size / self.config.line_size).max(1);
+            let banks = self.config.banks_per_channel as u64;
+            return (channel, (row_global % banks) as usize, row_global / banks);
+        };
+        let line = addr >> s.line;
+        // `addr / (line_size × channels)` is `line / channels`.
+        let local = line / channels;
+        let channel = (line - local * channels) as usize;
+        let row_global = local >> s.row_lines;
+        let bank = (row_global & ((1 << s.banks) - 1)) as usize;
+        (channel, bank, row_global >> s.banks)
     }
 
     /// Services one line-sized access beginning no earlier than `now`;
@@ -189,12 +244,8 @@ impl Dram {
         let (ch, bank_idx, row) = self.locate(addr);
         let hit = self.channels[ch].banks[bank_idx].access_row(row);
         self.row_hits.record(hit);
-        let service_ns = if hit { self.config.row_hit } else { self.config.row_conflict };
-        let service = self.clock.cycles_for(service_ns).max(1);
-        let bank_done = {
-            let bank = &mut self.channels[ch].banks[bank_idx];
-            bank.service.acquire(now, service).done
-        };
+        let service = if hit { self.row_hit_cycles } else { self.row_conflict_cycles };
+        let bank_done = self.channels[ch].banks[bank_idx].service.acquire_for(now, service).done;
         // Data returns over the channel bus after the bank produces it.
         let done = self.channels[ch].bus.acquire(bank_done).done;
         let burst = self.burst_cycles;
@@ -235,7 +286,7 @@ impl Dram {
         // Charge an arbitrary bank pair (we model the array occupancy on
         // bank 0 of the channel; the data bus stays free, which is the
         // mechanism's whole point).
-        let done = self.channels[ch].banks[0].service.acquire(now, cycles).done;
+        let done = self.channels[ch].banks[0].service.acquire_for(now, cycles).done;
         mosaic_telemetry::emit(|| mosaic_telemetry::Event::PageCopy {
             cycle: now.as_u64(),
             done: done.as_u64(),
@@ -249,7 +300,7 @@ impl Dram {
     /// in the simulated future are charged nominal latency instead of
     /// perturbing port state out of order).
     pub fn uncontended_latency(&self) -> u64 {
-        self.clock.cycles_for(self.config.row_conflict).max(1) + self.burst_cycles
+        self.row_conflict_cycles + self.burst_cycles
     }
 
     /// Row-buffer hit rate.
@@ -333,6 +384,119 @@ mod tests {
         assert!(hit2, "same row under FR-FCFS");
         assert!(done2.as_u64() - service2 > 0, "queued behind the first access");
         assert!(done2 > done);
+    }
+
+    /// `locate` as plain division: the formula the shift decode must match.
+    fn locate_by_division(cfg: &DramConfig, addr: u64) -> (usize, usize, u64) {
+        let channels = cfg.channels as u64;
+        let banks = cfg.banks_per_channel as u64;
+        let channel = ((addr / cfg.line_size) % channels) as usize;
+        let local = addr / (cfg.line_size * channels);
+        let row_global = local / (cfg.row_size / cfg.line_size).max(1);
+        (channel, (row_global % banks) as usize, row_global / banks)
+    }
+
+    /// A geometry the shift decode cannot serve: 12 banks, 12-line rows.
+    fn odd_geometry() -> DramConfig {
+        DramConfig { channels: 3, banks_per_channel: 12, row_size: 1536, ..DramConfig::paper() }
+    }
+
+    #[test]
+    fn shift_decode_matches_division() {
+        // Paper rows hold 16 lines across 16 banks; this one 32 across 8.
+        let long_rows =
+            DramConfig { channels: 4, banks_per_channel: 8, row_size: 4096, ..DramConfig::paper() };
+        for (cfg, shifted) in
+            [(DramConfig::paper(), true), (long_rows, true), (odd_geometry(), false)]
+        {
+            let d = Dram::new(cfg);
+            assert_eq!(d.shifts.is_some(), shifted, "{cfg:?}");
+            let mut rng = mosaic_sim_core::SimRng::from_seed(cfg.channels as u64);
+            for _ in 0..20_000 {
+                let addr = rng.next_u64() >> rng.below(64);
+                let want = locate_by_division(&cfg, addr);
+                assert_eq!(d.locate(addr), want, "{addr:#x} under {cfg:?}");
+                assert_eq!(d.channel_of(addr), want.0, "{addr:#x} under {cfg:?}");
+            }
+        }
+    }
+
+    /// The DRAM as it was before the bank ports became serialized
+    /// `ThroughputPort`s: each bank a one-slot `OccupancyPool`, every
+    /// service time converted from nanoseconds on each call.
+    struct PoolDram {
+        cfg: DramConfig,
+        clock: ClockDomain,
+        banks: Vec<Vec<(Bank, mosaic_sim_core::OccupancyPool)>>,
+        buses: Vec<ThroughputPort>,
+    }
+
+    impl PoolDram {
+        fn new(cfg: DramConfig) -> Self {
+            let clock = ClockDomain::from_mhz(cfg.core_clock_mhz);
+            let bank = || {
+                let idle = Bank { open_rows: Vec::new(), service: ThroughputPort::serialized(1) };
+                (idle, mosaic_sim_core::OccupancyPool::new(1))
+            };
+            let burst = clock.cycles_for(cfg.burst_time).max(1);
+            PoolDram {
+                cfg,
+                clock,
+                banks: (0..cfg.channels)
+                    .map(|_| (0..cfg.banks_per_channel).map(|_| bank()).collect())
+                    .collect(),
+                buses: (0..cfg.channels).map(|_| ThroughputPort::serialized(burst)).collect(),
+            }
+        }
+
+        fn access_timed(&mut self, now: Cycle, addr: u64) -> (Cycle, u64, bool) {
+            let (ch, b, row) = locate_by_division(&self.cfg, addr);
+            let (bank, pool) = &mut self.banks[ch][b];
+            let hit = bank.access_row(row);
+            let ns = if hit { self.cfg.row_hit } else { self.cfg.row_conflict };
+            let service = self.clock.cycles_for(ns).max(1);
+            let bank_done = pool.acquire(now, service).done;
+            let done = self.buses[ch].acquire(bank_done).done;
+            (done, service + self.clock.cycles_for(self.cfg.burst_time).max(1), hit)
+        }
+
+        fn bulk_page_copy(&mut self, now: Cycle, ch: usize) -> Cycle {
+            let cycles = self.clock.cycles_for(self.cfg.bulk_copy).max(1);
+            self.banks[ch % self.cfg.channels][0].1.acquire(now, cycles).done
+        }
+    }
+
+    #[test]
+    fn bank_ports_book_what_one_slot_pools_did() {
+        for cfg in [DramConfig::paper(), odd_geometry()] {
+            let mut d = Dram::new(cfg);
+            let mut reference = PoolDram::new(cfg);
+            let mut rng = mosaic_sim_core::SimRng::from_seed(3);
+            let mut now = 0u64;
+            for _ in 0..20_000 {
+                // Bursts at one cycle, gaps past every queue, and a few
+                // steps back (lookahead callers are not monotone).
+                now = match rng.below(10) {
+                    0 => now + 500,
+                    1 => now.saturating_sub(200),
+                    _ => now + rng.below(4),
+                };
+                let at = Cycle::new(now);
+                if rng.chance(0.05) {
+                    let ch = rng.below(cfg.channels as u64 + 2) as usize;
+                    assert_eq!(d.bulk_page_copy(at, ch), reference.bulk_page_copy(at, ch));
+                } else {
+                    // A small row pool: hits, conflicts and bank-0 traffic.
+                    let addr = rng.below(1 << 21);
+                    assert_eq!(
+                        d.access_timed(at, addr),
+                        reference.access_timed(at, addr),
+                        "{addr:#x} at {now}"
+                    );
+                }
+            }
+            assert!(d.row_hit_rate().hits() > 500 && d.row_hit_rate().misses() > 500);
+        }
     }
 
     #[test]
