@@ -173,3 +173,24 @@ fn closure_covers_the_walker_table_and_dram_decode() {
         );
     }
 }
+
+#[test]
+fn closure_covers_the_tlb_index_and_cache_access() {
+    // Every TLB lookup and fill probes its array's open-addressed index,
+    // every eviction and flush deletes from it by backward shift, and a
+    // large bulk flush rebuilds it; every L1-missing access runs
+    // `Cache::access`. None of them may `unwrap` or `expect`.
+    let closure = real_workspace().closure();
+    for (ty, name) in [
+        ("TranslationArray", "probe"),
+        ("TranslationArray", "insert"),
+        ("TranslationArray", "unlink"),
+        ("TranslationArray", "rebuild"),
+        ("Cache", "access"),
+    ] {
+        assert!(
+            closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),
+            "{ty}::{name} missing from closure"
+        );
+    }
+}

@@ -31,7 +31,7 @@ use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
 use mosaic_experiments as exp;
 use mosaic_experiments::{Scope, Sweep};
 use mosaic_gpusim::{run_workload, ManagerKind, RunConfig, Topology};
-use mosaic_sim_core::Cycle;
+use mosaic_sim_core::{Cycle, SimRng};
 use mosaic_vm::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PageTable, PageTableWalker, PhysAddr,
     PhysFrameNum, Tlb, TlbConfig, VirtPageNum,
@@ -52,8 +52,10 @@ fn micro_tlb_lookup() {
     for p in 0..64u64 {
         tlb.fill(AppId(0), VirtPageNum(p).addr(), PageSize::Base);
     }
-    // Mix of repeated hits (last-translation-cache territory) and a
-    // rotating working set that exercises the full associative probe.
+    // Mix of repeated hits (last-translation-cache territory) and probes
+    // of a 64-page set. Eight hot pages in one warm TLB stay in host
+    // cache, so this times the probe code, not the TLB's footprint;
+    // `micro/tlb_fleet` covers that.
     for i in 0..2_000_000u64 {
         let page = if i % 4 == 0 { i / 7 % 64 } else { i % 8 };
         black_box(tlb.lookup(AppId(0), VirtPageNum(page).addr()));
@@ -65,6 +67,37 @@ fn micro_tlb_fill_evict() {
     for page in 0..1_000_000u64 {
         black_box(tlb.fill(AppId(page as u16 % 3), VirtPageNum(page).addr(), PageSize::Base));
         black_box(tlb.lookup(AppId(page as u16 % 3), VirtPageNum(page.wrapping_sub(3)).addr()));
+    }
+}
+
+fn micro_tlb_fleet() {
+    // A 4-GPU fleet's TLBs: 120 per-SM L1s and 4 shared L2s, driven
+    // round-robin so consecutive accesses land on different TLBs, as the
+    // smallest-clock-first SM loop does. Each SM draws from 192 pages,
+    // more than its L1 holds, overlapping its neighbours'; an L1 miss
+    // probes and fills its GPU's L2 as `GpuSystem::lookup` does. Every
+    // 8,192 accesses one 2 MB region is shot down from every TLB.
+    const SMS_PER_GPU: usize = 30;
+    let mut l1: Vec<Tlb> = (0..4 * SMS_PER_GPU).map(|_| Tlb::new(TlbConfig::paper_l1())).collect();
+    let mut l2: Vec<Tlb> = (0..4).map(|_| Tlb::new(TlbConfig::paper_l2())).collect();
+    let mut rng = SimRng::from_seed(0xF1EE7);
+    for i in 0..1_200_000usize {
+        let sm = i % l1.len();
+        let asid = AppId((sm / 10 % 3) as u16);
+        let addr = VirtPageNum(sm as u64 * 64 + rng.below(192)).addr();
+        if !l1[sm].lookup(asid, addr).is_hit() {
+            let l2 = &mut l2[sm / SMS_PER_GPU];
+            if !l2.lookup(asid, addr).is_hit() {
+                black_box(l2.fill(asid, addr, PageSize::Base));
+            }
+            black_box(l1[sm].fill(asid, addr, PageSize::Base));
+        }
+        if i % 8192 == 8191 {
+            let region = LargePageNum(rng.below(15)).base_page(0);
+            for tlb in l1.iter_mut().chain(&mut l2) {
+                black_box(tlb.flush_base_range(asid, region, 512));
+            }
+        }
     }
 }
 
@@ -241,6 +274,7 @@ fn scenarios() -> Vec<Scenario> {
     vec![
         s("micro/tlb_lookup", MICRO_RATIO, micro_tlb_lookup),
         s("micro/tlb_fill_evict", MICRO_RATIO, micro_tlb_fill_evict),
+        s("micro/tlb_fleet", MICRO_RATIO, micro_tlb_fleet),
         s("micro/page_table_translate", MICRO_RATIO, micro_page_table_translate),
         s("micro/page_table_map_unmap", SWEEP_RATIO, micro_page_table_map_unmap),
         s("micro/walker", MICRO_RATIO, micro_walker),

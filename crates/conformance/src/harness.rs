@@ -326,9 +326,9 @@ pub fn run_vm_case(
                 // A full shootdown of one 2 MB region, the sequence a
                 // splinter-triggered TLB shootdown performs: the large
                 // entry first, then all 512 base slots under it in one
-                // range flush. Nearly every base slot is empty, so the
-                // real TLB's group filter must skip to exactly the
-                // oracle's page-by-page answer.
+                // range flush. Nearly every base slot is empty; the real
+                // TLB's one-pass flush must give exactly the oracle's
+                // page-by-page answer.
                 let (asid, lpn) = (AppId(asid), LargePageNum(lpn));
                 let large_addr = lpn.base_page(0).addr();
                 let o = oracle.flush_large(asid, large_addr);

@@ -100,8 +100,8 @@ pub enum VmOp {
     FlushAll,
     /// Full shootdown of one 2 MB region: invalidate its large entry,
     /// then every one of its 512 base entries. Most of those base slots
-    /// hold nothing, so the sweep leans hard on the TLB's per-ASID
-    /// occupancy-filter short-circuit for absent entries.
+    /// hold nothing, so the sweep leans hard on the TLB's one-pass range
+    /// flush and its per-ASID live-count short-circuit.
     Shootdown {
         /// Address space.
         asid: u16,

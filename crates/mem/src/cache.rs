@@ -28,9 +28,11 @@ impl CacheConfig {
         CacheConfig { capacity: 16 * 1024, line_size: 128, assoc: 4, latency: 1 }
     }
 
-    /// One slice of the paper's shared L2: 2 MB total over six partitions
-    /// (≈341 KB per slice, rounded to 384 KB to keep power-of-two sets),
-    /// 16-way, 128 B lines, 10-cycle latency.
+    /// One slice of the paper's shared L2: 2 MB total over six partitions,
+    /// 16-way, 128 B lines, 10-cycle latency. The slice is 349,440 B
+    /// (2,730 lines), which is not a whole number of 16-line sets:
+    /// [`CacheConfig::sets`] rounds down to 170 sets, so 2,720 lines are
+    /// usable and the set index needs a modulo.
     pub fn paper_l2_slice() -> Self {
         CacheConfig {
             capacity: 2 * 1024 * 1024 / 6 / 128 * 128,
@@ -51,12 +53,9 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    last_used: u64,
-    dirty: bool,
-}
+/// Bit 63 of a tag word: the line is dirty. Tags are line numbers,
+/// addresses shifted right by at least one bit, so they never reach it.
+const DIRTY: u64 = 1 << 63;
 
 /// A set-associative, physically-indexed cache with LRU replacement.
 ///
@@ -76,11 +75,13 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All sets in one contiguous slab, `assoc` slots per set (no per-set
-    /// heap indirection); `lens[s]` is the live-line count of set `s`.
-    /// Live lines occupy the front of their set's slice, in the same
-    /// order the per-set vectors held them.
-    lines: Vec<Line>,
+    /// Line tags, `assoc` slots per set in one slab, each a line number
+    /// with [`DIRTY`] or'd in; `lens[s]` live lines sit at the front of
+    /// set `s`, in fill order.
+    tags: Vec<u64>,
+    /// Recency stamps, parallel to `tags`: the `tick` of each line's last
+    /// access. Only a miss reads them, to pick the LRU victim.
+    stamps: Vec<u64>,
     lens: Vec<u16>,
     num_sets: u64,
     /// `log2(line_size)` when the line size is a power of two, so the
@@ -101,15 +102,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line size or associativity is zero, or the capacity
-    /// is not a multiple of `line_size * assoc`.
+    /// Panics if the line size is below 2 bytes or the associativity is
+    /// zero. A capacity that is not a multiple of
+    /// `line_size * assoc` is accepted: the last partial set is dropped
+    /// (see [`CacheConfig::paper_l2_slice`]).
     pub fn new(config: CacheConfig) -> Self {
-        assert!(config.line_size > 0, "line size must be non-zero");
+        assert!(config.line_size >= 2, "line size must be at least 2 bytes");
         assert!(config.assoc > 0, "associativity must be non-zero");
         let sets = config.sets();
+        let slots = sets as usize * config.assoc;
         Cache {
             config,
-            lines: vec![Line { tag: 0, last_used: 0, dirty: false }; sets as usize * config.assoc],
+            tags: vec![0; slots],
+            stamps: vec![0; slots],
             lens: vec![0; sets as usize],
             num_sets: sets,
             line_shift: config
@@ -151,46 +156,45 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let assoc = self.config.assoc;
-        let (set_idx, tag) = self.split(addr);
+        let (set_idx, line) = self.split(addr);
+        let dirty = if write { DIRTY } else { 0 };
         let base = set_idx * assoc;
-        let len = self.lens[set_idx] as usize;
-        let set = &mut self.lines[base..base + len];
-        // One pass finds the hit and the LRU victim together. Ticks are
-        // unique within the cache, so strict `<` keeps the same
-        // (first-minimum) victim the separate `min_by_key` pass chose.
-        let mut lru_idx = 0;
-        let mut lru_tick = u64::MAX;
-        for (i, line) in set.iter_mut().enumerate() {
-            if line.tag == tag {
-                line.last_used = tick;
-                line.dirty |= write;
-                self.stats.record(true);
-                return true;
-            }
-            if line.last_used < lru_tick {
-                lru_tick = line.last_used;
-                lru_idx = i;
-            }
+        let len = usize::from(self.lens[set_idx]);
+        if let Some(i) = self.tags[base..base + len].iter().position(|&t| t & !DIRTY == line) {
+            self.tags[base + i] |= dirty;
+            self.stamps[base + i] = tick;
+            self.stats.record(true);
+            return true;
         }
         self.stats.record(false);
-        if len < assoc {
-            self.lines[base + len] = Line { tag, last_used: tick, dirty: write };
+        let slot = if len < assoc {
             self.lens[set_idx] += 1;
+            base + len
         } else {
-            let victim = &mut self.lines[base + lru_idx];
-            if victim.dirty {
+            // The first-minimum stamp (stamps are unique within the
+            // cache), kept as a running minimum: re-reading the best
+            // slot's stamp would chain every comparison on the last.
+            let (mut victim, mut oldest) = (base, u64::MAX);
+            for slot in base..base + assoc {
+                if self.stamps[slot] < oldest {
+                    (victim, oldest) = (slot, self.stamps[slot]);
+                }
+            }
+            if self.tags[victim] & DIRTY != 0 {
                 self.writebacks += 1;
             }
-            *victim = Line { tag, last_used: tick, dirty: write };
-        }
+            victim
+        };
+        self.tags[slot] = line | dirty;
+        self.stamps[slot] = tick;
         false
     }
 
     /// Probes without filling or updating recency.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.split(addr);
+        let (set_idx, line) = self.split(addr);
         let base = set_idx * self.config.assoc;
-        self.lines[base..base + self.lens[set_idx] as usize].iter().any(|l| l.tag == tag)
+        self.tags[base..base + usize::from(self.lens[set_idx])].iter().any(|&t| t & !DIRTY == line)
     }
 
     /// Invalidates every line (e.g., at kernel boundaries). Dirty lines
@@ -199,8 +203,8 @@ impl Cache {
         let assoc = self.config.assoc;
         for (set_idx, len) in self.lens.iter_mut().enumerate() {
             let base = set_idx * assoc;
-            let live = &self.lines[base..base + *len as usize];
-            self.writebacks += live.iter().filter(|l| l.dirty).count() as u64;
+            let live = &self.tags[base..base + usize::from(*len)];
+            self.writebacks += live.iter().filter(|&&t| t & DIRTY != 0).count() as u64;
             *len = 0;
         }
     }
@@ -289,6 +293,129 @@ mod tests {
         let l2 = Cache::new(CacheConfig::paper_l2_slice());
         assert!(l2.config().lines() > 2000);
         assert_eq!(l2.config().assoc, 16);
+    }
+
+    /// The L2 slice's capacity is not a multiple of a set's bytes; the
+    /// partial set is dropped. Every golden depends on this geometry.
+    #[test]
+    fn paper_l2_slice_geometry_is_pinned() {
+        let config = CacheConfig::paper_l2_slice();
+        assert_eq!(config.capacity, 349_440);
+        assert_eq!(config.lines(), 2_730);
+        assert_eq!(config.sets(), 170);
+        let mut l2 = Cache::new(config);
+        assert_eq!(l2.tags.len(), 2_720, "usable lines");
+        for line in 0..4_000u64 {
+            l2.access(line * 128, false);
+        }
+        assert_eq!(l2.occupancy(), 2_720);
+    }
+
+    #[test]
+    #[should_panic(expected = "line size")]
+    fn one_byte_lines_rejected() {
+        let _ = Cache::new(CacheConfig { capacity: 256, line_size: 1, assoc: 2, latency: 1 });
+    }
+
+    /// A copy of the cache before tags and stamps were split: 24-byte
+    /// lines with a separate dirty flag, per-set slices in one slab.
+    struct RefCache {
+        lines: Vec<Vec<(u64, u64, bool)>>,
+        assoc: usize,
+        line_size: u64,
+        tick: u64,
+        hits: u64,
+        writebacks: u64,
+    }
+
+    impl RefCache {
+        fn new(config: CacheConfig) -> Self {
+            RefCache {
+                lines: vec![Vec::new(); config.sets() as usize],
+                assoc: config.assoc,
+                line_size: config.line_size,
+                tick: 0,
+                hits: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn set(&mut self, addr: u64) -> (&mut Vec<(u64, u64, bool)>, u64) {
+            let line = addr / self.line_size;
+            let n = self.lines.len() as u64;
+            (&mut self.lines[(line % n) as usize], line)
+        }
+
+        fn access(&mut self, addr: u64, write: bool) -> bool {
+            self.tick += 1;
+            let (tick, assoc) = (self.tick, self.assoc);
+            let (set, tag) = self.set(addr);
+            if let Some(line) = set.iter_mut().find(|l| l.0 == tag) {
+                line.1 = tick;
+                line.2 |= write;
+                self.hits += 1;
+                return true;
+            }
+            if set.len() < assoc {
+                set.push((tag, tick, write));
+            } else {
+                let victim = set.iter_mut().min_by_key(|l| l.1).expect("full set");
+                let dirty = victim.2;
+                *victim = (tag, tick, write);
+                self.writebacks += u64::from(dirty);
+            }
+            false
+        }
+
+        fn contains(&mut self, addr: u64) -> bool {
+            let (set, tag) = self.set(addr);
+            set.iter().any(|l| l.0 == tag)
+        }
+
+        fn flush(&mut self) {
+            for set in &mut self.lines {
+                self.writebacks += set.iter().filter(|l| l.2).count() as u64;
+                set.clear();
+            }
+        }
+    }
+
+    /// The split-tag cache against [`RefCache`] on the paper's L1, the L2
+    /// slice and a tiny geometry: seeded reads and writes over a few times
+    /// the capacity, with occasional flushes; every hit, the writebacks,
+    /// the occupancy and `contains` must agree.
+    #[test]
+    fn split_tag_cache_matches_line_reference() {
+        use mosaic_sim_core::SimRng;
+        let tiny = CacheConfig { capacity: 256, line_size: 64, assoc: 2, latency: 1 };
+        for (seed, config) in
+            [CacheConfig::paper_l1(), CacheConfig::paper_l2_slice(), tiny].into_iter().enumerate()
+        {
+            let mut rng = SimRng::from_seed(0xCAC4E + seed as u64);
+            let mut cache = Cache::new(config);
+            let mut reference = RefCache::new(config);
+            let span = 3 * config.capacity;
+            for step in 0..60_000 {
+                let addr = rng.below(span);
+                let what = format!("config {seed} step {step}");
+                if rng.below(20_000) == 0 {
+                    cache.flush();
+                    reference.flush();
+                } else {
+                    let write = rng.below(4) == 0;
+                    assert_eq!(cache.access(addr, write), reference.access(addr, write), "{what}");
+                }
+                assert_eq!(cache.writebacks(), reference.writebacks, "{what}: writebacks");
+                let probe = rng.below(span);
+                assert_eq!(cache.contains(probe), reference.contains(probe), "{what}: contains");
+                if step % 1_000 == 0 {
+                    let occupancy: usize = reference.lines.iter().map(Vec::len).sum();
+                    assert_eq!(cache.occupancy(), occupancy, "{what}: occupancy");
+                }
+            }
+            assert_eq!(cache.hit_rate().hits(), reference.hits, "config {seed}: hits");
+            assert!(cache.writebacks() > 100, "config {seed}: dirty evictions exercised");
+        }
     }
 
     #[test]
