@@ -112,14 +112,14 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "interior-mutability",
-        summary: "RefCell/Cell/UnsafeCell or `static mut` in a cycle-level crate: \
-                  hidden mutation defeats the determinism audit",
-        explain: "Interior mutability lets &self methods mutate state the runtime \
-                  audit and the conformance oracles cannot see, and `static mut` \
-                  adds cross-run leakage on top. Cycle-level state must be owned and \
+        summary: "RefCell/Cell/UnsafeCell, an Atomic* type or `static mut` in a \
+                  cycle-level crate: hidden mutation defeats the determinism audit",
+        explain: "Interior mutability (cells and atomics, whatever their memory \
+                  ordering) lets &self methods mutate state the runtime audit and \
+                  the conformance oracles cannot see, and `static mut` adds \
+                  cross-run leakage on top. Cycle-level state must be owned and \
                   mutated through &mut so every write is visible to the borrow \
-                  checker and the audit. Allowlist only result-invariant caches \
-                  (e.g. a scan-position hint) with a digest-level argument.",
+                  checker and the audit.",
     },
     Rule {
         id: "relaxed-atomic",
@@ -223,7 +223,7 @@ fn scan_idents(file: &FileModel, findings: &mut Vec<Finding>) {
                     push(rule, tok.line, what);
                 }
             }
-            if CELL_NAMES.contains(&name) {
+            if CELL_NAMES.contains(&name) || name.starts_with("Atomic") {
                 push(
                     "interior-mutability",
                     tok.line,

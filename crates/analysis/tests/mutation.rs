@@ -121,10 +121,18 @@ fn banned_alias_fires_on_rename_reexport_and_glob() {
 }
 
 #[test]
-fn interior_mutability_fires_on_cells_and_static_mut() {
+fn interior_mutability_fires_on_cells_atomics_and_static_mut() {
     assert_fires("interior-mutability", &[("crates/vm/src/x.rs", "use std::cell::RefCell;\n")]);
     assert_fires("interior-mutability", &[("crates/mem/src/x.rs", "static mut COUNT: u64 = 0;\n")]);
+    assert_fires(
+        "interior-mutability",
+        &[(
+            "crates/vm/src/x.rs",
+            "struct Hint(AtomicUsize);\nfn f(h: &Hint) { h.0.load(Ordering::Acquire); }\n",
+        )],
+    );
     assert_silent(&[("crates/telemetry/src/x.rs", "use std::cell::RefCell;\n")]);
+    assert_silent(&[("crates/experiments/src/x.rs", "struct Hint(AtomicUsize);\n")]);
 }
 
 #[test]
@@ -133,7 +141,11 @@ fn relaxed_atomic_fires_outside_the_allowlist() {
         "relaxed-atomic",
         &[("crates/vm/src/x.rs", "fn f(c: &AtomicU64) { c.load(Ordering::Relaxed); }\n")],
     );
-    assert_silent(&[("crates/vm/src/x.rs", "fn f(c: &AtomicU64) { c.load(Ordering::SeqCst); }\n")]);
+    // Outside the cycle crates, where an atomic is not interior-mutability.
+    assert_silent(&[(
+        "crates/experiments/src/x.rs",
+        "fn f(c: &AtomicU64) { c.load(Ordering::SeqCst); }\n",
+    )]);
 }
 
 #[test]

@@ -52,8 +52,8 @@ fn micro_tlb_lookup() {
     for p in 0..64u64 {
         tlb.fill(AppId(0), VirtPageNum(p).addr(), PageSize::Base);
     }
-    // Mix of repeated hits (last-translation-cache territory) and probes
-    // of a 64-page set. Eight hot pages in one warm TLB stay in host
+    // Mix of hits on eight hot pages and probes of a 64-page set, every
+    // lookup a full probe. Eight hot pages in one warm TLB stay in host
     // cache, so this times the probe code, not the TLB's footprint;
     // `micro/tlb_fleet` covers that.
     for i in 0..2_000_000u64 {

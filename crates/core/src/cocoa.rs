@@ -22,7 +22,6 @@ use crate::frames::FramePool;
 use crate::MemError;
 use mosaic_sim_core::{AuditInvariants, AuditReport, Counter};
 use mosaic_vm::{AppId, LargeFrameNum, LargePageNum, PhysFrameNum, VirtPageNum};
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The CoCoA allocator state.
@@ -47,10 +46,10 @@ pub struct CoCoA {
     /// run on every aligned-chunk page fault, and the access pattern is
     /// strongly repetitive, so `chunk_hint` usually skips the search.
     chunk_frames: Vec<((AppId, LargePageNum), LargeFrameNum)>,
-    /// Index into `chunk_frames` of the most recently located entry.
-    /// Purely an accelerator: always re-validated against the key before
-    /// use, so stale hints (after inserts/removals) are harmless.
-    chunk_hint: Cell<usize>,
+    /// Index into `chunk_frames` of the entry `frame_for_chunk` last found
+    /// or inserted. Purely an accelerator: always re-validated against the
+    /// key before use, so stale hints (after inserts/removals) are harmless.
+    chunk_hint: usize,
     /// Per-application free base page lists (Section 4.2), sorted by
     /// application so iteration order matches the old map layout.
     free_base: Vec<(AppId, Vec<PhysFrameNum>)>,
@@ -68,19 +67,12 @@ impl CoCoA {
     }
 
     /// Position of `key` in the sorted `chunk_frames` vector, trying the
-    /// last-hit hint before falling back to binary search.
+    /// hint before falling back to binary search.
     fn chunk_pos(&self, key: (AppId, LargePageNum)) -> Result<usize, usize> {
-        let hint = self.chunk_hint.get();
-        if let Some(&(k, _)) = self.chunk_frames.get(hint) {
-            if k == key {
-                return Ok(hint);
-            }
+        match self.chunk_frames.get(self.chunk_hint) {
+            Some(&(k, _)) if k == key => Ok(self.chunk_hint),
+            _ => self.chunk_frames.binary_search_by_key(&key, |&(k, _)| k),
         }
-        let pos = self.chunk_frames.binary_search_by_key(&key, |&(k, _)| k);
-        if let Ok(i) = pos {
-            self.chunk_hint.set(i);
-        }
-        pos
     }
 
     /// The free base page list of `asid`, created empty on first touch.
@@ -109,12 +101,15 @@ impl CoCoA {
         lpn: LargePageNum,
     ) -> Result<LargeFrameNum, MemError> {
         match self.chunk_pos((asid, lpn)) {
-            Ok(i) => Ok(self.chunk_frames[i].1),
+            Ok(i) => {
+                self.chunk_hint = i;
+                Ok(self.chunk_frames[i].1)
+            }
             Err(i) => {
                 let lf = pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
                 self.frames_assigned.inc();
                 self.chunk_frames.insert(i, ((asid, lpn), lf));
-                self.chunk_hint.set(i);
+                self.chunk_hint = i;
                 Ok(lf)
             }
         }
@@ -421,8 +416,9 @@ mod tests {
                 c.frame_for_chunk(&mut pool, AppId(lpn as u16 % 2), LargePageNum(lpn)).unwrap(),
             );
         }
-        // Repeated same-key lookups (hint hits) interleaved with other keys
-        // and removals (hint goes stale) must all stay correct.
+        // The last insert left the hint on chunk 7: a repeat hits it, while
+        // lookups of other keys and removals (hint goes stale) search.
+        assert_eq!(c.frame_for_chunk(&mut pool, AppId(1), LargePageNum(7)), Ok(frames[7]));
         for _ in 0..3 {
             assert_eq!(c.chunk_frame(AppId(1), LargePageNum(5)), Some(frames[5]));
             assert_eq!(c.chunk_frame(AppId(0), LargePageNum(2)), Some(frames[2]));

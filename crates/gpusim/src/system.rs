@@ -303,7 +303,10 @@ impl GpuSystem {
         let sys = cfg.system;
         let gpus = cfg.fleet.gpus;
         let pool_bytes = sys.memory_bytes * gpus as u64;
-        let mut manager: Box<dyn MemoryManager> = match cfg.manager {
+        // GPU-MMU ignores `fragmentation`: pre-fragmented frames only
+        // matter for large-frame allocation, which it does not attempt at
+        // 4KB. (The 2MB variant is never run fragmented in the paper.)
+        let manager: Box<dyn MemoryManager> = match cfg.manager {
             ManagerKind::GpuMmu4K => {
                 Box::new(GpuMmuManager::new(pool_bytes, sys.dram.channels, PageSize::Base))
             }
@@ -335,10 +338,6 @@ impl GpuSystem {
                 Box::new(m)
             }
         };
-        // GPU-MMU ignores `fragmentation`: pre-fragmented frames only
-        // matter for large-frame allocation, which it does not attempt at
-        // 4KB. (The 2MB variant is never run fragmented in the paper.)
-        let _ = &mut manager;
         GpuSystem {
             manager,
             l1_tlbs: (0..gpus * sys.sm_count).map(|_| Tlb::new(sys.l1_tlb)).collect(),

@@ -26,8 +26,8 @@
 //! `translate` sits on the per-access hot path (`GpuSystem` consults it on
 //! every TLB hit), so the table is stored flat rather than as nested
 //! `BTreeMap`s: regions live in a sorted vector probed by binary search
-//! behind a last-hit cache (accesses overwhelmingly stay within one 2 MB
-//! region), each region's L4 table is a dense 512-slot array of packed
+//! behind a hint that only map/unmap (`&mut self`) move, each region's
+//! L4 table is a dense 512-slot array of packed
 //! PTEs, and L2 node addresses are a direct-indexed array. All iteration
 //! orders (region order, index order) match what the `BTreeMap`s produced,
 //! so the change is invisible to the conformance oracle and the audit.
@@ -38,7 +38,6 @@ use crate::addr::{
 };
 use mosaic_sim_core::{AuditInvariants, AuditReport};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of a successful address translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,37 +198,6 @@ struct L3Region {
     entries: L4Table,
 }
 
-/// The scan-position cache of [`PageTable::region_pos`]: an atomic so
-/// page tables stay `Sync` (`Cell` is `!Sync`). The hint is purely an
-/// accelerator — `region_pos` re-validates it against the sorted region
-/// vector before trusting it, and a stale or racing value only costs
-/// one binary search — so any memory ordering is sound;
-/// acquire/release is used because the audit's determinism policy
-/// reserves `Relaxed` for allow-listed host-side counters.
-struct RegionHint(AtomicUsize);
-
-impl RegionHint {
-    fn get(&self) -> usize {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn set(&self, pos: usize) {
-        self.0.store(pos, Ordering::Release)
-    }
-}
-
-impl Clone for RegionHint {
-    fn clone(&self) -> Self {
-        RegionHint(AtomicUsize::new(self.get()))
-    }
-}
-
-impl std::fmt::Debug for RegionHint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.get().fmt(f)
-    }
-}
-
 /// A single application's four-level page table.
 ///
 /// # Examples
@@ -255,9 +223,11 @@ pub struct PageTable {
     l3_nodes: Vec<((u64, u64), PhysAddr)>,
     /// Leaf regions, sorted by large page number.
     regions: Vec<(LargePageNum, L3Region)>,
-    /// Index into `regions` of the most recently probed region — accesses
-    /// rarely leave a 2 MB region between consecutive translations.
-    region_hint: RegionHint,
+    /// Index into `regions` of the region a `&mut` access last found or
+    /// inserted: map/unmap runs sweep one 2 MB region at a time. Purely an
+    /// accelerator: `region_pos` checks its key before use, and a miss
+    /// costs only the binary search.
+    region_hint: usize,
     /// Bump allocator for page-table node addresses.
     next_node: u64,
     mapped_base_pages: u64,
@@ -285,7 +255,7 @@ impl PageTable {
             l2_nodes: Box::new([PhysAddr(0); 512]),
             l3_nodes: Vec::new(),
             regions: Vec::new(),
-            region_hint: RegionHint(AtomicUsize::new(0)),
+            region_hint: 0,
             next_node: region,
             mapped_base_pages: 0,
         };
@@ -299,43 +269,32 @@ impl PageTable {
         a
     }
 
-    /// Position of `lpn` in the sorted region vector, hint-first.
+    /// Position of `lpn` in the sorted region vector (or where it would
+    /// go), hint-first.
     #[inline]
-    fn region_pos(&self, lpn: LargePageNum) -> Option<usize> {
-        let hint = self.region_hint.get();
-        if let Some((l, _)) = self.regions.get(hint) {
-            if *l == lpn {
-                return Some(hint);
-            }
-        }
-        match self.regions.binary_search_by_key(&lpn, |(l, _)| *l) {
-            Ok(pos) => {
-                self.region_hint.set(pos);
-                Some(pos)
-            }
-            Err(_) => None,
+    fn region_pos(&self, lpn: LargePageNum) -> Result<usize, usize> {
+        match self.regions.get(self.region_hint) {
+            Some((l, _)) if *l == lpn => Ok(self.region_hint),
+            _ => self.regions.binary_search_by_key(&lpn, |(l, _)| *l),
         }
     }
 
     #[inline]
     fn region(&self, lpn: LargePageNum) -> Option<&L3Region> {
-        self.region_pos(lpn).map(|p| &self.regions[p].1)
+        self.region_pos(lpn).ok().map(|p| &self.regions[p].1)
     }
 
     fn region_mut(&mut self, lpn: LargePageNum) -> Option<&mut L3Region> {
-        let pos = self.region_pos(lpn)?;
+        let pos = self.region_pos(lpn).ok()?;
+        self.region_hint = pos;
         Some(&mut self.regions[pos].1)
     }
 
     /// The region for `lpn`, created empty if absent.
     fn region_or_insert(&mut self, lpn: LargePageNum) -> &mut L3Region {
         let pos = match self.region_pos(lpn) {
-            Some(pos) => pos,
-            None => {
-                let pos = self
-                    .regions
-                    .binary_search_by_key(&lpn, |(l, _)| *l)
-                    .expect_err("region_pos said absent");
+            Ok(pos) => pos,
+            Err(pos) => {
                 let node = self.alloc_node();
                 self.regions.insert(
                     pos,
@@ -349,10 +308,10 @@ impl PageTable {
                         },
                     ),
                 );
-                self.region_hint.set(pos);
                 pos
             }
         };
+        self.region_hint = pos;
         &mut self.regions[pos].1
     }
 
@@ -965,10 +924,9 @@ mod tests {
     }
 
     #[test]
-    fn region_hint_survives_interleaved_regions() {
-        // Alternate lookups across regions so every probe misses the hint,
-        // then repeat within one region so every probe hits it; both paths
-        // must agree with the ground truth.
+    fn lookups_resolve_after_inserting_a_region_below_all_others() {
+        // Alternate lookups across eight sparse regions; every mapped page
+        // resolves and its unmapped neighbour does not.
         let mut pt = PageTable::new(AppId(0));
         for r in 0..8u64 {
             pt.map_base(LargePageNum(r * 5 + 1).base_page(r), PhysFrameNum(1000 + r)).unwrap();
@@ -983,8 +941,8 @@ mod tests {
                 assert!(!pt.is_mapped(lpn.base_page(r + 1)));
             }
         }
-        // Inserting a region below all others shifts every index the hint
-        // may be caching; lookups must still resolve correctly.
+        // Inserting a region below all others shifts every region's
+        // position in the sorted vector; lookups must still resolve.
         pt.map_base(LargePageNum(0).base_page(0), PhysFrameNum(999)).unwrap();
         assert_eq!(
             pt.translate(LargePageNum(0).base_page(0).addr()).unwrap().frame,

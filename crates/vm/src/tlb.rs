@@ -488,29 +488,6 @@ impl fmt::Debug for TranslationArray {
     }
 }
 
-/// The most recent *hit*, kept so an immediately repeated lookup can skip
-/// the associative probe (warps overwhelmingly issue runs of accesses to
-/// the same page).
-///
-/// This cache is deliberately a single entry covering only *consecutive*
-/// repeats: between the original probe and a cached replay no other
-/// operation may touch the TLB, which is exactly what makes the shortcut
-/// invisible. The skipped probe would only have bumped the recency tick of
-/// the slot that is already the array's most recently used, so every
-/// future hit/miss/eviction decision is unchanged; had another lookup,
-/// fill, or flush intervened (or a second entry been cached), the slot
-/// might no longer be most-recent and skipping its recency update could
-/// change a later LRU victim. The hit is counted exactly as the slow path
-/// counts it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LastHit {
-    asid: AppId,
-    /// Large-page number for a large hit (the entry covers the whole
-    /// 2 MB region), base-page number for a base hit.
-    page: u64,
-    size: PageSize,
-}
-
 /// One TLB level: split base/large arrays, ASID tags, LRU replacement, and
 /// hit-rate statistics.
 ///
@@ -533,7 +510,6 @@ pub struct Tlb {
     base: TranslationArray,
     large: TranslationArray,
     overall: Ratio,
-    last_hit: Option<LastHit>,
 }
 
 impl Tlb {
@@ -544,7 +520,6 @@ impl Tlb {
             base: TranslationArray::new(config.base_entries, config.base_assoc),
             large: TranslationArray::new(config.large_entries, config.large_assoc),
             overall: Ratio::default(),
-            last_hit: None,
         }
     }
 
@@ -559,42 +534,17 @@ impl Tlb {
     }
 
     /// Probes the TLB for `addr` in address space `asid`: large entries
-    /// first, then base entries. A lookup that repeats the previous hit
-    /// (same ASID, same covered page, nothing in between) is served from
-    /// the cached last hit without probing; the hit count and outcome are
-    /// identical either way.
+    /// first, then base entries.
     pub fn lookup(&mut self, asid: AppId, addr: VirtAddr) -> TlbLookup {
-        if let Some(last) = self.last_hit {
-            if last.asid == asid {
-                match last.size {
-                    PageSize::Large if last.page == addr.large_page().raw() => {
-                        self.overall.record(true);
-                        return TlbLookup::HitLarge;
-                    }
-                    PageSize::Base if last.page == addr.base_page().raw() => {
-                        self.overall.record(true);
-                        return TlbLookup::HitBase;
-                    }
-                    _ => {}
-                }
-            }
-        }
         if self.large.lookup(pack(asid, addr.large_page().raw())) {
             self.overall.record(true);
-            self.last_hit =
-                Some(LastHit { asid, page: addr.large_page().raw(), size: PageSize::Large });
             return TlbLookup::HitLarge;
         }
         let base_hit = self.base.lookup(pack(asid, addr.base_page().raw()));
         self.overall.record(base_hit);
         if base_hit {
-            self.last_hit =
-                Some(LastHit { asid, page: addr.base_page().raw(), size: PageSize::Base });
             TlbLookup::HitBase
         } else {
-            // The probe bumped recency ticks; a stale cached hit must not
-            // skip the next probe's tick on top of that.
-            self.last_hit = None;
             TlbLookup::Miss
         }
     }
@@ -614,7 +564,6 @@ impl Tlb {
     /// Fills the translation for `addr` into the array selected by `size`,
     /// returning any evicted `(asid, page-number)` pair.
     pub fn fill(&mut self, asid: AppId, addr: VirtAddr, size: PageSize) -> Option<(AppId, u64)> {
-        self.last_hit = None;
         let evicted = match size {
             PageSize::Base => self.base.insert(pack(asid, addr.base_page().raw())),
             PageSize::Large => self.large.insert(pack(asid, addr.large_page().raw())),
@@ -626,14 +575,12 @@ impl Tlb {
     /// coalesced page is splintered (Section 4.4). Returns whether an entry
     /// was present.
     pub fn flush_large(&mut self, asid: AppId, addr: VirtAddr) -> bool {
-        self.last_hit = None;
         self.large.invalidate(pack(asid, addr.large_page().raw()))
     }
 
     /// Invalidates the base-page entry covering `addr`. Returns whether an
     /// entry was present.
     pub fn flush_base(&mut self, asid: AppId, addr: VirtAddr) -> bool {
-        self.last_hit = None;
         self.base.invalidate(pack(asid, addr.base_page().raw()))
     }
 
@@ -648,14 +595,12 @@ impl Tlb {
         if pages == 0 {
             return 0;
         }
-        self.last_hit = None;
         self.base.invalidate_range(asid, first.raw(), pages)
     }
 
     /// Removes every entry belonging to `asid` (both arrays), returning the
     /// number of entries dropped. Used when an application terminates.
     pub fn flush_asid(&mut self, asid: AppId) -> usize {
-        self.last_hit = None;
         self.base.flush_asid(asid) + self.large.flush_asid(asid)
     }
 
@@ -663,7 +608,6 @@ impl Tlb {
     /// simulator's shootdowns are targeted; only the conformance suite
     /// flushes a whole TLB.
     pub fn flush_all(&mut self) -> usize {
-        self.last_hit = None;
         self.base.flush_all() + self.large.flush_all()
     }
 
@@ -852,125 +796,6 @@ mod tests {
         assert_eq!(tlb.occupancy(), 0);
     }
 
-    #[test]
-    fn last_hit_cache_serves_repeats() {
-        let mut tlb = small_tlb(4, 4);
-        let addr = VirtPageNum(7).addr();
-        tlb.fill(AppId(0), addr, PageSize::Base);
-        assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
-        assert!(tlb.last_hit.is_some(), "hit primes the cache");
-        // Repeats are served from the cache and counted as hits.
-        assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
-        assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
-        assert_eq!(tlb.hit_rate().hits(), 3);
-        assert_eq!(tlb.hit_rate().total(), 3);
-        // A different page falls back to the probe; a miss clears the cache.
-        assert_eq!(tlb.lookup(AppId(0), VirtPageNum(8).addr()), TlbLookup::Miss);
-        assert!(tlb.last_hit.is_none(), "a miss clears the cache");
-    }
-
-    #[test]
-    fn last_hit_cache_covers_whole_large_page() {
-        let mut tlb = small_tlb(4, 4);
-        let lpn = LargePageNum(3);
-        tlb.fill(AppId(0), lpn.addr(), PageSize::Large);
-        assert_eq!(tlb.lookup(AppId(0), lpn.base_page(0).addr()), TlbLookup::HitLarge);
-        // A different base page of the same large page is still a cached
-        // repeat — the large entry covers all of it.
-        assert_eq!(tlb.lookup(AppId(0), lpn.base_page(511).addr()), TlbLookup::HitLarge);
-        assert_eq!(tlb.hit_rate().hits(), 2);
-        assert_eq!(tlb.hit_rate().total(), 2);
-        assert_eq!(tlb.last_hit.map(|h| h.size), Some(PageSize::Large), "large hit cached");
-    }
-
-    #[test]
-    fn last_hit_cache_is_asid_isolated() {
-        let mut tlb = small_tlb(4, 4);
-        let addr = VirtPageNum(7).addr();
-        tlb.fill(AppId(0), addr, PageSize::Base);
-        tlb.fill(AppId(1), addr, PageSize::Base);
-        assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::HitBase);
-        // Same page, different address space: must not be served from
-        // AppId(0)'s cached hit (it re-probes and re-caches for AppId(1)).
-        assert_eq!(
-            tlb.last_hit,
-            Some(LastHit { asid: AppId(0), page: VirtPageNum(7).raw(), size: PageSize::Base })
-        );
-        assert_eq!(tlb.lookup(AppId(1), addr), TlbLookup::HitBase);
-        assert_eq!(
-            tlb.last_hit,
-            Some(LastHit { asid: AppId(1), page: VirtPageNum(7).raw(), size: PageSize::Base })
-        );
-        // An ASID with no entry misses even though the page matches.
-        assert_eq!(tlb.lookup(AppId(2), addr), TlbLookup::Miss);
-    }
-
-    #[test]
-    fn last_hit_cache_invalidated_by_fills_and_flushes() {
-        let mut tlb = small_tlb(4, 4);
-        let addr = VirtPageNum(7).addr();
-        tlb.fill(AppId(0), addr, PageSize::Base);
-        tlb.lookup(AppId(0), addr);
-        assert!(tlb.last_hit.is_some());
-        tlb.fill(AppId(0), VirtPageNum(9).addr(), PageSize::Base);
-        assert!(tlb.last_hit.is_none(), "fill invalidates");
-
-        tlb.lookup(AppId(0), addr);
-        assert!(tlb.last_hit.is_some());
-        assert!(tlb.flush_base(AppId(0), addr));
-        assert!(tlb.last_hit.is_none(), "flush_base invalidates");
-        // The flushed entry must actually miss (the stale cached hit would
-        // have claimed HitBase).
-        assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::Miss);
-
-        tlb.fill(AppId(0), addr, PageSize::Large);
-        tlb.lookup(AppId(0), addr);
-        assert!(tlb.last_hit.is_some());
-        assert!(tlb.flush_large(AppId(0), addr));
-        assert!(tlb.last_hit.is_none(), "flush_large invalidates");
-
-        tlb.fill(AppId(0), addr, PageSize::Base);
-        tlb.lookup(AppId(0), addr);
-        tlb.flush_asid(AppId(0));
-        assert!(tlb.last_hit.is_none(), "flush_asid invalidates");
-
-        tlb.fill(AppId(0), addr, PageSize::Base);
-        tlb.lookup(AppId(0), addr);
-        tlb.flush_all();
-        assert!(tlb.last_hit.is_none(), "flush_all invalidates");
-    }
-
-    #[test]
-    fn last_hit_cache_preserves_lru_outcomes() {
-        // Drive two TLBs with the same operations, but defeat the cache on
-        // one of them by re-probing (a cached replay leaves array state
-        // untouched, so the extra lookups on `slow` are the *slow path* of
-        // the same repeats). Contents, evictions, and subsequent victims
-        // must match — the observational-equivalence claim of `LastHit`.
-        let mut fast = small_tlb(2, 0);
-        let mut slow = small_tlb(2, 0);
-        let a = VirtPageNum(1).addr();
-        let b = VirtPageNum(2).addr();
-        let c = VirtPageNum(3).addr();
-        for t in [&mut fast, &mut slow] {
-            t.fill(AppId(0), a, PageSize::Base);
-            t.fill(AppId(0), b, PageSize::Base);
-        }
-        // `fast` serves the repeats from the cache; `slow` has its cache
-        // cleared before each repeat so every one takes the probe path.
-        for _ in 0..5 {
-            assert_eq!(fast.lookup(AppId(0), a), TlbLookup::HitBase);
-            slow.last_hit = None;
-            assert_eq!(slow.lookup(AppId(0), a), TlbLookup::HitBase);
-        }
-        // `a` is most-recent in both; the next fill must evict `b` in both.
-        assert_eq!(fast.fill(AppId(0), c, PageSize::Base), Some((AppId(0), VirtPageNum(2).raw())));
-        assert_eq!(slow.fill(AppId(0), c, PageSize::Base), Some((AppId(0), VirtPageNum(2).raw())));
-        let fast_entries: Vec<_> = fast.entries().collect();
-        let slow_entries: Vec<_> = slow.entries().collect();
-        assert_eq!(fast_entries, slow_entries);
-    }
-
     /// Asserts that `arr`'s index is an exact image of its live slots:
     /// every live slot is found at itself, its back-map position points at
     /// it, and the index holds nothing else.
@@ -1081,9 +906,8 @@ mod tests {
             let mut slow = fast.clone();
             for round in 0..4 {
                 let what = format!("case {case} round {round}");
-                // Hit a resident entry first, so the last-hit cache is
-                // primed and a flush must clear it exactly when the
-                // per-page loop would.
+                // Hit a resident entry first, so the flush meets a freshly
+                // re-stamped entry whose stamp both paths must keep.
                 let resident = fast.entries().nth(rng.below(8) as usize);
                 if let Some((asid, page, _)) = resident {
                     let addr = VirtPageNum(page).addr();
@@ -1214,8 +1038,7 @@ mod tests {
         }
     }
 
-    /// [`Tlb`]'s contract over two [`RefArray`]s, without the last-hit
-    /// cache (a replay it skips only re-stamps the MRU entry).
+    /// [`Tlb`]'s contract over two [`RefArray`]s: large probe, then base.
     #[derive(Clone)]
     struct RefTlb {
         base: RefArray,
@@ -1257,9 +1080,11 @@ mod tests {
     /// Drives the indexed [`Tlb`] and [`RefTlb`] through the same seeded
     /// mix of lookups, fills, single, range, ASID and whole flushes on
     /// the paper's L1 and L2, a two-set toy and zero-entry arrays, with
-    /// three ASIDs over a page pool a few times the capacity. Every
-    /// outcome, victim and count must match, and the occupancy, sorted
-    /// entry set and index consistency are checked as it goes.
+    /// three ASIDs over a page pool a few times the capacity. A share of
+    /// the steps after a lookup repeat it exactly, so repeated hits must
+    /// leave later LRU victims unchanged. Every outcome, victim and count
+    /// must match, and the occupancy, sorted entry set and index
+    /// consistency are checked as it goes.
     #[test]
     fn indexed_tlb_matches_scanned_reference() {
         use mosaic_sim_core::SimRng;
@@ -1277,7 +1102,7 @@ mod tests {
             large_assoc: 0,
             latency: 1,
         };
-        let (mut short, mut long, mut rebuilt) = (0, 0, 0);
+        let (mut short, mut long, mut rebuilt, mut repeat_hits) = (0, 0, 0, 0);
         for (seed, config) in
             [TlbConfig::paper_l1(), TlbConfig::paper_l2(), toy, empty].into_iter().enumerate()
         {
@@ -1286,16 +1111,26 @@ mod tests {
             let mut reference = RefTlb::new(config);
             // Pages over a few 2 MB regions, ~3x the base capacity.
             let span = (3 * config.base_entries as u64).max(16);
+            let mut last_lookup = None;
             for step in 0..12_000 {
-                // ASIDs 0 and 8 share a per-ASID count bucket.
-                let asid = AppId([0, 1, 8][rng.below(3) as usize]);
-                let region = rng.below(3) * BASE_PAGES_PER_LARGE_PAGE;
-                let page = VirtPageNum(region + rng.below(span.min(BASE_PAGES_PER_LARGE_PAGE)));
+                let repeat = last_lookup.filter(|_| rng.below(4) == 0);
+                let (asid, page) = repeat.unwrap_or_else(|| {
+                    // ASIDs 0 and 8 share a per-ASID count bucket.
+                    let asid = AppId([0, 1, 8][rng.below(3) as usize]);
+                    let region = rng.below(3) * BASE_PAGES_PER_LARGE_PAGE;
+                    (asid, VirtPageNum(region + rng.below(span.min(BASE_PAGES_PER_LARGE_PAGE))))
+                });
                 let addr = page.addr();
                 let what = format!("config {seed} step {step}");
-                match rng.below(100) {
+                let op = if repeat.is_some() { 0 } else { rng.below(100) };
+                last_lookup = (op < 45).then_some((asid, page));
+                match op {
                     0..=44 => {
-                        assert_eq!(tlb.lookup(asid, addr), reference.lookup(asid, addr), "{what}")
+                        let outcome = tlb.lookup(asid, addr);
+                        assert_eq!(outcome, reference.lookup(asid, addr), "{what}");
+                        if repeat.is_some() && outcome != TlbLookup::Miss {
+                            repeat_hits += 1;
+                        }
                     }
                     45..=79 => assert_eq!(
                         tlb.fill(asid, addr, PageSize::Base),
@@ -1358,8 +1193,8 @@ mod tests {
             assert_eq!(sorted_entries(&tlb), reference.entries(), "config {seed}: final entries");
         }
         assert!(
-            short > 100 && long > 100 && rebuilt > 20,
-            "{short} short, {long} long, {rebuilt} rebuilt"
+            short > 100 && long > 100 && rebuilt > 20 && repeat_hits > 100,
+            "{short} short, {long} long, {rebuilt} rebuilt, {repeat_hits} repeated hits"
         );
     }
 
