@@ -28,8 +28,7 @@
 
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
-use mosaic_experiments as exp;
-use mosaic_experiments::{Scope, Sweep};
+use mosaic_experiments::{report, Scope, Sweep};
 use mosaic_gpusim::{run_workload, ManagerKind, RunConfig, Topology};
 use mosaic_sim_core::{Cycle, SimRng};
 use mosaic_vm::{
@@ -217,10 +216,11 @@ fn scaling_multi_gpu() {
     black_box(run_workload(&w, sweep_cfg().multi_gpu(2, Topology::FullyConnected)));
 }
 
-fn figure(run: fn(&Sweep) -> String) {
+fn figure(name: &str) {
     // A serial sweep, so wall times measure the simulator, not the
     // workers' scheduling; Smoke keeps the sweep bounded.
-    black_box(run(&Sweep::new(Scope::Smoke)));
+    let render = report(name).expect("bench figures are in the report table");
+    black_box(render(&Sweep::new(Scope::Smoke)));
 }
 
 fn campaign_cached_rerun() {
@@ -283,9 +283,9 @@ fn scenarios() -> Vec<Scenario> {
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),
-        s("sweep/fig03", SWEEP_RATIO, || figure(|s| exp::fig03::run(s).to_string())),
-        s("sweep/fig08", SWEEP_RATIO, || figure(|s| exp::fig08::run(s).to_string())),
-        s("sweep/fig11", SWEEP_RATIO, || figure(|s| exp::fig11::run(s).to_string())),
+        s("sweep/fig03", SWEEP_RATIO, || figure("fig03")),
+        s("sweep/fig08", SWEEP_RATIO, || figure("fig08")),
+        s("sweep/fig11", SWEEP_RATIO, || figure("fig11")),
         s("campaign/cached_rerun", CACHED_RATIO, campaign_cached_rerun),
     ]
 }

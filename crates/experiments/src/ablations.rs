@@ -10,7 +10,7 @@
 //!   migrating coalescer (Ingens/Navarro-like, Section 7.1): what
 //!   coalescing costs when it has to move data and flush TLBs.
 
-use crate::common::{fmt_row, mean, AloneCache, Scope};
+use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
 use mosaic_core::cac::CacConfig;
 use mosaic_gpusim::ManagerKind;
@@ -178,7 +178,6 @@ pub fn multi_kernel(sweep: &Sweep) -> MultiKernel {
     let scope = sweep.scope;
     let phases: &[u32] = if scope == Scope::Smoke { &[1, 2] } else { &[1, 2, 4] };
     let w = Workload::from_names(&["HS", "CONS"]);
-    let mut cache = AloneCache::new();
     // Two jobs per phase count: Mosaic then GPU-MMU.
     let jobs: Vec<_> = phases
         .iter()
@@ -191,7 +190,7 @@ pub fn multi_kernel(sweep: &Sweep) -> MultiKernel {
         })
         .collect();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    sweep.prefetch(&mut cache, &baseline_items);
+    let baselines = sweep.alone_baselines(&baseline_items);
     let results = sweep.run_workloads(jobs.clone());
 
     let mut mosaic = Vec::new();
@@ -199,8 +198,8 @@ pub fn multi_kernel(sweep: &Sweep) -> MultiKernel {
     let mut splinters = Vec::new();
     for (pair_jobs, pair) in jobs.chunks_exact(2).zip(results.chunks_exact(2)) {
         splinters.push(pair[0].stats.manager.splinters);
-        mosaic.push(cache.weighted_speedup(sweep, &w, &pair[0], pair_jobs[0].1));
-        gpu_mmu.push(cache.weighted_speedup(sweep, &w, &pair[1], pair_jobs[1].1));
+        mosaic.push(baselines.weighted_speedup(&w, &pair[0], pair_jobs[0].1));
+        gpu_mmu.push(baselines.weighted_speedup(&w, &pair[1], pair_jobs[1].1));
     }
     MultiKernel { phases: phases.to_vec(), mosaic, gpu_mmu, splinters }
 }
@@ -240,7 +239,6 @@ pub struct CoalescerComparison {
 /// two-application workloads.
 pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
     let scope = sweep.scope;
-    let mut cache = AloneCache::new();
     let workloads = scope.homogeneous(2);
     let configs = |scope: Scope| {
         [
@@ -253,7 +251,7 @@ pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
     let jobs: Vec<_> =
         workloads.iter().flat_map(|w| configs(scope).map(|cfg| (w.clone(), cfg))).collect();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    sweep.prefetch(&mut cache, &baseline_items);
+    let baselines = sweep.alone_baselines(&baseline_items);
     let results = sweep.run_workloads(jobs);
 
     let mut rows = Vec::new();
@@ -264,7 +262,7 @@ pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
     for (w, shared_runs) in workloads.iter().zip(results.chunks_exact(3)) {
         let mut ws = [0.0f64; 3];
         for (i, (cfg, shared)) in configs(scope).iter().zip(shared_runs).enumerate() {
-            ws[i] = cache.weighted_speedup(sweep, w, shared, *cfg);
+            ws[i] = baselines.weighted_speedup(w, shared, *cfg);
             if i == 1 {
                 migrations += shared.stats.manager.migrations;
                 shootdowns += shared.stats.manager.coalesces;

@@ -24,8 +24,10 @@
 //!
 //! `--digest` appends one `digest NAME XXXXXXXXXXXXXXXX` line per
 //! experiment (FNV-1a 64-bit over the rendered report) after all
-//! reports — the same digest `mosaic_experiments::goldens` pins, so shell
-//! gates can compare a run against a pinned value with `grep`.
+//! reports — the same digest `mosaic_experiments::goldens` pins. At
+//! smoke scope, the scope the pins are taken at, it then checks every
+//! pinned report it rendered: each mismatch prints one stderr line with
+//! the name, the pinned and the rendered digest, and the run exits 1.
 //!
 //! `--cache-dir DIR` (or `MOSAIC_CACHE_DIR=DIR`) installs the persistent
 //! content-addressed run cache (DESIGN.md §13): completed simulations are
@@ -46,40 +48,24 @@
 //! positive integer.
 
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
-use mosaic_experiments as exp;
-use mosaic_experiments::sweep::TraceCollector;
-use mosaic_experiments::{Scope, Sweep};
+use mosaic_experiments::goldens::{digest, golden};
+use mosaic_experiments::sweep::{render_trace, TraceCollector};
+use mosaic_experiments::{Scope, Sweep, REPORTS};
 use mosaic_telemetry::escape_json;
 
-const ALL: [&str; 17] = [
-    "fig03",
-    "fig04",
-    "bloat",
-    "fig06",
-    "fig08",
-    "fig09",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "table2",
-    "ablations",
-    "oversub",
-    "multigpu",
-];
-
-fn emit<T: std::fmt::Display>(name: &str, value: T, sink: &mut Vec<(String, String)>) {
-    println!("{:=<66}", format!("== {name} "));
-    println!("{value}");
-    sink.push((name.to_string(), value.to_string()));
+/// The command-line name that selects `report`: its own, except that
+/// the five `ablation_*` reports go together as `ablations`.
+fn cli_name(report: &str) -> &str {
+    if report.starts_with("ablation_") {
+        "ablations"
+    } else {
+        report
+    }
 }
 
 /// Renders the collected results as a JSON object mapping each
 /// experiment name to its rendered report text.
-fn to_json(results: &[(String, String)]) -> String {
+fn to_json(results: &[(&str, String)]) -> String {
     let mut out = String::from("{\n");
     for (i, (name, text)) in results.iter().enumerate() {
         out.push_str(&format!("  \"{}\": \"{}\"", escape_json(name), escape_json(text)));
@@ -250,25 +236,39 @@ fn run_campaign(sub: &[String], sweep: &mut Sweep, cache_dir: Option<String>, no
 /// only cache when a directory is given explicitly).
 const DEFAULT_CACHE_DIR: &str = "target/mosaic-cache";
 
+/// Writes `contents` to `path`, exiting with status 1 when it cannot.
+fn write_or_exit(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Runs the named experiments (every one when none is named) and prints
 /// their reports, then the `--digest` lines; every name is checked
-/// before anything runs.
-fn run_figures(mut args: Vec<String>, sweep: &Sweep) {
+/// before anything runs. Returns whether every rendered report that has
+/// a golden pin matched it (checked only for `--digest` at smoke scope,
+/// the scope the pins are taken at).
+fn run_figures(mut args: Vec<String>, sweep: &Sweep) -> bool {
     let stall_report = take_switch(&mut args, "--stall-report");
-    let digest = take_switch(&mut args, "--digest");
+    let digests = take_switch(&mut args, "--digest");
+    // `all` is every report but `stall`, named as on the command line.
+    let mut all: Vec<&str> =
+        REPORTS.iter().map(|(n, _)| cli_name(n)).filter(|&n| n != "stall").collect();
+    all.dedup();
     // `--stall-report` alone runs just the stall report; alongside
     // experiment names (or `all`) it rides along as an extra section.
     let mut wanted: Vec<&str> =
         if args.iter().any(|a| a == "all") || (args.is_empty() && !stall_report) {
-            ALL.to_vec()
+            all.clone()
         } else {
             args.iter().map(String::as_str).collect()
         };
     if stall_report && !wanted.contains(&"stall") {
         wanted.push("stall");
     }
-    if let Some(other) = wanted.iter().find(|&&n| n != "stall" && !ALL.contains(&n)) {
-        usage_error(format!("unknown experiment {other}; available: {ALL:?}"));
+    if let Some(other) = wanted.iter().find(|&&n| n != "stall" && !all.contains(&n)) {
+        usage_error(format!("unknown experiment {other}; available: {all:?}"));
     }
     eprintln!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
     eprintln!(
@@ -277,54 +277,39 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep) {
     );
 
     let mut results = Vec::new();
-    for name in wanted {
+    for arg in wanted {
         let t0 = std::time::Instant::now();
-        match name {
-            "fig03" => emit(name, exp::fig03::run(sweep), &mut results),
-            "fig04" => emit(name, exp::fig04::run(sweep), &mut results),
-            "bloat" => emit(name, exp::bloat::run(sweep), &mut results),
-            "fig06" => emit(name, exp::fig06::run(sweep), &mut results),
-            "fig08" => emit(name, exp::fig08::run(sweep), &mut results),
-            "fig09" => emit(name, exp::fig09::run(sweep), &mut results),
-            "fig10" => emit(name, exp::fig10::run(sweep), &mut results),
-            "fig11" => emit(name, exp::fig11::run(sweep), &mut results),
-            "fig12" => emit(name, exp::fig12::run(sweep), &mut results),
-            "fig13" => emit(name, exp::fig13::run(sweep), &mut results),
-            "fig14" => emit(name, exp::fig14::run(sweep), &mut results),
-            "fig15" => emit(name, exp::fig15::run(sweep), &mut results),
-            "fig16" => emit(name, exp::fig16::run(sweep), &mut results),
-            "table2" => emit(name, exp::table2::run(sweep), &mut results),
-            "oversub" => emit(name, exp::oversub::run(sweep), &mut results),
-            "multigpu" => emit(name, exp::multigpu::run(sweep), &mut results),
-            "stall" => emit(name, exp::stall::run(sweep), &mut results),
-            "ablations" => {
-                emit("ablation_pwc", exp::ablations::pwc_vs_l2tlb(sweep), &mut results);
-                emit("ablation_walker", exp::ablations::walker_threads(sweep), &mut results);
-                emit("ablation_cac_threshold", exp::ablations::cac_threshold(sweep), &mut results);
-                emit(
-                    "ablation_coalescers",
-                    exp::ablations::migrating_coalescer(sweep),
-                    &mut results,
-                );
-                emit("ablation_multikernel", exp::ablations::multi_kernel(sweep), &mut results);
-            }
-            _ => unreachable!("validated above"),
+        for &(name, render) in REPORTS.iter().filter(|(n, _)| cli_name(n) == arg) {
+            let text = render(sweep);
+            println!("{:=<66}", format!("== {name} "));
+            println!("{text}");
+            results.push((name, text));
         }
-        eprintln!("[{name} done in {:.1?}]", t0.elapsed());
+        eprintln!("[{arg} done in {:.1?}]", t0.elapsed());
     }
 
-    if digest {
+    let mut pins_hold = true;
+    if digests {
         for (name, text) in &results {
-            println!("digest {name} {}", exp::goldens::digest(text));
+            println!("digest {name} {}", digest(text));
+        }
+        if sweep.scope == Scope::Smoke {
+            for (name, text) in &results {
+                let rendered = digest(text);
+                if let Some(pin) = golden(name).filter(|&pin| pin != rendered) {
+                    eprintln!("golden mismatch: {name} is pinned at {pin} but rendered {rendered}");
+                    pins_hold = false;
+                }
+            }
         }
     }
     report_cache_stats(sweep);
 
     if let Some(path) = env("MOSAIC_JSON") {
-        std::fs::write(&path, to_json(&results))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        write_or_exit(&path, to_json(&results));
         eprintln!("wrote machine-readable results to {path}");
     }
+    pins_hold
 }
 
 fn main() {
@@ -349,18 +334,21 @@ fn main() {
         cache: None,
         trace: trace_path.as_ref().map(|_| TraceCollector::default()),
     };
+    let mut pins_hold = true;
     if args.first().map(String::as_str) == Some("campaign") {
         run_campaign(&args[1..], &mut sweep, cache_dir, no_cache);
     } else {
         sweep.cache = resolve_cache_dir(cache_dir, no_cache, None).map(|dir| open_store(&dir));
-        run_figures(args, &sweep);
+        pins_hold = run_figures(args, &sweep);
     }
 
     if let (Some(path), Some(trace)) = (trace_path, sweep.trace) {
         let chunks = trace.into_chunks();
         let events: usize = chunks.iter().map(|c| c.events.len()).sum();
-        std::fs::write(&path, exp::sweep::render_trace(&chunks))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        write_or_exit(&path, render_trace(&chunks));
         eprintln!("wrote {events} events from {} runs to {path}", chunks.len());
+    }
+    if !pins_hold {
+        std::process::exit(1);
     }
 }

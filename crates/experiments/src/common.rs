@@ -1,9 +1,8 @@
-//! Shared experiment machinery: sweep scopes, alone-baseline caching, and
-//! small statistics helpers.
+//! Shared experiment machinery: sweep scopes, alone baselines, and small
+//! statistics helpers.
 
-use crate::sweep::Sweep;
 use mosaic_campaign::CampaignScope;
-use mosaic_gpusim::{ManagerKind, RunConfig, RunResult};
+use mosaic_gpusim::{alone_config, ManagerKind, RunConfig, RunResult};
 use mosaic_workloads::{heterogeneous_suite, homogeneous_suite, AppProfile, ScaleConfig, Workload};
 use std::collections::HashMap;
 
@@ -91,36 +90,28 @@ fn spread_indices(len: usize, take: usize) -> Vec<usize> {
     (0..take).map(|i| i * len / take).collect()
 }
 
-/// Memoized per-application alone baselines.
+/// Per-application alone baselines, resolved up front by
+/// [`Sweep::alone_baselines`](crate::Sweep::alone_baselines) and frozen
+/// from then on.
 ///
 /// The weighted-speedup denominator (`IPC_alone`) depends only on the
 /// application and the baseline-relevant parts of the run configuration
 /// (its SM share, the workload scale, the rest of the system config), so
-/// across a suite sweep most lookups are repeats; caching them is what
-/// makes full-suite sweeps affordable.
+/// across a suite sweep most baselines are repeats; running each distinct
+/// one once is what makes full-suite sweeps affordable.
 ///
 /// Entries key on a digest of the *full* baseline configuration
-/// ([`mosaic_gpusim::alone_config`]), not just `(app, sm_count)`: a cache
-/// reused across the points of a TLB-size sweep (Figures 14/15 style)
-/// must not return a baseline computed under the first point's TLB
-/// geometry.
-///
-/// [`Sweep::alone_ipc`] fills it one baseline at a time;
-/// [`Sweep::prefetch`] resolves the distinct baselines a set of workloads
-/// will need on the sweep's workers up front, so subsequent lookups serve
-/// from the frozen cache.
-#[derive(Debug, Default)]
-pub struct AloneCache {
-    pub(crate) runs: HashMap<(String, String), RunResult>,
+/// ([`mosaic_gpusim::alone_config`]), not just `(app, sm_count)`: the
+/// baselines of a TLB-size sweep (Figures 14/15 style) must not collapse
+/// into the one computed under the first point's TLB geometry.
+#[derive(Debug)]
+pub struct AloneBaselines {
+    pub(crate) ipc: HashMap<(String, String), f64>,
 }
 
-impl AloneCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cache key: application name plus a digest of its baseline config.
+impl AloneBaselines {
+    /// Baseline key: application name plus a digest of its baseline
+    /// config.
     ///
     /// The digest is the `Debug` rendering of the fully-derived
     /// [`RunConfig`], which covers every field that can influence the
@@ -130,18 +121,19 @@ impl AloneCache {
         (profile.name.to_string(), format!("{alone_cfg:?}"))
     }
 
-    /// Weighted speedup of `shared` using cached alone baselines; a
-    /// missing baseline runs through `sweep`.
-    pub fn weighted_speedup(
-        &mut self,
-        sweep: &Sweep,
-        workload: &Workload,
-        shared: &RunResult,
-        cfg: RunConfig,
-    ) -> f64 {
-        (0..workload.app_count())
-            .map(|i| {
-                let alone = sweep.alone_ipc(self, workload, i, cfg);
+    /// Weighted speedup of `shared`, the run of `workload` under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the baselines were not resolved for `(workload, cfg)`.
+    pub fn weighted_speedup(&self, workload: &Workload, shared: &RunResult, cfg: RunConfig) -> f64 {
+        workload
+            .apps
+            .iter()
+            .enumerate()
+            .map(|(i, &profile)| {
+                let key = Self::key(profile, &alone_config(cfg, workload.app_count(), i));
+                let alone = self.ipc[&key];
                 if alone == 0.0 {
                     0.0
                 } else {
@@ -149,16 +141,6 @@ impl AloneCache {
                 }
             })
             .sum()
-    }
-
-    /// Number of distinct alone runs performed so far.
-    pub fn len(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Whether no alone run has been performed yet.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
     }
 }
 
@@ -199,6 +181,7 @@ pub fn fmt_row(label: &str, values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Sweep;
     use mosaic_gpusim::{run_alone_baselines, run_workload, weighted_speedup, Topology};
 
     #[test]
@@ -235,65 +218,54 @@ mod tests {
     }
 
     #[test]
-    fn alone_cache_memoizes() {
-        let sweep = Sweep::new(Scope::Smoke);
-        let mut cache = AloneCache::new();
+    fn alone_baselines_run_once_per_distinct_key() {
+        let dir =
+            std::env::temp_dir().join(format!("mosaic-alone-baselines-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let sweep = Sweep {
+            jobs: 2,
+            cache: Some(mosaic_campaign::Store::open(&dir).expect("open store")),
+            ..Sweep::new(Scope::Smoke)
+        };
         let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
         let pair = Workload::from_names(&["NN", "HS"]);
-        let a = sweep.alone_ipc(&mut cache, &pair, 0, cfg);
-        let b = sweep.alone_ipc(&mut cache, &pair, 0, cfg);
-        assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
         let trio = Workload::from_names(&["NN", "HS", "MM"]);
-        let _ = sweep.alone_ipc(&mut cache, &trio, 0, cfg);
-        assert_eq!(cache.len(), 2, "different SM share is a different baseline");
+        let baselines = sweep.alone_baselines(&[(&pair, cfg), (&pair, cfg), (&trio, cfg)]);
+        // NN and HS at half the SMs, then NN, HS and MM at a third: a
+        // different SM share is a different baseline.
+        assert_eq!(baselines.ipc.len(), 5);
+        let st = sweep.cache.as_ref().expect("cached").stats();
+        assert_eq!((st.misses, st.hits), (5, 0), "one run per distinct key");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn alone_cache_distinguishes_baseline_relevant_configs() {
-        // Regression: keying on (app, sm_count) alone let a cache reused
-        // across the points of a TLB-size sweep serve every point the
-        // baseline computed under the first point's TLB geometry.
+    fn alone_baselines_distinguish_baseline_relevant_configs() {
+        // Regression: keying on (app, sm_count) alone let the points of a
+        // TLB-size sweep share the baseline computed under the first
+        // point's TLB geometry.
         let sweep = Sweep::new(Scope::Smoke);
-        let mut cache = AloneCache::new();
         let w = Workload::from_names(&["NN", "HS"]);
         let cfg_a = Scope::Smoke.config(ManagerKind::GpuMmu4K);
         let mut cfg_b = cfg_a;
         cfg_b.system.l1_tlb.base_entries = 8;
-        let a = sweep.alone_ipc(&mut cache, &w, 0, cfg_a);
-        let b = sweep.alone_ipc(&mut cache, &w, 0, cfg_b);
-        assert_eq!(cache.len(), 2, "two TLB geometries are two baselines");
-        assert_ne!(a, b, "a starved L1 TLB must change the alone baseline");
+        let ideal = cfg_a.ideal_tlb();
+        let mosaic = Scope::Smoke.config(ManagerKind::mosaic());
+        let baselines =
+            sweep.alone_baselines(&[(&w, cfg_a), (&w, cfg_b), (&w, ideal), (&w, mosaic)]);
         // Fields the baseline derivation overrides (manager, ideal TLB,
-        // fragmentation) must NOT split the cache.
-        let c = sweep.alone_ipc(&mut cache, &w, 0, cfg_a.ideal_tlb());
-        let d = sweep.alone_ipc(&mut cache, &w, 0, Scope::Smoke.config(ManagerKind::mosaic()));
-        assert_eq!(cache.len(), 2, "overridden fields are not part of the key");
-        assert_eq!(a, c);
-        assert_eq!(a, d);
+        // fragmentation) must NOT split the map.
+        assert_eq!(baselines.ipc.len(), 4, "two TLB geometries are two baselines per app");
+        let shared = run_workload(&w, cfg_a);
+        let ws = |cfg| baselines.weighted_speedup(&w, &shared, cfg);
+        assert_ne!(ws(cfg_a), ws(cfg_b), "a starved L1 TLB must change the alone baseline");
+        assert_eq!(ws(cfg_a), ws(ideal));
+        assert_eq!(ws(cfg_a), ws(mosaic));
     }
 
     #[test]
-    fn prefetch_freezes_the_cache() {
-        let sweep = Sweep { jobs: 4, ..Sweep::new(Scope::Smoke) };
-        let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
-        let w = Workload::from_names(&["NN", "HS"]);
-        let mut prefetched = AloneCache::new();
-        sweep.prefetch(&mut prefetched, &[(&w, cfg)]);
-        assert_eq!(prefetched.len(), 2, "one baseline per application");
-        let before = prefetched.len();
-        let shared = run_workload(&w, cfg);
-        let ws_par = prefetched.weighted_speedup(&sweep, &w, &shared, cfg);
-        assert_eq!(prefetched.len(), before, "lookups served from the frozen cache");
-        // And the prefetched baselines match the serially-computed ones.
-        let mut serial = AloneCache::new();
-        let ws_ser = serial.weighted_speedup(&Sweep::new(Scope::Smoke), &w, &shared, cfg);
-        assert_eq!(ws_par, ws_ser);
-    }
-
-    #[test]
-    fn alone_cache_matches_run_alone_baselines_on_a_fleet() {
-        // One alone-baseline derivation: the cache and gpusim's
+    fn alone_baselines_match_run_alone_baselines_on_a_fleet() {
+        // One alone-baseline derivation: the map and gpusim's
         // `run_alone_baselines` must agree, also where they used to
         // differ — a multi-GPU shared run, whose baselines run on one
         // device with the app's share of the whole fleet's SMs.
@@ -301,8 +273,8 @@ mod tests {
         let w = Workload::from_names(&["NN", "HS"]);
         let shared = run_workload(&w, cfg);
         let expected = weighted_speedup(&shared, &run_alone_baselines(&w, cfg));
-        let ws = AloneCache::new().weighted_speedup(&Sweep::new(Scope::Smoke), &w, &shared, cfg);
-        assert_eq!(ws, expected);
+        let baselines = Sweep { jobs: 2, ..Sweep::new(Scope::Smoke) }.alone_baselines(&[(&w, cfg)]);
+        assert_eq!(baselines.weighted_speedup(&w, &shared, cfg), expected);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's headline: Mosaic improves homogeneous workloads by 55.5%
 //! on average over GPU-MMU and comes within 6.8% of the Ideal TLB.
 
-use crate::common::{fmt_row, mean, AloneCache, Scope};
+use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use std::fmt;
@@ -79,11 +79,10 @@ pub(crate) fn speedup_sweep(
         .flat_map(|(_, ws)| ws.iter())
         .flat_map(|w| configs().into_iter().map(move |cfg| (w.clone(), cfg)))
         .collect();
-    // Pre-resolve every alone baseline through the pool, then serve the
-    // weighted-speedup folds below from the frozen cache.
-    let mut cache = AloneCache::new();
+    // Resolve every alone baseline through the pool, then serve the
+    // weighted-speedup folds below from the frozen map.
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    sweep.prefetch(&mut cache, &baseline_items);
+    let baselines = sweep.alone_baselines(&baseline_items);
     let results = sweep.run_workloads(jobs.clone());
 
     let mut rows = Vec::new();
@@ -93,7 +92,7 @@ pub(crate) fn speedup_sweep(
         for _ in ws {
             for series in &mut per_mgr {
                 let ((w, cfg), result) = shared.next().expect("one result per job");
-                series.push(cache.weighted_speedup(sweep, w, result, *cfg));
+                series.push(baselines.weighted_speedup(w, result, *cfg));
             }
         }
         rows.push(LevelRow {

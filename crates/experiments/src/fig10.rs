@@ -8,7 +8,7 @@
 //! TLB misses that the other, memory-intensive application keeps
 //! inflicting.
 
-use crate::common::{AloneCache, Scope};
+use crate::common::Scope;
 use crate::sweep::Sweep;
 use mosaic_gpusim::ManagerKind;
 use mosaic_workloads::Workload;
@@ -84,9 +84,8 @@ pub fn run(sweep: &Sweep) -> Fig10 {
             ]
         })
         .collect();
-    let mut cache = AloneCache::new();
     let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    sweep.prefetch(&mut cache, &baseline_items);
+    let baselines = sweep.alone_baselines(&baseline_items);
     let results = sweep.run_workloads(jobs.clone());
 
     let mut rows = Vec::new();
@@ -94,7 +93,7 @@ pub fn run(sweep: &Sweep) -> Fig10 {
         let (job_chunk, result_chunk) = chunk;
         let mut ws = [0.0f64; 3];
         for (i, ((_, cfg), shared)) in job_chunk.iter().zip(result_chunk).enumerate() {
-            ws[i] = cache.weighted_speedup(sweep, w, shared, *cfg);
+            ws[i] = baselines.weighted_speedup(w, shared, *cfg);
         }
         rows.push(PairRow {
             name: w.name.clone(),

@@ -7,7 +7,7 @@
 //! itself has little impact on the weighted speedup — the transfer cost
 //! exists either way.
 
-use crate::common::{fmt_row, mean, AloneCache, Scope};
+use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
@@ -41,18 +41,17 @@ fn group(sweep: &Sweep, label: &str, workloads: Vec<(Workload, RunConfig)>) -> G
             [(w.clone(), base_cfg.preloaded()), (w.clone(), *base_cfg), (w.clone(), mosaic_cfg)]
         })
         .collect();
-    let mut cache = AloneCache::new();
     let baseline_items: Vec<_> =
         workloads.iter().flat_map(|(w, base_cfg)| [(w, *base_cfg), (w, mosaic_cfg)]).collect();
-    sweep.prefetch(&mut cache, &baseline_items);
+    let baselines = sweep.alone_baselines(&baseline_items);
     let results = sweep.run_workloads(jobs);
 
     let mut g_ratio = Vec::new();
     let mut m_ratio = Vec::new();
     for ((w, base_cfg), chunk) in workloads.iter().zip(results.chunks_exact(3)) {
-        let ws_no_paging = cache.weighted_speedup(sweep, w, &chunk[0], *base_cfg);
-        let ws_paging = cache.weighted_speedup(sweep, w, &chunk[1], *base_cfg);
-        let ws_mosaic = cache.weighted_speedup(sweep, w, &chunk[2], mosaic_cfg);
+        let ws_no_paging = baselines.weighted_speedup(w, &chunk[0], *base_cfg);
+        let ws_paging = baselines.weighted_speedup(w, &chunk[1], *base_cfg);
+        let ws_mosaic = baselines.weighted_speedup(w, &chunk[2], mosaic_cfg);
         g_ratio.push(ws_paging / ws_no_paging);
         m_ratio.push(ws_mosaic / ws_no_paging);
     }

@@ -25,8 +25,10 @@
 //! | [`oversub`] | memory oversubscription — Mosaic vs GPU-MMU at 1.5–4× pressure |
 //! | [`multigpu`] | multi-GPU scale-out — fleet weak scaling + placement policies |
 //!
-//! [`goldens`] pins the smoke-scope digest of the reports the
-//! determinism tests check.
+//! [`REPORTS`] is the one table of every report the drivers render and
+//! the name it goes by; `reproduce`, the golden tests and `mosaic-bench`
+//! all resolve names through it. [`goldens`] pins the smoke-scope digests
+//! of ten reports and of one trace.
 //!
 //! Every driver takes one [`Sweep`] as its only argument (`fig08::run(&sweep)`)
 //! and returns a serializable result whose `Display` impl prints the same
@@ -62,5 +64,41 @@ pub mod stall;
 pub mod sweep;
 pub mod table2;
 
-pub use common::{geomean, mean, AloneCache, Scope};
+pub use common::{geomean, mean, AloneBaselines, Scope};
 pub use sweep::Sweep;
+
+/// A report renderer: runs its driver on the given sweep and returns the
+/// report text that `reproduce` prints and `--digest` hashes.
+pub type Render = fn(&Sweep) -> String;
+
+/// `(report name, renderer)` for every report, in the order
+/// `reproduce all` prints them (`stall` is not part of `all`).
+pub const REPORTS: &[(&str, Render)] = &[
+    ("fig03", |s| fig03::run(s).to_string()),
+    ("fig04", |s| fig04::run(s).to_string()),
+    ("bloat", |s| bloat::run(s).to_string()),
+    ("fig06", |s| fig06::run(s).to_string()),
+    ("fig08", |s| fig08::run(s).to_string()),
+    ("fig09", |s| fig09::run(s).to_string()),
+    ("fig10", |s| fig10::run(s).to_string()),
+    ("fig11", |s| fig11::run(s).to_string()),
+    ("fig12", |s| fig12::run(s).to_string()),
+    ("fig13", |s| fig13::run(s).to_string()),
+    ("fig14", |s| fig14::run(s).to_string()),
+    ("fig15", |s| fig15::run(s).to_string()),
+    ("fig16", |s| fig16::run(s).to_string()),
+    ("table2", |s| table2::run(s).to_string()),
+    ("ablation_pwc", |s| ablations::pwc_vs_l2tlb(s).to_string()),
+    ("ablation_walker", |s| ablations::walker_threads(s).to_string()),
+    ("ablation_cac_threshold", |s| ablations::cac_threshold(s).to_string()),
+    ("ablation_coalescers", |s| ablations::migrating_coalescer(s).to_string()),
+    ("ablation_multikernel", |s| ablations::multi_kernel(s).to_string()),
+    ("oversub", |s| oversub::run(s).to_string()),
+    ("multigpu", |s| multigpu::run(s).to_string()),
+    ("stall", |s| stall::run(s).to_string()),
+];
+
+/// The renderer of report `name`, if [`REPORTS`] has one.
+pub fn report(name: &str) -> Option<Render> {
+    REPORTS.iter().find(|(n, _)| *n == name).map(|&(_, render)| render)
+}

@@ -23,11 +23,12 @@
 //! which is what makes `--jobs N` output byte-identical to `--jobs 1`
 //! (per-job progress goes to stderr only).
 
-use crate::common::{AloneCache, Scope};
+use crate::common::{AloneBaselines, Scope};
 use mosaic_campaign::Store;
 use mosaic_gpusim::{alone_config, run_workload, RunConfig, RunResult};
 use mosaic_telemetry::{Eta, Event, TraceSession};
 use mosaic_workloads::{AppProfile, Workload};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -156,45 +157,26 @@ impl Sweep {
         results
     }
 
-    /// IPC of application `i` of `workload` running alone, under the
-    /// alone-baseline configuration derived from the shared run's `cfg`
-    /// ([`alone_config`]); memoized in `cache`.
-    pub fn alone_ipc(
-        &self,
-        cache: &mut AloneCache,
-        workload: &Workload,
-        i: usize,
-        cfg: RunConfig,
-    ) -> f64 {
-        let profile = workload.apps[i];
-        let alone_cfg = alone_config(cfg, workload.app_count(), i);
-        let result = cache
-            .runs
-            .entry(AloneCache::key(profile, &alone_cfg))
-            .or_insert_with(|| self.run_workload_cached(&solo(profile), alone_cfg));
-        result.apps[0].ipc
-    }
-
     /// Resolves every alone baseline the given `(workload, config)` pairs
-    /// will need, running the missing ones on this sweep's workers.
+    /// need, running each distinct one once on this sweep's workers.
     ///
-    /// After this returns, [`AloneCache::weighted_speedup`] for any of the
-    /// pairs serves purely from the frozen cache — the pattern parallel
-    /// drivers use: prefetch the distinct baseline keys, then fold rows
-    /// serially with no simulation left on the serial path.
-    pub fn prefetch(&self, cache: &mut AloneCache, items: &[(&Workload, RunConfig)]) {
-        let mut missing = Vec::new();
+    /// The returned map is frozen: drivers fold their rows from it
+    /// serially, with no simulation left on the serial path.
+    pub fn alone_baselines(&self, items: &[(&Workload, RunConfig)]) -> AloneBaselines {
+        let mut slots = HashMap::new();
+        let mut jobs = Vec::new();
         for &(workload, cfg) in items {
             for (i, &profile) in workload.apps.iter().enumerate() {
                 let alone_cfg = alone_config(cfg, workload.app_count(), i);
-                let key = AloneCache::key(profile, &alone_cfg);
-                if !cache.runs.contains_key(&key) && missing.iter().all(|(k, _)| *k != key) {
-                    missing.push((key, (solo(profile), alone_cfg)));
-                }
+                slots.entry(AloneBaselines::key(profile, &alone_cfg)).or_insert_with(|| {
+                    jobs.push((solo(profile), alone_cfg));
+                    jobs.len() - 1
+                });
             }
         }
-        let (keys, jobs): (Vec<_>, Vec<_>) = missing.into_iter().unzip();
-        cache.runs.extend(keys.into_iter().zip(self.run_workloads(jobs)));
+        let results = self.run_workloads(jobs);
+        let ipc = slots.into_iter().map(|(key, job)| (key, results[job].apps[0].ipc)).collect();
+        AloneBaselines { ipc }
     }
 }
 

@@ -46,6 +46,20 @@ fn unknown_experiment_after_a_known_one_exits_2_before_running_anything() {
 }
 
 #[test]
+fn unwritable_output_paths_exit_1_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("mosaic-no-such-dir-{}", std::process::id()));
+    let path = dir.join("out").display().to_string();
+    for (code, stderr) in [
+        reproduce_with(&[("MOSAIC_JSON", &path)], &["fig06"]),
+        reproduce(&["--trace", &path, "fig06"]),
+    ] {
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains(&format!("cannot write {path}: ")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
 fn misspelled_scope_exits_2_before_running_anything() {
     let (code, stderr) = reproduce_with(&[("MOSAIC_SCOPE", "smok")], &["fig08"]);
     assert_eq!(code, Some(2), "{stderr}");

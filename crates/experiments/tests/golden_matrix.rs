@@ -11,65 +11,38 @@
 use mosaic_campaign::{CampaignScope, Store};
 use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::sweep::{render_trace, TraceCollector};
-use mosaic_experiments::{
-    ablations, fig03, fig08, fig11, fig16, multigpu, oversub, stall, table2, Scope, Sweep,
-};
+use mosaic_experiments::{report, Scope, Sweep};
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
 use std::path::Path;
 
-/// One pinned report: its golden name, its driver, and text the golden
-/// run must (`present`) or must not (`absent`) contain — so each digest
-/// pins the mechanism it is there for.
+/// One pinned report: its golden name (and [`REPORTS`] entry), and text
+/// the golden run must (`present`) or must not (`absent`) contain — so
+/// each digest pins the mechanism it is there for.
+///
+/// [`REPORTS`]: mosaic_experiments::REPORTS
 struct Row {
     name: &'static str,
-    render: fn(&Sweep) -> String,
     present: &'static [&'static str],
     absent: &'static [&'static str],
 }
 
 const ROWS: [Row; 10] = [
-    Row { name: "fig08", render: |s| fig08::run(s).to_string(), present: &[], absent: &[] },
-    Row { name: "fig03", render: |s| fig03::run(s).to_string(), present: &[], absent: &[] },
-    Row { name: "fig11", render: |s| fig11::run(s).to_string(), present: &[], absent: &[] },
-    Row {
-        name: "ablation_walker",
-        render: |s| ablations::walker_threads(s).to_string(),
-        present: &[],
-        absent: &[],
-    },
+    Row { name: "fig08", present: &[], absent: &[] },
+    Row { name: "fig03", present: &[], absent: &[] },
+    Row { name: "fig11", present: &[], absent: &[] },
+    Row { name: "ablation_walker", present: &[], absent: &[] },
     // Both ends of the TLB-sensitivity spectrum.
-    Row {
-        name: "stall",
-        render: |s| stall::run(s).to_string(),
-        present: &["MM ", "GUPS "],
-        absent: &[],
-    },
+    Row { name: "stall", present: &["MM ", "GUPS "], absent: &[] },
     // The eviction engine is engaged.
-    Row {
-        name: "oversub",
-        render: |s| oversub::run(s).to_string(),
-        present: &[],
-        absent: &["0 pages evicted"],
-    },
+    Row { name: "oversub", present: &[], absent: &["0 pages evicted"] },
     // The fleet crosses the interconnect.
-    Row {
-        name: "multigpu",
-        render: |s| multigpu::run(s).to_string(),
-        present: &["4 GPUs"],
-        absent: &[],
-    },
-    Row {
-        name: "ablation_coalescers",
-        render: |s| ablations::migrating_coalescer(s).to_string(),
-        present: &["Migrating"],
-        absent: &[],
-    },
+    Row { name: "multigpu", present: &["4 GPUs"], absent: &[] },
+    Row { name: "ablation_coalescers", present: &["Migrating"], absent: &[] },
     // Pre-fragmented memory under every CAC flavor: the failsafe's FRAG
     // compaction and hole scavenging ran, so the flavors diverge.
     Row {
         name: "fig16",
-        render: |s| fig16::run(s).to_string(),
         present: &["fragmentation-index sweep", "CAC-BC", "Ideal CAC"],
         absent: &[],
     },
@@ -77,7 +50,6 @@ const ROWS: [Row; 10] = [
     // footprint, so the bloat is not zero.
     Row {
         name: "table2",
-        render: |s| table2::run(s).to_string(),
         present: &["at 100% fragmentation index"],
         absent: &["bloat:         0.00%"],
     },
@@ -97,9 +69,10 @@ fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
     let _ = std::fs::remove_dir_all(&root);
     for row in &ROWS {
         let name = row.name;
-        let serial = (row.render)(&smoke(1));
+        let render = report(name).unwrap_or_else(|| panic!("{name} names no report"));
+        let serial = render(&smoke(1));
         assert_eq!(
-            digest(&serial),
+            Some(digest(&serial).as_str()),
             golden(name),
             "{name} smoke report drifted from the golden digest; report was:\n{serial}"
         );
@@ -111,14 +84,14 @@ fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
         }
         for jobs in [1, 8] {
             if jobs != 1 {
-                let off = (row.render)(&smoke(jobs));
+                let off = render(&smoke(jobs));
                 assert_eq!(serial, off, "{name}: --jobs {jobs} must match serial byte-for-byte");
             }
             let dir = root.join(format!("{name}-{jobs}"));
 
             // Cold: every run misses, simulates and checkpoints.
             let sweep = cached(jobs, &dir);
-            assert_eq!(serial, (row.render)(&sweep), "{name}: cold cache at --jobs {jobs}");
+            assert_eq!(serial, render(&sweep), "{name}: cold cache at --jobs {jobs}");
             let st = sweep.cache.as_ref().expect("cached").stats();
             assert!(st.stores > 0, "{name}: cold phase checkpoints results: {st:?}");
             assert_eq!(st.failures, 0, "{name}: {st:?}");
@@ -126,7 +99,7 @@ fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
             // Warm: a fresh Store on the same directory (fresh counters,
             // same entries) — every lookup must hit.
             let sweep = cached(jobs, &dir);
-            assert_eq!(serial, (row.render)(&sweep), "{name}: warm cache at --jobs {jobs}");
+            assert_eq!(serial, render(&sweep), "{name}: warm cache at --jobs {jobs}");
             let st = sweep.cache.as_ref().expect("cached").stats();
             assert!(st.hits > 0, "{name}: warm phase serves from the store: {st:?}");
             assert_eq!(st.misses, 0, "{name}: an identical re-run must hit: {st:?}");
@@ -182,7 +155,11 @@ fn traces_match_golden_at_any_jobs_and_bypass_the_cache() {
     for tag in ["warp_mem", "tlb_lookup", "page_walk", "dram_access", "epoch"] {
         assert!(serial.contains(&format!("\"type\":\"{tag}\"")), "trace should contain {tag}");
     }
-    assert_eq!(digest(&serial), golden("trace"), "trace drifted from the golden digest");
+    assert_eq!(
+        Some(digest(&serial).as_str()),
+        golden("trace"),
+        "trace drifted from the golden digest"
+    );
 }
 
 /// The campaign DSL's scale tiers and the experiment crate's `Scope`

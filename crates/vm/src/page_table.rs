@@ -343,12 +343,8 @@ impl PageTable {
             let n = self.alloc_node();
             self.l2_nodes[i1 as usize] = n;
         }
-        if self.l3_nodes.binary_search_by_key(&(i1, i2), |(k, _)| *k).is_err() {
+        if let Err(pos) = self.l3_nodes.binary_search_by_key(&(i1, i2), |(k, _)| *k) {
             let n = self.alloc_node();
-            let pos = self
-                .l3_nodes
-                .binary_search_by_key(&(i1, i2), |(k, _)| *k)
-                .expect_err("just probed");
             self.l3_nodes.insert(pos, ((i1, i2), n));
         }
         let lpn = vpn.large_page();

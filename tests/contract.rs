@@ -1,11 +1,21 @@
 //! The determinism and invariants policy, checked by `cargo test -q` at
 //! the workspace root: `mosaic-audit check` over the whole tree with the
 //! committed allowlist must report no finding, no stale exemption and no
-//! unresolved hot-path entry point. `ci.sh` runs the same check through
-//! the binary; this puts it in the root test command too.
+//! unresolved hot-path entry point, and the conformance fuzz must run
+//! clean at the seed and case count `ci.sh` uses. `ci.sh` runs both
+//! through their binaries; this puts them in the root test command too.
 
 use mosaic_audit::{check, Allowlist};
+use mosaic_conformance::{run_fuzz, FuzzConfig};
 use std::path::Path;
+
+#[test]
+fn the_conformance_fuzz_is_clean() {
+    let config = FuzzConfig { cases: 256, seed: 0xC0FFEE, ..FuzzConfig::default() };
+    if let Err(failure) = run_fuzz(config) {
+        panic!("conformance fuzz diverged:\n{failure}");
+    }
+}
 
 #[test]
 fn the_workspace_passes_the_audit() {
