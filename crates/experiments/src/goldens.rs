@@ -10,7 +10,11 @@
 //!
 //! [`Scope::Smoke`]: crate::Scope::Smoke
 
+use crate::sweep::render_trace;
+use crate::{Scope, Sweep};
+use mosaic_gpusim::ManagerKind;
 use mosaic_sim_core::fnv1a;
+use mosaic_workloads::Workload;
 
 /// `(report name, digest)` for every pinned report.
 ///
@@ -33,9 +37,8 @@ use mosaic_sim_core::fnv1a;
 ///   pre-fragmentation, CAC's failsafe (FRAG compaction, emergency
 ///   splinters) and hole scavenging; pinned before the failsafe grew
 ///   its O(1) early exit.
-/// * `trace` — the JSONL trace of a smoke MM+GUPS sweep under GPU-MMU
-///   and Mosaic (`tests/golden_matrix.rs`), pinned when the telemetry
-///   pipeline landed.
+/// * `trace` — the JSONL trace of [`trace_sweep`]'s smoke MM+GUPS runs
+///   under GPU-MMU and Mosaic, pinned when the telemetry pipeline landed.
 pub const GOLDENS: &[(&str, &str)] = &[
     ("fig08", "ad0fedc459c0afa6"),
     ("fig03", "d3a367a2c8a59907"),
@@ -58,6 +61,30 @@ pub fn golden(name: &str) -> Option<&'static str> {
 /// The digest of a rendered report, in the form [`GOLDENS`] pins.
 pub fn digest(report: &str) -> String {
     format!("{:016x}", fnv1a(report.as_bytes()))
+}
+
+/// Runs the `trace` pin's four smoke jobs (MM and GUPS, each alone under
+/// GPU-MMU and Mosaic) through `sweep`, returning the results' count.
+pub fn trace_sweep(sweep: &Sweep) -> usize {
+    let jobs = ["MM", "GUPS"]
+        .iter()
+        .flat_map(|&name| {
+            [ManagerKind::GpuMmu4K, ManagerKind::mosaic()]
+                .map(|mgr| (Workload::from_names(&[name]), Scope::Smoke.config(mgr)))
+        })
+        .collect();
+    sweep.run_workloads(jobs).len()
+}
+
+/// The JSONL trace a traced `sweep` collected, rendered as `reproduce
+/// --trace` writes it: after [`trace_sweep`], the text the `trace` pin
+/// digests.
+///
+/// # Panics
+///
+/// Panics if `sweep` has no trace collector.
+pub fn rendered_trace(sweep: Sweep) -> String {
+    render_trace(&sweep.trace.expect("a traced sweep").into_chunks())
 }
 
 #[cfg(test)]

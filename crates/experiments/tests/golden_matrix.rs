@@ -9,8 +9,8 @@
 //! state and the tests need no locks.
 
 use mosaic_campaign::{CampaignScope, Store};
-use mosaic_experiments::goldens::{digest, golden};
-use mosaic_experiments::sweep::{render_trace, TraceCollector};
+use mosaic_experiments::goldens::{digest, golden, rendered_trace, trace_sweep};
+use mosaic_experiments::sweep::TraceCollector;
 use mosaic_experiments::{report, Scope, Sweep};
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
@@ -108,30 +108,12 @@ fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Runs a 4-job sweep (MM and GUPS under GPU-MMU and Mosaic) through
-/// `sweep` and returns the results' count.
-fn mm_gups_sweep(sweep: &Sweep) -> usize {
-    let jobs = ["MM", "GUPS"]
-        .iter()
-        .flat_map(|&name| {
-            [ManagerKind::GpuMmu4K, ManagerKind::mosaic()]
-                .map(|mgr| (Workload::from_names(&[name]), Scope::Smoke.config(mgr)))
-        })
-        .collect();
-    sweep.run_workloads(jobs).len()
-}
-
-/// The rendered JSONL trace of a traced sweep.
-fn trace_of(sweep: Sweep) -> String {
-    render_trace(&sweep.trace.expect("traced").into_chunks())
-}
-
 #[test]
 fn traces_match_golden_at_any_jobs_and_bypass_the_cache() {
     let traced = |jobs| Sweep { trace: Some(TraceCollector::default()), ..smoke(jobs) };
     let serial = traced(1);
-    assert_eq!(mm_gups_sweep(&serial), 4);
-    let serial = trace_of(serial);
+    assert_eq!(trace_sweep(&serial), 4);
+    let serial = rendered_trace(serial);
 
     // At eight workers, with a cache set (bypassed in both directions)
     // and an untraced sweep running alongside (which collects nothing
@@ -140,12 +122,12 @@ fn traces_match_golden_at_any_jobs_and_bypass_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
     let parallel = Sweep { cache: Some(Store::open(&dir).expect("open store")), ..traced(8) };
     std::thread::scope(|s| {
-        s.spawn(|| assert_eq!(mm_gups_sweep(&smoke(2)), 4));
-        assert_eq!(mm_gups_sweep(&parallel), 4);
+        s.spawn(|| assert_eq!(trace_sweep(&smoke(2)), 4));
+        assert_eq!(trace_sweep(&parallel), 4);
     });
     let st = parallel.cache.as_ref().expect("cached").stats();
     assert_eq!((st.hits, st.misses, st.stores), (0, 0, 0), "traced sweeps bypass the cache");
-    let parallel = trace_of(parallel);
+    let parallel = rendered_trace(parallel);
     let _ = std::fs::remove_dir_all(&dir);
 
     assert!(!serial.is_empty());

@@ -254,6 +254,80 @@ mod tests {
         assert!(chrome.contains("\"name\":\"coalesce\",\"ts\":300"));
     }
 
+    /// A two-run trace holding every event type. The second run opens
+    /// with a `splinter`, so the last-cycle cursor must restart at 0.
+    fn every_type_trace() -> String {
+        let runs = [
+            (
+                ("MM", "GPU-MMU"),
+                vec![
+                    Event::PhaseBegin { phase: 0, cycle: 0 },
+                    Event::WarpMem { sm: 2, asid: 1, issue: 10, done: 300, transactions: 3 },
+                    Event::TlbLookup { level: 2, sm: 2, asid: 1, cycle: 11, hit: false },
+                    Event::PageWalk { asid: 1, vpn: 7, issue: 20, done: 180 },
+                    Event::FarFault { asid: 1, vpn: 7, cycle: 181, done: 250 },
+                    Event::DramAccess { cycle: 200, done: 260, service: 40, row_hit: true },
+                    Event::PageCopy { cycle: 270, done: 290, bulk: true },
+                    Event::Coalesce { asid: 1, lpn: 3 },
+                    Event::Epoch { cycle: 310, instructions: 64, stall_cycles: 12 },
+                    Event::PhaseEnd { phase: 0, cycle: 320 },
+                ],
+            ),
+            (
+                ("GUPS \"x\"", "Mosaic"),
+                vec![
+                    Event::Splinter { asid: 2, lpn: 9 },
+                    Event::PhaseBegin { phase: 1, cycle: 5 },
+                    Event::Shootdown { asid: 2, lpn: 9, cycle: 40 },
+                    Event::PageEvict { asid: 2, lpn: 9, pages: 512, cycle: 50 },
+                    Event::PageWriteback { bytes: 4096, cycle: 60, done: 60 },
+                    Event::TlbLookup { level: 1, sm: 0, asid: 2, cycle: 70, hit: true },
+                    Event::DramAccess { cycle: 80, done: 95, service: 15, row_hit: false },
+                    Event::PhaseEnd { phase: 1, cycle: 400 },
+                ],
+            ),
+        ];
+        let mut jsonl = String::new();
+        for ((workload, manager), events) in runs {
+            jsonl.push_str(&run_begin_jsonl(workload, manager));
+            jsonl.push('\n');
+            for ev in events {
+                jsonl.push_str(&ev.to_jsonl());
+                jsonl.push('\n');
+            }
+        }
+        jsonl
+    }
+
+    /// The exact export of [`every_type_trace`]: tracks, timestamps,
+    /// durations, args and the cursor, byte for byte.
+    #[test]
+    fn every_type_export_is_pinned() {
+        let pinned = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":[{"ph":"M","pid":1,"name":"process_name","args":{"name":"MM [GPU-MMU]"}},"#,
+            r#"{"ph":"i","s":"t","pid":1,"tid":"run","name":"phase_begin","ts":0,"args":{"phase":0}},"#,
+            r#"{"ph":"X","pid":1,"tid":"sm2","name":"warp_mem","ts":10,"dur":290,"args":{"asid":1,"transactions":3}},"#,
+            r#"{"ph":"i","s":"t","pid":1,"tid":"tlb-l2","name":"tlb_lookup","ts":11,"args":{"sm":2,"asid":1,"hit":false}},"#,
+            r#"{"ph":"X","pid":1,"tid":"walker","name":"page_walk","ts":20,"dur":160,"args":{"asid":1,"vpn":7}},"#,
+            r#"{"ph":"X","pid":1,"tid":"manager","name":"far_fault","ts":181,"dur":69,"args":{"asid":1,"vpn":7}},"#,
+            r#"{"ph":"X","pid":1,"tid":"dram","name":"dram_access","ts":200,"dur":60,"args":{"service":40,"row_hit":true}},"#,
+            r#"{"ph":"X","pid":1,"tid":"dram","name":"page_copy","ts":270,"dur":20,"args":{"bulk":true}},"#,
+            r#"{"ph":"i","s":"t","pid":1,"tid":"manager","name":"coalesce","ts":300,"args":{"asid":1,"lpn":3}},"#,
+            r#"{"ph":"i","s":"t","pid":1,"tid":"run","name":"epoch","ts":310,"args":{"instructions":64,"stall_cycles":12}},"#,
+            r#"{"ph":"i","s":"t","pid":1,"tid":"run","name":"phase_end","ts":320,"args":{"phase":0}},"#,
+            r#"{"ph":"M","pid":2,"name":"process_name","args":{"name":"GUPS \"x\" [Mosaic]"}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"manager","name":"splinter","ts":0,"args":{"asid":2,"lpn":9}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"run","name":"phase_begin","ts":5,"args":{"phase":1}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"manager","name":"shootdown","ts":40,"args":{"asid":2,"lpn":9}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"manager","name":"page_evict","ts":50,"args":{"asid":2,"lpn":9,"pages":512}},"#,
+            r#"{"ph":"X","pid":2,"tid":"iobus","name":"page_writeback","ts":60,"dur":1,"args":{"bytes":4096}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"tlb-l1","name":"tlb_lookup","ts":70,"args":{"sm":0,"asid":2,"hit":true}},"#,
+            r#"{"ph":"X","pid":2,"tid":"dram","name":"dram_access","ts":80,"dur":15,"args":{"service":15,"row_hit":false}},"#,
+            r#"{"ph":"i","s":"t","pid":2,"tid":"run","name":"phase_end","ts":400,"args":{"phase":1}}]}"#,
+        );
+        assert_eq!(jsonl_to_chrome(&every_type_trace()).expect("export succeeds"), pinned);
+    }
+
     #[test]
     fn rejects_unknown_types_and_bad_lines() {
         assert!(jsonl_to_chrome("{\"type\":\"bogus\"}").is_err());

@@ -340,6 +340,69 @@ mod tests {
         assert_eq!(SCHEMA.len(), samples.len() + 1);
     }
 
+    /// The exact bytes of one line per event type: every key, its order
+    /// and its value's encoding (distinct values, so a swapped key shows).
+    #[test]
+    fn jsonl_lines_are_pinned() {
+        let pinned = [
+            (
+                Event::PhaseBegin { phase: 1, cycle: 2 },
+                r#"{"type":"phase_begin","phase":1,"cycle":2}"#,
+            ),
+            (Event::PhaseEnd { phase: 3, cycle: 4 }, r#"{"type":"phase_end","phase":3,"cycle":4}"#),
+            (
+                Event::Epoch { cycle: 5, instructions: 6, stall_cycles: 7 },
+                r#"{"type":"epoch","cycle":5,"instructions":6,"stall_cycles":7}"#,
+            ),
+            (
+                Event::WarpMem { sm: 8, asid: 9, issue: 10, done: 11, transactions: 12 },
+                r#"{"type":"warp_mem","sm":8,"asid":9,"issue":10,"done":11,"transactions":12}"#,
+            ),
+            (
+                Event::TlbLookup { level: 2, sm: 13, asid: 14, cycle: 15, hit: true },
+                r#"{"type":"tlb_lookup","level":2,"sm":13,"asid":14,"cycle":15,"hit":true}"#,
+            ),
+            (
+                Event::PageWalk { asid: 16, vpn: 17, issue: 18, done: 19 },
+                r#"{"type":"page_walk","asid":16,"vpn":17,"issue":18,"done":19}"#,
+            ),
+            (
+                Event::FarFault { asid: 20, vpn: 21, cycle: 22, done: 23 },
+                r#"{"type":"far_fault","asid":20,"vpn":21,"cycle":22,"done":23}"#,
+            ),
+            (
+                Event::DramAccess { cycle: 24, done: 25, service: 26, row_hit: false },
+                r#"{"type":"dram_access","cycle":24,"done":25,"service":26,"row_hit":false}"#,
+            ),
+            (
+                Event::PageCopy { cycle: 27, done: 28, bulk: true },
+                r#"{"type":"page_copy","cycle":27,"done":28,"bulk":true}"#,
+            ),
+            (Event::Coalesce { asid: 29, lpn: 30 }, r#"{"type":"coalesce","asid":29,"lpn":30}"#),
+            (Event::Splinter { asid: 31, lpn: 32 }, r#"{"type":"splinter","asid":31,"lpn":32}"#),
+            (
+                Event::Shootdown { asid: 33, lpn: 34, cycle: 35 },
+                r#"{"type":"shootdown","asid":33,"lpn":34,"cycle":35}"#,
+            ),
+            (
+                Event::PageEvict { asid: 36, lpn: 37, pages: 512, cycle: 38 },
+                r#"{"type":"page_evict","asid":36,"lpn":37,"pages":512,"cycle":38}"#,
+            ),
+            (
+                Event::PageWriteback { bytes: 4096, cycle: 39, done: u64::MAX },
+                r#"{"type":"page_writeback","bytes":4096,"cycle":39,"done":18446744073709551615}"#,
+            ),
+        ];
+        for (ev, line) in pinned {
+            assert_eq!(ev.to_jsonl(), line);
+        }
+        assert_eq!(pinned.len(), SCHEMA.len() - 1, "one pin per event type");
+        assert_eq!(
+            run_begin_jsonl("GUPS\t\u{1}é", "Mosaic [x]"),
+            r#"{"type":"run_begin","workload":"GUPS\t\u0001é","manager":"Mosaic [x]"}"#
+        );
+    }
+
     #[test]
     fn run_begin_escapes_metadata() {
         let line = run_begin_jsonl("MM \"x\"", "Mosaic");

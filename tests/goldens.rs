@@ -9,11 +9,12 @@
 //! (pre-fragmentation, the CAC failsafe and hole scavenging) and multigpu
 //! (fleet placement, the interconnect and lookahead isolation across
 //! devices); one loop covers every other pin. The `trace` pin is not a
-//! report; it and the full golden matrix, serial and parallel with the run
-//! cache off, cold and warm, live in
-//! `crates/experiments/tests/golden_matrix.rs`.
+//! report: its test renders the JSONL trace of the golden trace sweep.
+//! The full golden matrix, serial and parallel with the run cache off,
+//! cold and warm, lives in `crates/experiments/tests/golden_matrix.rs`.
 
-use mosaic_experiments::goldens::{digest, GOLDENS};
+use mosaic_experiments::goldens::{digest, golden, rendered_trace, trace_sweep, GOLDENS};
+use mosaic_experiments::sweep::TraceCollector;
 use mosaic_experiments::{report, Scope, Sweep};
 
 /// The pins with a test of their own; the loop skips them and `trace`.
@@ -65,6 +66,14 @@ fn table2_matches_golden() {
 #[test]
 fn multigpu_matches_golden() {
     check("multigpu");
+}
+
+#[test]
+fn trace_matches_golden() {
+    let sweep = Sweep { trace: Some(TraceCollector::default()), ..smoke() };
+    assert_eq!(trace_sweep(&sweep), 4);
+    let rendered = digest(&rendered_trace(sweep));
+    assert_eq!(Some(rendered.as_str()), golden("trace"), "the JSONL trace drifted from its golden");
 }
 
 #[test]
