@@ -22,9 +22,9 @@
 //! scenarios; looser where small absolute times make IO and scheduler
 //! noise proportionally large. The limits stay loose enough for
 //! shared-runner noise while still catching the accidental O(n^2) or
-//! re-introduced allocation churn this harness exists to pin. Baselines
-//! written by the v1 harness (no per-scenario limit) still check, at the
-//! historical global 2x.
+//! re-introduced allocation churn this harness exists to pin. `--check`
+//! reads only the v2 schema this harness writes, and a scenario without
+//! its limit is a malformed baseline.
 
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
@@ -374,13 +374,10 @@ fn parse_number(line: &str, name: &str, tag: &str) -> Result<Option<f64>, String
 ///
 /// Deliberately schema-specific rather than a general JSON parser: the
 /// harness is the only writer, so any deviation from the expected shape
-/// *is* malformation and must fail the gate. Accepts both the current v2
-/// schema (per-scenario `max_ratio`) and the original v1 schema, whose
-/// entries all check at the historical global 2x limit.
+/// *is* malformation and must fail the gate. Accepts only the v2 schema,
+/// every scenario with its own `max_ratio`.
 fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
-    if !text.contains("\"schema\": \"mosaic-bench/v1\"")
-        && !text.contains("\"schema\": \"mosaic-bench/v2\"")
-    {
+    if !text.contains("\"schema\": \"mosaic-bench/v2\"") {
         return Err("missing or unknown \"schema\" marker".into());
     }
     let mut out = Vec::new();
@@ -399,7 +396,8 @@ fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
         if !median_ms.is_finite() || median_ms <= 0.0 {
             return Err(format!("{name}: median_ms {median_ms} is not a positive finite number"));
         }
-        let max_ratio = parse_number(line, &name, "max_ratio")?.unwrap_or(2.0);
+        let max_ratio = parse_number(line, &name, "max_ratio")?
+            .ok_or_else(|| format!("{name}: no max_ratio field"))?;
         if !max_ratio.is_finite() || max_ratio < 1.0 {
             return Err(format!("{name}: max_ratio {max_ratio} must be a finite number >= 1"));
         }
@@ -561,23 +559,24 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_check_at_the_historical_global_limit() {
-        let v1 = "{\"schema\": \"mosaic-bench/v1\", \"scenarios\": [\n\
-             {\"name\": \"micro/a\", \"median_ms\": 1.500, \"samples_ms\": [1.5]},\n\
-             {\"name\": \"sweep/b\", \"median_ms\": 250.000, \"samples_ms\": [250.0]}]}";
-        let parsed = parse_baseline(v1).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert!(parsed.iter().all(|e| e.max_ratio == 2.0), "v1 entries default to 2x");
-        assert_eq!(parsed[1].median_ms, 250.0);
-    }
-
-    #[test]
     fn malformed_baselines_are_rejected() {
         assert!(parse_baseline("{}").is_err());
-        assert!(parse_baseline("{\"schema\": \"mosaic-bench/v1\"}").is_err());
-        let bad_number = "{\"schema\": \"mosaic-bench/v1\", \"scenarios\": [\n\
-             {\"name\": \"x\", \"median_ms\": -3.0, \"samples_ms\": []}]}";
+        assert!(parse_baseline("{\"schema\": \"mosaic-bench/v2\"}").is_err());
+        let bad_number = "{\"schema\": \"mosaic-bench/v2\", \"scenarios\": [\n\
+             {\"name\": \"x\", \"median_ms\": -3.0, \"max_ratio\": 2.0, \"samples_ms\": []}]}";
         assert!(parse_baseline(bad_number).is_err());
+        // A v1 document, otherwise well formed, is no longer read.
+        let v1 = "{\"schema\": \"mosaic-bench/v1\", \"scenarios\": [\n\
+             {\"name\": \"x\", \"median_ms\": 3.0, \"max_ratio\": 2.0, \"samples_ms\": []}]}";
+        assert_eq!(
+            parse_baseline(v1).err().as_deref(),
+            Some("missing or unknown \"schema\" marker")
+        );
+        // A scenario without its limit does not borrow a default.
+        let no_ratio = "{\"schema\": \"mosaic-bench/v2\", \"scenarios\": [\n\
+             {\"name\": \"x\", \"median_ms\": 3.0, \"samples_ms\": []},\n\
+             {\"name\": \"y\", \"median_ms\": 3.0, \"max_ratio\": 2.0, \"samples_ms\": []}]}";
+        assert_eq!(parse_baseline(no_ratio).err().as_deref(), Some("x: no max_ratio field"));
         let bad_ratio = "{\"schema\": \"mosaic-bench/v2\", \"scenarios\": [\n\
              {\"name\": \"x\", \"median_ms\": 3.0, \"max_ratio\": 0.5, \"samples_ms\": []}]}";
         assert!(parse_baseline(bad_ratio).is_err(), "a limit below 1x would always fail");

@@ -308,20 +308,6 @@ pub fn run_vm_case(
                     return Err(diverge(format!("flush_base: real {r} oracle {o}")));
                 }
             }
-            VmOp::FlushAsid { asid } => {
-                let r = tlb.flush_asid(AppId(asid));
-                let o = oracle.flush_asid(AppId(asid));
-                if r != o {
-                    return Err(diverge(format!("flush_asid: real {r} oracle {o}")));
-                }
-            }
-            VmOp::FlushAll => {
-                let r = tlb.flush_all();
-                let o = oracle.flush_all();
-                if r != o {
-                    return Err(diverge(format!("flush_all: real {r} oracle {o}")));
-                }
-            }
             VmOp::Shootdown { asid, lpn } => {
                 // A full shootdown of one 2 MB region, the sequence a
                 // splinter-triggered TLB shootdown performs: the large

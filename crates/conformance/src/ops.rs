@@ -91,13 +91,6 @@ pub enum VmOp {
         /// Virtual base page number.
         page: u64,
     },
-    /// Drop every entry of one address space.
-    FlushAsid {
-        /// Address space.
-        asid: u16,
-    },
-    /// Drop every entry.
-    FlushAll,
     /// Full shootdown of one 2 MB region: invalidate its large entry,
     /// then every one of its 512 base entries. Most of those base slots
     /// hold nothing, so the sweep leans hard on the TLB's one-pass range
@@ -201,7 +194,7 @@ fn vm_page(rng: &mut SimRng) -> u64 {
 /// Generates one VM-suite op.
 fn vm_op(rng: &mut SimRng) -> VmOp {
     let asid = rng.below(u64::from(VM_ASIDS)) as u16;
-    match rng.weighted(&[5, 1, 3, 2, 2, 4, 4, 4, 2, 2, 1, 1, 2]) {
+    match rng.weighted(&[5, 1, 3, 2, 2, 4, 4, 4, 2, 2, 2]) {
         0 => VmOp::Map { vpn: vm_page(rng), pfn: rng.below(VM_FRAMES * PAGES) },
         1 => VmOp::MapRegion { lpn: rng.below(VM_REGIONS), lf: rng.below(VM_FRAMES) },
         2 => VmOp::Unmap { vpn: vm_page(rng) },
@@ -212,8 +205,6 @@ fn vm_op(rng: &mut SimRng) -> VmOp {
         7 => VmOp::Fill { asid, page: vm_page(rng), large: rng.chance(0.4) },
         8 => VmOp::FlushLarge { asid, page: vm_page(rng) },
         9 => VmOp::FlushBase { asid, page: vm_page(rng) },
-        10 => VmOp::FlushAsid { asid },
-        11 => VmOp::FlushAll,
         _ => VmOp::Shootdown { asid, lpn: rng.below(VM_REGIONS) },
     }
 }

@@ -230,25 +230,6 @@ impl OracleArray {
         }
     }
 
-    fn flush_asid(&mut self, asid: AppId) -> usize {
-        let mut n = 0;
-        for set in &mut self.sets {
-            let before = set.len();
-            set.retain(|&(a, _)| a != asid);
-            n += before - set.len();
-        }
-        n
-    }
-
-    fn flush_all(&mut self) -> usize {
-        let mut n = 0;
-        for set in &mut self.sets {
-            n += set.len();
-            set.clear();
-        }
-        n
-    }
-
     fn occupancy(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
@@ -309,16 +290,6 @@ impl OracleTlb {
     /// Invalidates the base entry covering `addr`.
     pub fn flush_base(&mut self, asid: AppId, addr: VirtAddr) -> bool {
         self.base.invalidate(asid, addr.base_page().raw())
-    }
-
-    /// Drops every entry of `asid`, returning the count.
-    pub fn flush_asid(&mut self, asid: AppId) -> usize {
-        self.base.flush_asid(asid) + self.large.flush_asid(asid)
-    }
-
-    /// Drops everything, returning the count.
-    pub fn flush_all(&mut self) -> usize {
-        self.base.flush_all() + self.large.flush_all()
     }
 
     /// Valid entries across both arrays.

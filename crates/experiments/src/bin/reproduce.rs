@@ -184,7 +184,13 @@ fn report_cache_stats(sweep: &Sweep) {
 
 /// The `campaign run|expand|status FILE` subcommand; `run` installs the
 /// run cache into `sweep`.
-fn run_campaign(sub: &[String], sweep: &mut Sweep, cache_dir: Option<String>, no_cache: bool) {
+fn run_campaign(
+    sub: &[String],
+    sweep: &mut Sweep,
+    cache_dir: Option<String>,
+    no_cache: bool,
+    trace_path: Option<&str>,
+) {
     let (action, file) = match sub {
         [action, file] if matches!(action.as_str(), "run" | "expand" | "status") => {
             (action.as_str(), file.as_str())
@@ -222,6 +228,7 @@ fn run_campaign(sub: &[String], sweep: &mut Sweep, cache_dir: Option<String>, no
             );
             let jobs: Vec<_> =
                 campaign.points.iter().map(|p| (p.workload.clone(), p.cfg)).collect();
+            create_outputs(&[trace_path]);
             let t0 = std::time::Instant::now();
             let results = sweep.run_workloads(jobs);
             print!("{}", render_results(&campaign, &results));
@@ -244,12 +251,21 @@ fn write_or_exit(path: &str, contents: String) {
     }
 }
 
+/// Creates each output file empty once the arguments are checked and
+/// before the first simulation, so an unwritable path fails at once
+/// rather than after the whole sweep.
+fn create_outputs(paths: &[Option<&str>]) {
+    for path in paths.iter().flatten() {
+        write_or_exit(path, String::new());
+    }
+}
+
 /// Runs the named experiments (every one when none is named) and prints
 /// their reports, then the `--digest` lines; every name is checked
 /// before anything runs. Returns whether every rendered report that has
 /// a golden pin matched it (checked only for `--digest` at smoke scope,
 /// the scope the pins are taken at).
-fn run_figures(mut args: Vec<String>, sweep: &Sweep) -> bool {
+fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -> bool {
     let stall_report = take_switch(&mut args, "--stall-report");
     let digests = take_switch(&mut args, "--digest");
     // `all` is every report but `stall`, named as on the command line.
@@ -270,6 +286,8 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep) -> bool {
     if let Some(other) = wanted.iter().find(|&&n| n != "stall" && !all.contains(&n)) {
         usage_error(format!("unknown experiment {other}; available: {all:?}"));
     }
+    let json_path = env("MOSAIC_JSON");
+    create_outputs(&[trace_path, json_path.as_deref()]);
     eprintln!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
     eprintln!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
@@ -305,7 +323,7 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep) -> bool {
     }
     report_cache_stats(sweep);
 
-    if let Some(path) = env("MOSAIC_JSON") {
+    if let Some(path) = json_path {
         write_or_exit(&path, to_json(&results));
         eprintln!("wrote machine-readable results to {path}");
     }
@@ -336,10 +354,10 @@ fn main() {
     };
     let mut pins_hold = true;
     if args.first().map(String::as_str) == Some("campaign") {
-        run_campaign(&args[1..], &mut sweep, cache_dir, no_cache);
+        run_campaign(&args[1..], &mut sweep, cache_dir, no_cache, trace_path.as_deref());
     } else {
         sweep.cache = resolve_cache_dir(cache_dir, no_cache, None).map(|dir| open_store(&dir));
-        pins_hold = run_figures(args, &sweep);
+        pins_hold = run_figures(args, &sweep, trace_path.as_deref());
     }
 
     if let (Some(path), Some(trace)) = (trace_path, sweep.trace) {

@@ -56,6 +56,7 @@ fn unwritable_output_paths_exit_1_without_a_panic() {
         assert_eq!(code, Some(1), "{stderr}");
         assert!(stderr.contains(&format!("cannot write {path}: ")), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(!stderr.contains("fig06 done"), "fails before simulating: {stderr}");
     }
 }
 

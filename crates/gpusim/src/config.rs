@@ -140,10 +140,14 @@ impl SystemConfig {
     /// memory, and far-fault costs shrink together, preserving the
     /// execution-to-transfer ratio the demand-paging experiments measure.
     pub fn paper_scaled(ws_divisor: u32) -> Self {
-        let mut c = Self::paper();
-        c.memory_bytes = (3 * 1024 * 1024 * 1024) / u64::from(ws_divisor.max(1));
-        c.iobus = IoBusConfig::scaled(ws_divisor);
-        c
+        Self::paper().scaled(ws_divisor)
+    }
+
+    /// This configuration with [`SystemConfig::paper_scaled`]'s memory
+    /// size and I/O-bus transfer times.
+    fn scaled(self, ws_divisor: u32) -> Self {
+        let memory_bytes = (3 * 1024 * 1024 * 1024) / u64::from(ws_divisor.max(1));
+        SystemConfig { memory_bytes, iobus: IoBusConfig::scaled(ws_divisor), ..self }
     }
 }
 
@@ -314,8 +318,7 @@ impl RunConfig {
     /// Same run at a different scale (system memory follows).
     pub fn with_scale(mut self, scale: ScaleConfig) -> Self {
         self.scale = scale;
-        self.system.memory_bytes = (3 * 1024 * 1024 * 1024) / u64::from(scale.ws_divisor.max(1));
-        self.system.iobus = IoBusConfig::scaled(scale.ws_divisor);
+        self.system = self.system.scaled(scale.ws_divisor);
         self
     }
 }

@@ -9,8 +9,7 @@
 use std::process::ExitCode;
 
 use mosaic_telemetry::chrome::jsonl_to_chrome;
-use mosaic_telemetry::json::{parse_object, Value};
-use mosaic_telemetry::SCHEMA;
+use mosaic_telemetry::read_trace;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -72,34 +71,13 @@ fn main() -> ExitCode {
     }
 }
 
-/// Validates every line against the event schema: each line must parse
-/// as a flat object, lead with a known `"type"`, and carry exactly that
-/// type's key set in schema order. Returns the number of event lines.
+/// Validates every line against the event schema through
+/// [`read_trace`], returning the number of event lines.
 fn validate(text: &str) -> Result<usize, String> {
-    let mut count = 0usize;
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let n = idx + 1;
-        let pairs = parse_object(line).map_err(|e| format!("line {n}: {e}"))?;
-        let Some(("type", Value::Str(tag))) = pairs.first().map(|(k, v)| (k.as_str(), v.clone()))
-        else {
-            return Err(format!("line {n}: first key must be \"type\""));
-        };
-        let Some((_, keys)) = SCHEMA.iter().find(|(t, _)| *t == tag) else {
-            return Err(format!("line {n}: unknown event type \"{tag}\""));
-        };
-        let got: Vec<&str> = pairs.iter().skip(1).map(|(k, _)| k.as_str()).collect();
-        if got != *keys {
-            return Err(format!("line {n}: \"{tag}\" keys {got:?} do not match schema {keys:?}"));
-        }
-        count += 1;
+    match read_trace(text).try_fold(0, |count, record| record.map(|_| count + 1))? {
+        0 => Err("trace contains no events".into()),
+        count => Ok(count),
     }
-    if count == 0 {
-        return Err("trace contains no events".into());
-    }
-    Ok(count)
 }
 
 #[cfg(test)]

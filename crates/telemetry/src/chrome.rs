@@ -1,225 +1,121 @@
 //! Chrome `trace_event` exporter: converts a JSONL trace into the JSON
 //! array format that chrome://tracing and Perfetto load directly.
 //!
+//! Every line is read through [`read_trace`], so a trace that
+//! `mosaic-trace validate` rejects fails the export with the same error.
 //! Mapping:
 //! - each `run_begin` line starts a new process (`pid`), labelled with
 //!   the workload/manager names via `process_name` metadata;
-//! - events with a duration (`warp_mem`, `page_walk`, `far_fault`,
-//!   `dram_access`, `page_copy`) become complete events (`ph:"X"`) with
+//! - every other event type has one `LAYOUT` row: its track (`tid`),
+//!   the field holding its start cycle and the field holding its end
+//!   cycle. Every remaining field is an arg, in schema order;
+//! - an event with an end field becomes a complete event (`ph:"X"`) with
 //!   `ts` = start cycle and `dur` = cycles (1 simulated cycle = 1 µs on
-//!   the trace timeline);
-//! - instantaneous events become instants (`ph:"i"`); `coalesce` /
-//!   `splinter` carry no cycle and are placed at the last cycle seen.
-//! - `tid` groups rows: per-SM rows for warp traffic, one row per
-//!   subsystem (TLB, walker, DRAM, manager) otherwise.
+//!   the trace timeline); any other event becomes an instant (`ph:"i"`).
+//!   `coalesce` / `splinter` carry no cycle and are placed at the last
+//!   cycle seen.
 
-use crate::json::{parse_object, Value};
+use std::fmt::Write;
 
-/// Converts JSONL trace text into a Chrome `trace_event` JSON document.
-/// Lines must already satisfy the schema (run `validate` first for
-/// friendly errors); returns the first offending line otherwise.
+use crate::event::read_trace;
+use crate::json::{escape_json, Value};
+
+/// `(tag, track, track field, start field, end field)` for every event
+/// type but `run_begin`. The track (`tid`) is the fixed name, followed by
+/// the track field's value when there is one (`sm3`, `tlb-l1`). Without
+/// a start field the event sits at the last cycle seen; with an end
+/// field it is a complete event, otherwise an instant.
+type Row =
+    (&'static str, &'static str, Option<&'static str>, Option<&'static str>, Option<&'static str>);
+
+const LAYOUT: &[Row] = &[
+    ("phase_begin", "run", None, Some("cycle"), None),
+    ("phase_end", "run", None, Some("cycle"), None),
+    ("epoch", "run", None, Some("cycle"), None),
+    ("warp_mem", "sm", Some("sm"), Some("issue"), Some("done")),
+    ("tlb_lookup", "tlb-l", Some("level"), Some("cycle"), None),
+    ("page_walk", "walker", None, Some("issue"), Some("done")),
+    ("far_fault", "manager", None, Some("cycle"), Some("done")),
+    ("dram_access", "dram", None, Some("cycle"), Some("done")),
+    ("page_copy", "dram", None, Some("cycle"), Some("done")),
+    ("coalesce", "manager", None, None, None),
+    ("splinter", "manager", None, None, None),
+    ("shootdown", "manager", None, Some("cycle"), None),
+    ("page_evict", "manager", None, Some("cycle"), None),
+    ("page_writeback", "iobus", None, Some("cycle"), Some("done")),
+];
+
+/// Converts JSONL trace text into a Chrome `trace_event` JSON document,
+/// or returns the first line that does not satisfy the schema.
 pub fn jsonl_to_chrome(jsonl: &str) -> Result<String, String> {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
     let mut pid = 0u64;
     let mut cursor = 0u64; // last cycle seen, for untimestamped events
-    for (idx, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
+    for record in read_trace(jsonl) {
+        let record = record?;
+        if !out.ends_with('[') {
+            out.push(',');
+        }
+        if record.tag == "run_begin" {
+            let [Value::Str(workload), Value::Str(manager)] = &record.values[..] else {
+                return Err(format!("line {}: run_begin names must be strings", record.line));
+            };
+            pid += 1;
+            cursor = 0;
+            let _ = write!(
+                out,
+                "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
+                 \"args\":{{\"name\":\"{} [{}]\"}}}}",
+                escape_json(workload),
+                escape_json(manager)
+            );
             continue;
         }
-        let pairs = parse_object(line).map_err(|e| format!("line {}: {}", idx + 1, e))?;
-        let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let num = |key: &str| get(key).and_then(Value::as_num).unwrap_or(0);
-        let tag = get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: missing \"type\"", idx + 1))?
-            .to_string();
-
-        let mut push = |record: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&record);
+        let &(name, track, track_field, start, end) =
+            LAYOUT.iter().find(|row| row.0 == record.tag).expect("every event type has a row");
+        let num = |key: &str| match record.get(key) {
+            Some(Value::Num(n)) => Ok(*n),
+            _ => Err(format!("line {}: \"{key}\" must be an integer", record.line)),
         };
-
-        match tag.as_str() {
-            "run_begin" => {
-                pid += 1;
-                cursor = 0;
-                let workload = get("workload").and_then(Value::as_str).unwrap_or("?");
-                let manager = get("manager").and_then(Value::as_str).unwrap_or("?");
-                push(format!(
-                    "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{} [{}]\"}}}}",
-                    crate::escape_json(workload),
-                    crate::escape_json(manager)
-                ));
+        let tid = match track_field {
+            Some(field) => format!("{track}{}", num(field)?),
+            None => track.to_string(),
+        };
+        let ts = match start {
+            Some(field) => num(field)?,
+            None => cursor,
+        };
+        let placed = [track_field, start, end];
+        let mut args = String::new();
+        for (key, value) in record.keys.iter().zip(&record.values) {
+            if !placed.contains(&Some(*key)) {
+                let comma = if args.is_empty() { "" } else { "," };
+                let _ = write!(args, "{comma}\"{key}\":{value}");
             }
-            "warp_mem" => {
-                let (ts, done) = (num("issue"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    &format!("sm{}", num("sm")),
-                    "warp_mem",
-                    ts,
-                    done,
-                    &format!("\"asid\":{},\"transactions\":{}", num("asid"), num("transactions")),
-                ));
-            }
-            "page_walk" => {
-                let (ts, done) = (num("issue"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    "walker",
-                    "page_walk",
-                    ts,
-                    done,
-                    &format!("\"asid\":{},\"vpn\":{}", num("asid"), num("vpn")),
-                ));
-            }
-            "far_fault" => {
-                let (ts, done) = (num("cycle"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    "manager",
-                    "far_fault",
-                    ts,
-                    done,
-                    &format!("\"asid\":{},\"vpn\":{}", num("asid"), num("vpn")),
-                ));
-            }
-            "dram_access" => {
-                let (ts, done) = (num("cycle"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    "dram",
-                    "dram_access",
-                    ts,
-                    done,
-                    &format!(
-                        "\"service\":{},\"row_hit\":{}",
-                        num("service"),
-                        get("row_hit").map(|v| *v == Value::Bool(true)).unwrap_or(false)
-                    ),
-                ));
-            }
-            "page_copy" => {
-                let (ts, done) = (num("cycle"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    "dram",
-                    "page_copy",
-                    ts,
-                    done,
-                    &format!(
-                        "\"bulk\":{}",
-                        get("bulk").map(|v| *v == Value::Bool(true)).unwrap_or(false)
-                    ),
-                ));
-            }
-            "coalesce" | "splinter" => {
-                push(instant(
-                    pid,
-                    "manager",
-                    &tag,
-                    cursor,
-                    &format!("\"asid\":{},\"lpn\":{}", num("asid"), num("lpn")),
-                ));
-            }
-            "shootdown" => {
-                let ts = num("cycle");
-                cursor = cursor.max(ts);
-                push(instant(
-                    pid,
-                    "manager",
-                    "shootdown",
-                    ts,
-                    &format!("\"asid\":{},\"lpn\":{}", num("asid"), num("lpn")),
-                ));
-            }
-            "page_evict" => {
-                let ts = num("cycle");
-                cursor = cursor.max(ts);
-                push(instant(
-                    pid,
-                    "manager",
-                    "page_evict",
-                    ts,
-                    &format!(
-                        "\"asid\":{},\"lpn\":{},\"pages\":{}",
-                        num("asid"),
-                        num("lpn"),
-                        num("pages")
-                    ),
-                ));
-            }
-            "page_writeback" => {
-                let (ts, done) = (num("cycle"), num("done"));
-                cursor = cursor.max(done);
-                push(complete(
-                    pid,
-                    "iobus",
-                    "page_writeback",
-                    ts,
-                    done,
-                    &format!("\"bytes\":{}", num("bytes")),
-                ));
-            }
-            "tlb_lookup" => {
-                let ts = num("cycle");
-                cursor = cursor.max(ts);
-                push(instant(
-                    pid,
-                    &format!("tlb-l{}", num("level")),
-                    "tlb_lookup",
-                    ts,
-                    &format!(
-                        "\"sm\":{},\"asid\":{},\"hit\":{}",
-                        num("sm"),
-                        num("asid"),
-                        get("hit").map(|v| *v == Value::Bool(true)).unwrap_or(false)
-                    ),
-                ));
-            }
-            "phase_begin" | "phase_end" | "epoch" => {
-                let ts = num("cycle");
-                cursor = cursor.max(ts);
-                let args = match tag.as_str() {
-                    "epoch" => format!(
-                        "\"instructions\":{},\"stall_cycles\":{}",
-                        num("instructions"),
-                        num("stall_cycles")
-                    ),
-                    _ => format!("\"phase\":{}", num("phase")),
-                };
-                push(instant(pid, "run", &tag, ts, &args));
-            }
-            other => return Err(format!("line {}: unknown event type \"{other}\"", idx + 1)),
         }
+        let _ = match end {
+            Some(field) => {
+                let done = num(field)?;
+                cursor = cursor.max(done);
+                write!(
+                    out,
+                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
+                     \"ts\":{ts},\"dur\":{},\"args\":{{{args}}}}}",
+                    done.saturating_sub(ts).max(1)
+                )
+            }
+            None => {
+                cursor = cursor.max(ts);
+                write!(
+                    out,
+                    "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
+                     \"ts\":{ts},\"args\":{{{args}}}}}"
+                )
+            }
+        };
     }
     out.push_str("]}");
     Ok(out)
-}
-
-fn complete(pid: u64, tid: &str, name: &str, ts: u64, done: u64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
-         \"ts\":{ts},\"dur\":{},\"args\":{{{args}}}}}",
-        done.saturating_sub(ts).max(1)
-    )
-}
-
-fn instant(pid: u64, tid: &str, name: &str, ts: u64, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
-         \"ts\":{ts},\"args\":{{{args}}}}}"
-    )
 }
 
 #[cfg(test)]
@@ -329,9 +225,38 @@ mod tests {
     }
 
     #[test]
+    fn every_event_type_has_one_layout_row_naming_its_own_keys() {
+        for &(tag, keys) in crate::SCHEMA.iter().filter(|(tag, _)| *tag != "run_begin") {
+            let rows: Vec<_> = LAYOUT.iter().filter(|row| row.0 == tag).collect();
+            let [&(_, _, track_field, start, end)] = rows[..] else {
+                panic!("{tag} needs exactly one layout row, has {}", rows.len());
+            };
+            for field in [track_field, start, end].into_iter().flatten() {
+                assert!(keys.contains(&field), "{tag} has no {field} key");
+            }
+        }
+        assert_eq!(LAYOUT.len(), crate::SCHEMA.len() - 1, "no row for run_begin or a stray tag");
+    }
+
+    #[test]
     fn rejects_unknown_types_and_bad_lines() {
         assert!(jsonl_to_chrome("{\"type\":\"bogus\"}").is_err());
         assert!(jsonl_to_chrome("not json").is_err());
         assert!(jsonl_to_chrome("\n\n").is_ok(), "blank lines are skipped");
+        // What `validate` rejects fails the export too, instead of
+        // exporting zeros.
+        assert_eq!(
+            jsonl_to_chrome("{\"type\":\"epoch\",\"cycle\":1}").unwrap_err(),
+            "line 1: \"epoch\" keys [\"cycle\"] do not match schema \
+             [\"cycle\", \"instructions\", \"stall_cycles\"]"
+        );
+        // A placed field must be a number and run_begin's names strings.
+        let bad_cycle = "{\"type\":\"shootdown\",\"asid\":1,\"lpn\":2,\"cycle\":true}";
+        assert_eq!(jsonl_to_chrome(bad_cycle).unwrap_err(), "line 1: \"cycle\" must be an integer");
+        let bad_names = "{\"type\":\"run_begin\",\"workload\":1,\"manager\":\"m\"}";
+        assert_eq!(
+            jsonl_to_chrome(bad_names).unwrap_err(),
+            "line 1: run_begin names must be strings"
+        );
     }
 }

@@ -5,6 +5,13 @@
 //! path allocates nothing. Run-level metadata that needs strings (the
 //! workload and manager names) is written by the trace *writer* as a
 //! `run_begin` JSONL line rather than carried inside [`Event`].
+//!
+//! [`SCHEMA`] is the one description of the trace format: the encoder
+//! ([`Event::to_jsonl`]), the reader ([`read_trace`]) and the Chrome
+//! export all take the key names from it.
+
+use crate::json::{parse_object, Value};
+use std::fmt::Write;
 
 /// One structured simulator event. All cycle fields are absolute
 /// simulated cycles; identifiers are the simulator's own (SM index,
@@ -149,116 +156,77 @@ pub enum Event {
 }
 
 impl Event {
+    /// The event's [`SCHEMA`] tag and its values, in the order of that
+    /// row's keys. This match is the only per-variant list of the trace
+    /// format; the key names live in [`SCHEMA`] alone.
+    fn tagged_values(&self) -> (&'static str, Vec<Value>) {
+        use Value::{Bool, Num};
+        match *self {
+            Event::PhaseBegin { phase, cycle } => {
+                ("phase_begin", vec![Num(phase.into()), Num(cycle)])
+            }
+            Event::PhaseEnd { phase, cycle } => ("phase_end", vec![Num(phase.into()), Num(cycle)]),
+            Event::Epoch { cycle, instructions, stall_cycles } => {
+                ("epoch", vec![Num(cycle), Num(instructions), Num(stall_cycles)])
+            }
+            Event::WarpMem { sm, asid, issue, done, transactions } => (
+                "warp_mem",
+                vec![
+                    Num(sm.into()),
+                    Num(asid.into()),
+                    Num(issue),
+                    Num(done),
+                    Num(transactions.into()),
+                ],
+            ),
+            Event::TlbLookup { level, sm, asid, cycle, hit } => (
+                "tlb_lookup",
+                vec![Num(level.into()), Num(sm.into()), Num(asid.into()), Num(cycle), Bool(hit)],
+            ),
+            Event::PageWalk { asid, vpn, issue, done } => {
+                ("page_walk", vec![Num(asid.into()), Num(vpn), Num(issue), Num(done)])
+            }
+            Event::FarFault { asid, vpn, cycle, done } => {
+                ("far_fault", vec![Num(asid.into()), Num(vpn), Num(cycle), Num(done)])
+            }
+            Event::DramAccess { cycle, done, service, row_hit } => {
+                ("dram_access", vec![Num(cycle), Num(done), Num(service), Bool(row_hit)])
+            }
+            Event::PageCopy { cycle, done, bulk } => {
+                ("page_copy", vec![Num(cycle), Num(done), Bool(bulk)])
+            }
+            Event::Coalesce { asid, lpn } => ("coalesce", vec![Num(asid.into()), Num(lpn)]),
+            Event::Splinter { asid, lpn } => ("splinter", vec![Num(asid.into()), Num(lpn)]),
+            Event::Shootdown { asid, lpn, cycle } => {
+                ("shootdown", vec![Num(asid.into()), Num(lpn), Num(cycle)])
+            }
+            Event::PageEvict { asid, lpn, pages, cycle } => {
+                ("page_evict", vec![Num(asid.into()), Num(lpn), Num(pages.into()), Num(cycle)])
+            }
+            Event::PageWriteback { bytes, cycle, done } => {
+                ("page_writeback", vec![Num(bytes), Num(cycle), Num(done)])
+            }
+        }
+    }
+
     /// The event's schema type tag (the JSONL `"type"` value).
     pub fn type_tag(&self) -> &'static str {
-        match self {
-            Event::PhaseBegin { .. } => "phase_begin",
-            Event::PhaseEnd { .. } => "phase_end",
-            Event::Epoch { .. } => "epoch",
-            Event::WarpMem { .. } => "warp_mem",
-            Event::TlbLookup { .. } => "tlb_lookup",
-            Event::PageWalk { .. } => "page_walk",
-            Event::FarFault { .. } => "far_fault",
-            Event::DramAccess { .. } => "dram_access",
-            Event::PageCopy { .. } => "page_copy",
-            Event::Coalesce { .. } => "coalesce",
-            Event::Splinter { .. } => "splinter",
-            Event::Shootdown { .. } => "shootdown",
-            Event::PageEvict { .. } => "page_evict",
-            Event::PageWriteback { .. } => "page_writeback",
-        }
+        self.tagged_values().0
     }
 
     /// Serializes the event as one JSONL object. Keys are emitted in the
     /// fixed schema order, so equal events always produce identical
     /// bytes (the golden-trace digests rely on this).
     pub fn to_jsonl(&self) -> String {
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"type\":\"");
-        s.push_str(self.type_tag());
-        s.push('"');
-        let mut field = |key: &str, value: String| {
-            s.push_str(",\"");
-            s.push_str(key);
-            s.push_str("\":");
-            s.push_str(&value);
-        };
-        match *self {
-            Event::PhaseBegin { phase, cycle } | Event::PhaseEnd { phase, cycle } => {
-                field("phase", phase.to_string());
-                field("cycle", cycle.to_string());
-            }
-            Event::Epoch { cycle, instructions, stall_cycles } => {
-                field("cycle", cycle.to_string());
-                field("instructions", instructions.to_string());
-                field("stall_cycles", stall_cycles.to_string());
-            }
-            Event::WarpMem { sm, asid, issue, done, transactions } => {
-                field("sm", sm.to_string());
-                field("asid", asid.to_string());
-                field("issue", issue.to_string());
-                field("done", done.to_string());
-                field("transactions", transactions.to_string());
-            }
-            Event::TlbLookup { level, sm, asid, cycle, hit } => {
-                field("level", level.to_string());
-                field("sm", sm.to_string());
-                field("asid", asid.to_string());
-                field("cycle", cycle.to_string());
-                field("hit", hit.to_string());
-            }
-            Event::PageWalk { asid, vpn, issue, done } => {
-                field("asid", asid.to_string());
-                field("vpn", vpn.to_string());
-                field("issue", issue.to_string());
-                field("done", done.to_string());
-            }
-            Event::FarFault { asid, vpn, cycle, done } => {
-                field("asid", asid.to_string());
-                field("vpn", vpn.to_string());
-                field("cycle", cycle.to_string());
-                field("done", done.to_string());
-            }
-            Event::DramAccess { cycle, done, service, row_hit } => {
-                field("cycle", cycle.to_string());
-                field("done", done.to_string());
-                field("service", service.to_string());
-                field("row_hit", row_hit.to_string());
-            }
-            Event::PageCopy { cycle, done, bulk } => {
-                field("cycle", cycle.to_string());
-                field("done", done.to_string());
-                field("bulk", bulk.to_string());
-            }
-            Event::Coalesce { asid, lpn } | Event::Splinter { asid, lpn } => {
-                field("asid", asid.to_string());
-                field("lpn", lpn.to_string());
-            }
-            Event::Shootdown { asid, lpn, cycle } => {
-                field("asid", asid.to_string());
-                field("lpn", lpn.to_string());
-                field("cycle", cycle.to_string());
-            }
-            Event::PageEvict { asid, lpn, pages, cycle } => {
-                field("asid", asid.to_string());
-                field("lpn", lpn.to_string());
-                field("pages", pages.to_string());
-                field("cycle", cycle.to_string());
-            }
-            Event::PageWriteback { bytes, cycle, done } => {
-                field("bytes", bytes.to_string());
-                field("cycle", cycle.to_string());
-                field("done", done.to_string());
-            }
-        }
-        s.push('}');
-        s
+        let (tag, values) = self.tagged_values();
+        encode(tag, &values)
     }
 }
 
 /// The JSONL schema: every event type with its exact, ordered key set
-/// (excluding the leading `"type"`). `mosaic-trace validate` checks each
-/// line's key set against this table.
+/// (excluding the leading `"type"`). The only list of the trace's keys:
+/// [`Event::to_jsonl`] writes them, [`read_trace`] checks them and the
+/// Chrome export names its args by them.
 pub const SCHEMA: &[(&str, &[&str])] = &[
     ("run_begin", &["workload", "manager"]),
     ("phase_begin", &["phase", "cycle"]),
@@ -277,31 +245,74 @@ pub const SCHEMA: &[(&str, &[&str])] = &[
     ("page_writeback", &["bytes", "cycle", "done"]),
 ];
 
+/// The [`SCHEMA`] row of `tag`.
+fn schema_row(tag: &str) -> Option<(&'static str, &'static [&'static str])> {
+    SCHEMA.iter().find(|(t, _)| *t == tag).copied()
+}
+
+/// Encodes one trace line: the leading `"type"`, then the keys of
+/// `tag`'s [`SCHEMA`] row paired with `values` in order.
+fn encode(tag: &str, values: &[Value]) -> String {
+    let (_, keys) = schema_row(tag).expect("every encoded tag is in SCHEMA");
+    let mut line = format!("{{\"type\":\"{tag}\"");
+    for (key, value) in keys.iter().zip(values) {
+        let _ = write!(line, ",\"{key}\":{value}");
+    }
+    line.push('}');
+    line
+}
+
 /// Renders the `run_begin` metadata line that precedes each run's events
 /// in a JSONL trace.
 pub fn run_begin_jsonl(workload: &str, manager: &str) -> String {
-    format!(
-        "{{\"type\":\"run_begin\",\"workload\":\"{}\",\"manager\":\"{}\"}}",
-        escape_json(workload),
-        escape_json(manager)
-    )
+    encode("run_begin", &[Value::Str(workload.into()), Value::Str(manager.into())])
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// One trace line read against [`SCHEMA`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Record {
+    /// The line's 1-based number in its trace.
+    pub line: usize,
+    /// The `"type"` tag.
+    pub tag: &'static str,
+    /// The tag's ordered [`SCHEMA`] keys.
+    pub keys: &'static [&'static str],
+    /// One value per key, in key order.
+    pub values: Vec<Value>,
+}
+
+impl Record {
+    /// The value of `key`, if the record's type has that key.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.keys.iter().position(|k| *k == key).map(|i| &self.values[i])
     }
-    out
+}
+
+/// Reads a JSONL trace against [`SCHEMA`], one [`Record`] per non-blank
+/// line: each line must parse as a flat object, lead with a known
+/// `"type"`, and carry exactly that type's keys in schema order. An error
+/// names its line. `mosaic-trace validate` and the Chrome export both
+/// read traces through this.
+pub fn read_trace(text: &str) -> impl Iterator<Item = Result<Record, String>> + '_ {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(idx, line)| read_line(line, idx + 1).map_err(|e| format!("line {}: {e}", idx + 1)))
+}
+
+fn read_line(text: &str, line: usize) -> Result<Record, String> {
+    let mut pairs = parse_object(text)?.into_iter();
+    let Some((_, Value::Str(tag))) = pairs.next().filter(|(key, _)| key == "type") else {
+        return Err("first key must be \"type\"".into());
+    };
+    let Some((tag, keys)) = schema_row(&tag) else {
+        return Err(format!("unknown event type \"{tag}\""));
+    };
+    let (got, values): (Vec<String>, Vec<Value>) = pairs.unzip();
+    if got != keys {
+        return Err(format!("\"{tag}\" keys {got:?} do not match schema {keys:?}"));
+    }
+    Ok(Record { line, tag, keys, values })
 }
 
 #[cfg(test)]
@@ -309,7 +320,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jsonl_keys_match_schema() {
+    fn every_event_has_one_value_per_schema_key() {
         let samples = [
             Event::PhaseBegin { phase: 0, cycle: 1 },
             Event::PhaseEnd { phase: 0, cycle: 2 },
@@ -326,16 +337,20 @@ mod tests {
             Event::PageEvict { asid: 1, lpn: 2, pages: 512, cycle: 3 },
             Event::PageWriteback { bytes: 4096, cycle: 1, done: 2 },
         ];
+        let mut trace = String::new();
         for ev in samples {
-            let line = ev.to_jsonl();
-            let parsed = crate::json::parse_object(&line).expect("valid JSON");
-            let (_, keys) = SCHEMA
-                .iter()
-                .find(|(tag, _)| *tag == ev.type_tag())
-                .expect("every event type is in SCHEMA");
-            let got: Vec<&str> = parsed.iter().skip(1).map(|(k, _)| k.as_str()).collect();
-            assert_eq!(&got[..], *keys, "key order for {}", ev.type_tag());
+            let (tag, values) = ev.tagged_values();
+            let (_, keys) = schema_row(tag).expect("every event type is in SCHEMA");
+            assert_eq!(values.len(), keys.len(), "one value per {tag} key");
+            trace.push_str(&ev.to_jsonl());
+            trace.push('\n');
         }
+        // The reader gives back every value in schema order.
+        let records: Vec<Record> = read_trace(&trace).collect::<Result<_, _>>().expect("valid");
+        for (ev, record) in samples.iter().zip(&records) {
+            assert_eq!((record.tag, &record.values), (ev.type_tag(), &ev.tagged_values().1));
+        }
+        assert_eq!(records.len(), samples.len());
         // SCHEMA covers exactly the 14 event types plus run_begin.
         assert_eq!(SCHEMA.len(), samples.len() + 1);
     }
@@ -401,6 +416,29 @@ mod tests {
             run_begin_jsonl("GUPS\t\u{1}é", "Mosaic [x]"),
             r#"{"type":"run_begin","workload":"GUPS\t\u0001é","manager":"Mosaic [x]"}"#
         );
+    }
+
+    #[test]
+    fn reader_rejects_what_the_schema_does_not_name() {
+        let first_error = |text: &str| read_trace(text).find_map(Result::err);
+        assert_eq!(
+            first_error("{\"cycle\":1}").as_deref(),
+            Some("line 1: first key must be \"type\"")
+        );
+        assert_eq!(
+            first_error("{\"type\":7}").as_deref(),
+            Some("line 1: first key must be \"type\"")
+        );
+        assert_eq!(
+            first_error("\n{\"type\":\"nope\"}").as_deref(),
+            Some("line 2: unknown event type \"nope\"")
+        );
+        assert_eq!(
+            first_error("{\"type\":\"coalesce\",\"lpn\":2,\"asid\":1}").as_deref(),
+            Some("line 1: \"coalesce\" keys [\"lpn\", \"asid\"] do not match schema [\"asid\", \"lpn\"]")
+        );
+        assert!(first_error("{\"type\":").unwrap().starts_with("line 1: "));
+        assert_eq!(read_trace(" \n\n").count(), 0, "blank lines are skipped");
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! A minimal JSON parser for flat trace objects (no external deps).
+//! A minimal JSON reader and writer for flat trace objects (no external
+//! deps).
 //!
 //! Trace lines are flat objects whose values are strings, unsigned
 //! integers, or booleans — nothing nested. [`parse_object`] parses one
-//! such line into an ordered key/value list; `mosaic-trace validate` and
-//! the Chrome exporter are built on it.
+//! such line into an ordered key/value list and [`Value`]'s `Display`
+//! writes a value back; the trace reader and encoder in
+//! [`crate::event`] are built on them.
+
+use std::fmt;
 
 /// A parsed JSON scalar value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,22 +20,33 @@ pub enum Value {
     Bool(bool),
 }
 
-impl Value {
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<u64> {
+/// Writes the value as JSON: a string quoted and escaped, a number or a
+/// boolean as its literal.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
+            Value::Str(s) => write!(f, "\"{}\"", escape_json(s)),
+            Value::Num(n) => write!(f, "{n}"),
+            Value::Bool(b) => write!(f, "{b}"),
         }
     }
+}
 
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
+/// Escapes a string for embedding in a JSON string literal.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
         }
     }
+    out
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into its key/value pairs

@@ -30,7 +30,8 @@ pub mod json;
 pub mod progress;
 pub mod stall;
 
-pub use event::{escape_json, run_begin_jsonl, Event, SCHEMA};
+pub use event::{read_trace, run_begin_jsonl, Event, Record, SCHEMA};
+pub use json::escape_json;
 pub use progress::Eta;
 pub use stall::{AccessTimeline, StallBreakdown, StallBucket, MAX_TIMELINE_SEGS};
 

@@ -23,10 +23,17 @@ fn malformed_or_unreadable_trace_exits_1() {
     let dir = env!("CARGO_TARGET_TMPDIR");
     let (bad, missing) = (format!("{dir}/cli-malformed.jsonl"), format!("{dir}/cli-missing.jsonl"));
     std::fs::write(&bad, "{\"cycle\":1}\n").expect("scratch trace");
+    // A line that parses but lacks keys fails both commands alike.
+    let short = format!("{dir}/cli-short.jsonl");
+    std::fs::write(&short, "\n{\"type\":\"epoch\",\"cycle\":1}\n").expect("scratch trace");
+    let keys = "line 2: \"epoch\" keys [\"cycle\"] do not match schema \
+                [\"cycle\", \"instructions\", \"stall_cycles\"]";
     let out = format!("{dir}/cli-out.json");
     for (args, error) in [
         (vec!["validate", &bad], format!("{bad}: line 1: first key must be \"type\"")),
-        (vec!["chrome", &bad, "-o", &out], format!("{bad}: line 1: missing \"type\"")),
+        (vec!["chrome", &bad, "-o", &out], format!("{bad}: line 1: first key must be \"type\"")),
+        (vec!["validate", &short], format!("{short}: {keys}")),
+        (vec!["chrome", &short, "-o", &out], format!("{short}: {keys}")),
         (vec!["validate", &missing], format!("cannot read {missing}")),
         (vec!["chrome", &missing, "-o", &out], format!("cannot read {missing}")),
     ] {

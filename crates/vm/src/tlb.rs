@@ -440,22 +440,6 @@ impl TranslationArray {
         removed
     }
 
-    fn flush_asid(&mut self, asid: AppId) -> usize {
-        if !self.holds(pack(asid, 0)) {
-            return 0;
-        }
-        self.remove_where(|key| unpack(key).0 == asid)
-    }
-
-    fn flush_all(&mut self) -> usize {
-        let n = self.live;
-        self.live = 0;
-        self.by_asid = [0; ASID_BUCKETS];
-        self.lens.fill(0);
-        self.index.fill(VACANT);
-        n
-    }
-
     fn occupancy(&self) -> usize {
         self.live
     }
@@ -596,19 +580,6 @@ impl Tlb {
             return 0;
         }
         self.base.invalidate_range(asid, first.raw(), pages)
-    }
-
-    /// Removes every entry belonging to `asid` (both arrays), returning the
-    /// number of entries dropped. Used when an application terminates.
-    pub fn flush_asid(&mut self, asid: AppId) -> usize {
-        self.base.flush_asid(asid) + self.large.flush_asid(asid)
-    }
-
-    /// Removes all entries, returning how many were dropped. The
-    /// simulator's shootdowns are targeted; only the conformance suite
-    /// flushes a whole TLB.
-    pub fn flush_all(&mut self) -> usize {
-        self.base.flush_all() + self.large.flush_all()
     }
 
     /// Hit rate over all lookups (hit in either array).
@@ -752,16 +723,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_asid_only_affects_that_app() {
-        let mut tlb = small_tlb(8, 8);
-        tlb.fill(AppId(0), VirtAddr(0x1000), PageSize::Base);
-        tlb.fill(AppId(1), VirtAddr(0x1000), PageSize::Base);
-        tlb.fill(AppId(1), VirtAddr(0x20_0000), PageSize::Large);
-        assert_eq!(tlb.flush_asid(AppId(1)), 2);
-        assert_eq!(tlb.peek(AppId(0), VirtAddr(0x1000)), TlbLookup::HitBase);
-    }
-
-    #[test]
     fn stats_track_hits_and_misses() {
         let mut tlb = small_tlb(4, 4);
         let addr = VirtAddr(0x1000);
@@ -785,15 +746,6 @@ mod tests {
         tlb.fill(AppId(0), addr, PageSize::Base);
         tlb.fill(AppId(0), addr, PageSize::Large);
         assert_eq!(tlb.lookup(AppId(0), addr), TlbLookup::Miss);
-    }
-
-    #[test]
-    fn flush_all_empties_tlb() {
-        let mut tlb = small_tlb(4, 4);
-        tlb.fill(AppId(0), VirtAddr(0x1000), PageSize::Base);
-        tlb.fill(AppId(0), VirtAddr(0x20_0000), PageSize::Large);
-        assert_eq!(tlb.flush_all(), 2);
-        assert_eq!(tlb.occupancy(), 0);
     }
 
     /// Asserts that `arr`'s index is an exact image of its live slots:
@@ -852,16 +804,6 @@ mod tests {
                 assert!(flushed, "entry reported by entries() must flush");
                 check(&tlb);
             }
-            assert_eq!(tlb.occupancy(), 0);
-            // flush_asid / flush_all keep the mirror in step too.
-            for i in 0..base + 2 {
-                tlb.fill(AppId((i % 2) as u16), VirtPageNum(i).addr(), PageSize::Base);
-            }
-            tlb.flush_asid(AppId(1));
-            check(&tlb);
-            assert_eq!(tlb.flush_asid(AppId(1)), 0, "second flush finds nothing");
-            tlb.flush_all();
-            check(&tlb);
             assert_eq!(tlb.occupancy(), 0);
             // Range invalidation, across a 2 MB boundary and two ASIDs.
             for i in 0..base + 4 {
@@ -1078,7 +1020,7 @@ mod tests {
     }
 
     /// Drives the indexed [`Tlb`] and [`RefTlb`] through the same seeded
-    /// mix of lookups, fills, single, range, ASID and whole flushes on
+    /// mix of lookups, fills, and single and range flushes on
     /// the paper's L1 and L2, a two-set toy and zero-entry arrays, with
     /// three ASIDs over a page pool a few times the capacity. A share of
     /// the steps after a lookup repeat it exactly, so repeated hits must
@@ -1152,7 +1094,7 @@ mod tests {
                         reference.large.invalidate(asid, addr.large_page().raw()),
                         "{what}: flush_large"
                     ),
-                    94..=97 => {
+                    _ => {
                         let occupancy = tlb.base.occupancy() as u64;
                         let pages = if rng.below(2) == 0 {
                             short += 1;
@@ -1169,18 +1111,6 @@ mod tests {
                             rebuilt += 1;
                         }
                         assert_eq!(tlb.flush_base_range(asid, page, pages), want, "{what}: range");
-                    }
-                    98 => {
-                        let want = reference.base.remove_where(|a, _| a == asid)
-                            + reference.large.remove_where(|a, _| a == asid);
-                        assert_eq!(tlb.flush_asid(asid), want, "{what}: flush_asid");
-                    }
-                    _ => {
-                        if rng.below(8) == 0 {
-                            let want = reference.occupancy();
-                            reference = RefTlb::new(config);
-                            assert_eq!(tlb.flush_all(), want, "{what}: flush_all");
-                        }
                     }
                 }
                 assert_eq!(tlb.occupancy(), reference.occupancy(), "{what}: occupancy");

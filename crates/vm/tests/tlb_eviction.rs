@@ -163,33 +163,6 @@ fn paper_l2_multi_asid_conflicts() {
     multi_asid_conflicts(TlbConfig::paper_l2());
 }
 
-/// `flush_asid` drops exactly one address space's entries (both arrays)
-/// and reports the count; the other address space is untouched.
-fn flush_asid_is_selective(config: TlbConfig) {
-    let mut tlb = Tlb::new(config);
-    for lpn in 0..4 {
-        tlb.fill(A0, laddr(lpn), PageSize::Large);
-        tlb.fill(A1, laddr(lpn), PageSize::Large);
-        tlb.fill(A0, baddr(lpn), PageSize::Base);
-    }
-    assert_eq!(tlb.occupancy(), 12);
-    assert_eq!(tlb.flush_asid(A0), 8, "4 large + 4 base entries dropped");
-    assert_eq!(tlb.occupancy(), 4);
-    for lpn in 0..4 {
-        assert_eq!(tlb.peek(A1, laddr(lpn)), TlbLookup::HitLarge);
-    }
-}
-
-#[test]
-fn paper_l1_flush_asid_is_selective() {
-    flush_asid_is_selective(TlbConfig::paper_l1());
-}
-
-#[test]
-fn paper_l2_flush_asid_is_selective() {
-    flush_asid_is_selective(TlbConfig::paper_l2());
-}
-
 /// paper_l2's base array is 16-way set-associative (32 sets): pages that
 /// share a set conflict after 16 fills while other sets are unaffected,
 /// and the victim is the set's LRU entry.
