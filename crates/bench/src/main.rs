@@ -29,7 +29,7 @@
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
 use mosaic_experiments::{report, Scope, Sweep};
-use mosaic_gpusim::{run_workload, ManagerKind, RunConfig, Topology};
+use mosaic_gpusim::{run_workload, GpuSystem, ManagerKind, RunConfig, Topology};
 use mosaic_sim_core::{Cycle, SimRng};
 use mosaic_vm::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PageTable, PageTableWalker, PhysAddr,
@@ -184,6 +184,21 @@ fn micro_manager_touch() {
     }
 }
 
+fn micro_system_new() {
+    // Per-run set-up: the 1-, 2- and 4-GPU machines simbench builds
+    // before cycle 0, under both managers it runs, at its scale. A 4-GPU
+    // machine is 120 L1 TLBs and L1 caches plus 24 L2 slices and 4 DRAMs.
+    let scale = ScaleConfig { ws_divisor: 16, mem_ops_per_warp: 8, warps_per_sm: 6, phases: 1 };
+    for _ in 0..40 {
+        for gpus in [1, 2, 4] {
+            for manager in [ManagerKind::GpuMmu4K, ManagerKind::mosaic()] {
+                let cfg = RunConfig::new(manager).with_scale(scale).multi_gpu(gpus, Topology::Ring);
+                black_box(GpuSystem::new(cfg));
+            }
+        }
+    }
+}
+
 fn sweep_cfg() -> RunConfig {
     RunConfig::new(ManagerKind::mosaic()).with_scale(ScaleConfig {
         ws_divisor: 16,
@@ -280,6 +295,7 @@ fn scenarios() -> Vec<Scenario> {
         s("micro/walker", MICRO_RATIO, micro_walker),
         s("micro/walker_deep", MICRO_RATIO, micro_walker_deep),
         s("micro/manager_touch", MICRO_RATIO, micro_manager_touch),
+        s("micro/system_new", MICRO_RATIO, micro_system_new),
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),

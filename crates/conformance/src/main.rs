@@ -8,13 +8,25 @@
 //!
 //! Exit status: 0 on a clean run, 1 on divergence (minimized repro on
 //! stderr), 2 on usage errors. Deterministic: the same arguments always
-//! produce the same verdict and the same stderr.
+//! produce the same verdict and the same stderr. The status holds when
+//! stdout or stderr is closed early: output that cannot be written is
+//! dropped.
 
 use mosaic_conformance::{run_fuzz, FuzzConfig, Mutation, Suite};
+use std::fmt::Arguments;
+use std::io::Write;
+
+/// Writes one line to `out`, ignoring a closed pipe: the exit status,
+/// not the text, carries the verdict.
+fn say(mut out: impl Write, line: Arguments) {
+    let _ = writeln!(out, "{line}");
+}
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: mosaic-conformance fuzz [options]\n\
+    say(
+        std::io::stderr().lock(),
+        format_args!(
+            "usage: mosaic-conformance fuzz [options]\n\
          \n\
          options:\n\
          \x20 --cases N       cases per suite (default 256)\n\
@@ -25,6 +37,7 @@ fn usage() -> ! {
          \x20                 skip-flush-large | fill-ignores-size | lookup-skips-recency\n\
          \n\
          exit status: 0 clean, 1 divergence (minimized repro on stderr), 2 usage"
+        ),
     );
     std::process::exit(2);
 }
@@ -66,9 +79,12 @@ fn main() {
                     "multigpu" => Suite::MultiGpu,
                     "all" => Suite::All,
                     other => {
-                        eprintln!(
-                            "mosaic-conformance: unknown suite `{other}` \
-                             (valid: vm, mgr, system, multigpu, all)"
+                        say(
+                            std::io::stderr().lock(),
+                            format_args!(
+                                "mosaic-conformance: unknown suite `{other}` \
+                                 (valid: vm, mgr, system, multigpu, all)"
+                            ),
                         );
                         std::process::exit(2);
                     }
@@ -86,8 +102,9 @@ fn main() {
         }
     }
     match run_fuzz(config) {
-        Ok(stats) => {
-            println!(
+        Ok(stats) => say(
+            std::io::stdout().lock(),
+            format_args!(
                 "mosaic-conformance: clean — {} vm case(s), {} mgr case(s), {} system case(s), \
                  {} multigpu case(s), {} ops replayed (seed {:#x})",
                 stats.vm_cases,
@@ -96,10 +113,10 @@ fn main() {
                 stats.multigpu_cases,
                 stats.total_ops,
                 config.seed
-            );
-        }
+            ),
+        ),
         Err(failure) => {
-            eprintln!("{failure}");
+            say(std::io::stderr().lock(), format_args!("{failure}"));
             std::process::exit(1);
         }
     }

@@ -44,6 +44,24 @@ fn unknown_suite_exits_2_listing_the_valid_suites() {
     assert!(stderr.contains("vm, mgr, system, multigpu, all"), "stderr: {stderr}");
 }
 
+/// A divergence exits 1 even when nobody reads the repro: with stderr
+/// closed before the binary writes it, the write fails and is dropped
+/// instead of panicking (status 101).
+#[test]
+fn divergence_exits_1_with_stderr_closed() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mosaic-conformance"))
+        .args(["fuzz", "--suite", "vm", "--mutate", "fill-ignores-size"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("mosaic-conformance runs");
+    // Close the only read end of the child's stderr.
+    drop(child.stderr.take());
+    let status = child.wait().expect("mosaic-conformance exits");
+    assert_eq!(status.code(), Some(1), "{status}");
+}
+
 /// Injecting a driver fault that skips the TLB flush after a splinter
 /// must be caught, and the shrinker must reduce it to a tiny repro.
 #[test]

@@ -193,6 +193,11 @@ pub struct FramePool {
     states: Vec<Option<FrameState>>,
     /// Number of `Some` entries in `states` (tracked/reserved frames).
     tracked: u64,
+    /// States of released frames, empty and ready for the next frame
+    /// to be tracked: re-tracking a frame reuses one instead of
+    /// allocating and filling fresh 512-slot buffers. An empty state's
+    /// buffers are already clear (see [`FramePool::release_frame`]).
+    spare: Vec<FrameState>,
     /// Free large frames (no base frame allocated, not reserved), in
     /// ascending order for determinism.
     free: Vec<LargeFrameNum>,
@@ -233,6 +238,7 @@ impl FramePool {
             channels,
             states: vec![None; total as usize],
             tracked: 0,
+            spare: Vec::new(),
             // Keep descending so `pop` hands out ascending frame numbers.
             free: (0..total).rev().map(LargeFrameNum).collect(),
             app_frames: 0,
@@ -264,7 +270,7 @@ impl FramePool {
         let lf = self.free.pop()?;
         let slot = &mut self.states[lf.raw() as usize];
         if slot.is_none() {
-            *slot = Some(FrameState::default());
+            *slot = Some(self.spare.pop().unwrap_or_default());
             self.tracked += 1;
         }
         self.peak_tracked = self.peak_tracked.max(self.tracked);
@@ -272,15 +278,19 @@ impl FramePool {
     }
 
     /// Returns a fully-empty frame to the free list (CAC's step 10 in
-    /// Figure 5).
+    /// Figure 5). Its state becomes a spare: with no base frame
+    /// allocated, no owner, mapping or dirty bit is set (only allocated
+    /// base frames carry them), so only its recency needs clearing.
     ///
     /// # Panics
     ///
     /// Panics if any base frame in it is still allocated.
     pub fn release_frame(&mut self, lf: LargeFrameNum) {
-        if let Some(state) = self.states[lf.raw() as usize].take() {
+        if let Some(mut state) = self.states[lf.raw() as usize].take() {
             assert!(state.is_empty(), "cannot release a frame with allocated base pages");
             self.tracked -= 1;
+            state.last_use = 0;
+            self.spare.push(state);
         }
         self.free.push(lf);
     }
@@ -318,7 +328,7 @@ impl FramePool {
             Some(s) => s,
             None => {
                 self.tracked += 1;
-                slot.insert(FrameState::default())
+                slot.insert(self.spare.pop().unwrap_or_default())
             }
         };
         let idx = pfn.index_in_large() as usize;
@@ -369,15 +379,20 @@ impl FramePool {
             .and_then(|s| s.owner(pfn.index_in_large()))
     }
 
-    /// Records the virtual page a base frame now backs. Managers call
-    /// this at every mapping/remapping site; [`FramePool::set_owner`]
-    /// with `None` clears it again. The reverse map is what lets the
-    /// eviction path find the translations behind a victim frame.
+    /// Records the virtual page an allocated base frame now backs.
+    /// Managers call this at every mapping/remapping site, after
+    /// [`FramePool::set_owner`]; `set_owner` with `None` clears it again,
+    /// and an unallocated base frame records nothing. The reverse map is
+    /// what lets the eviction path find the translations behind a victim
+    /// frame.
     pub fn set_mapping(&mut self, pfn: PhysFrameNum, vpn: VirtPageNum) {
         let lf = pfn.large_frame();
         if let Some(state) = self.states.get_mut(lf.raw() as usize).and_then(Option::as_mut) {
             let idx = pfn.index_in_large() as usize;
-            if state.owners[idx].is_some() && state.mapped[idx].is_none() {
+            if state.owners[idx].is_none() {
+                return;
+            }
+            if state.mapped[idx].is_none() {
                 state.resident += 1;
             }
             state.mapped[idx] = Some(vpn);
@@ -938,6 +953,46 @@ mod tests {
         assert_eq!(p.reserved_bytes(), LARGE_PAGE_SIZE);
         // Peak reservation reflects both generations, not a double count.
         assert_eq!(p.peak_reserved_bytes(), LARGE_PAGE_SIZE);
+    }
+
+    /// A released frame's state is reused by the next frame tracked,
+    /// through either `take_free_frame` or `set_owner`, and comes back
+    /// exactly as a fresh one.
+    #[test]
+    fn released_states_come_back_clear() {
+        let mut p = pool(4);
+        let lf = p.take_free_frame().unwrap();
+        for i in [0, 77, 511] {
+            p.set_owner(lf.base_frame(i), Some(AppId(1)));
+            p.set_mapping(lf.base_frame(i), VirtPageNum(i + 100));
+            p.note_use(lf.base_frame(i), true);
+        }
+        p.set_owner(lf.base_frame(3), Some(FRAG_OWNER));
+        for i in [0, 3, 77, 511] {
+            p.set_owner(lf.base_frame(i), None);
+        }
+        p.release_frame(lf);
+        assert_eq!(p.spare.len(), 1);
+        let next = p.take_free_frame().unwrap();
+        assert!(p.spare.is_empty());
+        assert_eq!(p.state(next), Some(&FrameState::default()));
+        p.release_frame(next);
+        let mut report = AuditReport::new();
+        p.audit(&mut report);
+        report.assert_clean("frame pool");
+        p.set_owner(LargeFrameNum(3).base_frame(9), Some(AppId(2)));
+        assert!(p.spare.is_empty(), "set_owner tracks with a spare too");
+    }
+
+    #[test]
+    fn unallocated_base_frames_record_no_mapping() {
+        let mut p = pool(2);
+        let lf = p.take_free_frame().unwrap();
+        p.set_mapping(lf.base_frame(4), VirtPageNum(8));
+        assert_eq!(p.mapping(lf.base_frame(4)), None);
+        p.set_owner(lf.base_frame(4), Some(AppId(1)));
+        assert_eq!(p.mapping(lf.base_frame(4)), None, "no stale mapping to inherit");
+        assert!(p.eviction_candidates().is_empty());
     }
 
     #[test]

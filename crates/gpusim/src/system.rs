@@ -655,13 +655,18 @@ impl GpuSystem {
         h & 3 == 0
     }
 
-    /// The resident translation of `addr`: its physical address and page
-    /// size. Every caller has just hit in a TLB (a cached translation is
-    /// backed by a live mapping) or serviced the page's fault.
+    /// The translation of `addr`: its physical address and page size,
+    /// or `None` when it is not mapped.
+    fn translation(&self, asid: AppId, addr: VirtAddr) -> Option<(PhysAddr, PageSize)> {
+        let t = self.manager.tables().table(asid)?.translate(addr).ok()?;
+        Some((PhysAddr(t.frame.addr().raw() + addr.base_offset()), t.size))
+    }
+
+    /// The translation of `addr` for a caller that has just hit in a TLB
+    /// (a cached translation is backed by a live mapping) or serviced the
+    /// page's fault.
     fn resident(&self, asid: AppId, addr: VirtAddr) -> (PhysAddr, PageSize) {
-        let table = self.manager.tables().table(asid).expect("app registered");
-        let t = table.translate(addr).expect("a TLB hit or serviced fault implies residency");
-        (PhysAddr(t.frame.addr().raw() + addr.base_offset()), t.size)
+        self.translation(asid, addr).expect("a TLB hit or serviced fault implies residency")
     }
 
     /// Translates `addr` for warp `w`, returning the cycle translation
@@ -678,23 +683,31 @@ impl GpuSystem {
     ) -> (Cycle, PhysAddr, bool) {
         let vpn = addr.base_page();
         let ideal = self.cfg.system.ideal_tlb;
-        let (mut ready, mapped, source) = if ideal {
-            // Every request is an L1 TLB hit; only residency is enforced.
-            let mapped = self.manager.tables().table(w.asid).is_some_and(|t| t.is_mapped(vpn));
-            (w.now, mapped, Source::L1Tlb)
+        let (mut ready, found, source) = if ideal {
+            // Every request is an L1 TLB hit; only residency is enforced,
+            // per base page: an unmapped page of a region that is still
+            // coalesced faults although the region translates.
+            let found = self.translation(w.asid, addr).filter(|&(_, size)| {
+                size == PageSize::Base
+                    || self.manager.tables().table(w.asid).is_some_and(|t| t.is_mapped(vpn))
+            });
+            (w.now, found, Source::L1Tlb)
         } else {
             self.lookup(w, addr, tl)
         };
-        let faulted = !mapped;
-        if faulted {
-            ready = self.handle_fault(ready, w.gpu, w.asid, vpn, tl);
-            tl.mark(ready, StallBucket::Fault);
-        }
+        let faulted = found.is_none();
+        let (phys, size) = match found {
+            Some(found) => found,
+            None => {
+                ready = self.handle_fault(ready, w.gpu, w.asid, vpn, tl);
+                tl.mark(ready, StallBucket::Fault);
+                self.resident(w.asid, addr)
+            }
+        };
         if ideal {
             ready += 1;
             tl.mark(ready, StallBucket::TlbHit);
         }
-        let (phys, size) = self.resident(w.asid, addr);
         if source == Source::Walk {
             self.devices[w.gpu].l2_tlb.fill(w.asid, addr, size);
         }
@@ -706,14 +719,15 @@ impl GpuSystem {
 
     /// Looks `addr` up in the SM's L1 TLB, then the device's shared L2
     /// TLB behind its port, then walks the page table. Returns when the
-    /// lookup completes, whether the page is mapped, and which level
-    /// answered. TLB hits and the walk are recorded on `tl`.
+    /// lookup completes, the translation (`None` when the walk found the
+    /// page unmapped), and which level answered. TLB hits and the walk
+    /// are recorded on `tl`.
     fn lookup(
         &mut self,
         w: Issue,
         addr: VirtAddr,
         tl: &mut AccessTimeline,
-    ) -> (Cycle, bool, Source) {
+    ) -> (Cycle, Option<(PhysAddr, PageSize)>, Source) {
         // The SM's private L1 TLB.
         let l1 = &mut self.l1_tlbs[w.sm];
         let l1_done = w.now + l1.latency();
@@ -727,7 +741,7 @@ impl GpuSystem {
         });
         if l1_hit {
             tl.mark(l1_done, StallBucket::TlbHit);
-            return (l1_done, true, Source::L1Tlb);
+            return (l1_done, Some(self.resident(w.asid, addr)), Source::L1Tlb);
         }
 
         // The device's shared L2 TLB, behind its port. A zero-capacity L2
@@ -748,7 +762,7 @@ impl GpuSystem {
             });
             if l2_hit {
                 tl.mark(l2_done, StallBucket::TlbHit);
-                return (l2_done, true, Source::L2Tlb);
+                return (l2_done, Some(self.resident(w.asid, addr)), Source::L2Tlb);
             }
         }
 
@@ -756,8 +770,7 @@ impl GpuSystem {
         let path = self.manager.tables().table(w.asid).expect("app registered").walk_path(addr);
         let done = dev.walk(w.now, l2_done, w.asid, addr.base_page(), path);
         tl.mark(done, StallBucket::TlbWalk);
-        let mapped = self.manager.tables().table(w.asid).is_some_and(|t| t.translate(addr).is_ok());
-        (done, mapped, Source::Walk)
+        (done, self.translation(w.asid, addr), Source::Walk)
     }
 
     /// Region-granular (2 MB) store classification for placement.

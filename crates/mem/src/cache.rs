@@ -76,12 +76,10 @@ const DIRTY: u64 = 1 << 63;
 pub struct Cache {
     config: CacheConfig,
     /// Line tags, `assoc` slots per set in one slab, each a line number
-    /// with [`DIRTY`] or'd in; `lens[s]` live lines sit at the front of
-    /// set `s`, in fill order.
+    /// with [`DIRTY`] or'd in. `lens[s]` live lines sit at the front of
+    /// set `s`, most recently used first, so the LRU victim of a full
+    /// set is its last slot.
     tags: Vec<u64>,
-    /// Recency stamps, parallel to `tags`: the `tick` of each line's last
-    /// access. Only a miss reads them, to pick the LRU victim.
-    stamps: Vec<u64>,
     lens: Vec<u16>,
     num_sets: u64,
     /// `log2(line_size)` when the line size is a power of two, so the
@@ -92,7 +90,6 @@ pub struct Cache {
     /// modulo). The L2 slice has a non-power-of-two set count, so this
     /// stays a genuine fallback, not dead code.
     set_mask: Option<u64>,
-    tick: u64,
     stats: Ratio,
     writebacks: u64,
 }
@@ -114,7 +111,6 @@ impl Cache {
         Cache {
             config,
             tags: vec![0; slots],
-            stamps: vec![0; slots],
             lens: vec![0; sets as usize],
             num_sets: sets,
             line_shift: config
@@ -122,7 +118,6 @@ impl Cache {
                 .is_power_of_two()
                 .then_some(config.line_size.trailing_zeros()),
             set_mask: sets.is_power_of_two().then_some(sets - 1),
-            tick: 0,
             stats: Ratio::default(),
             writebacks: 0,
         }
@@ -152,41 +147,32 @@ impl Cache {
 
     /// Accesses the line containing `addr`; on a miss the line is filled
     /// (allocate-on-miss for both reads and writes). Returns `true` on hit.
+    /// Either way the line moves to the front of its set.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
         let assoc = self.config.assoc;
         let (set_idx, line) = self.split(addr);
         let dirty = if write { DIRTY } else { 0 };
         let base = set_idx * assoc;
         let len = usize::from(self.lens[set_idx]);
-        if let Some(i) = self.tags[base..base + len].iter().position(|&t| t & !DIRTY == line) {
-            self.tags[base + i] |= dirty;
-            self.stamps[base + i] = tick;
+        let set = &mut self.tags[base..base + assoc];
+        if let Some(i) = set[..len].iter().position(|&t| t & !DIRTY == line) {
+            let tag = set[i] | dirty;
+            set.copy_within(..i, 1);
+            set[0] = tag;
             self.stats.record(true);
             return true;
         }
         self.stats.record(false);
-        let slot = if len < assoc {
+        let shifted = if len < assoc {
             self.lens[set_idx] += 1;
-            base + len
+            len
         } else {
-            // The first-minimum stamp (stamps are unique within the
-            // cache), kept as a running minimum: re-reading the best
-            // slot's stamp would chain every comparison on the last.
-            let (mut victim, mut oldest) = (base, u64::MAX);
-            for slot in base..base + assoc {
-                if self.stamps[slot] < oldest {
-                    (victim, oldest) = (slot, self.stamps[slot]);
-                }
-            }
-            if self.tags[victim] & DIRTY != 0 {
-                self.writebacks += 1;
-            }
-            victim
+            // The last live line is the least recently used.
+            self.writebacks += u64::from(set[assoc - 1] & DIRTY != 0);
+            assoc - 1
         };
-        self.tags[slot] = line | dirty;
-        self.stamps[slot] = tick;
+        set.copy_within(..shifted, 1);
+        set[0] = line | dirty;
         false
     }
 

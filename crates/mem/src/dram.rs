@@ -70,8 +70,10 @@ const FRFCFS_WINDOW: usize = 4;
 
 #[derive(Debug, Clone)]
 struct Bank {
-    /// Most-recently-open rows, most recent last.
-    open_rows: Vec<u64>,
+    /// The `open` most-recently-open rows, most recent last, inline so a
+    /// bank is one flat value with nothing to grow mid-run.
+    open_rows: [u64; FRFCFS_WINDOW],
+    open: u8,
     /// The bank array, held for each access's row service (or a bulk
     /// copy). Every booking is at least one cycle, so a serialized port
     /// books exactly what a one-slot occupancy pool would.
@@ -79,18 +81,25 @@ struct Bank {
 }
 
 impl Bank {
+    fn idle() -> Self {
+        Bank { open_rows: [0; FRFCFS_WINDOW], open: 0, service: ThroughputPort::serialized(1) }
+    }
+
     /// Records an access to `row`; returns whether FR-FCFS would have
     /// serviced it as a row hit.
     fn access_row(&mut self, row: u64) -> bool {
-        if let Some(i) = self.open_rows.iter().position(|&r| r == row) {
-            self.open_rows.remove(i);
-            self.open_rows.push(row);
+        let open = usize::from(self.open);
+        let rows = &mut self.open_rows[..open];
+        if let Some(i) = rows.iter().position(|&r| r == row) {
+            rows[i..].rotate_left(1);
             true
         } else {
-            if self.open_rows.len() >= FRFCFS_WINDOW {
-                self.open_rows.remove(0);
+            if open < FRFCFS_WINDOW {
+                self.open += 1;
+            } else {
+                self.open_rows.rotate_left(1);
             }
-            self.open_rows.push(row);
+            self.open_rows[usize::from(self.open) - 1] = row;
             false
         }
     }
@@ -178,9 +187,7 @@ impl Dram {
         let burst_cycles = clock.cycles_for(config.burst_time).max(1);
         let channels = (0..config.channels)
             .map(|_| Channel {
-                banks: (0..config.banks_per_channel)
-                    .map(|_| Bank { open_rows: Vec::new(), service: ThroughputPort::serialized(1) })
-                    .collect(),
+                banks: vec![Bank::idle(); config.banks_per_channel],
                 bus: ThroughputPort::serialized(burst_cycles),
                 copy_engine: ThroughputPort::serialized(1),
             })
@@ -423,21 +430,39 @@ mod tests {
 
     /// The DRAM as it was before the bank ports became serialized
     /// `ThroughputPort`s: each bank a one-slot `OccupancyPool`, every
-    /// service time converted from nanoseconds on each call.
+    /// service time converted from nanoseconds on each call. Each bank's
+    /// FR-FCFS window is the growable vector it was before the window
+    /// went inline.
     struct PoolDram {
         cfg: DramConfig,
         clock: ClockDomain,
-        banks: Vec<Vec<(Bank, mosaic_sim_core::OccupancyPool)>>,
+        banks: Vec<Vec<(VecWindow, mosaic_sim_core::OccupancyPool)>>,
         buses: Vec<ThroughputPort>,
+    }
+
+    /// Most-recently-open rows, most recent last.
+    struct VecWindow(Vec<u64>);
+
+    impl VecWindow {
+        fn access_row(&mut self, row: u64) -> bool {
+            if let Some(i) = self.0.iter().position(|&r| r == row) {
+                self.0.remove(i);
+                self.0.push(row);
+                true
+            } else {
+                if self.0.len() >= FRFCFS_WINDOW {
+                    self.0.remove(0);
+                }
+                self.0.push(row);
+                false
+            }
+        }
     }
 
     impl PoolDram {
         fn new(cfg: DramConfig) -> Self {
             let clock = ClockDomain::from_mhz(cfg.core_clock_mhz);
-            let bank = || {
-                let idle = Bank { open_rows: Vec::new(), service: ThroughputPort::serialized(1) };
-                (idle, mosaic_sim_core::OccupancyPool::new(1))
-            };
+            let bank = || (VecWindow(Vec::new()), mosaic_sim_core::OccupancyPool::new(1));
             let burst = clock.cycles_for(cfg.burst_time).max(1);
             PoolDram {
                 cfg,

@@ -114,13 +114,13 @@ fn unpack(key: u64) -> (AppId, u64) {
 
 /// A set-associative translation array with LRU replacement.
 ///
-/// Slots are `assoc` per set in two flat arrays, packed keys
-/// (`asid << 48 | page`) and recency stamps; `lens[s]` live slots sit at
-/// the front of set `s`. Every access bumps `tick`, and a touched slot
-/// takes it as its stamp, so stamps are unique within the array and the
-/// least recently used slot of a set is its minimum stamp wherever it
-/// sits. A single removal moves the set's last live slot into the hole;
-/// a bulk one compacts each set in order.
+/// Slots are `assoc` per set. One `u64` slab holds every slot's packed
+/// key (`asid << 48 | page`), then every slot's recency stamp; `lens[s]`
+/// live slots sit at the front of set `s`. Every access bumps `tick`,
+/// and a touched slot takes it as its stamp, so stamps are unique within
+/// the array and the least recently used slot of a set is its minimum
+/// stamp wherever it sits. A single removal moves the set's last live
+/// slot into the hole; a bulk one compacts each set in order.
 ///
 /// Sets wider than [`SCANNED_WAYS`] (the fully associative arrays) find
 /// a key through a private open-addressed `index`: a power-of-two array,
@@ -131,14 +131,21 @@ fn unpack(key: u64) -> (AppId, u64) {
 /// shifts the rest of the chain back, so there are no tombstones. `pos`
 /// maps each live slot back to its index position, so an eviction or a
 /// single removal's slot move updates the index without probing.
-/// Narrower sets are scanned and have neither. Slot positions and index
-/// layout depend on removal order, which nothing outside this type
-/// observes.
+/// Narrower sets are scanned and have neither. The index, `pos` and
+/// `lens` share one `u32` slab, so an array is two allocations. Slot
+/// positions and index layout depend on removal order, which nothing
+/// outside this type observes.
 #[derive(Clone)]
 struct TranslationArray {
-    keys: Vec<u64>,
-    stamps: Vec<u64>,
-    lens: Vec<u32>,
+    /// `slots` keys, then `slots` stamps.
+    words: Vec<u64>,
+    /// `positions` index entries, then `pos` (`slots` entries when
+    /// indexed, none when scanned), then `lens` (one per set) from
+    /// `lens_at`.
+    small: Vec<u32>,
+    slots: usize,
+    positions: usize,
+    lens_at: usize,
     /// Live entries across all sets.
     live: usize,
     /// Live entries per [`asid_bucket`]. Each SM runs one application,
@@ -149,10 +156,7 @@ struct TranslationArray {
     assoc: usize,
     num_sets: u64,
     tick: u64,
-    /// Empty for scanned arrays.
-    index: Vec<u32>,
-    pos: Vec<u32>,
-    /// `64 - log2(index.len())`: the hash's top bits pick the home.
+    /// `64 - log2(positions)`: the hash's top bits pick the home.
     shift: u32,
 }
 
@@ -173,23 +177,64 @@ impl TranslationArray {
         let slots = num_sets * assoc;
         let (positions, indexed_slots) =
             if assoc > SCANNED_WAYS { ((2 * entries).next_power_of_two(), slots) } else { (0, 0) };
+        let lens_at = positions + indexed_slots;
+        let mut small = vec![0; lens_at + num_sets];
+        small[..positions].fill(VACANT);
         TranslationArray {
-            keys: vec![0; slots],
-            stamps: vec![0; slots],
-            lens: vec![0; num_sets],
+            words: vec![0; 2 * slots],
+            small,
+            slots,
+            positions,
+            lens_at,
             live: 0,
             by_asid: [0; ASID_BUCKETS],
             assoc,
             num_sets: num_sets as u64,
             tick: 0,
-            index: vec![VACANT; positions],
-            pos: vec![0; indexed_slots],
             shift: 64 - positions.max(2).trailing_zeros(),
         }
     }
 
     fn indexed(&self) -> bool {
-        !self.index.is_empty()
+        self.positions != 0
+    }
+
+    fn key(&self, slot: usize) -> u64 {
+        self.words[slot]
+    }
+
+    fn stamp(&self, slot: usize) -> u64 {
+        self.words[self.slots + slot]
+    }
+
+    /// Writes `key` and `stamp` into `slot`.
+    fn put(&mut self, slot: usize, key: u64, stamp: u64) {
+        self.words[slot] = key;
+        self.words[self.slots + slot] = stamp;
+    }
+
+    fn touch(&mut self, slot: usize) {
+        self.words[self.slots + slot] = self.tick;
+    }
+
+    /// The index: `positions` slot numbers.
+    #[cfg(test)]
+    fn index(&self) -> &[u32] {
+        &self.small[..self.positions]
+    }
+
+    /// The index position of live `slot`. The array must be indexed.
+    fn pos(&self, slot: usize) -> usize {
+        self.small[self.positions + slot] as usize
+    }
+
+    /// Live slots of `set`.
+    fn len(&self, set: usize) -> usize {
+        self.small[self.lens_at + set] as usize
+    }
+
+    fn set_len(&mut self, set: usize, len: usize) {
+        self.small[self.lens_at + set] = len as u32;
     }
 
     fn set_of(&self, key: u64) -> usize {
@@ -205,7 +250,7 @@ impl TranslationArray {
     /// Slot numbers of `set`'s live entries.
     fn slots(&self, set: usize) -> Range<usize> {
         let base = set * self.assoc;
-        base..base + self.lens[set] as usize
+        base..base + self.len(set)
     }
 
     fn home(&self, key: u64) -> usize {
@@ -215,11 +260,11 @@ impl TranslationArray {
     /// The index position holding `key`'s slot, or the vacant position
     /// that ends its probe chain. The array must be indexed.
     fn probe(&self, key: u64) -> usize {
-        let mask = self.index.len() - 1;
+        let mask = self.positions - 1;
         let mut i = self.home(key);
         loop {
-            let slot = self.index[i];
-            if slot == VACANT || self.keys[slot as usize] == key {
+            let slot = self.small[i];
+            if slot == VACANT || self.key(slot as usize) == key {
                 return i;
             }
             i = (i + 1) & mask;
@@ -237,47 +282,47 @@ impl TranslationArray {
         if !self.holds(key) {
             None
         } else if self.indexed() {
-            let slot = self.index[self.probe(key)];
+            let slot = self.small[self.probe(key)];
             (slot != VACANT).then_some(slot as usize)
         } else {
             let slots = self.slots(self.set_of(key));
-            self.keys[slots.clone()].iter().position(|&k| k == key).map(|i| slots.start + i)
+            self.words[slots.clone()].iter().position(|&k| k == key).map(|i| slots.start + i)
         }
     }
 
     /// Points index position `at` at `slot`.
     fn link(&mut self, at: usize, slot: usize) {
-        self.index[at] = slot as u32;
-        self.pos[slot] = at as u32;
+        self.small[at] = slot as u32;
+        self.small[self.positions + slot] = at as u32;
     }
 
     /// Clears index position `hole`, shifting back every later entry of
     /// its chain whose home does not lie cyclically in `(hole, j]`, so no
     /// probe ever stops at a vacancy early.
     fn unlink(&mut self, mut hole: usize) {
-        let mask = self.index.len() - 1;
+        let mask = self.positions - 1;
         let mut j = hole;
         loop {
             j = (j + 1) & mask;
-            let slot = self.index[j];
+            let slot = self.small[j];
             if slot == VACANT {
                 break;
             }
-            let home = self.home(self.keys[slot as usize]);
+            let home = self.home(self.key(slot as usize));
             if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
                 self.link(hole, slot as usize);
                 hole = j;
             }
         }
-        self.index[hole] = VACANT;
+        self.small[hole] = VACANT;
     }
 
     /// Rebuilds the index from the live slots.
     fn rebuild(&mut self) {
-        self.index.fill(VACANT);
-        for set in 0..self.lens.len() {
+        self.small[..self.positions].fill(VACANT);
+        for set in 0..self.num_sets as usize {
             for slot in self.slots(set) {
-                let at = self.probe(self.keys[slot]);
+                let at = self.probe(self.key(slot));
                 self.link(at, slot);
             }
         }
@@ -287,26 +332,26 @@ impl TranslationArray {
     /// by moving the set's last live slot (and its index entry) into it.
     fn take_out(&mut self, set: usize, slot: usize) {
         self.live -= 1;
-        self.by_asid[asid_bucket(self.keys[slot])] -= 1;
-        self.lens[set] -= 1;
-        let last = set * self.assoc + self.lens[set] as usize;
+        self.by_asid[asid_bucket(self.key(slot))] -= 1;
+        let len = self.len(set) - 1;
+        self.set_len(set, len);
+        let last = set * self.assoc + len;
         if slot != last {
-            self.keys[slot] = self.keys[last];
-            self.stamps[slot] = self.stamps[last];
+            self.put(slot, self.key(last), self.stamp(last));
             if self.indexed() {
-                self.link(self.pos[last] as usize, slot);
+                self.link(self.pos(last), slot);
             }
         }
     }
 
     fn lookup(&mut self, key: u64) -> bool {
-        if self.keys.is_empty() {
+        if self.slots == 0 {
             return false;
         }
         self.tick += 1;
         match self.find(key) {
             Some(slot) => {
-                self.stamps[slot] = self.tick;
+                self.touch(slot);
                 true
             }
             None => false,
@@ -315,45 +360,46 @@ impl TranslationArray {
 
     /// Inserts a translation, returning any evicted key.
     fn insert(&mut self, key: u64) -> Option<u64> {
-        if self.keys.is_empty() {
+        if self.slots == 0 {
             return None;
         }
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_of(key);
         let base = set * self.assoc;
-        let len = self.lens[set] as usize;
+        let len = self.len(set);
         // The slot holding `key`, if any: one probe, which otherwise ends
         // at the vacancy its entry goes to, or one pass over the set that
         // also finds its least recently used slot.
         let at = if self.indexed() { self.probe(key) } else { 0 };
         // The victim is the first-minimum stamp; stamps are unique, so it
         // is the one least recently used slot wherever the set keeps it.
-        // A running minimum, as in `Cache::access`.
+        // A running minimum: re-reading the best slot's stamp would chain
+        // every comparison on the last.
         let (mut victim, mut oldest) = (base, u64::MAX);
         let resident = if self.indexed() {
-            (self.index[at] != VACANT).then(|| self.index[at] as usize)
+            let slot = self.small[at];
+            (slot != VACANT).then_some(slot as usize)
         } else {
             let mut resident = None;
             for slot in base..base + len {
-                if self.keys[slot] == key {
+                if self.key(slot) == key {
                     resident = Some(slot);
                     break;
                 }
-                if self.stamps[slot] < oldest {
-                    (victim, oldest) = (slot, self.stamps[slot]);
+                if self.stamp(slot) < oldest {
+                    (victim, oldest) = (slot, self.stamp(slot));
                 }
             }
             resident
         };
         if let Some(slot) = resident {
-            self.stamps[slot] = tick;
+            self.touch(slot);
             return None;
         }
         if len < self.assoc {
-            self.keys[base + len] = key;
-            self.stamps[base + len] = tick;
-            self.lens[set] += 1;
+            self.put(base + len, key, tick);
+            self.set_len(set, len + 1);
             self.live += 1;
             self.by_asid[asid_bucket(key)] += 1;
             if self.indexed() {
@@ -363,22 +409,21 @@ impl TranslationArray {
         }
         if self.indexed() {
             for slot in base..base + self.assoc {
-                if self.stamps[slot] < oldest {
-                    (victim, oldest) = (slot, self.stamps[slot]);
+                if self.stamp(slot) < oldest {
+                    (victim, oldest) = (slot, self.stamp(slot));
                 }
             }
         }
-        let evicted = self.keys[victim];
+        let evicted = self.key(victim);
         self.by_asid[asid_bucket(evicted)] -= 1;
         self.by_asid[asid_bucket(key)] += 1;
-        self.keys[victim] = key;
-        self.stamps[victim] = tick;
+        self.put(victim, key, tick);
         if self.indexed() {
             // Link the new key at the vacancy its probe found, then
             // delete the victim's position: backward shift keeps every
             // chain, the new one included, reachable. The index is at
             // most half full, so one extra key always fits.
-            let old_at = self.pos[victim] as usize;
+            let old_at = self.pos(victim);
             self.link(at, victim);
             self.unlink(old_at);
         }
@@ -390,7 +435,7 @@ impl TranslationArray {
             return false;
         };
         if self.indexed() {
-            self.unlink(self.pos[slot] as usize);
+            self.unlink(self.pos(slot));
         }
         self.take_out(slot / self.assoc, slot);
         true
@@ -413,25 +458,24 @@ impl TranslationArray {
     /// went.
     fn remove_where(&mut self, doomed: impl Fn(u64) -> bool) -> usize {
         let mut removed = 0;
-        for set in 0..self.lens.len() {
+        for set in 0..self.num_sets as usize {
             let slots = self.slots(set);
-            let Some(first) = self.keys[slots.clone()].iter().position(|&k| doomed(k)) else {
+            let Some(first) = self.words[slots.clone()].iter().position(|&k| doomed(k)) else {
                 continue;
             };
             let first = slots.start + first;
             let mut kept = first;
             for slot in first..slots.end {
-                let key = self.keys[slot];
+                let key = self.key(slot);
                 if doomed(key) {
                     self.by_asid[asid_bucket(key)] -= 1;
                     continue;
                 }
-                self.keys[kept] = key;
-                self.stamps[kept] = self.stamps[slot];
+                self.put(kept, key, self.stamp(slot));
                 kept += 1;
             }
             removed += slots.end - kept;
-            self.lens[set] = (kept - slots.start) as u32;
+            self.set_len(set, kept - slots.start);
         }
         self.live -= removed;
         if removed > 0 && self.indexed() {
@@ -446,7 +490,7 @@ impl TranslationArray {
 
     /// Every live key, set by set.
     fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.lens.len()).flat_map(|set| self.slots(set)).map(|slot| self.keys[slot])
+        (0..self.num_sets as usize).flat_map(|set| self.slots(set)).map(|slot| self.key(slot))
     }
 }
 
@@ -455,13 +499,13 @@ impl TranslationArray {
 /// removals left each slot.
 impl fmt::Debug for TranslationArray {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sets: Vec<Vec<(u16, u64, u64)>> = (0..self.lens.len())
+        let sets: Vec<Vec<(u16, u64, u64)>> = (0..self.num_sets as usize)
             .map(|set| {
                 let mut live: Vec<_> = self
                     .slots(set)
                     .map(|slot| {
-                        let (asid, page) = unpack(self.keys[slot]);
-                        (asid.0, page, self.stamps[slot])
+                        let (asid, page) = unpack(self.key(slot));
+                        (asid.0, page, self.stamp(slot))
                     })
                     .collect();
                 live.sort_by_key(|&(_, _, stamp)| stamp);
@@ -752,20 +796,20 @@ mod tests {
     /// every live slot is found at itself, its back-map position points at
     /// it, and the index holds nothing else.
     fn assert_index_exact(arr: &TranslationArray) {
-        let lens: usize = arr.lens.iter().map(|&len| len as usize).sum();
+        let lens: usize = (0..arr.num_sets as usize).map(|set| arr.len(set)).sum();
         assert_eq!(lens, arr.occupancy(), "live count drifted from the set lengths");
         let mut by_asid = [0; ASID_BUCKETS];
         arr.keys().for_each(|key| by_asid[asid_bucket(key)] += 1);
         assert_eq!(by_asid, arr.by_asid, "per-ASID counts drifted from the contents");
-        let linked = arr.index.iter().filter(|&&slot| slot != VACANT).count();
+        let linked = arr.index().iter().filter(|&&slot| slot != VACANT).count();
         let want = if arr.indexed() { arr.occupancy() } else { 0 };
         assert_eq!(linked, want, "index holds a stale or missing entry");
-        for set in 0..arr.lens.len() {
+        for set in 0..arr.num_sets as usize {
             for slot in arr.slots(set) {
-                assert_eq!(arr.find(arr.keys[slot]), Some(slot), "slot {slot} not found at itself");
+                assert_eq!(arr.find(arr.key(slot)), Some(slot), "slot {slot} not found at itself");
                 if arr.indexed() {
-                    let at = arr.pos[slot] as usize;
-                    assert_eq!(arr.index[at] as usize, slot, "back-map of slot {slot} drifted");
+                    let at = arr.pos(slot);
+                    assert_eq!(arr.index()[at] as usize, slot, "back-map of slot {slot} drifted");
                 }
             }
         }
@@ -1137,7 +1181,7 @@ mod tests {
     #[test]
     fn probe_chains_wrap_the_array_end() {
         let mut tlb = small_tlb(32, 0);
-        let last = tlb.base.index.len() - 1;
+        let last = tlb.base.index().len() - 1;
         let pages = pages_homed_at(&tlb, AppId(1), last, 4);
         for &p in &pages {
             tlb.fill(AppId(1), VirtPageNum(p).addr(), PageSize::Base);
@@ -1146,7 +1190,7 @@ mod tests {
         // front of the index.
         let wrapped = pages
             .iter()
-            .filter(|&&p| (tlb.base.pos[tlb.base.find(pack(AppId(1), p)).unwrap()] as usize) < last)
+            .filter(|&&p| tlb.base.pos(tlb.base.find(pack(AppId(1), p)).unwrap()) < last)
             .count();
         assert_eq!(wrapped, 3);
         assert_index_exact(&tlb.base);
@@ -1156,7 +1200,10 @@ mod tests {
         for &p in &pages[1..] {
             assert_eq!(tlb.peek(AppId(1), VirtPageNum(p).addr()), TlbLookup::HitBase);
         }
-        assert_eq!(tlb.base.index[last] as usize, tlb.base.find(pack(AppId(1), pages[1])).unwrap());
+        assert_eq!(
+            tlb.base.index()[last] as usize,
+            tlb.base.find(pack(AppId(1), pages[1])).unwrap()
+        );
     }
 
     #[test]
@@ -1206,7 +1253,7 @@ mod tests {
             }
             let mut rebuilt = fast.base.clone();
             rebuilt.rebuild();
-            assert_ne!(rebuilt.index, fast.base.index, "a rebuild must be visible");
+            assert_ne!(rebuilt.index(), fast.base.index(), "a rebuild must be visible");
             let mut slow = fast.clone();
             let flushed = fast.flush_base_range(AppId(0), VirtPageNum(first), pages);
             assert_eq!(flushed, resident, "{pages} pages from {first}");
@@ -1216,7 +1263,7 @@ mod tests {
             assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{pages} pages from {first}");
             assert_index_exact(&fast.base);
             if resident == 0 {
-                assert_eq!(fast.base.index, slow.base.index, "a flush that removes nothing");
+                assert_eq!(fast.base.index(), slow.base.index(), "a flush that removes nothing");
             }
             for p in after.clone() {
                 let addr = VirtPageNum(p).addr();
