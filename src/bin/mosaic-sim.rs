@@ -19,7 +19,8 @@
 //!                        migrating, ideal-tlb); `all` runs gpu-mmu,
 //!                        migrating, mosaic and ideal-tlb
 //!   --preload            stage all data before cycle 0 (no demand paging)
-//!   --frag <index,occ>   pre-fragment memory (Mosaic only), e.g. --frag 1.0,0.5
+//!   --frag <index,occ>   pre-fragment memory (Mosaic only), both in [0, 1],
+//!                        e.g. --frag 1.0,0.5
 //!   --seed <n>           deterministic seed (default 42)
 //!   --audit [cycles]     sweep runtime invariants (frame conservation,
 //!                        ownership agreement, TLB coherence) every N cycles
@@ -89,9 +90,9 @@ fn parse_args() -> Options {
             }
             "--frag" => {
                 let spec = args.next().unwrap_or_else(|| usage());
-                let mut it = spec.split(',').map(|x| x.parse::<f64>());
-                match (it.next(), it.next()) {
-                    (Some(Ok(i)), Some(Ok(o))) => frag = Some((i, o)),
+                let unit = |x: &str| x.parse::<f64>().ok().filter(|x| (0.0..=1.0).contains(x));
+                match spec.split_once(',').map(|(i, o)| (unit(i), unit(o))) {
+                    Some((Some(i), Some(o))) => frag = Some((i, o)),
                     _ => usage(),
                 }
             }

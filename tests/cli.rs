@@ -20,7 +20,16 @@ fn unknown_application_exits_2_before_simulating() {
 
 #[test]
 fn unknown_manager_and_flag_exit_2() {
-    for args in [&["--manager", "ideal", "HS"][..], &["--bogus", "HS"], &["--seed", "x", "HS"]] {
+    for args in [
+        &["--manager", "ideal", "HS"][..],
+        &["--bogus", "HS"],
+        &["--seed", "x", "HS"],
+        // `--frag` takes index,occupancy with both in [0, 1].
+        &["--frag", "7,0.5", "HS"],
+        &["--frag", "nan,0.5", "HS"],
+        &["--frag", "0.5,inf", "HS"],
+        &["--frag", "0.5", "HS"],
+    ] {
         let (code, stdout, stderr) = mosaic_sim(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: mosaic-sim"), "{args:?}: {stderr}");
