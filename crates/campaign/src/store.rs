@@ -12,8 +12,9 @@
 //! valid key. Loads are corruption-tolerant: any parse mismatch — a
 //! truncated file, an entry written by a different format version, a key
 //! that does not round-trip — is treated as a cache miss, never an error.
-//! The index is advisory (used only for `campaign status` summaries and
-//! human inspection); unparseable index lines are skipped.
+//! The index is a log for people: nothing in the program reads it, so a
+//! damaged or missing index changes no lookup (`campaign status` reads
+//! the objects themselves, through [`Store::peek`]).
 
 use crate::digest::{run_key, Digest};
 use mosaic_core::ManagerStats;
@@ -181,30 +182,6 @@ impl Store {
 
     fn index_path(&self) -> PathBuf {
         self.root.join("index.tsv")
-    }
-
-    /// Parses the advisory index, skipping unparseable lines. Returns
-    /// `(key, code, wall_ms, workload, manager)` tuples.
-    pub fn index_entries(&self) -> Vec<(Digest, Digest, u64, String, String)> {
-        let Ok(text) = fs::read_to_string(self.index_path()) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let mut cols = line.split('\t');
-            let (Some(key), Some(code), Some(ms), Some(w), Some(m)) =
-                (cols.next(), cols.next(), cols.next(), cols.next(), cols.next())
-            else {
-                continue;
-            };
-            let (Some(key), Some(code), Ok(ms)) =
-                (Digest::from_hex(key), Digest::from_hex(code), ms.parse::<u64>())
-            else {
-                continue;
-            };
-            out.push((key, code, ms, w.to_string(), m.to_string()));
-        }
-        out
     }
 
     /// Counter snapshot.

@@ -72,10 +72,6 @@ fn entries_survive_reopening() {
     assert_eq!(hit.wall_ms, 77);
     let st = store.stats();
     assert_eq!((st.hits, st.misses, st.saved_ms), (1, 0, 77));
-    let index = store.index_entries();
-    assert_eq!(index.len(), 1);
-    assert_eq!(index[0].0, key);
-    assert_eq!(index[0].3, "MM");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -112,7 +108,7 @@ fn corrupted_entries_degrade_to_misses_and_heal_on_reinsert() {
 }
 
 #[test]
-fn mangled_index_lines_are_skipped_without_affecting_lookups() {
+fn a_mangled_or_missing_index_does_not_affect_lookups() {
     let dir = tmpdir("index");
     let store = Store::open(&dir).unwrap();
     let (w, cfg) = job();
@@ -126,12 +122,10 @@ fn mangled_index_lines_are_skipped_without_affecting_lookups() {
     index.push_str("nothex\tnothex\tNaN\tw\tm\n");
     index.push_str(&"z".repeat(40));
     std::fs::write(&index_path, &index).unwrap();
-    assert_eq!(store.index_entries().len(), 1, "only the valid line survives");
     assert!(store.lookup(key).is_some(), "object lookups never touch the index");
 
-    // Even a wholly missing index only empties the advisory listing.
+    // Nor does a wholly missing one.
     std::fs::remove_file(&index_path).unwrap();
-    assert!(store.index_entries().is_empty());
     assert!(store.lookup(key).is_some());
     let _ = std::fs::remove_dir_all(&dir);
 }
