@@ -1,10 +1,8 @@
 //! Layer 3 of the analyzer: a cross-crate call graph over the parsed
-//! workspace, and the reachability pass that *computes* the hot-path
-//! closure the panic rule runs on.
+//! workspace, and the one reachability pass behind two closures.
 //!
-//! Nodes are the functions defined in cycle-level crates (see
-//! [`crate::rules::CYCLE_CRATES`]). Edges are resolved from the call
-//! sites the parser extracted:
+//! [`compute_closure`] takes its roots and its node set as inputs. Edges
+//! are resolved from the call sites and value uses the parser extracted:
 //!
 //! * `Type::method(..)` paths resolve by `(self type, name)`, with the
 //!   type name first mapped through the file's `use` renames;
@@ -14,15 +12,25 @@
 //!   direction: the computed closure can only be too big, never too
 //!   small;
 //! * bare `helper(..)` calls resolve to free functions with that name;
+//! * a name used as a value (`.map(Type::method)`, `apply: helper`)
+//!   resolves like a call of it;
 //! * closures are attributed to the function whose body defines them.
 //!
-//! Entry points — the per-cycle tick/issue/access loops of the simulated
-//! machine — are declared in [`ENTRY_POINTS`] as `Type::method` pairs.
-//! Everything reachable from them is the hot path: a panic there takes
-//! down the whole simulation, so `panic-in-hotpath` applies to each
-//! member function, wherever its file lives.
+//! Two closures run on it:
+//!
+//! * [`hot_path`]: the roots are the per-cycle tick/issue/access loops of
+//!   the simulated machine, declared in [`ENTRY_POINTS`] as `Type::method`
+//!   pairs, and the nodes are the functions of the cycle-level crates.
+//!   Everything reachable from them is the hot path: a panic there takes
+//!   down the whole simulation, so `panic-in-hotpath` applies to each
+//!   member function, wherever its file lives;
+//! * [`reached`]: the roots are every `fn main` (binaries, examples, the
+//!   benchmark harness) and the nodes are every loaded function, plus each
+//!   `const`/`static` item, whose initializer counts as its body. A `pub
+//!   fn` outside it is kept alive by tests alone, which `test-only`
+//!   reports.
 
-use crate::parse::{Callee, FileModel};
+use crate::parse::{Callee, FileModel, FnDef};
 use crate::rules::is_cycle_crate;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -91,12 +99,14 @@ pub struct EntryResolution {
     pub resolved: Vec<FnRef>,
 }
 
-/// The computed hot-path closure.
+/// A computed closure: its roots and every function reachable from them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Closure {
-    /// Entry point resolutions, in [`ENTRY_POINTS`] order.
+    /// Entry point resolutions, in [`ENTRY_POINTS`] order (empty for
+    /// [`reached`]).
     pub entries: Vec<EntryResolution>,
-    /// Every reachable function, sorted by (path, line).
+    /// Every reachable function (and, for [`reached`], `const`/`static`
+    /// item), sorted by (path, line).
     pub members: Vec<FnRef>,
     /// (file index, fn index) keys of the members, for rule lookups.
     keys: BTreeSet<(usize, usize)>,
@@ -121,17 +131,64 @@ impl Closure {
     }
 }
 
-/// Computes the hot-path closure over the parsed workspace files.
-pub fn compute_closure(files: &[FileModel]) -> Closure {
-    // Node universe: functions in cycle-level crates.
+/// The hot-path closure: everything in a cycle-level crate reachable
+/// from [`ENTRY_POINTS`]. A `const`/`static` initializer runs at compile
+/// time, so it is no node here.
+pub fn hot_path(files: &[FileModel]) -> Closure {
+    let is_entry = |def: &FnDef, spec: &str| {
+        spec.split_once("::") == def.self_ty.as_deref().map(|ty| (ty, def.name.as_str()))
+    };
+    let mut closure = compute_closure(
+        files,
+        |def| ENTRY_POINTS.iter().any(|spec| is_entry(def, spec)),
+        |file, def| is_cycle_crate(&file.path) && !def.is_const,
+    );
+    closure.entries = ENTRY_POINTS
+        .iter()
+        .map(|&spec| EntryResolution {
+            spec,
+            resolved: closure
+                .keys
+                .iter()
+                .filter(|&&(fi, gi)| is_entry(&files[fi].fns[gi], spec))
+                .map(|&(fi, gi)| fn_ref(files, fi, gi))
+                .collect(),
+        })
+        .collect();
+    closure
+}
+
+/// Everything reachable from any `fn main`, over every loaded function
+/// and `const`/`static` item. Trait methods are roots too: formatting,
+/// operators, iteration and `Drop` call them without naming them.
+pub fn reached(files: &[FileModel]) -> Closure {
+    compute_closure(files, |def| def.in_trait || is_main(def), |_, _| true)
+}
+
+/// Whether `def` is a free `fn main`.
+pub fn is_main(def: &FnDef) -> bool {
+    def.self_ty.is_none() && !def.is_const && def.name == "main"
+}
+
+/// Computes the closure of the nodes `is_root` picks, over the nodes
+/// `is_node` admits. The result's `entries` are left empty.
+pub fn compute_closure(
+    files: &[FileModel],
+    is_root: impl Fn(&FnDef) -> bool,
+    is_node: impl Fn(&FileModel, &FnDef) -> bool,
+) -> Closure {
     let mut by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
     let mut by_ty_name: BTreeMap<(&str, &str), Vec<(usize, usize)>> = BTreeMap::new();
     let mut free_by_name: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    let mut work: Vec<(usize, usize)> = Vec::new();
     for (fi, file) in files.iter().enumerate() {
-        if !is_cycle_crate(&file.path) {
-            continue;
-        }
         for (gi, f) in file.fns.iter().enumerate() {
+            if !is_node(file, f) {
+                continue;
+            }
+            if is_root(f) {
+                work.push((fi, gi));
+            }
             by_name.entry(&f.name).or_default().push((fi, gi));
             match &f.self_ty {
                 Some(ty) => by_ty_name.entry((ty, &f.name)).or_default().push((fi, gi)),
@@ -139,6 +196,7 @@ pub fn compute_closure(files: &[FileModel]) -> Closure {
             }
         }
     }
+    let mut seen: BTreeSet<(usize, usize)> = work.iter().copied().collect();
 
     // Per-file `use` rename maps for resolving `Alias::method(..)`.
     let rename: Vec<BTreeMap<&str, &str>> = files
@@ -151,23 +209,6 @@ pub fn compute_closure(files: &[FileModel]) -> Closure {
                 .collect()
         })
         .collect();
-
-    let mut entries = Vec::new();
-    let mut work: Vec<(usize, usize)> = Vec::new();
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for spec in ENTRY_POINTS {
-        let (ty, name) = spec.split_once("::").unwrap_or(("", spec));
-        let resolved = by_ty_name.get(&(ty, name)).cloned().unwrap_or_default();
-        for &node in &resolved {
-            if seen.insert(node) {
-                work.push(node);
-            }
-        }
-        entries.push(EntryResolution {
-            spec,
-            resolved: resolved.iter().map(|&(fi, gi)| fn_ref(files, fi, gi)).collect(),
-        });
-    }
 
     while let Some((fi, gi)) = work.pop() {
         let file = &files[fi];
@@ -206,7 +247,7 @@ pub fn compute_closure(files: &[FileModel]) -> Closure {
 
     let mut members: Vec<FnRef> = seen.iter().map(|&(fi, gi)| fn_ref(files, fi, gi)).collect();
     members.sort();
-    Closure { entries, members, keys: seen }
+    Closure { entries: Vec::new(), members, keys: seen }
 }
 
 fn fn_ref(files: &[FileModel], fi: usize, gi: usize) -> FnRef {
@@ -246,7 +287,7 @@ mod tests {
              fn leaf() {}\n\
              fn unrelated() {}\n",
         )]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         let names = member_names(&c);
         assert!(names.contains(&"advance".to_string()));
         assert!(names.contains(&"pick".to_string()));
@@ -268,7 +309,7 @@ mod tests {
                  fn probe(&self, p: u64) -> u64 { p } }\n",
             ),
         ]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         let names = member_names(&c);
         assert!(names.contains(&"lookup".to_string()));
         assert!(names.contains(&"probe".to_string()));
@@ -287,7 +328,7 @@ mod tests {
                 "impl PageTableWalker { pub fn walk() { step(); } }\nfn step() {}\n",
             ),
         ]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         let names = member_names(&c);
         assert!(names.contains(&"walk".to_string()), "{names:?}");
         assert!(names.contains(&"step".to_string()), "{names:?}");
@@ -299,14 +340,48 @@ mod tests {
             ("crates/gpu/src/sm.rs", "impl Sm { pub fn advance(&mut self) { build(); } }\n"),
             ("crates/workloads/src/gen.rs", "pub fn build() { panic!(\"host side\"); }\n"),
         ]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         assert_eq!(member_names(&c), ["advance"]);
+    }
+
+    #[test]
+    fn hot_path_ignores_const_initializers() {
+        let files = ws(&[(
+            "crates/gpu/src/sm.rs",
+            "impl Sm {\n\
+             \x20   const MASK: u64 = build();\n\
+             \x20   pub fn advance(&mut self) -> u64 { Self::MASK }\n\
+             }\n\
+             const fn build() -> u64 { 1 }\n",
+        )]);
+        assert_eq!(member_names(&hot_path(&files)), ["advance"]);
+    }
+
+    #[test]
+    fn reached_follows_mains_trait_methods_and_const_initializers() {
+        let files = ws(&[
+            ("src/bin/tool.rs", "fn main() { mosaic_experiments::run(); }\n"),
+            (
+                "crates/experiments/src/lib.rs",
+                "pub fn run() { for f in TABLE { f(); } }\n\
+                 pub const TABLE: &[fn()] = &[listed];\n\
+                 pub fn listed() {}\n\
+                 pub fn unused() {}\n\
+                 impl std::fmt::Display for R { fn fmt(&self) { shown(); } }\n\
+                 fn shown() {}\n",
+            ),
+        ]);
+        let names = member_names(&reached(&files));
+        for name in ["main", "run", "TABLE", "listed", "fmt", "shown"] {
+            assert!(names.contains(&name.to_string()), "{name} missing from {names:?}");
+        }
+        assert!(!names.contains(&"unused".to_string()), "{names:?}");
     }
 
     #[test]
     fn unresolved_entries_are_reported() {
         let files = ws(&[("crates/gpu/src/sm.rs", "fn nothing_here() {}\n")]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         assert!(c.unresolved_entries().contains(&"Sm::advance"));
         assert!(c.members.is_empty());
     }
@@ -320,7 +395,7 @@ mod tests {
             ),
             ("crates/mem/src/cache.rs", "impl Cache { pub fn access(&mut self, a: u64) {} }\n"),
         ]);
-        let c = compute_closure(&files);
+        let c = hot_path(&files);
         assert_eq!(c.files(), ["crates/gpu/src/sm.rs", "crates/mem/src/cache.rs"]);
     }
 }

@@ -11,14 +11,19 @@
 //! * [`tokens`] chops the stripped source into a token stream;
 //! * [`parse`] extracts `use` trees (including `as` renames and globs),
 //!   `fn`/`impl` items, and call sites, excluding `#[cfg(test)]` items;
-//! * [`graph`] builds a cross-crate call graph and *computes* the
-//!   hot-path closure from the per-cycle entry points — there is no
-//!   hand-maintained hot-file list to go stale;
+//! * [`graph`] builds a cross-crate call graph and *computes* two
+//!   closures: the hot path from the per-cycle entry points — there is
+//!   no hand-maintained hot-file list to go stale — and what any `fn
+//!   main` reaches;
 //! * [`rules`] runs the policy over the parsed workspace: banned
 //!   containers/clocks/entropy (including alias and re-export evasions),
 //!   interior mutability and relaxed atomics in cycle crates, the
-//!   telemetry `emit()` gate, lossy casts, and panics anywhere in the
-//!   computed closure.
+//!   telemetry `emit()` gate, lossy casts, panics anywhere in the
+//!   computed closure, and `pub fn`s that no `fn main` reaches.
+//!
+//! `examples/` and the frozen benchmark harness under `simbench/src` are
+//! loaded as callers only: their `fn main`s and calls count toward what
+//! is reached, but no rule reports in them.
 //!
 //! Violations that are individually justified live in
 //! `crates/analysis/allow.list`; everything else fails the check. The
@@ -90,12 +95,12 @@ impl Workspace {
 
     /// Computes the hot-path closure over this workspace.
     pub fn closure(&self) -> Closure {
-        graph::compute_closure(&self.files)
+        graph::hot_path(&self.files)
     }
 
-    /// Runs every rule over this workspace (closure computed internally).
+    /// Runs every rule over this workspace (closures computed internally).
     pub fn scan(&self) -> Vec<Finding> {
-        rules::scan_workspace(&self.files, &self.closure())
+        rules::scan_workspace(&self.files, &self.closure(), &graph::reached(&self.files))
     }
 }
 
@@ -106,7 +111,7 @@ pub struct ScanReport {
     pub findings: Vec<Finding>,
     /// Findings covered by the allowlist.
     pub exempted: Vec<Finding>,
-    /// Files scanned.
+    /// Files scanned (callers-only files not counted).
     pub files: usize,
     /// Stale allowlist entries (rule+path pairs that matched nothing).
     pub stale_allows: Vec<String>,
@@ -132,26 +137,25 @@ pub struct Analysis {
     pub closure: Closure,
 }
 
-/// Collects every `.rs` file the policy covers: `crates/*/src/**` and the
-/// root package's `src/**`, sorted for deterministic output.
+/// Collects every `.rs` file the analyzer loads, sorted for
+/// deterministic output: the files the policy covers (`crates/*/src/**`
+/// and the root package's `src/**`) and the callers-only files
+/// (`examples/**` and `simbench/src/**`, see [`rules::is_covered`]).
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from directory traversal.
 pub fn source_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let mut files = Vec::new();
+    let mut dirs = vec![root.join("src"), root.join("examples"), root.join("simbench/src")];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
         for entry in std::fs::read_dir(&crates_dir)? {
-            let src = entry?.path().join("src");
-            if src.is_dir() {
-                collect_rs(&src, &mut files)?;
-            }
+            dirs.push(entry?.path().join("src"));
         }
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        collect_rs(&root_src, &mut files)?;
+    let mut files = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        collect_rs(dir, &mut files)?;
     }
     files.sort();
     Ok(files)
@@ -176,17 +180,10 @@ fn relative(root: &Path, path: &Path) -> String {
     rel.components().map(|c| c.as_os_str().to_string_lossy()).collect::<Vec<_>>().join("/")
 }
 
-/// Scans one in-memory file (closure computed over just that file).
-/// Convenience for tests; real runs go through [`analyze`] so cross-file
-/// aliases and reachability are visible.
-pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
-    Workspace::from_sources(&[(rel_path, source)]).scan()
-}
-
 /// Builds a report from an already-parsed workspace and an allowlist.
 pub fn analyze_workspace(ws: &Workspace, allow: &Allowlist) -> Analysis {
     let closure = ws.closure();
-    let all = rules::scan_workspace(&ws.files, &closure);
+    let all = rules::scan_workspace(&ws.files, &closure, &graph::reached(&ws.files));
     let stale = allow
         .unused(&all)
         .into_iter()
@@ -198,7 +195,7 @@ pub fn analyze_workspace(ws: &Workspace, allow: &Allowlist) -> Analysis {
         report: ScanReport {
             findings,
             exempted,
-            files: ws.files.len(),
+            files: ws.files.iter().filter(|f| rules::is_covered(&f.path)).count(),
             stale_allows: stale,
             unresolved_entries: unresolved,
         },
@@ -325,8 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn scan_source_end_to_end() {
-        let f = scan_source("crates/vm/src/x.rs", "use std::collections::HashMap; // HashMap\n");
+    fn one_file_scan_end_to_end() {
+        let ws = Workspace::from_sources(&[(
+            "crates/vm/src/x.rs",
+            "use std::collections::HashMap; // HashMap\n",
+        )]);
+        let f = ws.scan();
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "hashmap-in-sim");
         assert_eq!(f[0].line, 1);

@@ -6,12 +6,23 @@
 //! mosaic-audit rules
 //! mosaic-audit explain <rule>
 //! ```
+//!
+//! Exit status: 0 clean, 1 findings (or stale allowlist entries, or an
+//! unresolved entry point), 2 usage or an unusable root or allowlist. The
+//! status holds when stdout or stderr is closed early: output that cannot
+//! be written is dropped.
 
 use mosaic_audit::{analyze, closure_json, report_json, rules, Allowlist, Workspace};
+use std::io::{stderr, stdout, Write};
 use std::path::Path;
 
+// `println!` and `eprintln!` that drop the line when the pipe is closed:
+// the exit status, not the text, carries the verdict.
+macro_rules! out { ($($a:tt)*) => {{ let _ = writeln!(stdout(), $($a)*); }}; }
+macro_rules! err { ($($a:tt)*) => {{ let _ = writeln!(stderr(), $($a)*); }}; }
+
 fn usage() -> ! {
-    eprintln!(
+    err!(
         "usage: mosaic-audit <command>\n\
          \n\
          commands:\n\
@@ -72,17 +83,17 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("rules") => {
             for rule in rules::RULES {
-                println!("{}\n    {}", rule.id, rule.summary);
+                out!("{}\n    {}", rule.id, rule.summary);
             }
         }
         Some("explain") => {
             let Some(id) = args.get(1) else { usage() };
             match rules::rule(id) {
                 Some(rule) => {
-                    println!("{}\n\n{}\n\n{}", rule.id, rule.summary, rule.explain);
+                    out!("{}\n\n{}\n\n{}", rule.id, rule.summary, rule.explain);
                 }
                 None => {
-                    eprintln!("mosaic-audit: unknown rule `{id}`; see `mosaic-audit rules`");
+                    err!("mosaic-audit: unknown rule `{id}`; see `mosaic-audit rules`");
                     std::process::exit(2);
                 }
             }
@@ -107,7 +118,7 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, i32> {
     let text = match std::fs::read_to_string(&allow_path) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("mosaic-audit: cannot read {}: {e}", allow_path.display());
+            err!("mosaic-audit: cannot read {}: {e}", allow_path.display());
             return Err(2);
         }
     };
@@ -115,7 +126,7 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, i32> {
         Ok(a) => Ok(a),
         Err(errors) => {
             for e in errors {
-                eprintln!("mosaic-audit: {e}");
+                err!("mosaic-audit: {e}");
             }
             Err(2)
         }
@@ -125,7 +136,7 @@ fn load_allowlist(root: &Path) -> Result<Allowlist, i32> {
 fn run_check(opts: &Opts) -> i32 {
     let root = Path::new(&opts.root);
     if !root.is_dir() {
-        eprintln!("mosaic-audit: {} is not a directory", root.display());
+        err!("mosaic-audit: {} is not a directory", root.display());
         return 2;
     }
     let allow = match load_allowlist(root) {
@@ -135,36 +146,36 @@ fn run_check(opts: &Opts) -> i32 {
     let analysis = match analyze(root, &allow) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("mosaic-audit: scan failed: {e}");
+            err!("mosaic-audit: scan failed: {e}");
             return 2;
         }
     };
     let report = &analysis.report;
     let stale_fails = !report.stale_allows.is_empty() && !opts.allow_stale;
     if opts.json {
-        println!("{}", report_json(report));
+        out!("{}", report_json(report));
         return i32::from(!report.is_clean() || stale_fails);
     }
     for stale in &report.stale_allows {
         if opts.allow_stale {
-            eprintln!("mosaic-audit: warning: stale allowlist entry: {stale}");
+            err!("mosaic-audit: warning: stale allowlist entry: {stale}");
         } else {
-            eprintln!(
+            err!(
                 "mosaic-audit: stale allowlist entry (matches nothing — prune it or pass \
                  --allow-stale): {stale}"
             );
         }
     }
     for spec in &report.unresolved_entries {
-        eprintln!(
+        err!(
             "mosaic-audit: entry point `{spec}` resolved to no definition — the computed \
              closure is missing it (update graph::ENTRY_POINTS)"
         );
     }
     for f in &report.findings {
-        println!("{f}");
+        out!("{f}");
     }
-    println!(
+    out!(
         "mosaic-audit: {} file(s), {} finding(s), {} exempted, {} stale allowlist entr(y/ies), \
          closure: {} function(s) in {} file(s)",
         report.files,
@@ -180,37 +191,37 @@ fn run_check(opts: &Opts) -> i32 {
 fn run_graph(opts: &Opts) -> i32 {
     let root = Path::new(&opts.root);
     if !root.is_dir() {
-        eprintln!("mosaic-audit: {} is not a directory", root.display());
+        err!("mosaic-audit: {} is not a directory", root.display());
         return 2;
     }
     let ws = match Workspace::load(root) {
         Ok(w) => w,
         Err(e) => {
-            eprintln!("mosaic-audit: scan failed: {e}");
+            err!("mosaic-audit: scan failed: {e}");
             return 2;
         }
     };
     let closure = ws.closure();
     if opts.json {
-        println!("{}", closure_json(&closure));
+        out!("{}", closure_json(&closure));
     } else {
-        println!("entry points:");
+        out!("entry points:");
         for entry in &closure.entries {
             if entry.resolved.is_empty() {
-                println!("  {}  (UNRESOLVED)", entry.spec);
+                out!("  {}  (UNRESOLVED)", entry.spec);
             } else {
                 for r in &entry.resolved {
-                    println!("  {}  -> {}:{}", entry.spec, r.path, r.line);
+                    out!("  {}  -> {}:{}", entry.spec, r.path, r.line);
                 }
             }
         }
-        println!("\nclosure ({} functions):", closure.members.len());
+        out!("\nclosure ({} functions):", closure.members.len());
         for m in &closure.members {
-            println!("  {m}");
+            out!("  {m}");
         }
-        println!("\nfiles ({}):", closure.files().len());
+        out!("\nfiles ({}):", closure.files().len());
         for f in closure.files() {
-            println!("  {f}");
+            out!("  {f}");
         }
     }
     i32::from(!closure.unresolved_entries().is_empty())

@@ -6,9 +6,11 @@
 //!
 //! * `use` trees, including `as` renames, nested groups, and glob
 //!   imports (the alias loopholes the old line scanner could not see),
-//! * `fn` definitions with their `impl`/`trait` self type and body span,
+//! * `fn` definitions with their `impl`/`trait` self type, visibility
+//!   and body span, and `const`/`static` items with their initializer,
 //! * call and method-call sites inside each body (plus macro
-//!   invocations, which is how `panic!` is found),
+//!   invocations, which is how `panic!` is found), and the names a body
+//!   uses as values (`.map(Type::method)`, `apply: helper`),
 //! * `#[cfg(test)]` items, which are *excluded*: their tokens are marked
 //!   not-included and their functions are not recorded, so tests keep
 //!   their license to panic and use host facilities.
@@ -42,7 +44,7 @@ pub enum Callee {
     Macro(String),
 }
 
-/// One call site inside a function body.
+/// One call site, or one use of a name as a value, inside a body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Call {
     /// What is called.
@@ -51,19 +53,27 @@ pub struct Call {
     pub line: u32,
 }
 
-/// One function definition (or trait-method declaration).
+/// One function definition (or trait-method declaration), or one
+/// `const`/`static` item, whose initializer is its body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnDef {
-    /// The function's name.
+    /// The function's (or item's) name.
     pub name: String,
     /// The `impl`/`trait` self type it is defined on, if any.
     pub self_ty: Option<String>,
-    /// 1-based line of the `fn` name.
+    /// Whether it is defined in a `trait` or a trait `impl`.
+    pub in_trait: bool,
+    /// 1-based line of the name.
     pub line: u32,
-    /// Token index range of the body (including braces); empty for
-    /// body-less trait declarations.
+    /// Whether it is declared `pub` (any `pub(..)` restriction included).
+    pub is_pub: bool,
+    /// Whether it is a `const`/`static` item rather than a function.
+    pub is_const: bool,
+    /// Token index range of the body (including braces; for a
+    /// `const`/`static`, the whole item); empty for body-less trait
+    /// declarations.
     pub body: (usize, usize),
-    /// Call sites found in the body.
+    /// Call sites and value uses found in the body.
     pub calls: Vec<Call>,
 }
 
@@ -131,7 +141,7 @@ fn is_expr_keyword(s: &str) -> bool {
 pub fn parse_file(path: &str, tokens: Vec<Tok>) -> FileModel {
     let included = vec![true; tokens.len()];
     let mut p = Parser { t: &tokens, i: 0, included, uses: Vec::new(), fns: Vec::new() };
-    p.items(false, None);
+    p.items(false, Scope::default());
     FileModel {
         path: path.to_string(),
         krate: crate_ident(path),
@@ -140,6 +150,15 @@ pub fn parse_file(path: &str, tokens: Vec<Tok>) -> FileModel {
         fns: p.fns,
         tokens,
     }
+}
+
+/// The `impl` or `trait` block an item is defined in, if any.
+#[derive(Debug, Clone, Copy, Default)]
+struct Scope<'a> {
+    /// The block's self type (the trait's name for a `trait`).
+    self_ty: Option<&'a str>,
+    /// Whether the block is a `trait` or a trait `impl`.
+    in_trait: bool,
 }
 
 struct Parser<'t> {
@@ -246,7 +265,7 @@ impl Parser<'_> {
 
     /// The item loop: parses items until end of input (or the closing
     /// `}` of the enclosing block when `stop_at_close`).
-    fn items(&mut self, stop_at_close: bool, self_ty: Option<&str>) {
+    fn items(&mut self, stop_at_close: bool, scope: Scope) {
         let mut pending_test = false;
         let mut is_pub = false;
         while let Some(tok) = self.cur() {
@@ -311,7 +330,7 @@ impl Parser<'_> {
                             self.exclude(start, self.i);
                         } else {
                             self.i += 1;
-                            self.items(true, None);
+                            self.items(true, Scope::default());
                         }
                     } else if self.cur_is_punct(";") {
                         self.i += 1;
@@ -323,10 +342,10 @@ impl Parser<'_> {
                         self.skip_item();
                         self.exclude(start, self.i);
                     } else {
-                        let ty = self.parse_impl_header();
+                        let (ty, in_trait) = self.parse_impl_header();
                         if self.cur_is_punct("{") {
                             self.i += 1;
-                            self.items(true, ty.as_deref());
+                            self.items(true, Scope { self_ty: ty.as_deref(), in_trait });
                         }
                     }
                 }
@@ -352,14 +371,14 @@ impl Parser<'_> {
                         }
                         if self.cur_is_punct("{") {
                             self.i += 1;
-                            self.items(true, name.as_deref());
+                            self.items(true, Scope { self_ty: name.as_deref(), in_trait: true });
                         } else if self.cur_is_punct(";") {
                             self.i += 1;
                         }
                     }
                 }
                 "fn" => {
-                    self.parse_fn(self_ty, pending_test);
+                    self.parse_fn(scope, is_pub, pending_test);
                 }
                 "unsafe" | "async" | "extern" | "default" => {
                     // Qualifier before `fn`/`impl`/`trait` (or `extern
@@ -371,12 +390,15 @@ impl Parser<'_> {
                     self.i += 1;
                     continue;
                 }
+                "const" | "static" => {
+                    self.parse_const(scope, is_pub, pending_test);
+                }
                 _ => {
-                    // An item we do not model (struct, enum, static,
-                    // const, type alias, item-level macro): consume it
-                    // whole so a pending `#[cfg(test)]` applies to it
-                    // and not to whatever follows. Its tokens stay
-                    // included for ident-level rules.
+                    // An item we do not model (struct, enum, type alias,
+                    // item-level macro): consume it whole so a pending
+                    // `#[cfg(test)]` applies to it and not to whatever
+                    // follows. Its tokens stay included for ident-level
+                    // rules.
                     let start = self.i;
                     self.skip_item();
                     if pending_test {
@@ -476,13 +498,14 @@ impl Parser<'_> {
 
     /// Parses an `impl` header from the `impl` keyword up to (not
     /// including) the body `{`; returns the self type's last path
-    /// segment.
-    fn parse_impl_header(&mut self) -> Option<String> {
+    /// segment and whether it is a trait impl.
+    fn parse_impl_header(&mut self) -> (Option<String>, bool) {
         self.i += 1; // `impl`
         if self.cur_is_punct("<") {
             self.skip_angle();
         }
         let mut ty: Option<String> = None;
+        let mut trait_impl = false;
         let mut prev_was_pathsep = false;
         while let Some(tok) = self.cur() {
             if tok.is_punct("{") || tok.is_punct(";") {
@@ -508,6 +531,7 @@ impl Parser<'_> {
                     self.skip_angle();
                 } else {
                     ty = None;
+                    trait_impl = true;
                 }
                 prev_was_pathsep = false;
                 continue;
@@ -536,12 +560,57 @@ impl Parser<'_> {
             prev_was_pathsep = tok.is_punct("::");
             self.i += 1;
         }
-        ty
+        (ty, trait_impl)
+    }
+
+    /// Parses a `const`/`static` item from its keyword through its `;`;
+    /// records it, with the calls and value uses of its initializer,
+    /// unless `excluded`.
+    fn parse_const(&mut self, scope: Scope, is_pub: bool, excluded: bool) {
+        let start = self.i;
+        self.i += 1;
+        if self.cur_is_ident("mut") {
+            self.i += 1;
+        }
+        let name =
+            self.cur().filter(|t| t.kind == TokKind::Ident).map(|t| (t.text.clone(), t.line));
+        while let Some(tok) = self.cur() {
+            if tok.is_punct(";") {
+                break;
+            }
+            if tok.is_punct("{") {
+                self.skip_balanced("{", "}");
+            } else if tok.is_punct("(") {
+                self.skip_balanced("(", ")");
+            } else if tok.is_punct("[") {
+                self.skip_balanced("[", "]");
+            } else {
+                self.i += 1;
+            }
+        }
+        let end = self.i;
+        self.i += 1;
+        if excluded {
+            self.exclude(start, self.i);
+            return;
+        }
+        if let Some((name, line)) = name {
+            self.fns.push(FnDef {
+                name,
+                self_ty: scope.self_ty.map(str::to_string),
+                in_trait: scope.in_trait,
+                line,
+                is_pub,
+                is_const: true,
+                body: (start, end),
+                calls: extract_calls(self.t, start, end),
+            });
+        }
     }
 
     /// Parses a `fn` item from the `fn` keyword; records it unless
     /// `excluded`.
-    fn parse_fn(&mut self, self_ty: Option<&str>, excluded: bool) {
+    fn parse_fn(&mut self, scope: Scope, is_pub: bool, excluded: bool) {
         let fn_kw = self.i;
         self.i += 1; // `fn`
         let Some(name_tok) = self.cur().filter(|t| t.kind == TokKind::Ident) else {
@@ -564,8 +633,11 @@ impl Parser<'_> {
                 if !excluded {
                     self.fns.push(FnDef {
                         name,
-                        self_ty: self_ty.map(str::to_string),
+                        self_ty: scope.self_ty.map(str::to_string),
+                        in_trait: scope.in_trait,
                         line,
+                        is_pub,
+                        is_const: false,
                         body: (self.i, self.i),
                         calls: Vec::new(),
                     });
@@ -595,8 +667,11 @@ impl Parser<'_> {
         let calls = extract_calls(self.t, body_start + 1, body_end.saturating_sub(1));
         self.fns.push(FnDef {
             name,
-            self_ty: self_ty.map(str::to_string),
+            self_ty: scope.self_ty.map(str::to_string),
+            in_trait: scope.in_trait,
             line,
+            is_pub,
+            is_const: false,
             body: (body_start, body_end),
             calls,
         });
@@ -629,7 +704,19 @@ fn call_paren_after(t: &[Tok], j: usize) -> Option<usize> {
     None
 }
 
-/// Extracts call sites from a body token range.
+/// The path ending at the identifier `t[j]`, walked backwards:
+/// `a::b::name` gives `[a, b, name]`.
+fn path_ending_at(t: &[Tok], j: usize) -> Vec<String> {
+    let mut segs = vec![t[j].text.clone()];
+    let mut k = j;
+    while k >= 2 && t[k - 1].is_punct("::") && t[k - 2].kind == TokKind::Ident {
+        segs.insert(0, t[k - 2].text.clone());
+        k -= 2;
+    }
+    segs
+}
+
+/// Extracts call sites and value uses from a body token range.
 fn extract_calls(t: &[Tok], from: usize, to: usize) -> Vec<Call> {
     let mut calls = Vec::new();
     let to = to.min(t.len());
@@ -649,37 +736,29 @@ fn extract_calls(t: &[Tok], from: usize, to: usize) -> Vec<Call> {
             continue;
         }
         let prev = j.checked_sub(1).map(|k| &t[k]);
+        let after_dot = prev.is_some_and(|p| p.is_punct("."));
+        let after_path_sep = prev.is_some_and(|p| p.is_punct("::"));
         if call_paren_after(t, j + 1).is_none() {
-            // A path *reference* (`xs.map(Cycle::as_u64)`, `Some(Self::helper)`)
-            // still names a callee: record multi-segment paths at their
-            // final segment so function references create edges too.
-            if prev.is_some_and(|p| p.is_punct("::"))
+            // A name used as a value still reaches what it names: a path
+            // (`xs.map(Cycle::as_u64)`, `Some(Self::helper)`) at its final
+            // segment, a bare name (`apply: helper`, `REPORTS.iter()`) as
+            // itself. A field (`x.name`) and a path's leading segments are
+            // not uses, and neither is `<T as Trait>::name`.
+            let segs = path_ending_at(t, j);
+            if !after_dot
                 && !t.get(j + 1).is_some_and(|n| n.is_punct("::"))
+                && (segs.len() > 1 || !after_path_sep)
             {
-                let mut segs = vec![tok.text.clone()];
-                let mut k = j;
-                while k >= 2 && t[k - 1].is_punct("::") && t[k - 2].kind == TokKind::Ident {
-                    segs.insert(0, t[k - 2].text.clone());
-                    k -= 2;
-                }
-                if segs.len() > 1 {
-                    calls.push(Call { callee: Callee::Path(segs), line: tok.line });
-                }
+                calls.push(Call { callee: Callee::Path(segs), line: tok.line });
             }
             continue;
         }
-        if prev.is_some_and(|p| p.is_punct(".")) {
+        if after_dot {
             calls.push(Call { callee: Callee::Method(tok.text.clone()), line: tok.line });
             continue;
         }
-        if prev.is_some_and(|p| p.is_punct("::")) {
-            // Walk the path backwards: `a::b::name(`.
-            let mut segs = vec![tok.text.clone()];
-            let mut k = j;
-            while k >= 2 && t[k - 1].is_punct("::") && t[k - 2].kind == TokKind::Ident {
-                segs.insert(0, t[k - 2].text.clone());
-                k -= 2;
-            }
+        if after_path_sep {
+            let segs = path_ending_at(t, j);
             if segs.len() == 1 {
                 // `<T as Trait>::name(` — qualified path we cannot walk;
                 // fall back to name-level matching.
@@ -806,6 +885,60 @@ mod tests {
         }));
         assert!(calls.contains(&Call { callee: Callee::Macro("panic".into()), line: 6 }));
         assert!(calls.contains(&Call { callee: Callee::Method("collect".into()), line: 7 }));
+    }
+
+    #[test]
+    fn fns_record_visibility_and_trait_scope() {
+        let m = model(
+            "pub fn a() {}\nfn b() {}\n\
+             impl T { pub(crate) fn c() {} }\n\
+             impl Tr for T { fn d() {} }\n\
+             pub trait Tr { fn e(); }\n",
+        );
+        let sigs: Vec<_> = m.fns.iter().map(|f| (f.name.as_str(), f.is_pub, f.in_trait)).collect();
+        assert_eq!(
+            sigs,
+            [
+                ("a", true, false),
+                ("b", false, false),
+                ("c", true, false),
+                ("d", false, true),
+                ("e", false, true)
+            ]
+        );
+    }
+
+    #[test]
+    fn const_and_static_items_record_their_initializer() {
+        let m = model(
+            "pub const TABLE: &[Row] = &[Row { apply: helper }, Row { apply: |x| Self::go(x) }];\n\
+             static mut S: u8 = init();\nfn after() {}\n",
+        );
+        let items: Vec<_> = m.fns.iter().map(|f| (f.name.as_str(), f.is_pub, f.is_const)).collect();
+        assert_eq!(items, [("TABLE", true, true), ("S", false, true), ("after", false, false)]);
+        let table = &m.fns[0].calls;
+        assert!(table.contains(&Call { callee: Callee::Path(vec!["helper".into()]), line: 1 }));
+        assert!(table
+            .contains(&Call { callee: Callee::Path(vec!["Self".into(), "go".into()]), line: 1 }));
+        assert!(m.fns[1]
+            .calls
+            .contains(&Call { callee: Callee::Path(vec!["init".into()]), line: 2 }));
+    }
+
+    #[test]
+    fn names_used_as_values_are_recorded() {
+        let m = model(
+            "fn f(x: S) {\n    xs.map(Type::method);\n    let g = helper;\n    x.field;\n}\n",
+        );
+        let calls = &m.fns[0].calls;
+        assert!(calls.contains(&Call {
+            callee: Callee::Path(vec!["Type".into(), "method".into()]),
+            line: 2
+        }));
+        assert!(calls.contains(&Call { callee: Callee::Path(vec!["helper".into()]), line: 3 }));
+        assert!(!calls.iter().any(|c| matches!(&c.callee, Callee::Path(p) if p == &["field"])));
+        // A path's leading segment is not a use of its own.
+        assert!(!calls.iter().any(|c| matches!(&c.callee, Callee::Path(p) if p == &["Type"])));
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! call graph), not over raw lines: comments and string literals are
 //! erased by [`crate::lexer::strip`], `#[cfg(test)]` items are excluded
 //! by the parser, and the hot path is the reachability closure computed
-//! by [`crate::graph`] — not a hand-maintained file list.
+//! by [`crate::graph`] — not a hand-maintained file list. Rules report
+//! only in the files the policy covers ([`is_covered`]).
 
-use crate::graph::Closure;
-use crate::parse::{Callee, FileModel, UseBinding};
+use crate::graph::{is_main, Closure};
+use crate::parse::{Callee, FileModel, FnDef, UseBinding};
 use std::collections::BTreeMap;
 
 /// One rule violation at a specific source line.
@@ -143,6 +144,29 @@ pub const RULES: &[Rule] = &[
                   or calling set_enabled/set_sink/TraceSession from a cycle crate, \
                   puts tracing state on the simulated path.",
     },
+    Rule {
+        id: "test-only",
+        summary: "a `pub fn` that no `fn main` reaches: only tests keep it alive, so \
+                  every reader pays for a surface nothing runs",
+        explain: "The roots are every `fn main`: the binaries (`src/bin`, \
+                  `crates/*/src/bin`, `crates/*/src/main.rs`), the examples, and the \
+                  frozen benchmark harness under `simbench/src`. Examples and the \
+                  harness are loaded as callers only: they count toward what is \
+                  reached, but no rule reports in them. Every trait method is a root \
+                  too, since formatting, operators, iteration and `Drop` call them \
+                  without naming them. From the roots the call graph is followed \
+                  through every workspace crate; a function used as a \
+                  value (`.map(Type::method)`, a table's `apply: helper`) counts as \
+                  called, and so does anything named in a reached `const`/`static` \
+                  initializer. Each inherent or free `pub fn` outside that closure is \
+                  reported; trait-impl methods are out of scope. `#[cfg(test)]` items \
+                  and `tests/` directories are not callers, so a statistic or helper \
+                  only a test reads is reported here. Delete it with any field or \
+                  private helper only it used, and move its tests to a public path. \
+                  Allowlist a file only for support shared by several test binaries \
+                  (golden-test fixtures), and say why. A workspace with no `fn main` \
+                  reports nothing.",
+    },
 ];
 
 /// Looks a rule up by id.
@@ -154,6 +178,13 @@ pub fn rule(id: &str) -> Option<&'static Rule> {
 /// state or timing can observe. The workloads/experiments/bench crates sit
 /// outside the simulated machine and may use host facilities.
 pub const CYCLE_CRATES: [&str; 7] = ["sim-core", "gpu", "gpusim", "vm", "core", "mem", "iobus"];
+
+/// Whether the policy covers a repo-relative path: `crates/*/src` and the
+/// root `src/`. The other loaded files (`examples/`, `simbench/src`) are
+/// callers only.
+pub fn is_covered(path: &str) -> bool {
+    path.starts_with("crates/") || path.starts_with("src/")
+}
 
 /// The crate a repo-relative path belongs to (`crates/<name>/...`), if any.
 fn crate_of(path: &str) -> Option<&str> {
@@ -186,15 +217,24 @@ const NARROW_INTS: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
 /// Modules whose glob import smuggles banned types into a cycle crate.
 const BANNED_GLOB_MODULES: [&str; 2] = ["std::collections", "std::time"];
 
-/// Scans the whole parsed workspace against every rule.
-pub fn scan_workspace(files: &[FileModel], closure: &Closure) -> Vec<Finding> {
+/// Scans the whole parsed workspace against every rule, given its
+/// hot-path closure and the closure of its `fn main`s.
+pub fn scan_workspace(files: &[FileModel], hot: &Closure, reached: &Closure) -> Vec<Finding> {
     let exports = export_map(files);
+    // With no `fn main` there is nothing to measure reach against.
+    let reached = files.iter().any(|file| file.fns.iter().any(is_main)).then_some(reached);
     let mut findings = Vec::new();
     for (fi, file) in files.iter().enumerate() {
+        if !is_covered(&file.path) {
+            continue;
+        }
         scan_idents(file, &mut findings);
         scan_aliases(file, &exports, &mut findings);
         scan_telemetry_gate(file, &mut findings);
-        scan_hot_panics(files, closure, fi, &mut findings);
+        scan_hot_panics(files, hot, fi, &mut findings);
+        if let Some(reached) = reached {
+            scan_test_only(file, reached, fi, &mut findings);
+        }
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     findings
@@ -518,10 +558,7 @@ fn scan_hot_panics(files: &[FileModel], closure: &Closure, fi: usize, findings: 
         if !closure.contains(fi, gi) {
             continue;
         }
-        let ctx = match &f.self_ty {
-            Some(ty) => format!("{ty}::{}", f.name),
-            None => f.name.clone(),
-        };
+        let ctx = qualified(f);
         for call in &f.calls {
             let what = match &call.callee {
                 Callee::Method(m) if m == "unwrap" => Some(".unwrap()"),
@@ -541,5 +578,31 @@ fn scan_hot_panics(files: &[FileModel], closure: &Closure, fi: usize, findings: 
                 });
             }
         }
+    }
+}
+
+/// The `test-only` rule: every inherent or free `pub fn` of `file` (at
+/// index `fi`) outside the closure of the workspace's `fn main`s.
+fn scan_test_only(file: &FileModel, reached: &Closure, fi: usize, findings: &mut Vec<Finding>) {
+    for (gi, f) in file.fns.iter().enumerate() {
+        if f.is_pub && !f.is_const && !reached.contains(fi, gi) {
+            findings.push(Finding {
+                rule: "test-only",
+                path: file.path.clone(),
+                line: f.line as usize,
+                message: format!(
+                    "`{}` is pub but no `fn main` reaches it: only tests keep it alive",
+                    qualified(f)
+                ),
+            });
+        }
+    }
+}
+
+/// `Type::name` for a method, `name` for a free function.
+fn qualified(f: &FnDef) -> String {
+    match &f.self_ty {
+        Some(ty) => format!("{ty}::{}", f.name),
+        None => f.name.clone(),
     }
 }

@@ -2,7 +2,7 @@
 //! missing root or an unreadable or malformed allowlist exits 2, naming
 //! the problem, before any finding is reported.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mosaic_audit(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mosaic-audit")).args(args).output().expect("runs");
@@ -41,5 +41,46 @@ fn unusable_root_or_allowlist_exits_2() {
         let (code, stderr) = mosaic_audit(&args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.starts_with(&format!("mosaic-audit: {error}")), "{args:?}: {stderr}");
+    }
+}
+
+/// Runs `mosaic-audit` with the read end of its stdout (or stderr)
+/// closed before it writes, and returns its exit status.
+fn status_with_closed(args: &[&str], close_stdout: bool) -> Option<i32> {
+    let (stdout, stderr) = if close_stdout {
+        (Stdio::piped(), Stdio::null())
+    } else {
+        (Stdio::null(), Stdio::piped())
+    };
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mosaic-audit"))
+        .args(args)
+        .stdout(stdout)
+        .stderr(stderr)
+        .spawn()
+        .expect("runs");
+    drop(child.stdout.take());
+    drop(child.stderr.take());
+    child.wait().expect("exits").code()
+}
+
+/// The exit status, not the text, carries the verdict: a closed output
+/// pipe drops the text instead of panicking (status 101).
+#[test]
+fn closed_pipes_keep_the_exit_status() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let violations = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/violations");
+    for (args, code) in [
+        (&["check", root][..], 0),
+        (&["check", violations], 1),
+        (&["check", root, "--format", "json"], 0),
+        (&["graph", root], 0),
+        (&["graph", root, "--format", "json"], 0),
+        (&["rules"], 0),
+        (&["explain", "test-only"], 0),
+    ] {
+        assert_eq!(status_with_closed(args, true), Some(code), "{args:?} with stdout closed");
+    }
+    for (args, code) in [(&["bogus"][..], 2), (&["explain", "x"], 2)] {
+        assert_eq!(status_with_closed(args, false), Some(code), "{args:?} with stderr closed");
     }
 }

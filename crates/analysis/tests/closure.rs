@@ -194,3 +194,18 @@ fn closure_covers_the_tlb_index_and_cache_access() {
         );
     }
 }
+
+#[test]
+fn the_benchmark_harness_is_loaded_as_a_caller() {
+    // `mosaic_gpusim::set_sim_threads` has one caller, the frozen
+    // benchmark harness under `simbench/src`: if the harness stopped
+    // being loaded, `test-only` would flag the function, and deleting it
+    // would break the benchmark's build.
+    let ws = real_workspace();
+    let reached = mosaic_audit::graph::reached(&ws.files);
+    assert!(
+        reached.members.iter().any(|m| m.name == "set_sim_threads"),
+        "set_sim_threads is no longer reached"
+    );
+    assert!(ws.files.iter().any(|f| f.path == "simbench/src/main.rs"));
+}

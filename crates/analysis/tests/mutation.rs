@@ -38,6 +38,7 @@ fn every_rule_has_a_live_tripwire() {
         "interior-mutability",
         "relaxed-atomic",
         "telemetry-gate",
+        "test-only",
     ]
     .into();
     let all: BTreeSet<&str> = RULES.iter().map(|r| r.id).collect();
@@ -184,4 +185,62 @@ fn comments_and_strings_stay_unflagged() {
         "crates/vm/src/x.rs",
         "// HashMap Instant thread_rng Ordering::Relaxed RefCell\nfn f() { let s = \"HashMap\"; let _ = s; }\n",
     )]);
+}
+
+/// A library crate whose `pub fn helper` only a `#[cfg(test)]` item
+/// calls, plus `binary`, the `src/bin` file its twins vary.
+fn test_only_corpus(binary: &'static str) -> [(&'static str, &'static str); 2] {
+    [
+        (
+            "crates/workloads/src/lib.rs",
+            "pub fn helper() -> u64 { 7 }\n\
+             pub struct Frame;\n\
+             impl Frame { pub fn used(&self) -> u64 { 1 } }\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { super::helper(); } }\n",
+        ),
+        ("src/bin/tool.rs", binary),
+    ]
+}
+
+#[test]
+fn test_only_fires_on_a_pub_fn_only_tests_reach() {
+    // `Frame::used` is unreached as well: the finding names each one.
+    let findings = Workspace::from_sources(&test_only_corpus("fn main() {}\n")).scan();
+    let named: Vec<&str> = findings.iter().map(|f| f.message.split('`').nth(1).unwrap()).collect();
+    assert_eq!(named, ["helper", "Frame::used"], "{findings:#?}");
+    assert!(findings.iter().all(|f| f.rule == "test-only"));
+    // A `main` that calls it.
+    assert_silent(&test_only_corpus(
+        "fn main() { let f = mosaic_workloads::Frame; f.used(); mosaic_workloads::helper(); }\n",
+    ));
+    // A `main` that reaches it only as a fn-pointer value.
+    assert_silent(&test_only_corpus(
+        "use mosaic_workloads::{helper, Frame};\n\
+         fn main() { let run: fn() -> u64 = helper; [Frame].iter().map(Frame::used); run(); }\n",
+    ));
+    // A `main` that reaches it only through a `const` initializer.
+    assert_silent(&[
+        test_only_corpus("")[0],
+        (
+            "crates/workloads/src/table.rs",
+            "pub const TABLE: &[fn() -> u64] = &[crate::helper, || Frame.used()];\n",
+        ),
+        ("src/bin/tool.rs", "fn main() { for f in mosaic_workloads::TABLE { f(); } }\n"),
+    ]);
+    // No `fn main` at all: nothing to measure against, nothing reported.
+    assert_silent(&test_only_corpus("pub fn not_a_main() {}\n"));
+}
+
+#[test]
+fn the_benchmark_harness_is_a_caller_only() {
+    // simbench's `main` keeps what it calls alive, but no rule reports in
+    // simbench itself (here: entropy, which is banned everywhere else).
+    assert_silent(&[
+        ("crates/gpusim/src/lib.rs", "pub fn set_sim_threads(_: Option<usize>) {}\n"),
+        (
+            "simbench/src/main.rs",
+            "fn main() { mosaic_gpusim::set_sim_threads(Some(1)); thread_rng(); }\n",
+        ),
+    ]);
 }

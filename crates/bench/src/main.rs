@@ -25,6 +25,10 @@
 //! re-introduced allocation churn this harness exists to pin. `--check`
 //! reads only the v2 schema this harness writes, and a scenario without
 //! its limit is a malformed baseline.
+//!
+//! Exit status: 0 on success, 1 when `--check` finds a regression or a
+//! malformed baseline, 2 on usage errors. The status holds when stdout
+//! or stderr is closed early: output that cannot be written is dropped.
 
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
@@ -37,9 +41,15 @@ use mosaic_vm::{
 };
 use mosaic_workloads::{ScaleConfig, Workload};
 use std::hint::black_box;
+use std::io::{stderr, stdout, Write};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Instant;
+
+// `println!` and `eprintln!` that drop the line when the pipe is closed:
+// the exit status, not the text, carries the verdict.
+macro_rules! out { ($($a:tt)*) => {{ let _ = writeln!(stdout(), $($a)*); }}; }
+macro_rules! err { ($($a:tt)*) => {{ let _ = writeln!(stderr(), $($a)*); }}; }
 
 /// Samples per scenario (median reported). `--quick` halves the work for
 /// CI; medians stay comparable because the per-sample workload is fixed.
@@ -339,7 +349,7 @@ fn run_scenarios(samples: usize, filter: &[String]) -> Vec<Measurement> {
             samples_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         let median_ms = median(&mut samples_ms.clone());
-        eprintln!("# {name:<28} median {median_ms:>10.2} ms over {samples} samples");
+        err!("# {name:<28} median {median_ms:>10.2} ms over {samples} samples");
         out.push(Measurement { name, max_ratio, median_ms, samples_ms });
     }
     out
@@ -442,12 +452,17 @@ fn check_regressions(results: &[Measurement], baseline: &[BaselineEntry]) -> boo
                 } else {
                     "ok"
                 };
-                eprintln!(
+                err!(
                     "# check {:<28} {:>8.2} ms vs baseline {:>8.2} ms ({:>5.2}x, limit {:.1}x) {}",
-                    m.name, m.median_ms, b.median_ms, ratio, b.max_ratio, verdict
+                    m.name,
+                    m.median_ms,
+                    b.median_ms,
+                    ratio,
+                    b.max_ratio,
+                    verdict
                 );
             }
-            None => eprintln!("# check {:<28} no baseline entry (new scenario)", m.name),
+            None => err!("# check {:<28} no baseline entry (new scenario)", m.name),
         }
     }
     ok
@@ -455,7 +470,7 @@ fn check_regressions(results: &[Measurement], baseline: &[BaselineEntry]) -> boo
 
 /// Reports a command-line error and exits with status 2.
 fn usage_error(msg: &str) -> ! {
-    eprintln!(
+    err!(
         "mosaic-bench: {msg}\n\
          usage: mosaic-bench [--quick] [--samples N] [--out PATH | --no-out] [--check PATH] \
          [--list] [SCENARIO-FILTER...]"
@@ -495,7 +510,7 @@ fn main() {
     }
     if list {
         for s in scenarios() {
-            println!("{}", s.name);
+            out!("{}", s.name);
         }
         return;
     }
@@ -505,9 +520,9 @@ fn main() {
     let json = render_json(samples, &results);
     if let Some(path) = &out_path {
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("# wrote {path}");
+        err!("# wrote {path}");
     } else {
-        print!("{json}");
+        let _ = stdout().write_all(json.as_bytes());
     }
 
     if let Some(path) = check_path {
@@ -515,15 +530,15 @@ fn main() {
         let baseline = match parse_baseline(&text) {
             Ok(b) => b,
             Err(e) => {
-                eprintln!("# {path} is malformed: {e}");
+                err!("# {path} is malformed: {e}");
                 std::process::exit(1);
             }
         };
         if !check_regressions(&results, &baseline) {
-            eprintln!("# benchmark regression gate FAILED (see above)");
+            err!("# benchmark regression gate FAILED (see above)");
             std::process::exit(1);
         }
-        eprintln!("# benchmark regression gate passed");
+        err!("# benchmark regression gate passed");
     }
 }
 

@@ -28,13 +28,6 @@ const FNV_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 pub struct Digest(pub u128);
 
 impl Digest {
-    /// Digest of a byte string.
-    pub fn of(bytes: &[u8]) -> Self {
-        let mut h = Hasher::new();
-        h.write(bytes);
-        h.finish()
-    }
-
     /// Parses the 32-hex-character rendering back into a digest.
     pub fn from_hex(s: &str) -> Option<Self> {
         if s.len() != 32 {
@@ -185,9 +178,16 @@ pub fn run_key(workload: &Workload, cfg: &RunConfig, code: Digest) -> Digest {
 mod tests {
     use super::*;
 
+    /// Digest of a byte string.
+    fn digest_of(bytes: &[u8]) -> Digest {
+        let mut h = Hasher::new();
+        h.write(bytes);
+        h.finish()
+    }
+
     #[test]
     fn digest_hex_round_trips() {
-        let d = Digest::of(b"mosaic");
+        let d = digest_of(b"mosaic");
         let hex = d.to_string();
         assert_eq!(hex.len(), 32);
         assert_eq!(Digest::from_hex(&hex), Some(d));
@@ -198,8 +198,8 @@ mod tests {
 
     #[test]
     fn distinct_bytes_distinct_digests() {
-        assert_ne!(Digest::of(b"a"), Digest::of(b"b"));
-        assert_ne!(Digest::of(b""), Digest::of(b"\0"));
+        assert_ne!(digest_of(b"a"), digest_of(b"b"));
+        assert_ne!(digest_of(b""), digest_of(b"\0"));
     }
 
     #[test]

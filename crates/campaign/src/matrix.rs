@@ -33,6 +33,9 @@
 //!   everything fits), and fragmentation under a manager that is not
 //!   Mosaic (only Mosaic pre-fragments memory, so the run would
 //!   duplicate the pristine one under a label that claims otherwise).
+//! - A value an axis repeats is rejected on its line. Two values repeat
+//!   when applying them gives the same label text (`0.5:0.9` and
+//!   `0.50:0.90`), since their points would be the same run twice.
 //! - A new axis is one row: its key, its absent value and one function
 //!   that parses a value, applies it and returns its label text.
 
@@ -439,11 +442,20 @@ impl Spec {
             let Some(slot) = AXES.iter().position(|a| a.key == key) else {
                 return err(lno, format!("unknown matrix axis {key:?}"));
             };
+            let mut labels = Vec::with_capacity(values.len());
             for v in &values {
                 let mut throwaway =
                     Draft { workload: None, cfg: RunConfig::new(ManagerKind::GpuMmu4K) };
-                (AXES[slot].apply)(v, &mut throwaway)
+                let label = (AXES[slot].apply)(v, &mut throwaway)
                     .map_err(|message| ParseError { line: lno, message })?;
+                if labels.contains(&label) {
+                    let v = v.describe();
+                    return err(
+                        lno,
+                        format!("{key} repeats a value: {v} applies as {label:?} again"),
+                    );
+                }
+                labels.push(label);
             }
             if !axes[slot].is_empty() {
                 return duplicate();
@@ -668,6 +680,26 @@ seeds = [7]
         .unwrap();
         assert_eq!(spec.name, "x");
         assert_eq!(spec.expand().points[0].label, "MM mosaic");
+    }
+
+    #[test]
+    fn repeated_axis_values_are_rejected_on_their_line() {
+        for (axis, values, repeated) in [
+            ("managers", "[\"mosaic\", \"gpu-mmu\", \"mosaic\"]", "\"mosaic\""),
+            ("fragmentation", "[\"0.5:0.9\", \"0.50:0.90\"]", "\"0.50:0.90\""),
+            ("oversubscription", "[2, 2.0]", "2.0"),
+            ("seeds", "[7, 7]", "7"),
+        ] {
+            let e = Spec::parse(&format!("[matrix]\nworkloads = [\"MM\"]\n{axis} = {values}\n"))
+                .unwrap_err();
+            assert_eq!(e.line, 3, "{axis}: {e}");
+            assert!(e.message.starts_with(&format!("{axis} repeats a value: {repeated} ")), "{e}");
+        }
+        let e = Spec::parse("[matrix]\nworkloads = [\"MM\", \"GUPS\", \"MM\"]\n").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "workloads repeats a value: \"MM\" applies as \"MM\" again")
+        );
     }
 
     #[test]

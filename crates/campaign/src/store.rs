@@ -424,8 +424,8 @@ mod tests {
 
     #[test]
     fn entry_round_trips_bit_identically() {
-        let key = Digest::of(b"k");
-        let code = Digest::of(b"c");
+        let key = Digest(1);
+        let code = Digest(2);
         let r = sample_result();
         let text = render_entry(key, code, &r, 42);
         let hit = parse_entry(&text, key, code).expect("round trip");
@@ -440,17 +440,17 @@ mod tests {
 
     #[test]
     fn wrong_key_or_code_is_a_miss() {
-        let key = Digest::of(b"k");
-        let code = Digest::of(b"c");
+        let key = Digest(1);
+        let code = Digest(2);
         let text = render_entry(key, code, &sample_result(), 1);
-        assert!(parse_entry(&text, Digest::of(b"other"), code).is_none());
-        assert!(parse_entry(&text, key, Digest::of(b"other")).is_none());
+        assert!(parse_entry(&text, Digest(3), code).is_none());
+        assert!(parse_entry(&text, key, Digest(3)).is_none());
     }
 
     #[test]
     fn truncated_or_mangled_entries_are_misses() {
-        let key = Digest::of(b"k");
-        let code = Digest::of(b"c");
+        let key = Digest(1);
+        let code = Digest(2);
         let text = render_entry(key, code, &sample_result(), 1);
         for cut in [0, 1, text.len() / 2, text.len() - 2] {
             assert!(parse_entry(&text[..cut], key, code).is_none(), "cut at {cut}");

@@ -10,11 +10,10 @@
 //!
 //! The policy lives in the runtime (and is therefore replaceable, as the
 //! paper notes); this type implements the default fully-populated policy
-//! and records the events the simulator charges — which, per Figure 6b,
-//! amount to a handful of PTE writes.
+//! and returns the events the simulator charges — which, per Figure 6b,
+//! amount to a handful of PTE writes. It keeps no state of its own.
 
 use crate::MgmtEvent;
-use mosaic_sim_core::Counter;
 use mosaic_vm::page_table::CoalesceError;
 #[cfg(test)]
 use mosaic_vm::AppId;
@@ -33,33 +32,22 @@ use mosaic_vm::{LargePageNum, PageTable};
 /// for i in 0..512 {
 ///     pt.map_base(lpn.base_page(i), lf.base_frame(i)).unwrap();
 /// }
-/// let mut coalescer = InPlaceCoalescer::new();
-/// let events = coalescer.try_coalesce(&mut pt, lpn);
+/// let events = InPlaceCoalescer::try_coalesce(&mut pt, lpn);
 /// assert_eq!(events.len(), 1);
 /// assert!(pt.is_coalesced(lpn));
 /// ```
-#[derive(Debug, Default)]
-pub struct InPlaceCoalescer {
-    attempts: Counter,
-    coalesced: Counter,
-}
+#[derive(Debug)]
+pub struct InPlaceCoalescer;
 
 impl InPlaceCoalescer {
-    /// Creates the coalescer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Applies the default policy to `lpn`: coalesce if (and only if) the
     /// frame is fully populated with contiguous, aligned base pages of
     /// this one address space. Returns the events to charge (empty when
     /// the conditions do not hold — not an error; the page simply stays
     /// uncoalesced, e.g. until its remaining base pages arrive).
-    pub fn try_coalesce(&mut self, table: &mut PageTable, lpn: LargePageNum) -> Vec<MgmtEvent> {
-        self.attempts.inc();
+    pub fn try_coalesce(table: &mut PageTable, lpn: LargePageNum) -> Vec<MgmtEvent> {
         match table.coalesce(lpn) {
             Ok(_lf) => {
-                self.coalesced.inc();
                 mosaic_telemetry::emit(|| mosaic_telemetry::Event::Coalesce {
                     asid: table.asid().0,
                     lpn: lpn.raw(),
@@ -72,16 +60,6 @@ impl InPlaceCoalescer {
                 | CoalesceError::AlreadyCoalesced,
             ) => Vec::new(),
         }
-    }
-
-    /// How many frames were examined.
-    pub fn attempts(&self) -> u64 {
-        self.attempts.get()
-    }
-
-    /// How many frames were coalesced.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.get()
     }
 }
 
@@ -101,11 +79,9 @@ mod tests {
         let mut pt = PageTable::new(AppId(2));
         let lpn = LargePageNum(1);
         full(&mut pt, lpn, LargeFrameNum(4));
-        let mut c = InPlaceCoalescer::new();
-        let events = c.try_coalesce(&mut pt, lpn);
+        let events = InPlaceCoalescer::try_coalesce(&mut pt, lpn);
         assert_eq!(events, vec![MgmtEvent::Coalesced { asid: AppId(2), lpn }]);
         assert_eq!(events[0].asid(), Some(AppId(2)));
-        assert_eq!(c.coalesced(), 1);
     }
 
     #[test]
@@ -113,11 +89,8 @@ mod tests {
         let mut pt = PageTable::new(AppId(0));
         let lpn = LargePageNum(1);
         pt.map_base(lpn.base_page(0), LargeFrameNum(4).base_frame(0)).unwrap();
-        let mut c = InPlaceCoalescer::new();
-        assert!(c.try_coalesce(&mut pt, lpn).is_empty());
+        assert!(InPlaceCoalescer::try_coalesce(&mut pt, lpn).is_empty());
         assert!(!pt.is_coalesced(lpn));
-        assert_eq!(c.attempts(), 1);
-        assert_eq!(c.coalesced(), 0);
     }
 
     #[test]
@@ -125,10 +98,8 @@ mod tests {
         let mut pt = PageTable::new(AppId(0));
         let lpn = LargePageNum(1);
         full(&mut pt, lpn, LargeFrameNum(4));
-        let mut c = InPlaceCoalescer::new();
-        assert_eq!(c.try_coalesce(&mut pt, lpn).len(), 1);
-        assert!(c.try_coalesce(&mut pt, lpn).is_empty(), "second call is a no-op");
-        assert_eq!(c.coalesced(), 1);
+        assert_eq!(InPlaceCoalescer::try_coalesce(&mut pt, lpn).len(), 1);
+        assert!(InPlaceCoalescer::try_coalesce(&mut pt, lpn).is_empty(), "second call is a no-op");
     }
 
     #[test]
@@ -140,7 +111,6 @@ mod tests {
             let lf = if i < 256 { LargeFrameNum(4) } else { LargeFrameNum(5) };
             pt.map_base(lpn.base_page(i), lf.base_frame(i)).unwrap();
         }
-        let mut c = InPlaceCoalescer::new();
-        assert!(c.try_coalesce(&mut pt, lpn).is_empty());
+        assert!(InPlaceCoalescer::try_coalesce(&mut pt, lpn).is_empty());
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::frames::FramePool;
 use crate::MemError;
-use mosaic_sim_core::{AuditInvariants, AuditReport, Counter};
+use mosaic_sim_core::{AuditInvariants, AuditReport};
 use mosaic_vm::{AppId, LargeFrameNum, LargePageNum, PhysFrameNum, VirtPageNum};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -56,8 +56,6 @@ pub struct CoCoA {
     /// Coalesced-but-fragmented frames parked for the failsafe
     /// (Section 4.4's emergency frame list), with their owner.
     emergency: Vec<(AppId, LargePageNum)>,
-    frames_assigned: Counter,
-    base_assigned: Counter,
 }
 
 impl CoCoA {
@@ -107,7 +105,6 @@ impl CoCoA {
             }
             Err(i) => {
                 let lf = pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
-                self.frames_assigned.inc();
                 self.chunk_frames.insert(i, ((asid, lpn), lf));
                 self.chunk_hint = i;
                 Ok(lf)
@@ -149,15 +146,12 @@ impl CoCoA {
         };
         if self.free_base[i].1.is_empty() {
             let lf = pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
-            self.frames_assigned.inc();
             // Push in reverse so allocation proceeds from index 0 upward.
             self.free_base[i].1.extend(lf.base_frames().rev());
         }
         // The list was refilled above when empty; an empty pop can only
         // mean a frame with zero base pages, which reads as exhaustion.
-        let pfn = self.free_base[i].1.pop().ok_or(MemError::OutOfMemory)?;
-        self.base_assigned.inc();
-        Ok(pfn)
+        self.free_base[i].1.pop().ok_or(MemError::OutOfMemory)
     }
 
     /// Adds spare base frames (e.g., the holes of a splintered emergency
@@ -243,16 +237,6 @@ impl CoCoA {
         self.emergency.iter().copied()
     }
 
-    /// Large frames handed out (chunks + base list refills).
-    pub fn frames_assigned(&self) -> u64 {
-        self.frames_assigned.get()
-    }
-
-    /// Individual base frames handed out from free base page lists.
-    pub fn base_assigned(&self) -> u64 {
-        self.base_assigned.get()
-    }
-
     /// Virtual page → physical frame for a page inside an aligned chunk:
     /// the defining CoCoA property, placing the page at the *same index*
     /// within the large frame as it has within its virtual large page.
@@ -333,7 +317,7 @@ mod tests {
         let a2 = c.frame_for_chunk(&mut pool, AppId(0), LargePageNum(1)).unwrap();
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(c.frames_assigned(), 2);
+        assert_eq!(pool.free_frames(), 6);
     }
 
     #[test]

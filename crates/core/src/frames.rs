@@ -90,12 +90,6 @@ impl FrameState {
         self.owners[i as usize]
     }
 
-    /// Whether all allocated base frames belong to `asid` (vacuously true
-    /// when empty) — the paper's *soft guarantee* predicate.
-    pub fn single_owner(&self, asid: AppId) -> bool {
-        self.owners.iter().flatten().all(|&o| o == asid)
-    }
-
     /// Iterates allocated `(index, owner)` pairs.
     pub fn allocated(&self) -> impl Iterator<Item = (u64, AppId)> + '_ {
         self.owners.iter().enumerate().filter_map(|(i, o)| o.map(|a| (i as u64, a)))
@@ -123,16 +117,6 @@ impl FrameState {
         } else {
             self.dirty[(i / 64) as usize] &= !mask;
         }
-    }
-
-    /// Number of dirty base frames.
-    pub fn dirty_pages(&self) -> u64 {
-        self.dirty.iter().map(|w| u64::from(w.count_ones())).sum()
-    }
-
-    /// Pool-clock stamp of the most recent access (0 = never accessed).
-    pub fn last_use(&self) -> u64 {
-        self.last_use
     }
 
     /// Iterates `(index, owner, virtual page)` over base frames that are
@@ -490,34 +474,19 @@ impl FramePool {
             .filter_map(|(i, s)| s.as_ref().map(|s| (LargeFrameNum(i as u64), s)))
     }
 
-    /// Total allocated base frames across the pool.
-    pub fn allocated_base_frames(&self) -> u64 {
-        self.states.iter().flatten().map(FrameState::used).sum()
-    }
-
-    /// Bytes of physical memory covered by tracked (reserved or partially
-    /// used) large frames — the footprint figure used for memory-bloat
-    /// accounting.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.tracked * LARGE_PAGE_SIZE
-    }
-
-    /// Bytes of physical memory covered by large frames holding at least
-    /// one base frame of a *real* application (excluding frames used only
-    /// by injected pre-fragmentation data). This is the footprint the
-    /// Table 2 bloat comparison charges to the applications.
-    pub fn app_reserved_bytes(&self) -> u64 {
-        self.app_frames * LARGE_PAGE_SIZE
-    }
-
-    /// High-water mark of [`FramePool::app_reserved_bytes`] over the
-    /// pool's lifetime — kernels deallocate on completion, so end-of-run
-    /// footprints say nothing; bloat is measured at the peak.
+    /// High-water mark of the bytes of physical memory covered by large
+    /// frames holding at least one base frame of a *real* application
+    /// (excluding frames used only by injected pre-fragmentation data).
+    /// This is the footprint the Table 2 bloat comparison charges to the
+    /// applications; kernels deallocate on completion, so end-of-run
+    /// footprints say nothing and bloat is measured at the peak.
     pub fn peak_app_reserved_bytes(&self) -> u64 {
         self.peak_app_frames * LARGE_PAGE_SIZE
     }
 
-    /// High-water mark of [`FramePool::reserved_bytes`].
+    /// High-water mark of the bytes of physical memory covered by tracked
+    /// (reserved or partially used) large frames — the footprint figure
+    /// used for memory-bloat accounting.
     pub fn peak_reserved_bytes(&self) -> u64 {
         self.peak_tracked * LARGE_PAGE_SIZE
     }
@@ -720,13 +689,13 @@ mod tests {
         p.set_owner(lf.base_frame(3), Some(AppId(1)));
         p.set_owner(lf.base_frame(4), Some(AppId(1)));
         assert_eq!(p.state(lf).unwrap().used(), 2);
-        assert!(p.state(lf).unwrap().single_owner(AppId(1)));
-        assert!(!p.state(lf).unwrap().single_owner(AppId(2)));
+        assert!(p.state(lf).unwrap().allocated().all(|(_, o)| o == AppId(1)));
+        assert!(!p.state(lf).unwrap().allocated().all(|(_, o)| o == AppId(2)));
         assert_eq!(p.owner(lf.base_frame(3)), Some(AppId(1)));
 
         p.set_owner(lf.base_frame(3), None);
         assert_eq!(p.state(lf).unwrap().used(), 1);
-        assert_eq!(p.allocated_base_frames(), 1);
+        assert_eq!(p.tracked().map(|(_, s)| s.used()).sum::<u64>(), 1);
     }
 
     #[test]
@@ -761,11 +730,11 @@ mod tests {
     }
 
     #[test]
-    fn reserved_bytes_counts_tracked_frames() {
+    fn peak_reserved_bytes_counts_tracked_frames() {
         let mut p = pool(8);
         let _a = p.take_free_frame().unwrap();
         let _b = p.take_free_frame().unwrap();
-        assert_eq!(p.reserved_bytes(), 2 * LARGE_PAGE_SIZE);
+        assert_eq!(p.peak_reserved_bytes(), 2 * LARGE_PAGE_SIZE);
     }
 
     #[test]
@@ -858,11 +827,16 @@ mod tests {
         assert!(!p.is_dirty(pfn));
         p.note_use(pfn, true);
         assert!(p.is_dirty(pfn));
-        assert_eq!(p.state(lf).unwrap().dirty_pages(), 1);
+        assert_eq!(dirty_pages(&p, lf), 1);
         // Freeing the slot clears both the mapping and the dirty bit.
         p.set_owner(pfn, None);
         assert!(!p.is_dirty(pfn));
         assert_eq!(p.mapping(pfn), None);
+    }
+
+    /// Dirty base frames of `lf`, counted through `is_dirty`.
+    fn dirty_pages(p: &FramePool, lf: LargeFrameNum) -> usize {
+        (0..BASE_PAGES_PER_LARGE_PAGE).filter(|&i| p.is_dirty(lf.base_frame(i))).count()
     }
 
     #[test]
@@ -871,7 +845,7 @@ mod tests {
         let lf = p.take_free_frame().unwrap();
         p.note_use(lf.base_frame(0), true);
         assert!(!p.is_dirty(lf.base_frame(0)));
-        assert_eq!(p.state(lf).unwrap().dirty_pages(), 0);
+        assert_eq!(dirty_pages(&p, lf), 0);
     }
 
     /// The cached per-frame resident count (owned and mapped slots) that
@@ -930,8 +904,8 @@ mod tests {
         assert_eq!(tracked, vec![LargeFrameNum(3), LargeFrameNum(512), LargeFrameNum(1000)]);
         assert_eq!(p.owner(LargeFrameNum(1000).base_frame(7)), Some(AppId(2)));
         assert_eq!(p.owner(LargeFrameNum(512).base_frame(7)), None);
-        assert_eq!(p.reserved_bytes(), 3 * LARGE_PAGE_SIZE);
-        assert_eq!(p.allocated_base_frames(), 3);
+        assert_eq!(p.peak_reserved_bytes(), 3 * LARGE_PAGE_SIZE);
+        assert_eq!(p.tracked().map(|(_, s)| s.used()).sum::<u64>(), 3);
     }
 
     #[test]
@@ -941,7 +915,7 @@ mod tests {
         p.set_owner(lf.base_frame(5), Some(AppId(0)));
         p.set_owner(lf.base_frame(5), None);
         p.release_frame(lf);
-        assert_eq!(p.reserved_bytes(), 0);
+        assert_eq!(p.tracked().count(), 0);
         assert_eq!(p.free_frames(), 4);
         // Re-taking the same frame must start from a clean state and
         // count it as tracked exactly once.
@@ -950,7 +924,7 @@ mod tests {
         assert!(p.state(again).unwrap().is_empty());
         p.set_owner(again.base_frame(9), Some(AppId(1)));
         assert_eq!(p.state(again).unwrap().used(), 1);
-        assert_eq!(p.reserved_bytes(), LARGE_PAGE_SIZE);
+        assert_eq!(p.tracked().count(), 1);
         // Peak reservation reflects both generations, not a double count.
         assert_eq!(p.peak_reserved_bytes(), LARGE_PAGE_SIZE);
     }

@@ -54,12 +54,6 @@ impl GpuMmuManager {
         }
     }
 
-    /// The page size this instance manages (4 KB baseline or the 2 MB-only
-    /// motivation configuration).
-    pub fn page_size(&self) -> PageSize {
-        self.page_size
-    }
-
     /// Access to the frame pool (for experiment instrumentation).
     pub fn pool(&self) -> &FramePool {
         &self.mem.pool

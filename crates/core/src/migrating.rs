@@ -422,7 +422,7 @@ mod tests {
             assert!(table.is_coalesced(LargePageNum(0)), "{a} promoted");
             let lf = table.large_frame_of(LargePageNum(0)).unwrap();
             assert!(
-                m.mem.pool.state(lf).is_some_and(|s| s.single_owner(a)),
+                m.mem.pool.state(lf).is_some_and(|s| s.allocated().all(|(_, o)| o == a)),
                 "{a}'s promoted frame is exclusively its"
             );
         }

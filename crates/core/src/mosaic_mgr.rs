@@ -79,7 +79,6 @@ pub struct MosaicManager {
     config: MosaicConfig,
     mem: ResidentMemory,
     cocoa: CoCoA,
-    coalescer: InPlaceCoalescer,
     cac: Cac,
 }
 
@@ -108,7 +107,6 @@ impl MosaicManager {
             config,
             mem: ResidentMemory::new(config.memory_bytes, config.channels),
             cocoa: CoCoA::new(),
-            coalescer: InPlaceCoalescer::new(),
             cac: Cac::new(config.cac),
         }
     }
@@ -136,12 +134,8 @@ impl MosaicManager {
         &self.cac
     }
 
-    /// Access to the In-Place Coalescer's counters.
-    pub fn coalescer(&self) -> &InPlaceCoalescer {
-        &self.coalescer
-    }
-
-    /// Access to CoCoA's counters.
+    /// Access to the CoCoA allocator (chunk bindings, free base lists,
+    /// emergency entries).
     pub fn cocoa(&self) -> &CoCoA {
         &self.cocoa
     }
@@ -218,7 +212,7 @@ impl MemoryManager for MosaicManager {
         // In-place coalescing: fires exactly when the frame fills up.
         let table = self.mem.tables.table_mut(asid);
         if table.mapped_in_large(lpn) == BASE_PAGES_PER_LARGE_PAGE {
-            let ev = self.coalescer.try_coalesce(table, lpn);
+            let ev = InPlaceCoalescer::try_coalesce(table, lpn);
             self.mem.stats.coalesces +=
                 ev.iter().filter(|e| matches!(e, MgmtEvent::Coalesced { .. })).count() as u64;
             events.extend(ev);
@@ -336,7 +330,8 @@ mod tests {
         assert!(m.tables().table(AppId(1)).unwrap().is_coalesced(LargePageNum(0)));
         for (_, state) in m.pool().tracked() {
             assert!(
-                state.single_owner(AppId(0)) || state.single_owner(AppId(1)),
+                state.allocated().all(|(_, o)| o == AppId(0))
+                    || state.allocated().all(|(_, o)| o == AppId(1)),
                 "no frame mixes applications"
             );
         }
@@ -363,10 +358,10 @@ mod tests {
             m.touch(AppId(0), VirtPageNum(i)).unwrap();
         }
         assert_eq!(m.stats().coalesces, 0);
-        assert_eq!(m.cocoa().base_assigned(), 100);
+        assert_eq!(m.pool().tracked().map(|(_, s)| s.used()).sum::<u64>(), 100);
         // Pages are still mapped and owned solely by app 0.
         for (_, state) in m.pool().tracked() {
-            assert!(state.single_owner(AppId(0)));
+            assert!(state.allocated().all(|(_, o)| o == AppId(0)));
         }
     }
 

@@ -136,16 +136,6 @@ impl PlacementMap {
         PlacementMap { gpus, policy, homes: BTreeMap::new(), stats: PlacementStats::default() }
     }
 
-    /// Fleet size this map serves.
-    pub fn gpus(&self) -> usize {
-        self.gpus
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> PlacementPolicy {
-        self.policy
-    }
-
     /// Accounting so far.
     pub fn stats(&self) -> &PlacementStats {
         &self.stats

@@ -45,13 +45,20 @@
 //! Bad input exits with status 2 before any simulation runs: an unknown
 //! flag or experiment name, a `MOSAIC_SCOPE` other than
 //! `smoke|default|full`, or a `--jobs`/`MOSAIC_JOBS` that is not a
-//! positive integer.
+//! positive integer. The exit status holds when stdout or stderr is
+//! closed early: output that cannot be written is dropped.
 
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
 use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::sweep::{render_trace, TraceCollector};
 use mosaic_experiments::{Scope, Sweep, REPORTS};
 use mosaic_telemetry::escape_json;
+use std::io::{stderr, stdout, Write};
+
+// `println!` and `eprintln!` that drop the line when the pipe is closed:
+// the exit status, not the text, carries the verdict.
+macro_rules! out { ($($a:tt)*) => {{ let _ = writeln!(stdout(), $($a)*); }}; }
+macro_rules! err { ($($a:tt)*) => {{ let _ = writeln!(stderr(), $($a)*); }}; }
 
 /// The command-line name that selects `report`: its own, except that
 /// the five `ablation_*` reports go together as `ablations`.
@@ -77,7 +84,7 @@ fn to_json(results: &[(&str, String)]) -> String {
 
 /// Prints `message` and exits with the usage-error status 2.
 fn usage_error(message: impl std::fmt::Display) -> ! {
-    eprintln!("{message}");
+    err!("{message}");
     std::process::exit(2);
 }
 
@@ -160,7 +167,7 @@ fn resolve_cache_dir(
 /// a configuration error, not something to silently run without).
 fn open_store(dir: &str) -> Store {
     Store::open(dir).unwrap_or_else(|e| {
-        eprintln!("cannot open cache directory {dir}: {e}");
+        err!("cannot open cache directory {dir}: {e}");
         std::process::exit(1);
     })
 }
@@ -170,7 +177,7 @@ fn open_store(dir: &str) -> Store {
 fn report_cache_stats(sweep: &Sweep) {
     if let Some(store) = &sweep.cache {
         let st = store.stats();
-        eprintln!(
+        err!(
             "[cache] {} hits, {} misses, {} stored, {} failures; {} of simulation served from {}",
             st.hits,
             st.misses,
@@ -200,26 +207,26 @@ fn run_campaign(
         ),
     };
     let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("cannot read campaign file {file}: {e}");
+        err!("cannot read campaign file {file}: {e}");
         std::process::exit(1);
     });
     let spec = Spec::parse(&text).unwrap_or_else(|e| usage_error(format!("{file}: {e}")));
     let campaign = spec.expand();
     let cache_dir = resolve_cache_dir(cache_dir, no_cache, Some(DEFAULT_CACHE_DIR));
     match action {
-        "expand" => print!("{}", render_expand(&campaign)),
+        "expand" => _ = stdout().write_all(render_expand(&campaign).as_bytes()),
         "status" => {
             let Some(dir) = cache_dir else {
                 usage_error("campaign status needs a cache (drop --no-cache)");
             };
-            print!("{}", render_status(&campaign, &open_store(&dir)));
+            let _ = stdout().write_all(render_status(&campaign, &open_store(&dir)).as_bytes());
         }
         "run" => {
             match cache_dir {
                 Some(dir) => sweep.cache = Some(open_store(&dir)),
-                None => eprintln!("[campaign] cache disabled (--no-cache)"),
+                None => err!("[campaign] cache disabled (--no-cache)"),
             }
-            eprintln!(
+            err!(
                 "[campaign] {:?}: {} points ({} skipped), {} workers",
                 campaign.name,
                 campaign.points.len(),
@@ -231,9 +238,9 @@ fn run_campaign(
             create_outputs(&[trace_path]);
             let t0 = std::time::Instant::now();
             let results = sweep.run_workloads(jobs);
-            print!("{}", render_results(&campaign, &results));
+            let _ = stdout().write_all(render_results(&campaign, &results).as_bytes());
             report_cache_stats(sweep);
-            eprintln!("[campaign] finished in {:.1?}", t0.elapsed());
+            err!("[campaign] finished in {:.1?}", t0.elapsed());
         }
         _ => unreachable!("validated above"),
     }
@@ -246,7 +253,7 @@ const DEFAULT_CACHE_DIR: &str = "target/mosaic-cache";
 /// Writes `contents` to `path`, exiting with status 1 when it cannot.
 fn write_or_exit(path: &str, contents: String) {
     if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
+        err!("cannot write {path}: {e}");
         std::process::exit(1);
     }
 }
@@ -288,8 +295,8 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -
     }
     let json_path = env("MOSAIC_JSON");
     create_outputs(&[trace_path, json_path.as_deref()]);
-    eprintln!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
-    eprintln!(
+    err!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
+    err!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
         sweep.jobs
     );
@@ -299,23 +306,23 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -
         let t0 = std::time::Instant::now();
         for &(name, render) in REPORTS.iter().filter(|(n, _)| cli_name(n) == arg) {
             let text = render(sweep);
-            println!("{:=<66}", format!("== {name} "));
-            println!("{text}");
+            out!("{:=<66}", format!("== {name} "));
+            out!("{text}");
             results.push((name, text));
         }
-        eprintln!("[{arg} done in {:.1?}]", t0.elapsed());
+        err!("[{arg} done in {:.1?}]", t0.elapsed());
     }
 
     let mut pins_hold = true;
     if digests {
         for (name, text) in &results {
-            println!("digest {name} {}", digest(text));
+            out!("digest {name} {}", digest(text));
         }
         if sweep.scope == Scope::Smoke {
             for (name, text) in &results {
                 let rendered = digest(text);
                 if let Some(pin) = golden(name).filter(|&pin| pin != rendered) {
-                    eprintln!("golden mismatch: {name} is pinned at {pin} but rendered {rendered}");
+                    err!("golden mismatch: {name} is pinned at {pin} but rendered {rendered}");
                     pins_hold = false;
                 }
             }
@@ -325,7 +332,7 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -
 
     if let Some(path) = json_path {
         write_or_exit(&path, to_json(&results));
-        eprintln!("wrote machine-readable results to {path}");
+        err!("wrote machine-readable results to {path}");
     }
     pins_hold
 }
@@ -364,7 +371,7 @@ fn main() {
         let chunks = trace.into_chunks();
         let events: usize = chunks.iter().map(|c| c.events.len()).sum();
         write_or_exit(&path, render_trace(&chunks));
-        eprintln!("wrote {events} events from {} runs to {path}", chunks.len());
+        err!("wrote {events} events from {} runs to {path}", chunks.len());
     }
     if !pins_hold {
         std::process::exit(1);

@@ -153,25 +153,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean; `0.0` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if any element is non-positive.
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive values, got {x}");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
 /// Renders one labelled series as a paper-style table row.
 pub fn fmt_row(label: &str, values: &[f64]) -> String {
     let cells: Vec<String> = values.iter().map(|v| format!("{v:>8.3}")).collect();
@@ -281,14 +262,6 @@ mod tests {
     fn stats_helpers() {
         assert_eq!(mean(&[]), 0.0);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_nonpositive() {
-        let _ = geomean(&[1.0, 0.0]);
     }
 
     #[test]

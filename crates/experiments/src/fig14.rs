@@ -58,19 +58,6 @@ pub struct TlbSweep {
     pub mosaic: Vec<f64>,
 }
 
-impl TlbSweep {
-    /// Relative swing (max/min − 1) of one series — the sensitivity.
-    pub fn swing(series: &[f64]) -> f64 {
-        let mn = series.iter().copied().fold(f64::INFINITY, f64::min);
-        let mx = series.iter().copied().fold(0.0, f64::max);
-        if mn > 0.0 {
-            mx / mn - 1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 /// The Figure 14 (or 15) sweeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TlbSensitivity {
@@ -164,8 +151,19 @@ impl fmt::Display for TlbSensitivity {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Relative swing (max/min − 1) of one series — the sensitivity.
+    pub(crate) fn swing(series: &[f64]) -> f64 {
+        let mn = series.iter().copied().fold(f64::INFINITY, f64::min);
+        let mx = series.iter().copied().fold(0.0, f64::max);
+        if mn > 0.0 {
+            mx / mn - 1.0
+        } else {
+            0.0
+        }
+    }
 
     #[test]
     fn mosaic_is_insensitive_to_l1_base_entries() {
@@ -174,10 +172,10 @@ mod tests {
         // GPU-MMU cares about base entries more than Mosaic does (the
         // paper's key claim for this figure).
         assert!(
-            TlbSweep::swing(&l1.mosaic) < TlbSweep::swing(&l1.gpu_mmu) + 0.05,
+            swing(&l1.mosaic) < swing(&l1.gpu_mmu) + 0.05,
             "mosaic swing {:.3} vs gpu-mmu swing {:.3}",
-            TlbSweep::swing(&l1.mosaic),
-            TlbSweep::swing(&l1.gpu_mmu)
+            swing(&l1.mosaic),
+            swing(&l1.gpu_mmu)
         );
         // Mosaic outperforms GPU-MMU everywhere in the sweep.
         for (m, g) in l1.mosaic.iter().zip(&l1.gpu_mmu) {

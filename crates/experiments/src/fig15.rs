@@ -28,7 +28,7 @@ pub fn run(sweep: &Sweep) -> TlbSensitivity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig14::TlbSweep;
+    use crate::fig14::tests::swing;
 
     #[test]
     fn gpu_mmu_is_flat_in_large_entries() {
@@ -37,10 +37,10 @@ mod tests {
             // GPU-MMU never uses large entries: its curve is essentially
             // flat across the sweep.
             assert!(
-                TlbSweep::swing(&s.gpu_mmu) < 0.05,
+                swing(&s.gpu_mmu) < 0.05,
                 "{:?}: GPU-MMU swing {:.3}",
                 s.param,
-                TlbSweep::swing(&s.gpu_mmu)
+                swing(&s.gpu_mmu)
             );
             // Mosaic dominates GPU-MMU at every point.
             for (m, g) in s.mosaic.iter().zip(&s.gpu_mmu) {

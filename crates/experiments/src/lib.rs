@@ -64,7 +64,7 @@ pub mod stall;
 pub mod sweep;
 pub mod table2;
 
-pub use common::{geomean, mean, AloneBaselines, Scope};
+pub use common::{mean, AloneBaselines, Scope};
 pub use sweep::Sweep;
 
 /// A report renderer: runs its driver on the given sweep and returns the

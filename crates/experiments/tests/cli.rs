@@ -2,7 +2,7 @@
 //! experiment names and the `MOSAIC_*` environment are checked before any
 //! simulation runs.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// Runs `reproduce` at smoke scope with `env` set on top; returns the exit
 /// code and stderr.
@@ -76,4 +76,19 @@ fn malformed_jobs_variable_exits_2_before_running_anything() {
         assert!(stderr.contains("MOSAIC_JOBS expects a positive integer"), "{value}: {stderr}");
         assert!(!stderr.contains("fig08 done"), "{value}: nothing runs");
     }
+}
+
+/// `campaign expand` exits 0 with stdout closed: the listing that cannot
+/// be written is dropped instead of panicking (status 101).
+#[test]
+fn campaign_expand_exits_0_with_stdout_closed() {
+    let smoke = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns/smoke.toml");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["campaign", "expand", smoke])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("reproduce runs");
+    drop(child.stdout.take());
+    assert_eq!(child.wait().expect("reproduce exits").code(), Some(0));
 }

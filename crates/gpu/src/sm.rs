@@ -268,22 +268,6 @@ impl<S: WarpStream> Sm<S> {
         }
         true
     }
-
-    /// Runs the SM to completion against `mem` (single-SM convenience for
-    /// tests and microbenchmarks). Returns the final cycle.
-    pub fn run_to_completion(&mut self, mem: &mut dyn MemoryInterface) -> Cycle {
-        while self.advance(mem) {}
-        self.now
-    }
-
-    /// Instructions per cycle retired so far.
-    pub fn ipc(&self) -> f64 {
-        if self.now == Cycle::ZERO {
-            0.0
-        } else {
-            self.stats.instructions as f64 / self.now.as_u64() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -328,17 +312,18 @@ mod tests {
     fn single_compute_warp_is_ipc_1() {
         let mut sm = sm_with(vec![Box::new(ComputeN(100))]);
         let mut mem = FixedLatencyMemory { latency: 0 };
-        let end = sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
+        let end = sm.now();
         assert_eq!(sm.stats().instructions, 100);
         assert_eq!(end.as_u64(), 100);
-        assert!((sm.ipc() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn memory_latency_stalls_single_warp() {
         let mut sm = sm_with(vec![Box::new(MemN(10))]);
         let mut mem = FixedLatencyMemory { latency: 100 };
-        let end = sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
+        let end = sm.now();
         // Each op: issue (1cy) then wait ~100: about 1000 cycles total.
         assert!(end.as_u64() >= 1000);
         assert!(sm.stats().stall_cycles > 900);
@@ -352,7 +337,8 @@ mod tests {
         let streams: Vec<Box<dyn WarpStream>> = (0..32).map(|_| Box::new(MemN(10)) as _).collect();
         let mut sm = sm_with(streams);
         let mut mem = FixedLatencyMemory { latency: 100 };
-        let end = sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
+        let end = sm.now();
         let single_warp_time = 1010;
         assert!(
             end.as_u64() < 2 * single_warp_time,
@@ -383,7 +369,7 @@ mod tests {
             vec![Box::new(Tagged("a", 3, log.clone())), Box::new(Tagged("b", 3, log.clone()))];
         let mut sm = sm_with(streams);
         let mut mem = FixedLatencyMemory { latency: 0 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         // With 1-cycle compute, warp 0 is always ready again by the next
         // cycle, so GTO never leaves it until exit.
         assert_eq!(&log.borrow()[..3], &["a", "a", "a"]);
@@ -394,7 +380,8 @@ mod tests {
         let mut sm = sm_with(vec![Box::new(ComputeN(10))]);
         sm.stall_until(Cycle::new(500));
         let mut mem = FixedLatencyMemory { latency: 0 };
-        let end = sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
+        let end = sm.now();
         assert!(end.as_u64() >= 510);
         assert!(sm.stats().stall_cycles >= 500);
     }
@@ -404,7 +391,7 @@ mod tests {
         let mut sm = sm_with(vec![Box::new(MemN(10)), Box::new(ComputeN(30))]);
         sm.stall_until(Cycle::new(100));
         let mut mem = FixedLatencyMemory { latency: 100 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         let stats = sm.stats();
         assert_eq!(stats.stall_breakdown.total(), stats.stall_cycles, "buckets tile every stall");
         assert_eq!(stats.stall_breakdown.get(StallBucket::Sync), 100, "fence charged to Sync");
@@ -421,7 +408,7 @@ mod tests {
         // A shorter fence afterwards neither moves the fence nor the cause.
         sm.stall_until(Cycle::new(10));
         let mut mem = FixedLatencyMemory { latency: 0 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         assert_eq!(sm.stats().stall_breakdown.get(StallBucket::Shootdown), 50);
         assert_eq!(sm.stats().stall_breakdown.total(), sm.stats().stall_cycles);
     }
@@ -442,7 +429,7 @@ mod tests {
         }
         let mut sm = sm_with(vec![Box::new(SlowCompute(5))]);
         let mut mem = FixedLatencyMemory { latency: 0 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         let stats = sm.stats();
         assert!(stats.stall_cycles > 0);
         assert_eq!(stats.stall_breakdown.get(StallBucket::Compute), stats.stall_cycles);
@@ -457,8 +444,10 @@ mod tests {
             Sm::new(0, AppId(0), SmConfig { warps: 2, batch: 8 }, vec![ComputeN(50), ComputeN(50)]);
         let mut boxed = sm_with(vec![Box::new(ComputeN(50)), Box::new(ComputeN(50))]);
         let mut mem = FixedLatencyMemory { latency: 0 };
-        let end_mono = mono.run_to_completion(&mut mem);
-        let end_boxed = boxed.run_to_completion(&mut mem);
+        while mono.advance(&mut mem) {}
+        let end_mono = mono.now();
+        while boxed.advance(&mut mem) {}
+        let end_boxed = boxed.now();
         assert_eq!(end_mono, end_boxed);
         assert_eq!(mono.stats(), boxed.stats());
     }
@@ -467,7 +456,7 @@ mod tests {
     fn reload_rearms_for_a_new_phase() {
         let mut sm = Sm::new(3, AppId(1), SmConfig { warps: 1, batch: 8 }, vec![ComputeN(10)]);
         let mut mem = FixedLatencyMemory { latency: 0 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         assert!(!sm.is_active());
         assert_eq!(sm.stats().instructions, 10);
 
@@ -477,7 +466,7 @@ mod tests {
         assert_eq!(sm.stats(), SmStats::default(), "stats reset");
         assert_eq!(sm.id(), 3, "identity survives");
         assert_eq!(sm.asid(), AppId(1));
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         assert_eq!(sm.stats().instructions, 14);
     }
 
@@ -487,7 +476,7 @@ mod tests {
         let mut mem = FixedLatencyMemory { latency: 0 };
         assert!(!sm.advance(&mut mem));
         assert!(!sm.is_active());
-        assert_eq!(sm.ipc(), 0.0);
+        assert_eq!((sm.now(), sm.stats().instructions), (Cycle::ZERO, 0));
     }
 
     #[test]
@@ -506,7 +495,7 @@ mod tests {
         }
         let mut sm = sm_with(vec![Box::new(Divergent(true))]);
         let mut mem = FixedLatencyMemory { latency: 1 };
-        sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
         assert_eq!(sm.stats().transactions, 32);
         assert_eq!(sm.stats().memory_instructions, 1);
     }

@@ -53,6 +53,8 @@ pub use runner::{
 pub use system::{GpuSystem, SystemStats, TLB_FLUSH_STALL};
 
 /// Does nothing. The speculative intra-run engine this used to select
-/// is gone (DESIGN.md §12); every run uses the serial engine. Kept only
-/// so callers built against the old API still compile.
+/// is gone (DESIGN.md §12); every run uses the serial engine. It stays
+/// because the frozen benchmark harness (`simbench/src/main.rs`) still
+/// calls it; `mosaic-audit` loads that harness as a caller, which is
+/// what keeps its `test-only` rule from flagging this function.
 pub fn set_sim_threads(_: Option<usize>) {}

@@ -58,13 +58,6 @@ pub struct RunResult {
     pub total_cycles: u64,
 }
 
-impl RunResult {
-    /// IPC of application `i`.
-    pub fn ipc(&self, i: usize) -> f64 {
-        self.apps[i].ipc
-    }
-}
-
 // The sweep executor ships `(Workload, RunConfig)` jobs to worker threads
 // and collects `RunResult`s back; keep these types thread-portable.
 const _: () = {

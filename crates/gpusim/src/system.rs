@@ -353,11 +353,6 @@ impl GpuSystem {
         }
     }
 
-    /// The manager behind this system.
-    pub fn manager(&self) -> &dyn MemoryManager {
-        &*self.manager
-    }
-
     /// The run configuration.
     pub fn config(&self) -> &RunConfig {
         &self.cfg

@@ -53,10 +53,6 @@ impl CacheConfig {
     }
 }
 
-/// Bit 63 of a tag word: the line is dirty. Tags are line numbers,
-/// addresses shifted right by at least one bit, so they never reach it.
-const DIRTY: u64 = 1 << 63;
-
 /// A set-associative, physically-indexed cache with LRU replacement.
 ///
 /// This is a structural model: [`Cache::access`] reports hit/miss and
@@ -75,8 +71,8 @@ const DIRTY: u64 = 1 << 63;
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Line tags, `assoc` slots per set in one slab, each a line number
-    /// with [`DIRTY`] or'd in. `lens[s]` live lines sit at the front of
+    /// Line tags, `assoc` slots per set in one slab, each a line number.
+    /// `lens[s]` live lines sit at the front of
     /// set `s`, most recently used first, so the LRU victim of a full
     /// set is its last slot.
     tags: Vec<u64>,
@@ -91,7 +87,6 @@ pub struct Cache {
     /// stays a genuine fallback, not dead code.
     set_mask: Option<u64>,
     stats: Ratio,
-    writebacks: u64,
 }
 
 impl Cache {
@@ -119,7 +114,6 @@ impl Cache {
                 .then_some(config.line_size.trailing_zeros()),
             set_mask: sets.is_power_of_two().then_some(sets - 1),
             stats: Ratio::default(),
-            writebacks: 0,
         }
     }
 
@@ -146,33 +140,31 @@ impl Cache {
     }
 
     /// Accesses the line containing `addr`; on a miss the line is filled
-    /// (allocate-on-miss for both reads and writes). Returns `true` on hit.
+    /// (allocate-on-miss for both reads and writes, so `_write` changes
+    /// nothing: the model keeps no dirty state). Returns `true` on hit.
     /// Either way the line moves to the front of its set.
-    pub fn access(&mut self, addr: u64, write: bool) -> bool {
+    pub fn access(&mut self, addr: u64, _write: bool) -> bool {
         let assoc = self.config.assoc;
         let (set_idx, line) = self.split(addr);
-        let dirty = if write { DIRTY } else { 0 };
         let base = set_idx * assoc;
         let len = usize::from(self.lens[set_idx]);
         let set = &mut self.tags[base..base + assoc];
-        if let Some(i) = set[..len].iter().position(|&t| t & !DIRTY == line) {
-            let tag = set[i] | dirty;
+        if let Some(i) = set[..len].iter().position(|&t| t == line) {
             set.copy_within(..i, 1);
-            set[0] = tag;
+            set[0] = line;
             self.stats.record(true);
             return true;
         }
         self.stats.record(false);
+        // A full set drops its last live line, the least recently used.
         let shifted = if len < assoc {
             self.lens[set_idx] += 1;
             len
         } else {
-            // The last live line is the least recently used.
-            self.writebacks += u64::from(set[assoc - 1] & DIRTY != 0);
             assoc - 1
         };
         set.copy_within(..shifted, 1);
-        set[0] = line | dirty;
+        set[0] = line;
         false
     }
 
@@ -180,29 +172,12 @@ impl Cache {
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, line) = self.split(addr);
         let base = set_idx * self.config.assoc;
-        self.tags[base..base + usize::from(self.lens[set_idx])].iter().any(|&t| t & !DIRTY == line)
-    }
-
-    /// Invalidates every line (e.g., at kernel boundaries). Dirty lines
-    /// count as writebacks.
-    pub fn flush(&mut self) {
-        let assoc = self.config.assoc;
-        for (set_idx, len) in self.lens.iter_mut().enumerate() {
-            let base = set_idx * assoc;
-            let live = &self.tags[base..base + usize::from(*len)];
-            self.writebacks += live.iter().filter(|&&t| t & DIRTY != 0).count() as u64;
-            *len = 0;
-        }
+        self.tags[base..base + usize::from(self.lens[set_idx])].contains(&line)
     }
 
     /// Hit-rate statistics.
     pub fn hit_rate(&self) -> Ratio {
         self.stats
-    }
-
-    /// Number of dirty evictions so far.
-    pub fn writebacks(&self) -> u64 {
-        self.writebacks
     }
 
     /// Number of valid lines.
@@ -242,33 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_eviction_counts_writeback() {
-        let mut c = tiny();
-        c.access(0, true); // dirty
-        c.access(128, false);
-        c.access(256, false); // evicts LRU (addr 0, dirty)
-        assert_eq!(c.writebacks(), 1);
-    }
-
-    #[test]
-    fn flush_empties_and_writes_back() {
-        let mut c = tiny();
-        c.access(0, true);
-        c.access(64, false);
-        c.flush();
-        assert_eq!(c.occupancy(), 0);
-        assert_eq!(c.writebacks(), 1);
-        assert!(!c.contains(0));
-    }
-
-    #[test]
     fn stats_accumulate() {
         let mut c = tiny();
         c.access(0, false);
         c.access(0, false);
         c.access(0, false);
         assert_eq!(c.hit_rate().hits(), 2);
-        assert_eq!(c.hit_rate().misses(), 1);
+        assert_eq!(c.hit_rate().total() - c.hit_rate().hits(), 1);
     }
 
     #[test]
@@ -303,15 +258,14 @@ mod tests {
         let _ = Cache::new(CacheConfig { capacity: 256, line_size: 1, assoc: 2, latency: 1 });
     }
 
-    /// A copy of the cache before tags and stamps were split: 24-byte
-    /// lines with a separate dirty flag, per-set slices in one slab.
+    /// A copy of the cache before tags and stamps were split: `(tag,
+    /// stamp)` lines, per-set slices in one slab.
     struct RefCache {
-        lines: Vec<Vec<(u64, u64, bool)>>,
+        lines: Vec<Vec<(u64, u64)>>,
         assoc: usize,
         line_size: u64,
         tick: u64,
         hits: u64,
-        writebacks: u64,
     }
 
     impl RefCache {
@@ -322,33 +276,28 @@ mod tests {
                 line_size: config.line_size,
                 tick: 0,
                 hits: 0,
-                writebacks: 0,
             }
         }
 
-        fn set(&mut self, addr: u64) -> (&mut Vec<(u64, u64, bool)>, u64) {
+        fn set(&mut self, addr: u64) -> (&mut Vec<(u64, u64)>, u64) {
             let line = addr / self.line_size;
             let n = self.lines.len() as u64;
             (&mut self.lines[(line % n) as usize], line)
         }
 
-        fn access(&mut self, addr: u64, write: bool) -> bool {
+        fn access(&mut self, addr: u64) -> bool {
             self.tick += 1;
             let (tick, assoc) = (self.tick, self.assoc);
             let (set, tag) = self.set(addr);
             if let Some(line) = set.iter_mut().find(|l| l.0 == tag) {
                 line.1 = tick;
-                line.2 |= write;
                 self.hits += 1;
                 return true;
             }
             if set.len() < assoc {
-                set.push((tag, tick, write));
+                set.push((tag, tick));
             } else {
-                let victim = set.iter_mut().min_by_key(|l| l.1).expect("full set");
-                let dirty = victim.2;
-                *victim = (tag, tick, write);
-                self.writebacks += u64::from(dirty);
+                *set.iter_mut().min_by_key(|l| l.1).expect("full set") = (tag, tick);
             }
             false
         }
@@ -357,19 +306,11 @@ mod tests {
             let (set, tag) = self.set(addr);
             set.iter().any(|l| l.0 == tag)
         }
-
-        fn flush(&mut self) {
-            for set in &mut self.lines {
-                self.writebacks += set.iter().filter(|l| l.2).count() as u64;
-                set.clear();
-            }
-        }
     }
 
     /// The split-tag cache against [`RefCache`] on the paper's L1, the L2
     /// slice and a tiny geometry: seeded reads and writes over a few times
-    /// the capacity, with occasional flushes; every hit, the writebacks,
-    /// the occupancy and `contains` must agree.
+    /// the capacity; every hit, the occupancy and `contains` must agree.
     #[test]
     fn split_tag_cache_matches_line_reference() {
         use mosaic_sim_core::SimRng;
@@ -384,14 +325,8 @@ mod tests {
             for step in 0..60_000 {
                 let addr = rng.below(span);
                 let what = format!("config {seed} step {step}");
-                if rng.below(20_000) == 0 {
-                    cache.flush();
-                    reference.flush();
-                } else {
-                    let write = rng.below(4) == 0;
-                    assert_eq!(cache.access(addr, write), reference.access(addr, write), "{what}");
-                }
-                assert_eq!(cache.writebacks(), reference.writebacks, "{what}: writebacks");
+                let write = rng.below(4) == 0;
+                assert_eq!(cache.access(addr, write), reference.access(addr), "{what}");
                 let probe = rng.below(span);
                 assert_eq!(cache.contains(probe), reference.contains(probe), "{what}: contains");
                 if step % 1_000 == 0 {
@@ -400,7 +335,6 @@ mod tests {
                 }
             }
             assert_eq!(cache.hit_rate().hits(), reference.hits, "config {seed}: hits");
-            assert!(cache.writebacks() > 100, "config {seed}: dirty evictions exercised");
         }
     }
 

@@ -139,11 +139,6 @@ impl Interconnect {
         &self.config
     }
 
-    /// Number of GPUs this fabric connects.
-    pub fn gpus(&self) -> usize {
-        self.gpus
-    }
-
     /// The directed links of the path from `from` to `to`, as port
     /// indices in traversal order (empty when local). Allocation-free:
     /// the path is [`Topology::hops`] long, and each hop advances a fixed

@@ -100,12 +100,6 @@ impl core::fmt::Display for Cycle {
 pub struct Nanos(pub f64);
 
 impl Nanos {
-    /// Creates a duration from microseconds.
-    #[inline]
-    pub fn from_micros(us: f64) -> Self {
-        Nanos(us * 1_000.0)
-    }
-
     /// Returns the duration in microseconds.
     #[inline]
     pub fn as_micros(self) -> f64 {
@@ -121,8 +115,8 @@ impl core::ops::Add for Nanos {
     }
 }
 
-/// A clock domain with a fixed frequency, used to convert between cycles
-/// and wall-clock time and between domains.
+/// A clock domain with a fixed frequency, used to convert wall-clock time
+/// into cycles.
 ///
 /// # Examples
 ///
@@ -132,7 +126,7 @@ impl core::ops::Add for Nanos {
 /// // The paper's shader clock (Table 1).
 /// let core = ClockDomain::from_mhz(1020.0);
 /// // A 55 us PCIe far-fault (Section 3.2) costs ~56k shader cycles.
-/// let cycles = core.cycles_for(Nanos::from_micros(55.0));
+/// let cycles = core.cycles_for(Nanos(55_000.0));
 /// assert!((56_000f64 - cycles as f64).abs() < 200.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -151,31 +145,10 @@ impl ClockDomain {
         ClockDomain { freq_mhz: mhz }
     }
 
-    /// The frequency of this domain in MHz.
-    #[inline]
-    pub fn freq_mhz(&self) -> f64 {
-        self.freq_mhz
-    }
-
     /// Number of whole cycles (rounded up) needed to cover `duration`.
     #[inline]
     pub fn cycles_for(&self, duration: Nanos) -> u64 {
         (duration.0 * self.freq_mhz / 1_000.0).ceil().max(0.0) as u64
-    }
-
-    /// Wall-clock duration of `cycles` cycles in this domain.
-    #[inline]
-    pub fn duration_of(&self, cycles: u64) -> Nanos {
-        Nanos(cycles as f64 * 1_000.0 / self.freq_mhz)
-    }
-
-    /// Converts a cycle count in this domain to the equivalent (rounded-up)
-    /// count in `other`.
-    ///
-    /// Used to express GDDR5 command timing in shader cycles.
-    #[inline]
-    pub fn convert(&self, cycles: u64, other: &ClockDomain) -> u64 {
-        other.cycles_for(self.duration_of(cycles))
     }
 }
 
@@ -213,8 +186,8 @@ mod tests {
         let core = ClockDomain::from_mhz(1020.0);
         let dram = ClockDomain::from_mhz(1674.0);
         // 1020 core cycles == 1 us == 1674 DRAM cycles.
-        assert_eq!(core.cycles_for(Nanos::from_micros(1.0)), 1020);
-        assert_eq!(core.convert(1020, &dram), 1674);
+        assert_eq!(core.cycles_for(Nanos(1_000.0)), 1020);
+        assert_eq!(dram.cycles_for(Nanos(1_000.0)), 1674);
     }
 
     #[test]
@@ -233,9 +206,8 @@ mod tests {
 
     #[test]
     fn nanos_micros_round_trip() {
-        let n = Nanos::from_micros(55.0);
+        let n = Nanos(55_000.0);
         assert!((n.as_micros() - 55.0).abs() < 1e-9);
-        assert!((n.0 - 55_000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl SimRng {
         SimRng { seed, state }
     }
 
-    /// The seed this generator was created from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator identified by a label and an
     /// index. The same `(seed, label, index)` triple always yields the same
     /// stream.

@@ -87,12 +87,6 @@ impl Ratio {
         self.hits
     }
 
-    /// Number of misses recorded.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.total - self.hits
-    }
-
     /// Total events recorded.
     #[inline]
     pub fn total(&self) -> u64 {
@@ -230,7 +224,7 @@ mod tests {
             r.record(i % 2 == 0);
         }
         assert_eq!(r.hits(), 5);
-        assert_eq!(r.misses(), 5);
+        assert_eq!(r.total() - r.hits(), 5);
         assert!((r.rate() - 0.5).abs() < 1e-12);
     }
 

@@ -5,16 +5,24 @@
 //! mosaic-trace validate TRACE.jsonl
 //! mosaic-trace chrome TRACE.jsonl -o OUT.json
 //! ```
+//!
+//! Exit status: 0 on success, 1 on an unreadable, invalid or unwritable
+//! file, 2 on usage errors. The status holds when stdout or stderr is
+//! closed early: output that cannot be written is dropped.
 
+use std::io::{stderr, stdout, Write};
 use std::process::ExitCode;
 
 use mosaic_telemetry::chrome::jsonl_to_chrome;
 use mosaic_telemetry::read_trace;
 
+// `println!` and `eprintln!` that drop the line when the pipe is closed:
+// the exit status, not the text, carries the verdict.
+macro_rules! out { ($($a:tt)*) => {{ let _ = writeln!(stdout(), $($a)*); }}; }
+macro_rules! err { ($($a:tt)*) => {{ let _ = writeln!(stderr(), $($a)*); }}; }
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  mosaic-trace validate TRACE.jsonl\n  mosaic-trace chrome TRACE.jsonl -o OUT.json"
-    );
+    err!("usage:\n  mosaic-trace validate TRACE.jsonl\n  mosaic-trace chrome TRACE.jsonl -o OUT.json");
     ExitCode::from(2)
 }
 
@@ -25,16 +33,16 @@ fn main() -> ExitCode {
             let [_, path] = &args[..] else { return usage() };
             match std::fs::read_to_string(path) {
                 Err(e) => {
-                    eprintln!("mosaic-trace: cannot read {path}: {e}");
+                    err!("mosaic-trace: cannot read {path}: {e}");
                     ExitCode::FAILURE
                 }
                 Ok(text) => match validate(&text) {
                     Ok(count) => {
-                        println!("{path}: {count} events OK");
+                        out!("{path}: {count} events OK");
                         ExitCode::SUCCESS
                     }
                     Err(e) => {
-                        eprintln!("mosaic-trace: {path}: {e}");
+                        err!("mosaic-trace: {path}: {e}");
                         ExitCode::FAILURE
                     }
                 },
@@ -48,21 +56,21 @@ fn main() -> ExitCode {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => {
-                    eprintln!("mosaic-trace: cannot read {path}: {e}");
+                    err!("mosaic-trace: cannot read {path}: {e}");
                     return ExitCode::FAILURE;
                 }
             };
             match jsonl_to_chrome(&text) {
                 Ok(chrome) => {
                     if let Err(e) = std::fs::write(out_path, chrome) {
-                        eprintln!("mosaic-trace: cannot write {out_path}: {e}");
+                        err!("mosaic-trace: cannot write {out_path}: {e}");
                         return ExitCode::FAILURE;
                     }
-                    println!("wrote {out_path}");
+                    out!("wrote {out_path}");
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("mosaic-trace: {path}: {e}");
+                    err!("mosaic-trace: {path}: {e}");
                     ExitCode::FAILURE
                 }
             }

@@ -209,11 +209,6 @@ impl Event {
         }
     }
 
-    /// The event's schema type tag (the JSONL `"type"` value).
-    pub fn type_tag(&self) -> &'static str {
-        self.tagged_values().0
-    }
-
     /// Serializes the event as one JSONL object. Keys are emitted in the
     /// fixed schema order, so equal events always produce identical
     /// bytes (the golden-trace digests rely on this).
@@ -348,7 +343,7 @@ mod tests {
         // The reader gives back every value in schema order.
         let records: Vec<Record> = read_trace(&trace).collect::<Result<_, _>>().expect("valid");
         for (ev, record) in samples.iter().zip(&records) {
-            assert_eq!((record.tag, &record.values), (ev.type_tag(), &ev.tagged_values().1));
+            assert_eq!((record.tag, record.values.clone()), ev.tagged_values());
         }
         assert_eq!(records.len(), samples.len());
         // SCHEMA covers exactly the 14 event types plus run_begin.

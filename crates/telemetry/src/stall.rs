@@ -154,12 +154,6 @@ impl AccessTimeline {
         tl
     }
 
-    /// The anchor cycle (when the access issued).
-    #[inline]
-    pub fn start(&self) -> u64 {
-        self.start
-    }
-
     /// One past the last covered cycle (`start` when empty).
     #[inline]
     pub fn end(&self) -> u64 {

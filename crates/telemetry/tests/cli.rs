@@ -1,7 +1,7 @@
 //! `mosaic-trace` error handling: bad arguments exit 2 with usage; an
 //! unreadable or malformed trace exits 1, naming the file and line.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mosaic_trace(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mosaic-trace")).args(args).output().expect("runs");
@@ -42,4 +42,18 @@ fn malformed_or_unreadable_trace_exits_1() {
         assert!(stderr.starts_with(&format!("mosaic-trace: {error}")), "{args:?}: {stderr}");
     }
     assert!(!std::path::Path::new(&out).exists(), "a failed conversion writes nothing");
+}
+
+/// `--help` exits 2 with stderr closed: the usage text that cannot be
+/// written is dropped instead of panicking (status 101).
+#[test]
+fn help_exits_2_with_stderr_closed() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mosaic-trace"))
+        .arg("--help")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("runs");
+    drop(child.stderr.take());
+    assert_eq!(child.wait().expect("exits").code(), Some(2));
 }

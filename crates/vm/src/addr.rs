@@ -128,12 +128,6 @@ impl VirtAddr {
     pub const fn base_offset(self) -> u64 {
         self.0 & (BASE_PAGE_SIZE - 1)
     }
-
-    /// Byte offset within the containing large page.
-    #[inline]
-    pub const fn large_offset(self) -> u64 {
-        self.0 & (LARGE_PAGE_SIZE - 1)
-    }
 }
 
 impl VirtPageNum {
@@ -153,12 +147,6 @@ impl VirtPageNum {
     #[inline]
     pub const fn index_in_large(self) -> u64 {
         self.0 % BASE_PAGES_PER_LARGE_PAGE
-    }
-
-    /// Whether this base page is the first page of (aligned to) a large page.
-    #[inline]
-    pub const fn is_large_aligned(self) -> bool {
-        self.index_in_large() == 0
     }
 }
 
@@ -263,7 +251,7 @@ mod tests {
         assert_eq!(a.base_page(), VirtPageNum(0x401));
         assert_eq!(a.base_offset(), 0x234);
         assert_eq!(a.large_page(), LargePageNum(0x2));
-        assert_eq!(a.large_offset(), 0x40_1234 & (LARGE_PAGE_SIZE - 1));
+        assert_eq!(a.large_page().addr(), VirtAddr(0x40_0000));
     }
 
     #[test]
@@ -282,8 +270,7 @@ mod tests {
             assert_eq!(bp.large_page(), lp);
             assert_eq!(bp.index_in_large(), i);
         }
-        assert!(lp.base_page(0).is_large_aligned());
-        assert!(!lp.base_page(1).is_large_aligned());
+        assert_eq!(lp.base_page(0).addr(), lp.addr());
     }
 
     #[test]

@@ -78,7 +78,6 @@ pub struct PageTableWalker {
     /// when its pair pops, so every live entry has exactly one pair.
     completions: BinaryHeap<Reverse<(Cycle, WalkRequest)>>,
     walks: Counter,
-    coalesced: Counter,
     latency: Histogram,
 }
 
@@ -95,7 +94,6 @@ impl PageTableWalker {
             active: MshrTable::new(),
             completions: BinaryHeap::new(),
             walks: Counter::new(),
-            coalesced: Counter::new(),
             latency: Histogram::default(),
         }
     }
@@ -128,7 +126,6 @@ impl PageTableWalker {
             debug_assert_eq!(removed, Some(done), "one completion pair per in-flight walk");
         }
         if let Some(done) = self.active.get(req) {
-            self.coalesced.inc();
             return WalkOutcome { done, coalesced: true };
         }
         // Claim a walker thread; a free slot may only be available later.
@@ -160,20 +157,10 @@ impl PageTableWalker {
         self.walks.get()
     }
 
-    /// Number of requests merged into an in-flight walk.
-    pub fn coalesced_requests(&self) -> u64 {
-        self.coalesced.get()
-    }
-
     /// Distribution of end-to-end walk latency (queueing + 4 accesses), in
     /// cycles.
     pub fn latency(&self) -> &Histogram {
         &self.latency
-    }
-
-    /// Number of walker threads.
-    pub fn threads(&self) -> usize {
-        self.slots.slots()
     }
 }
 
@@ -325,7 +312,6 @@ mod tests {
         assert!(out2.coalesced);
         assert_eq!(out2.done, out1.done);
         assert_eq!(w.walks(), 1);
-        assert_eq!(w.coalesced_requests(), 1);
     }
 
     #[test]
@@ -447,7 +433,6 @@ mod tests {
             assert_eq!(got, want, "seed {seed}, request {req:?} at {now}");
         }
         assert_eq!(w.walks(), r.walks);
-        assert_eq!(w.coalesced_requests(), r.coalesced);
         assert_eq!(w.latency(), &r.latency);
         assert!(r.coalesced > 100, "the pool is small enough to merge ({})", r.coalesced);
     }

@@ -5,7 +5,8 @@ use mosaic_sim_core::Cycle;
 use mosaic_vm::page_table::CoalesceError;
 use mosaic_vm::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PageTable, PageTableSet, PageTableWalker,
-    PhysFrameNum, Tlb, TlbConfig, TlbLookup, VirtPageNum, WalkCache, BASE_PAGES_PER_LARGE_PAGE,
+    PhysAddr, PhysFrameNum, Tlb, TlbConfig, TlbLookup, VirtPageNum, WalkCache,
+    BASE_PAGES_PER_LARGE_PAGE,
 };
 
 fn full_region(pt: &mut PageTable, lpn: LargePageNum, lf: LargeFrameNum) {
@@ -82,11 +83,17 @@ fn walk_path_is_defined_for_unmapped_addresses() {
 
 #[test]
 fn walker_concurrency_limits_are_visible() {
-    let w = PageTableWalker::new(64);
-    assert_eq!(w.threads(), 64);
+    let mut w = PageTableWalker::new(64);
     assert_eq!(w.walks(), 0);
-    assert_eq!(w.coalesced_requests(), 0);
     assert_eq!(w.latency().count(), 0);
+    // 64 distinct walks at once each get a thread; the 65th waits for one.
+    let access = |_: usize, _: PhysAddr, at: Cycle| at + 100;
+    for i in 0..64 {
+        let out = w.walk(Cycle::ZERO, AppId(0), VirtPageNum(i), [PhysAddr(0); 4], access);
+        assert_eq!(out.done, Cycle::new(400));
+    }
+    let queued = w.walk(Cycle::ZERO, AppId(0), VirtPageNum(64), [PhysAddr(0); 4], access);
+    assert_eq!(queued.done, Cycle::new(800));
 }
 
 #[test]

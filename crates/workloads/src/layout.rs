@@ -69,21 +69,6 @@ impl AppLayout {
         r
     }
 
-    /// Total bytes of small allocations.
-    pub fn total_small_bytes(&self) -> u64 {
-        self.small_count * self.small_bytes
-    }
-
-    /// Total pages across all reservations.
-    pub fn total_pages(&self) -> u64 {
-        (self.main_bytes + self.total_small_bytes()) / BASE_PAGE_SIZE
-    }
-
-    /// Total small pages.
-    pub fn small_pages(&self) -> u64 {
-        self.total_small_bytes() / BASE_PAGE_SIZE
-    }
-
     /// The `k`-th small page (in allocation-major order), for coverage
     /// tours.
     ///
@@ -133,13 +118,13 @@ mod tests {
         assert_eq!(r.len(), 1 + l.small_count as usize);
         assert_eq!(r[0].0, l.main_base.base_page());
         let pages: u64 = r.iter().map(|&(_, n)| n).sum();
-        assert_eq!(pages, l.total_pages());
+        assert_eq!(pages, (l.main_bytes + l.small_count * l.small_bytes) / BASE_PAGE_SIZE);
     }
 
     #[test]
     fn small_page_tour_walks_every_page() {
         let l = layout("HS"); // 2 allocations x 128KB = 64 pages
-        let total = l.small_pages();
+        let total = l.small_count * l.small_bytes / BASE_PAGE_SIZE;
         let mut seen = std::collections::HashSet::new();
         for k in 0..total {
             seen.insert(l.small_page(k));

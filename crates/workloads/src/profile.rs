@@ -66,18 +66,6 @@ pub enum AccessPattern {
     Chase,
 }
 
-impl AccessPattern {
-    /// Mean transactions per warp memory instruction.
-    pub fn mean_fanout(&self) -> f64 {
-        match *self {
-            AccessPattern::Streaming | AccessPattern::Chase => 1.0,
-            AccessPattern::Strided { .. } => 1.0,
-            AccessPattern::Stencil { touches, .. } => f64::from(touches),
-            AccessPattern::RandomGather { fanout } => f64::from(fanout),
-        }
-    }
-}
-
 /// One application model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppProfile {
@@ -442,13 +430,6 @@ mod tests {
         // Both classes are represented, as in Figure 10.
         let sensitive = ALL_PROFILES.iter().filter(|p| p.tlb_sensitive()).count();
         assert!((5..20).contains(&sensitive));
-    }
-
-    #[test]
-    fn fanout_reflects_pattern() {
-        assert_eq!(AccessPattern::Streaming.mean_fanout(), 1.0);
-        assert_eq!(AccessPattern::RandomGather { fanout: 16 }.mean_fanout(), 16.0);
-        assert_eq!(AccessPattern::Stencil { touches: 3, row_pages: 4 }.mean_fanout(), 3.0);
     }
 }
 

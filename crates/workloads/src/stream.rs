@@ -103,11 +103,6 @@ impl AppWarpStream {
         }
     }
 
-    /// The profile this stream models.
-    pub fn profile(&self) -> &'static AppProfile {
-        self.profile
-    }
-
     fn addr(&self, offset: u64) -> VirtAddr {
         VirtAddr(self.base.raw() + (offset % self.ws_bytes))
     }
@@ -330,7 +325,7 @@ mod tests {
         let mut s = stream("HS", 4 << 20, 0, 20_000);
         let layout = s.layout.clone();
         let pages = collect_pages(&mut s, 60_000);
-        for k in 0..layout.small_pages() {
+        for k in 0..layout.small_count * layout.small_bytes / BASE_PAGE_SIZE {
             let p = layout.small_page(k).base_page().raw();
             assert!(pages.contains(&p), "small page {k} never touched");
         }

@@ -106,11 +106,6 @@ impl Workload {
     pub fn app_count(&self) -> usize {
         self.apps.len()
     }
-
-    /// Whether all applications are copies of one program.
-    pub fn is_homogeneous(&self) -> bool {
-        self.apps.windows(2).all(|w| w[0].name == w[1].name)
-    }
 }
 
 /// The homogeneous suite for one concurrency level: 27 workloads, each
@@ -155,7 +150,7 @@ mod tests {
             let suite = homogeneous_suite(copies);
             assert_eq!(suite.len(), 27);
             assert!(suite.iter().all(|w| w.app_count() == copies));
-            assert!(suite.iter().all(Workload::is_homogeneous));
+            assert!(suite.iter().all(|w| w.apps.iter().all(|p| p.name == w.apps[0].name)));
         }
         // 135 homogeneous workloads in total, as in the paper.
         let total: usize = (1..=5).map(|c| homogeneous_suite(c).len()).sum();
@@ -203,8 +198,9 @@ mod tests {
     fn workload_from_names() {
         let w = Workload::from_names(&["HS", "CONS"]);
         assert_eq!(w.name, "HS-CONS");
-        assert!(!w.is_homogeneous());
-        assert!(Workload::from_names(&["HS", "HS"]).is_homogeneous());
+        assert_eq!((w.apps[0].name, w.apps[1].name), ("HS", "CONS"));
+        let copies = Workload::from_names(&["HS", "HS"]);
+        assert_eq!((copies.apps[0].name, copies.apps[1].name), ("HS", "HS"));
     }
 
     #[test]

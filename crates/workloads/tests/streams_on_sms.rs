@@ -24,7 +24,8 @@ fn every_profile_drives_an_sm_to_completion() {
     for p in &ALL_PROFILES {
         let mut sm = sm_for(p.name, 4, 50);
         let mut mem = FixedLatencyMemory { latency: 20 };
-        let end = sm.run_to_completion(&mut mem);
+        while sm.advance(&mut mem) {}
+        let end = sm.now();
         assert!(end.as_u64() > 0, "{}", p.name);
         assert_eq!(
             sm.stats().memory_instructions,
@@ -42,7 +43,7 @@ fn instruction_mix_matches_profile() {
     // memory op.
     let mut sm = sm_for("MM", 2, 40);
     let mut mem = FixedLatencyMemory { latency: 5 };
-    sm.run_to_completion(&mut mem);
+    while sm.advance(&mut mem) {}
     assert_eq!(sm.stats().instructions, 2 * 40 * 2, "memory + compute pairs");
 }
 
@@ -51,8 +52,8 @@ fn divergent_profiles_issue_more_transactions() {
     let mut gather = sm_for("GUPS", 2, 40);
     let mut streaming = sm_for("RED", 2, 40);
     let mut mem = FixedLatencyMemory { latency: 5 };
-    gather.run_to_completion(&mut mem);
-    streaming.run_to_completion(&mut mem);
+    while gather.advance(&mut mem) {}
+    while streaming.advance(&mut mem) {}
     assert!(
         gather.stats().transactions > streaming.stats().transactions * 4,
         "GUPS fanout 16 vs streaming fanout 1: {} vs {}",
@@ -77,7 +78,8 @@ fn more_warps_finish_sooner_under_memory_latency() {
         let mut sm =
             Sm::new(0, mosaic_vm::AppId(0), SmConfig { warps: warps as usize, batch: 8 }, streams);
         let mut mem = FixedLatencyMemory { latency: 200 };
-        sm.run_to_completion(&mut mem).as_u64()
+        while sm.advance(&mut mem) {}
+        sm.now().as_u64()
     };
     let two = run(2);
     let eight = run(8);

@@ -9,7 +9,8 @@
 //! ```
 //!
 //! Bad flags, manager tokens or application names exit with status 2
-//! before anything runs.
+//! before anything runs. The status holds when stdout or stderr is
+//! closed early: output that cannot be written is dropped.
 //!
 //! Options:
 //!
@@ -31,10 +32,16 @@
 
 use mosaic::gpusim::manager_tokens;
 use mosaic::prelude::*;
+use std::io::{stderr, stdout, Write};
+
+// `println!` and `eprintln!` that drop the line when the pipe is closed:
+// the exit status, not the text, carries the verdict.
+macro_rules! out { ($($a:tt)*) => {{ let _ = writeln!(stdout(), $($a)*); }}; }
+macro_rules! err { ($($a:tt)*) => {{ let _ = writeln!(stderr(), $($a)*); }}; }
 
 fn usage() -> ! {
     let tokens: Vec<_> = manager_tokens().iter().map(|&(t, ..)| t).collect();
-    eprintln!(
+    err!(
         "usage: mosaic-sim [--manager NAME] [--preload] [--frag I,O] [--seed N] [--audit [N]] \
          APP [APP...]\n\
          managers: {} (default mosaic), all\n\
@@ -45,9 +52,9 @@ fn usage() -> ! {
 }
 
 fn list_apps() -> ! {
-    println!("{:<6} {:<8} {:>7} {:>22} {:>10}", "name", "suite", "WS MB", "pattern", "sensitive");
+    out!("{:<6} {:<8} {:>7} {:>22} {:>10}", "name", "suite", "WS MB", "pattern", "sensitive");
     for p in &ALL_PROFILES {
-        println!(
+        out!(
             "{:<6} {:<8} {:>7} {:>22} {:>10}",
             p.name,
             format!("{:?}", p.suite),
@@ -105,7 +112,7 @@ fn parse_args() -> Options {
         usage();
     }
     if let Some(app) = apps.iter().find(|a| AppProfile::by_name(a).is_none()) {
-        eprintln!("unknown application {app}; run with --list to see the 27 applications");
+        err!("unknown application {app}; run with --list to see the 27 applications");
         std::process::exit(2);
     }
 
@@ -136,7 +143,7 @@ fn main() {
     let opts = parse_args();
     let names: Vec<&str> = opts.apps.iter().map(String::as_str).collect();
     let workload = Workload::from_names(&names);
-    println!(
+    out!(
         "workload {} | {} SMs | seed fixed | demand paging {}",
         workload.name,
         opts.managers[0].1.system.sm_count,
@@ -144,37 +151,40 @@ fn main() {
     );
 
     let alone = run_alone_baselines(&workload, opts.managers[0].1);
-    println!("\nper-application alone baselines (GPU-MMU, equal SM share):");
+    out!("\nper-application alone baselines (GPU-MMU, equal SM share):");
     for a in &alone {
-        println!("  {:<8} ipc {:.3}", a.apps[0].name, a.apps[0].ipc);
+        out!("  {:<8} ipc {:.3}", a.apps[0].name, a.apps[0].ipc);
     }
 
     for (label, cfg) in &opts.managers {
         let r = run_workload(&workload, *cfg);
         let ws = weighted_speedup(&r, &alone);
-        println!("\n=== {label} ({}) ===", r.manager);
-        println!("  cycles {:>12}   weighted speedup {ws:.3}", r.total_cycles);
+        out!("\n=== {label} ({}) ===", r.manager);
+        out!("  cycles {:>12}   weighted speedup {ws:.3}", r.total_cycles);
         for a in &r.apps {
-            println!(
+            out!(
                 "  {:<8} ipc {:.3}  ({} instructions over {} cycles)",
-                a.name, a.ipc, a.instructions, a.cycles
+                a.name,
+                a.ipc,
+                a.instructions,
+                a.cycles
             );
         }
         let s = &r.stats;
-        println!(
+        out!(
             "  TLB: L1 {:.1}%  L2 {:.1}%  walks {}  (mean walk {:.0} cy)",
             s.l1_tlb_hit_rate() * 100.0,
             s.l2_tlb_hit_rate() * 100.0,
             s.walks,
             s.walk_latency_mean
         );
-        println!(
+        out!(
             "  caches: L1 {:.1}%  L2 {:.1}%  DRAM row hits {:.1}%",
             s.l1_cache_hit_rate * 100.0,
             s.l2_cache_hit_rate * 100.0,
             s.dram_row_hit_rate * 100.0
         );
-        println!(
+        out!(
             "  paging: {} far-faults, {:.1} MB over the I/O bus (mean queue {:.0} cy, \
              mean service {:.0} cy)",
             s.iobus_transfers,
@@ -183,20 +193,18 @@ fn main() {
             s.iobus_service_mean
         );
         if s.manager.evictions > 0 {
-            println!(
+            out!(
                 "  pressure: {} pages evicted, {:.1} MB written back, {} refaults",
                 s.manager.evictions,
                 s.manager.writeback_bytes as f64 / (1024.0 * 1024.0),
                 s.refaults
             );
         }
-        println!(
-            "  manager: {} coalesces, {} splinters, {} migrations, {} emergency allocs, bloat {:.1}%",
+        out!("  manager: {} coalesces, {} splinters, {} migrations, {} emergency allocs, bloat {:.1}%",
             s.manager.coalesces,
             s.manager.splinters,
             s.manager.migrations,
             s.manager.emergency_allocations,
-            s.memory_bloat * 100.0
-        );
+            s.memory_bloat * 100.0);
     }
 }

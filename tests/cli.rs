@@ -1,8 +1,8 @@
 //! Command-line error handling of the `mosaic-sim` binary: bad flags,
 //! manager tokens and application names exit with status 2 before any
-//! simulation runs.
+//! simulation runs, and a closed output pipe does not change the status.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn mosaic_sim(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_mosaic-sim")).args(args).output().expect("runs");
@@ -34,5 +34,23 @@ fn unknown_manager_and_flag_exit_2() {
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: mosaic-sim"), "{args:?}: {stderr}");
         assert!(stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
+/// `--help` exits 2 with stderr closed, and `--list` exits 0 with stdout
+/// closed: the text that cannot be written is dropped instead of
+/// panicking (status 101).
+#[test]
+fn closed_pipes_keep_the_exit_status() {
+    for (args, close_stdout, code) in [(["--help"], false, 2), (["--list"], true, 0)] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_mosaic-sim"))
+            .args(args)
+            .stdout(if close_stdout { Stdio::piped() } else { Stdio::null() })
+            .stderr(if close_stdout { Stdio::null() } else { Stdio::piped() })
+            .spawn()
+            .expect("runs");
+        drop(child.stdout.take());
+        drop(child.stderr.take());
+        assert_eq!(child.wait().expect("exits").code(), Some(code), "{args:?}");
     }
 }
