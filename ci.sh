@@ -55,9 +55,9 @@ test "$cold_ms" -ge $(( warm_ms * 10 ))
 echo "==> conformance fuzz (differential oracles, bounded deterministic run)"
 cargo run -q --release -p mosaic-conformance -- fuzz --cases 256 --seed 0xC0FFEE
 
-echo "==> smoke sweep (parallel reproduce run; --digest fails on a moved golden pin)"
+echo "==> smoke sweep (every report in one process, sharing its memo; --digest fails on a moved golden pin)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest fig03 fig08
+    --digest --jobs 2 --stall-report all
 
 echo "==> multigpu-smoke (fleet scale-out: byte-diff at --jobs 1 and 4)"
 MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \

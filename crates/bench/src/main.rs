@@ -26,9 +26,12 @@
 //! reads only the v2 schema this harness writes, and a scenario without
 //! its limit is a malformed baseline.
 //!
-//! Exit status: 0 on success, 1 when `--check` finds a regression or a
-//! malformed baseline, 2 on usage errors. The status holds when stdout
-//! or stderr is closed early: output that cannot be written is dropped.
+//! Exit status: 0 on success; 1 when `--check` finds a regression, or the
+//! `--check` baseline cannot be read or is malformed, or the `--out` path
+//! cannot be written; 2 on usage errors, a scenario filter that matches
+//! nothing included. Every input is checked before the first scenario
+//! runs. The status holds when stdout or stderr is closed early: output
+//! that cannot be written is dropped.
 
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
@@ -333,10 +336,15 @@ struct Measurement {
     samples_ms: Vec<f64>,
 }
 
+/// Whether scenario `name` passes `filter` (an empty filter passes all).
+fn selected(name: &str, filter: &[String]) -> bool {
+    filter.is_empty() || filter.iter().any(|f| name.contains(f.as_str()))
+}
+
 fn run_scenarios(samples: usize, filter: &[String]) -> Vec<Measurement> {
     let mut out = Vec::new();
     for Scenario { name, max_ratio, run } in scenarios() {
-        if !filter.is_empty() && !filter.iter().any(|f| name.contains(f.as_str())) {
+        if !selected(name, filter) {
             continue;
         }
         // One untimed warm-up (page faults, lazy init, branch history —
@@ -478,6 +486,12 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Reports a failure in one line and exits with status 1.
+fn fail(msg: &str) -> ! {
+    err!("mosaic-bench: {msg}");
+    std::process::exit(1);
+}
+
 fn main() {
     let mut samples = SAMPLES;
     let mut out_path: Option<String> = Some("BENCH.json".to_string());
@@ -515,25 +529,35 @@ fn main() {
         return;
     }
 
+    // Every input is checked before the first scenario runs.
+    if !scenarios().iter().any(|s| selected(s.name, &filter)) {
+        usage_error(&format!("no scenario matches {filter:?} (see --list)"));
+    }
+    if let Some(path) = &out_path {
+        // Opened for append, so an existing baseline is not truncated
+        // before the new one is ready.
+        if let Err(e) = std::fs::OpenOptions::new().append(true).create(true).open(path) {
+            fail(&format!("cannot write {path}: {e}"));
+        }
+    }
+    let baseline = check_path.map(|path| {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+        parse_baseline(&text).unwrap_or_else(|e| fail(&format!("{path} is malformed: {e}")))
+    });
+
     let results = run_scenarios(samples, &filter);
-    assert!(!results.is_empty(), "scenario filter matched nothing");
     let json = render_json(samples, &results);
     if let Some(path) = &out_path {
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        if let Err(e) = std::fs::write(path, &json) {
+            fail(&format!("cannot write {path}: {e}"));
+        }
         err!("# wrote {path}");
     } else {
         let _ = stdout().write_all(json.as_bytes());
     }
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let baseline = match parse_baseline(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                err!("# {path} is malformed: {e}");
-                std::process::exit(1);
-            }
-        };
+    if let Some(baseline) = baseline {
         if !check_regressions(&results, &baseline) {
             err!("# benchmark regression gate FAILED (see above)");
             std::process::exit(1);

@@ -38,3 +38,29 @@ fn help_exits_2_with_stderr_closed() {
     drop(child.stderr.take());
     assert_eq!(child.wait().expect("mosaic-bench exits").code(), Some(2));
 }
+
+/// Bad inputs exit with a one-line message, not a panic (status 101),
+/// and before any scenario runs.
+#[test]
+fn bad_filter_and_paths_exit_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("mosaic-bench-no-such-dir-{}", std::process::id()));
+    let missing = dir.join("x.json").display().to_string();
+    let cases: [(&[&str], i32, &str); 3] = [
+        (&["--no-out", "no-such-scenario"], 2, "no scenario matches"),
+        (&["--out", &missing, "micro/tlb_lookup"], 1, "cannot write"),
+        (&["--no-out", "--check", &missing, "micro/tlb_lookup"], 1, "cannot read"),
+    ];
+    for (args, code, message) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mosaic-bench"))
+            .args(args)
+            .output()
+            .expect("mosaic-bench runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("median"), "{args:?} runs no scenario: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: no JSON");
+    }
+    assert!(!dir.exists());
+}

@@ -13,7 +13,7 @@
 use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
 use mosaic_core::cac::CacConfig;
-use mosaic_gpusim::ManagerKind;
+use mosaic_gpusim::{weighted_speedup, ManagerKind};
 use mosaic_workloads::Workload;
 use std::fmt;
 
@@ -189,17 +189,16 @@ pub fn multi_kernel(sweep: &Sweep) -> MultiKernel {
             [(w.clone(), mos_cfg), (w.clone(), mmu_cfg)]
         })
         .collect();
-    let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    let baselines = sweep.alone_baselines(&baseline_items);
-    let results = sweep.run_workloads(jobs.clone());
+    let alone = sweep.alone_baselines(&jobs);
+    let results = sweep.run_workloads(jobs);
 
     let mut mosaic = Vec::new();
     let mut gpu_mmu = Vec::new();
     let mut splinters = Vec::new();
-    for (pair_jobs, pair) in jobs.chunks_exact(2).zip(results.chunks_exact(2)) {
+    for (pair, alone) in results.chunks_exact(2).zip(alone.chunks_exact(2)) {
         splinters.push(pair[0].stats.manager.splinters);
-        mosaic.push(baselines.weighted_speedup(&w, &pair[0], pair_jobs[0].1));
-        gpu_mmu.push(baselines.weighted_speedup(&w, &pair[1], pair_jobs[1].1));
+        mosaic.push(weighted_speedup(&pair[0], &alone[0]));
+        gpu_mmu.push(weighted_speedup(&pair[1], &alone[1]));
     }
     MultiKernel { phases: phases.to_vec(), mosaic, gpu_mmu, splinters }
 }
@@ -250,8 +249,7 @@ pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
     // Three jobs per workload, in report-column order.
     let jobs: Vec<_> =
         workloads.iter().flat_map(|w| configs(scope).map(|cfg| (w.clone(), cfg))).collect();
-    let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    let baselines = sweep.alone_baselines(&baseline_items);
+    let alone = sweep.alone_baselines(&jobs);
     let results = sweep.run_workloads(jobs);
 
     let mut rows = Vec::new();
@@ -259,10 +257,12 @@ pub fn migrating_coalescer(sweep: &Sweep) -> CoalescerComparison {
     let mut shootdowns = 0;
     let mut mig_bloat = Vec::new();
     let mut mos_bloat = Vec::new();
-    for (w, shared_runs) in workloads.iter().zip(results.chunks_exact(3)) {
+    for (w, (shared_runs, alone_runs)) in
+        workloads.iter().zip(results.chunks_exact(3).zip(alone.chunks_exact(3)))
+    {
         let mut ws = [0.0f64; 3];
-        for (i, (cfg, shared)) in configs(scope).iter().zip(shared_runs).enumerate() {
-            ws[i] = baselines.weighted_speedup(w, shared, *cfg);
+        for (i, (shared, alone)) in shared_runs.iter().zip(alone_runs).enumerate() {
+            ws[i] = weighted_speedup(shared, alone);
             if i == 1 {
                 migrations += shared.stats.manager.migrations;
                 shootdowns += shared.stats.manager.coalesces;

@@ -172,21 +172,23 @@ fn open_store(dir: &str) -> Store {
     })
 }
 
-/// Prints the cache accounting line for whatever ran, if the sweep has a
-/// cache.
+/// Prints the cache accounting line for whatever ran: the runs the
+/// sweep's memo served in-process, then the store's counts if it has one.
 fn report_cache_stats(sweep: &Sweep) {
-    if let Some(store) = &sweep.cache {
+    let store = sweep.cache.as_ref().map_or("no store".to_string(), |store| {
         let st = store.stats();
-        err!(
-            "[cache] {} hits, {} misses, {} stored, {} failures; {} of simulation served from {}",
+        let saved = std::time::Duration::from_millis(st.saved_ms);
+        format!(
+            "store: {} hits, {} misses, {} stored, {} failures; {} of simulation served from {}",
             st.hits,
             st.misses,
             st.stores,
             st.failures,
-            mosaic_telemetry::progress::fmt_duration(std::time::Duration::from_millis(st.saved_ms)),
+            mosaic_telemetry::progress::fmt_duration(saved),
             store.root().display(),
-        );
-    }
+        )
+    });
+    err!("[cache] {} served in-process; {store}", sweep.memo.served());
 }
 
 /// The `campaign run|expand|status FILE` subcommand; `run` installs the
@@ -354,10 +356,9 @@ fn main() {
         ));
     }
     let mut sweep = Sweep {
-        scope: resolve_scope(),
         jobs: resolve_jobs(jobs),
-        cache: None,
         trace: trace_path.as_ref().map(|_| TraceCollector::default()),
+        ..Sweep::new(resolve_scope())
     };
     let mut pins_hold = true;
     if args.first().map(String::as_str) == Some("campaign") {

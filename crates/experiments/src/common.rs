@@ -1,10 +1,9 @@
-//! Shared experiment machinery: sweep scopes, alone baselines, and small
-//! statistics helpers.
+//! Shared experiment machinery: sweep scopes and small statistics
+//! helpers.
 
 use mosaic_campaign::CampaignScope;
-use mosaic_gpusim::{alone_config, ManagerKind, RunConfig, RunResult};
+use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::{heterogeneous_suite, homogeneous_suite, AppProfile, ScaleConfig, Workload};
-use std::collections::HashMap;
 
 /// How much of the paper's evaluation a driver sweeps.
 ///
@@ -90,60 +89,6 @@ fn spread_indices(len: usize, take: usize) -> Vec<usize> {
     (0..take).map(|i| i * len / take).collect()
 }
 
-/// Per-application alone baselines, resolved up front by
-/// [`Sweep::alone_baselines`](crate::Sweep::alone_baselines) and frozen
-/// from then on.
-///
-/// The weighted-speedup denominator (`IPC_alone`) depends only on the
-/// application and the baseline-relevant parts of the run configuration
-/// (its SM share, the workload scale, the rest of the system config), so
-/// across a suite sweep most baselines are repeats; running each distinct
-/// one once is what makes full-suite sweeps affordable.
-///
-/// Entries key on a digest of the *full* baseline configuration
-/// ([`mosaic_gpusim::alone_config`]), not just `(app, sm_count)`: the
-/// baselines of a TLB-size sweep (Figures 14/15 style) must not collapse
-/// into the one computed under the first point's TLB geometry.
-#[derive(Debug)]
-pub struct AloneBaselines {
-    pub(crate) ipc: HashMap<(String, String), f64>,
-}
-
-impl AloneBaselines {
-    /// Baseline key: application name plus a digest of its baseline
-    /// config.
-    ///
-    /// The digest is the `Debug` rendering of the fully-derived
-    /// [`RunConfig`], which covers every field that can influence the
-    /// baseline run — deterministic, collision-free, and future-proof
-    /// against new config fields.
-    pub(crate) fn key(profile: &AppProfile, alone_cfg: &RunConfig) -> (String, String) {
-        (profile.name.to_string(), format!("{alone_cfg:?}"))
-    }
-
-    /// Weighted speedup of `shared`, the run of `workload` under `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the baselines were not resolved for `(workload, cfg)`.
-    pub fn weighted_speedup(&self, workload: &Workload, shared: &RunResult, cfg: RunConfig) -> f64 {
-        workload
-            .apps
-            .iter()
-            .enumerate()
-            .map(|(i, &profile)| {
-                let key = Self::key(profile, &alone_config(cfg, workload.app_count(), i));
-                let alone = self.ipc[&key];
-                if alone == 0.0 {
-                    0.0
-                } else {
-                    shared.apps[i].ipc / alone
-                }
-            })
-            .sum()
-    }
-}
-
 /// Arithmetic mean; `0.0` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -162,8 +107,6 @@ pub fn fmt_row(label: &str, values: &[f64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Sweep;
-    use mosaic_gpusim::{run_alone_baselines, run_workload, weighted_speedup, Topology};
 
     #[test]
     fn scope_subsets_shrink() {
@@ -196,66 +139,6 @@ mod tests {
         // take == len degenerates to the identity (Full scope).
         assert_eq!(spread_indices(4, 4), vec![0, 1, 2, 3]);
         assert!(spread_indices(0, 3).is_empty());
-    }
-
-    #[test]
-    fn alone_baselines_run_once_per_distinct_key() {
-        let dir =
-            std::env::temp_dir().join(format!("mosaic-alone-baselines-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let sweep = Sweep {
-            jobs: 2,
-            cache: Some(mosaic_campaign::Store::open(&dir).expect("open store")),
-            ..Sweep::new(Scope::Smoke)
-        };
-        let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
-        let pair = Workload::from_names(&["NN", "HS"]);
-        let trio = Workload::from_names(&["NN", "HS", "MM"]);
-        let baselines = sweep.alone_baselines(&[(&pair, cfg), (&pair, cfg), (&trio, cfg)]);
-        // NN and HS at half the SMs, then NN, HS and MM at a third: a
-        // different SM share is a different baseline.
-        assert_eq!(baselines.ipc.len(), 5);
-        let st = sweep.cache.as_ref().expect("cached").stats();
-        assert_eq!((st.misses, st.hits), (5, 0), "one run per distinct key");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn alone_baselines_distinguish_baseline_relevant_configs() {
-        // Regression: keying on (app, sm_count) alone let the points of a
-        // TLB-size sweep share the baseline computed under the first
-        // point's TLB geometry.
-        let sweep = Sweep::new(Scope::Smoke);
-        let w = Workload::from_names(&["NN", "HS"]);
-        let cfg_a = Scope::Smoke.config(ManagerKind::GpuMmu4K);
-        let mut cfg_b = cfg_a;
-        cfg_b.system.l1_tlb.base_entries = 8;
-        let ideal = cfg_a.ideal_tlb();
-        let mosaic = Scope::Smoke.config(ManagerKind::mosaic());
-        let baselines =
-            sweep.alone_baselines(&[(&w, cfg_a), (&w, cfg_b), (&w, ideal), (&w, mosaic)]);
-        // Fields the baseline derivation overrides (manager, ideal TLB,
-        // fragmentation) must NOT split the map.
-        assert_eq!(baselines.ipc.len(), 4, "two TLB geometries are two baselines per app");
-        let shared = run_workload(&w, cfg_a);
-        let ws = |cfg| baselines.weighted_speedup(&w, &shared, cfg);
-        assert_ne!(ws(cfg_a), ws(cfg_b), "a starved L1 TLB must change the alone baseline");
-        assert_eq!(ws(cfg_a), ws(ideal));
-        assert_eq!(ws(cfg_a), ws(mosaic));
-    }
-
-    #[test]
-    fn alone_baselines_match_run_alone_baselines_on_a_fleet() {
-        // One alone-baseline derivation: the map and gpusim's
-        // `run_alone_baselines` must agree, also where they used to
-        // differ — a multi-GPU shared run, whose baselines run on one
-        // device with the app's share of the whole fleet's SMs.
-        let cfg = Scope::Smoke.config(ManagerKind::mosaic()).multi_gpu(2, Topology::FullyConnected);
-        let w = Workload::from_names(&["NN", "HS"]);
-        let shared = run_workload(&w, cfg);
-        let expected = weighted_speedup(&shared, &run_alone_baselines(&w, cfg));
-        let baselines = Sweep { jobs: 2, ..Sweep::new(Scope::Smoke) }.alone_baselines(&[(&w, cfg)]);
-        assert_eq!(baselines.weighted_speedup(&w, &shared, cfg), expected);
     }
 
     #[test]

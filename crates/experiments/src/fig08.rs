@@ -6,7 +6,7 @@
 
 use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
-use mosaic_gpusim::ManagerKind;
+use mosaic_gpusim::{weighted_speedup, ManagerKind};
 use std::fmt;
 
 /// Weighted speedups at one concurrency level.
@@ -79,20 +79,18 @@ pub(crate) fn speedup_sweep(
         .flat_map(|(_, ws)| ws.iter())
         .flat_map(|w| configs().into_iter().map(move |cfg| (w.clone(), cfg)))
         .collect();
-    // Resolve every alone baseline through the pool, then serve the
-    // weighted-speedup folds below from the frozen map.
-    let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    let baselines = sweep.alone_baselines(&baseline_items);
-    let results = sweep.run_workloads(jobs.clone());
+    // The alone baselines run first, each distinct one once.
+    let alone = sweep.alone_baselines(&jobs);
+    let results = sweep.run_workloads(jobs);
 
     let mut rows = Vec::new();
-    let mut shared = jobs.iter().zip(results.iter());
+    let mut shared = results.iter().zip(&alone);
     for (n, ws) in &per_level {
         let mut per_mgr = [Vec::new(), Vec::new(), Vec::new()];
         for _ in ws {
             for series in &mut per_mgr {
-                let ((w, cfg), result) = shared.next().expect("one result per job");
-                series.push(baselines.weighted_speedup(w, result, *cfg));
+                let (result, alone) = shared.next().expect("one result per job");
+                series.push(weighted_speedup(result, alone));
             }
         }
         rows.push(LevelRow {

@@ -10,7 +10,7 @@
 
 use crate::common::Scope;
 use crate::sweep::Sweep;
-use mosaic_gpusim::ManagerKind;
+use mosaic_gpusim::{weighted_speedup, ManagerKind};
 use mosaic_workloads::Workload;
 use std::fmt;
 
@@ -84,16 +84,16 @@ pub fn run(sweep: &Sweep) -> Fig10 {
             ]
         })
         .collect();
-    let baseline_items: Vec<_> = jobs.iter().map(|(w, cfg)| (w, *cfg)).collect();
-    let baselines = sweep.alone_baselines(&baseline_items);
-    let results = sweep.run_workloads(jobs.clone());
+    let alone = sweep.alone_baselines(&jobs);
+    let results = sweep.run_workloads(jobs);
 
     let mut rows = Vec::new();
-    for (w, chunk) in workloads.iter().zip(jobs.chunks_exact(3).zip(results.chunks_exact(3))) {
-        let (job_chunk, result_chunk) = chunk;
+    for (w, (shared_runs, alone_runs)) in
+        workloads.iter().zip(results.chunks_exact(3).zip(alone.chunks_exact(3)))
+    {
         let mut ws = [0.0f64; 3];
-        for (i, ((_, cfg), shared)) in job_chunk.iter().zip(result_chunk).enumerate() {
-            ws[i] = baselines.weighted_speedup(w, shared, *cfg);
+        for (i, (shared, alone)) in shared_runs.iter().zip(alone_runs).enumerate() {
+            ws[i] = weighted_speedup(shared, alone);
         }
         rows.push(PairRow {
             name: w.name.clone(),

@@ -9,7 +9,7 @@
 
 use crate::common::{fmt_row, mean, Scope};
 use crate::sweep::Sweep;
-use mosaic_gpusim::{ManagerKind, RunConfig};
+use mosaic_gpusim::{weighted_speedup, ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
 use std::fmt;
 
@@ -33,25 +33,29 @@ pub struct Fig12 {
 
 fn group(sweep: &Sweep, label: &str, workloads: Vec<(Workload, RunConfig)>) -> GroupRow {
     // Three jobs per workload: the no-paging reference, the with-paging
-    // baseline, and Mosaic.
+    // baseline, and Mosaic. The preloaded run folds against the
+    // with-paging config's baselines, so both GPU-MMU ratios share one
+    // set of denominators.
     let mosaic_cfg = sweep.scope.config(ManagerKind::mosaic());
+    let baseline_runs: Vec<_> = workloads
+        .iter()
+        .flat_map(|(w, base_cfg)| [(w.clone(), *base_cfg), (w.clone(), mosaic_cfg)])
+        .collect();
     let jobs: Vec<_> = workloads
         .iter()
         .flat_map(|(w, base_cfg)| {
             [(w.clone(), base_cfg.preloaded()), (w.clone(), *base_cfg), (w.clone(), mosaic_cfg)]
         })
         .collect();
-    let baseline_items: Vec<_> =
-        workloads.iter().flat_map(|(w, base_cfg)| [(w, *base_cfg), (w, mosaic_cfg)]).collect();
-    let baselines = sweep.alone_baselines(&baseline_items);
+    let alone = sweep.alone_baselines(&baseline_runs);
     let results = sweep.run_workloads(jobs);
 
     let mut g_ratio = Vec::new();
     let mut m_ratio = Vec::new();
-    for ((w, base_cfg), chunk) in workloads.iter().zip(results.chunks_exact(3)) {
-        let ws_no_paging = baselines.weighted_speedup(w, &chunk[0], *base_cfg);
-        let ws_paging = baselines.weighted_speedup(w, &chunk[1], *base_cfg);
-        let ws_mosaic = baselines.weighted_speedup(w, &chunk[2], mosaic_cfg);
+    for (chunk, alone) in results.chunks_exact(3).zip(alone.chunks_exact(2)) {
+        let ws_no_paging = weighted_speedup(&chunk[0], &alone[0]);
+        let ws_paging = weighted_speedup(&chunk[1], &alone[0]);
+        let ws_mosaic = weighted_speedup(&chunk[2], &alone[1]);
         g_ratio.push(ws_paging / ws_no_paging);
         m_ratio.push(ws_mosaic / ws_no_paging);
     }

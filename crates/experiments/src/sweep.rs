@@ -10,10 +10,14 @@
 //!
 //! A [`Sweep`] is one value that carries everything a driver needs
 //! besides its workloads: the scope, the worker count, the optional
-//! persistent run cache and the optional trace collector. Drivers take
-//! it by reference; nothing about a sweep lives in process-global state,
-//! so any number of differently-configured sweeps can run side by side
-//! in one process.
+//! persistent run cache, the optional trace collector and the memo of
+//! every result it has produced. Drivers take it by reference; nothing
+//! about a sweep lives in process-global state, so any number of
+//! differently-configured sweeps can run side by side in one process.
+//!
+//! Purity also makes a run's [`run_key`] its identity. Untraced, a sweep
+//! simulates each distinct key once: the memo is the first tier and the
+//! store the second. A traced batch runs every job it is given.
 //!
 //! The worker pool is dependency-free (std `thread` + `Mutex` only, per
 //! DESIGN.md §6). Its determinism contract is *ordered collection*: jobs
@@ -23,13 +27,13 @@
 //! which is what makes `--jobs N` output byte-identical to `--jobs 1`
 //! (per-job progress goes to stderr only).
 
-use crate::common::{AloneBaselines, Scope};
-use mosaic_campaign::Store;
+use crate::common::Scope;
+use mosaic_campaign::{built_code_digest, run_key, Digest, Store};
 use mosaic_gpusim::{alone_config, run_workload, RunConfig, RunResult};
 use mosaic_telemetry::{Eta, Event, TraceSession};
-use mosaic_workloads::{AppProfile, Workload};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use mosaic_workloads::Workload;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The settings of one experiment sweep, passed by reference to every
@@ -51,18 +55,33 @@ pub struct Sweep {
     /// Worker threads for independent simulations (0 behaves as 1).
     /// Output is byte-identical at every count.
     pub jobs: usize,
-    /// Persistent run cache. While set, every simulation becomes
-    /// lookup-before-simulate with per-job checkpointing: each fresh
-    /// result is stored the moment its job finishes, so an interrupted
-    /// campaign keeps everything it completed.
+    /// Persistent run cache, the second tier behind [`Sweep::memo`]:
+    /// lookup-before-simulate with per-job checkpointing, so an
+    /// interrupted campaign keeps every run it completed.
     pub cache: Option<Store>,
     /// Trace collector. While set, every job of [`Sweep::run_workloads`]
-    /// records its events here, in submission order.
-    ///
-    /// A traced sweep bypasses the cache in both directions — a cache hit
-    /// would produce an event-free trace — and the serial
+    /// runs and records its events here, in submission order, bypassing
+    /// both tiers (a served run would leave no events); the serial
     /// [`Sweep::run_workload_cached`] calls run untraced.
     pub trace: Option<TraceCollector>,
+    /// The in-process tier, empty at first.
+    pub memo: Memo,
+}
+
+/// Every result a [`Sweep`] has produced, by [`run_key`], so each
+/// distinct run is simulated (or read from the store) once per sweep.
+#[derive(Debug, Default)]
+pub struct Memo {
+    runs: Mutex<HashMap<Digest, RunResult>>,
+    served: AtomicU64,
+}
+
+impl Memo {
+    /// Submitted runs served in-process: repeats of a key seen earlier in
+    /// the same batch or an earlier one.
+    pub fn served(&self) -> u64 {
+        self.served.load(Ordering::Relaxed)
+    }
 }
 
 /// The trace chunks a traced sweep has collected, in submission order.
@@ -106,7 +125,7 @@ pub fn render_trace(chunks: &[TraceChunk]) -> String {
 impl Sweep {
     /// A serial, uncached, untraced sweep at `scope`.
     pub fn new(scope: Scope) -> Self {
-        Sweep { scope, jobs: 1, cache: None, trace: None }
+        Sweep { scope, jobs: 1, cache: None, trace: None, memo: Memo::default() }
     }
 
     /// The run cache this sweep may use: none while tracing.
@@ -114,86 +133,113 @@ impl Sweep {
         self.cache.as_ref().filter(|_| self.trace.is_none())
     }
 
-    /// Runs one simulation inline, through the cache when one is set and
-    /// tracing is off. The serial counterpart of [`Sweep::run_workloads`],
-    /// for drivers that need a single result inline.
+    /// A run's one identity: its [`run_key`] under the store's code
+    /// digest, or this build's without a store.
+    fn key(&self, workload: &Workload, cfg: &RunConfig) -> Digest {
+        let code = self.cache.as_ref().map_or_else(built_code_digest, Store::code_digest);
+        run_key(workload, cfg, code)
+    }
+
+    /// Runs one simulation inline and untraced, through both tiers (the
+    /// store only while not tracing): the serial counterpart of
+    /// [`Sweep::run_workloads`].
     pub fn run_workload_cached(&self, workload: &Workload, cfg: RunConfig) -> RunResult {
-        simulate(self.store(), workload, cfg)
+        self.resolve(vec![(workload.clone(), cfg)], false).remove(0)
     }
 
     /// Runs a list of `(workload, config)` simulation jobs on
-    /// [`Sweep::jobs`] workers, returning the results in submission order.
-    ///
-    /// This is the shape every figure driver's inner loop reduces to; the
-    /// progress label is `workload [manager]`.
+    /// [`Sweep::jobs`] workers, returning the results in submission order
+    /// (progress label `workload [manager]`). Untraced, equal run keys
+    /// collapse before dispatch, keys seen before are served from the
+    /// memo, and each other key goes through the store or is simulated.
     pub fn run_workloads(&self, jobs: Vec<(Workload, RunConfig)>) -> Vec<RunResult> {
-        let tracing = self.trace.is_some();
-        let store = self.store();
+        let Some(trace) = &self.trace else {
+            return self.resolve(jobs, true);
+        };
         let tasks = jobs
             .into_iter()
             .map(|(w, cfg)| {
-                let manager = cfg.manager.label();
-                let label = format!("{} [{manager}]", w.name);
+                let label = label(&w, &cfg);
                 let task = move || {
-                    if !tracing {
-                        return (simulate(store, &w, cfg), None);
-                    }
                     let session = TraceSession::start();
                     let result = run_workload(&w, cfg);
-                    let chunk = TraceChunk {
-                        workload: w.name,
-                        manager: manager.to_string(),
-                        events: session.finish(),
-                    };
-                    (result, Some(chunk))
+                    let manager = cfg.manager.label().to_string();
+                    (result, TraceChunk { workload: w.name, manager, events: session.finish() })
                 };
                 (label, task)
             })
             .collect();
         let (results, chunks): (Vec<_>, Vec<_>) = run_ordered(self.jobs, tasks).into_iter().unzip();
-        if let Some(trace) = &self.trace {
-            trace.0.lock().expect("trace buffer poisoned").extend(chunks.into_iter().flatten());
-        }
+        trace.0.lock().expect("trace buffer poisoned").extend(chunks);
         results
     }
 
-    /// Resolves every alone baseline the given `(workload, config)` pairs
-    /// need, running each distinct one once on this sweep's workers.
-    ///
-    /// The returned map is frozen: drivers fold their rows from it
-    /// serially, with no simulation left on the serial path.
-    pub fn alone_baselines(&self, items: &[(&Workload, RunConfig)]) -> AloneBaselines {
-        let mut slots = HashMap::new();
-        let mut jobs = Vec::new();
-        for &(workload, cfg) in items {
-            for (i, &profile) in workload.apps.iter().enumerate() {
-                let alone_cfg = alone_config(cfg, workload.app_count(), i);
-                slots.entry(AloneBaselines::key(profile, &alone_cfg)).or_insert_with(|| {
-                    jobs.push((solo(profile), alone_cfg));
-                    jobs.len() - 1
-                });
-            }
-        }
+    /// The untraced path: one task per distinct key the memo lacks
+    /// (labelled when `progress` is set), then every job's result.
+    fn resolve(&self, jobs: Vec<(Workload, RunConfig)>, progress: bool) -> Vec<RunResult> {
+        let keys: Vec<Digest> = jobs.iter().map(|(w, cfg)| self.key(w, cfg)).collect();
+        let store = self.store();
+        let tasks: Vec<_> = {
+            let runs = self.memo.runs.lock().expect("memo poisoned");
+            let mut fresh = HashSet::new();
+            jobs.into_iter()
+                .zip(keys.iter().copied())
+                .filter(|&(_, key)| !runs.contains_key(&key) && fresh.insert(key))
+                .map(|((w, cfg), key)| {
+                    let label = if progress { label(&w, &cfg) } else { String::new() };
+                    (label, move || (key, simulate(store, key, &w, cfg)))
+                })
+                .collect()
+        };
+        self.memo.served.fetch_add((keys.len() - tasks.len()) as u64, Ordering::Relaxed);
+        let fresh = run_ordered(self.jobs, tasks);
+        let mut runs = self.memo.runs.lock().expect("memo poisoned");
+        runs.extend(fresh);
+        keys.iter().map(|key| runs[key].clone()).collect()
+    }
+
+    /// The alone baselines of each `(workload, config)` in `runs`, one
+    /// result per application under [`alone_config`]: the `IPC_alone`
+    /// runs [`mosaic_gpusim::weighted_speedup`] folds a shared run
+    /// against. Each distinct one is submitted once, in first-seen order,
+    /// so a traced sweep records it once too.
+    pub fn alone_baselines(&self, runs: &[(Workload, RunConfig)]) -> Vec<Vec<RunResult>> {
+        let (mut index, mut jobs) = (HashMap::new(), Vec::new());
+        let slots: Vec<Vec<usize>> = runs
+            .iter()
+            .map(|(w, cfg)| {
+                w.apps
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &app)| {
+                        let solo = Workload { name: app.name.to_string(), apps: vec![app] };
+                        let job = (solo, alone_config(*cfg, w.app_count(), i));
+                        *index.entry(self.key(&job.0, &job.1)).or_insert_with(|| {
+                            jobs.push(job);
+                            jobs.len() - 1
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
         let results = self.run_workloads(jobs);
-        let ipc = slots.into_iter().map(|(key, job)| (key, results[job].apps[0].ipc)).collect();
-        AloneBaselines { ipc }
+        slots.iter().map(|apps| apps.iter().map(|&j| results[j].clone()).collect()).collect()
     }
 }
 
-/// A one-application workload.
-fn solo(profile: &'static AppProfile) -> Workload {
-    Workload { name: profile.name.to_string(), apps: vec![profile] }
+/// The progress label of one job: `workload [manager]`.
+fn label(workload: &Workload, cfg: &RunConfig) -> String {
+    format!("{} [{}]", workload.name, cfg.manager.label())
 }
 
-/// Simulates through `store` when given (lookup-before-simulate with
-/// insert-on-miss), else straight. The insert happens here, inside the
-/// calling job, not after the enclosing sweep — that per-job
-/// checkpointing is what makes campaigns resumable.
-fn simulate(store: Option<&Store>, workload: &Workload, cfg: RunConfig) -> RunResult {
+/// Simulates the run keyed `key` through `store` when given
+/// (lookup-before-simulate with insert-on-miss), else straight. The
+/// insert happens here, inside the calling job, not after the enclosing
+/// sweep — that per-job checkpointing is what makes campaigns resumable.
+fn simulate(store: Option<&Store>, key: Digest, workload: &Workload, cfg: RunConfig) -> RunResult {
     let Some(store) = store else {
         return run_workload(workload, cfg);
     };
-    let key = store.run_key(workload, &cfg);
     if let Some(hit) = store.lookup(key) {
         return hit.result;
     }
@@ -297,6 +343,120 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mosaic_gpusim::{run_alone_baselines, weighted_speedup, ManagerKind, Topology};
+    use std::path::PathBuf;
+
+    /// A fresh, empty store directory for the test `name`.
+    fn store_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mosaic-sweep-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A smoke sweep on `jobs` workers with a store at `dir`.
+    fn cached(jobs: usize, dir: &PathBuf) -> Sweep {
+        Sweep {
+            jobs,
+            cache: Some(Store::open(dir).expect("open store")),
+            ..Sweep::new(Scope::Smoke)
+        }
+    }
+
+    #[test]
+    fn each_distinct_key_is_simulated_once_per_sweep() {
+        let dir = store_dir("memo");
+        let sweep = cached(2, &dir);
+        let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
+        let (mm, gups) = (Workload::from_names(&["MM"]), Workload::from_names(&["GUPS"]));
+        let batch = vec![(mm.clone(), cfg), (gups, cfg), (mm.clone(), cfg), (mm, cfg.ideal_tlb())];
+        let first = sweep.run_workloads(batch.clone());
+        let second = sweep.run_workloads(batch.clone());
+        let st = sweep.cache.as_ref().expect("cached").stats();
+        assert_eq!((st.misses, st.hits, st.stores), (3, 0, 3), "three distinct keys, each once");
+        assert_eq!(sweep.memo.served(), 1 + 4, "the in-batch repeat, then the whole second batch");
+        assert_eq!(first.len(), 4);
+        assert_eq!(first, second);
+        assert_eq!(first[0], first[2], "a repeat is the same run");
+        // The serial entry point reads the same memo.
+        let inline = sweep.run_workload_cached(&batch[3].0, batch[3].1);
+        assert_eq!(inline, first[3]);
+        assert_eq!(sweep.cache.as_ref().expect("cached").stats().misses, 3);
+
+        // Traced, every submitted job runs and is recorded; neither tier
+        // is read or written.
+        let traced = Sweep { trace: Some(TraceCollector::default()), ..cached(2, &dir) };
+        let results = traced.run_workloads(batch.clone());
+        let st = traced.cache.as_ref().expect("cached").stats();
+        assert_eq!((st.hits, st.misses, st.stores), (0, 0, 0), "traced batches bypass the store");
+        assert_eq!(traced.memo.served(), 0, "traced batches bypass the memo");
+        let chunks = traced.trace.expect("traced").into_chunks();
+        let names: Vec<_> =
+            chunks.iter().map(|c| (c.workload.as_str(), c.events.is_empty())).collect();
+        assert_eq!(names, [("MM", false), ("GUPS", false), ("MM", false), ("MM", false)]);
+        assert_eq!(results, first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn alone_baselines_run_once_per_distinct_key() {
+        let dir = store_dir("alone");
+        let sweep = cached(2, &dir);
+        let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
+        let pair = Workload::from_names(&["NN", "HS"]);
+        let trio = Workload::from_names(&["NN", "HS", "MM"]);
+        let runs = [(pair.clone(), cfg), (pair, cfg), (trio, cfg)];
+        let alone = sweep.alone_baselines(&runs);
+        assert_eq!(alone.iter().map(Vec::len).collect::<Vec<_>>(), [2, 2, 3]);
+        // NN and HS at half the SMs, then NN, HS and MM at a third: a
+        // different SM share is a different baseline.
+        let st = sweep.cache.as_ref().expect("cached").stats();
+        assert_eq!((st.misses, st.hits), (5, 0), "one run per distinct key");
+        // A traced batch runs every job it is given, so the baselines
+        // are collapsed before they are submitted.
+        let traced = Sweep { trace: Some(TraceCollector::default()), ..Sweep::new(Scope::Smoke) };
+        assert_eq!(traced.alone_baselines(&runs), alone);
+        assert_eq!(traced.trace.expect("traced").into_chunks().len(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn alone_baselines_distinguish_baseline_relevant_configs() {
+        // Regression: keying on (app, sm_count) alone let the points of a
+        // TLB-size sweep share the baseline computed under the first
+        // point's TLB geometry.
+        let sweep = Sweep::new(Scope::Smoke);
+        let w = Workload::from_names(&["NN", "HS"]);
+        let cfg_a = Scope::Smoke.config(ManagerKind::GpuMmu4K);
+        let mut cfg_b = cfg_a;
+        cfg_b.system.l1_tlb.base_entries = 8;
+        let ideal = cfg_a.ideal_tlb();
+        let mosaic = Scope::Smoke.config(ManagerKind::mosaic());
+        let runs = [cfg_a, cfg_b, ideal, mosaic].map(|cfg| (w.clone(), cfg));
+        let alone = sweep.alone_baselines(&runs);
+        // Fields the baseline derivation overrides (manager, ideal TLB,
+        // fragmentation) must NOT split the baselines.
+        let distinct = sweep.memo.runs.lock().expect("memo").len();
+        assert_eq!(distinct, 4, "two TLB geometries are two baselines per app");
+        let shared = run_workload(&w, cfg_a);
+        let ws: Vec<f64> = alone.iter().map(|a| weighted_speedup(&shared, a)).collect();
+        assert_ne!(ws[0], ws[1], "a starved L1 TLB must change the alone baseline");
+        assert_eq!(ws[0], ws[2]);
+        assert_eq!(ws[0], ws[3]);
+    }
+
+    #[test]
+    fn alone_baselines_match_run_alone_baselines_on_a_fleet() {
+        // One alone-baseline derivation: the sweep's keyed jobs and
+        // gpusim's `run_alone_baselines` must agree, also on a multi-GPU
+        // shared run, whose baselines run on one device with the app's
+        // share of the whole fleet's SMs.
+        let cfg = Scope::Smoke.config(ManagerKind::mosaic()).multi_gpu(2, Topology::FullyConnected);
+        let w = Workload::from_names(&["NN", "HS"]);
+        let shared = run_workload(&w, cfg);
+        let expected = weighted_speedup(&shared, &run_alone_baselines(&w, cfg));
+        let alone = Sweep { jobs: 2, ..Sweep::new(Scope::Smoke) }.alone_baselines(&[(w, cfg)]);
+        assert_eq!(weighted_speedup(&shared, &alone[0]), expected);
+    }
 
     /// Unlabeled tasks for [`run_ordered`].
     fn unlabeled<F>(tasks: impl IntoIterator<Item = F>) -> Vec<(String, F)> {

@@ -92,3 +92,40 @@ fn campaign_expand_exits_0_with_stdout_closed() {
     drop(child.stdout.take());
     assert_eq!(child.wait().expect("reproduce exits").code(), Some(0));
 }
+
+/// The `[cache]` stderr line of a `reproduce` run, as its numbers:
+/// `(served in-process, store hits, store misses)`, the last two `None`
+/// without a store.
+fn cache_line(stderr: &str) -> (u64, Option<(u64, u64)>) {
+    let line = stderr.lines().find(|l| l.starts_with("[cache] ")).expect("a [cache] line");
+    let number = |after: &str| -> u64 {
+        let (head, _) = line.split_once(after).unwrap_or_else(|| panic!("{after:?} in {line}"));
+        head.rsplit(' ').next().and_then(|n| n.parse().ok()).expect("a count")
+    };
+    let store = line.contains("store:").then(|| (number(" hits, "), number(" misses, ")));
+    (number(" served in-process"), store)
+}
+
+/// Repeated runs are served in-process and counted apart from the
+/// store's hits: a cold store misses once per distinct run, a warm one
+/// hits each of them, and the memo serves the same repeats either way.
+#[test]
+fn cache_line_counts_in_process_runs_apart_from_store_hits() {
+    let dir = std::env::temp_dir().join(format!("mosaic-cache-line-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached = ["--jobs", "2", "--cache-dir", dir.to_str().expect("utf-8 path"), "fig08"];
+    let runs = [&cached[..], &cached[..], &["--jobs", "2", "--no-cache", "fig08"][..]]
+        .map(reproduce)
+        .map(|(code, stderr)| {
+            assert_eq!(code, Some(0), "{stderr}");
+            cache_line(&stderr)
+        });
+    let _ = std::fs::remove_dir_all(&dir);
+    let [(served, cold), (warm_served, warm), (uncached_served, none)] = runs;
+    let (Some((0, distinct)), Some((hits, 0))) = (cold, warm) else {
+        panic!("cold {cold:?} must only miss and warm {warm:?} only hit");
+    };
+    assert!(served > 0, "fig08 repeats runs, served in-process");
+    assert_eq!(hits, distinct, "the warm store serves each distinct run once");
+    assert_eq!((warm_served, uncached_served, none), (served, served, None));
+}

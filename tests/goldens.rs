@@ -8,7 +8,9 @@
 //! comparison (the migrating coalescer's promotion path), table2
 //! (pre-fragmentation, the CAC failsafe and hole scavenging) and multigpu
 //! (fleet placement, the interconnect and lookahead isolation across
-//! devices); one loop covers every other pin. The `trace` pin is not a
+//! devices); one loop covers every other pin, rendering them all through
+//! one shared sweep, so the runs its memo serves to a later report are
+//! checked against real pins too. The `trace` pin is not a
 //! report: its test renders the JSONL trace of the golden trace sweep.
 //! The full golden matrix, serial and parallel with the run cache off,
 //! cold and warm, lives in `crates/experiments/tests/golden_matrix.rs`.
@@ -89,4 +91,5 @@ fn every_pinned_report_matches_its_golden() {
         "smoke reports drifted from their goldens:\n{}",
         drifted.join("\n")
     );
+    assert!(sweep.memo.served() > 0, "later reports reuse earlier reports' runs");
 }
