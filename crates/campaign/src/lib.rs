@@ -40,6 +40,6 @@ pub mod runner;
 pub mod store;
 
 pub use digest::{run_key, Digest, KeyBuilder};
-pub use matrix::{Campaign, CampaignScope, ParseError, Point, SkippedPoint, Spec};
+pub use matrix::{axis_keys, Campaign, CampaignScope, ParseError, Point, SkippedPoint, Spec};
 pub use runner::{render_expand, render_results, render_status, status, CampaignStatus};
 pub use store::{built_code_digest, CachedRun, Store, StoreStats};

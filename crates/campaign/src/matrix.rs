@@ -40,6 +40,7 @@
 //!   that parses a value, applies it and returns its label text.
 
 use mosaic_gpusim::{manager_tokens, DemandPagingMode, ManagerKind, RunConfig};
+use mosaic_vm::TlbConfig;
 use mosaic_workloads::{AppProfile, ScaleConfig, Workload};
 use std::fmt;
 
@@ -249,8 +250,8 @@ struct Axis {
 const AXES: &[Axis] = &[
     Axis { key: "workloads", absent: Absent::Required, apply: apply_workload },
     Axis { key: "managers", absent: Absent::Use("mosaic"), apply: apply_manager },
-    Axis { key: "l1_tlb", absent: Absent::Keep, apply: apply_l1_tlb },
-    Axis { key: "l2_tlb", absent: Absent::Keep, apply: apply_l2_tlb },
+    Axis { key: "l1_tlb", absent: Absent::Keep, apply: |v, d| tlb(v, &mut d.cfg.system.l1_tlb, 1) },
+    Axis { key: "l2_tlb", absent: Absent::Keep, apply: |v, d| tlb(v, &mut d.cfg.system.l2_tlb, 2) },
     Axis { key: "fragmentation", absent: Absent::Keep, apply: apply_fragmentation },
     Axis { key: "oversubscription", absent: Absent::Keep, apply: apply_oversubscription },
     Axis { key: "paging", absent: Absent::Keep, apply: apply_paging },
@@ -266,6 +267,10 @@ fn apply_workload(v: &Value, d: &mut Draft) -> Result<String, String> {
     if let Some(app) = names.iter().find(|app| AppProfile::by_name(app).is_none()) {
         return Err(format!("unknown application {app:?} in workload {s:?}"));
     }
+    let (n, sms) = (names.len(), d.cfg.total_sms());
+    if n > sms {
+        return Err(format!("workload {s:?} has {n} applications, more than {sms} SMs"));
+    }
     d.workload = Some(Workload::from_names(&names));
     Ok(s.to_string())
 }
@@ -278,18 +283,6 @@ fn apply_manager(v: &Value, d: &mut Draft) -> Result<String, String> {
     };
     (d.cfg.manager, d.cfg.system.ideal_tlb) = (kind, ideal_tlb);
     Ok(s.to_string())
-}
-
-fn apply_l1_tlb(v: &Value, d: &mut Draft) -> Result<String, String> {
-    let (base, large) = tlb(v, "l1_tlb")?;
-    (d.cfg.system.l1_tlb.base_entries, d.cfg.system.l1_tlb.large_entries) = (base, large);
-    Ok(format!("l1={base}/{large}"))
-}
-
-fn apply_l2_tlb(v: &Value, d: &mut Draft) -> Result<String, String> {
-    let (base, large) = tlb(v, "l2_tlb")?;
-    (d.cfg.system.l2_tlb.base_entries, d.cfg.system.l2_tlb.large_entries) = (base, large);
-    Ok(format!("l2={base}/{large}"))
 }
 
 fn apply_fragmentation(v: &Value, d: &mut Draft) -> Result<String, String> {
@@ -344,18 +337,51 @@ fn apply_seed(v: &Value, d: &mut Draft) -> Result<String, String> {
     Ok(format!("seed={}", d.cfg.seed))
 }
 
-/// A `"base_entries/large_entries"` TLB geometry.
-fn tlb(v: &Value, axis: &str) -> Result<(usize, usize), String> {
-    let s = v.str(axis)?;
-    pair(s, '/')
+/// Sets TLB level `level`'s `"base_entries/large_entries"`, which the
+/// simulator must be able to build.
+fn tlb(v: &Value, tlb: &mut TlbConfig, level: u8) -> Result<String, String> {
+    let axis = format!("l{level}_tlb");
+    let s = v.str(&axis)?;
+    let (base, large) = pair(s, '/')
         .filter(|&(base, _)| base > 0)
-        .ok_or_else(|| format!("{axis} must be \"base_entries/large_entries\", got {s:?}"))
+        .ok_or_else(|| format!("{axis} must be \"base_entries/large_entries\", got {s:?}"))?;
+    (tlb.base_entries, tlb.large_entries) = (base, large);
+    tlb.check().map_err(|e| format!("{axis} {s:?}: {e}"))?;
+    Ok(format!("l{level}={base}/{large}"))
 }
 
 /// Both halves of `"a<sep>b"`, parsed.
 fn pair<T: std::str::FromStr>(s: &str, sep: char) -> Option<(T, T)> {
     let (a, b) = s.split_once(sep)?;
     Some((a.trim().parse().ok()?, b.trim().parse().ok()?))
+}
+
+/// Sets `key`'s row to `values`, each checked by applying it to a
+/// throwaway point. A repeated value or a key set before is an error.
+fn set_axis(axes: &mut [Vec<Value>], key: &str, values: Vec<Value>) -> Result<(), String> {
+    let Some(slot) = AXES.iter().position(|a| a.key == key) else {
+        return Err(format!("unknown matrix axis {key:?}"));
+    };
+    let mut labels = Vec::with_capacity(values.len());
+    for v in &values {
+        let mut throwaway = Draft { workload: None, cfg: RunConfig::new(ManagerKind::GpuMmu4K) };
+        let label = (AXES[slot].apply)(v, &mut throwaway)?;
+        if labels.contains(&label) {
+            let v = v.describe();
+            return Err(format!("{key} repeats a value: {v} applies as {label:?} again"));
+        }
+        labels.push(label);
+    }
+    if !axes[slot].is_empty() {
+        return Err(format!("duplicate key {key:?}"));
+    }
+    axes[slot] = values;
+    Ok(())
+}
+
+/// Every matrix axis key, in expansion order.
+pub fn axis_keys() -> impl Iterator<Item = &'static str> {
+    AXES.iter().map(|a| a.key)
 }
 
 /// Why a built config cannot run, if it cannot.
@@ -429,41 +455,46 @@ impl Spec {
                         })
                     }
                     other => {
-                        return err(
-                            lno,
-                            format!(
-                                "unknown top-level key {other:?} (matrix axes go under [matrix])"
-                            ),
-                        )
+                        let hint = "matrix axes go under [matrix]";
+                        return err(lno, format!("unknown top-level key {other:?} ({hint})"));
                     }
                 }
                 continue;
             }
-            let Some(slot) = AXES.iter().position(|a| a.key == key) else {
-                return err(lno, format!("unknown matrix axis {key:?}"));
-            };
-            let mut labels = Vec::with_capacity(values.len());
-            for v in &values {
-                let mut throwaway =
-                    Draft { workload: None, cfg: RunConfig::new(ManagerKind::GpuMmu4K) };
-                let label = (AXES[slot].apply)(v, &mut throwaway)
-                    .map_err(|message| ParseError { line: lno, message })?;
-                if labels.contains(&label) {
-                    let v = v.describe();
-                    return err(
-                        lno,
-                        format!("{key} repeats a value: {v} applies as {label:?} again"),
-                    );
-                }
-                labels.push(label);
-            }
-            if !axes[slot].is_empty() {
-                return duplicate();
-            }
-            axes[slot] = values;
+            set_axis(&mut axes, key, values)
+                .map_err(|message| ParseError { line: lno, message })?;
         }
+        let name = name.unwrap_or_else(|| "campaign".to_string());
+        Spec { name, scope: scope.unwrap_or(CampaignScope::Default), axes }.filled()
+    }
 
-        for (axis, values) in AXES.iter().zip(&mut axes) {
+    /// Builds a Default-scope spec from command-line `KEY=V[,V...]`
+    /// pairs, each checked as [`Spec::parse`] checks a `[matrix]` line.
+    /// A value that reads as a finite number is a number, and any other
+    /// a string, which is the value a file gives it. Errors carry line 0.
+    pub fn from_pairs(
+        pairs: impl IntoIterator<Item = impl AsRef<str>>,
+    ) -> Result<Spec, ParseError> {
+        let mut axes = vec![Vec::new(); AXES.len()];
+        for pair in pairs {
+            let pair = pair.as_ref();
+            let Some((key, values)) = pair.split_once('=') else {
+                return err(0, format!("expected KEY=VALUE, got {pair:?}"));
+            };
+            let values = values.split(',').map(|v| match v.parse::<f64>() {
+                Ok(n) if n.is_finite() => Value::Num(n, v.to_string()),
+                _ => Value::Str(v.to_string()),
+            });
+            set_axis(&mut axes, key, values.collect())
+                .map_err(|message| ParseError { line: 0, message })?;
+        }
+        Spec { name: "campaign".to_string(), scope: CampaignScope::Default, axes }.filled()
+    }
+
+    /// This spec with each absent axis filled in, or the required one
+    /// it misses.
+    fn filled(mut self) -> Result<Spec, ParseError> {
+        for (axis, values) in AXES.iter().zip(&mut self.axes) {
             match axis.absent {
                 Absent::Required if values.is_empty() => {
                     return err(0, format!("missing required [matrix] axis {:?}", axis.key))
@@ -472,11 +503,7 @@ impl Spec {
                 _ => {}
             }
         }
-        Ok(Spec {
-            name: name.unwrap_or_else(|| "campaign".to_string()),
-            scope: scope.unwrap_or(CampaignScope::Default),
-            axes,
-        })
+        Ok(self)
     }
 
     /// Expands the cross product into the deterministic job list: an

@@ -30,11 +30,9 @@ impl SweepParam {
             SweepParam::L1Base => cfg.system.l1_tlb.base_entries = value,
             SweepParam::L2Base => {
                 cfg.system.l2_tlb.base_entries = value;
-                // Keep the geometry legal: associativity at most the entry
-                // count and dividing it evenly.
-                if cfg.system.l2_tlb.base_assoc > value
-                    || !value.is_multiple_of(cfg.system.l2_tlb.base_assoc.max(1))
-                {
+                // Keep the geometry legal: fully associative when the
+                // entries do not fill whole sets.
+                if cfg.system.l2_tlb.check().is_err() {
                     cfg.system.l2_tlb.base_assoc = 0;
                 }
             }

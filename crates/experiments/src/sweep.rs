@@ -33,6 +33,7 @@ use mosaic_gpusim::{alone_config, run_workload, RunConfig, RunResult};
 use mosaic_telemetry::{Eta, Event, TraceSession};
 use mosaic_workloads::Workload;
 use std::collections::{HashMap, HashSet};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -331,7 +332,9 @@ impl Progress {
             } else {
                 String::new()
             };
-            eprintln!(
+            // A closed stderr drops the line: progress is not the verdict.
+            let _ = writeln!(
+                std::io::stderr(),
                 "[sweep {done}/{total}] {label} ({elapsed:.1?}){eta}",
                 total = self.total,
                 elapsed = started.elapsed()

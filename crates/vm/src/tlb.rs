@@ -60,6 +60,30 @@ impl TlbConfig {
             latency: 10,
         }
     }
+
+    /// Why the simulator cannot build this TLB, if it cannot: each
+    /// array's entries must be fewer than its `u32` slot numbers can
+    /// name, and, when set-associative, a multiple of its associativity.
+    pub fn check(&self) -> Result<(), String> {
+        sets_and_ways(self.base_entries, self.base_assoc)?;
+        sets_and_ways(self.large_entries, self.large_assoc).map(drop)
+    }
+}
+
+/// The sets and ways of an array of `entries` at associativity `assoc`,
+/// or why it cannot be built.
+fn sets_and_ways(entries: usize, assoc: usize) -> Result<(usize, usize), String> {
+    if entries >= VACANT as usize {
+        Err(format!("TLB entries ({entries}) must be below {VACANT}: slot numbers are u32"))
+    } else if entries == 0 {
+        Ok((0, 1))
+    } else if assoc == 0 || assoc >= entries {
+        Ok((1, entries))
+    } else if entries.is_multiple_of(assoc) {
+        Ok((entries / assoc, assoc))
+    } else {
+        Err(format!("TLB entries ({entries}) must be a multiple of associativity ({assoc})"))
+    }
 }
 
 /// The outcome of a TLB probe.
@@ -162,18 +186,7 @@ struct TranslationArray {
 
 impl TranslationArray {
     fn new(entries: usize, assoc: usize) -> Self {
-        assert!(entries < VACANT as usize, "a TLB array's slot numbers are u32");
-        let (num_sets, assoc) = if entries == 0 {
-            (0, 1)
-        } else if assoc == 0 || assoc >= entries {
-            (1, entries)
-        } else {
-            assert!(
-                entries.is_multiple_of(assoc),
-                "TLB entries ({entries}) must be a multiple of associativity ({assoc})"
-            );
-            (entries / assoc, assoc)
-        };
+        let (num_sets, assoc) = sets_and_ways(entries, assoc).unwrap_or_else(|e| panic!("{e}"));
         let slots = num_sets * assoc;
         let (positions, indexed_slots) =
             if assoc > SCANNED_WAYS { ((2 * entries).next_power_of_two(), slots) } else { (0, 0) };

@@ -4,13 +4,18 @@
 //! that moves means a campaign file now runs something else, or runs
 //! it under another label, or in another order. The code digest is
 //! fixed at zero so the keys do not follow the source tree.
+//!
+//! A spec built from `mosaic-sim`'s `KEY=V[,V...]` pairs must expand
+//! like the same matrix written as a file, and both front ends reject
+//! the same values with the same message.
 
-use mosaic_campaign::{run_key, Digest, Spec};
+use mosaic::vm::{Tlb, TlbConfig};
+use mosaic_campaign::{run_key, CampaignScope, Digest, Spec};
 
 /// One line per point (`point LABEL | KEY`) and per skipped point
 /// (`skip LABEL | REASON`), points first.
-fn render(spec: &str) -> String {
-    let campaign = Spec::parse(spec).expect("spec parses").expand();
+fn render(spec: &Spec) -> String {
+    let campaign = spec.expand();
     let mut out = String::new();
     for p in &campaign.points {
         out += &format!("point {} | {}\n", p.label, run_key(&p.workload, &p.cfg, Digest(0)));
@@ -22,7 +27,7 @@ fn render(spec: &str) -> String {
 }
 
 /// Compares line by line, naming the first line that moved.
-fn check(spec: &str, expected: &str) {
+fn check(spec: &Spec, expected: &str) {
     let actual = render(spec);
     let (mut a, mut e) = (actual.lines(), expected.lines());
     for n in 1.. {
@@ -38,7 +43,7 @@ fn check(spec: &str, expected: &str) {
 
 #[test]
 fn smoke_campaign_expansion_is_pinned() {
-    check(include_str!("../campaigns/smoke.toml"), SMOKE);
+    check(&parse(include_str!("../campaigns/smoke.toml")), SMOKE);
 }
 
 /// Every axis set away from its default at least once.
@@ -59,13 +64,32 @@ seeds = [7]
 
 #[test]
 fn every_axis_expansion_is_pinned() {
-    check(EVERY_AXIS_SPEC, EVERY_AXIS);
+    check(&parse(EVERY_AXIS_SPEC), EVERY_AXIS);
+}
+
+/// `EVERY_AXIS_SPEC` in `mosaic-sim`'s pair form.
+#[test]
+fn every_axis_pairs_expand_like_the_file() {
+    let mut spec = Spec::from_pairs([
+        "workloads=MM+GUPS",
+        "managers=gpu-mmu,mosaic",
+        "l1_tlb=64/8",
+        "l2_tlb=256/128",
+        "fragmentation=none,0.5:0.9",
+        "oversubscription=none,2.0",
+        "paging=on-demand,preloaded",
+        "seeds=7",
+    ])
+    .expect("pairs parse");
+    spec.scope = CampaignScope::Smoke;
+    check(&spec, EVERY_AXIS);
 }
 
 /// Only the required axis: every other axis keeps its default.
 #[test]
 fn workloads_only_expansion_is_pinned() {
-    check("[matrix]\nworkloads = [\"MM\", \"HS+CONS\"]\n", WORKLOADS_ONLY);
+    check(&parse("[matrix]\nworkloads = [\"MM\", \"HS+CONS\"]\n"), WORKLOADS_ONLY);
+    check(&Spec::from_pairs(["workloads=MM,HS+CONS"]).expect("pairs parse"), WORKLOADS_ONLY);
 }
 
 /// Writing an axis's default out expands like leaving the axis out.
@@ -82,7 +106,63 @@ oversubscription = ["none"]
 paging = ["on-demand"]
 seeds = [42]
 "#;
-    check(spec, WORKLOADS_ONLY);
+    check(&parse(spec), WORKLOADS_ONLY);
+}
+
+fn parse(spec: &str) -> Spec {
+    Spec::parse(spec).expect("spec parses")
+}
+
+/// The message a file's `[matrix]` line and a pair both get for
+/// `key=value`.
+fn rejection(key: &str, value: &str) -> String {
+    let e = Spec::parse(&format!("[matrix]\n{key} = \"{value}\"\n")).expect_err(value);
+    assert_eq!(e.line, 2, "{e}");
+    let pair = Spec::from_pairs([format!("{key}={value}").as_str()]).expect_err(value);
+    assert_eq!(pair.message, e.message, "both front ends reject {key}={value} alike");
+    e.message
+}
+
+/// A TLB geometry the simulator cannot build fails its row, with the
+/// message the constructor panics with; one the row accepts builds.
+#[test]
+fn tlb_rows_reject_what_the_simulator_cannot_build() {
+    assert_eq!(
+        rejection("l2_tlb", "500/256"),
+        "l2_tlb \"500/256\": TLB entries (500) must be a multiple of associativity (16)"
+    );
+    let huge = u32::MAX as usize;
+    for (key, mut tlb) in [("l1_tlb", TlbConfig::paper_l1()), ("l2_tlb", TlbConfig::paper_l2())] {
+        for (base, large) in [(500, 256), (512, 8), (48, 7), (8, 256), (huge, 16), (64, huge)] {
+            (tlb.base_entries, tlb.large_entries) = (base, large);
+            let built = std::panic::catch_unwind(move || Tlb::new(tlb)).map(drop);
+            let Err(panic) = built else {
+                assert!(
+                    Spec::from_pairs(["workloads=MM", &format!("{key}={base}/{large}")]).is_ok()
+                );
+                continue;
+            };
+            let why = tlb.check().expect_err("the constructor panicked");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&why), "{key} {base}/{large}");
+            assert_eq!(
+                rejection(key, &format!("{base}/{large}")),
+                format!("{key} \"{base}/{large}\": {why}")
+            );
+        }
+    }
+}
+
+/// A workload with more applications than the base config's SMs is
+/// rejected on its line, before anything runs.
+#[test]
+fn workloads_wider_than_the_gpu_are_rejected() {
+    let apps = vec!["HS"; 31].join("+");
+    assert_eq!(
+        rejection("workloads", &apps),
+        format!("workload {apps:?} has 31 applications, more than 30 SMs")
+    );
+    let widest = vec!["HS"; 30].join("+");
+    assert_eq!(parse(&format!("[matrix]\nworkloads = \"{widest}\"")).expand().points.len(), 1);
 }
 
 const SMOKE: &str = "\
