@@ -67,20 +67,15 @@ MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce 
 diff target/multigpu-serial.txt target/multigpu-parallel.txt
 echo "    multigpu byte-identical at --jobs 1 and 4"
 
-echo "==> oversubscription and fragmentation smoke (evict, write back, prefetch; CAC failsafe)"
-# --digest fails the step if a report moved off its golden pin. multigpu
-# (above): placement, interconnect, migration payloads, remote/migrate
-# stall attribution. oversub: LRU eviction, dirty write-back, prefetch.
-# fig16: pre-fragmentation, the CAC failsafe and hole scavenging.
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --digest oversub fig16 > target/oversub-fig16.txt
-
-echo "==> trace-smoke (record a traced sweep, validate the JSONL, round-trip to Chrome)"
-MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
-    --trace target/trace-smoke.jsonl --stall-report
-cargo run -q --release -p mosaic-telemetry --bin mosaic-trace -- validate target/trace-smoke.jsonl
+echo "==> trace-smoke (record a traced sweep at --jobs 1 and 2, cmp, validate, round-trip to Chrome)"
+for jobs in 1 2; do
+    MOSAIC_SCOPE=smoke cargo run -q --release -p mosaic-experiments --bin reproduce -- \
+        --jobs "$jobs" --trace "target/trace-smoke-$jobs.jsonl" --stall-report
+done
+cmp target/trace-smoke-1.jsonl target/trace-smoke-2.jsonl
+cargo run -q --release -p mosaic-telemetry --bin mosaic-trace -- validate target/trace-smoke-1.jsonl
 cargo run -q --release -p mosaic-telemetry --bin mosaic-trace -- \
-    chrome target/trace-smoke.jsonl -o target/trace-smoke.chrome.json
+    chrome target/trace-smoke-1.jsonl -o target/trace-smoke.chrome.json
 
 echo "==> simbench-smoke (benchmark tests, and every workload's simulated results unchanged)"
 cargo test -q --release --manifest-path simbench/Cargo.toml

@@ -13,9 +13,8 @@
 //!   so entries written by an older simulator build can never be served
 //!   to a newer one.
 //! * [`store`] — the disk-backed store: one atomically-written text
-//!   entry per run under `objects/<key>.entry`, a human-greppable `index.tsv`,
-//!   and corruption-tolerant loads (any mismatch is a miss, never an
-//!   error).
+//!   entry per run under `objects/<key>.entry`, and corruption-tolerant
+//!   loads (any mismatch is a miss, never an error).
 //! * [`matrix`] — the scenario DSL: a TOML-subset file describing cross
 //!   products over workloads, managers, TLB geometries, fragmentation,
 //!   oversubscription, paging modes, and seeds, expanded

@@ -4,7 +4,6 @@
 //!
 //! ```text
 //! <root>/objects/<key-hex32>.entry   one run result per file
-//! <root>/index.tsv                   append-only human-greppable index
 //! ```
 //!
 //! Entries are written atomically (temp file + rename within the objects
@@ -12,9 +11,8 @@
 //! valid key. Loads are corruption-tolerant: any parse mismatch — a
 //! truncated file, an entry written by a different format version, a key
 //! that does not round-trip — is treated as a cache miss, never an error.
-//! The index is a log for people: nothing in the program reads it, so a
-//! damaged or missing index changes no lookup (`campaign status` reads
-//! the objects themselves, through [`Store::peek`]).
+//! `campaign status` reads the objects themselves, through
+//! [`Store::peek`].
 
 use crate::digest::{run_key, Digest};
 use mosaic_core::ManagerStats;
@@ -167,21 +165,7 @@ impl Store {
             f.write_all(rendered.as_bytes())?;
             f.sync_all()?;
         }
-        fs::rename(&tmp_path, &final_path)?;
-
-        let mut line = String::new();
-        let _ = writeln!(
-            line,
-            "{key}\t{}\t{wall_ms}\t{}\t{}",
-            self.code, result.workload, result.manager
-        );
-        let mut index = fs::OpenOptions::new().create(true).append(true).open(self.index_path())?;
-        index.write_all(line.as_bytes())?;
-        Ok(())
-    }
-
-    fn index_path(&self) -> PathBuf {
-        self.root.join("index.tsv")
+        fs::rename(&tmp_path, &final_path)
     }
 
     /// Counter snapshot.

@@ -108,29 +108,6 @@ fn corrupted_entries_degrade_to_misses_and_heal_on_reinsert() {
 }
 
 #[test]
-fn a_mangled_or_missing_index_does_not_affect_lookups() {
-    let dir = tmpdir("index");
-    let store = Store::open(&dir).unwrap();
-    let (w, cfg) = job();
-    let key = store.run_key(&w, &cfg);
-    store.insert(key, &result(3000), 9);
-
-    // Append garbage: truncated line, wrong column count, bad hex.
-    let index_path = dir.join("index.tsv");
-    let mut index = std::fs::read_to_string(&index_path).unwrap();
-    index.push_str("deadbeef\n");
-    index.push_str("nothex\tnothex\tNaN\tw\tm\n");
-    index.push_str(&"z".repeat(40));
-    std::fs::write(&index_path, &index).unwrap();
-    assert!(store.lookup(key).is_some(), "object lookups never touch the index");
-
-    // Nor does a wholly missing one.
-    std::fs::remove_file(&index_path).unwrap();
-    assert!(store.lookup(key).is_some());
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn stale_code_digest_invalidates_without_deleting() {
     let dir = tmpdir("stale");
     let (w, cfg) = job();

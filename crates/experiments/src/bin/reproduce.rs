@@ -16,11 +16,13 @@
 //! This binary is the one place that reads the environment and the
 //! flags; it builds one [`Sweep`] from them and hands it to every driver.
 //!
-//! `--trace FILE` records every simulated event of every sweep run to
-//! `FILE` as JSONL (one `run_begin` line per run, then its events);
-//! validate or convert it with the `mosaic-trace` binary. `--stall-report`
-//! appends the stall-cycle attribution report to the requested
-//! experiments. Both are deterministic: byte-identical at any `--jobs`.
+//! `--trace FILE` streams the events of each run the sweep simulates to
+//! `FILE` as JSONL (one `run_begin` line per run, then its events), in
+//! submission order; the run cache is bypassed, and a run the sweep has
+//! already simulated is not recorded again. Validate or convert it with
+//! the `mosaic-trace` binary. `--stall-report` appends the stall-cycle
+//! attribution report to the requested experiments. Both are
+//! deterministic: byte-identical at any `--jobs`.
 //!
 //! `--digest` appends one `digest NAME XXXXXXXXXXXXXXXX` line per
 //! experiment (FNV-1a 64-bit over the rendered report) after all
@@ -50,10 +52,10 @@
 
 use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store};
 use mosaic_experiments::goldens::{digest, golden};
-use mosaic_experiments::sweep::{render_trace, TraceCollector};
+use mosaic_experiments::sweep::Trace;
 use mosaic_experiments::{Scope, Sweep, REPORTS};
 use mosaic_telemetry::escape_json;
-use std::io::{stderr, stdout, Write};
+use std::io::{stderr, stdout, BufWriter, Write};
 
 // `println!` and `eprintln!` that drop the line when the pipe is closed:
 // the exit status, not the text, carries the verdict.
@@ -237,7 +239,7 @@ fn run_campaign(
             );
             let jobs: Vec<_> =
                 campaign.points.iter().map(|p| (p.workload.clone(), p.cfg)).collect();
-            create_outputs(&[trace_path]);
+            sweep.trace = trace_path.map(open_trace);
             let t0 = std::time::Instant::now();
             let results = sweep.run_workloads(jobs);
             let _ = stdout().write_all(render_results(&campaign, &results).as_bytes());
@@ -252,21 +254,19 @@ fn run_campaign(
 /// only cache when a directory is given explicitly).
 const DEFAULT_CACHE_DIR: &str = "target/mosaic-cache";
 
-/// Writes `contents` to `path`, exiting with status 1 when it cannot.
-fn write_or_exit(path: &str, contents: String) {
-    if let Err(e) = std::fs::write(path, contents) {
+/// The value of `result`, or exit 1 saying `path` cannot be written.
+fn or_exit<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
         err!("cannot write {path}: {e}");
         std::process::exit(1);
-    }
+    })
 }
 
-/// Creates each output file empty once the arguments are checked and
-/// before the first simulation, so an unwritable path fails at once
-/// rather than after the whole sweep.
-fn create_outputs(paths: &[Option<&str>]) {
-    for path in paths.iter().flatten() {
-        write_or_exit(path, String::new());
-    }
+/// Creates the trace file. Output files are created once the arguments
+/// are checked and before the first simulation, so an unwritable path
+/// fails at once rather than after the whole sweep.
+fn open_trace(path: &str) -> Trace {
+    Trace::new(BufWriter::new(or_exit(path, std::fs::File::create(path))))
 }
 
 /// Runs the named experiments (every one when none is named) and prints
@@ -274,7 +274,7 @@ fn create_outputs(paths: &[Option<&str>]) {
 /// before anything runs. Returns whether every rendered report that has
 /// a golden pin matched it (checked only for `--digest` at smoke scope,
 /// the scope the pins are taken at).
-fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -> bool {
+fn run_figures(mut args: Vec<String>, sweep: &mut Sweep, trace_path: Option<&str>) -> bool {
     let stall_report = take_switch(&mut args, "--stall-report");
     let digests = take_switch(&mut args, "--digest");
     // `all` is every report but `stall`, named as on the command line.
@@ -295,8 +295,9 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -
     if let Some(other) = wanted.iter().find(|&&n| n != "stall" && !all.contains(&n)) {
         usage_error(format!("unknown experiment {other}; available: {all:?}"));
     }
+    sweep.trace = trace_path.map(open_trace);
     let json_path = env("MOSAIC_JSON");
-    create_outputs(&[trace_path, json_path.as_deref()]);
+    json_path.iter().for_each(|path| or_exit(path, std::fs::write(path, "")));
     err!("scope: {:?} (set MOSAIC_SCOPE=smoke|default|full)", sweep.scope);
     err!(
         "jobs: {} (set with --jobs N or MOSAIC_JOBS=N; output is identical at any count)",
@@ -333,7 +334,7 @@ fn run_figures(mut args: Vec<String>, sweep: &Sweep, trace_path: Option<&str>) -
     report_cache_stats(sweep);
 
     if let Some(path) = json_path {
-        write_or_exit(&path, to_json(&results));
+        or_exit(&path, std::fs::write(&path, to_json(&results)));
         err!("wrote machine-readable results to {path}");
     }
     pins_hold
@@ -355,24 +356,18 @@ fn main() {
              --stall-report, --digest"
         ));
     }
-    let mut sweep = Sweep {
-        jobs: resolve_jobs(jobs),
-        trace: trace_path.as_ref().map(|_| TraceCollector::default()),
-        ..Sweep::new(resolve_scope())
-    };
+    let mut sweep = Sweep { jobs: resolve_jobs(jobs), ..Sweep::new(resolve_scope()) };
     let mut pins_hold = true;
     if args.first().map(String::as_str) == Some("campaign") {
         run_campaign(&args[1..], &mut sweep, cache_dir, no_cache, trace_path.as_deref());
     } else {
         sweep.cache = resolve_cache_dir(cache_dir, no_cache, None).map(|dir| open_store(&dir));
-        pins_hold = run_figures(args, &sweep, trace_path.as_deref());
+        pins_hold = run_figures(args, &mut sweep, trace_path.as_deref());
     }
 
     if let (Some(path), Some(trace)) = (trace_path, sweep.trace) {
-        let chunks = trace.into_chunks();
-        let events: usize = chunks.iter().map(|c| c.events.len()).sum();
-        write_or_exit(&path, render_trace(&chunks));
-        err!("wrote {events} events from {} runs to {path}", chunks.len());
+        let (runs, events, _) = or_exit(&path, trace.finish());
+        err!("wrote {events} events from {runs} runs to {path}");
     }
     if !pins_hold {
         std::process::exit(1);

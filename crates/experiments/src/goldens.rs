@@ -10,7 +10,6 @@
 //!
 //! [`Scope::Smoke`]: crate::Scope::Smoke
 
-use crate::sweep::render_trace;
 use crate::{Scope, Sweep};
 use mosaic_gpusim::ManagerKind;
 use mosaic_sim_core::fnv1a;
@@ -76,15 +75,15 @@ pub fn trace_sweep(sweep: &Sweep) -> usize {
     sweep.run_workloads(jobs).len()
 }
 
-/// The JSONL trace a traced `sweep` collected, rendered as `reproduce
-/// --trace` writes it: after [`trace_sweep`], the text the `trace` pin
-/// digests.
+/// The JSONL trace a traced `sweep` wrote, as `reproduce --trace`
+/// writes it: after [`trace_sweep`], the text the `trace` pin digests.
 ///
 /// # Panics
 ///
-/// Panics if `sweep` has no trace collector.
+/// Panics unless `sweep` traces into a `Vec<u8>`.
 pub fn rendered_trace(sweep: Sweep) -> String {
-    render_trace(&sweep.trace.expect("a traced sweep").into_chunks())
+    let (.., out) = sweep.trace.expect("a traced sweep").finish().expect("a Vec<u8> takes all");
+    String::from_utf8(*out.downcast().expect("a trace into a Vec<u8>")).expect("JSONL is UTF-8")
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 //! bounds how much of the paper's 235-workload evaluation it sweeps
 //! (`Smoke` for CI, `Default` for benches, `Full` for the complete
 //! suites), the worker count, and the optional run cache and trace
-//! collector. Its ordered-collection contract makes multi-threaded output
+//! destination. Its ordered-collection contract makes multi-threaded output
 //! byte-identical to serial output; see the [`sweep`] module docs.
 
 #![warn(missing_docs)]

@@ -10,14 +10,16 @@
 //!
 //! A [`Sweep`] is one value that carries everything a driver needs
 //! besides its workloads: the scope, the worker count, the optional
-//! persistent run cache, the optional trace collector and the memo of
+//! persistent run cache, the optional trace destination and the memo of
 //! every result it has produced. Drivers take it by reference; nothing
 //! about a sweep lives in process-global state, so any number of
 //! differently-configured sweeps can run side by side in one process.
 //!
-//! Purity also makes a run's [`run_key`] its identity. Untraced, a sweep
+//! Purity also makes a run's [`run_key`] its identity, and a sweep
 //! simulates each distinct key once: the memo is the first tier and the
-//! store the second. A traced batch runs every job it is given.
+//! store the second. Tracing changes two things only: the store is
+//! bypassed (a stored hit has no events), and each freshly simulated run
+//! is recorded to the sweep's [`Trace`].
 //!
 //! The worker pool is dependency-free (std `thread` + `Mutex` only, per
 //! DESIGN.md §6). Its determinism contract is *ordered collection*: jobs
@@ -25,15 +27,18 @@
 //! order, whatever order the workers finished in. Downstream folding
 //! therefore sees exactly the sequence a serial loop would have produced,
 //! which is what makes `--jobs N` output byte-identical to `--jobs 1`
-//! (per-job progress goes to stderr only).
+//! (per-job progress goes to stderr only). The trace keeps the same
+//! order: a run is written once every run submitted before it has been.
 
 use crate::common::Scope;
 use mosaic_campaign::{built_code_digest, run_key, Digest, Store};
 use mosaic_gpusim::{alone_config, run_workload, RunConfig, RunResult};
-use mosaic_telemetry::{Eta, Event, TraceSession};
+use mosaic_telemetry::{run_begin_jsonl, Eta, Event, TraceSession};
 use mosaic_workloads::Workload;
+use std::any::Any;
 use std::collections::{HashMap, HashSet};
-use std::io::Write;
+use std::fmt::Debug;
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -58,13 +63,13 @@ pub struct Sweep {
     pub jobs: usize,
     /// Persistent run cache, the second tier behind [`Sweep::memo`]:
     /// lookup-before-simulate with per-job checkpointing, so an
-    /// interrupted campaign keeps every run it completed.
+    /// interrupted campaign keeps every run it completed. Not used while
+    /// tracing.
     pub cache: Option<Store>,
-    /// Trace collector. While set, every job of [`Sweep::run_workloads`]
-    /// runs and records its events here, in submission order, bypassing
-    /// both tiers (a served run would leave no events); the serial
-    /// [`Sweep::run_workload_cached`] calls run untraced.
-    pub trace: Option<TraceCollector>,
+    /// Trace destination. While set, each run this sweep simulates
+    /// records its events here; runs the memo serves are not recorded
+    /// again.
+    pub trace: Option<Trace>,
     /// The in-process tier, empty at first.
     pub memo: Memo,
 }
@@ -85,42 +90,54 @@ impl Memo {
     }
 }
 
-/// The trace chunks a traced sweep has collected, in submission order.
-#[derive(Debug, Default)]
-pub struct TraceCollector(Mutex<Vec<TraceChunk>>);
+/// The JSONL trace of a [`Sweep`]: one `run_begin` line per simulated
+/// run, then that run's events in emission order, written as the sweep
+/// hands each run over in submission order.
+#[derive(Debug)]
+pub struct Trace(Mutex<Writer>);
 
-impl TraceCollector {
-    /// Every chunk collected so far.
-    pub fn into_chunks(self) -> Vec<TraceChunk> {
-        self.0.into_inner().expect("trace buffer poisoned")
+/// A [`Trace`]'s destination, what it has written and its first write
+/// error, after which nothing more is written.
+#[derive(Debug)]
+struct Writer {
+    out: Box<dyn Out>,
+    runs: usize,
+    events: usize,
+    error: Option<io::Error>,
+}
+
+/// A trace destination (a file, a `Vec<u8>`) that can be downcast back.
+trait Out: Write + Send + Debug + Any {}
+impl<W: Write + Send + Debug + Any> Out for W {}
+
+impl Trace {
+    /// A trace written to `out`.
+    pub fn new(out: impl Write + Send + Debug + 'static) -> Self {
+        Trace(Mutex::new(Writer { out: Box::new(out), runs: 0, events: 0, error: None }))
     }
-}
 
-/// The events of one traced simulation run.
-#[derive(Debug, Clone)]
-pub struct TraceChunk {
-    /// Workload display name.
-    pub workload: String,
-    /// Manager label.
-    pub manager: String,
-    /// Captured events in emission order.
-    pub events: Vec<Event>,
-}
-
-/// Renders trace chunks as JSONL: one `run_begin` line per simulated
-/// run, followed by that run's events in emission order. Fixed key
-/// order end to end, so equal traces are byte-identical.
-pub fn render_trace(chunks: &[TraceChunk]) -> String {
-    let mut out = String::new();
-    for chunk in chunks {
-        out.push_str(&mosaic_telemetry::run_begin_jsonl(&chunk.workload, &chunk.manager));
-        out.push('\n');
-        for ev in &chunk.events {
-            out.push_str(&ev.to_jsonl());
-            out.push('\n');
+    /// Flushes the destination and returns the counts of runs and events
+    /// written with the destination itself (downcast it to read a
+    /// `Vec<u8>` back), or the first write error.
+    pub fn finish(self) -> io::Result<(usize, usize, Box<dyn Any>)> {
+        let mut w = self.0.into_inner().expect("trace writer poisoned");
+        match w.error.take() {
+            Some(e) => Err(e),
+            None => w.out.flush().map(|()| (w.runs, w.events, w.out as Box<dyn Any>)),
         }
     }
-    out
+
+    /// Writes one run's `run_begin` line and events.
+    fn write(&self, workload: &str, manager: &str, events: &[Event]) {
+        let mut w = self.0.lock().expect("trace writer poisoned");
+        (w.runs, w.events) = (w.runs + 1, w.events + events.len());
+        if w.error.is_none() {
+            let out = &mut w.out;
+            let put = writeln!(out, "{}", run_begin_jsonl(workload, manager))
+                .and_then(|()| events.iter().try_for_each(|ev| writeln!(out, "{}", ev.to_jsonl())));
+            w.error = put.err();
+        }
+    }
 }
 
 impl Sweep {
@@ -141,45 +158,27 @@ impl Sweep {
         run_key(workload, cfg, code)
     }
 
-    /// Runs one simulation inline and untraced, through both tiers (the
-    /// store only while not tracing): the serial counterpart of
-    /// [`Sweep::run_workloads`].
+    /// Runs one simulation inline, without a progress line: the serial
+    /// counterpart of [`Sweep::run_workloads`].
     pub fn run_workload_cached(&self, workload: &Workload, cfg: RunConfig) -> RunResult {
         self.resolve(vec![(workload.clone(), cfg)], false).remove(0)
     }
 
     /// Runs a list of `(workload, config)` simulation jobs on
     /// [`Sweep::jobs`] workers, returning the results in submission order
-    /// (progress label `workload [manager]`). Untraced, equal run keys
-    /// collapse before dispatch, keys seen before are served from the
-    /// memo, and each other key goes through the store or is simulated.
+    /// (progress label `workload [manager]`). Equal run keys collapse
+    /// before dispatch, keys seen before are served from the memo, and
+    /// each other key goes through the store or is simulated.
     pub fn run_workloads(&self, jobs: Vec<(Workload, RunConfig)>) -> Vec<RunResult> {
-        let Some(trace) = &self.trace else {
-            return self.resolve(jobs, true);
-        };
-        let tasks = jobs
-            .into_iter()
-            .map(|(w, cfg)| {
-                let label = label(&w, &cfg);
-                let task = move || {
-                    let session = TraceSession::start();
-                    let result = run_workload(&w, cfg);
-                    let manager = cfg.manager.label().to_string();
-                    (result, TraceChunk { workload: w.name, manager, events: session.finish() })
-                };
-                (label, task)
-            })
-            .collect();
-        let (results, chunks): (Vec<_>, Vec<_>) = run_ordered(self.jobs, tasks).into_iter().unzip();
-        trace.0.lock().expect("trace buffer poisoned").extend(chunks);
-        results
+        self.resolve(jobs, true)
     }
 
-    /// The untraced path: one task per distinct key the memo lacks
-    /// (labelled when `progress` is set), then every job's result.
+    /// One task per distinct key the memo lacks (labelled when `progress`
+    /// is set), then every job's result.
     fn resolve(&self, jobs: Vec<(Workload, RunConfig)>, progress: bool) -> Vec<RunResult> {
         let keys: Vec<Digest> = jobs.iter().map(|(w, cfg)| self.key(w, cfg)).collect();
         let store = self.store();
+        let traced = self.trace.is_some();
         let tasks: Vec<_> = {
             let runs = self.memo.runs.lock().expect("memo poisoned");
             let mut fresh = HashSet::new();
@@ -188,12 +187,23 @@ impl Sweep {
                 .filter(|&(_, key)| !runs.contains_key(&key) && fresh.insert(key))
                 .map(|((w, cfg), key)| {
                     let label = if progress { label(&w, &cfg) } else { String::new() };
-                    (label, move || (key, simulate(store, key, &w, cfg)))
+                    let task = move || {
+                        let session = traced.then(TraceSession::start);
+                        let result = simulate(store, key, &w, cfg);
+                        (key, result, session.map(|s| (w.name, cfg.manager_label(), s.finish())))
+                    };
+                    (label, task)
                 })
                 .collect()
         };
         self.memo.served.fetch_add((keys.len() - tasks.len()) as u64, Ordering::Relaxed);
-        let fresh = run_ordered(self.jobs, tasks);
+        let mut fresh = Vec::with_capacity(tasks.len());
+        run_ordered(self.jobs, tasks, |(key, result, events)| {
+            if let (Some(trace), Some((workload, manager, events))) = (&self.trace, events) {
+                trace.write(&workload, manager, &events);
+            }
+            fresh.push((key, result));
+        });
         let mut runs = self.memo.runs.lock().expect("memo poisoned");
         runs.extend(fresh);
         keys.iter().map(|key| runs[key].clone()).collect()
@@ -202,35 +212,25 @@ impl Sweep {
     /// The alone baselines of each `(workload, config)` in `runs`, one
     /// result per application under [`alone_config`]: the `IPC_alone`
     /// runs [`mosaic_gpusim::weighted_speedup`] folds a shared run
-    /// against. Each distinct one is submitted once, in first-seen order,
-    /// so a traced sweep records it once too.
+    /// against. The memo collapses the repeats.
     pub fn alone_baselines(&self, runs: &[(Workload, RunConfig)]) -> Vec<Vec<RunResult>> {
-        let (mut index, mut jobs) = (HashMap::new(), Vec::new());
-        let slots: Vec<Vec<usize>> = runs
+        let jobs = runs
             .iter()
-            .map(|(w, cfg)| {
-                w.apps
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &app)| {
-                        let solo = Workload { name: app.name.to_string(), apps: vec![app] };
-                        let job = (solo, alone_config(*cfg, w.app_count(), i));
-                        *index.entry(self.key(&job.0, &job.1)).or_insert_with(|| {
-                            jobs.push(job);
-                            jobs.len() - 1
-                        })
-                    })
-                    .collect()
+            .flat_map(|(w, cfg)| {
+                w.apps.iter().enumerate().map(|(i, &app)| {
+                    let solo = Workload { name: app.name.to_string(), apps: vec![app] };
+                    (solo, alone_config(*cfg, w.app_count(), i))
+                })
             })
             .collect();
-        let results = self.run_workloads(jobs);
-        slots.iter().map(|apps| apps.iter().map(|&j| results[j].clone()).collect()).collect()
+        let mut results = self.run_workloads(jobs).into_iter();
+        runs.iter().map(|(w, _)| results.by_ref().take(w.app_count()).collect()).collect()
     }
 }
 
 /// The progress label of one job: `workload [manager]`.
 fn label(workload: &Workload, cfg: &RunConfig) -> String {
-    format!("{} [{}]", workload.name, cfg.manager.label())
+    format!("{} [{}]", workload.name, cfg.manager_label())
 }
 
 /// Simulates the run keyed `key` through `store` when given
@@ -250,64 +250,56 @@ fn simulate(store: Option<&Store>, key: Digest, workload: &Workload, cfg: RunCon
     result
 }
 
-/// Runs every `(label, task)` on up to `jobs` scoped worker threads,
-/// returning results in submission order, and prints one
-/// `[sweep i/n] label (time)` progress line per completed job on stderr
-/// (stdout stays clean for report text; empty labels stay silent).
+/// Runs every `(label, task)` on up to `jobs` scoped worker threads and
+/// hands each result to `emit` in submission order, as soon as every
+/// earlier one has been handed over, whatever order the workers finished
+/// in. Prints one `[sweep i/n] label (time)` progress line per completed
+/// job on stderr (stdout stays clean for report text; empty labels stay
+/// silent).
 ///
 /// Tasks must be independent. With one worker (or at most one task)
 /// everything runs inline on the caller's thread — the serial reference
 /// the parallel path must be byte-identical to.
-fn run_ordered<T, F>(jobs: usize, tasks: Vec<(String, F)>) -> Vec<T>
+fn run_ordered<T, F>(jobs: usize, tasks: Vec<(String, F)>, emit: impl FnMut(T) + Send)
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
     let total = tasks.len();
     let progress = Progress::new(total);
+    let run = |(label, task): (String, F)| {
+        let t0 = std::time::Instant::now();
+        let out = task();
+        progress.report(&label, t0);
+        out
+    };
     if jobs <= 1 || total <= 1 {
-        return tasks
-            .into_iter()
-            .map(|(label, task)| {
-                let t0 = std::time::Instant::now();
-                let out = task();
-                progress.report(&label, t0);
-                out
-            })
-            .collect();
+        return tasks.into_iter().map(run).for_each(emit);
     }
 
-    // Work queue: a cursor over the task list; each worker takes the
-    // next un-started task. Results land in their submission slot, so
-    // collection order is independent of completion order.
-    let queue = Mutex::new((0usize, tasks.into_iter().map(Some).collect::<Vec<_>>()));
-    let results = Mutex::new((0..total).map(|_| None).collect::<Vec<Option<T>>>());
+    // Work queue: each worker takes the next un-started task. A result
+    // lands in its submission slot, and the filled slots from the cursor
+    // on go to `emit`; a result that finished early waits in its slot.
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
+    let done = Mutex::new((0, slots, emit));
     std::thread::scope(|s| {
         for _ in 0..jobs.min(total) {
             s.spawn(|| loop {
-                let (index, label, task) = {
-                    let mut q = queue.lock().expect("sweep queue poisoned");
-                    let index = q.0;
-                    if index >= total {
-                        break;
-                    }
-                    q.0 += 1;
-                    let (label, task) = q.1[index].take().expect("task taken twice");
-                    (index, label, task)
+                let Some((index, task)) = queue.lock().expect("sweep queue poisoned").next() else {
+                    break;
                 };
-                let t0 = std::time::Instant::now();
-                let out = task();
-                progress.report(&label, t0);
-                results.lock().expect("sweep results poisoned")[index] = Some(out);
+                let out = run(task);
+                let mut done = done.lock().expect("sweep results poisoned");
+                let (next, slots, emit) = &mut *done;
+                slots[index] = Some(out);
+                while let Some(out) = slots.get_mut(*next).and_then(Option::take) {
+                    emit(out);
+                    *next += 1;
+                }
             });
         }
     });
-    results
-        .into_inner()
-        .expect("sweep results poisoned")
-        .into_iter()
-        .map(|slot| slot.expect("every submitted job produces a result"))
-        .collect()
 }
 
 /// Completion counter behind the per-job stderr progress lines, with an
@@ -346,14 +338,40 @@ impl Progress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::goldens::rendered_trace;
     use mosaic_gpusim::{run_alone_baselines, weighted_speedup, ManagerKind, Topology};
     use std::path::PathBuf;
+    use std::sync::atomic::AtomicBool;
 
     /// A fresh, empty store directory for the test `name`.
     fn store_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mosaic-sweep-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A destination that refuses every write.
+    #[derive(Debug)]
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "destination full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_write_error_is_kept_for_finish() {
+        let sweep = Sweep { trace: Some(Trace::new(Full)), ..Sweep::new(Scope::Smoke) };
+        let cfg = Scope::Smoke.config(ManagerKind::GpuMmu4K);
+        let result = sweep.run_workloads(vec![(Workload::from_names(&["MM"]), cfg)]);
+        assert_eq!(result.len(), 1, "the sweep still returns its results");
+        let err = sweep.trace.expect("traced").finish().expect_err("the write error surfaces");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 
     /// A smoke sweep on `jobs` workers with a store at `dir`.
@@ -385,18 +403,25 @@ mod tests {
         assert_eq!(inline, first[3]);
         assert_eq!(sweep.cache.as_ref().expect("cached").stats().misses, 3);
 
-        // Traced, every submitted job runs and is recorded; neither tier
-        // is read or written.
-        let traced = Sweep { trace: Some(TraceCollector::default()), ..cached(2, &dir) };
+        // Traced, each distinct key is simulated and recorded once; the
+        // memo serves the repeat and the store is neither read nor written.
+        let traced = Sweep { trace: Some(Trace::new(Vec::new())), ..cached(2, &dir) };
         let results = traced.run_workloads(batch.clone());
         let st = traced.cache.as_ref().expect("cached").stats();
         assert_eq!((st.hits, st.misses, st.stores), (0, 0, 0), "traced batches bypass the store");
-        assert_eq!(traced.memo.served(), 0, "traced batches bypass the memo");
-        let chunks = traced.trace.expect("traced").into_chunks();
-        let names: Vec<_> =
-            chunks.iter().map(|c| (c.workload.as_str(), c.events.is_empty())).collect();
-        assert_eq!(names, [("MM", false), ("GUPS", false), ("MM", false), ("MM", false)]);
+        assert_eq!(traced.memo.served(), 1, "the memo serves the in-batch repeat");
         assert_eq!(results, first);
+        let text = rendered_trace(traced);
+        let runs: Vec<_> = text.lines().filter(|l| l.contains("\"run_begin\"")).collect();
+        assert_eq!(
+            runs,
+            [
+                run_begin_jsonl("MM", "GPU-MMU"),
+                run_begin_jsonl("GUPS", "GPU-MMU"),
+                run_begin_jsonl("MM", "Ideal TLB"),
+            ]
+        );
+        assert!(text.lines().count() > 3, "each run records its events");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -414,11 +439,10 @@ mod tests {
         // different SM share is a different baseline.
         let st = sweep.cache.as_ref().expect("cached").stats();
         assert_eq!((st.misses, st.hits), (5, 0), "one run per distinct key");
-        // A traced batch runs every job it is given, so the baselines
-        // are collapsed before they are submitted.
-        let traced = Sweep { trace: Some(TraceCollector::default()), ..Sweep::new(Scope::Smoke) };
+        // Traced, the memo collapses them the same way.
+        let traced = Sweep { trace: Some(Trace::new(Vec::new())), ..Sweep::new(Scope::Smoke) };
         assert_eq!(traced.alone_baselines(&runs), alone);
-        assert_eq!(traced.trace.expect("traced").into_chunks().len(), 5);
+        assert_eq!(rendered_trace(traced).matches("\"run_begin\"").count(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -466,11 +490,44 @@ mod tests {
         tasks.into_iter().map(|t| (String::new(), t)).collect()
     }
 
+    /// What [`run_ordered`] emits, in emission order.
+    fn ordered<T: Send, F: FnOnce() -> T + Send>(jobs: usize, tasks: Vec<(String, F)>) -> Vec<T> {
+        let mut out = Vec::new();
+        run_ordered(jobs, tasks, |t| out.push(t));
+        out
+    }
+
+    #[test]
+    fn a_result_is_emitted_once_every_earlier_one_is() {
+        // Job 1 finishes while job 0 still runs and waits for it; job 2
+        // is still running when job 0 goes out. Each wait gives up after
+        // 10 s, so a pool that held results back fails instead of hanging.
+        let (one_done, zero_out) = (AtomicBool::new(false), AtomicBool::new(false));
+        let wait_for = |flag: &AtomicBool| {
+            let t0 = std::time::Instant::now();
+            while !flag.load(Ordering::SeqCst) && t0.elapsed().as_secs() < 10 {
+                std::thread::yield_now();
+            }
+            flag.load(Ordering::SeqCst)
+        };
+        let tasks: Vec<Box<dyn FnOnce() -> (usize, bool) + Send + '_>> = vec![
+            Box::new(|| (0, wait_for(&one_done))),
+            Box::new(|| (1, !one_done.swap(true, Ordering::SeqCst))),
+            Box::new(|| (2, wait_for(&zero_out))),
+        ];
+        let mut emitted = Vec::new();
+        run_ordered(2, unlabeled(tasks), |(i, ok)| {
+            zero_out.store(true, Ordering::SeqCst);
+            emitted.push((i, ok));
+        });
+        assert_eq!(emitted, [(0, true), (1, true), (2, true)]);
+    }
+
     #[test]
     fn results_come_back_in_submission_order() {
         // Jobs finishing in reverse submission order must still collect in
         // submission order.
-        let out = run_ordered(
+        let out = ordered(
             4,
             unlabeled((0..16usize).map(|i| {
                 move || {
@@ -485,13 +542,13 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let tasks = || unlabeled((0..10usize).map(|i| move || i * 3 + 1));
-        assert_eq!(run_ordered(1, tasks()), run_ordered(8, tasks()));
+        assert_eq!(ordered(1, tasks()), ordered(8, tasks()));
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let count = AtomicUsize::new(0);
-        let out = run_ordered(
+        let out = ordered(
             3,
             unlabeled((0..32usize).map(|i| {
                 let count = &count;
@@ -507,12 +564,12 @@ mod tests {
 
     #[test]
     fn zero_jobs_runs_serially() {
-        assert_eq!(run_ordered(0, unlabeled((0..3usize).map(|i| move || i))), vec![0, 1, 2]);
+        assert_eq!(ordered(0, unlabeled((0..3usize).map(|i| move || i))), vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_task_list_is_fine() {
-        let out: Vec<usize> = run_ordered(4, Vec::<(String, fn() -> usize)>::new());
+        let out: Vec<usize> = ordered(4, Vec::<(String, fn() -> usize)>::new());
         assert!(out.is_empty());
     }
 }

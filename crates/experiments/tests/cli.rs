@@ -60,6 +60,24 @@ fn unwritable_output_paths_exit_1_without_a_panic() {
     }
 }
 
+/// A trace write that fails after the file was opened is not dropped:
+/// the run exits 1 with a `cannot write` line. `/dev/full` opens, then
+/// fails every write; where it does not exist there is nothing to test.
+#[test]
+fn a_failed_trace_write_exits_1() {
+    let full = "/dev/full";
+    if !std::path::Path::new(full).exists() {
+        return;
+    }
+    let spec = format!("{}/one-run.toml", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&spec, "name = \"one\"\nscope = \"smoke\"\n[matrix]\nworkloads = [\"MM\"]\n")
+        .expect("scratch campaign");
+    let (code, stderr) = reproduce(&["--trace", full, "--no-cache", "campaign", "run", &spec]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("cannot write {full}: ")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn misspelled_scope_exits_2_before_running_anything() {
     let (code, stderr) = reproduce_with(&[("MOSAIC_SCOPE", "smok")], &["fig08"]);

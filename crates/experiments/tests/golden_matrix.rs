@@ -10,7 +10,7 @@
 
 use mosaic_campaign::{CampaignScope, Store};
 use mosaic_experiments::goldens::{digest, golden, rendered_trace, trace_sweep};
-use mosaic_experiments::sweep::TraceCollector;
+use mosaic_experiments::sweep::Trace;
 use mosaic_experiments::{report, Scope, Sweep};
 use mosaic_gpusim::{ManagerKind, RunConfig};
 use mosaic_workloads::Workload;
@@ -110,7 +110,7 @@ fn pinned_reports_match_goldens_across_jobs_and_cache_states() {
 
 #[test]
 fn traces_match_golden_at_any_jobs_and_bypass_the_cache() {
-    let traced = |jobs| Sweep { trace: Some(TraceCollector::default()), ..smoke(jobs) };
+    let traced = |jobs| Sweep { trace: Some(Trace::new(Vec::new())), ..smoke(jobs) };
     let serial = traced(1);
     assert_eq!(trace_sweep(&serial), 4);
     let serial = rendered_trace(serial);

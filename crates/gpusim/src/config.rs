@@ -289,6 +289,17 @@ impl RunConfig {
         self.fleet.gpus * self.system.sm_count
     }
 
+    /// The run's manager as the reports, progress lines and traces name
+    /// it: `Ideal TLB` for an ideal-TLB run, else the manager's
+    /// [`ManagerKind::label`].
+    pub fn manager_label(&self) -> &'static str {
+        if self.system.ideal_tlb {
+            "Ideal TLB"
+        } else {
+            self.manager.label()
+        }
+    }
+
     /// Same run with the Ideal TLB reference enabled.
     pub fn ideal_tlb(mut self) -> Self {
         self.system.ideal_tlb = true;

@@ -48,7 +48,7 @@ pub struct AppResult {
 pub struct RunResult {
     /// Workload display name.
     pub workload: String,
-    /// Manager label.
+    /// Manager label: [`RunConfig::manager_label`].
     pub manager: String,
     /// Per-application results, in workload order.
     pub apps: Vec<AppResult>,
@@ -300,11 +300,7 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
     }
     RunResult {
         workload: workload.name.clone(),
-        manager: if cfg.system.ideal_tlb {
-            "Ideal TLB".to_string()
-        } else {
-            cfg.manager.label().to_string()
-        },
+        manager: cfg.manager_label().to_string(),
         apps,
         stats: system.stats(),
         total_cycles,

@@ -10,7 +10,7 @@
 //! file, 2 on usage errors. The status holds when stdout or stderr is
 //! closed early: output that cannot be written is dropped.
 
-use std::io::{stderr, stdout, Write};
+use std::io::{stderr, stdout, BufRead, BufReader, Write};
 use std::process::ExitCode;
 
 use mosaic_telemetry::chrome::jsonl_to_chrome;
@@ -31,12 +31,12 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("validate") => {
             let [_, path] = &args[..] else { return usage() };
-            match std::fs::read_to_string(path) {
+            match std::fs::File::open(path) {
                 Err(e) => {
                     err!("mosaic-trace: cannot read {path}: {e}");
                     ExitCode::FAILURE
                 }
-                Ok(text) => match validate(&text) {
+                Ok(file) => match validate(BufReader::new(file)) {
                     Ok(count) => {
                         out!("{path}: {count} events OK");
                         ExitCode::SUCCESS
@@ -80,9 +80,10 @@ fn main() -> ExitCode {
 }
 
 /// Validates every line against the event schema through
-/// [`read_trace`], returning the number of event lines.
-fn validate(text: &str) -> Result<usize, String> {
-    match read_trace(text).try_fold(0, |count, record| record.map(|_| count + 1))? {
+/// [`read_trace`], one line at a time, returning the number of event
+/// lines.
+fn validate(input: impl BufRead) -> Result<usize, String> {
+    match read_trace(input).try_fold(0, |count, record| record.map(|_| count + 1))? {
         0 => Err("trace contains no events".into()),
         count => Ok(count),
     }
@@ -99,14 +100,14 @@ mod tests {
         text.push('\n');
         text.push_str(&Event::Epoch { cycle: 1, instructions: 2, stall_cycles: 3 }.to_jsonl());
         text.push('\n');
-        assert_eq!(validate(&text), Ok(2));
+        assert_eq!(validate(text.as_bytes()), Ok(2));
     }
 
     #[test]
     fn validate_rejects_wrong_keys_and_unknown_types() {
-        assert!(validate("{\"type\":\"epoch\",\"cycle\":1}").is_err());
-        assert!(validate("{\"type\":\"nope\"}").is_err());
-        assert!(validate("{\"cycle\":1}").is_err());
-        assert!(validate("").is_err(), "empty traces are an error");
+        assert!(validate(&b"{\"type\":\"epoch\",\"cycle\":1}"[..]).is_err());
+        assert!(validate(&b"{\"type\":\"nope\"}"[..]).is_err());
+        assert!(validate(&b"{\"cycle\":1}"[..]).is_err());
+        assert!(validate(&b""[..]).is_err(), "empty traces are an error");
     }
 }

@@ -51,7 +51,7 @@ pub fn jsonl_to_chrome(jsonl: &str) -> Result<String, String> {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut pid = 0u64;
     let mut cursor = 0u64; // last cycle seen, for untimestamped events
-    for record in read_trace(jsonl) {
+    for record in read_trace(jsonl.as_bytes()) {
         let record = record?;
         if !out.ends_with('[') {
             out.push(',');

@@ -12,6 +12,7 @@
 
 use crate::json::{parse_object, Value};
 use std::fmt::Write;
+use std::io::BufRead;
 
 /// One structured simulator event. All cycle fields are absolute
 /// simulated cycles; identifiers are the simulator's own (SM index,
@@ -286,13 +287,18 @@ impl Record {
 /// Reads a JSONL trace against [`SCHEMA`], one [`Record`] per non-blank
 /// line: each line must parse as a flat object, lead with a known
 /// `"type"`, and carry exactly that type's keys in schema order. An error
-/// names its line. `mosaic-trace validate` and the Chrome export both
-/// read traces through this.
-pub fn read_trace(text: &str) -> impl Iterator<Item = Result<Record, String>> + '_ {
-    text.lines()
-        .enumerate()
-        .filter(|(_, line)| !line.trim().is_empty())
-        .map(|(idx, line)| read_line(line, idx + 1).map_err(|e| format!("line {}: {e}", idx + 1)))
+/// (a read error too) names its line. Lines are read one at a time, so
+/// memory stays at one line whatever the trace's length. `mosaic-trace
+/// validate` and the Chrome export both read traces through this.
+pub fn read_trace(input: impl BufRead) -> impl Iterator<Item = Result<Record, String>> {
+    input.lines().enumerate().filter_map(|(idx, line)| {
+        let record = match line {
+            Ok(line) if line.trim().is_empty() => return None,
+            Ok(line) => read_line(&line, idx + 1),
+            Err(e) => Err(e.to_string()),
+        };
+        Some(record.map_err(|e| format!("line {}: {e}", idx + 1)))
+    })
 }
 
 fn read_line(text: &str, line: usize) -> Result<Record, String> {
@@ -341,7 +347,8 @@ mod tests {
             trace.push('\n');
         }
         // The reader gives back every value in schema order.
-        let records: Vec<Record> = read_trace(&trace).collect::<Result<_, _>>().expect("valid");
+        let records: Vec<Record> =
+            read_trace(trace.as_bytes()).collect::<Result<_, _>>().expect("valid");
         for (ev, record) in samples.iter().zip(&records) {
             assert_eq!((record.tag, record.values.clone()), ev.tagged_values());
         }
@@ -415,7 +422,7 @@ mod tests {
 
     #[test]
     fn reader_rejects_what_the_schema_does_not_name() {
-        let first_error = |text: &str| read_trace(text).find_map(Result::err);
+        let first_error = |text: &str| read_trace(text.as_bytes()).find_map(Result::err);
         assert_eq!(
             first_error("{\"cycle\":1}").as_deref(),
             Some("line 1: first key must be \"type\"")
@@ -433,7 +440,7 @@ mod tests {
             Some("line 1: \"coalesce\" keys [\"lpn\", \"asid\"] do not match schema [\"asid\", \"lpn\"]")
         );
         assert!(first_error("{\"type\":").unwrap().starts_with("line 1: "));
-        assert_eq!(read_trace(" \n\n").count(), 0, "blank lines are skipped");
+        assert_eq!(read_trace(" \n\n".as_bytes()).count(), 0, "blank lines are skipped");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! cold and warm, lives in `crates/experiments/tests/golden_matrix.rs`.
 
 use mosaic_experiments::goldens::{digest, golden, rendered_trace, trace_sweep, GOLDENS};
-use mosaic_experiments::sweep::TraceCollector;
+use mosaic_experiments::sweep::Trace;
 use mosaic_experiments::{report, Scope, Sweep};
 
 /// The pins with a test of their own; the loop skips them and `trace`.
@@ -72,7 +72,7 @@ fn multigpu_matches_golden() {
 
 #[test]
 fn trace_matches_golden() {
-    let sweep = Sweep { trace: Some(TraceCollector::default()), ..smoke() };
+    let sweep = Sweep { trace: Some(Trace::new(Vec::new())), ..smoke() };
     assert_eq!(trace_sweep(&sweep), 4);
     let rendered = digest(&rendered_trace(sweep));
     assert_eq!(Some(rendered.as_str()), golden("trace"), "the JSONL trace drifted from its golden");
