@@ -153,17 +153,22 @@ fn closure_covers_the_lookahead_isolated_stages() {
 #[test]
 fn closure_covers_the_walker_table_and_dram_decode() {
     // Every walk probes the walker's in-flight table and every retirement
-    // deletes from it; every L2 miss decodes its DRAM channel, bank and
-    // row. The hot-path rules (no `unwrap`/`expect`, no std hash
-    // containers) must keep covering all of them.
+    // deletes from it; every fleet access that misses its L1 resolves
+    // through the placement map's table (`PlacementMap::access`), which
+    // can grow it; every L2 miss decodes its DRAM channel, bank and row.
+    // The hot-path rules (no `unwrap`/`expect`, no std hash containers)
+    // must keep covering all of them.
     let closure = real_workspace().closure();
     for (ty, name) in [
-        ("MshrTable", "home"),
-        ("MshrTable", "find"),
-        ("MshrTable", "get"),
-        ("MshrTable", "insert"),
-        ("MshrTable", "remove"),
-        ("MshrTable", "grow"),
+        ("OpenTable", "home"),
+        ("OpenTable", "find"),
+        ("OpenTable", "get"),
+        ("OpenTable", "get_or_insert"),
+        ("OpenTable", "insert"),
+        ("OpenTable", "remove"),
+        ("OpenTable", "grow"),
+        ("WalkRequest", "mix"),
+        ("Region", "mix"),
         ("Dram", "locate"),
         ("Dram", "channel_of"),
     ] {

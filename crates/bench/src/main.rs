@@ -36,13 +36,14 @@
 use mosaic_campaign::{Spec, Store};
 use mosaic_core::{MemoryManager, MosaicConfig, MosaicManager};
 use mosaic_experiments::{report, Scope, Sweep};
+use mosaic_gpu::{MemoryInterface, Sm, SmConfig};
 use mosaic_gpusim::{run_workload, GpuSystem, ManagerKind, RunConfig, Topology};
 use mosaic_sim_core::{Cycle, SimRng};
 use mosaic_vm::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PageTable, PageTableWalker, PhysAddr,
-    PhysFrameNum, Tlb, TlbConfig, VirtPageNum,
+    PhysFrameNum, Tlb, TlbConfig, VirtAddr, VirtPageNum,
 };
-use mosaic_workloads::{ScaleConfig, Workload};
+use mosaic_workloads::{AppLayout, AppWarpStream, ScaleConfig, Workload};
 use std::hint::black_box;
 use std::io::{stderr, stdout, Write};
 use std::path::PathBuf;
@@ -212,6 +213,78 @@ fn micro_system_new() {
     }
 }
 
+/// The SM issue loop alone: 120 `Sm<AppWarpStream>`s, a 4-GPU fleet's
+/// worth, running three applications' real warp streams against
+/// [`SpreadMemory`], advanced round-robin so consecutive calls land on
+/// different SMs, as the smallest-clock-first loop does. Returns the
+/// advances and instructions of one sample.
+fn sm_issue() -> (u64, u64) {
+    const SMS: usize = 120;
+    let scale = ScaleConfig { ws_divisor: 16, mem_ops_per_warp: 240, warps_per_sm: 6, phases: 1 };
+    let workload = Workload::from_names(&["MM", "GUPS", "HS"]);
+    let apps = workload.apps.len();
+    let layouts: Vec<AppLayout> =
+        workload.apps.iter().map(|p| AppLayout::build(p, &scale)).collect();
+    let rng = SimRng::from_seed(0x5_1554E);
+    let config = SmConfig { warps: scale.warps_per_sm, batch: 8 };
+    let mut sms: Vec<Sm<AppWarpStream>> = (0..SMS)
+        .map(|id| {
+            let app = id % apps;
+            let profile = workload.apps[app];
+            let total_warps = (SMS / apps * scale.warps_per_sm) as u64;
+            let mem_ops = scale.mem_ops_for(profile, total_warps);
+            let ordinal = (id / apps * scale.warps_per_sm) as u64;
+            let app_rng = rng.fork("app", app as u64);
+            let streams = (0..scale.warps_per_sm as u64)
+                .map(|w| {
+                    AppWarpStream::new(
+                        profile,
+                        &layouts[app],
+                        ordinal + w,
+                        total_warps,
+                        mem_ops,
+                        &app_rng,
+                    )
+                })
+                .collect();
+            Sm::new(id, AppId(app as u16), config, streams)
+        })
+        .collect();
+    let mut mem = SpreadMemory;
+    let mut advances = 0;
+    let mut active: Vec<usize> = (0..SMS).collect();
+    while !active.is_empty() {
+        active.retain(|&i| {
+            advances += 1;
+            sms[i].advance(&mut mem)
+        });
+    }
+    (advances, sms.iter().map(|sm| sm.stats().instructions).sum())
+}
+
+/// A memory with no state whose latency is a fixed function of the
+/// issuing SM and cycle, 100–499 cycles. One constant latency would wake
+/// an SM's warps together, so an advance would issue about six
+/// instructions; spread latencies leave about one, as in a fleet run, so
+/// the time per advance is the issue loop's.
+struct SpreadMemory;
+
+impl MemoryInterface for SpreadMemory {
+    fn warp_access(&mut self, now: Cycle, sm: usize, _: AppId, _: &[VirtAddr]) -> Cycle {
+        let h = (now.as_u64() ^ (sm as u64) << 40).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        now + 100 + (h >> 32) % 400
+    }
+}
+
+fn micro_sm_issue() {
+    black_box(sm_issue());
+}
+
+fn sm_issue_units() -> Vec<(&'static str, u64)> {
+    let (advances, instructions) = sm_issue();
+    vec![("advance", advances), ("instruction", instructions)]
+}
+
 fn sweep_cfg() -> RunConfig {
     RunConfig::new(ManagerKind::mosaic()).with_scale(ScaleConfig {
         ws_divisor: 16,
@@ -276,13 +349,18 @@ fn campaign_cached_rerun() {
     }
 }
 
+/// The work units one sample of a scenario performs, `(unit, count)`.
+type Units = fn() -> Vec<(&'static str, u64)>;
+
 /// One roster entry: a stable scenario name (the committed BENCH.json
 /// and the CI gate key on it), the per-scenario regression limit
-/// written into the baseline, and the body to time.
+/// written into the baseline, the body to time, and optionally the work
+/// units one sample performs, `(unit, count)`, for a time per unit.
 struct Scenario {
     name: &'static str,
     max_ratio: f64,
     run: fn(),
+    units: Option<Units>,
 }
 
 /// Per-scenario regression limits. Long simulator-bound scenarios get
@@ -298,7 +376,7 @@ const CACHED_RATIO: f64 = 4.0;
 /// The scenario roster. Names are stable identifiers: the committed
 /// BENCH.json and the CI gate key on them.
 fn scenarios() -> Vec<Scenario> {
-    let s = |name, max_ratio, run: fn()| Scenario { name, max_ratio, run };
+    let s = |name, max_ratio, run: fn()| Scenario { name, max_ratio, run, units: None };
     vec![
         s("micro/tlb_lookup", MICRO_RATIO, micro_tlb_lookup),
         s("micro/tlb_fill_evict", MICRO_RATIO, micro_tlb_fill_evict),
@@ -309,6 +387,12 @@ fn scenarios() -> Vec<Scenario> {
         s("micro/walker_deep", MICRO_RATIO, micro_walker_deep),
         s("micro/manager_touch", MICRO_RATIO, micro_manager_touch),
         s("micro/system_new", MICRO_RATIO, micro_system_new),
+        Scenario {
+            name: "micro/sm_issue",
+            max_ratio: MICRO_RATIO,
+            run: micro_sm_issue,
+            units: Some(sm_issue_units),
+        },
         s("sweep/run_workload", SWEEP_RATIO, sweep_run_workload),
         s("sweep/oversubscribed", SWEEP_RATIO, sweep_oversubscribed),
         s("scaling/multi_gpu", SWEEP_RATIO, scaling_multi_gpu),
@@ -343,7 +427,7 @@ fn selected(name: &str, filter: &[String]) -> bool {
 
 fn run_scenarios(samples: usize, filter: &[String]) -> Vec<Measurement> {
     let mut out = Vec::new();
-    for Scenario { name, max_ratio, run } in scenarios() {
+    for Scenario { name, max_ratio, run, units } in scenarios() {
         if !selected(name, filter) {
             continue;
         }
@@ -358,6 +442,9 @@ fn run_scenarios(samples: usize, filter: &[String]) -> Vec<Measurement> {
         }
         let median_ms = median(&mut samples_ms.clone());
         err!("# {name:<28} median {median_ms:>10.2} ms over {samples} samples");
+        for (unit, count) in units.map(|units| units()).unwrap_or_default() {
+            err!("# {name:<28} {:>10.2} ns per {unit}", median_ms * 1e6 / count as f64);
+        }
         out.push(Measurement { name, max_ratio, median_ms, samples_ms });
     }
     out

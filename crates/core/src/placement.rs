@@ -26,8 +26,8 @@
 //! conformance fuzzer's residency oracle re-derives from the access
 //! stream.
 
+use mosaic_sim_core::{OpenTable, TableKey};
 use mosaic_vm::{AppId, LargePageNum, LARGE_PAGE_SIZE};
-use std::collections::BTreeMap;
 
 /// Upper bound on fleet size the placement bitmasks support.
 pub const MAX_GPUS: usize = 8;
@@ -84,8 +84,26 @@ pub enum PlacementOutcome {
     },
 }
 
+/// One large-page region of one address space: the placement table's
+/// key. Ordered by address space, then page, as `placed()` lists them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Region {
+    asid: AppId,
+    lpn: LargePageNum,
+}
+
+/// The empty key is one no real region has: large page numbers are far
+/// below `u64::MAX`.
+impl TableKey for Region {
+    const EMPTY: Self = Region { asid: AppId(u16::MAX), lpn: LargePageNum(u64::MAX) };
+
+    fn mix(self) -> u64 {
+        self.lpn.0 ^ (u64::from(self.asid.0) << 40)
+    }
+}
+
 /// Per-region placement state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Home {
     /// The owning GPU.
     owner: usize,
@@ -117,11 +135,16 @@ pub struct PlacementStats {
 }
 
 /// Large-page-granular frame ownership across a fleet.
+///
+/// Every L1-missing warp access of a fleet run resolves here, so the
+/// regions live in an [`OpenTable`] (one hashed probe) rather than an
+/// ordered map. Only [`PlacementMap::placed`] needs an order, and it
+/// sorts.
 #[derive(Debug)]
 pub struct PlacementMap {
     gpus: usize,
     policy: PlacementPolicy,
-    homes: BTreeMap<(AppId, LargePageNum), Home>,
+    homes: OpenTable<Region, Home>,
     stats: PlacementStats,
 }
 
@@ -133,7 +156,7 @@ impl PlacementMap {
     /// Panics if `gpus` is zero or exceeds [`MAX_GPUS`].
     pub fn new(gpus: usize, policy: PlacementPolicy) -> Self {
         assert!((1..=MAX_GPUS).contains(&gpus), "fleet size {gpus} out of range 1..={MAX_GPUS}");
-        PlacementMap { gpus, policy, homes: BTreeMap::new(), stats: PlacementStats::default() }
+        PlacementMap { gpus, policy, homes: OpenTable::new(), stats: PlacementStats::default() }
     }
 
     /// Accounting so far.
@@ -143,13 +166,13 @@ impl PlacementMap {
 
     /// The GPU owning `(asid, lpn)`, if the region has been placed.
     pub fn owner(&self, asid: AppId, lpn: LargePageNum) -> Option<usize> {
-        self.homes.get(&(asid, lpn)).map(|h| h.owner)
+        self.homes.get(Region { asid, lpn }).map(|h| h.owner)
     }
 
     /// The GPUs holding a read-only replica of `(asid, lpn)` (never
     /// includes the owner).
     pub fn replicas(&self, asid: AppId, lpn: LargePageNum) -> Vec<usize> {
-        match self.homes.get(&(asid, lpn)) {
+        match self.homes.get(Region { asid, lpn }) {
             Some(h) => (0..self.gpus).filter(|&g| h.replicas & (1 << g) != 0).collect(),
             None => Vec::new(),
         }
@@ -160,10 +183,13 @@ impl PlacementMap {
         self.homes.len()
     }
 
-    /// Every placed region with its owning device, in key order —
-    /// the residency sweep the system audit walks.
-    pub fn placed(&self) -> impl Iterator<Item = (AppId, LargePageNum, usize)> + '_ {
-        self.homes.iter().map(|(&(asid, lpn), h)| (asid, lpn, h.owner))
+    /// Every placed region with its owning device, in key order
+    /// (address space, then page) — the residency sweep the system audit
+    /// walks.
+    pub fn placed(&self) -> impl Iterator<Item = (AppId, LargePageNum, usize)> {
+        let mut placed: Vec<_> = self.homes.iter().collect();
+        placed.sort_unstable_by_key(|&(region, _)| region);
+        placed.into_iter().map(|(r, h)| (r.asid, r.lpn, h.owner))
     }
 
     /// Resolves one warp access from `gpu` to `(asid, lpn)`, updating
@@ -177,13 +203,9 @@ impl PlacementMap {
         store: bool,
     ) -> PlacementOutcome {
         debug_assert!(gpu < self.gpus, "GPU {gpu} out of range for a {}-GPU fleet", self.gpus);
-        let home = self.homes.entry((asid, lpn)).or_insert(Home {
-            // First touch: the faulting GPU owns the region.
-            owner: gpu,
-            replicas: 0,
-            written: false,
-            remote: [0; MAX_GPUS],
-        });
+        // First touch: the faulting GPU owns the region.
+        let home =
+            self.homes.get_or_insert(Region { asid, lpn }, Home { owner: gpu, ..Home::default() });
         if store {
             home.written = true;
             if home.replicas != 0 {
@@ -231,7 +253,7 @@ impl PlacementMap {
     /// deallocated and its frames freed. A later access first-touches it
     /// afresh.
     pub fn remove(&mut self, asid: AppId, lpn: LargePageNum) {
-        self.homes.remove(&(asid, lpn));
+        self.homes.remove(Region { asid, lpn });
     }
 }
 
@@ -346,6 +368,137 @@ mod tests {
                 if let Some(owner) = map.owner(A, lpn(r)) {
                     assert!(!map.replicas(A, lpn(r)).contains(&owner));
                 }
+            }
+        }
+    }
+
+    /// The map as it was before the open-addressed table: a `BTreeMap`
+    /// keyed by `(asid, lpn)`, with the same policy code. The reference
+    /// the table must reproduce.
+    struct BTreePlacement {
+        gpus: usize,
+        policy: PlacementPolicy,
+        homes: std::collections::BTreeMap<(AppId, LargePageNum), Home>,
+        stats: PlacementStats,
+    }
+
+    impl BTreePlacement {
+        fn access(
+            &mut self,
+            asid: AppId,
+            lpn: LargePageNum,
+            gpu: usize,
+            store: bool,
+        ) -> PlacementOutcome {
+            let home =
+                self.homes.entry((asid, lpn)).or_insert(Home { owner: gpu, ..Home::default() });
+            if store {
+                home.written = true;
+                if home.replicas != 0 {
+                    self.stats.replica_invalidations += u64::from(home.replicas.count_ones());
+                    home.replicas = 0;
+                }
+            }
+            if home.owner == gpu || (!store && home.replicas & (1 << gpu) != 0) {
+                return PlacementOutcome::Local;
+            }
+            self.stats.remote_accesses += 1;
+            match self.policy {
+                PlacementPolicy::MigrateOnThreshold { threshold } => {
+                    home.remote[gpu] += 1;
+                    if home.remote[gpu] == threshold.max(1) {
+                        let from = home.owner;
+                        home.owner = gpu;
+                        home.remote = [0; MAX_GPUS];
+                        if home.replicas != 0 {
+                            self.stats.replica_invalidations +=
+                                u64::from(home.replicas.count_ones());
+                            home.replicas = 0;
+                        }
+                        self.stats.migrations += 1;
+                        self.stats.migrated_bytes += LARGE_PAGE_SIZE;
+                        return PlacementOutcome::Migrate { from };
+                    }
+                    PlacementOutcome::Remote { owner: home.owner }
+                }
+                PlacementPolicy::ReplicateReadOnly if !store && !home.written => {
+                    home.replicas |= 1 << gpu;
+                    self.stats.replications += 1;
+                    self.stats.replicated_bytes += LARGE_PAGE_SIZE;
+                    PlacementOutcome::Replicate { from: home.owner }
+                }
+                _ => PlacementOutcome::Remote { owner: home.owner },
+            }
+        }
+
+        fn replicas(&self, asid: AppId, lpn: LargePageNum) -> Vec<usize> {
+            match self.homes.get(&(asid, lpn)) {
+                Some(h) => (0..self.gpus).filter(|&g| h.replicas & (1 << g) != 0).collect(),
+                None => Vec::new(),
+            }
+        }
+    }
+
+    /// The table-backed map and [`BTreePlacement`] through the same seeded
+    /// calls: `access` (loads and stores), `remove`, `owner`, `replicas`
+    /// and `placed`, over three ASIDs and a region pool small enough to
+    /// revisit and large enough to grow the table past its 64 slots.
+    #[test]
+    fn table_placement_matches_btree_reference() {
+        let policies = [
+            PlacementPolicy::FirstTouch,
+            PlacementPolicy::ReplicateReadOnly,
+            PlacementPolicy::MigrateOnThreshold { threshold: 3 },
+        ];
+        for (p, policy) in policies.into_iter().enumerate() {
+            for gpus in [2, 4, 8] {
+                let mut rng = mosaic_sim_core::SimRng::from_seed(0x91ACE + (p * 10 + gpus) as u64);
+                let mut map = PlacementMap::new(gpus, policy);
+                let mut reference = BTreePlacement {
+                    gpus,
+                    policy,
+                    homes: Default::default(),
+                    stats: PlacementStats::default(),
+                };
+                for step in 0..20_000 {
+                    let asid = AppId(rng.below(3) as u16);
+                    let lpn = lpn(rng.below(150));
+                    let what = format!("{policy:?} on {gpus} GPUs, step {step}");
+                    match rng.below(20) {
+                        0 => {
+                            map.remove(asid, lpn);
+                            reference.homes.remove(&(asid, lpn));
+                        }
+                        1 => assert_eq!(
+                            map.replicas(asid, lpn),
+                            reference.replicas(asid, lpn),
+                            "{what}: replicas"
+                        ),
+                        2 => assert_eq!(
+                            map.owner(asid, lpn),
+                            reference.homes.get(&(asid, lpn)).map(|h| h.owner),
+                            "{what}: owner"
+                        ),
+                        _ => {
+                            let gpu = rng.below(gpus as u64) as usize;
+                            let store = rng.chance(0.2);
+                            assert_eq!(
+                                map.access(asid, lpn, gpu, store),
+                                reference.access(asid, lpn, gpu, store),
+                                "{what}: access"
+                            );
+                        }
+                    }
+                    if step % 500 == 0 {
+                        let placed: Vec<_> = map.placed().collect();
+                        let want: Vec<_> =
+                            reference.homes.iter().map(|(&(a, l), h)| (a, l, h.owner)).collect();
+                        assert_eq!(placed, want, "{what}: placed, in key order");
+                    }
+                }
+                assert_eq!(map.stats(), &reference.stats, "{policy:?} on {gpus} GPUs: stats");
+                assert_eq!(map.regions(), reference.homes.len());
+                assert!(map.regions() > 64, "the table grew ({} regions)", map.regions());
             }
         }
     }

@@ -48,11 +48,12 @@ pub struct SmStats {
     pub stall_breakdown: StallBreakdown,
 }
 
+/// A warp's stream and the timeline of its in-flight operation, which is
+/// consulted when an SM stall ends at that warp's wake-up.
 #[derive(Debug)]
 struct WarpCtx<S> {
     stream: S,
-    ready_at: Cycle,
-    finished: bool,
+    timeline: AccessTimeline,
 }
 
 /// One streaming multiprocessor.
@@ -71,11 +72,13 @@ pub struct Sm<S: WarpStream = Box<dyn WarpStream>> {
     asid: AppId,
     config: SmConfig,
     warps: Vec<WarpCtx<S>>,
-    /// Where the cycles of each warp's in-flight operation went, indexed
-    /// like `warps`; consulted when an SM stall ends at that warp's
-    /// wake-up. Kept out of `WarpCtx` so the scheduler's per-cycle scans
-    /// over `warps` stay dense.
-    timelines: Vec<AccessTimeline>,
+    /// Each warp's wake-up cycle, indexed like `warps`; an exited warp
+    /// holds `Cycle::MAX`. `pick`, `next_wakeup_warp` and the stall
+    /// jump read only this dense array (48 bytes for six warps), never
+    /// the warp contexts.
+    ready_at: Vec<Cycle>,
+    /// Warps that have not exited.
+    live: usize,
     current: usize,
     now: Cycle,
     /// External stall barrier (e.g., worst-case compaction stalls): the SM
@@ -92,15 +95,16 @@ impl<S: WarpStream> Sm<S> {
     pub fn new(id: usize, asid: AppId, config: SmConfig, streams: Vec<S>) -> Self {
         let warps: Vec<_> = streams
             .into_iter()
-            .map(|stream| WarpCtx { stream, ready_at: Cycle::ZERO, finished: false })
+            .map(|stream| WarpCtx { stream, timeline: AccessTimeline::default() })
             .collect();
-        let timelines = vec![AccessTimeline::default(); warps.len()];
+        let ready_at = vec![Cycle::ZERO; warps.len()];
         Sm {
             id,
             asid,
             config,
+            live: warps.len(),
             warps,
-            timelines,
+            ready_at,
             current: 0,
             now: Cycle::ZERO,
             fence: Cycle::ZERO,
@@ -115,13 +119,14 @@ impl<S: WarpStream> Sm<S> {
     /// instead of constructing a fresh vector per kernel phase.
     pub fn reload(&mut self, streams: impl IntoIterator<Item = S>) {
         self.warps.clear();
-        self.warps.extend(streams.into_iter().map(|stream| WarpCtx {
-            stream,
-            ready_at: Cycle::ZERO,
-            finished: false,
-        }));
-        self.timelines.clear();
-        self.timelines.resize(self.warps.len(), AccessTimeline::default());
+        self.warps.extend(
+            streams
+                .into_iter()
+                .map(|stream| WarpCtx { stream, timeline: AccessTimeline::default() }),
+        );
+        self.ready_at.clear();
+        self.ready_at.resize(self.warps.len(), Cycle::ZERO);
+        self.live = self.warps.len();
         self.current = 0;
         self.now = Cycle::ZERO;
         self.fence = Cycle::ZERO;
@@ -151,7 +156,7 @@ impl<S: WarpStream> Sm<S> {
 
     /// Whether any warp still has work.
     pub fn is_active(&self) -> bool {
-        self.warps.iter().any(|w| !w.finished)
+        self.live > 0
     }
 
     /// Stalls the SM until `until` (used for the conservative whole-GPU
@@ -172,29 +177,28 @@ impl<S: WarpStream> Sm<S> {
     }
 
     /// GTO pick: the current warp if ready, else the oldest (lowest index)
-    /// ready warp, else `None`.
+    /// ready warp, else `None`. An exited warp's `Cycle::MAX` is never
+    /// `<= now`.
     fn pick(&self) -> Option<usize> {
-        let ready = |w: &WarpCtx<S>| !w.finished && w.ready_at <= self.now;
-        if ready(&self.warps[self.current]) {
+        if self.ready_at[self.current] <= self.now {
             return Some(self.current);
         }
-        self.warps.iter().position(ready)
+        self.ready_at.iter().position(|&r| r <= self.now)
     }
 
-    /// The unfinished warp with the earliest wake-up (first such index;
-    /// its `ready_at` equals the minimum the old `next_wakeup` returned).
+    /// The live warp with the earliest wake-up (the first such index),
+    /// or `None` once every warp has exited.
     fn next_wakeup_warp(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, w) in self.warps.iter().enumerate() {
-            if w.finished {
-                continue;
-            }
-            match best {
-                Some(b) if self.warps[b].ready_at <= w.ready_at => {}
-                _ => best = Some(i),
+        if self.live == 0 {
+            return None;
+        }
+        let mut best = 0;
+        for (i, &r) in self.ready_at.iter().enumerate().skip(1) {
+            if r < self.ready_at[best] {
+                best = i;
             }
         }
-        best
+        Some(best)
     }
 
     /// Runs the SM for up to `config.batch` issued instructions (or one
@@ -216,11 +220,12 @@ impl<S: WarpStream> Sm<S> {
                 // attribute the skipped interval to the waking warp's
                 // timeline (the critical path that ends the stall).
                 if let Some(i) = self.next_wakeup_warp() {
-                    let wake = self.warps[i].ready_at;
+                    let wake = self.ready_at[i];
                     if wake > self.now {
                         let skipped = wake - self.now;
                         self.stats.stall_cycles += skipped;
-                        self.stats.stall_breakdown.attribute(&self.timelines[i], self.now, wake);
+                        let timeline = &self.warps[i].timeline;
+                        self.stats.stall_breakdown.attribute(timeline, self.now, wake);
                         self.now = wake;
                     }
                     return true;
@@ -228,14 +233,13 @@ impl<S: WarpStream> Sm<S> {
                 return false; // everyone finished
             };
             self.current = w;
-            let op = self.warps[w].stream.next_op();
-            match op {
+            let warp = &mut self.warps[w];
+            match warp.stream.next_op() {
                 WarpOp::Compute { cycles } => {
                     self.stats.instructions += 1;
                     let ready = self.now + u64::from(cycles.max(1));
-                    self.warps[w].ready_at = ready;
-                    self.timelines[w] =
-                        AccessTimeline::single(self.now, ready, StallBucket::Compute);
+                    self.ready_at[w] = ready;
+                    warp.timeline = AccessTimeline::single(self.now, ready, StallBucket::Compute);
                     self.now += 1;
                 }
                 WarpOp::Memory { addresses } => {
@@ -247,11 +251,11 @@ impl<S: WarpStream> Sm<S> {
                         self.id,
                         self.asid,
                         &addresses,
-                        &mut self.timelines[w],
+                        &mut warp.timeline,
                     );
                     debug_assert!(done >= self.now);
                     // SIMT lockstep: the warp waits for its slowest lane.
-                    self.warps[w].ready_at = done;
+                    self.ready_at[w] = done;
                     emit(|| Event::WarpMem {
                         sm: self.id as u32,
                         asid: self.asid.0,
@@ -262,7 +266,8 @@ impl<S: WarpStream> Sm<S> {
                     self.now += 1;
                 }
                 WarpOp::Exit => {
-                    self.warps[w].finished = true;
+                    self.ready_at[w] = Cycle::MAX;
+                    self.live -= 1;
                 }
             }
         }
@@ -477,6 +482,223 @@ mod tests {
         assert!(!sm.advance(&mut mem));
         assert!(!sm.is_active());
         assert_eq!((sm.now(), sm.stats().instructions), (Cycle::ZERO, 0));
+    }
+
+    /// A seeded mix of compute and memory ops (1–32 addresses), then exit.
+    #[derive(Debug)]
+    struct Seeded {
+        rng: mosaic_sim_core::SimRng,
+        ops: u64,
+    }
+    impl WarpStream for Seeded {
+        fn next_op(&mut self) -> WarpOp {
+            if self.ops == 0 {
+                return WarpOp::Exit;
+            }
+            self.ops -= 1;
+            if self.rng.chance(0.4) {
+                return WarpOp::Compute { cycles: self.rng.below(40) as u32 };
+            }
+            let lanes = 1 + self.rng.below(32);
+            WarpOp::Memory { addresses: (0..lanes).map(|i| VirtAddr(i * 128)).collect() }
+        }
+    }
+
+    /// A memory whose latency is seeded per access and whose timelines
+    /// split the wait over two buckets, so stall attribution follows the
+    /// waking warp's own timeline.
+    struct SeededMemory(mosaic_sim_core::SimRng);
+    impl MemoryInterface for SeededMemory {
+        fn warp_access(&mut self, now: Cycle, _: usize, _: AppId, _: &[VirtAddr]) -> Cycle {
+            now + self.0.below(600)
+        }
+
+        fn warp_access_timed(
+            &mut self,
+            now: Cycle,
+            sm: usize,
+            asid: AppId,
+            addresses: &[VirtAddr],
+            timeline: &mut AccessTimeline,
+        ) -> Cycle {
+            let done = self.warp_access(now, sm, asid, addresses);
+            let bucket = StallBucket::ALL[self.0.below(StallBucket::COUNT as u64) as usize];
+            *timeline = AccessTimeline::begin(now);
+            timeline.mark(Cycle::new(now.as_u64() + (done - now) / 2), StallBucket::TlbWalk);
+            timeline.mark(done, bucket);
+            done
+        }
+    }
+
+    /// The SM before its warp clocks went dense: per-warp `finished`
+    /// flags and wake-up cycles in the warp contexts, timelines beside
+    /// them, and the scan-based `pick`, `next_wakeup_warp` and
+    /// `is_active`.
+    struct RefSm<S> {
+        warps: Vec<(S, Cycle, bool)>,
+        timelines: Vec<AccessTimeline>,
+        batch: usize,
+        current: usize,
+        now: Cycle,
+        fence: Cycle,
+        fence_cause: StallBucket,
+        stats: SmStats,
+    }
+
+    impl<S: WarpStream> RefSm<S> {
+        fn new(batch: usize, streams: Vec<S>) -> Self {
+            let n = streams.len();
+            RefSm {
+                warps: streams.into_iter().map(|s| (s, Cycle::ZERO, false)).collect(),
+                timelines: vec![AccessTimeline::default(); n],
+                batch,
+                current: 0,
+                now: Cycle::ZERO,
+                fence: Cycle::ZERO,
+                fence_cause: StallBucket::Sync,
+                stats: SmStats::default(),
+            }
+        }
+
+        fn is_active(&self) -> bool {
+            self.warps.iter().any(|w| !w.2)
+        }
+
+        fn stall_until_for(&mut self, until: Cycle, cause: StallBucket) {
+            if until > self.fence {
+                self.fence = until;
+                self.fence_cause = cause;
+            }
+        }
+
+        fn pick(&self) -> Option<usize> {
+            let ready = |w: &(S, Cycle, bool)| !w.2 && w.1 <= self.now;
+            if ready(&self.warps[self.current]) {
+                return Some(self.current);
+            }
+            self.warps.iter().position(ready)
+        }
+
+        fn next_wakeup_warp(&self) -> Option<usize> {
+            let mut best: Option<usize> = None;
+            for (i, w) in self.warps.iter().enumerate() {
+                if w.2 {
+                    continue;
+                }
+                match best {
+                    Some(b) if self.warps[b].1 <= w.1 => {}
+                    _ => best = Some(i),
+                }
+            }
+            best
+        }
+
+        fn advance(&mut self, mem: &mut dyn MemoryInterface) -> bool {
+            if !self.is_active() {
+                return false;
+            }
+            if self.fence > self.now {
+                let skipped = self.fence - self.now;
+                self.stats.stall_cycles += skipped;
+                self.stats.stall_breakdown.add(self.fence_cause, skipped);
+                self.now = self.fence;
+            }
+            for _ in 0..self.batch {
+                let Some(w) = self.pick() else {
+                    if let Some(i) = self.next_wakeup_warp() {
+                        let wake = self.warps[i].1;
+                        if wake > self.now {
+                            self.stats.stall_cycles += wake - self.now;
+                            self.stats.stall_breakdown.attribute(
+                                &self.timelines[i],
+                                self.now,
+                                wake,
+                            );
+                            self.now = wake;
+                        }
+                        return true;
+                    }
+                    return false;
+                };
+                self.current = w;
+                match self.warps[w].0.next_op() {
+                    WarpOp::Compute { cycles } => {
+                        self.stats.instructions += 1;
+                        let ready = self.now + u64::from(cycles.max(1));
+                        self.warps[w].1 = ready;
+                        self.timelines[w] =
+                            AccessTimeline::single(self.now, ready, StallBucket::Compute);
+                        self.now += 1;
+                    }
+                    WarpOp::Memory { addresses } => {
+                        self.stats.instructions += 1;
+                        self.stats.memory_instructions += 1;
+                        self.stats.transactions += addresses.len() as u64;
+                        let done = mem.warp_access_timed(
+                            self.now,
+                            0,
+                            AppId(0),
+                            &addresses,
+                            &mut self.timelines[w],
+                        );
+                        self.warps[w].1 = done;
+                        self.now += 1;
+                    }
+                    WarpOp::Exit => self.warps[w].2 = true,
+                }
+            }
+            true
+        }
+    }
+
+    /// The dense-clock SM and [`RefSm`] in lockstep on seeded streams:
+    /// 1 to 12 warps of up to 60 ops, batches of 1 to 8, seeded memory
+    /// latencies and occasional `stall_until_for` fences. After every
+    /// `advance` the return value, `now()` and `stats()` (stall
+    /// breakdown included) must agree.
+    #[test]
+    fn dense_clock_sm_matches_scan_reference_in_lockstep() {
+        let mut advances = 0u64;
+        for seed in 0..200u64 {
+            let mut rng = mosaic_sim_core::SimRng::from_seed(0x5EED_0000 + seed);
+            let warps = 1 + rng.below(12) as usize;
+            let batch = 1 + rng.below(8) as usize;
+            let streams = |rng: &mut mosaic_sim_core::SimRng| -> Vec<Seeded> {
+                (0..warps as u64)
+                    .map(|w| Seeded {
+                        rng: mosaic_sim_core::SimRng::from_seed(seed << 8 | w),
+                        ops: rng.below(60),
+                    })
+                    .collect()
+            };
+            let mut fork = rng.fork("ops", 0);
+            let mut sm = Sm::new(0, AppId(0), SmConfig { warps, batch }, streams(&mut fork));
+            let mut fork = rng.fork("ops", 0);
+            let mut reference = RefSm::new(batch, streams(&mut fork));
+            let mut mem = SeededMemory(mosaic_sim_core::SimRng::from_seed(seed));
+            let mut ref_mem = SeededMemory(mosaic_sim_core::SimRng::from_seed(seed));
+            loop {
+                if rng.chance(0.05) {
+                    let until = Cycle::new(sm.now().as_u64() + rng.below(2_000));
+                    let cause = StallBucket::ALL[rng.below(StallBucket::COUNT as u64) as usize];
+                    sm.stall_until_for(until, cause);
+                    reference.stall_until_for(until, cause);
+                }
+                let active = sm.advance(&mut mem);
+                let want = reference.advance(&mut ref_mem);
+                advances += 1;
+                let what = format!("seed {seed}, advance {advances}");
+                assert_eq!(active, want, "{what}: advance result");
+                assert_eq!(sm.is_active(), reference.is_active(), "{what}: is_active");
+                assert_eq!(sm.now(), reference.now, "{what}: now");
+                assert_eq!(sm.stats(), reference.stats, "{what}: stats");
+                if !active {
+                    break;
+                }
+            }
+            assert_eq!(sm.stats().stall_breakdown.total(), sm.stats().stall_cycles);
+        }
+        assert!(advances > 5_000, "the streams are long enough to interleave ({advances})");
     }
 
     #[test]

@@ -16,8 +16,6 @@ use mosaic_sim_core::{Cycle, SimRng};
 use mosaic_telemetry::{emit, Event, StallBreakdown, StallBucket};
 use mosaic_vm::AppId;
 use mosaic_workloads::{AppLayout, AppWarpStream, Workload};
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Cycles between periodic `Epoch` metric-snapshot events when tracing
 /// is enabled (cadenced on SM local clocks; disabled runs never check).
@@ -147,12 +145,12 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         system.audit().assert_clean("after launch");
     }
 
-    // The SM vector and scheduling heap survive across phases: phase 0
-    // populates them, later phases `reload` in place. SMs are
+    // The SM vector and scheduler survive across phases: phase 0
+    // populates the SMs, later phases `reload` them in place. SMs are
     // monomorphized over `AppWarpStream` so warp issue is static dispatch
     // with no per-warp box.
     let mut sms: Vec<Sm<AppWarpStream>> = Vec::with_capacity(total_sms);
-    let mut heap: BinaryHeap<(Reverse<Cycle>, usize)> = BinaryHeap::with_capacity(total_sms);
+    let mut order = SmOrder::new(total_sms);
 
     for phase in 0..phases {
         // Partition SMs and build their warps for this phase's grid. The
@@ -193,16 +191,12 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         }
         emit(|| Event::PhaseBegin { phase, cycle: phase_start.as_u64() });
 
-        // Smallest-clock-first scheduling loop. The SM at the top is
-        // advanced in place: an active SM's key is rewritten through
-        // `PeekMut` (one sift-down instead of a pop and a push), and only
-        // a finished SM is popped. Keys `(Reverse(now), idx)` are unique,
-        // so the order is exactly that of pop-then-push.
-        heap.clear();
-        heap.extend((0..sms.len()).map(|i| (Reverse(Cycle::ZERO), i)));
+        // Smallest-clock-first scheduling loop: advance the SM with the
+        // smallest clock (the larger index among equal clocks), then
+        // re-key it with its new clock, or retire it once it finished.
+        order.reset();
         let mut active_per_app: Vec<usize> = (0..n).map(|i| sm_share(total_sms, n, i)).collect();
-        while let Some(mut top) = heap.peek_mut() {
-            let idx = top.1;
+        while let Some(idx) = order.first() {
             let still_active = sms[idx].advance(&mut system);
             if let Some(stall) = system.take_pending_stall() {
                 // Worst-case model (when enabled): compaction/shootdowns
@@ -232,10 +226,10 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
                 }
             }
             if still_active {
-                top.0 = Reverse(sms[idx].now());
+                order.set_first(sms[idx].now());
                 continue;
             }
-            PeekMut::pop(top);
+            order.retire_first();
             let app = sms[idx].asid().0 as usize;
             active_per_app[app] -= 1;
             if active_per_app[app] == 0 {
@@ -304,6 +298,101 @@ pub fn run_workload(workload: &Workload, cfg: RunConfig) -> RunResult {
         apps,
         stats: system.stats(),
         total_cycles,
+    }
+}
+
+/// The smallest-clock-first SM order: a loser tree over one packed `u64`
+/// key per SM.
+///
+/// An SM's key is its clock shifted left past an index field, OR-ed with
+/// `leaves - 1 - idx` there, so the smallest key is the smallest clock and,
+/// among equal clocks, the larger index — the pop order of a
+/// `BinaryHeap<(Reverse<Cycle>, usize)>`. A retired SM holds `u64::MAX`.
+/// Internal nodes hold the loser of their match and `tree[0]` the
+/// overall winner, so re-keying the winner replays one fixed
+/// leaf-to-root path of branchless `min`/`max` and the winner's index
+/// comes back out of its key.
+#[derive(Debug)]
+struct SmOrder {
+    /// `tree[0]`: the winner's key; `tree[1..leaves]`: match losers.
+    tree: Vec<u64>,
+    /// Leaves, a power of two; SM `i` is leaf `leaves + i`.
+    leaves: usize,
+    sms: usize,
+    /// Bits of the index field.
+    shift: u32,
+    /// Largest clock a key can carry: one more would make a live key
+    /// equal to or past a retired SM's `u64::MAX`.
+    max_clock: u64,
+}
+
+impl SmOrder {
+    fn new(sms: usize) -> Self {
+        let leaves = sms.max(1).next_power_of_two();
+        let shift = leaves.trailing_zeros();
+        SmOrder {
+            tree: vec![u64::MAX; leaves],
+            leaves,
+            sms,
+            shift,
+            max_clock: (u64::MAX >> shift) - 1,
+        }
+    }
+
+    fn key(&self, idx: usize, clock: Cycle) -> u64 {
+        assert!(
+            clock.as_u64() <= self.max_clock,
+            "SM {idx}'s clock {clock:?} is past the scheduler's range"
+        );
+        clock.as_u64() << self.shift | (self.leaves - 1 - idx) as u64
+    }
+
+    /// Every SM active at cycle 0.
+    fn reset(&mut self) {
+        let leaves = self.leaves;
+        let mut winners = vec![u64::MAX; 2 * leaves];
+        for idx in 0..self.sms {
+            winners[leaves + idx] = self.key(idx, Cycle::ZERO);
+        }
+        for node in (1..leaves).rev() {
+            let (a, b) = (winners[2 * node], winners[2 * node + 1]);
+            winners[node] = a.min(b);
+            self.tree[node] = a.max(b);
+        }
+        self.tree[0] = winners[1];
+    }
+
+    /// The SM whose key is in `tree[0]`.
+    fn winner(&self) -> usize {
+        self.leaves - 1 - (self.tree[0] & (self.leaves as u64 - 1)) as usize
+    }
+
+    /// The SM to advance next, or `None` once every SM retired.
+    fn first(&self) -> Option<usize> {
+        (self.tree[0] != u64::MAX).then(|| self.winner())
+    }
+
+    /// Gives the winner `key` and replays its leaf-to-root path.
+    fn replay(&mut self, mut key: u64) {
+        let mut node = (self.leaves + self.winner()) / 2;
+        while node > 0 {
+            let loser = self.tree[node];
+            self.tree[node] = loser.max(key);
+            key = loser.min(key);
+            node /= 2;
+        }
+        self.tree[0] = key;
+    }
+
+    /// Re-keys the winner with its advanced clock.
+    fn set_first(&mut self, clock: Cycle) {
+        let key = self.key(self.winner(), clock);
+        self.replay(key);
+    }
+
+    /// Retires the winner.
+    fn retire_first(&mut self) {
+        self.replay(u64::MAX);
     }
 }
 
@@ -386,6 +475,85 @@ mod tests {
         assert_eq!(sm_share(30, 4, 3), 7);
         let total: usize = (0..4).map(|i| sm_share(30, 4, i)).sum();
         assert_eq!(total, 30);
+    }
+
+    /// Drives [`SmOrder`] and the `BinaryHeap<(Reverse<Cycle>, usize)>`
+    /// the runner used before it, through `PeekMut` as that loop did:
+    /// each step advances the top SM to a clock `next(rng, now)` or, one
+    /// time in `retire_every`, retires it. Every pick must agree.
+    fn check_order_against_heap(
+        sms: usize,
+        seed: u64,
+        retire_every: u64,
+        mut next: impl FnMut(&mut SimRng, u64) -> u64,
+    ) -> u64 {
+        use std::cmp::Reverse;
+        use std::collections::binary_heap::{BinaryHeap, PeekMut};
+        let mut rng = SimRng::from_seed(seed);
+        let mut order = SmOrder::new(sms);
+        let mut heap: BinaryHeap<(Reverse<Cycle>, usize)> = BinaryHeap::new();
+        // Picks at the clock of the previous pick, of another SM.
+        let mut ties = 0;
+        let mut last = None;
+        // Two phases, as the runner resets the order per kernel phase.
+        for _ in 0..2 {
+            order.reset();
+            heap.extend((0..sms).map(|i| (Reverse(Cycle::ZERO), i)));
+            while let Some(mut top) = heap.peek_mut() {
+                let (Reverse(now), idx) = *top;
+                assert_eq!(order.first(), Some(idx), "{sms} SMs, seed {seed}: pick");
+                ties += u64::from(last.is_some_and(|(c, i)| c == now && i != idx));
+                last = Some((now, idx));
+                if rng.below(retire_every) == 0 {
+                    PeekMut::pop(top);
+                    order.retire_first();
+                    continue;
+                }
+                let clock = Cycle::new(next(&mut rng, now.as_u64()));
+                top.0 = Reverse(clock);
+                order.set_first(clock);
+            }
+            assert_eq!(order.first(), None, "{sms} SMs, seed {seed}: all retired");
+        }
+        ties
+    }
+
+    #[test]
+    fn sm_order_matches_the_binary_heap() {
+        for sms in [1, 2, 30, 120] {
+            for seed in 0..4 {
+                // Steps of 0–2 cycles: equal clocks all the time, where
+                // the larger index must go first.
+                let ties = check_order_against_heap(sms, seed, 400, |rng, now| now + rng.below(3));
+                if sms > 1 {
+                    assert!(ties >= 10, "{sms} SMs: clocks tie often ({ties})");
+                }
+                // Long, uneven jumps, as stalls make them.
+                check_order_against_heap(sms, seed, 200, |rng, now| now + rng.below(50_000));
+            }
+        }
+    }
+
+    #[test]
+    fn sm_order_holds_at_the_edge_of_its_clock_range() {
+        for sms in [1, 2, 30, 120] {
+            let max = SmOrder::new(sms).max_clock;
+            // Clocks at and just below the largest one a key can carry,
+            // in any order: ties and retirements at the edge still agree.
+            check_order_against_heap(sms, 7, 30, |rng, _| max - rng.below(4));
+        }
+        // 120 SMs take a 7-bit index field: 2^57 - 2 cycles of range.
+        assert_eq!(SmOrder::new(120).max_clock, (1 << 57) - 2);
+        assert_eq!(SmOrder::new(1).max_clock, u64::MAX - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the scheduler's range")]
+    fn sm_order_rejects_a_clock_past_its_range() {
+        let mut order = SmOrder::new(30);
+        order.reset();
+        let max = order.max_clock;
+        order.set_first(Cycle::new(max + 1));
     }
 
     #[test]

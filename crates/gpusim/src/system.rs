@@ -11,7 +11,7 @@
 use crate::config::{DemandPagingMode, ManagerKind, RunConfig, SystemConfig};
 use mosaic_core::{
     GpuMmuManager, ManagerStats, MemoryManager, MgmtEvent, MigratingManager, MosaicConfig,
-    MosaicManager, PlacementMap, PlacementOutcome,
+    MosaicManager, PlacementMap, PlacementOutcome, MAX_GPUS,
 };
 use mosaic_gpu::MemoryInterface;
 use mosaic_iobus::IoBus;
@@ -19,8 +19,8 @@ use mosaic_mem::{Cache, Crossbar, Dram, Interconnect};
 use mosaic_sim_core::{Cycle, Histogram, Ratio, SimRng, ThroughputPort};
 use mosaic_telemetry::{emit, AccessTimeline, Event, StallBucket};
 use mosaic_vm::{
-    AppId, PageSet, PageSize, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum, WalkCache,
-    BASE_PAGES_PER_LARGE_PAGE,
+    AppId, PageSet, PageSize, PageTable, PageTableWalker, PhysAddr, Tlb, VirtAddr, VirtPageNum,
+    WalkCache, BASE_PAGES_PER_LARGE_PAGE,
 };
 
 /// Cycles a fleet-wide TLB shootdown stalls the GPU (Figure 6a's "TLB
@@ -299,9 +299,26 @@ impl GpuSystem {
     /// config asks for it (Mosaic only). A fleet of `n` GPUs weak-scales
     /// the machine: the manager pools `n ×` the per-device memory, and
     /// every per-device structure is replicated `n` times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`MAX_GPUS`] devices of `cfg`'s memory size would hold
+    /// addresses past a cache's [`tag_reach`](mosaic_mem::CacheConfig::tag_reach).
     pub fn new(cfg: RunConfig) -> Self {
         let sys = cfg.system;
         let gpus = cfg.fleet.gpus;
+        // Caches keep 32-bit tags: check once that every frame of the
+        // largest fleet this memory size can form is tagged exactly.
+        let fleet_span = sys.memory_bytes.saturating_mul(MAX_GPUS as u64);
+        for (name, cache) in [("L1", sys.l1_cache), ("L2 slice", sys.l2_cache_slice)] {
+            assert!(
+                fleet_span <= cache.tag_reach(),
+                "{MAX_GPUS} x {} B of memory exceeds the {name} cache's 32-bit tag reach \
+                 ({} B)",
+                sys.memory_bytes,
+                cache.tag_reach()
+            );
+        }
         let pool_bytes = sys.memory_bytes * gpus as u64;
         // GPU-MMU ignores `fragmentation`: pre-fragmented frames only
         // matter for large-frame allocation, which it does not attempt at
@@ -359,7 +376,18 @@ impl GpuSystem {
     }
 
     /// Registers an application and its en-masse reservation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `asid`'s page-table nodes lie past the L2 slice's
+    /// [`tag_reach`](mosaic_mem::CacheConfig::tag_reach).
     pub fn launch_app(&mut self, asid: AppId, start: VirtPageNum, pages: u64) {
+        // The L2 slices tag this address space's page-table reads too.
+        let reach = self.cfg.system.l2_cache_slice.tag_reach();
+        assert!(
+            PageTable::node_region_end(asid) <= reach,
+            "{asid}'s page-table nodes lie past the L2 slice's 32-bit tag reach ({reach} B)"
+        );
         self.manager.register_app(asid);
         self.manager.reserve(asid, start, pages);
         if self.cfg.paging == DemandPagingMode::PreloadedFree {
@@ -1068,6 +1096,35 @@ mod tests {
         let mut sys = GpuSystem::new(small_cfg(manager));
         sys.launch_app(AppId(0), VirtPageNum(0), 2048);
         sys
+    }
+
+    /// The 32-bit cache tags' guard: eight devices of 2 TiB fill the
+    /// paper L1's 16 TiB tag reach exactly; one more page per device is
+    /// refused before anything is built.
+    #[test]
+    #[should_panic(expected = "exceeds the L1 cache's 32-bit tag reach")]
+    fn memory_past_the_cache_tag_reach_is_refused() {
+        let mut cfg = small_cfg(ManagerKind::GpuMmu4K);
+        assert_eq!(MAX_GPUS as u64 * (2 << 40), cfg.system.l1_cache.tag_reach());
+        cfg.system.memory_bytes = (2 << 40) + 4096;
+        let _ = GpuSystem::new(cfg);
+    }
+
+    /// The last address space whose page-table nodes the paper L2
+    /// slice's 85 TiB tag reach covers launches; the next is refused.
+    #[test]
+    fn address_spaces_past_the_l2_tag_reach_are_refused() {
+        let reach = small_cfg(ManagerKind::GpuMmu4K).system.l2_cache_slice.tag_reach();
+        let last = AppId(((reach - (1 << 40)) / (1 << 32) - 1) as u16);
+        assert_eq!(last, AppId(21_503));
+        assert_eq!(PageTable::node_region_end(last), reach);
+        let mut sys = GpuSystem::new(small_cfg(ManagerKind::GpuMmu4K));
+        sys.launch_app(last, VirtPageNum(0), 16);
+        let next = AppId(last.0 + 1);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sys.launch_app(next, VirtPageNum(0), 16);
+        }));
+        assert!(refused.is_err(), "{next} lies past the tag reach");
     }
 
     /// The shared L2→DRAM stage: a nominal access costs the slice's

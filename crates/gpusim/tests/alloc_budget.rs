@@ -83,9 +83,9 @@ fn simbench_scale() -> ScaleConfig {
 }
 
 /// Most allocations one 4-GPU `GpuSystem::new` may make.
-const SYSTEM_NEW_ALLOCS: u64 = 835;
+const SYSTEM_NEW_ALLOCS: u64 = 831;
 /// Most bytes one 4-GPU `GpuSystem::new` may allocate.
-const SYSTEM_NEW_BYTES: u64 = 1_340_560;
+const SYSTEM_NEW_BYTES: u64 = 1_009_520;
 
 #[test]
 fn four_gpu_system_new_stays_within_its_budget() {

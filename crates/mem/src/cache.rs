@@ -51,6 +51,14 @@ impl CacheConfig {
     pub fn sets(&self) -> u64 {
         (self.lines() / self.assoc as u64).max(1)
     }
+
+    /// The first physical address whose tag does not fit in 32 bits: a
+    /// [`Cache`] of this geometry tags exactly the addresses below it
+    /// (`2^32 × sets × line_size`, saturating). A system checks its
+    /// address space against this once, when it is built.
+    pub fn tag_reach(&self) -> u64 {
+        (self.sets() * self.line_size).saturating_mul(1 << 32)
+    }
 }
 
 /// A set-associative, physically-indexed cache with LRU replacement.
@@ -71,21 +79,25 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Line tags, `assoc` slots per set in one slab, each a line number.
-    /// `lens[s]` live lines sit at the front of
-    /// set `s`, most recently used first, so the LRU victim of a full
-    /// set is its last slot.
-    tags: Vec<u64>,
+    /// Line tags, `assoc` slots per set in one slab. A tag is the line
+    /// number divided by the set count (the set index is the remainder),
+    /// so the pair names the line exactly and the tag fits in 32 bits for
+    /// every address below [`CacheConfig::tag_reach`]; a 16-way L2 set is
+    /// 64 bytes, the size of a host cache line. `lens[s]` live lines sit at the
+    /// front of set `s`, most recently used first, so the LRU victim of a
+    /// full set is its last slot.
+    tags: Vec<u32>,
     lens: Vec<u16>,
     num_sets: u64,
     /// `log2(line_size)` when the line size is a power of two, so the
     /// per-access address split is a shift instead of a division. Both
     /// shipped geometries qualify; odd test geometries fall back.
     line_shift: Option<u32>,
-    /// `sets - 1` when the set count is a power of two (mask instead of
-    /// modulo). The L2 slice has a non-power-of-two set count, so this
-    /// stays a genuine fallback, not dead code.
-    set_mask: Option<u64>,
+    /// `log2(sets)` when the set count is a power of two (mask and shift
+    /// instead of modulo and division). The L2 slice has a
+    /// non-power-of-two set count, so this stays a genuine fallback, not
+    /// dead code.
+    set_shift: Option<u32>,
     stats: Ratio,
 }
 
@@ -112,7 +124,7 @@ impl Cache {
                 .line_size
                 .is_power_of_two()
                 .then_some(config.line_size.trailing_zeros()),
-            set_mask: sets.is_power_of_two().then_some(sets - 1),
+            set_shift: sets.is_power_of_two().then_some(sets.trailing_zeros()),
             stats: Ratio::default(),
         }
     }
@@ -127,16 +139,20 @@ impl Cache {
         self.config.latency
     }
 
-    fn split(&self, addr: u64) -> (usize, u64) {
+    /// The set index and tag of `addr`'s line. Addresses at or past
+    /// [`CacheConfig::tag_reach`] are out of contract (their tags would
+    /// alias); the system that builds the cache rules them out.
+    fn split(&self, addr: u64) -> (usize, u32) {
         let line = match self.line_shift {
             Some(shift) => addr >> shift,
             None => addr / self.config.line_size,
         };
-        let set = match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.num_sets) as usize,
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & (self.num_sets - 1), line >> shift),
+            None => (line % self.num_sets, line / self.num_sets),
         };
-        (set, line)
+        debug_assert!(tag <= u64::from(u32::MAX), "address {addr:#x} past the cache's tag reach");
+        (set as usize, tag as u32)
     }
 
     /// Accesses the line containing `addr`; on a miss the line is filled
@@ -145,13 +161,13 @@ impl Cache {
     /// Either way the line moves to the front of its set.
     pub fn access(&mut self, addr: u64, _write: bool) -> bool {
         let assoc = self.config.assoc;
-        let (set_idx, line) = self.split(addr);
+        let (set_idx, tag) = self.split(addr);
         let base = set_idx * assoc;
         let len = usize::from(self.lens[set_idx]);
         let set = &mut self.tags[base..base + assoc];
-        if let Some(i) = set[..len].iter().position(|&t| t == line) {
+        if let Some(i) = set[..len].iter().position(|&t| t == tag) {
             set.copy_within(..i, 1);
-            set[0] = line;
+            set[0] = tag;
             self.stats.record(true);
             return true;
         }
@@ -164,15 +180,15 @@ impl Cache {
             assoc - 1
         };
         set.copy_within(..shifted, 1);
-        set[0] = line;
+        set[0] = tag;
         false
     }
 
     /// Probes without filling or updating recency.
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, line) = self.split(addr);
+        let (set_idx, tag) = self.split(addr);
         let base = set_idx * self.config.assoc;
-        self.tags[base..base + usize::from(self.lens[set_idx])].contains(&line)
+        self.tags[base..base + usize::from(self.lens[set_idx])].contains(&tag)
     }
 
     /// Hit-rate statistics.
@@ -351,10 +367,40 @@ mod tests {
         for config in [CacheConfig::paper_l1(), CacheConfig::paper_l2_slice()] {
             let c = Cache::new(config);
             for addr in (0..4096u64).map(|i| i * 7919) {
-                let (set, line) = c.split(addr);
-                assert_eq!(line, addr / config.line_size);
+                let (set, tag) = c.split(addr);
+                let line = addr / config.line_size;
                 assert_eq!(set as u64, line % c.num_sets);
+                assert_eq!(u64::from(tag), line / c.num_sets);
             }
         }
+    }
+
+    /// The last address below the tag reach keeps a distinct tag at the
+    /// top of the 32-bit range, and lines one reach apart would alias —
+    /// which is why the reach is checked when a system is built.
+    #[test]
+    fn tags_are_exact_up_to_the_tag_reach() {
+        for config in [CacheConfig::paper_l1(), CacheConfig::paper_l2_slice()] {
+            let reach = config.tag_reach();
+            assert_eq!(reach, (1u64 << 32) * config.sets() * config.line_size);
+            let c = Cache::new(config);
+            let last = reach - 1;
+            let (set, tag) = c.split(last);
+            assert_eq!(tag, u32::MAX, "the last line below the reach has the largest tag");
+            assert_eq!(set as u64, c.num_sets - 1);
+            // Same set, tag one lower: a different line, a different tag.
+            let below = last - c.num_sets * config.line_size;
+            assert_eq!(c.split(below), (set, u32::MAX - 1));
+            let mut c = c;
+            assert!(!c.access(last, false));
+            assert!(c.access(last, false));
+            assert!(!c.contains(below), "distinct tags do not alias");
+        }
+        // The paper's L1 tags 16 TiB; the L2 slice's 170 sets reach past
+        // the page-table node region at 1 TiB.
+        assert_eq!(CacheConfig::paper_l1().tag_reach(), 1 << 44);
+        assert!(CacheConfig::paper_l2_slice().tag_reach() > 1 << 46);
+        let huge = CacheConfig { capacity: 1 << 62, line_size: 1 << 20, assoc: 1, latency: 1 };
+        assert_eq!(huge.tag_reach(), u64::MAX, "saturates");
     }
 }

@@ -18,6 +18,8 @@
 //! * [`audit`] — the runtime invariant auditor: every structural
 //!   component implements [`AuditInvariants`] and the runner sweeps the
 //!   whole system every N cycles.
+//! * [`table`] — [`OpenTable`], the deterministic open-addressed hash
+//!   table behind the walker's in-flight set and the fleet placement map.
 //! * [`fnv1a`] — the one byte-string digest behind every golden report
 //!   digest.
 
@@ -29,12 +31,14 @@ pub mod clock;
 pub mod queue;
 pub mod rng;
 pub mod stats;
+pub mod table;
 
 pub use audit::{AuditInvariants, AuditReport, AuditViolation};
 pub use clock::{ClockDomain, Cycle, Nanos};
 pub use queue::{OccupancyPool, ThroughputPort};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, Ratio};
+pub use table::{OpenTable, TableKey};
 
 /// 64-bit FNV-1a over `bytes`: the digest that pins rendered reports to
 /// their golden values. Small and dependency-free; collision resistance

@@ -246,6 +246,12 @@ impl PageTable {
     const NODE_REGION_STRIDE: u64 = 1 << 32;
     const NODE_SIZE: u64 = 4096;
 
+    /// One past the last physical address `asid`'s page-table nodes can
+    /// occupy: a cache that tags page-table reads must reach this far.
+    pub fn node_region_end(asid: AppId) -> u64 {
+        Self::NODE_REGION_BASE + (u64::from(asid.0) + 1) * Self::NODE_REGION_STRIDE
+    }
+
     /// Creates an empty table for `asid`.
     pub fn new(asid: AppId) -> Self {
         let region = Self::NODE_REGION_BASE + u64::from(asid.0) * Self::NODE_REGION_STRIDE;

@@ -17,7 +17,7 @@
 //! ablations, and Mosaic.
 
 use crate::addr::{AppId, PhysAddr, VirtPageNum};
-use mosaic_sim_core::{Counter, Cycle, Histogram, OccupancyPool};
+use mosaic_sim_core::{Counter, Cycle, Histogram, OccupancyPool, OpenTable, TableKey};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -71,7 +71,9 @@ pub struct PageTableWalker {
     /// thousands of entries are live at once — which is why this is a
     /// hash table and retirement is heap-driven rather than a per-call
     /// linear sweep (profiled at ~45% of sweep CPU as a flat vector).
-    active: MshrTable,
+    /// Nothing iterates it, so nothing simulated depends on its slot
+    /// order.
+    active: OpenTable<WalkRequest, Cycle>,
     /// Min-heap of `(completion, request)` pairs driving retirement: each
     /// `walk` call first retires every entry completed by `now`. A
     /// request enters `active` only when it is absent, and leaves it only
@@ -91,7 +93,7 @@ impl PageTableWalker {
     pub fn new(threads: usize) -> Self {
         PageTableWalker {
             slots: OccupancyPool::new(threads),
-            active: MshrTable::new(),
+            active: OpenTable::new(),
             completions: BinaryHeap::new(),
             walks: Counter::new(),
             latency: Histogram::default(),
@@ -125,7 +127,7 @@ impl PageTableWalker {
             let removed = self.active.remove(retired);
             debug_assert_eq!(removed, Some(done), "one completion pair per in-flight walk");
         }
-        if let Some(done) = self.active.get(req) {
+        if let Some(&done) = self.active.get(req) {
             return WalkOutcome { done, coalesced: true };
         }
         // Claim a walker thread; a free slot may only be available later.
@@ -164,118 +166,13 @@ impl PageTableWalker {
     }
 }
 
-/// Slot count a fresh [`MshrTable`] starts with.
-const MSHR_INITIAL_SLOTS: usize = 64;
+/// Walk requests key the in-flight [`OpenTable`]. The empty key is one
+/// no real request has: virtual page numbers are far below `u64::MAX`.
+impl TableKey for WalkRequest {
+    const EMPTY: Self = WalkRequest { asid: AppId(u16::MAX), vpn: VirtPageNum(u64::MAX) };
 
-/// Key of an empty [`MshrTable`] slot. No real request has it: virtual
-/// page numbers are far below `u64::MAX`.
-const EMPTY: WalkRequest = WalkRequest { asid: AppId(u16::MAX), vpn: VirtPageNum(u64::MAX) };
-
-/// The walker's in-flight set: an open-addressed map from request to
-/// completion cycle.
-///
-/// Slots are a power-of-two array of `(request, done)` pairs (24 B each)
-/// with [`EMPTY`] marking a free slot. A request's home slot comes from a
-/// fixed multiplicative hash of `(asid, vpn)` — no per-process seed, so
-/// the layout is deterministic — and lookups probe linearly from there.
-/// Deletion shifts the rest of the probe chain back, so there are no
-/// tombstones. The table doubles at half load. Only `grow` walks the
-/// slots, so nothing simulated depends on their order.
-#[derive(Debug)]
-struct MshrTable {
-    slots: Vec<(WalkRequest, Cycle)>,
-    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
-    shift: u32,
-    len: usize,
-}
-
-impl MshrTable {
-    fn new() -> Self {
-        Self::with_slots(MSHR_INITIAL_SLOTS)
-    }
-
-    fn with_slots(n: usize) -> Self {
-        debug_assert!(n.is_power_of_two());
-        MshrTable { slots: vec![(EMPTY, Cycle::ZERO); n], shift: 64 - n.trailing_zeros(), len: 0 }
-    }
-
-    fn mask(&self) -> usize {
-        self.slots.len() - 1
-    }
-
-    fn home(&self, req: WalkRequest) -> usize {
-        ((req.vpn.raw() ^ (u64::from(req.asid.0) << 40)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            >> self.shift) as usize
-    }
-
-    /// The slot holding `req`, or the empty slot ending its probe chain.
-    fn find(&self, req: WalkRequest) -> usize {
-        let mask = self.mask();
-        let mut i = self.home(req);
-        while self.slots[i].0 != req && self.slots[i].0 != EMPTY {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// Completion cycle of `req`'s in-flight walk, if any.
-    fn get(&self, req: WalkRequest) -> Option<Cycle> {
-        let (key, done) = self.slots[self.find(req)];
-        (key != EMPTY).then_some(done)
-    }
-
-    /// Records `req` as in flight until `done`. `req` must be absent.
-    fn insert(&mut self, req: WalkRequest, done: Cycle) {
-        debug_assert!(req != EMPTY, "the empty key is reserved");
-        if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
-        }
-        let i = self.find(req);
-        debug_assert!(self.slots[i].0 == EMPTY, "request already in flight");
-        self.slots[i] = (req, done);
-        self.len += 1;
-    }
-
-    /// Removes `req`, returning its completion cycle if it was present.
-    fn remove(&mut self, req: WalkRequest) -> Option<Cycle> {
-        let mut hole = self.find(req);
-        let (key, done) = self.slots[hole];
-        if key == EMPTY {
-            return None;
-        }
-        // Backward-shift deletion: walk the rest of the chain and pull
-        // back every entry whose home does not lie cyclically in
-        // `(hole, j]`, so no lookup ever crosses an empty slot early.
-        let mask = self.mask();
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let moved = self.slots[j];
-            if moved.0 == EMPTY {
-                break;
-            }
-            let home = self.home(moved.0);
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.slots[hole] = moved;
-                hole = j;
-            }
-        }
-        self.slots[hole] = (EMPTY, Cycle::ZERO);
-        self.len -= 1;
-        Some(done)
-    }
-
-    /// Doubles the slot array, re-homing every live entry.
-    fn grow(&mut self) {
-        let mut bigger = MshrTable::with_slots(2 * self.slots.len());
-        for &(req, done) in &self.slots {
-            if req != EMPTY {
-                let i = bigger.find(req);
-                bigger.slots[i] = (req, done);
-            }
-        }
-        bigger.len = self.len;
-        *self = bigger;
+    fn mix(self) -> u64 {
+        self.vpn.raw() ^ (u64::from(self.asid.0) << 40)
     }
 }
 
@@ -449,93 +346,6 @@ mod tests {
         for seed in 10..14 {
             check_against_reference(seed, false);
         }
-    }
-
-    fn req(asid: u16, vpn: u64) -> WalkRequest {
-        WalkRequest { asid: AppId(asid), vpn: VirtPageNum(vpn) }
-    }
-
-    /// Requests whose home slot in a fresh table is `slot`.
-    fn homed_at(slot: usize, n: usize) -> Vec<WalkRequest> {
-        let t = MshrTable::new();
-        (0..).map(|v| req(0, v)).filter(|&r| t.home(r) == slot).take(n).collect()
-    }
-
-    #[test]
-    fn table_probe_chains_wrap_the_array_end() {
-        let mut t = MshrTable::new();
-        let last = t.slots.len() - 1;
-        let chain = homed_at(last, 3);
-        for (i, &r) in chain.iter().enumerate() {
-            t.insert(r, Cycle::new(i as u64));
-        }
-        // Two of the three spilled past the end into slots 0 and 1.
-        assert_eq!(t.slots[0].0, chain[1]);
-        assert_eq!(t.slots[1].0, chain[2]);
-        for (i, &r) in chain.iter().enumerate() {
-            assert_eq!(t.get(r), Some(Cycle::new(i as u64)));
-        }
-        // Deleting the head at the end pulls the wrapped entries back.
-        assert_eq!(t.remove(chain[0]), Some(Cycle::new(0)));
-        assert_eq!(t.slots[last].0, chain[1]);
-        assert_eq!(t.slots[0].0, chain[2]);
-        assert_eq!(t.slots[1].0, EMPTY);
-        assert_eq!(t.get(chain[0]), None);
-        assert_eq!(t.get(chain[2]), Some(Cycle::new(2)));
-    }
-
-    #[test]
-    fn table_deletes_inside_a_cluster_keep_every_chain_reachable() {
-        let mut t = MshrTable::new();
-        // Two interleaved chains: homes 5 and 6 share one cluster.
-        let a = homed_at(5, 3);
-        let b = homed_at(6, 3);
-        let all: Vec<_> = a.iter().zip(&b).flat_map(|(&x, &y)| [x, y]).collect();
-        for (i, &r) in all.iter().enumerate() {
-            t.insert(r, Cycle::new(i as u64));
-        }
-        // Delete from the middle, then the head, then the tail.
-        for victim in [all[2], all[0], all[5]] {
-            let i = all.iter().position(|&r| r == victim).unwrap();
-            assert_eq!(t.remove(victim), Some(Cycle::new(i as u64)));
-            assert_eq!(t.remove(victim), None, "removed twice");
-            for (j, &r) in all.iter().enumerate() {
-                let live = t.slots.iter().any(|s| s.0 == r);
-                assert_eq!(t.get(r), live.then_some(Cycle::new(j as u64)));
-            }
-        }
-        assert_eq!(t.len, 3);
-        // The survivors sit back at the cluster's start: no holes inside.
-        let occupied: Vec<usize> = (0..t.slots.len()).filter(|&i| t.slots[i].0 != EMPTY).collect();
-        assert_eq!(occupied, vec![5, 6, 7]);
-    }
-
-    #[test]
-    fn table_grows_past_thousands_of_live_entries() {
-        let mut t = MshrTable::new();
-        let mut model = std::collections::BTreeMap::new();
-        let mut rng = mosaic_sim_core::SimRng::from_seed(7);
-        for i in 0..10_000u64 {
-            let r = req(rng.below(3) as u16, rng.below(1 << 30));
-            if model.contains_key(&r) {
-                continue;
-            }
-            t.insert(r, Cycle::new(i));
-            model.insert(r, Cycle::new(i));
-            // Retire every third entry so deletes run at every size.
-            if i % 3 == 0 {
-                let (&old, &done) = model.iter().next().unwrap();
-                assert_eq!(t.remove(old), Some(done));
-                model.remove(&old);
-            }
-        }
-        assert!(model.len() >= 4_096, "{} live", model.len());
-        assert_eq!(t.len, model.len());
-        assert!(t.slots.len() >= 2 * t.len, "doubles at half load");
-        for (&r, &done) in &model {
-            assert_eq!(t.get(r), Some(done));
-        }
-        assert_eq!(t.get(req(0, 1 << 40)), None);
     }
 
     #[test]
