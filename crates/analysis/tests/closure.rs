@@ -108,7 +108,8 @@ fn closure_covers_the_bulk_operation_fast_paths() {
     // `deallocate` and the eviction pump) remove their entries in one
     // pass over each TLB. They run on every migration and unmap, so they
     // must stay hot. So must the page sets every fault updates (the
-    // touched working set, the evicted-page ledger).
+    // touched working set, the evicted-page ledger) and the sorted map
+    // behind them, the page table's regions and CoCoA's chunk bindings.
     let closure = real_workspace().closure();
     for (ty, name) in [
         ("ThroughputPort", "acquire_train"),
@@ -120,6 +121,9 @@ fn closure_covers_the_bulk_operation_fast_paths() {
         ("TranslationArray", "remove_where"),
         ("PageSet", "insert"),
         ("PageSet", "remove"),
+        ("SortedMap", "get"),
+        ("SortedMap", "get_mut"),
+        ("SortedMap", "get_or_insert_with"),
     ] {
         assert!(
             closure.members.iter().any(|m| m.self_ty.as_deref() == Some(ty) && m.name == name),

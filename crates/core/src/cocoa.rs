@@ -20,7 +20,7 @@
 
 use crate::frames::FramePool;
 use crate::MemError;
-use mosaic_sim_core::{AuditInvariants, AuditReport};
+use mosaic_sim_core::{AuditInvariants, AuditReport, SortedMap};
 use mosaic_vm::{AppId, LargeFrameNum, LargePageNum, PhysFrameNum, VirtPageNum};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -41,18 +41,15 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Default)]
 pub struct CoCoA {
-    /// Large frame assigned to each (app, virtual large page) chunk,
-    /// sorted by key. A sorted vector rather than a map: chunk lookups
-    /// run on every aligned-chunk page fault, and the access pattern is
-    /// strongly repetitive, so `chunk_hint` usually skips the search.
-    chunk_frames: Vec<((AppId, LargePageNum), LargeFrameNum)>,
-    /// Index into `chunk_frames` of the entry `frame_for_chunk` last found
-    /// or inserted. Purely an accelerator: always re-validated against the
-    /// key before use, so stale hints (after inserts/removals) are harmless.
-    chunk_hint: usize,
-    /// Per-application free base page lists (Section 4.2), sorted by
-    /// application so iteration order matches the old map layout.
-    free_base: Vec<(AppId, Vec<PhysFrameNum>)>,
+    /// Large frame assigned to each (app, virtual large page) chunk.
+    /// Chunk lookups run on every aligned-chunk page fault, and the
+    /// access pattern is strongly repetitive, so the [`SortedMap`]'s hint
+    /// usually skips the search.
+    chunk_frames: SortedMap<(AppId, LargePageNum), LargeFrameNum>,
+    /// Per-application free base page lists (Section 4.2), indexed by
+    /// ASID: application ASIDs are dense from 0, and only they reach
+    /// these lists.
+    free_base: Vec<Vec<PhysFrameNum>>,
     /// Coalesced-but-fragmented frames parked for the failsafe
     /// (Section 4.4's emergency frame list), with their owner.
     emergency: Vec<(AppId, LargePageNum)>,
@@ -64,25 +61,13 @@ impl CoCoA {
         Self::default()
     }
 
-    /// Position of `key` in the sorted `chunk_frames` vector, trying the
-    /// hint before falling back to binary search.
-    fn chunk_pos(&self, key: (AppId, LargePageNum)) -> Result<usize, usize> {
-        match self.chunk_frames.get(self.chunk_hint) {
-            Some(&(k, _)) if k == key => Ok(self.chunk_hint),
-            _ => self.chunk_frames.binary_search_by_key(&key, |&(k, _)| k),
-        }
-    }
-
     /// The free base page list of `asid`, created empty on first touch.
     fn base_list_mut(&mut self, asid: AppId) -> &mut Vec<PhysFrameNum> {
-        let i = match self.free_base.binary_search_by_key(&asid, |&(a, _)| a) {
-            Ok(i) => i,
-            Err(i) => {
-                self.free_base.insert(i, (asid, Vec::new()));
-                i
-            }
-        };
-        &mut self.free_base[i].1
+        let i = usize::from(asid.0);
+        if i >= self.free_base.len() {
+            self.free_base.resize_with(i + 1, Vec::new);
+        }
+        &mut self.free_base[i]
     }
 
     /// Returns (assigning on first call) the large frame backing the
@@ -98,29 +83,21 @@ impl CoCoA {
         asid: AppId,
         lpn: LargePageNum,
     ) -> Result<LargeFrameNum, MemError> {
-        match self.chunk_pos((asid, lpn)) {
-            Ok(i) => {
-                self.chunk_hint = i;
-                Ok(self.chunk_frames[i].1)
-            }
-            Err(i) => {
-                let lf = pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
-                self.chunk_frames.insert(i, ((asid, lpn), lf));
-                self.chunk_hint = i;
-                Ok(lf)
-            }
-        }
+        self.chunk_frames
+            .get_or_try_insert_with((asid, lpn), || {
+                pool.take_free_frame().ok_or(MemError::OutOfMemory)
+            })
+            .map(|lf| *lf)
     }
 
     /// Whether a chunk already has a frame bound.
     pub fn chunk_frame(&self, asid: AppId, lpn: LargePageNum) -> Option<LargeFrameNum> {
-        self.chunk_pos((asid, lpn)).ok().map(|i| self.chunk_frames[i].1)
+        self.chunk_frames.get((asid, lpn)).copied()
     }
 
     /// Releases the chunk binding (on full deallocation of the chunk).
     pub fn unbind_chunk(&mut self, asid: AppId, lpn: LargePageNum) -> Option<LargeFrameNum> {
-        let i = self.chunk_pos((asid, lpn)).ok()?;
-        Some(self.chunk_frames.remove(i).1)
+        self.chunk_frames.remove((asid, lpn))
     }
 
     /// Allocates one base frame for `asid` outside any aligned chunk,
@@ -137,21 +114,15 @@ impl CoCoA {
         pool: &mut FramePool,
         asid: AppId,
     ) -> Result<PhysFrameNum, MemError> {
-        let i = match self.free_base.binary_search_by_key(&asid, |&(a, _)| a) {
-            Ok(i) => i,
-            Err(i) => {
-                self.free_base.insert(i, (asid, Vec::new()));
-                i
-            }
-        };
-        if self.free_base[i].1.is_empty() {
+        let list = self.base_list_mut(asid);
+        if list.is_empty() {
             let lf = pool.take_free_frame().ok_or(MemError::OutOfMemory)?;
             // Push in reverse so allocation proceeds from index 0 upward.
-            self.free_base[i].1.extend(lf.base_frames().rev());
+            list.extend(lf.base_frames().rev());
         }
         // The list was refilled above when empty; an empty pop can only
         // mean a frame with zero base pages, which reads as exhaustion.
-        self.free_base[i].1.pop().ok_or(MemError::OutOfMemory)
+        list.pop().ok_or(MemError::OutOfMemory)
     }
 
     /// Adds spare base frames (e.g., the holes of a splintered emergency
@@ -163,32 +134,25 @@ impl CoCoA {
     }
 
     /// Number of free base frames currently parked for `asid`.
+    #[inline]
     pub fn free_base_len(&self, asid: AppId) -> usize {
-        self.free_base
-            .binary_search_by_key(&asid, |&(a, _)| a)
-            .map_or(0, |i| self.free_base[i].1.len())
+        self.free_base.get(usize::from(asid.0)).map_or(0, Vec::len)
     }
 
     /// Pops one spare base frame from `asid`'s free base page list
     /// *without* refilling from the free frame list (unlike
     /// [`CoCoA::alloc_base`]). Used by CAC to find migration destinations
     /// among frames the app already owns.
+    #[inline]
     pub fn pop_free_base(&mut self, asid: AppId) -> Option<PhysFrameNum> {
-        let i = self.free_base.binary_search_by_key(&asid, |&(a, _)| a).ok()?;
-        self.free_base[i].1.pop()
+        self.free_base.get_mut(usize::from(asid.0))?.pop()
     }
 
     /// Removes every free base frame of `asid` living in large frame `lf`
     /// (used before releasing a drained frame back to the pool). Returns
     /// how many were removed.
     pub fn reclaim_base(&mut self, asid: AppId, lf: LargeFrameNum) -> usize {
-        let list = match self.free_base.binary_search_by_key(&asid, |&(a, _)| a) {
-            Ok(i) => &mut self.free_base[i].1,
-            Err(_) => return 0,
-        };
-        let before = list.len();
-        list.retain(|pfn| pfn.large_frame() != lf);
-        before - list.len()
+        self.free_base.get_mut(usize::from(asid.0)).map_or(0, |list| drop_frame(list, lf))
     }
 
     /// Removes every free base frame living in `lf` from *all* free base
@@ -197,13 +161,7 @@ impl CoCoA {
     /// may have been donated to a different address space than the one
     /// owning the frame's resident pages. Returns how many were removed.
     pub fn reclaim_frame(&mut self, lf: LargeFrameNum) -> usize {
-        let mut removed = 0;
-        for (_, list) in &mut self.free_base {
-            let before = list.len();
-            list.retain(|pfn| pfn.large_frame() != lf);
-            removed += before - list.len();
-        }
-        removed
+        self.free_base.iter_mut().map(|list| drop_frame(list, lf)).sum()
     }
 
     /// Parks a coalesced-but-fragmented page on the emergency frame list
@@ -245,6 +203,13 @@ impl CoCoA {
     }
 }
 
+/// Removes every frame living in `lf` from `list`; returns how many.
+fn drop_frame(list: &mut Vec<PhysFrameNum>, lf: LargeFrameNum) -> usize {
+    let before = list.len();
+    list.retain(|pfn| pfn.large_frame() != lf);
+    before - list.len()
+}
+
 impl AuditInvariants for CoCoA {
     fn audit_component(&self) -> &'static str {
         "cocoa"
@@ -257,14 +222,11 @@ impl AuditInvariants for CoCoA {
     /// chunk's own pages).
     fn audit(&self, report: &mut AuditReport) {
         let c = self.audit_component();
-        report.check(c, self.chunk_frames.windows(2).all(|w| w[0].0 < w[1].0), || {
+        report.check(c, self.chunk_frames.is_sorted(), || {
             "the chunk table is not strictly sorted by (app, large page)".to_string()
         });
-        report.check(c, self.free_base.windows(2).all(|w| w[0].0 < w[1].0), || {
-            "the free base page lists are not strictly sorted by application".to_string()
-        });
         let mut chunk_of: BTreeMap<LargeFrameNum, (AppId, LargePageNum)> = BTreeMap::new();
-        for &((asid, lpn), lf) in &self.chunk_frames {
+        for &((asid, lpn), lf) in self.chunk_frames.iter() {
             if let Some(&(other_asid, other_lpn)) = chunk_of.get(&lf) {
                 report.check(c, false, || {
                     format!("{lf} backs two chunks: {other_asid}/{other_lpn} and {asid}/{lpn}")
@@ -274,7 +236,7 @@ impl AuditInvariants for CoCoA {
             }
         }
         let mut seen_base: BTreeMap<PhysFrameNum, AppId> = BTreeMap::new();
-        for &(asid, ref list) in &self.free_base {
+        for (asid, list) in (0..=u16::MAX).map(AppId).zip(&self.free_base) {
             for &pfn in list {
                 if let Some(&other) = seen_base.get(&pfn) {
                     report.check(c, false, || {

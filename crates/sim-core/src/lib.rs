@@ -20,6 +20,7 @@
 //!   whole system every N cycles.
 //! * [`table`] — [`OpenTable`], the deterministic open-addressed hash
 //!   table behind the walker's in-flight set and the fleet placement map.
+//! * [`sorted`] — [`SortedMap`], the hinted sorted-vector map of the fault path.
 //! * [`fnv1a`] — the one byte-string digest behind every golden report
 //!   digest.
 
@@ -30,6 +31,7 @@ pub mod audit;
 pub mod clock;
 pub mod queue;
 pub mod rng;
+pub mod sorted;
 pub mod stats;
 pub mod table;
 
@@ -37,6 +39,7 @@ pub use audit::{AuditInvariants, AuditReport, AuditViolation};
 pub use clock::{ClockDomain, Cycle, Nanos};
 pub use queue::{OccupancyPool, ThroughputPort};
 pub use rng::SimRng;
+pub use sorted::SortedMap;
 pub use stats::{Counter, Histogram, Ratio};
 pub use table::{OpenTable, TableKey};
 

@@ -6,11 +6,16 @@
 //! mosaic-trace chrome TRACE.jsonl -o OUT.json
 //! ```
 //!
+//! Both commands stream the trace a line at a time, so their memory does
+//! not grow with the trace. A failed `chrome` conversion leaves no output
+//! file behind.
+//!
 //! Exit status: 0 on success, 1 on an unreadable, invalid or unwritable
 //! file, 2 on usage errors. The status holds when stdout or stderr is
 //! closed early: output that cannot be written is dropped.
 
-use std::io::{stderr, stdout, BufRead, BufReader, Write};
+use std::fs::File;
+use std::io::{stderr, stdout, BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use mosaic_telemetry::chrome::jsonl_to_chrome;
@@ -28,55 +33,52 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("validate") => {
-            let [_, path] = &args[..] else { return usage() };
-            match std::fs::File::open(path) {
-                Err(e) => {
-                    err!("mosaic-trace: cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                }
-                Ok(file) => match validate(BufReader::new(file)) {
-                    Ok(count) => {
-                        out!("{path}: {count} events OK");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        err!("mosaic-trace: {path}: {e}");
-                        ExitCode::FAILURE
-                    }
-                },
-            }
+    let (path, out_path) = match &args[..] {
+        [command, path] if command == "validate" => (path, None),
+        [command, path, flag, out_path] if command == "chrome" && flag == "-o" => {
+            (path, Some(out_path))
         }
-        Some("chrome") => {
-            let [_, path, flag, out_path] = &args[..] else { return usage() };
-            if flag != "-o" {
-                return usage();
-            }
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    err!("mosaic-trace: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match jsonl_to_chrome(&text) {
-                Ok(chrome) => {
-                    if let Err(e) = std::fs::write(out_path, chrome) {
-                        err!("mosaic-trace: cannot write {out_path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    out!("wrote {out_path}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    err!("mosaic-trace: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+        _ => return usage(),
+    };
+    let input = match File::open(path) {
+        Ok(file) => BufReader::new(file),
+        Err(e) => {
+            err!("mosaic-trace: cannot read {path}: {e}");
+            return ExitCode::FAILURE;
         }
-        _ => usage(),
+    };
+    let done = match out_path {
+        None => validate(input)
+            .map(|count| format!("{path}: {count} events OK"))
+            .map_err(|e| format!("{path}: {e}")),
+        Some(out_path) => chrome(input, path, out_path).map(|()| format!("wrote {out_path}")),
+    };
+    match done {
+        Ok(line) => {
+            out!("{line}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            err!("mosaic-trace: {e}");
+            ExitCode::FAILURE
+        }
     }
+}
+
+/// Streams the Chrome export of `input`, read from `path`, into a new
+/// file at `out_path`. A failed conversion removes the partial file
+/// again (a device such as `/dev/null` is left alone).
+fn chrome(input: impl BufRead, path: &str, out_path: &str) -> Result<(), String> {
+    let cannot_write = |e| format!("cannot write {out_path}: {e}");
+    let mut out = BufWriter::new(File::create(out_path).map_err(cannot_write)?);
+    let result = jsonl_to_chrome(input, &mut out).and_then(|()| out.flush());
+    if result.is_err() && std::fs::metadata(out_path).is_ok_and(|m| m.is_file()) {
+        let _ = std::fs::remove_file(out_path);
+    }
+    result.map_err(|e| match e.kind() {
+        ErrorKind::InvalidData => format!("{path}: {e}"),
+        _ => cannot_write(e),
+    })
 }
 
 /// Validates every line against the event schema through

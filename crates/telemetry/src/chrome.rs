@@ -3,6 +3,8 @@
 //!
 //! Every line is read through [`read_trace`], so a trace that
 //! `mosaic-trace validate` rejects fails the export with the same error.
+//! The export streams: each line is converted and written before the next
+//! is read, so memory stays at one line whatever the trace's size.
 //! Mapping:
 //! - each `run_begin` line starts a new process (`pid`), labelled with
 //!   the workload/manager names via `process_name` metadata;
@@ -15,7 +17,8 @@
 //!   `coalesce` / `splinter` carry no cycle and are placed at the last
 //!   cycle seen.
 
-use std::fmt::Write;
+use std::fmt::Write as _;
+use std::io::{self, BufRead, ErrorKind, Write};
 
 use crate::event::read_trace;
 use crate::json::{escape_json, Value};
@@ -45,37 +48,43 @@ const LAYOUT: &[Row] = &[
     ("page_writeback", "iobus", None, Some("cycle"), Some("done")),
 ];
 
-/// Converts JSONL trace text into a Chrome `trace_event` JSON document,
-/// or returns the first line that does not satisfy the schema.
-pub fn jsonl_to_chrome(jsonl: &str) -> Result<String, String> {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+/// Streams the JSONL trace `input` into `out` (pass a buffered writer) as
+/// a Chrome `trace_event` JSON document.
+///
+/// # Errors
+///
+/// The first failed write, or an [`ErrorKind::InvalidData`] error naming
+/// the first line that is unreadable or does not satisfy the schema.
+pub fn jsonl_to_chrome(input: impl BufRead, mut out: impl Write) -> io::Result<()> {
+    let bad = |message: String| io::Error::new(ErrorKind::InvalidData, message);
+    out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
     let mut pid = 0u64;
     let mut cursor = 0u64; // last cycle seen, for untimestamped events
-    for record in read_trace(jsonl.as_bytes()) {
-        let record = record?;
-        if !out.ends_with('[') {
-            out.push(',');
+    for (i, record) in read_trace(input).enumerate() {
+        let record = record.map_err(bad)?;
+        if i > 0 {
+            out.write_all(b",")?;
         }
         if record.tag == "run_begin" {
             let [Value::Str(workload), Value::Str(manager)] = &record.values[..] else {
-                return Err(format!("line {}: run_begin names must be strings", record.line));
+                return Err(bad(format!("line {}: run_begin names must be strings", record.line)));
             };
             pid += 1;
             cursor = 0;
-            let _ = write!(
+            write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
                  \"args\":{{\"name\":\"{} [{}]\"}}}}",
                 escape_json(workload),
                 escape_json(manager)
-            );
+            )?;
             continue;
         }
         let &(name, track, track_field, start, end) =
             LAYOUT.iter().find(|row| row.0 == record.tag).expect("every event type has a row");
         let num = |key: &str| match record.get(key) {
             Some(Value::Num(n)) => Ok(*n),
-            _ => Err(format!("line {}: \"{key}\" must be an integer", record.line)),
+            _ => Err(bad(format!("line {}: \"{key}\" must be an integer", record.line))),
         };
         let tid = match track_field {
             Some(field) => format!("{track}{}", num(field)?),
@@ -93,7 +102,7 @@ pub fn jsonl_to_chrome(jsonl: &str) -> Result<String, String> {
                 let _ = write!(args, "{comma}\"{key}\":{value}");
             }
         }
-        let _ = match end {
+        match end {
             Some(field) => {
                 let done = num(field)?;
                 cursor = cursor.max(done);
@@ -112,16 +121,25 @@ pub fn jsonl_to_chrome(jsonl: &str) -> Result<String, String> {
                      \"ts\":{ts},\"args\":{{{args}}}}}"
                 )
             }
-        };
+        }?;
     }
-    out.push_str("]}");
-    Ok(out)
+    out.write_all(b"]}")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{run_begin_jsonl, Event};
+
+    /// The export of `jsonl` as text, or the trace error.
+    fn export(jsonl: &str) -> Result<String, String> {
+        let mut out = Vec::new();
+        match jsonl_to_chrome(jsonl.as_bytes(), &mut out) {
+            Ok(()) => Ok(String::from_utf8(out).expect("the export is UTF-8")),
+            Err(e) if e.kind() == ErrorKind::InvalidData => Err(e.to_string()),
+            Err(e) => panic!("writing to a Vec failed: {e}"),
+        }
+    }
 
     #[test]
     fn round_trips_a_small_trace() {
@@ -141,7 +159,7 @@ mod tests {
             jsonl.push_str(&ev.to_jsonl());
             jsonl.push('\n');
         }
-        let chrome = jsonl_to_chrome(&jsonl).expect("export succeeds");
+        let chrome = export(&jsonl).expect("export succeeds");
         assert!(chrome.starts_with("{\"displayTimeUnit\""));
         assert!(chrome.ends_with("]}"));
         assert!(chrome.contains("\"ph\":\"X\""));
@@ -221,7 +239,7 @@ mod tests {
             r#"{"ph":"X","pid":2,"tid":"dram","name":"dram_access","ts":80,"dur":15,"args":{"service":15,"row_hit":false}},"#,
             r#"{"ph":"i","s":"t","pid":2,"tid":"run","name":"phase_end","ts":400,"args":{"phase":1}}]}"#,
         );
-        assert_eq!(jsonl_to_chrome(&every_type_trace()).expect("export succeeds"), pinned);
+        assert_eq!(export(&every_type_trace()).expect("export succeeds"), pinned);
     }
 
     #[test]
@@ -240,23 +258,20 @@ mod tests {
 
     #[test]
     fn rejects_unknown_types_and_bad_lines() {
-        assert!(jsonl_to_chrome("{\"type\":\"bogus\"}").is_err());
-        assert!(jsonl_to_chrome("not json").is_err());
-        assert!(jsonl_to_chrome("\n\n").is_ok(), "blank lines are skipped");
+        assert!(export("{\"type\":\"bogus\"}").is_err());
+        assert!(export("not json").is_err());
+        assert!(export("\n\n").is_ok(), "blank lines are skipped");
         // What `validate` rejects fails the export too, instead of
         // exporting zeros.
         assert_eq!(
-            jsonl_to_chrome("{\"type\":\"epoch\",\"cycle\":1}").unwrap_err(),
+            export("{\"type\":\"epoch\",\"cycle\":1}").unwrap_err(),
             "line 1: \"epoch\" keys [\"cycle\"] do not match schema \
              [\"cycle\", \"instructions\", \"stall_cycles\"]"
         );
         // A placed field must be a number and run_begin's names strings.
         let bad_cycle = "{\"type\":\"shootdown\",\"asid\":1,\"lpn\":2,\"cycle\":true}";
-        assert_eq!(jsonl_to_chrome(bad_cycle).unwrap_err(), "line 1: \"cycle\" must be an integer");
+        assert_eq!(export(bad_cycle).unwrap_err(), "line 1: \"cycle\" must be an integer");
         let bad_names = "{\"type\":\"run_begin\",\"workload\":1,\"manager\":\"m\"}";
-        assert_eq!(
-            jsonl_to_chrome(bad_names).unwrap_err(),
-            "line 1: run_begin names must be strings"
-        );
+        assert_eq!(export(bad_names).unwrap_err(), "line 1: run_begin names must be strings");
     }
 }

@@ -3,21 +3,15 @@
 //! Page sets sit on the fault path (the manager's touched working set,
 //! the simulator's evicted-page ledger), where a `BTreeSet` of pairs pays
 //! a node walk and, on insert, an allocation per page. A [`PageSet`]
-//! instead keeps one 512-bit bitmap per `(asid, 2 MB region)` in a vector
-//! sorted by key, with a one-entry hint in front of the binary search:
-//! faults cluster by region, so most operations hit the hinted bitmap.
+//! instead keeps one 512-bit bitmap per `(asid, 2 MB region)` in a
+//! [`SortedMap`]: faults cluster by region, so most operations hit the
+//! map's hinted bitmap.
 
 use crate::addr::{AppId, VirtPageNum, BASE_PAGES_PER_LARGE_PAGE};
+use mosaic_sim_core::SortedMap;
 
 /// Words of 64 bits covering the 512 base pages of one region.
 const WORDS: usize = (BASE_PAGES_PER_LARGE_PAGE as usize).div_ceil(64);
-
-/// The pages of one `(asid, region)` key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Region {
-    key: (AppId, u64),
-    bits: [u64; WORDS],
-}
 
 /// A set of `(asid, base page)` pairs.
 ///
@@ -38,13 +32,10 @@ struct Region {
 /// assert!(set.remove(AppId(1), VirtPageNum(7)));
 /// assert!(set.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PageSet {
-    /// Bitmaps sorted by `(asid, large page)`.
-    regions: Vec<Region>,
-    /// Index of the region the last mutation used (revalidated against
-    /// the key before use).
-    hint: usize,
+    /// One bitmap per `(asid, large page)`.
+    regions: SortedMap<(AppId, u64), [u64; WORDS]>,
     /// Number of pages in the set.
     len: u64,
 }
@@ -71,26 +62,10 @@ impl PageSet {
         self.len == 0
     }
 
-    /// Index of `key`'s region, or where it would be inserted.
-    fn find(&self, key: (AppId, u64)) -> Result<usize, usize> {
-        if self.regions.get(self.hint).is_some_and(|r| r.key == key) {
-            return Ok(self.hint);
-        }
-        self.regions.binary_search_by_key(&key, |r| r.key)
-    }
-
     /// Adds `vpn` of `asid`; returns whether it was absent.
     pub fn insert(&mut self, asid: AppId, vpn: VirtPageNum) -> bool {
         let (key, word, mask) = locate(asid, vpn);
-        let i = match self.find(key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.regions.insert(i, Region { key, bits: [0; WORDS] });
-                i
-            }
-        };
-        self.hint = i;
-        let bits = &mut self.regions[i].bits[word];
+        let bits = &mut self.regions.get_or_insert_with(key, || [0; WORDS])[word];
         let added = *bits & mask == 0;
         *bits |= mask;
         self.len += u64::from(added);
@@ -100,9 +75,8 @@ impl PageSet {
     /// Removes `vpn` of `asid`; returns whether it was present.
     pub fn remove(&mut self, asid: AppId, vpn: VirtPageNum) -> bool {
         let (key, word, mask) = locate(asid, vpn);
-        let Ok(i) = self.find(key) else { return false };
-        self.hint = i;
-        let bits = &mut self.regions[i].bits[word];
+        let Some(region) = self.regions.get_mut(key) else { return false };
+        let bits = &mut region[word];
         let removed = *bits & mask != 0;
         *bits &= !mask;
         self.len -= u64::from(removed);
@@ -146,7 +120,7 @@ mod tests {
             assert_eq!(set.len(), reference.len() as u64, "step {step}: len");
             assert_eq!(set.is_empty(), reference.is_empty());
         }
-        assert!(set.regions.windows(2).all(|w| w[0].key < w[1].key), "regions stay sorted");
+        assert!(set.regions.is_sorted(), "regions stay sorted");
     }
 
     #[test]

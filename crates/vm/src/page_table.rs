@@ -25,18 +25,18 @@
 //!
 //! `translate` sits on the per-access hot path (`GpuSystem` consults it on
 //! every TLB hit), so the table is stored flat rather than as nested
-//! `BTreeMap`s: regions live in a sorted vector probed by binary search
-//! behind a hint that only map/unmap (`&mut self`) move, each region's
-//! L4 table is a dense 512-slot array of packed
-//! PTEs, and L2 node addresses are a direct-indexed array. All iteration
-//! orders (region order, index order) match what the `BTreeMap`s produced,
-//! so the change is invisible to the conformance oracle and the audit.
+//! `BTreeMap`s: regions and L3 node addresses live in [`SortedMap`]s (a
+//! key-sorted vector behind a hint that only map/unmap move), each
+//! region's L4 table is a dense 512-slot array of packed PTEs, and L2
+//! node addresses are a direct-indexed array. All iteration orders
+//! (region order, index order) match what the `BTreeMap`s produced, so
+//! the change is invisible to the conformance oracle and the audit.
 
 use crate::addr::{
     AppId, LargeFrameNum, LargePageNum, PageSize, PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum,
     BASE_PAGES_PER_LARGE_PAGE,
 };
-use mosaic_sim_core::{AuditInvariants, AuditReport};
+use mosaic_sim_core::{AuditInvariants, AuditReport, SortedMap};
 use std::collections::BTreeMap;
 
 /// Outcome of a successful address translation.
@@ -219,18 +219,20 @@ pub struct PageTable {
     /// L2 node addresses, direct-indexed by the 9-bit L1 index
     /// (`PhysAddr(0)` = no node: real nodes live at `NODE_REGION_BASE+`).
     l2_nodes: Box<[PhysAddr; 512]>,
-    /// L3 node addresses, keyed by (L1 index, L2 index), sorted.
-    l3_nodes: Vec<((u64, u64), PhysAddr)>,
-    /// Leaf regions, sorted by large page number.
-    regions: Vec<(LargePageNum, L3Region)>,
-    /// Index into `regions` of the region a `&mut` access last found or
-    /// inserted: map/unmap runs sweep one 2 MB region at a time. Purely an
-    /// accelerator: `region_pos` checks its key before use, and a miss
-    /// costs only the binary search.
-    region_hint: usize,
-    /// Bump allocator for page-table node addresses.
+    /// L3 node addresses, keyed by (L1 index, L2 index).
+    l3_nodes: SortedMap<(u64, u64), PhysAddr>,
+    /// Leaf regions, keyed by large page number.
+    regions: SortedMap<LargePageNum, L3Region>,
+    /// Bump allocator for page-table node addresses ([`alloc_node`]).
     next_node: u64,
     mapped_base_pages: u64,
+}
+
+/// Takes the next page-table node address from the bump allocator `next`.
+fn alloc_node(next: &mut u64) -> PhysAddr {
+    let a = PhysAddr(*next);
+    *next += PageTable::NODE_SIZE;
+    a
 }
 
 /// Mask yielding the 9-bit radix index for each level.
@@ -254,71 +256,16 @@ impl PageTable {
 
     /// Creates an empty table for `asid`.
     pub fn new(asid: AppId) -> Self {
-        let region = Self::NODE_REGION_BASE + u64::from(asid.0) * Self::NODE_REGION_STRIDE;
-        let mut pt = PageTable {
+        let mut next_node = Self::NODE_REGION_BASE + u64::from(asid.0) * Self::NODE_REGION_STRIDE;
+        PageTable {
             asid,
-            root: PhysAddr(0),
+            root: alloc_node(&mut next_node),
             l2_nodes: Box::new([PhysAddr(0); 512]),
-            l3_nodes: Vec::new(),
-            regions: Vec::new(),
-            region_hint: 0,
-            next_node: region,
+            l3_nodes: SortedMap::default(),
+            regions: SortedMap::default(),
+            next_node,
             mapped_base_pages: 0,
-        };
-        pt.root = pt.alloc_node();
-        pt
-    }
-
-    fn alloc_node(&mut self) -> PhysAddr {
-        let a = PhysAddr(self.next_node);
-        self.next_node += Self::NODE_SIZE;
-        a
-    }
-
-    /// Position of `lpn` in the sorted region vector (or where it would
-    /// go), hint-first.
-    #[inline]
-    fn region_pos(&self, lpn: LargePageNum) -> Result<usize, usize> {
-        match self.regions.get(self.region_hint) {
-            Some((l, _)) if *l == lpn => Ok(self.region_hint),
-            _ => self.regions.binary_search_by_key(&lpn, |(l, _)| *l),
         }
-    }
-
-    #[inline]
-    fn region(&self, lpn: LargePageNum) -> Option<&L3Region> {
-        self.region_pos(lpn).ok().map(|p| &self.regions[p].1)
-    }
-
-    fn region_mut(&mut self, lpn: LargePageNum) -> Option<&mut L3Region> {
-        let pos = self.region_pos(lpn).ok()?;
-        self.region_hint = pos;
-        Some(&mut self.regions[pos].1)
-    }
-
-    /// The region for `lpn`, created empty if absent.
-    fn region_or_insert(&mut self, lpn: LargePageNum) -> &mut L3Region {
-        let pos = match self.region_pos(lpn) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                let node = self.alloc_node();
-                self.regions.insert(
-                    pos,
-                    (
-                        lpn,
-                        L3Region {
-                            large: false,
-                            large_frame: None,
-                            l4_node: node,
-                            entries: L4Table::new(),
-                        },
-                    ),
-                );
-                pos
-            }
-        };
-        self.region_hint = pos;
-        &mut self.regions[pos].1
     }
 
     /// The address space this table translates.
@@ -343,26 +290,21 @@ impl PageTable {
     /// Returns `Err(frame)` with the existing mapping if the page is
     /// already mapped.
     pub fn map_base(&mut self, vpn: VirtPageNum, frame: PhysFrameNum) -> Result<(), PhysFrameNum> {
-        let addr = vpn.addr();
-        let [i1, i2, _, _] = level_indices(addr);
-        if self.l2_nodes[i1 as usize] == PhysAddr(0) {
-            let n = self.alloc_node();
-            self.l2_nodes[i1 as usize] = n;
-        }
-        if let Err(pos) = self.l3_nodes.binary_search_by_key(&(i1, i2), |(k, _)| *k) {
-            let n = self.alloc_node();
-            self.l3_nodes.insert(pos, ((i1, i2), n));
-        }
-        let lpn = vpn.large_page();
-        let region = self.region_or_insert(lpn);
-        let disabled = region.large;
-        match region.entries.try_insert(vpn.index_in_large(), L4Pte { frame, disabled }) {
-            Ok(()) => {
-                self.mapped_base_pages += 1;
-                Ok(())
+        // A region's L2 and L3 nodes exist once it does. A new region's
+        // missing nodes are allocated top-down: L2, then L3, then L4.
+        let region = self.regions.get_or_insert_with(vpn.large_page(), || {
+            let [i1, i2, _, _] = level_indices(vpn.addr());
+            let next = &mut self.next_node;
+            if self.l2_nodes[i1 as usize] == PhysAddr(0) {
+                self.l2_nodes[i1 as usize] = alloc_node(next);
             }
-            Err(existing) => Err(existing),
-        }
+            self.l3_nodes.get_or_insert_with((i1, i2), || alloc_node(next));
+            let l4_node = alloc_node(next);
+            L3Region { large: false, large_frame: None, l4_node, entries: L4Table::new() }
+        });
+        region.entries.try_insert(vpn.index_in_large(), L4Pte { frame, disabled: region.large })?;
+        self.mapped_base_pages += 1;
+        Ok(())
     }
 
     /// Removes the mapping for a base page, returning the frame it pointed
@@ -373,7 +315,7 @@ impl PageTable {
     /// freed base frame stays unusable until CAC splinters the page.
     pub fn unmap_base(&mut self, vpn: VirtPageNum) -> Option<PhysFrameNum> {
         let index = vpn.index_in_large();
-        let region = self.region_mut(vpn.large_page())?;
+        let region = self.regions.get_mut(vpn.large_page())?;
         let removed = region.entries.remove(index);
         if removed.is_some() {
             self.mapped_base_pages -= 1;
@@ -393,7 +335,7 @@ impl PageTable {
         new_frame: PhysFrameNum,
     ) -> Result<PhysFrameNum, TranslationError> {
         let index = vpn.index_in_large();
-        let region = self.region_mut(vpn.large_page()).ok_or(TranslationError::NotMapped)?;
+        let region = self.regions.get_mut(vpn.large_page()).ok_or(TranslationError::NotMapped)?;
         region.entries.set_frame(index, new_frame).ok_or(TranslationError::NotMapped)
     }
 
@@ -411,7 +353,7 @@ impl PageTable {
     #[inline]
     pub fn translate(&self, addr: VirtAddr) -> Result<Translation, TranslationError> {
         let vpn = addr.base_page();
-        let region = self.region(vpn.large_page()).ok_or(TranslationError::NotMapped)?;
+        let region = self.regions.get(vpn.large_page()).ok_or(TranslationError::NotMapped)?;
         if region.large {
             // Large mapping: offset within the large frame is preserved.
             let lf = region.large_frame.ok_or(TranslationError::NotMapped)?;
@@ -426,23 +368,25 @@ impl PageTable {
     /// Whether the given base page has a mapping (independent of
     /// coalescing state).
     pub fn is_mapped(&self, vpn: VirtPageNum) -> bool {
-        self.region(vpn.large_page()).is_some_and(|r| r.entries.get(vpn.index_in_large()).is_some())
+        self.regions
+            .get(vpn.large_page())
+            .is_some_and(|r| r.entries.get(vpn.index_in_large()).is_some())
     }
 
     /// Whether the region containing `lpn` is currently coalesced.
     pub fn is_coalesced(&self, lpn: LargePageNum) -> bool {
-        self.region(lpn).is_some_and(|r| r.large)
+        self.regions.get(lpn).is_some_and(|r| r.large)
     }
 
     /// Number of mapped base pages within a large page (`0..=512`).
     pub fn mapped_in_large(&self, lpn: LargePageNum) -> u64 {
-        self.region(lpn).map_or(0, |r| r.entries.len())
+        self.regions.get(lpn).map_or(0, |r| r.entries.len())
     }
 
     /// Checks the In-Place Coalescer's precondition: all 512 base pages
     /// mapped, physically contiguous, and aligned within one large frame.
     pub fn can_coalesce(&self, lpn: LargePageNum) -> Result<LargeFrameNum, CoalesceError> {
-        let region = self.region(lpn).ok_or(CoalesceError::NotFullyPopulated)?;
+        let region = self.regions.get(lpn).ok_or(CoalesceError::NotFullyPopulated)?;
         if region.large {
             return Err(CoalesceError::AlreadyCoalesced);
         }
@@ -478,7 +422,7 @@ impl PageTable {
         // A missing region means no base page is mapped; can_coalesce
         // rejects that, so this branch is unreachable — but the rejection
         // it would represent is NotFullyPopulated, not a crash.
-        let Some(region) = self.region_mut(lpn) else {
+        let Some(region) = self.regions.get_mut(lpn) else {
             return Err(CoalesceError::NotFullyPopulated);
         };
         region.large = true;
@@ -493,7 +437,7 @@ impl PageTable {
     ///
     /// Returns `true` if the region was coalesced.
     pub fn splinter(&mut self, lpn: LargePageNum) -> bool {
-        match self.region_mut(lpn) {
+        match self.regions.get_mut(lpn) {
             Some(region) if region.large => {
                 region.entries.set_all_disabled(false);
                 region.large = false;
@@ -519,13 +463,9 @@ impl PageTable {
             node => node,
         };
         let l2_entry = PhysAddr(l2_node.raw() + i2 * 8);
-        let l3_node = self
-            .l3_nodes
-            .binary_search_by_key(&(i1, i2), |(k, _)| *k)
-            .map(|pos| self.l3_nodes[pos].1)
-            .unwrap_or(l2_node);
+        let l3_node = self.l3_nodes.get((i1, i2)).copied().unwrap_or(l2_node);
         let l3_entry = PhysAddr(l3_node.raw() + i3 * 8);
-        let region = self.region(addr.base_page().large_page());
+        let region = self.regions.get(addr.base_page().large_page());
         let (l4_node, l4_index) = match region {
             Some(r) if r.large => (r.l4_node, 0),
             Some(r) => (r.l4_node, i4),
@@ -541,7 +481,8 @@ impl PageTable {
         &self,
         lpn: LargePageNum,
     ) -> impl Iterator<Item = (VirtPageNum, PhysFrameNum, bool)> + '_ {
-        self.region(lpn)
+        self.regions
+            .get(lpn)
             .into_iter()
             .flat_map(move |r| r.entries.iter())
             .map(move |(i, pte)| (lpn.base_page(i), pte.frame, pte.disabled))
@@ -566,7 +507,7 @@ impl PageTable {
     /// The large frame a coalesced region maps to, or `None` if `lpn` is
     /// not coalesced.
     pub fn large_frame_of(&self, lpn: LargePageNum) -> Option<LargeFrameNum> {
-        self.region(lpn).filter(|r| r.large).and_then(|r| r.large_frame)
+        self.regions.get(lpn).filter(|r| r.large).and_then(|r| r.large_frame)
     }
 }
 
@@ -634,10 +575,10 @@ impl AuditInvariants for PageTable {
                 self.mapped_base_pages, counted
             )
         });
-        report.check(c, self.regions.windows(2).all(|w| w[0].0 < w[1].0), || {
-            format!("{asid}: region vector is not sorted/deduplicated")
+        report.check(c, self.regions.is_sorted() && self.l3_nodes.is_sorted(), || {
+            format!("{asid}: region or L3 node map is not sorted/deduplicated")
         });
-        for (lpn, region) in &self.regions {
+        for (lpn, region) in self.regions.iter() {
             let lpn = *lpn;
             // Index range is enforced structurally (512 fixed slots), so
             // the old out-of-range check has nothing left to observe.
