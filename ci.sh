@@ -31,9 +31,9 @@ echo "==> cargo build --release"
 cargo build -q --release --workspace
 
 echo "==> bench-smoke (wall-time regression gate vs committed BENCH.json)"
-cargo run -q --release -p mosaic-bench -- --quick --no-out --check BENCH.json
+cargo run -q --release -p mosaic-bench -- --quick --check BENCH.json
 
-echo "==> campaign-smoke (run cache: cold/warm/no-cache byte-identity and warm speedup)"
+echo "==> campaign-smoke (run cache: cold/warm/no-cache byte-identity, warm speedup, bit-rot is a miss)"
 rm -rf target/campaign-cache
 t0=$(date +%s%N)
 target/release/reproduce --jobs 1 --cache-dir target/campaign-cache \
@@ -47,6 +47,14 @@ target/release/reproduce --jobs 1 --no-cache \
 diff target/campaign-cold.txt target/campaign-warm.txt
 diff target/campaign-cold.txt target/campaign-nocache.txt
 grep -Eq '[1-9][0-9]* hits, 0 misses' target/campaign-warm.err
+# Rot one digit of one stored entry: that run must miss and be simulated
+# again, and the report must not change.
+entries=(target/campaign-cache/objects/*.entry)
+sed -i '2{s/0/1/;t;s/[1-9]/0/}' "${entries[0]}"
+target/release/reproduce --jobs 1 --cache-dir target/campaign-cache \
+    campaign run campaigns/smoke.toml > target/campaign-rot.txt 2> target/campaign-rot.err
+diff target/campaign-cold.txt target/campaign-rot.txt
+grep -Eq '[1-9][0-9]* hits, 1 misses' target/campaign-rot.err
 cold_ms=$(( (t1 - t0) / 1000000 ))
 warm_ms=$(( (t2 - t1) / 1000000 ))
 echo "    cold ${cold_ms}ms, warm ${warm_ms}ms (100% hits), reports byte-identical"

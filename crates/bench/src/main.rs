@@ -2,17 +2,18 @@
 //!
 //! Runs a fixed roster of scenarios — microbenches of the hot data
 //! structures, a bounded figure-driver sweep, and a warm re-run of the
-//! smoke campaign through the persistent run cache — and emits
-//! `BENCH.json` with the median-of-N wall time per scenario. The
-//! committed `BENCH.json` is the performance baseline; CI re-runs the
-//! harness in a reduced configuration and fails when any scenario
-//! regresses past its per-scenario `max_ratio` limit (`--check`).
+//! smoke campaign through the persistent run cache — and prints a JSON
+//! report with the median-of-N wall time per scenario on stdout, or
+//! writes it to `--out PATH`. The committed `BENCH.json` is the
+//! performance baseline; CI re-runs the harness in a reduced
+//! configuration and fails when any scenario regresses past its
+//! per-scenario `max_ratio` limit (`--check`).
 //!
 //! ```text
-//! cargo run --release -p mosaic-bench                  # full samples, write BENCH.json
+//! cargo run --release -p mosaic-bench -- --out BENCH.json  # full samples, re-record
 //! cargo run --release -p mosaic-bench -- --quick \
-//!     --out target/bench-smoke.json --check BENCH.json # CI smoke + regression gate
-//! cargo run --release -p mosaic-bench -- --list        # scenario roster
+//!     --out target/bench-smoke.json --check BENCH.json     # CI smoke + regression gate
+//! cargo run --release -p mosaic-bench -- --list            # scenario roster
 //! ```
 //!
 //! Scenario wall times are medians, each sample rebuilds its structures
@@ -567,7 +568,7 @@ fn check_regressions(results: &[Measurement], baseline: &[BaselineEntry]) -> boo
 fn usage_error(msg: &str) -> ! {
     err!(
         "mosaic-bench: {msg}\n\
-         usage: mosaic-bench [--quick] [--samples N] [--out PATH | --no-out] [--check PATH] \
+         usage: mosaic-bench [--quick] [--samples N] [--out PATH] [--check PATH] \
          [--list] [SCENARIO-FILTER...]"
     );
     std::process::exit(2);
@@ -581,7 +582,7 @@ fn fail(msg: &str) -> ! {
 
 fn main() {
     let mut samples = SAMPLES;
-    let mut out_path: Option<String> = Some("BENCH.json".to_string());
+    let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut filter: Vec<String> = Vec::new();
     let mut list = false;
@@ -599,7 +600,6 @@ fn main() {
             "--out" => {
                 out_path = Some(args.next().unwrap_or_else(|| usage_error("--out needs a path")))
             }
-            "--no-out" => out_path = None,
             "--check" => {
                 check_path =
                     Some(args.next().unwrap_or_else(|| usage_error("--check needs a path")))

@@ -12,9 +12,10 @@
 //!   digest is computed by `build.rs` over every workspace source file,
 //!   so entries written by an older simulator build can never be served
 //!   to a newer one.
-//! * [`store`] — the disk-backed store: one atomically-written text
-//!   entry per run under `objects/<key>.entry`, and corruption-tolerant
-//!   loads (any mismatch is a miss, never an error).
+//! * [`store`] — the disk-backed store: one atomically-written entry per
+//!   run under `objects/<key>.entry`, flat JSON objects in the trace's
+//!   codec (run results add `f64` values; traces stay integer-only)
+//!   sealed by a checksum; any mismatch on load is a miss, never an error.
 //! * [`matrix`] — the scenario DSL: a TOML-subset file describing cross
 //!   products over workloads, managers, TLB geometries, fragmentation,
 //!   oversubscription, paging modes, and seeds, expanded

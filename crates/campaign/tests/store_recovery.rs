@@ -1,13 +1,15 @@
 //! Store durability and corruption tolerance: entries survive process
-//! boundaries (simulated by reopening the store), and any damaged or
-//! stale on-disk state degrades to a cache miss — never an error, never
-//! a wrong result.
+//! boundaries (simulated by reopening the store) bit-exactly, and any
+//! damaged or stale on-disk state degrades to a cache miss — never an
+//! error, never a wrong result.
 
 use mosaic_campaign::{Digest, Store};
 use mosaic_core::ManagerStats;
-use mosaic_gpusim::{AppResult, ManagerKind, RunConfig, RunResult, SystemStats};
+use mosaic_gpusim::{
+    run_workload, AppResult, ManagerKind, RunConfig, RunResult, SystemStats, Topology,
+};
 use mosaic_telemetry::{StallBreakdown, StallBucket};
-use mosaic_workloads::Workload;
+use mosaic_workloads::{ScaleConfig, Workload};
 use std::path::PathBuf;
 
 /// A fresh store directory per test (tests run concurrently).
@@ -93,7 +95,9 @@ fn corrupted_entries_degrade_to_misses_and_heal_on_reinsert() {
         assert!(store.lookup(key).is_none(), "truncated at {cut} must miss");
     }
     // Bit-rot in a value.
-    std::fs::write(&entry_path, full.replace("total_cycles=2000", "total_cycles=garbage")).unwrap();
+    let rotted = full.replace("\"total_cycles\":2000", "\"total_cycles\":\"garbage\"");
+    assert_ne!(rotted, full);
+    std::fs::write(&entry_path, rotted).unwrap();
     assert!(store.lookup(key).is_none());
     // An entry whose self-recorded key disagrees with its filename
     // (e.g. a file copied between stores by hand).
@@ -150,5 +154,85 @@ fn reinsert_overwrites_atomically_and_failures_are_nonfatal() {
     store.insert(key, &result(3), 3);
     assert_eq!(store.stats().failures, 1);
     assert!(store.lookup(key).is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every byte of a stored entry, changed to another byte one position at
+/// a time, makes the lookup miss: a value that rots into another valid
+/// value (`0.4` → `0.5`) parses, and only the entry's checksum catches it.
+#[test]
+fn every_changed_byte_is_a_miss() {
+    let dir = tmpdir("bitrot");
+    let store = Store::open(&dir).unwrap();
+    let (w, cfg) = job();
+    let key = store.run_key(&w, &cfg);
+    let r = result(3000);
+    store.insert(key, &r, 9);
+    let entry_path = dir.join("objects").join(format!("{key}.entry"));
+    let full = std::fs::read(&entry_path).unwrap();
+    for pos in 0..full.len() {
+        let mut rotted = full.clone();
+        // Flip one bit, a different one at each position, so that digits,
+        // separators, newlines and the high (non-UTF-8) bit all rot.
+        rotted[pos] ^= 1 << (pos % 8);
+        std::fs::write(&entry_path, &rotted).unwrap();
+        assert!(store.lookup(key).is_none(), "byte {pos} ({:?})", char::from(full[pos]));
+    }
+    assert_eq!(store.stats().misses, full.len() as u64);
+    std::fs::write(&entry_path, &full).unwrap();
+    assert_eq!(store.lookup(key).expect("restored").result, r);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small scale that still evicts under oversubscription and goes
+/// remote across GPUs.
+fn small(manager: ManagerKind) -> RunConfig {
+    let scale = ScaleConfig { ws_divisor: 64, mem_ops_per_warp: 20, warps_per_sm: 4, phases: 1 };
+    let mut cfg = RunConfig::new(manager).with_scale(scale);
+    cfg.system.sm_count = 4;
+    cfg
+}
+
+/// Every `f64` of a result, as bits, with where it sits.
+fn float_bits(r: &RunResult) -> Vec<(String, u64)> {
+    let s = &r.stats;
+    let mut bits: Vec<(String, u64)> = [
+        ("walk_latency_mean", s.walk_latency_mean),
+        ("l1_cache_hit_rate", s.l1_cache_hit_rate),
+        ("l2_cache_hit_rate", s.l2_cache_hit_rate),
+        ("dram_row_hit_rate", s.dram_row_hit_rate),
+        ("iobus_queue_mean", s.iobus_queue_mean),
+        ("iobus_service_mean", s.iobus_service_mean),
+        ("memory_bloat", s.memory_bloat),
+    ]
+    .into_iter()
+    .map(|(name, x)| (name.to_string(), x.to_bits()))
+    .collect();
+    bits.extend(r.apps.iter().map(|a| (format!("{} ipc", a.name), a.ipc.to_bits())));
+    bits
+}
+
+/// Real runs of the two scenarios with the most populated fields — a
+/// 2-GPU fleet and a 2× oversubscribed run — come back from the store
+/// equal under `==` and with every `f64` bit-identical.
+#[test]
+fn real_fleet_and_oversubscribed_runs_round_trip_bit_exactly() {
+    let dir = tmpdir("real");
+    let store = Store::open(&dir).unwrap();
+    let w = Workload::from_names(&["MM", "GUPS"]);
+    let fleet = small(ManagerKind::mosaic()).multi_gpu(2, Topology::FullyConnected);
+    let oversub = small(ManagerKind::mosaic()).oversubscribed(2.0);
+    let (fleet_run, oversub_run) = (run_workload(&w, fleet), run_workload(&w, oversub));
+    assert!(fleet_run.stats.remote_accesses > 0, "the fleet run goes remote");
+    assert!(oversub_run.stats.manager.evictions > 0, "the oversubscribed run evicts");
+    for (cfg, r) in [(fleet, fleet_run), (oversub, oversub_run)] {
+        let key = store.run_key(&w, &cfg);
+        store.insert(key, &r, 1);
+        let back = store.lookup(key).expect("stored").result;
+        assert_eq!(back, r);
+        assert_eq!(float_bits(&back), float_bits(&r));
+    }
+    let st = store.stats();
+    assert_eq!((st.stores, st.hits, st.misses), (2, 2, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -54,7 +54,7 @@ use mosaic_campaign::{render_expand, render_results, render_status, Spec, Store}
 use mosaic_experiments::goldens::{digest, golden};
 use mosaic_experiments::sweep::Trace;
 use mosaic_experiments::{Scope, Sweep, REPORTS};
-use mosaic_telemetry::escape_json;
+use mosaic_telemetry::json::{write_object, Value};
 use std::io::{stderr, stdout, BufWriter, Write};
 
 // `println!` and `eprintln!` that drop the line when the pipe is closed:
@@ -70,18 +70,6 @@ fn cli_name(report: &str) -> &str {
     } else {
         report
     }
-}
-
-/// Renders the collected results as a JSON object mapping each
-/// experiment name to its rendered report text.
-fn to_json(results: &[(&str, String)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (name, text)) in results.iter().enumerate() {
-        out.push_str(&format!("  \"{}\": \"{}\"", escape_json(name), escape_json(text)));
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push('}');
-    out
 }
 
 /// Prints `message` and exits with the usage-error status 2.
@@ -334,7 +322,10 @@ fn run_figures(mut args: Vec<String>, sweep: &mut Sweep, trace_path: Option<&str
     report_cache_stats(sweep);
 
     if let Some(path) = json_path {
-        or_exit(&path, std::fs::write(&path, to_json(&results)));
+        // One JSON object: each experiment's name to its rendered report.
+        let texts: Vec<Value> = results.iter().map(|(_, text)| Value::Str(text.clone())).collect();
+        let json = write_object(results.iter().map(|(name, _)| name).zip(&texts));
+        or_exit(&path, std::fs::write(&path, json));
         err!("wrote machine-readable results to {path}");
     }
     pins_hold

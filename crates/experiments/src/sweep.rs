@@ -166,7 +166,7 @@ impl Sweep {
 
     /// Runs a list of `(workload, config)` simulation jobs on
     /// [`Sweep::jobs`] workers, returning the results in submission order
-    /// (progress label `workload [manager]`). Equal run keys collapse
+    /// (progress label `workload [manager] key`). Equal run keys collapse
     /// before dispatch, keys seen before are served from the memo, and
     /// each other key goes through the store or is simulated.
     pub fn run_workloads(&self, jobs: Vec<(Workload, RunConfig)>) -> Vec<RunResult> {
@@ -186,7 +186,7 @@ impl Sweep {
                 .zip(keys.iter().copied())
                 .filter(|&(_, key)| !runs.contains_key(&key) && fresh.insert(key))
                 .map(|((w, cfg), key)| {
-                    let label = if progress { label(&w, &cfg) } else { String::new() };
+                    let label = if progress { label(&w, &cfg, key) } else { String::new() };
                     let task = move || {
                         let session = traced.then(TraceSession::start);
                         let result = simulate(store, key, &w, cfg);
@@ -228,9 +228,10 @@ impl Sweep {
     }
 }
 
-/// The progress label of one job: `workload [manager]`.
-fn label(workload: &Workload, cfg: &RunConfig) -> String {
-    format!("{} [{}]", workload.name, cfg.manager_label())
+/// The progress label of one job: `workload [manager] key`, the run key's
+/// short form telling apart points that differ only in seed, TLB or paging.
+fn label(workload: &Workload, cfg: &RunConfig, key: Digest) -> String {
+    format!("{} [{}] {}", workload.name, cfg.manager_label(), key.short())
 }
 
 /// Simulates the run keyed `key` through `store` when given

@@ -22,7 +22,7 @@ use mosaic_workloads::{AppLayout, AppWarpStream, Workload};
 const EPOCH_EVERY: u64 = 100_000;
 
 /// Per-application outcome of one run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppResult {
     /// Application name (profile abbreviation).
     pub name: String,
@@ -42,7 +42,7 @@ pub struct AppResult {
 }
 
 /// Outcome of one workload run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     /// Workload display name.
     pub workload: String,

@@ -17,11 +17,10 @@
 //!   `coalesce` / `splinter` carry no cycle and are placed at the last
 //!   cycle seen.
 
-use std::fmt::Write as _;
 use std::io::{self, BufRead, ErrorKind, Write};
 
 use crate::event::read_trace;
-use crate::json::{escape_json, Value};
+use crate::json::{write_object, Value};
 
 /// `(tag, track, track field, start field, end field)` for every event
 /// type but `run_begin`. The track (`tid`) is the fixed name, followed by
@@ -74,9 +73,8 @@ pub fn jsonl_to_chrome(input: impl BufRead, mut out: impl Write) -> io::Result<(
             write!(
                 out,
                 "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"{} [{}]\"}}}}",
-                escape_json(workload),
-                escape_json(manager)
+                 \"args\":{{\"name\":{}}}}}",
+                Value::Str(format!("{workload} [{manager}]"))
             )?;
             continue;
         }
@@ -95,13 +93,8 @@ pub fn jsonl_to_chrome(input: impl BufRead, mut out: impl Write) -> io::Result<(
             None => cursor,
         };
         let placed = [track_field, start, end];
-        let mut args = String::new();
-        for (key, value) in record.keys.iter().zip(&record.values) {
-            if !placed.contains(&Some(*key)) {
-                let comma = if args.is_empty() { "" } else { "," };
-                let _ = write!(args, "{comma}\"{key}\":{value}");
-            }
-        }
+        let pairs = record.keys.iter().zip(&record.values);
+        let args = write_object(pairs.filter(|(key, _)| !placed.contains(&Some(**key))));
         match end {
             Some(field) => {
                 let done = num(field)?;
@@ -109,7 +102,7 @@ pub fn jsonl_to_chrome(input: impl BufRead, mut out: impl Write) -> io::Result<(
                 write!(
                     out,
                     "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
-                     \"ts\":{ts},\"dur\":{},\"args\":{{{args}}}}}",
+                     \"ts\":{ts},\"dur\":{},\"args\":{args}}}",
                     done.saturating_sub(ts).max(1)
                 )
             }
@@ -118,7 +111,7 @@ pub fn jsonl_to_chrome(input: impl BufRead, mut out: impl Write) -> io::Result<(
                 write!(
                     out,
                     "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":\"{tid}\",\"name\":\"{name}\",\
-                     \"ts\":{ts},\"args\":{{{args}}}}}"
+                     \"ts\":{ts},\"args\":{args}}}"
                 )
             }
         }?;

@@ -10,8 +10,7 @@
 //! ([`Event::to_jsonl`]), the reader ([`read_trace`]) and the Chrome
 //! export all take the key names from it.
 
-use crate::json::{parse_object, Value};
-use std::fmt::Write;
+use crate::json::{parse_object, write_object, Value};
 use std::io::BufRead;
 
 /// One structured simulator event. All cycle fields are absolute
@@ -250,12 +249,8 @@ fn schema_row(tag: &str) -> Option<(&'static str, &'static [&'static str])> {
 /// `tag`'s [`SCHEMA`] row paired with `values` in order.
 fn encode(tag: &str, values: &[Value]) -> String {
     let (_, keys) = schema_row(tag).expect("every encoded tag is in SCHEMA");
-    let mut line = format!("{{\"type\":\"{tag}\"");
-    for (key, value) in keys.iter().zip(values) {
-        let _ = write!(line, ",\"{key}\":{value}");
-    }
-    line.push('}');
-    line
+    let tag = Value::Str(tag.into());
+    write_object(std::iter::once(("type", &tag)).chain(keys.iter().copied().zip(values)))
 }
 
 /// Renders the `run_begin` metadata line that precedes each run's events
@@ -286,10 +281,11 @@ impl Record {
 
 /// Reads a JSONL trace against [`SCHEMA`], one [`Record`] per non-blank
 /// line: each line must parse as a flat object, lead with a known
-/// `"type"`, and carry exactly that type's keys in schema order. An error
-/// (a read error too) names its line. Lines are read one at a time, so
-/// memory stays at one line whatever the trace's length. `mosaic-trace
-/// validate` and the Chrome export both read traces through this.
+/// `"type"`, and carry exactly that type's keys in schema order, with no
+/// `f64` value (traces are integer-only). An error (a read error too)
+/// names its line. Lines are read one at a time, so memory stays at one
+/// line whatever the trace's length. `mosaic-trace validate` and the
+/// Chrome export both read traces through this.
 pub fn read_trace(input: impl BufRead) -> impl Iterator<Item = Result<Record, String>> {
     input.lines().enumerate().filter_map(|(idx, line)| {
         let record = match line {
@@ -312,6 +308,11 @@ fn read_line(text: &str, line: usize) -> Result<Record, String> {
     let (got, values): (Vec<String>, Vec<Value>) = pairs.unzip();
     if got != keys {
         return Err(format!("\"{tag}\" keys {got:?} do not match schema {keys:?}"));
+    }
+    for (key, value) in keys.iter().zip(&values) {
+        if let Value::F64(text) = value {
+            return Err(format!("\"{key}\" is {text}: trace values are integers"));
+        }
     }
     Ok(Record { line, tag, keys, values })
 }
@@ -438,6 +439,14 @@ mod tests {
         assert_eq!(
             first_error("{\"type\":\"coalesce\",\"lpn\":2,\"asid\":1}").as_deref(),
             Some("line 1: \"coalesce\" keys [\"lpn\", \"asid\"] do not match schema [\"asid\", \"lpn\"]")
+        );
+        assert_eq!(
+            first_error("{\"type\":\"coalesce\",\"asid\":1,\"lpn\":2}\n{\"type\":\"epoch\",\"cycle\":1.5,\"instructions\":2,\"stall_cycles\":3}").as_deref(),
+            Some("line 2: \"cycle\" is 1.5: trace values are integers")
+        );
+        assert_eq!(
+            first_error("{\"type\":\"coalesce\",\"asid\":-1,\"lpn\":2}").as_deref(),
+            Some("line 1: \"asid\" is -1: trace values are integers")
         );
         assert!(first_error("{\"type\":").unwrap().starts_with("line 1: "));
         assert_eq!(read_trace(" \n\n".as_bytes()).count(), 0, "blank lines are skipped");

@@ -1,13 +1,13 @@
-//! A minimal JSON reader and writer for flat trace objects (no external
-//! deps).
+//! A minimal JSON reader and writer for flat objects (no external deps).
 //!
-//! Trace lines are flat objects whose values are strings, unsigned
-//! integers, or booleans — nothing nested. [`parse_object`] parses one
-//! such line into an ordered key/value list and [`Value`]'s `Display`
-//! writes a value back; the trace reader and encoder in
-//! [`crate::event`] are built on them.
+//! A flat object's values are strings, unsigned integers, `f64`s or
+//! booleans — nothing nested. [`parse_object`] parses one object into an
+//! ordered key/value list and [`write_object`] writes one back. Both the
+//! trace ([`crate::event`]) and the campaign store's run results are
+//! built on them; run results use `f64` values, while the trace reader
+//! rejects them, so traces stay integer-only.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON scalar value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -16,8 +16,28 @@ pub enum Value {
     Str(String),
     /// A non-negative JSON integer.
     Num(u64),
+    /// Any other JSON number, kept as its source text until
+    /// [`Value::as_f64`] reads it, so an `f64` round-trips bit-exactly.
+    F64(String),
     /// A JSON boolean.
     Bool(bool),
+}
+
+impl Value {
+    /// `x` written `{:?}`: the shortest text that reads back to the same
+    /// bits, always with a fraction or an exponent. A non-finite `x` has
+    /// no JSON form; its text (`NaN`, `inf`) fails to parse.
+    pub fn float(x: f64) -> Value {
+        Value::F64(format!("{x:?}"))
+    }
+
+    /// The value of a [`Value::F64`].
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::F64(text) => text.parse().ok(),
+            _ => None,
+        }
+    }
 }
 
 /// Writes the value as JSON: a string quoted and escaped, a number or a
@@ -25,36 +45,60 @@ pub enum Value {
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Str(s) => write!(f, "\"{}\"", escape_json(s)),
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Bool(b) => write!(f, "{b}"),
+            Value::Str(s) => write_quoted(f, s),
+            Value::Num(n) => fmt::Display::fmt(n, f),
+            Value::F64(text) => f.write_str(text),
+            Value::Bool(b) => fmt::Display::fmt(b, f),
         }
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Writes `s` as a JSON string literal: quoted, each run of plain
+/// characters whole and each character that ends a run (all ASCII)
+/// escaped.
+fn write_quoted(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.write_str(&rest[..i])?;
+        match rest.as_bytes()[i] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
         }
+        rest = &rest[i + 1..];
     }
+    out.write_str(rest)?;
+    out.write_char('"')
+}
+
+/// Writes one flat object, `{"k":v,...}`, with `pairs` in order: the
+/// inverse of [`parse_object`].
+pub fn write_object<'a, K: AsRef<str>>(pairs: impl IntoIterator<Item = (K, &'a Value)>) -> String {
+    let pairs = pairs.into_iter();
+    // Room for ~24 bytes a pair up front: growing a trace line's buffer
+    // step by step cost more than writing the line.
+    let mut out = String::with_capacity(2 + 24 * pairs.size_hint().0);
+    out.push('{');
+    for (i, (key, value)) in pairs.enumerate() {
+        out.push_str(if i == 0 { "" } else { "," });
+        let _ = write_quoted(&mut out, key.as_ref());
+        out.push(':');
+        let _ = write!(out, "{value}");
+    }
+    out.push('}');
     out
 }
 
 /// Parses one flat JSON object (`{"k":v,...}`) into its key/value pairs
-/// in source order. Values must be strings, non-negative integers, or
-/// booleans; anything else (nesting, floats, negatives, trailing data)
-/// is an error described by the returned message.
+/// in source order. Values must be strings, numbers or booleans; anything
+/// else (nesting, `null`, a malformed or non-finite number, trailing
+/// data) is an error described by the returned message.
 pub fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut p = Parser { bytes: line.as_bytes(), pos: 0 };
+    let mut p = Parser { text: line, pos: 0 };
     p.skip_ws();
     p.expect(b'{')?;
     let mut pairs = Vec::new();
@@ -81,20 +125,20 @@ pub fn parse_object(line: &str) -> Result<Vec<(String, Value)>, String> {
         }
     }
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(pairs)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn next(&mut self) -> Option<u8> {
@@ -125,6 +169,13 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control byte
+            // whole: those bytes are ASCII, so the run ends on a char
+            // boundary of the source text.
+            let rest = &self.text[self.pos..];
+            let run = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20);
+            out.push_str(&rest[..run.unwrap_or(rest.len())]);
+            self.pos += run.unwrap_or(rest.len());
             match self.next() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => return Ok(out),
@@ -146,21 +197,7 @@ impl Parser<'_> {
                     }
                     other => return Err(format!("bad escape {:?}", other.map(char::from))),
                 },
-                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
-                Some(b) => {
-                    // Re-assemble UTF-8 byte-by-byte; input came from &str
-                    // so sequences are valid.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8 sequence".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                Some(_) => return Err("raw control character in string".into()),
             }
         }
     }
@@ -170,20 +207,22 @@ impl Parser<'_> {
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
-            Some(b'0'..=b'9') => {
+            Some(b'-' | b'0'..=b'9') => {
                 let start = self.pos;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
+                while matches!(self.peek(), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
                     self.pos += 1;
                 }
-                if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-                    return Err("floats are not part of the trace schema".into());
+                let text = &self.text[start..self.pos];
+                if text.bytes().all(|b| b.is_ascii_digit()) {
+                    text.parse().map(Value::Num).map_err(|e| format!("bad number: {e}"))
+                } else if text.parse::<f64>().is_ok_and(f64::is_finite) {
+                    Ok(Value::F64(text.to_string()))
+                } else {
+                    Err(format!("bad number {text:?}"))
                 }
-                let digits = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid number")?;
-                digits.parse::<u64>().map(Value::Num).map_err(|e| format!("bad number: {e}"))
             }
             other => Err(format!(
-                "expected string, integer, or bool, got {:?} at byte {}",
+                "expected string, number, or bool, got {:?} at byte {}",
                 other.map(char::from),
                 self.pos
             )),
@@ -191,21 +230,12 @@ impl Parser<'_> {
     }
 
     fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(value)
         } else {
             Err(format!("expected literal '{lit}' at byte {}", self.pos))
         }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -237,10 +267,32 @@ mod tests {
     #[test]
     fn rejects_malformed_lines() {
         assert!(parse_object("{").is_err());
-        assert!(parse_object(r#"{"k":1.5}"#).is_err());
         assert!(parse_object(r#"{"k":{}}"#).is_err());
         assert!(parse_object(r#"{"k":1} extra"#).is_err());
         assert!(parse_object(r#"{"k":01e}"#).is_err());
+        assert!(parse_object("{\"k\":\"\\é\"}").is_err(), "a non-ASCII escape");
+        assert!(parse_object("{\"k\":é}").is_err());
+        for bad in ["NaN", "inf", "-inf", "1e999", "1.2.3", "--1", "-", "1-2"] {
+            assert!(parse_object(&format!("{{\"k\":{bad}}}")).is_err(), "{bad}");
+        }
+    }
+
+    /// Every `f64` a run result can hold comes back with the same bits,
+    /// and the writer is the parser's inverse.
+    #[test]
+    fn floats_round_trip_bit_exactly() {
+        let xs = [0.1 + 0.2, 1.0 / 3.0, -0.0, 0.0, 1.0, -2.5, 1e16, 1e-7, 5e-324, f64::MAX];
+        let values: Vec<(String, Value)> =
+            xs.iter().enumerate().map(|(i, &x)| (format!("x{i}"), Value::float(x))).collect();
+        let line = write_object(values.iter().map(|(k, v)| (k, v)));
+        assert!(line.starts_with(r#"{"x0":0.30000000000000004,"x1":0.3333333333333333,"x2":-0.0,"#));
+        let parsed = parse_object(&line).unwrap();
+        assert_eq!(parsed, values);
+        for ((_, value), x) in parsed.iter().zip(xs) {
+            assert_eq!(value.as_f64().map(f64::to_bits), Some(x.to_bits()), "{x:?}");
+        }
+        assert_eq!(Value::Num(1).as_f64(), None, "an integer is not an f64 value");
+        assert_eq!(parse_object(r#"{"k":-3}"#).unwrap()[0].1.as_f64(), Some(-3.0));
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod progress;
 pub mod stall;
 
 pub use event::{read_trace, run_begin_jsonl, Event, Record, SCHEMA};
-pub use json::escape_json;
 pub use progress::Eta;
 pub use stall::{AccessTimeline, StallBreakdown, StallBucket, MAX_TIMELINE_SEGS};
 

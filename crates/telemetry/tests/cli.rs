@@ -1,5 +1,6 @@
 //! `mosaic-trace` error handling: bad arguments exit 2 with usage; an
-//! unreadable or malformed trace exits 1, naming the file and line.
+//! unreadable or malformed trace (an `f64` value included) exits 1,
+//! naming the file and line.
 
 use std::process::{Command, Stdio};
 
@@ -28,12 +29,22 @@ fn malformed_or_unreadable_trace_exits_1() {
     std::fs::write(&short, "\n{\"type\":\"epoch\",\"cycle\":1}\n").expect("scratch trace");
     let keys = "line 2: \"epoch\" keys [\"cycle\"] do not match schema \
                 [\"cycle\", \"instructions\", \"stall_cycles\"]";
+    // Traces are integer-only: an `f64` value fails both commands too.
+    let float = format!("{dir}/cli-float.jsonl");
+    std::fs::write(
+        &float,
+        "{\"type\":\"epoch\",\"cycle\":1.5,\"instructions\":2,\"stall_cycles\":3}\n",
+    )
+    .expect("scratch trace");
+    let real = "line 1: \"cycle\" is 1.5: trace values are integers";
     let out = format!("{dir}/cli-out.json");
     for (args, error) in [
         (vec!["validate", &bad], format!("{bad}: line 1: first key must be \"type\"")),
         (vec!["chrome", &bad, "-o", &out], format!("{bad}: line 1: first key must be \"type\"")),
         (vec!["validate", &short], format!("{short}: {keys}")),
         (vec!["chrome", &short, "-o", &out], format!("{short}: {keys}")),
+        (vec!["validate", &float], format!("{float}: {real}")),
+        (vec!["chrome", &float, "-o", &out], format!("{float}: {real}")),
         (vec!["validate", &missing], format!("cannot read {missing}")),
         (vec!["chrome", &missing, "-o", &out], format!("cannot read {missing}")),
     ] {

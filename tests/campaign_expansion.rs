@@ -166,30 +166,30 @@ fn workloads_wider_than_the_gpu_are_rejected() {
 }
 
 const SMOKE: &str = "\
-point MM gpu-mmu | a3f3c314c2384f09ec5b1d43904ad1ed
-point MM gpu-mmu over=2x | 93e2e55e1e15dcba2d3570dd93c842a8
-point MM mosaic | a40fdc418755ed24081bee45ab837c7d
-point MM mosaic over=2x | c04912f81741e3d0b3941bbe6dbe59f8
-point GUPS gpu-mmu | 5707c68f8cbbbdf30d1b4f769d505dbf
-point GUPS gpu-mmu over=2x | a0e4debde8dd35bfe53f99aead34d320
-point GUPS mosaic | 7e9434ca5cd7694ee27a44bcc1091f15
-point GUPS mosaic over=2x | 7b8422f39728d1c96dc012abaea14d6e
-point MM+GUPS gpu-mmu | 12917270d0a796f8fc1f42cc787cf9ca
-point MM+GUPS gpu-mmu over=2x | 4700641e8432a86e1ff07b404b680393
-point MM+GUPS mosaic | 6d6afec76599acd7d1f37d974d805d94
-point MM+GUPS mosaic over=2x | 2690541137fc9bc6d4fc77c061ec6b6d
+point MM gpu-mmu | af6071ca9d570240b51c8a1466e309b8
+point MM gpu-mmu over=2x | 1074661931da789ebfe8741f355397c7
+point MM mosaic | 6632858104734e05abed2cf64ae8485e
+point MM mosaic over=2x | 49e6c71362db0b5aa43c71d3ec8cb005
+point GUPS gpu-mmu | 8f4210534dc7e9f8235e548b99af94d6
+point GUPS gpu-mmu over=2x | 7e824d1d396b0924017ad0c901593f4f
+point GUPS mosaic | 72538eb572257a80599d35ae52a85996
+point GUPS mosaic over=2x | 493a6e8e384db6c16fa2b7a68086bf8f
+point MM+GUPS gpu-mmu | 2d42913a63b964e0c5dc3f735d0fab45
+point MM+GUPS gpu-mmu over=2x | ee5de72491ce85cc816ee107529d55f2
+point MM+GUPS mosaic | e69ae64cc223010b50c04de60cfeda5d
+point MM+GUPS mosaic over=2x | 88353f5df233dd1a7a7b8fb9a3eb5afa
 ";
 
 const EVERY_AXIS: &str = "\
-point MM+GUPS gpu-mmu l1=64/8 l2=256/128 seed=7 | ec19e17ce0bfd37d38166028d8467d0a
-point MM+GUPS gpu-mmu l1=64/8 l2=256/128 preloaded seed=7 | 538fed6a2dbf9cf6903856ddef27a524
-point MM+GUPS gpu-mmu l1=64/8 l2=256/128 over=2x seed=7 | aabc330bec929a6dc6d9e1c3b128f06d
-point MM+GUPS mosaic l1=64/8 l2=256/128 seed=7 | 534b467e6f027ef189b4b7f5b78ec714
-point MM+GUPS mosaic l1=64/8 l2=256/128 preloaded seed=7 | 8d686480e8e81b816a68d8ff9c8647f6
-point MM+GUPS mosaic l1=64/8 l2=256/128 over=2x seed=7 | 5cea3f95fbb6ba7d8a10e1f0d8e6fbff
-point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 seed=7 | 234179cf5404bec22ce3cade21b83f16
-point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 preloaded seed=7 | 600b492750d9eba81d26da265d009a58
-point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 over=2x seed=7 | 986d7573bb138514863125a603ebaa21
+point MM+GUPS gpu-mmu l1=64/8 l2=256/128 seed=7 | c5de6f32445f6f913630497f27bce0f7
+point MM+GUPS gpu-mmu l1=64/8 l2=256/128 preloaded seed=7 | 035a3d97c6ca029066d915201c06a57f
+point MM+GUPS gpu-mmu l1=64/8 l2=256/128 over=2x seed=7 | 57ff738a3b648d73cb5e8901d5d0afb2
+point MM+GUPS mosaic l1=64/8 l2=256/128 seed=7 | 0457eeac197b056e3590e215aefb4fef
+point MM+GUPS mosaic l1=64/8 l2=256/128 preloaded seed=7 | a48d1c77c454e580b004e8b153b12707
+point MM+GUPS mosaic l1=64/8 l2=256/128 over=2x seed=7 | 67eb00fafac1d0e53014250251820f7a
+point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 seed=7 | c123a108546ef61213b7fc3e217fdf4d
+point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 preloaded seed=7 | 5dea466b5bb006a47ee5bfef16bc16fd
+point MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 over=2x seed=7 | 3bb0eb2857d15e8951bfc96904083908
 skip MM+GUPS gpu-mmu l1=64/8 l2=256/128 over=2x preloaded seed=7 | oversubscription requires on-demand paging (preloading assumes everything fits)
 skip MM+GUPS gpu-mmu l1=64/8 l2=256/128 frag=0.5:0.9 seed=7 | fragmentation requires a Mosaic manager (only Mosaic pre-fragments memory)
 skip MM+GUPS gpu-mmu l1=64/8 l2=256/128 frag=0.5:0.9 preloaded seed=7 | fragmentation requires a Mosaic manager (only Mosaic pre-fragments memory)
@@ -200,6 +200,6 @@ skip MM+GUPS mosaic l1=64/8 l2=256/128 frag=0.5:0.9 over=2x preloaded seed=7 | o
 ";
 
 const WORKLOADS_ONLY: &str = "\
-point MM mosaic | f75b731be7a2334ee7e7c23781d173f8
-point HS+CONS mosaic | 8af49bef2d45a95ae5ce34d34e469c61
+point MM mosaic | 3ec31b210c76acdc268eabd479550741
+point HS+CONS mosaic | f352d0296624bdb1712c9e26eaae1402
 ";

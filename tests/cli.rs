@@ -2,7 +2,7 @@
 //! axis values and application names exit with status 2 before any
 //! simulation runs, with the message a campaign file gets; so does a run
 //! whose every point the campaign skips. A closed output pipe does not
-//! change the status.
+//! change the status, and each point's progress label is its own.
 
 use std::process::{Command, Stdio};
 
@@ -103,4 +103,20 @@ fn closed_pipes_keep_the_exit_status() {
         drop(child.stderr.take());
         assert_eq!(child.wait().expect("exits").code(), Some(code), "{args:?}");
     }
+}
+
+/// Points that differ only in seed get distinct progress labels: each
+/// ends with its run key's short form.
+#[test]
+fn progress_labels_tell_seeds_apart() {
+    let (code, _, stderr) = mosaic_sim(&["seeds=1,2", "HS"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let labels: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("[sweep ") && line.contains("[Mosaic]"))
+        .filter_map(|line| line.split_once("/2] ")?.1.split_once(" (").map(|(label, _)| label))
+        .collect();
+    assert_eq!(labels.len(), 2, "{stderr}");
+    assert_ne!(labels[0], labels[1], "{stderr}");
+    assert!(labels.iter().all(|l| l.starts_with("HS [Mosaic] ") && l.len() == 24), "{labels:?}");
 }
